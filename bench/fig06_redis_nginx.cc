@@ -78,23 +78,21 @@ runPanel(const char *app, const char *appLib,
                 100.0 * (1 - schedSplit / base));
 }
 
-/** One multi-core / batching sample of the cores sweep. */
+/** One sample of the multi-core sweep. */
 struct Sample
 {
     const char *app;
     std::string partition;
     unsigned cores;
-    int batch;
     double reqPerSec;
     /** Static boundary-audit hazard score (lower = cleaner). */
     int audit;
 };
 
 /**
- * The `cores:` dimension (RSS steers each connection to one core's RX
+ * The `cores:` dimension: RSS steers each connection to one core's RX
  * queue, so throughput is expected to scale while gate overhead does
- * not amortize away), plus batched-vs-unbatched points on the
- * lwip-split partition — the boundary the vectored RX path amortizes.
+ * not amortize away.
  */
 std::vector<Sample>
 coresSweep()
@@ -118,28 +116,12 @@ coresSweep()
             p.mechanismRank = 1; // MPK
             p.sharingRank = 1;   // DSS
             p.cores = static_cast<int>(cores);
-            out.push_back({"redis", pick.name, cores, 1,
+            out.push_back({"redis", pick.name, cores,
                            wayfinder::measureRedis(p, 300),
                            wayfinder::auditScore(p, "libredis")});
-            out.push_back({"nginx", pick.name, cores, 1,
+            out.push_back({"nginx", pick.name, cores,
                            wayfinder::measureNginx(p, 200),
                            wayfinder::auditScore(p, "libnginx")});
-        }
-    }
-    // Batched vs unbatched across the lwip boundary: the poller
-    // fetches a burst and crosses once per burst when batch > 1.
-    for (int batch : {1, 8}) {
-        for (unsigned cores : {1u, 4u}) {
-            ConfigPoint p;
-            p.partition = {0, 0, 0, 1};
-            p.hardening.assign(4, 0);
-            p.mechanismRank = 1; // MPK
-            p.sharingRank = 1;   // DSS
-            p.cores = static_cast<int>(cores);
-            p.gateBatch = batch;
-            out.push_back({"redis", "C lwip split", cores, batch,
-                           wayfinder::measureRedis(p, 300),
-                           wayfinder::auditScore(p, "libredis")});
         }
     }
     return out;
@@ -148,19 +130,19 @@ coresSweep()
 void
 coresTable(const std::vector<Sample> &samples)
 {
-    std::printf("\n=== Multi-core sweep: req/s vs cores (RSS), plus "
-                "batch: 8 on the lwip boundary ===\n");
-    std::printf("%-7s %-26s %-7s %-7s %12s %7s\n", "app", "partition",
-                "cores", "batch", "req/s", "audit");
+    std::printf("\n=== Multi-core sweep: req/s vs cores (RSS) ===\n");
+    std::printf("%-7s %-26s %-7s %12s %7s\n", "app", "partition",
+                "cores", "req/s", "audit");
     for (const Sample &s : samples)
-        std::printf("%-7s %-26s %-7u %-7d %11.1fk %7d\n", s.app,
-                    s.partition.c_str(), s.cores, s.batch,
-                    s.reqPerSec / 1000.0, s.audit);
+        std::printf("%-7s %-26s %-7u %11.1fk %7d\n", s.app,
+                    s.partition.c_str(), s.cores, s.reqPerSec / 1000.0,
+                    s.audit);
 }
 
 /**
- * The cores x batching matrix as a JSON snapshot (BENCH_fig06.json):
- * the regression-tracked artefact for the multi-core app benchmarks.
+ * The cores sweep as a JSON snapshot (BENCH_fig06.json): the
+ * regression-tracked artefact for the multi-core app benchmarks. Every
+ * row crosses unbatched; the snapshot keeps its `batch` column.
  */
 void
 emitJson(const char *path, const std::vector<Sample> &samples)
@@ -179,10 +161,10 @@ emitJson(const char *path, const std::vector<Sample> &samples)
         const Sample &s = samples[i];
         std::fprintf(f,
                      "    {\"app\": \"%s\", \"partition\": \"%s\", "
-                     "\"cores\": %u, \"batch\": %d, "
+                     "\"cores\": %u, \"batch\": 1, "
                      "\"req_per_sec\": %.1f, \"audit_score\": %d}%s\n",
-                     s.app, s.partition.c_str(), s.cores, s.batch,
-                     s.reqPerSec, s.audit,
+                     s.app, s.partition.c_str(), s.cores, s.reqPerSec,
+                     s.audit,
                      i + 1 < samples.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
@@ -195,7 +177,7 @@ emitJson(const char *path, const std::vector<Sample> &samples)
 int
 main(int argc, char **argv)
 {
-    // `--cores` runs only the multi-core/batching sweep; `--json
+    // `--cores` runs only the multi-core sweep; `--json
     // [path]` writes it to a snapshot file (default BENCH_fig06.json)
     // instead of printing the table.
     bool coresOnly = false;

@@ -699,8 +699,7 @@ main(int argc, char **argv)
     // batch/elide are boundary knobs like flavour: batch width is
     // performance-only (every call still passes entry checks and rate
     // enforcement), the elided set orders points by subset in the
-    // poset. The batched RX path shows up wherever lwip sits behind a
-    // boundary: the pollers fetch a burst and cross once per burst.
+    // poset.
     std::vector<ConfigPoint> bat = wayfinder::batchingSpace();
     std::vector<double> batRedis;
     double batMax = 0;
@@ -718,34 +717,6 @@ main(int argc, char **argv)
         std::printf("%-6d %-14.3f %s\n", bat[i].compartments(),
                     batRedis[i] / batMax,
                     wayfinder::pointLabel(bat[i], "app").c_str());
-    }
-
-    // --- EPT batching on request/response RX -------------------------
-    // Batching amortizes per-call gate cost, so it needs real bursts:
-    // fig11b carries the per-gate step change (EPT 462 -> 63 vcycles
-    // per call at width 8). Redis is the anti-case — ping-pong RX
-    // arrives one frame at a time, so the batched drain pays one
-    // crossing per frame while the unbatched poller lives inside the
-    // stack and pays none. The delta below is the honest cost of
-    // choosing a batched boundary for a workload that never bursts.
-    {
-        ConfigPoint eptPt;
-        eptPt.partition = {0, 0, 0, 1};
-        eptPt.hardening.assign(4, 0);
-        eptPt.blockMechanism = {2, 2}; // vm-ept both blocks
-        eptPt.sharingRank = 1;
-        double unbatched = wayfinder::measureRedis(eptPt, 150);
-        eptPt.gateBatch = 8;
-        double batched = wayfinder::measureRedis(eptPt, 150);
-        std::printf("\n=== EPT batching vs request/response RX (lwip "
-                    "split, all-EPT; bursts of 1 cannot amortize — "
-                    "see fig11b for the streaming step change) ===\n");
-        std::printf("  in-stack poller, unbatched : %10.1f req/s\n",
-                    unbatched);
-        std::printf("  batched boundary, batch: 8 : %10.1f req/s "
-                    "(%+.1f%%)\n",
-                    batched,
-                    100.0 * (batched - unbatched) / unbatched);
     }
 
     // --- Pruned product sweep ----------------------------------------

@@ -6,7 +6,8 @@
  *
  * The `vcycles` counter is virtual cycles per gate round trip; paper
  * values: function 2, MPK-light 62, MPK-dss 108, EPT 462, syscall 470,
- * syscall-nokpti 146.
+ * syscall-nokpti 146. The time column is the simulator's host cost of
+ * one crossing.
  */
 
 #include <benchmark/benchmark.h>
@@ -45,10 +46,18 @@ libraries:
     return text;
 }
 
-/** Average virtual cycles of one cross-compartment gate round trip. */
-double
-gateCost(const std::string &cfgText, bool sameCompartment = false,
-         bool noKpti = false)
+/**
+ * One benchmark row. A fiber in libredis's compartment first drives
+ * `iters` logical calls through `cross` (each invocation carries
+ * `callsPerCross` of them) on a fresh deployment and reports their
+ * average virtual cycles as the `vcycles` counter. It then runs the
+ * same crossing inside the timed loop, so the time column is host ns
+ * per crossing (per vectored chunk on the batched rows).
+ */
+template <typename Cross>
+void
+runRow(benchmark::State &state, const std::string &cfgText, bool noKpti,
+       std::size_t callsPerCross, Cross cross)
 {
     DeployOptions opts;
     opts.withNet = false;
@@ -58,77 +67,54 @@ gateCost(const std::string &cfgText, bool sameCompartment = false,
         opts.timing.syscallKpti = opts.timing.syscallNoKpti;
     }
     Deployment dep(cfgText, opts);
-
-    const std::string callee = sameCompartment ? "libredis" : "lwip";
-    const char *entry = sameCompartment ? "redis_main" : "recv";
-    constexpr std::uint64_t iters = 2000;
-
-    Cycles measured = 0;
-    bool done = false;
-    dep.image().spawnIn("libredis", "gate-bench", [&] {
-        Machine &m = dep.machine();
-        Cycles before = m.cycles();
-        for (std::uint64_t i = 0; i < iters; ++i)
-            dep.image().gate(callee, entry, [] {});
-        measured = m.cycles() - before;
-        done = true;
-    });
-    dep.scheduler().runUntil([&] { return done; });
-    return static_cast<double>(measured) / static_cast<double>(iters);
-}
-
-void
-gateBench(benchmark::State &state, const std::string &cfg,
-          bool sameComp, bool noKpti)
-{
-    double perOp = gateCost(cfg, sameComp, noKpti);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(perOp);
-    state.counters["vcycles"] = perOp;
-}
-
-/**
- * Average virtual cycles per LOGICAL call when calls ride vectored
- * crossings of the given width — the amortization the `batch:` knob
- * buys: one backend transition (one EPT doorbell) per chunk plus a
- * per-slot dispatch cost, instead of a full round trip per call.
- * width 1 is the identity case and must match gateCost() exactly.
- */
-double
-batchedGateCost(const std::string &cfgText, std::size_t width)
-{
-    DeployOptions opts;
-    opts.withNet = false;
-    opts.withFs = false;
-    Deployment dep(cfgText, opts);
+    Image &img = dep.image();
 
     constexpr std::uint64_t iters = 2000;
     static_assert(iters % 8 == 0 && iters % 4 == 0,
                   "iters must divide evenly into batch widths");
-    std::vector<std::function<void()>> bodies(width, [] {});
-
     Cycles measured = 0;
     bool done = false;
-    dep.image().spawnIn("libredis", "gate-bench", [&] {
+    img.spawnIn("libredis", "gate-bench", [&] {
         Machine &m = dep.machine();
         Cycles before = m.cycles();
-        for (std::uint64_t i = 0; i < iters; i += width)
-            dep.image().gateBatch("lwip", "recv", bodies);
+        for (std::uint64_t i = 0; i < iters; i += callsPerCross)
+            cross(img);
         measured = m.cycles() - before;
+        for (auto _ : state)
+            cross(img);
         done = true;
     });
     dep.scheduler().runUntil([&] { return done; });
-    return static_cast<double>(measured) / static_cast<double>(iters);
+    state.counters["vcycles"] =
+        static_cast<double>(measured) / static_cast<double>(iters);
 }
 
+/** Virtual cycles and host ns of one gate round trip. */
+void
+gateBench(benchmark::State &state, const std::string &cfg,
+          bool sameComp, bool noKpti)
+{
+    const std::string callee = sameComp ? "libredis" : "lwip";
+    const char *entry = sameComp ? "redis_main" : "recv";
+    runRow(state, cfg, noKpti, 1,
+           [&](Image &img) { img.gate(callee, entry, [] {}); });
+}
+
+/**
+ * Virtual cycles per LOGICAL call when calls ride vectored crossings
+ * of the given width — the amortization the `batch:` knob buys: one
+ * backend transition (one EPT doorbell) per chunk plus a per-slot
+ * dispatch cost, instead of a full round trip per call. width 1 is
+ * the identity case and must match gateBench exactly.
+ */
 void
 batchedGateBench(benchmark::State &state, const std::string &cfg,
                  std::size_t width)
 {
-    double perOp = batchedGateCost(cfg, width);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(perOp);
-    state.counters["vcycles"] = perOp;
+    std::vector<std::function<void()>> bodies(width, [] {});
+    runRow(state, cfg, false, width, [&](Image &img) {
+        img.gateBatch("lwip", "recv", bodies);
+    });
 }
 
 } // namespace

@@ -76,22 +76,11 @@ Deployment::init(SafetyConfig cfg, const DeployOptions &opts)
 
     libcApi = std::make_unique<LibcApi>(*img, serverNet.get(), fs.get());
 
-    // The control plane is opt-in: a `controller:` section builds one,
-    // wired to the server NIC's RX backlog (the batch-width rule's
-    // probe). It starts sampling with the pollers in start().
-    if (img->config().controller) {
+    // The control plane is opt-in: a `controller:` section builds one.
+    // It starts sampling with the pollers in start().
+    if (img->config().controller)
         controller = std::make_unique<PolicyController>(
             *img, *img->config().controller);
-        if (serverNet) {
-            NetStack *net = serverNet.get();
-            controller->queueDepthProbe = [net] {
-                std::size_t depth = 0;
-                for (std::size_t q = 0; q < net->rxQueueCount(); ++q)
-                    depth = std::max(depth, net->rxBacklog(q));
-                return static_cast<std::uint64_t>(depth);
-            };
-        }
-    }
 }
 
 Deployment::~Deployment()
@@ -130,87 +119,21 @@ Deployment::start()
         if (lib == "lwip")
             lwipInImage = true;
 
-    // Vectored RX: when the boundary from the default compartment into
-    // lwip carries a `batch:` width, the pollers instead run on the
-    // driver side of the gate — fetch a burst of frames off the ring,
-    // then push the whole burst through ONE crossing into lwip
-    // (entry point rx_burst), one body per frame. Frames cross in
-    // ring order and RSS pins each flow to one queue, so per-flow
-    // TCP ordering is unchanged; an empty burst still parks the
-    // poller on the queue's interrupt line (the NAPI idiom).
-    std::uint64_t rxBatch = 1;
-    bool rxAdaptive = false;
-    int rxFrom = 0, rxTo = 0;
-    if (lwipInImage) {
-        rxFrom = static_cast<int>(img->config().defaultCompartment());
-        rxTo = img->compartmentIndexOf("lwip");
-        if (rxFrom != rxTo) {
-            const GatePolicy &pol = img->policyFor(rxFrom, rxTo);
-            rxBatch = std::max<std::uint64_t>(pol.batch, 1);
-            // An adaptive RX boundary under a controller may have its
-            // `batch:` width widened between epochs: take the batched
-            // poller even at width 1 (vcycle-identical there) so the
-            // widened width takes effect without re-plumbing pollers.
-            rxAdaptive = pol.adaptive && controller != nullptr;
-        }
-    }
-
     std::size_t queues = serverNet->rxQueueCount();
     for (std::size_t q = 0; q < queues; ++q) {
-        std::function<void()> pollBody;
-        if (rxBatch > 1 || rxAdaptive) {
-            int from = rxFrom, to = rxTo;
-            pollBody = [this, q, from, to] {
-                std::vector<std::function<void()>> bodies;
-                std::vector<NetBuf> burst;
-                while (!stopPollers) {
-                    // Re-read the boundary's width every burst: the
-                    // controller's epoch swaps retune it online
-                    // (NAPI-style widening under backlog).
-                    auto width = static_cast<std::size_t>(
-                        std::max<std::uint64_t>(
-                            img->policyFor(from, to).batch, 1));
-                    burst = serverNet->fetchBurst(q, width);
-                    bool worked = !burst.empty();
-                    if (!burst.empty()) {
-                        bodies.clear();
-                        for (auto &f : burst)
-                            bodies.push_back([this, &f] {
-                                serverNet->handleRxFrame(std::move(f));
-                            });
-                        img->gateBatch("lwip", "rx_burst", bodies);
-                    }
-                    // The timer wheel stays with queue 0's poller;
-                    // the due-ness peek is driver-side so idle loops
-                    // never pay a crossing just to find nothing due.
-                    if (q == 0 && serverNet->timersDue()) {
-                        img->gate("lwip", "timer_poll", [this] {
-                            serverNet->pollTimers();
-                        });
-                        worked = true;
-                    }
-                    if (worked)
-                        sched->yield();
-                    else
-                        serverNet->waitQueueActivity(q);
-                }
-            };
-        } else {
-            pollBody = [this, q] {
-                while (!stopPollers) {
-                    if (serverNet->pollQueue(q))
-                        sched->yield();
-                    else
-                        serverNet->waitQueueActivity(q);
-                }
-            };
-        }
+        auto pollBody = [this, q] {
+            while (!stopPollers) {
+                if (serverNet->pollQueue(q))
+                    sched->yield();
+                else
+                    serverNet->waitQueueActivity(q);
+            }
+        };
         std::string name = queues > 1
                                ? "lwip-poll-q" + std::to_string(q)
                                : "lwip-poll";
-        Thread *t = lwipInImage && rxBatch == 1 && !rxAdaptive
-                        ? img->spawnIn("lwip", name, pollBody)
-                        : sched->spawn(name, pollBody);
+        Thread *t = lwipInImage ? img->spawnIn("lwip", name, pollBody)
+                                : sched->spawn(name, pollBody);
         sched->pin(t, static_cast<int>(q % mach->coreCount()));
     }
 

@@ -82,8 +82,8 @@ class Deployment
 
     /**
      * The runtime policy controller, present when the config has a
-     * `controller:` section (null otherwise). Built wired to the
-     * server NIC's backlog probe; started/stopped with the pollers.
+     * `controller:` section (null otherwise); started/stopped with
+     * the pollers.
      */
     PolicyController *policyController() { return controller.get(); }
 

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstring>
+#include <exception>
 #include <functional>
 
 #include "base/logging.hh"
@@ -20,6 +21,18 @@ valueToString(const Value &v)
 
 // ---------------------------------------------------------------- pager
 
+namespace {
+
+/** Throw IoError unless a write stored all `want` bytes of `file`. */
+void
+requireStored(long got, std::size_t want, const std::string &file)
+{
+    if (got != static_cast<long>(want))
+        throw IoError("short write to '" + file + "' (filesystem full)");
+}
+
+} // namespace
+
 Pager::Pager(LibcApi &libcApi, std::string dbPath)
     : libc(libcApi), path(std::move(dbPath)), journalPath(path + "-journal")
 {
@@ -27,8 +40,15 @@ Pager::Pager(LibcApi &libcApi, std::string dbPath)
 
 Pager::~Pager()
 {
-    if (fd >= 0)
+    if (fd < 0)
+        return;
+    try {
         close();
+    } catch (const IoError &e) {
+        // No caller to report to: close() released the file, and a
+        // hot journal rolls the database back on the next open().
+        warn("minisql: ", e.what(), " while closing");
+    }
 }
 
 void
@@ -47,6 +67,7 @@ Pager::open()
         if (jfd >= 0) {
             std::uint8_t hdr[8];
             std::uint64_t off = 0;
+            bool replayed = true;
             while (libc.pread(jfd, hdr, 8, off) == 8) {
                 std::uint32_t id;
                 std::memcpy(&id, hdr, 4);
@@ -54,12 +75,21 @@ Pager::open()
                 if (libc.pread(jfd, buf.data(), pageSize, off + 8) !=
                     static_cast<long>(pageSize))
                     break;
-                libc.pwrite(fd, buf.data(), pageSize,
-                            static_cast<std::uint64_t>(id) * pageSize);
+                if (libc.pwrite(fd, buf.data(), pageSize,
+                                static_cast<std::uint64_t>(id) *
+                                    pageSize) !=
+                    static_cast<long>(pageSize)) {
+                    replayed = false;
+                    break;
+                }
                 off += 8 + pageSize;
             }
             libc.close(jfd);
             libc.fsync(fd);
+            // A partial replay keeps the journal: it stays hot.
+            if (!replayed)
+                throw IoError("short write replaying '" + journalPath +
+                              "' (filesystem full)");
         }
         libc.unlink(journalPath);
     }
@@ -72,16 +102,23 @@ Pager::open()
 void
 Pager::close()
 {
-    if (inTxn)
-        rollback();
-    for (auto &[id, page] : cache)
-        if (page->dirty)
-            writeBack(id);
+    std::exception_ptr failed;
+    try {
+        if (inTxn)
+            rollback();
+        for (auto &[id, page] : cache)
+            if (page->dirty)
+                writeBack(id);
+    } catch (const IoError &) {
+        failed = std::current_exception();
+    }
     cache.clear();
     if (fd >= 0) {
         libc.close(fd);
         fd = -1;
     }
+    if (failed)
+        std::rethrow_exception(failed);
 }
 
 Pager::PageBuf &
@@ -113,14 +150,17 @@ Pager::getMutable(std::uint32_t id)
 std::uint32_t
 Pager::allocPage()
 {
-    std::uint32_t id = nPages++;
     auto page = std::make_unique<CachedPage>();
     page->data.fill(0);
     page->dirty = true;
+    // Extend the file so subsequent reads see the page; the page joins
+    // the database only once the file holds it.
+    requireStored(libc.pwrite(fd, page->data.data(), pageSize,
+                              static_cast<std::uint64_t>(nPages) *
+                                  pageSize),
+                  pageSize, path);
+    std::uint32_t id = nPages++;
     cache.emplace(id, std::move(page));
-    // Extend the file so subsequent reads see the page.
-    libc.pwrite(fd, cache[id]->data.data(), pageSize,
-                static_cast<std::uint64_t>(id) * pageSize);
     return id;
 }
 
@@ -138,8 +178,14 @@ Pager::journalPreImage(std::uint32_t id)
     panic_if(jfd < 0, "cannot open journal");
     std::uint8_t hdr[8] = {};
     std::memcpy(hdr, &id, 4);
-    libc.write(jfd, hdr, 8);
-    libc.write(jfd, preImages[id].data(), pageSize);
+    if (libc.write(jfd, hdr, 8) != 8 ||
+        libc.write(jfd, preImages[id].data(), pageSize) !=
+            static_cast<long>(pageSize)) {
+        // A torn tail record is skipped by the replay in open().
+        libc.close(jfd);
+        throw IoError("short write to '" + journalPath +
+                      "' (filesystem full)");
+    }
     libc.fsync(jfd);
     libc.close(jfd);
 }
@@ -155,8 +201,9 @@ Pager::begin()
 void
 Pager::writeBack(std::uint32_t id)
 {
-    libc.pwrite(fd, cache[id]->data.data(), pageSize,
-                static_cast<std::uint64_t>(id) * pageSize);
+    requireStored(libc.pwrite(fd, cache[id]->data.data(), pageSize,
+                              static_cast<std::uint64_t>(id) * pageSize),
+                  pageSize, path);
     cache[id]->dirty = false;
 }
 
@@ -191,14 +238,17 @@ void
 Pager::rollback()
 {
     panic_if(!inTxn, "rollback outside transaction");
-    for (auto &[id, pre] : preImages) {
-        cache[id]->data = pre;
-        writeBack(id);
-    }
-    libc.fsync(fd);
-    libc.unlink(journalPath);
+    std::map<std::uint32_t, PageBuf> restored = std::move(preImages);
     preImages.clear();
     inTxn = false;
+    for (auto &[id, pre] : restored) {
+        cache[id]->data = pre;
+        cache[id]->dirty = true;
+    }
+    for (auto &[id, pre] : restored)
+        writeBack(id);
+    libc.fsync(fd);
+    libc.unlink(journalPath);
 }
 
 // ---------------------------------------------------------------- btree
@@ -581,8 +631,14 @@ Database::Database(LibcApi &libcApi, std::string dbPath)
 
 Database::~Database()
 {
-    if (opened)
+    if (!opened)
+        return;
+    try {
         close();
+    } catch (const IoError &e) {
+        // No caller to report to; see Pager::~Pager.
+        warn("minisql: ", e.what(), " while closing");
+    }
 }
 
 void
@@ -690,6 +746,31 @@ Database::exec(const std::string &sql)
     // statement too, exercising the uktime component (Figure 10 MPK3).
     libc.clockNs();
 
+    try {
+        return dispatch(toks);
+    } catch (const IoError &e) {
+        // SQLITE_FULL semantics: the statement fails and its
+        // transaction rolls back, leaving the connection on the last
+        // committed state. If even the rollback's write-back fails,
+        // the cache already holds the restored pages and the journal
+        // stays hot for the next open().
+        std::string error = e.what();
+        if (pager->inTransaction()) {
+            explicitTxn = false;
+            try {
+                pager->rollback();
+            } catch (const IoError &again) {
+                error += std::string("; rollback: ") + again.what();
+            }
+        }
+        loadCatalog();
+        return errorResult(error);
+    }
+}
+
+Result
+Database::dispatch(const std::vector<std::string> &toks)
+{
     if (isKeyword(toks[0], "create"))
         return createTable(toks);
     if (isKeyword(toks[0], "insert"))

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <variant>
 #include <vector>
@@ -47,6 +48,17 @@ struct Result
     std::int64_t rowsAffected = 0;
 };
 
+/**
+ * A page or journal write the filesystem stored short (a full VFS).
+ * The pager raises it; Database::exec() turns it into a failed
+ * statement and rolls the transaction back.
+ */
+class IoError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
 /** Fixed database page size (SQLite's classic default). */
 inline constexpr std::size_t pageSize = 4096;
 
@@ -60,8 +72,17 @@ class Pager
     Pager(LibcApi &libc, std::string path);
     ~Pager();
 
-    /** Open the files; replays/rolls back a hot journal if present. */
+    /**
+     * Open the files; replays/rolls back a hot journal if present.
+     * @throws IoError if the replay cannot be stored (the journal
+     * stays hot).
+     */
     void open();
+    /**
+     * Roll back an open transaction, flush dirty pages and release
+     * the file. The file is released even when a write fails.
+     * @throws IoError on a short write.
+     */
     void close();
 
     using PageBuf = std::array<std::uint8_t, pageSize>;
@@ -72,12 +93,23 @@ class Pager
     /** Fetch a page for writing: journals the pre-image in a txn. */
     PageBuf &getMutable(std::uint32_t id);
 
-    /** Append a fresh zeroed page; returns its id. */
+    /**
+     * Append a fresh zeroed page; returns its id.
+     * @throws IoError if the file cannot grow (no page is added).
+     */
     std::uint32_t allocPage();
 
     std::uint32_t pageCount() const { return nPages; }
 
-    /** @name Transactions (rollback journal). @{ */
+    /**
+     * @name Transactions (rollback journal).
+     * Writes throw IoError when the filesystem stores them short. A
+     * failed commit leaves the transaction open and its journal hot.
+     * rollback() restores the cached pages and ends the transaction
+     * before it writes them back, so a failed rollback still leaves
+     * the cache at the pre-transaction state (and the journal hot).
+     * @{
+     */
     void begin();
     void commit();
     void rollback();
@@ -184,12 +216,17 @@ class Database
     void open();
     void close();
 
-    /** Execute one SQL statement. */
+    /**
+     * Execute one SQL statement. A write the filesystem cannot store
+     * fails the statement (`!ok`) and rolls back its transaction,
+     * explicit or automatic.
+     */
     Result exec(const std::string &sql);
 
     bool isOpen() const { return opened; }
 
   private:
+    Result dispatch(const std::vector<std::string> &tokens);
     Result createTable(const std::vector<std::string> &tokens);
     Result insertInto(const std::vector<std::string> &tokens);
     Result select(const std::vector<std::string> &tokens);

@@ -151,15 +151,19 @@ class NoneBackend : public IsolationBackend
     void
     crossCall(Image &img, int from, int to, const GatePolicy &,
               const std::string &, const char *, double workMult,
-              const std::function<void()> &body) override
+              const std::function<void()> *bodies,
+              std::size_t count) override
     {
-        // No isolation: the "gate" is the function call itself.
+        // No isolation: the "gate" is the function call itself, once
+        // per call.
         auto &m = img.machine();
-        m.consume(m.timing.functionCall);
-        m.bump("gate.none");
-        img.noteCrossing(from, to);
-        DomainTransition dt(img, to, workMult);
-        body();
+        for (std::size_t i = 0; i < count; ++i) {
+            m.consume(m.timing.functionCall);
+            m.bump("gate.none");
+            img.noteCrossing(from, to);
+            DomainTransition dt(img, to, workMult);
+            bodies[i]();
+        }
     }
 };
 
@@ -195,8 +199,13 @@ class MpkBackend : public IsolationBackend
     void
     crossCall(Image &img, int from, int to, const GatePolicy &policy,
               const std::string &, const char *, double workMult,
-              const std::function<void()> &body) override
+              const std::function<void()> *bodies,
+              std::size_t count) override
     {
+        // One entry/return leg for the whole vector: the PKRU switch,
+        // register save/zero and stack switch are paid once, each
+        // extra call only its slot-dispatch cost. The bodies run
+        // back-to-back inside the callee domain.
         auto &m = img.machine();
         Cycles returnCost = 0;
         if (policy.flavor == MpkGateFlavor::Light) {
@@ -204,14 +213,9 @@ class MpkBackend : public IsolationBackend
             // register set are shared with the callee (nothing to
             // scrub on return). Entry leg is the first wrpkru + call;
             // the second wrpkru + return is charged on the way back.
-            // The callee's sim stack (used by any DssFrame it opens)
-            // still follows this boundary's stack-sharing policy.
             m.consume(m.timing.mpkLightGate - m.timing.mpkLightReturn);
             returnCost = m.timing.mpkLightReturn;
             m.bump("gate.mpk.light");
-            Thread *t = img.scheduler().current();
-            if (t)
-                img.simStackFor(t->id(), to, policy.stackSharing);
         } else {
             // HODOR-style full gate: save+zero the register set, switch
             // thread permissions, switch to the compartment's stack via
@@ -230,52 +234,15 @@ class MpkBackend : public IsolationBackend
             // The entry-side register save/zero: the callee starts
             // from a clean scratch file (the light gate shares it).
             m.scrubScratch();
-            // Touch the per-thread compartment stack registry so the
-            // target stack exists (the functional stack switch), laid
-            // out under this boundary's stack-sharing policy.
-            Thread *t = img.scheduler().current();
-            if (t)
-                img.simStackFor(t->id(), to, policy.stackSharing);
-        }
-        img.noteCrossing(from, to);
-        ReturnCharge rc(m, returnCost,
-                        policy.flavor != MpkGateFlavor::Light &&
-                            policy.scrubReturn);
-        DomainTransition dt(img, to, workMult);
-        body();
-    }
-
-    void
-    crossCallBatch(Image &img, int from, int to,
-                   const GatePolicy &policy, const std::string &,
-                   const char *, double workMult,
-                   const std::function<void()> *bodies,
-                   std::size_t count) override
-    {
-        // One entry/return leg for the whole vector: the PKRU switch,
-        // register save/zero and stack switch are paid once, each
-        // extra call only its slot-dispatch cost. The bodies run
-        // back-to-back inside the callee domain.
-        auto &m = img.machine();
-        Cycles returnCost = 0;
-        if (policy.flavor == MpkGateFlavor::Light) {
-            m.consume(m.timing.mpkLightGate - m.timing.mpkLightReturn);
-            returnCost = m.timing.mpkLightReturn;
-            m.bump("gate.mpk.light");
-        } else {
-            m.consume(m.timing.mpkDssGate - m.timing.mpkDssReturn);
-            returnCost = m.timing.mpkDssReturn;
-            if (!policy.scrubReturn) {
-                returnCost -=
-                    std::min(returnCost, m.timing.registerSaveZero);
-                m.bump("gate.mpk.dss.noscrub");
-            }
-            m.bump("gate.mpk.dss");
-            m.scrubScratch();
         }
         if (count > 1)
             m.consume(static_cast<Cycles>(count - 1) *
                       m.timing.batchSlot);
+        // Touch the per-thread compartment stack registry so the
+        // target stack exists (the functional stack switch), laid out
+        // under this boundary's stack-sharing policy. The light gate
+        // keeps the caller's stack, but frames the callee opens still
+        // follow the boundary's policy.
         Thread *t = img.scheduler().current();
         if (t)
             img.simStackFor(t->id(), to, policy.stackSharing);
@@ -407,24 +374,108 @@ class EptBackend : public IsolationBackend
     void
     crossCall(Image &img, int from, int to, const GatePolicy &policy,
               const std::string &calleeLib, const char *fnName,
-              double workMult, const std::function<void()> &body) override
-    {
-        submit(img, from, to, policy, calleeLib, fnName, workMult,
-               &body, 1);
-    }
-
-    void
-    crossCallBatch(Image &img, int from, int to,
-                   const GatePolicy &policy,
-                   const std::string &calleeLib, const char *fnName,
-                   double workMult, const std::function<void()> *bodies,
-                   std::size_t count) override
+              double workMult, const std::function<void()> *bodies,
+              std::size_t count) override
     {
         // One ring slot and one doorbell carry the whole vector; the
         // caller blocks once for all the calls and the server walks
         // the slot's body list in order.
-        submit(img, from, to, policy, calleeLib, fnName, workMult,
-               bodies, count);
+        auto &m = img.machine();
+        Scheduler &sched = img.scheduler();
+        Thread *caller = sched.current();
+        panic_if(!caller, "EPT RPC gate requires a thread context");
+
+        auto &vm = vms[static_cast<std::size_t>(to)];
+        panic_if(vm.shards.empty(),
+                 "EPT RPC routed to a compartment without a VM");
+        // Core-local shard: the caller enqueues on its own core's
+        // ring, so concurrent crossings from different cores into the
+        // same VM proceed independently.
+        auto &sh =
+            vm.shards[static_cast<std::size_t>(m.activeCore()) %
+                      vm.shards.size()];
+
+        // Doorbell coalescing under back-pressure (`coalesce:` key):
+        // a submission that finds requests already queued within the
+        // window of the last doorbell skips the ring notify — the
+        // earlier doorbell's server is still draining this ring and
+        // will reach the new slot (entries are only queued behind a
+        // rung doorbell, so the chain never strands a request).
+        bool coalesced = policy.coalesce && !sh.ring.empty() &&
+                         m.cycles() - sh.lastDoorbell <= policy.coalesce;
+
+        // Caller side: place the "function pointer" and arguments in
+        // the predefined shared area (paper 4.2) and wait. The entry
+        // leg is the request marshalling + doorbell; the response
+        // unmarshalling is charged when the RPC completes (also when
+        // it completes by raising — the error unwinds back through
+        // the same shared area). A policy waiving the return-side
+        // scrub skips the register save/zero the caller would
+        // otherwise redo when the RPC completes. A batched submission
+        // marshals each extra call into the next slot of the same
+        // request for a per-slot cost.
+        Cycles entryCost = m.timing.eptGate - m.timing.eptReturn;
+        if (count > 1)
+            entryCost += static_cast<Cycles>(count - 1) *
+                         m.timing.batchSlot;
+        if (coalesced) {
+            entryCost -= std::min(entryCost, m.timing.eptDoorbell);
+            m.bump("gate.coalesced");
+        }
+        m.consume(entryCost);
+        Cycles returnCost = m.timing.eptReturn;
+        if (!policy.scrubReturn) {
+            returnCost -= std::min(returnCost, m.timing.registerSaveZero);
+            m.bump("gate.ept.noscrub");
+        }
+        m.bump("gate.ept");
+        for (std::size_t i = 0; i < count; ++i)
+            img.noteCrossing(from, to);
+        ReturnCharge rc(m, returnCost, policy.scrubReturn);
+
+        Rpc rpc;
+        rpc.bodies = bodies;
+        rpc.count = count;
+        rpc.calleeLib = &calleeLib;
+        rpc.fnName = fnName;
+        rpc.workMult = workMult;
+        rpc.stackSharing = policy.stackSharing;
+        WaitQueue doneWait(sched);
+        rpc.doneWait = &doneWait;
+
+        sh.ring.push_back(&rpc);
+        // Ring-depth high-water mark: the deepest any shard's request
+        // ring ever got (pool pressure; ROADMAP "EPT server pool
+        // sizing"). The machine counter tracks the max across VMs and
+        // survives reboots, so it only ratchets upward.
+        if (sh.ring.size() > sh.ringHighWater) {
+            sh.ringHighWater = sh.ring.size();
+            std::uint64_t cur = m.counter("gate.ept.ringDepth");
+            if (sh.ringHighWater > cur)
+                m.bump("gate.ept.ringDepth", sh.ringHighWater - cur);
+        }
+        // Elastic growth: if every server in the shard is busy
+        // (running or blocked inside an RPC body) and requests are
+        // queueing, add a server up to the cap so blocked bodies
+        // can't starve the boundary.
+        int idle = static_cast<int>(sh.pool.size()) - sh.busy;
+        if (static_cast<int>(sh.ring.size()) > idle &&
+            static_cast<int>(sh.pool.size()) < poolCap(img, to)) {
+            spawnServer(img, static_cast<std::size_t>(to),
+                        static_cast<std::size_t>(m.activeCore()) %
+                            vm.shards.size(),
+                        /*elastic=*/true);
+            m.bump("gate.ept.elasticSpawns");
+        }
+        if (!coalesced) {
+            sh.serverIdle->wakeOne();
+            sh.lastDoorbell = m.cycles();
+        }
+
+        while (!rpc.done)
+            doneWait.wait();
+        if (rpc.error)
+            std::rethrow_exception(rpc.error);
     }
 
     ForgedRpcOutcome
@@ -533,110 +584,6 @@ class EptBackend : public IsolationBackend
     }
 
   private:
-    void
-    submit(Image &img, int from, int to, const GatePolicy &policy,
-           const std::string &calleeLib, const char *fnName,
-           double workMult, const std::function<void()> *bodies,
-           std::size_t count)
-    {
-        auto &m = img.machine();
-        Scheduler &sched = img.scheduler();
-        Thread *caller = sched.current();
-        panic_if(!caller, "EPT RPC gate requires a thread context");
-
-        auto &vm = vms[static_cast<std::size_t>(to)];
-        panic_if(vm.shards.empty(),
-                 "EPT RPC routed to a compartment without a VM");
-        // Core-local shard: the caller enqueues on its own core's
-        // ring, so concurrent crossings from different cores into the
-        // same VM proceed independently.
-        auto &sh =
-            vm.shards[static_cast<std::size_t>(m.activeCore()) %
-                      vm.shards.size()];
-
-        // Doorbell coalescing under back-pressure (`coalesce:` key):
-        // a submission that finds requests already queued within the
-        // window of the last doorbell skips the ring notify — the
-        // earlier doorbell's server is still draining this ring and
-        // will reach the new slot (entries are only queued behind a
-        // rung doorbell, so the chain never strands a request).
-        bool coalesced = policy.coalesce && !sh.ring.empty() &&
-                         m.cycles() - sh.lastDoorbell <= policy.coalesce;
-
-        // Caller side: place the "function pointer" and arguments in
-        // the predefined shared area (paper 4.2) and wait. The entry
-        // leg is the request marshalling + doorbell; the response
-        // unmarshalling is charged when the RPC completes (also when
-        // it completes by raising — the error unwinds back through
-        // the same shared area). A policy waiving the return-side
-        // scrub skips the register save/zero the caller would
-        // otherwise redo when the RPC completes. A batched submission
-        // marshals each extra call into the next slot of the same
-        // request for a per-slot cost.
-        Cycles entryCost = m.timing.eptGate - m.timing.eptReturn;
-        if (count > 1)
-            entryCost += static_cast<Cycles>(count - 1) *
-                         m.timing.batchSlot;
-        if (coalesced) {
-            entryCost -= std::min(entryCost, m.timing.eptDoorbell);
-            m.bump("gate.coalesced");
-        }
-        m.consume(entryCost);
-        Cycles returnCost = m.timing.eptReturn;
-        if (!policy.scrubReturn) {
-            returnCost -= std::min(returnCost, m.timing.registerSaveZero);
-            m.bump("gate.ept.noscrub");
-        }
-        m.bump("gate.ept");
-        for (std::size_t i = 0; i < count; ++i)
-            img.noteCrossing(from, to);
-        ReturnCharge rc(m, returnCost, policy.scrubReturn);
-
-        Rpc rpc;
-        rpc.bodies = bodies;
-        rpc.count = count;
-        rpc.calleeLib = &calleeLib;
-        rpc.fnName = fnName;
-        rpc.workMult = workMult;
-        rpc.stackSharing = policy.stackSharing;
-        WaitQueue doneWait(sched);
-        rpc.doneWait = &doneWait;
-
-        sh.ring.push_back(&rpc);
-        // Ring-depth high-water mark: the deepest any shard's request
-        // ring ever got (pool pressure; ROADMAP "EPT server pool
-        // sizing"). The machine counter tracks the max across VMs and
-        // survives reboots, so it only ratchets upward.
-        if (sh.ring.size() > sh.ringHighWater) {
-            sh.ringHighWater = sh.ring.size();
-            std::uint64_t cur = m.counter("gate.ept.ringDepth");
-            if (sh.ringHighWater > cur)
-                m.bump("gate.ept.ringDepth", sh.ringHighWater - cur);
-        }
-        // Elastic growth: if every server in the shard is busy
-        // (running or blocked inside an RPC body) and requests are
-        // queueing, add a server up to the cap so blocked bodies
-        // can't starve the boundary.
-        int idle = static_cast<int>(sh.pool.size()) - sh.busy;
-        if (static_cast<int>(sh.ring.size()) > idle &&
-            static_cast<int>(sh.pool.size()) < poolCap(img, to)) {
-            spawnServer(img, static_cast<std::size_t>(to),
-                        static_cast<std::size_t>(m.activeCore()) %
-                            vm.shards.size(),
-                        /*elastic=*/true);
-            m.bump("gate.ept.elasticSpawns");
-        }
-        if (!coalesced) {
-            sh.serverIdle->wakeOne();
-            sh.lastDoorbell = m.cycles();
-        }
-
-        while (!rpc.done)
-            doneWait.wait();
-        if (rpc.error)
-            std::rethrow_exception(rpc.error);
-    }
-
     struct Rpc
     {
         /** The calls this slot carries: `count` bodies, run in order
@@ -814,8 +761,12 @@ class CheriBackend : public IsolationBackend
     void
     crossCall(Image &img, int from, int to, const GatePolicy &policy,
               const std::string &, const char *, double workMult,
-              const std::function<void()> &body) override
+              const std::function<void()> *bodies,
+              std::size_t count) override
     {
+        // One CInvoke entry and one return-side clear for the whole
+        // vector, each extra call paying only the slot-dispatch cost
+        // (the sentry check covers the shared entry point once).
         auto &m = img.machine();
         // Capability + register clear dominates; the return-side clear
         // can be waived by an asymmetric policy like the MPK gate's.
@@ -828,38 +779,11 @@ class CheriBackend : public IsolationBackend
             returnCost -= std::min(returnCost, m.timing.registerSaveZero);
         m.bump("gate.cheri");
         m.scrubScratch();
-        // The callee's sim stack follows this boundary's
-        // stack-sharing policy, as on the MPK gates.
-        Thread *t = img.scheduler().current();
-        if (t)
-            img.simStackFor(t->id(), to, policy.stackSharing);
-        img.noteCrossing(from, to);
-        ReturnCharge rc(m, returnCost, policy.scrubReturn);
-        DomainTransition dt(img, to, workMult);
-        body();
-    }
-
-    void
-    crossCallBatch(Image &img, int from, int to,
-                   const GatePolicy &policy, const std::string &,
-                   const char *, double workMult,
-                   const std::function<void()> *bodies,
-                   std::size_t count) override
-    {
-        // One CInvoke entry and one return-side clear for the whole
-        // vector, each extra call paying only the slot-dispatch cost
-        // (the sentry check covers the shared entry point once).
-        auto &m = img.machine();
-        m.consume(m.timing.registerSaveZero +
-                  (m.timing.mpkDssGate - m.timing.mpkDssReturn));
-        Cycles returnCost = m.timing.mpkDssReturn;
-        if (!policy.scrubReturn)
-            returnCost -= std::min(returnCost, m.timing.registerSaveZero);
-        m.bump("gate.cheri");
-        m.scrubScratch();
         if (count > 1)
             m.consume(static_cast<Cycles>(count - 1) *
                       m.timing.batchSlot);
+        // The callee's sim stack follows this boundary's
+        // stack-sharing policy, as on the MPK gates.
         Thread *t = img.scheduler().current();
         if (t)
             img.simStackFor(t->id(), to, policy.stackSharing);
@@ -887,17 +811,23 @@ class LinuxPtBackend : public IsolationBackend
     void
     crossCall(Image &img, int from, int to, const GatePolicy &,
               const std::string &, const char *, double workMult,
-              const std::function<void()> &body) override
+              const std::function<void()> *bodies,
+              std::size_t count) override
     {
+        // One syscall per call: the baselines cannot amortize a
+        // transition over a vector.
         auto &m = img.machine();
-        m.consume(kpti ? m.timing.syscallKpti : m.timing.syscallNoKpti);
-        m.bump("gate.syscall");
-        img.noteCrossing(from, to);
-        // The kernel return path sanitizes the scratch registers, as
-        // on a real syscall boundary.
-        ReturnCharge rc(m, 0, /*scrub=*/true);
-        DomainTransition dt(img, to, workMult);
-        body();
+        for (std::size_t i = 0; i < count; ++i) {
+            m.consume(kpti ? m.timing.syscallKpti
+                           : m.timing.syscallNoKpti);
+            m.bump("gate.syscall");
+            img.noteCrossing(from, to);
+            // The kernel return path sanitizes the scratch registers,
+            // as on a real syscall boundary.
+            ReturnCharge rc(m, 0, /*scrub=*/true);
+            DomainTransition dt(img, to, workMult);
+            bodies[i]();
+        }
     }
 
   private:
@@ -918,17 +848,21 @@ class Sel4IpcBackend : public IsolationBackend
     void
     crossCall(Image &img, int from, int to, const GatePolicy &,
               const std::string &, const char *, double workMult,
-              const std::function<void()> &body) override
+              const std::function<void()> *bodies,
+              std::size_t count) override
     {
+        // One IPC round trip per call.
         auto &m = img.machine();
-        m.consume(m.timing.sel4Ipc);
-        m.bump("gate.sel4ipc");
-        img.noteCrossing(from, to);
-        // IPC replies carry only the message registers; everything
-        // else comes back zeroed.
-        ReturnCharge rc(m, 0, /*scrub=*/true);
-        DomainTransition dt(img, to, workMult);
-        body();
+        for (std::size_t i = 0; i < count; ++i) {
+            m.consume(m.timing.sel4Ipc);
+            m.bump("gate.sel4ipc");
+            img.noteCrossing(from, to);
+            // IPC replies carry only the message registers;
+            // everything else comes back zeroed.
+            ReturnCharge rc(m, 0, /*scrub=*/true);
+            DomainTransition dt(img, to, workMult);
+            bodies[i]();
+        }
     }
 };
 
@@ -950,19 +884,23 @@ class CubicleMpkBackend : public IsolationBackend
     void
     crossCall(Image &img, int from, int to, const GatePolicy &,
               const std::string &, const char *, double workMult,
-              const std::function<void()> &body) override
+              const std::function<void()> *bodies,
+              std::size_t count) override
     {
         auto &m = img.machine();
-        // Two pkey_mprotect syscalls per transition (open + close the
-        // window); every other crossing touches a not-yet-mapped shared
-        // object and takes the trap-and-map fault.
-        m.consume(2 * m.timing.pkeyMprotect);
-        if (++callCount % 2 == 0)
-            m.consume(m.timing.trapAndMapFault);
-        m.bump("gate.cubicle");
-        img.noteCrossing(from, to);
-        DomainTransition dt(img, to, workMult);
-        body();
+        for (std::size_t i = 0; i < count; ++i) {
+            // Two pkey_mprotect syscalls per transition (open + close
+            // the window); every other crossing touches a
+            // not-yet-mapped shared object and takes the trap-and-map
+            // fault.
+            m.consume(2 * m.timing.pkeyMprotect);
+            if (++callCount % 2 == 0)
+                m.consume(m.timing.trapAndMapFault);
+            m.bump("gate.cubicle");
+            img.noteCrossing(from, to);
+            DomainTransition dt(img, to, workMult);
+            bodies[i]();
+        }
     }
 
   private:

@@ -47,45 +47,29 @@ class IsolationBackend
     virtual void shutdown(Image &img) = 0;
 
     /**
-     * Execute body in compartment 'to' on behalf of the current thread
-     * running in compartment 'from' — the instantiated call gate.
-     * Charges the gate cost, performs the domain transition, and runs
-     * body under calleeWorkMult (the callee component's hardening tax).
-     * The resolved (from, to) GatePolicy selects the MPK flavour,
-     * caller-side entry validation, and whether the return path scrubs
-     * the register set (asymmetric policies like "EPT->MPK returns
-     * skip re-validation" drop the return-side scrub).
+     * Execute `count` (>= 1) bodies in compartment 'to' on behalf of
+     * the current thread running in compartment 'from' — the
+     * instantiated call gate. Charges the gate cost, performs the
+     * domain transition, and runs the bodies in order under
+     * calleeWorkMult (the callee component's hardening tax). The
+     * resolved (from, to) GatePolicy selects the MPK flavour,
+     * caller-side entry validation, and whether the return path
+     * scrubs the register set (asymmetric policies like "EPT->MPK
+     * returns skip re-validation" drop the return-side scrub).
+     *
+     * count > 1 is a vectored crossing (`batch: N` boundaries).
+     * Mechanisms that can amortize pay ONE transition for the whole
+     * vector: MPK and CHERI one entry/return leg plus a per-slot
+     * dispatch cost, EPT one ring slot and one doorbell. The
+     * baselines pay their per-call charge for every body. An
+     * exception from any body aborts the rest of the vector.
      */
     virtual void crossCall(Image &img, int from, int to,
                            const GatePolicy &policy,
                            const std::string &calleeLib,
                            const char *fnName, double calleeWorkMult,
-                           const std::function<void()> &body) = 0;
-
-    /**
-     * Vectored crossing: execute `count` bodies in compartment 'to'
-     * through ONE domain transition (`batch: N` boundaries). The
-     * default degrades to sequential crossCalls — correct for any
-     * backend, no amortization. Backends that can amortize override
-     * it: MPK and CHERI pay one entry/return leg plus a per-slot
-     * dispatch cost, EPT submits one ring slot and rings one doorbell
-     * for the whole vector. Bodies run in order; the policy's
-     * validate/scrub legs are charged once per transition, not per
-     * body, and an exception from any body aborts the rest of the
-     * batch.
-     */
-    virtual void
-    crossCallBatch(Image &img, int from, int to,
-                   const GatePolicy &policy,
-                   const std::string &calleeLib, const char *fnName,
-                   double calleeWorkMult,
-                   const std::function<void()> *bodies,
-                   std::size_t count)
-    {
-        for (std::size_t i = 0; i < count; ++i)
-            crossCall(img, from, to, policy, calleeLib, fnName,
-                      calleeWorkMult, bodies[i]);
-    }
+                           const std::function<void()> *bodies,
+                           std::size_t count) = 0;
 
     /**
      * Notification that the image's gate matrix changed through a

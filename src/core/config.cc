@@ -344,8 +344,11 @@ const BoundaryKey boundaryKeyTable[] = {
      "Vectored-crossing width: up to this many queued calls of the "
      "edge are submitted through one gate (one EPT ring doorbell, one "
      "MPK/CHERI entry/return leg), each extra call paying only a "
-     "per-slot dispatch cost. Performance-only — throttle budgets are "
-     "still debited per logical call. Default: 1 (no batching).",
+     "per-slot dispatch cost. Only calls made through "
+     "`Image::gateBatch`/`gateDeferred` are batched; plain gates and "
+     "the in-lwip RX poller never are. Performance-only — throttle "
+     "budgets are still debited per logical call. Default: 1 (no "
+     "batching).",
      [](BoundaryRule &r, const std::string &v, int lineNo) {
          r.batch = parseCount(v, lineNo, "batch", 6);
      }},
@@ -371,7 +374,7 @@ const BoundaryKey boundaryKeyTable[] = {
     {"adaptive", "true | false",
      "Opt the edge into online adaptation by the runtime policy "
      "controller (`controller:` section): its rate / overflow / "
-     "validation knobs and batch width may be tightened or relaxed "
+     "validation knobs and gate flavour may be tightened or relaxed "
      "between quiesced matrix swaps. Edges without the opt-in (and "
      "all `deny:` edges) are never touched at runtime. "
      "Default: false.",
@@ -471,16 +474,6 @@ const ControllerKey controllerKeyTable[] = {
      "themselves are never relaxed online. Default: 1.",
      [](ControllerConfig &c, const std::string &v, int lineNo) {
          c.denyAlert = parseCount(v, lineNo, "deny_alert", 9);
-     }},
-    {"queue_high", "<frames>",
-     "NIC backlog (frames per receive queue) above which the "
-     "controller widens the adaptive RX burst / `batch:` width, "
-     "NAPI-budget style; widths narrow once the backlog stays under "
-     "half this mark. 0 disables batch-width adaptation. Default: 8.",
-     [](ControllerConfig &c, const std::string &v, int lineNo) {
-         std::string t = trim(v);
-         c.queueHigh =
-             t == "0" ? 0 : parseCount(v, lineNo, "queue_high", 6);
      }},
 };
 
@@ -990,7 +983,6 @@ SafetyConfig::toText() const
             << "\n";
         oss << "  calm_epochs: " << controller->calmEpochs << "\n";
         oss << "  deny_alert: " << controller->denyAlert << "\n";
-        oss << "  queue_high: " << controller->queueHigh << "\n";
     }
     if (!boundaries.empty()) {
         auto quoted = [](const std::string &s) {

@@ -358,14 +358,6 @@ struct ControllerConfig
      */
     std::uint64_t denyAlert = 1;
 
-    /**
-     * NIC backlog (frames per queue) above which the controller widens
-     * the adaptive RX burst / `batch:` width, NAPI-budget style
-     * (`queue_high:` key). Widths narrow again once the backlog stays
-     * under half this mark. 0 disables batch-width adaptation.
-     */
-    std::uint64_t queueHigh = 8;
-
     bool operator==(const ControllerConfig &o) const = default;
 };
 

@@ -275,58 +275,60 @@ Image::applyElision(int from, int to, const GatePolicy &pol,
 }
 
 void
+Image::crossChunk(const std::string &calleeLib, const char *fnName,
+                  int from, int to, const std::function<void()> *bodies,
+                  std::size_t k)
+{
+    // A pending quiesced matrix swap wins over NEW crossings: yielding
+    // here — before any policy reference is taken — lets the swapper
+    // flip at the next drained instant instead of being starved by a
+    // crossing storm. Charge-free when no swap is pending, so static
+    // images are untouched.
+    if (swapWaiters > 0 && sched.current())
+        yieldForSwap();
+    // Per-boundary dispatch: the (from, to) cell of the gate matrix
+    // decides how this crossing is enforced — mechanism, MPK flavour,
+    // entry validation, return-side scrubbing, and the least-privilege
+    // rules checked before any gate cost is charged. Enforcement is
+    // per LOGICAL call: a chunk of k debits the token bucket k times
+    // (and a denied edge rejects the whole chunk before any work).
+    const GatePolicy &pol = policyFor(from, to);
+    for (std::size_t j = 0; j < k; ++j)
+        enforceBoundary(from, to, pol);
+    GatePolicy scratch;
+    const GatePolicy &eff = applyElision(from, to, pol, scratch);
+    checkEntry(calleeLib, fnName, from, to, pol);
+    noteCoreMigration(to);
+    IsolationBackend &be = backendOf(pol.mech);
+    // `pol`/`eff` reference cells of the live matrix; the scope keeps
+    // swapGateMatrix from replacing it while the crossing (which may
+    // suspend inside an EPT ring RPC) is in flight.
+    CrossingScope xing(*this);
+    if (k > 1) {
+        mach.bump("gate.batched");
+        mach.bump("gate.batchedCalls", k);
+    }
+    be.crossCall(*this, from, to, eff, calleeLib, fnName,
+                 libMultiplier(calleeLib), bodies, k);
+    noteReturn(pol);
+}
+
+void
 Image::gateBatch(const std::string &calleeLib, const char *fnName,
                  const std::vector<std::function<void()>> &bodies)
 {
-    if (bodies.empty())
-        return;
     int from = currentCompartment();
     int to = resolveCallee(calleeLib, from);
-    const std::size_t width =
-        from == to
-            ? 1
-            : static_cast<std::size_t>(
-                  std::max<std::uint64_t>(policyFor(from, to).batch, 1));
-    if (width <= 1) {
-        // Unbatched boundary (or a same-compartment call): exactly
-        // the sequential gate path, vcycle-identical by construction.
+    if (from == to) {
         for (const auto &body : bodies)
-            gate(calleeLib, fnName, [&] { body(); });
+            gate(calleeLib, fnName, body);
         return;
     }
-    double mult = libMultiplier(calleeLib);
-    // Pending-swap barrier, mirroring gate(): park here so the policy
-    // reference below resolves against the post-swap matrix. Once the
-    // loop starts, the reference stays valid — a swap can only proceed
-    // while this fiber is suspended, which only happens inside a
-    // crossing, where the CrossingScope holds the swap off.
-    if (swapWaiters > 0 && sched.current())
-        yieldForSwap();
-    const GatePolicy &pol = policyFor(from, to);
-    IsolationBackend &be = backendOf(pol.mech);
-    for (std::size_t i = 0; i < bodies.size(); i += width) {
-        std::size_t k = std::min(width, bodies.size() - i);
-        // Least-privilege enforcement is per LOGICAL call: a batch of
-        // k debits the token bucket k times (and a denied edge
-        // rejects the whole batch before any work).
-        for (std::size_t j = 0; j < k; ++j)
-            enforceBoundary(from, to, pol);
-        GatePolicy scratch;
-        const GatePolicy &eff = applyElision(from, to, pol, scratch);
-        checkEntry(calleeLib, fnName, from, to, pol);
-        noteCoreMigration(to);
-        CrossingScope xing(*this);
-        if (k == 1) {
-            be.crossCall(*this, from, to, eff, calleeLib, fnName, mult,
-                         bodies[i]);
-        } else {
-            mach.bump("gate.batched");
-            mach.bump("gate.batchedCalls", k);
-            be.crossCallBatch(*this, from, to, eff, calleeLib, fnName,
-                              mult, &bodies[i], k);
-        }
-        noteReturn(pol);
-    }
+    const auto width = static_cast<std::size_t>(
+        std::max<std::uint64_t>(policyFor(from, to).batch, 1));
+    for (std::size_t i = 0; i < bodies.size(); i += width)
+        crossChunk(calleeLib, fnName, from, to, &bodies[i],
+                   std::min(width, bodies.size() - i));
 }
 
 void

@@ -214,6 +214,8 @@ class Image
      * performing a domain transition when the caller's current
      * compartment differs from the callee's. Same-compartment calls
      * cost exactly a function call — "you only pay for what you get".
+     * A real crossing is the one-call case of the vectored path: the
+     * same crossChunk() that gateBatch() drives.
      */
     template <typename F>
     auto
@@ -223,61 +225,35 @@ class Image
         using R = std::invoke_result_t<F>;
         int from = currentCompartment();
         int to = resolveCallee(calleeLib, from);
-        double mult = libMultiplier(calleeLib);
         if (from == to) {
             // Same compartment: the gate degenerates to a plain call
             // (paper Figure 3, step 3': zero overhead). Only the
             // callee's own hardening instrumentation applies.
             mach.consume(mach.timing.functionCall);
             mach.bump("gate.direct");
-            WorkMultGuard guard(mach, mult);
+            WorkMultGuard guard(mach, libMultiplier(calleeLib));
             return fn();
         }
-        // A pending quiesced matrix swap wins over NEW crossings:
-        // yielding here — before any policy reference is taken — lets
-        // the swapper flip at the next drained instant instead of
-        // being starved by a crossing storm. Charge-free when no swap
-        // is pending, so static images are untouched.
-        if (swapWaiters > 0 && sched.current())
-            yieldForSwap();
-        // Per-boundary dispatch: the (from, to) cell of the gate
-        // matrix decides how this crossing is enforced — mechanism,
-        // MPK flavour, entry validation, return-side scrubbing, and
-        // the least-privilege rules (deny, crossing-rate budget)
-        // checked before any gate cost is charged.
-        const GatePolicy &pol = policyFor(from, to);
-        enforceBoundary(from, to, pol);
-        GatePolicy scratch;
-        const GatePolicy &eff =
-            applyElision(from, to, pol, scratch);
-        checkEntry(calleeLib, fnName, from, to, pol);
-        noteCoreMigration(to);
-        IsolationBackend &be = backendOf(pol.mech);
-        // `pol`/`eff` reference cells of the live matrix; the scope
-        // keeps swapGateMatrix from replacing it while the crossing
-        // (which may suspend inside an EPT ring RPC) is in flight.
-        CrossingScope xing(*this);
         if constexpr (std::is_void_v<R>) {
-            be.crossCall(*this, from, to, eff, calleeLib, fnName, mult,
-                         [&] { fn(); });
-            noteReturn(pol);
+            const std::function<void()> body = [&] { fn(); };
+            crossChunk(calleeLib, fnName, from, to, &body, 1);
         } else {
             std::optional<R> result;
-            be.crossCall(*this, from, to, eff, calleeLib, fnName, mult,
-                         [&] { result.emplace(fn()); });
-            noteReturn(pol);
+            const std::function<void()> body = [&] {
+                result.emplace(fn());
+            };
+            crossChunk(calleeLib, fnName, from, to, &body, 1);
             return std::move(*result);
         }
     }
 
     /**
      * Vectored gate: run a sequence of calls to one entry point of
-     * calleeLib through batched crossings of the boundary's `batch:`
-     * width — each chunk pays ONE backend transition (one EPT
-     * doorbell, one MPK/CHERI entry/return leg) plus a per-slot cost,
-     * while deny/rate enforcement is still debited per logical call.
-     * `batch: 1` boundaries (and same-compartment calls) degrade to
-     * the plain sequential gate, vcycle-identical by construction.
+     * calleeLib through crossings of the boundary's `batch:` width —
+     * each chunk pays ONE backend transition (one EPT doorbell, one
+     * MPK/CHERI entry/return leg) plus a per-slot cost, while
+     * deny/rate enforcement is still debited per logical call. On a
+     * `batch: 1` boundary every chunk is one call, exactly gate().
      */
     void gateBatch(const std::string &calleeLib, const char *fnName,
                    const std::vector<std::function<void()>> &bodies);
@@ -613,8 +589,21 @@ class Image
         int tid;
     };
 
-    /** The gate()-side half of the swap barrier (out of the header's
-     *  hot path; defined with swapGateMatrix). */
+    /**
+     * The one crossing path behind gate(), gateBatch() and
+     * gateDeferred(): `k` (>= 1) calls from compartment `from` into
+     * `to` through ONE backend transition. In order: the swap
+     * barrier, the policy lookup, least-privilege enforcement per
+     * logical call, elision and the entry-validate leg, entry-point
+     * validation, SMP migration accounting, the crossing scope, the
+     * backend call, and the return-leg policy work.
+     */
+    void crossChunk(const std::string &calleeLib, const char *fnName,
+                    int from, int to, const std::function<void()> *bodies,
+                    std::size_t k);
+
+    /** The crossing-side half of the swap barrier (defined with
+     *  swapGateMatrix). */
     void yieldForSwap();
 
     /** Per-core epoch acknowledgement after a matrix flip. */

@@ -86,8 +86,7 @@ LibraryRegistry::standard()
     r.add(LibraryInfo{
         .name = "lwip",
         .entryPoints = {"socket", "bind", "listen", "accept", "connect",
-                        "send", "recv", "close", "poll", "rx_burst",
-                        "timer_poll"},
+                        "send", "recv", "close", "poll"},
         .callees = {"ukalloc", "uksched", "uktime"},
         .files = {"src/net/tcp.cc", "src/net/nic.cc",
                   "src/net/proto.cc"},

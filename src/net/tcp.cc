@@ -779,38 +779,6 @@ NetStack::pollQueue(std::size_t q)
     return worked;
 }
 
-std::vector<NetBuf>
-NetStack::fetchBurst(std::size_t q, std::size_t max)
-{
-    std::vector<NetBuf> burst;
-    mach.consume(mach.timing.pollDispatch);
-    while (burst.size() < max) {
-        auto f = nic.receiveQueue(q);
-        if (!f)
-            break;
-        burst.push_back(std::move(*f));
-    }
-    return burst;
-}
-
-void
-NetStack::handleRxFrame(NetBuf frame)
-{
-    handleFrame(std::move(frame));
-}
-
-bool
-NetStack::timersDue() const
-{
-    return timers.nextDeadlineNs() <= mach.nanoseconds();
-}
-
-std::size_t
-NetStack::pollTimers()
-{
-    return timers.poll();
-}
-
 std::uint32_t
 NetStack::rssHash(std::uint32_t srcIp, std::uint16_t srcPort,
                   std::uint32_t dstIp, std::uint16_t dstPort)

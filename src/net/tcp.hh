@@ -235,32 +235,6 @@ class NetStack
     bool pollQueue(std::size_t q);
 
     /**
-     * Pull up to max frames off one RX queue without processing them —
-     * the driver half of the batched receive path. A poller living
-     * outside the lwip compartment fetches a burst here, then pushes
-     * every frame through handleRxFrame() behind a single vectored
-     * gate crossing. Charges one pollDispatch like pollQueue(); frames
-     * come back in ring order, and RSS steers all of a flow's segments
-     * to one queue, so per-flow TCP ordering is preserved.
-     */
-    std::vector<NetBuf> fetchBurst(std::size_t q, std::size_t max);
-
-    /** Process one fetched frame (protocol half of the batched path). */
-    void handleRxFrame(NetBuf frame);
-
-    /**
-     * True if the timer wheel has a deadline at or before now — a
-     * charge-free driver-side peek so a batched poller only crosses
-     * into lwip for timer work when something is actually due. May be
-     * spuriously true for a cancelled-but-unreaped timer; the crossing
-     * then fires nothing, which is harmless.
-     */
-    bool timersDue() const;
-
-    /** Fire due timers (the protocol half of timersDue). @return fired */
-    std::size_t pollTimers();
-
-    /**
      * Configure RSS flow steering on the NIC: `queues` RX queues, one
      * per serving core, with arriving TCP frames hashed over their
      * 4-tuple so every connection's segments land on one queue (and
@@ -270,12 +244,6 @@ class NetStack
 
     /** RX queues after enableRss (1 before). */
     std::size_t rxQueueCount() const { return rssQueues; }
-
-    /**
-     * Frames pending in queue q's RX ring right now — the runtime
-     * policy controller's backlog probe (batch-width adaptation).
-     */
-    std::size_t rxBacklog(std::size_t q) const { return nic.pendingIn(q); }
 
     /** The RX queue this socket's inbound segments steer to. */
     std::size_t rssQueueOf(const TcpSocket &s) const;

@@ -22,7 +22,6 @@ PolicyController::PolicyController(Image &image, ControllerConfig config)
                 continue;
             EdgeState st;
             st.baseline = pol;
-            st.batch = std::max<std::uint64_t>(pol.batch, 1);
             edges.emplace(std::make_pair(f, t), st);
         }
     }
@@ -81,7 +80,6 @@ GatePolicy
 PolicyController::policyAt(const EdgeState &st) const
 {
     GatePolicy p = st.baseline;
-    p.batch = st.batch;
     if (st.level >= 1) {
         // Impose a crossing budget of one storm threshold per epoch —
         // or the configured budget if it was already tighter. Stall
@@ -191,31 +189,6 @@ PolicyController::step()
                 record("relax",
                        nameOf(pair.first) + "->" + nameOf(pair.second),
                        st.level);
-            }
-        }
-    }
-
-    // NAPI-style batch-width adaptation: widen while the NIC backlog
-    // outruns the burst width, narrow back toward the configured
-    // width once the queue drains.
-    if (queueDepthProbe) {
-        std::uint64_t depth = queueDepthProbe();
-        for (auto &[pair, st] : edges) {
-            std::uint64_t floor =
-                std::max<std::uint64_t>(st.baseline.batch, 1);
-            if (depth > cfg.queueHigh && st.batch < maxBatchWidth) {
-                st.batch = std::min<std::uint64_t>(
-                    maxBatchWidth, std::max<std::uint64_t>(2, st.batch * 2));
-                mach.bump("gate.batchWidthChanges");
-                record("batch",
-                       nameOf(pair.first) + "->" + nameOf(pair.second),
-                       static_cast<int>(st.batch));
-            } else if (depth == 0 && st.batch > floor) {
-                st.batch = std::max(floor, st.batch / 2);
-                mach.bump("gate.batchWidthChanges");
-                record("batch",
-                       nameOf(pair.first) + "->" + nameOf(pair.second),
-                       static_cast<int>(st.batch));
             }
         }
     }

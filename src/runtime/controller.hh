@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -57,22 +56,13 @@ namespace flexos {
  *    adaptive edges (its writable channels) — the deny edge itself is
  *    already as tight as policy gets and is never modified.
  *
- *  - **Batch width** (NAPI-style): with a queue-depth probe installed,
- *    a backlog above `queue_high` doubles the adaptive edges' `batch:`
- *    width (cap 16); an idle probe halves it back toward the
- *    configured width. Each applied change counts in
- *    `gate.batchWidthChanges`.
- *
  * Counters: controller.epochs, controller.tightens, controller.relaxes,
- * controller.alerts, gate.batchWidthChanges (plus matrix.swaps /
- * matrix.epoch from the swap path itself).
+ * controller.alerts (plus matrix.swaps / matrix.epoch from the swap
+ * path itself).
  */
 class PolicyController
 {
   public:
-    /** Hard cap for adaptive `batch:` widening. */
-    static constexpr std::uint64_t maxBatchWidth = 16;
-
     /** Entries the decision trace retains (oldest evicted first). */
     static constexpr std::size_t traceCapacity = 256;
 
@@ -87,7 +77,7 @@ class PolicyController
     struct TraceEntry
     {
         std::uint64_t epoch = 0;
-        std::string rule; ///< tighten | relax | deny-harden | batch | swap
+        std::string rule; ///< tighten | relax | deny-harden | swap
         std::string edge; ///< "from->to", or "" for image-wide events
         int level = 0;
     };
@@ -97,13 +87,6 @@ class PolicyController
 
     PolicyController(const PolicyController &) = delete;
     PolicyController &operator=(const PolicyController &) = delete;
-
-    /**
-     * Optional NIC backlog probe (frames pending across RX queues).
-     * Installed by the deployment; when absent the batch-width rule
-     * is inert.
-     */
-    std::function<std::uint64_t()> queueDepthProbe;
 
     /**
      * Spawn the sampling thread: sleeps `epoch` virtual ns, runs
@@ -141,7 +124,6 @@ class PolicyController
         int level = 0;            ///< 0 = baseline .. 3 = max escalation
         std::uint64_t calm = 0;   ///< consecutive under-threshold epochs
         bool denyHardened = false; ///< deny-witness DSS+validate applied
-        std::uint64_t batch = 1;  ///< current adaptive batch width
     };
 
     /** Re-derive an edge's policy from its baseline and state. */

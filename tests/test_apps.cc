@@ -539,6 +539,45 @@ TEST_F(SqlFixture, EachAutoCommitInsertWritesAndDropsJournal)
     });
 }
 
+TEST_F(SqlFixture, FullFilesystemFailsTheInsertInsteadOfLosingRows)
+{
+    // The fixture's vfscore heap is the 4 MB default: an INSERT loop
+    // fills it. The first write ramfs cannot store must fail its exec,
+    // and no exec may report ok after a vfscore allocation failed.
+    inApp([&] {
+        const Allocator &vfsHeap = dep.image().heapOf("vfscore");
+        minisql::Database db(dep.libc(), "/full.db");
+        db.open();
+        ASSERT_TRUE(db.exec("CREATE TABLE t (n INTEGER, tag TEXT)").ok);
+        const std::string tag(80, 'x');
+        int stored = 0;
+        minisql::Result r;
+        for (; stored < 20000; ++stored) {
+            r = db.exec("INSERT INTO t VALUES (" + std::to_string(stored) +
+                        ", '" + tag + "')");
+            if (!r.ok)
+                break;
+            ASSERT_EQ(vfsHeap.stats().failed, 0u)
+                << "INSERT " << stored
+                << " reported ok after a vfscore heap failure";
+        }
+        ASSERT_FALSE(r.ok) << "the vfscore heap never filled";
+        EXPECT_NE(r.error.find("filesystem full"), std::string::npos)
+            << r.error;
+        EXPECT_GT(vfsHeap.stats().failed, 0u);
+        db.close();
+
+        // Every row whose INSERT reported ok reads back through a
+        // fresh connection, from the VFS rather than a page cache.
+        minisql::Database check(dep.libc(), "/full.db");
+        check.open();
+        auto count = check.exec("SELECT COUNT(*) FROM t");
+        ASSERT_TRUE(count.ok) << count.error;
+        EXPECT_EQ(std::get<std::int64_t>(count.rows[0][0]), stored);
+        check.close();
+    });
+}
+
 TEST(SqlTokenizer, HandlesLiteralsAndPunctuation)
 {
     auto toks = minisql::tokenize(

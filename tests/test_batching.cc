@@ -4,9 +4,9 @@
  * parse + toText round-trip and wildcard layering, the batch: 1
  * vcycle-identity regression, exact chunk arithmetic (one gate plus
  * per-slot dispatch), per-logical-call throttle debiting, elision
- * streaks resetting on interleaved boundaries, RX integrity under the
- * deployment's batched drain, and the monotone product-space pruner
- * against brute force.
+ * streaks resetting on interleaved boundaries, a `batch:` RX boundary
+ * leaving a deployment's traffic untouched, and the monotone
+ * product-space pruner against brute force.
  */
 
 #include <gtest/gtest.h>
@@ -194,43 +194,57 @@ runBatched(LibraryRegistry &reg, const std::string &text,
     return {m.wallCycles(), m.counters()};
 }
 
+/** A config with every `intel-mpk` compartment moved to `mech`. */
+std::string
+onMechanism(std::string text, const std::string &mech)
+{
+    const std::string mpk = "intel-mpk";
+    for (auto at = text.find(mpk); at != std::string::npos;
+         at = text.find(mpk, at + mech.size()))
+        text.replace(at, mpk.size(), mech);
+    return text;
+}
+
 TEST_F(BatchingFixture, BatchOneIsVcycleIdenticalToSequentialGates)
 {
     // The regression pin: `batch: 1` (and an unconfigured boundary
     // driven through the vectored API) must be bit-identical in
-    // virtual time AND counters to the plain sequential gate.
-    Machine m;
-    {
-        MachineScope scope(m);
-        Scheduler sched(m);
-        Toolchain tc2(reg);
-        SafetyConfig cfg = SafetyConfig::parse(twoCompMpk);
-        cfg.heapBytes = 1 << 20;
-        cfg.sharedHeapBytes = 1 << 20;
-        auto img = tc2.build(m, sched, cfg);
-        img->spawnIn("libredis", "t", [&] {
-            for (int i = 0; i < 64; ++i)
-                img->gate("lwip", "recv", [] {});
-        });
-        sched.run();
-        img->shutdown();
-    }
-    auto [plainCycles, plainCounters] = std::make_pair(m.wallCycles(),
-                                                       m.counters());
+    // virtual time AND counters to the plain sequential gate, on every
+    // mechanism's crossing.
+    for (const char *mech : {"none", "intel-mpk", "vm-ept", "cheri",
+                             "linux-pt", "sel4-ipc", "cubicle-mpk"}) {
+        SCOPED_TRACE(mech);
+        const std::string text = onMechanism(twoCompMpk, mech);
+        Machine m;
+        {
+            MachineScope scope(m);
+            Scheduler sched(m);
+            Toolchain tc2(reg);
+            SafetyConfig cfg = SafetyConfig::parse(text);
+            cfg.heapBytes = 1 << 20;
+            cfg.sharedHeapBytes = 1 << 20;
+            auto img = tc2.build(m, sched, cfg);
+            img->spawnIn("libredis", "t", [&] {
+                for (int i = 0; i < 64; ++i)
+                    img->gate("lwip", "recv", [] {});
+            });
+            sched.run();
+            img->shutdown();
+        }
+        auto [plainCycles, plainCounters] =
+            std::make_pair(m.wallCycles(), m.counters());
 
-    auto [defCycles, defCounters] =
-        runBatched(reg, twoCompMpk, 64, 1);
-    auto [oneCycles, oneCounters] = runBatched(
-        reg,
-        std::string(twoCompMpk) + "boundaries:\n- a -> b: {batch: 1}\n",
-        64, 1);
-    EXPECT_EQ(defCycles, plainCycles);
-    EXPECT_EQ(defCounters, plainCounters);
-    EXPECT_EQ(oneCycles, plainCycles);
-    EXPECT_EQ(oneCounters, plainCounters);
-    // No vectored-path artifacts exist at width 1.
-    EXPECT_EQ(plainCounters.count("gate.batched"), 0u);
-    EXPECT_EQ(plainCounters.count("gate.coalesced"), 0u);
+        auto [defCycles, defCounters] = runBatched(reg, text, 64, 1);
+        auto [oneCycles, oneCounters] = runBatched(
+            reg, text + "boundaries:\n- a -> b: {batch: 1}\n", 64, 1);
+        EXPECT_EQ(defCycles, plainCycles);
+        EXPECT_EQ(defCounters, plainCounters);
+        EXPECT_EQ(oneCycles, plainCycles);
+        EXPECT_EQ(oneCounters, plainCounters);
+        // No vectored-path artifacts exist at width 1.
+        EXPECT_EQ(plainCounters.count("gate.batched"), 0u);
+        EXPECT_EQ(plainCounters.count("gate.coalesced"), 0u);
+    }
 }
 
 TEST_F(BatchingFixture, BatchedChunkCostsOneGatePlusSlotDispatch)
@@ -351,11 +365,13 @@ boundaries:
 
 TEST(BatchedRxDrain, DeploymentDeliversAllBytesInOrder)
 {
-    // lwip in its own compartment with a batched RX boundary: the
-    // driver-side poller fetches bursts and crosses once per burst.
-    // TCP is the ordering oracle — reordered or dropped frames inside
-    // a burst could not yield the exact byte count across four flows.
-    SafetyConfig cfg = SafetyConfig::parse(R"(
+    // lwip in its own compartment with a `batch:` width on the app ->
+    // net boundary. The RX poller runs inside lwip, so received frames
+    // never cross that boundary, and the app's socket calls use the
+    // plain gate: the width must change nothing. TCP is the ordering
+    // oracle — reordered or dropped frames could not yield the exact
+    // byte count across four flows.
+    const std::string batched = R"(
 compartments:
 - app:
     mechanism: intel-mpk
@@ -369,21 +385,26 @@ libraries:
 - lwip: net
 boundaries:
 - app -> net: {batch: 8}
-)");
-    DeployOptions opts;
-    opts.withFs = false;
-    Deployment dep(cfg, opts);
-    dep.start();
-    IperfResult res = runIperfMulti(dep.image(), dep.libc(),
-                                    dep.clientStack(), 32 * 1024, 4096,
-                                    /*flows=*/4);
-    dep.stop();
-    EXPECT_EQ(res.bytes, 4u * 32 * 1024);
-    // The vectored path actually carried traffic (bursts formed).
-    Machine &m = dep.machine();
-    EXPECT_GE(m.counter("gate.batched"), 1u);
-    EXPECT_GT(m.counter("gate.batchedCalls"),
-              m.counter("gate.batched"));
+)";
+    auto run = [](const std::string &text) {
+        DeployOptions opts;
+        opts.withFs = false;
+        Deployment dep(SafetyConfig::parse(text), opts);
+        dep.start();
+        IperfResult res = runIperfMulti(dep.image(), dep.libc(),
+                                        dep.clientStack(), 32 * 1024,
+                                        4096, /*flows=*/4);
+        dep.stop();
+        EXPECT_EQ(res.bytes, 4u * 32 * 1024);
+        Machine &m = dep.machine();
+        return std::make_pair(m.wallCycles(), m.counters());
+    };
+    auto [plainCycles, plainCounters] =
+        run(batched.substr(0, batched.find("boundaries:")));
+    auto [batchCycles, batchCounters] = run(batched);
+    EXPECT_EQ(batchCycles, plainCycles);
+    EXPECT_EQ(batchCounters, plainCounters);
+    EXPECT_EQ(batchCounters.count("gate.batched"), 0u);
 }
 
 // ------------------------------------------------ poset + pruning

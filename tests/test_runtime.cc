@@ -5,9 +5,9 @@
  * in an EPT ring RPC, pending deferred-batch flush before the epoch
  * flip, swap under a throttle stall, a multi-core swap storm) and the
  * policy controller itself (config surface, storm escalation ladder
- * with hysteresis relax, deny-witness hardening, NAPI-style batch
- * width convergence, windowed counter deltas, and the static-identity
- * pin for images with nothing adaptive).
+ * with hysteresis relax, deny-witness hardening, windowed counter
+ * deltas, and the static-identity pin for images with nothing
+ * adaptive).
  */
 
 #include <gtest/gtest.h>
@@ -99,7 +99,6 @@ controller:
   storm_threshold: 40
   calm_epochs: 5
   deny_alert: 2
-  queue_high: 12
 boundaries:
 - app -> sys: {adaptive: true}
 )");
@@ -108,7 +107,6 @@ boundaries:
     EXPECT_EQ(cfg.controller->stormThreshold, 40u);
     EXPECT_EQ(cfg.controller->calmEpochs, 5u);
     EXPECT_EQ(cfg.controller->denyAlert, 2u);
-    EXPECT_EQ(cfg.controller->queueHigh, 12u);
     ASSERT_EQ(cfg.boundaries.size(), 1u);
     EXPECT_EQ(cfg.boundaries[0].adaptive, true);
 
@@ -182,7 +180,7 @@ TEST_F(RuntimeFixture, FiberSwapQuiescesAgainstEptCrossingInFlight)
     // A: blocks mid-crossing — the body suspends on the far side of
     // the EPT ring, so the caller sits inside a backend transit.
     img->spawnIn("libredis", "caller", [&] {
-        img->gate("lwip", "rx_burst", [&] {
+        img->gate("lwip", "recv", [&] {
             bodyStarted = true;
             sched.sleepNs(200000);
             bodyDone = true;
@@ -208,7 +206,7 @@ TEST_F(RuntimeFixture, FiberSwapQuiescesAgainstEptCrossingInFlight)
     // yield to the waiting swapper instead of starving it.
     sched.spawn("prober", [&] {
         while (!swapDone) {
-            img->gate("lwip", "timer_poll", [] {});
+            img->gate("lwip", "poll", [] {});
             sched.yield();
         }
     });
@@ -231,7 +229,7 @@ TEST_F(RuntimeFixture, DriverSwapDrainsEptCrossingInFlight)
 
     bool bodyStarted = false, bodyDone = false;
     img->spawnIn("libredis", "caller", [&] {
-        img->gate("lwip", "rx_burst", [&] {
+        img->gate("lwip", "recv", [&] {
             bodyStarted = true;
             sched.sleepNs(150000);
             bodyDone = true;
@@ -548,42 +546,6 @@ boundaries:
     ctl.step();
     ctl.step();
     EXPECT_TRUE(img->policyFor(att, sys) == base);
-}
-
-TEST_F(RuntimeFixture, ControllerBatchWidthConvergesWithBacklog)
-{
-    std::unique_ptr<Image> img = buildFrom(adaptiveCfg);
-    int att = img->compartmentIndexOf("uktime");
-    int sys = img->compartmentIndexOf("uksched");
-
-    ControllerConfig cc;
-    cc.epoch = 100000;
-    cc.queueHigh = 8;
-    PolicyController ctl(*img, cc);
-    std::uint64_t depth = 20;
-    ctl.queueDepthProbe = [&] { return depth; };
-
-    // Sustained backlog: width doubles per epoch up to the cap.
-    std::uint64_t expect[] = {2, 4, 8, 16};
-    for (std::uint64_t want : expect) {
-        EXPECT_TRUE(ctl.step());
-        EXPECT_EQ(img->policyFor(att, sys).batch, want);
-    }
-    EXPECT_FALSE(ctl.step()); // capped: nothing changes, no swap
-    EXPECT_EQ(img->policyFor(att, sys).batch,
-              PolicyController::maxBatchWidth);
-    EXPECT_EQ(mach.counter("gate.batchWidthChanges"), 4u);
-
-    // Drained queue: width halves back to the configured floor.
-    depth = 0;
-    std::uint64_t narrow[] = {8, 4, 2, 1};
-    for (std::uint64_t want : narrow) {
-        EXPECT_TRUE(ctl.step());
-        EXPECT_EQ(img->policyFor(att, sys).batch, want);
-    }
-    EXPECT_FALSE(ctl.step()); // at the floor: stable
-    EXPECT_EQ(mach.counter("gate.batchWidthChanges"), 8u);
-    EXPECT_EQ(mach.counter("matrix.swaps"), 8u);
 }
 
 TEST_F(RuntimeFixture, ControllerWithNothingAdaptiveIsStaticIdentity)
