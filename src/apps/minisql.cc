@@ -106,13 +106,12 @@ Pager::close()
     try {
         if (inTxn)
             rollback();
-        for (auto &[id, page] : cache)
-            if (page->dirty)
-                writeBack(id);
+        flushDirty();
     } catch (const IoError &) {
         failed = std::current_exception();
     }
     cache.clear();
+    dirty.clear();
     if (fd >= 0) {
         libc.close(fd);
         fd = -1;
@@ -127,14 +126,14 @@ Pager::get(std::uint32_t id)
     panic_if(id >= nPages, "page ", id, " out of range");
     auto it = cache.find(id);
     if (it == cache.end()) {
-        auto page = std::make_unique<CachedPage>();
-        long got = libc.pread(fd, page->data.data(), pageSize,
+        PageBuf page{};
+        long got = libc.pread(fd, page.data(), pageSize,
                               static_cast<std::uint64_t>(id) * pageSize);
         panic_if(got != static_cast<long>(pageSize),
                  "short page read");
-        it = cache.emplace(id, std::move(page)).first;
+        it = cache.emplace(id, page).first;
     }
-    return it->second->data;
+    return it->second;
 }
 
 Pager::PageBuf &
@@ -143,24 +142,23 @@ Pager::getMutable(std::uint32_t id)
     PageBuf &buf = get(id);
     if (inTxn)
         journalPreImage(id);
-    cache[id]->dirty = true;
+    dirty.insert(id);
     return buf;
 }
 
 std::uint32_t
 Pager::allocPage()
 {
-    auto page = std::make_unique<CachedPage>();
-    page->data.fill(0);
-    page->dirty = true;
+    PageBuf page{};
     // Extend the file so subsequent reads see the page; the page joins
-    // the database only once the file holds it.
-    requireStored(libc.pwrite(fd, page->data.data(), pageSize,
+    // the database (dirty) only once the file holds it.
+    requireStored(libc.pwrite(fd, page.data(), pageSize,
                               static_cast<std::uint64_t>(nPages) *
                                   pageSize),
                   pageSize, path);
     std::uint32_t id = nPages++;
-    cache.emplace(id, std::move(page));
+    cache.emplace(id, page);
+    dirty.insert(id);
     return id;
 }
 
@@ -201,10 +199,19 @@ Pager::begin()
 void
 Pager::writeBack(std::uint32_t id)
 {
-    requireStored(libc.pwrite(fd, cache[id]->data.data(), pageSize,
+    requireStored(libc.pwrite(fd, cache[id].data(), pageSize,
                               static_cast<std::uint64_t>(id) * pageSize),
                   pageSize, path);
-    cache[id]->dirty = false;
+    dirty.erase(id);
+}
+
+void
+Pager::flushDirty()
+{
+    // writeBack() erases each page once it is stored; a failed write
+    // throws with that page and every later one still dirty.
+    while (!dirty.empty())
+        writeBack(*dirty.begin());
 }
 
 void
@@ -213,9 +220,7 @@ Pager::commit()
     panic_if(!inTxn, "commit outside transaction");
     // Flush dirty pages, sync the database, then drop the journal —
     // the journal's deletion is the commit point.
-    for (auto &[id, page] : cache)
-        if (page->dirty)
-            writeBack(id);
+    flushDirty();
     libc.fsync(fd);
     libc.unlink(journalPath);
     preImages.clear();
@@ -226,9 +231,7 @@ void
 Pager::commitDirtyForTest()
 {
     panic_if(!inTxn, "crash-flush outside transaction");
-    for (auto &[id, page] : cache)
-        if (page->dirty)
-            writeBack(id);
+    flushDirty();
     // No journal unlink: the next open() finds it hot and rolls back.
     preImages.clear();
     inTxn = false;
@@ -242,8 +245,8 @@ Pager::rollback()
     preImages.clear();
     inTxn = false;
     for (auto &[id, pre] : restored) {
-        cache[id]->data = pre;
-        cache[id]->dirty = true;
+        cache[id] = pre;
+        dirty.insert(id);
     }
     for (auto &[id, pre] : restored)
         writeBack(id);

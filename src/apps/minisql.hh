@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <variant>
@@ -124,7 +125,10 @@ class Pager
     void commitDirtyForTest();
 
   private:
+    /** Write one page to the file; it stays dirty if the write fails. */
     void writeBack(std::uint32_t id);
+    /** Write back every dirty page in ascending page order. */
+    void flushDirty();
     void journalPreImage(std::uint32_t id);
 
     LibcApi &libc;
@@ -133,12 +137,9 @@ class Pager
     int fd = -1;
     std::uint32_t nPages = 0;
 
-    struct CachedPage
-    {
-        PageBuf data;
-        bool dirty = false;
-    };
-    std::map<std::uint32_t, std::unique_ptr<CachedPage>> cache;
+    std::map<std::uint32_t, PageBuf> cache;
+    /** Cached pages not yet written back, ascending (the write order). */
+    std::set<std::uint32_t> dirty;
 
     bool inTxn = false;
     std::map<std::uint32_t, PageBuf> preImages; ///< journalled this txn

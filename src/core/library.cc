@@ -65,8 +65,8 @@ LibraryRegistry::standard()
                         "sem_wait"},
         .callees = {"ukalloc", "uktime"},
         .files = {"src/uksched/scheduler.cc"},
-        .sharedData = {"activeScheduler", "hostStackBottom",
-                       "hostStackSize", "schedFakeStack"},
+        .sharedData = {"hostStackBottom", "hostStackSize",
+                       "schedFakeStack"},
         .sharedVars = 5,
         .patchAdded = 48,
         .patchRemoved = 8,

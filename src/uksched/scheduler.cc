@@ -1,14 +1,15 @@
 #include "uksched/scheduler.hh"
 
 #include <algorithm>
+#include <cstring>
 #include <exception>
 
 #include "base/logging.hh"
 
-// AddressSanitizer must be told about ucontext fiber switches or it
-// attributes fiber stacks to the host thread, producing false
-// stack-buffer-overflow reports (e.g. on exception unwinds inside a
-// fiber). The annotations are no-ops without ASan.
+// AddressSanitizer must be told about fiber switches or it attributes
+// fiber stacks to the host thread, producing false stack-buffer-overflow
+// reports (e.g. on exception unwinds inside a fiber). The annotations
+// are no-ops without ASan.
 #if defined(__SANITIZE_ADDRESS__)
 #define FLEXOS_ASAN_FIBERS 1
 #elif defined(__has_feature)
@@ -21,12 +22,82 @@
 #include <sanitizer/common_interface_defs.h>
 #endif
 
+#if !defined(__x86_64__)
+#error "port flexos_fiber_switch/flexos_fiber_start to this architecture"
+#endif
+
+/*
+ * The fiber switch. flexos_fiber_switch(save, load) pushes the
+ * callee-saved registers of the System V ABI (rbp, rbx, r12-r15) and
+ * the callee-saved control state (MXCSR, x87 control word) onto the
+ * current stack, stores the stack pointer to *save, loads `load` and
+ * pops the same frame off the other stack. Everything else is
+ * caller-saved, so the compiler has already spilled it around the
+ * call. Unlike glibc swapcontext it does not save the signal mask,
+ * which costs an rt_sigprocmask syscall per switch; no fiber changes
+ * the mask.
+ *
+ * A new fiber's stack holds a frame built by Scheduler::spawnOn whose
+ * return address is flexos_fiber_start: it calls r13 (the trampoline)
+ * with r12 (the scheduler) as argument. Its CFI marks the return
+ * address undefined, which ends unwinder walks at the fiber's base.
+ *
+ * Not compatible with CET shadow stacks: the `ret` returns onto a
+ * different stack than the matching `call` came from.
+ */
+extern "C" {
+void flexos_fiber_switch(void **save, void *load);
+void flexos_fiber_start();
+}
+
+asm(R"(
+    .pushsection .text
+    .p2align 4
+    .globl flexos_fiber_switch
+    .hidden flexos_fiber_switch
+    .type flexos_fiber_switch, @function
+flexos_fiber_switch:
+    pushq %rbp
+    pushq %rbx
+    pushq %r12
+    pushq %r13
+    pushq %r14
+    pushq %r15
+    subq $8, %rsp
+    stmxcsr (%rsp)
+    fnstcw 4(%rsp)
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    ldmxcsr (%rsp)
+    fldcw 4(%rsp)
+    addq $8, %rsp
+    popq %r15
+    popq %r14
+    popq %r13
+    popq %r12
+    popq %rbx
+    popq %rbp
+    ret
+    .size flexos_fiber_switch, .-flexos_fiber_switch
+
+    .p2align 4
+    .globl flexos_fiber_start
+    .hidden flexos_fiber_start
+    .type flexos_fiber_start, @function
+flexos_fiber_start:
+    .cfi_startproc
+    .cfi_undefined rip
+    movq %r12, %rdi
+    callq *%r13
+    ud2
+    .cfi_endproc
+    .size flexos_fiber_start, .-flexos_fiber_start
+    .popsection
+)");
+
 namespace flexos {
 
 namespace {
-
-/** Scheduler whose thread is currently starting (single host thread). */
-Scheduler *activeScheduler = nullptr; // flexos: shared
 
 #ifdef FLEXOS_ASAN_FIBERS
 /** Host (scheduler) stack bounds, learned on the first fiber entry. */
@@ -49,6 +120,41 @@ asanLeaveFiber(void **fiberFakeStackSave)
                                    hostStackSize);
 }
 #endif
+
+/**
+ * Lay out a fresh fiber's first frame at the top of its stack, in the
+ * order flexos_fiber_switch pops it: control word, r15, r14, r13, r12,
+ * rbx, rbp, return address. @return the stack pointer to switch to.
+ */
+void *
+initialFrame(std::vector<char> &stack, Scheduler *sched,
+             void (*entry)(Scheduler *))
+{
+    // The fiber inherits the spawner's MXCSR and x87 control word, as
+    // a new POSIX thread inherits its creator's floating-point modes.
+    std::uint32_t mxcsr = 0;
+    std::uint16_t fcw = 0;
+    asm volatile("stmxcsr %0" : "=m"(mxcsr));
+    asm volatile("fnstcw %0" : "=m"(fcw));
+
+    // A 16-byte-aligned top: once the frame is popped, the start stub
+    // calls the trampoline with rsp aligned as the ABI requires.
+    auto top = reinterpret_cast<std::uintptr_t>(stack.data()) + stack.size();
+    top &= ~std::uintptr_t(15);
+    std::uint64_t frame[8] = {
+        mxcsr | std::uint64_t(fcw) << 32,
+        0,                                      // r15
+        0,                                      // r14
+        reinterpret_cast<std::uint64_t>(entry), // r13
+        reinterpret_cast<std::uint64_t>(sched), // r12
+        0,                                      // rbx
+        0,                                      // rbp: ends fp walks
+        reinterpret_cast<std::uint64_t>(&flexos_fiber_start),
+    };
+    void *sp = reinterpret_cast<void *>(top - sizeof frame);
+    std::memcpy(sp, frame, sizeof frame);
+    return sp;
+}
 
 } // namespace
 
@@ -166,11 +272,7 @@ Scheduler::spawnOn(int core, std::string name, Thread::Entry entry,
     raw->core = core;
     raw->pinned = pinned;
 
-    getcontext(&raw->ctx);
-    raw->ctx.uc_stack.ss_sp = raw->stack.data();
-    raw->ctx.uc_stack.ss_size = raw->stack.size();
-    raw->ctx.uc_link = nullptr;
-    makecontext(&raw->ctx, &Scheduler::trampoline, 0);
+    raw->sp = initialFrame(raw->stack, this, &Scheduler::trampoline);
 
     // Backend hook: e.g. the MPK backend assigns the thread its initial
     // protection domain and builds its per-compartment stack registry.
@@ -199,13 +301,12 @@ Scheduler::pin(Thread *t, int core)
 }
 
 void
-Scheduler::trampoline()
+Scheduler::trampoline(Scheduler *sched)
 {
 #ifdef FLEXOS_ASAN_FIBERS
     asanEnterFiber(nullptr); // first entry: no fake stack to restore
 #endif
-    panic_if(!activeScheduler, "thread started without a scheduler");
-    activeScheduler->threadMain();
+    sched->threadMain();
 }
 
 void
@@ -234,7 +335,7 @@ Scheduler::threadMain()
     __sanitizer_start_switch_fiber(nullptr, hostStackBottom,
                                    hostStackSize);
 #endif
-    swapcontext(&self->ctx, &schedCtx);
+    flexos_fiber_switch(&self->sp, schedSp);
     panic("resumed a finished thread");
 }
 
@@ -263,17 +364,14 @@ Scheduler::switchTo(Thread *t)
     if (onSwitch)
         onSwitch(prev, t);
 
-    Scheduler *prevActive = activeScheduler;
-    activeScheduler = this;
 #ifdef FLEXOS_ASAN_FIBERS
     __sanitizer_start_switch_fiber(&schedFakeStack, t->stack.data(),
                                    t->stack.size());
 #endif
-    swapcontext(&schedCtx, &t->ctx);
+    flexos_fiber_switch(&schedSp, t->sp);
 #ifdef FLEXOS_ASAN_FIBERS
     __sanitizer_finish_switch_fiber(schedFakeStack, nullptr, nullptr);
 #endif
-    activeScheduler = prevActive;
 
     // Back in the scheduler (TCB): run unrestricted and charged. This
     // also covers threads that returned without passing switchOut() —
@@ -305,7 +403,7 @@ Scheduler::switchOut()
 #ifdef FLEXOS_ASAN_FIBERS
     asanLeaveFiber(&self->asanFakeStack);
 #endif
-    swapcontext(&self->ctx, &schedCtx);
+    flexos_fiber_switch(&self->sp, schedSp);
 #ifdef FLEXOS_ASAN_FIBERS
     asanEnterFiber(self->asanFakeStack);
 #endif

@@ -3,8 +3,9 @@
  * uksched: the cooperative scheduler micro-library.
  *
  * All simulated concurrency (application threads, EPT RPC server pools,
- * network pollers) runs as ucontext fibers multiplexed on the single host
- * thread, round-robin, switching only at explicit yield/block points.
+ * network pollers) runs as fibers multiplexed on the single host thread,
+ * round-robin, switching only at explicit yield/block points. A switch
+ * is a few saved registers and a stack-pointer swap (no syscall).
  * This makes every run deterministic and lets the virtual clock be exact.
  *
  * The scheduler is part of FlexOS' trusted computing base (paper 3.3) and
@@ -15,8 +16,6 @@
 
 #ifndef FLEXOS_UKSCHED_SCHEDULER_HH
 #define FLEXOS_UKSCHED_SCHEDULER_HH
-
-#include <ucontext.h>
 
 #include <cstdint>
 #include <deque>
@@ -111,7 +110,7 @@ class Thread
     State state_ = State::Ready;
     std::string error_;
     Entry entry;
-    ucontext_t ctx;
+    void *sp = nullptr; ///< saved stack pointer while switched out
     std::vector<char> stack;
     std::uint64_t wakeAtCycles = 0;
     /**
@@ -294,7 +293,7 @@ class Scheduler
     /** Fire the pre-suspension hook (batch flush) unless tearing down. */
     void preSuspend(Thread *self);
     void threadMain();
-    static void trampoline();
+    static void trampoline(Scheduler *sched);
 
     /** Move due sleepers to their run queues; force-wake if all idle. */
     bool serviceSleepers(bool mayAdvanceClock);
@@ -355,7 +354,7 @@ class Scheduler
     unsigned nextDispatchCore = 0; ///< round-robin dispatch cursor
 
     Thread *running = nullptr;
-    ucontext_t schedCtx;
+    void *schedSp = nullptr; ///< scheduler stack pointer while a fiber runs
     int nextId = 1;
     std::uint64_t switchCount = 0;
     bool cancelling = false; ///< teardown: suspension points throw

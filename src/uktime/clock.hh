@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <unordered_map>
 #include <vector>
 
 #include "machine/machine.hh"
@@ -48,6 +49,12 @@ class Clock
 /**
  * Deadline-ordered timer queue; polled by whoever owns it (the network
  * stack polls it on every loop iteration for TCP retransmissions).
+ *
+ * Cancelling is O(1): it drops the callback and leaves the heap entry
+ * in place, and poll() skips entries whose callback is gone. Until
+ * poll() passes a cancelled deadline, nextDeadlineNs() and empty()
+ * still count it — the network poller wakes at it, which is part of
+ * the simulated timeline.
  */
 class TimerQueue
 {
@@ -61,13 +68,13 @@ class TimerQueue
     arm(std::uint64_t delayNs, Callback cb)
     {
         std::uint64_t id = nextId++;
-        pending.push(Entry{mach.nanoseconds() + delayNs, id,
-                           std::move(cb)});
+        pending.push(Entry{mach.nanoseconds() + delayNs, id});
+        callbacks.emplace(id, std::move(cb));
         return id;
     }
 
-    /** Cancel a timer by id (no-op if already fired). */
-    void cancel(std::uint64_t id) { cancelled.push_back(id); }
+    /** Cancel a timer by id (no-op if already fired or cancelled). */
+    void cancel(std::uint64_t id) { callbacks.erase(id); }
 
     /** Fire every timer whose deadline has passed. @return fired count */
     std::size_t
@@ -76,23 +83,29 @@ class TimerQueue
         std::size_t fired = 0;
         while (!pending.empty() &&
                pending.top().deadlineNs <= mach.nanoseconds()) {
-            Entry e = pending.top();
+            auto it = callbacks.find(pending.top().id);
             pending.pop();
-            if (isCancelled(e.id))
-                continue;
-            e.cb();
+            if (it == callbacks.end())
+                continue; // cancelled
+            Callback cb = std::move(it->second);
+            callbacks.erase(it);
+            cb();
             ++fired;
         }
         return fired;
     }
 
-    /** Nanoseconds until the next live deadline, or UINT64_MAX. */
+    /**
+     * Absolute deadline (machine nanoseconds) of the earliest heap
+     * entry, cancelled or not, or UINT64_MAX if the heap is empty.
+     */
     std::uint64_t
     nextDeadlineNs() const
     {
         return pending.empty() ? UINT64_MAX : pending.top().deadlineNs;
     }
 
+    /** Whether the heap is empty (cancelled entries count until polled). */
     bool empty() const { return pending.empty(); }
 
   private:
@@ -100,9 +113,12 @@ class TimerQueue
     {
         std::uint64_t deadlineNs;
         std::uint64_t id;
-        Callback cb;
     };
 
+    /**
+     * Deadline only. Equal deadlines pop in heap order, which is part
+     * of the simulated timeline: adding a tie-break moves it.
+     */
     struct Order
     {
         bool
@@ -112,21 +128,9 @@ class TimerQueue
         }
     };
 
-    bool
-    isCancelled(std::uint64_t id)
-    {
-        for (auto it = cancelled.begin(); it != cancelled.end(); ++it) {
-            if (*it == id) {
-                cancelled.erase(it);
-                return true;
-            }
-        }
-        return false;
-    }
-
     Machine &mach;
     std::priority_queue<Entry, std::vector<Entry>, Order> pending;
-    std::vector<std::uint64_t> cancelled;
+    std::unordered_map<std::uint64_t, Callback> callbacks;
     std::uint64_t nextId = 1;
 };
 

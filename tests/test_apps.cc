@@ -578,6 +578,47 @@ TEST_F(SqlFixture, FullFilesystemFailsTheInsertInsteadOfLosingRows)
     });
 }
 
+TEST_F(SqlFixture, FailedWriteBackLeavesPageDirtyForRetry)
+{
+    // ramfs overwrites in place without allocating, so a write-back
+    // comes up short only if the file shrank under the pager: truncate
+    // the database behind its back and fill the filesystem. The page
+    // must stay dirty, so the retried commit stores it once space is
+    // free again.
+    inApp([&] {
+        LibcApi &libc = dep.libc();
+        minisql::Pager pager(libc, "/wb.db");
+        pager.open();
+        std::uint32_t id = pager.allocPage();
+        pager.begin();
+        pager.getMutable(id)[0] = 0x5a;
+
+        int fd = libc.open("/wb.db", oRdWr);
+        ASSERT_EQ(libc.ftruncate(fd, 0), vfsOk);
+        libc.close(fd);
+        int filler = libc.open("/filler", oCreat | oRdWr);
+        const std::vector<std::uint8_t> chunk(4096, 0);
+        while (libc.write(filler, chunk.data(), chunk.size()) ==
+               static_cast<long>(chunk.size())) {
+        }
+        libc.close(filler);
+
+        EXPECT_THROW(pager.commit(), minisql::IoError);
+        EXPECT_TRUE(pager.inTransaction());
+        ASSERT_EQ(libc.unlink("/filler"), vfsOk);
+        pager.commit();
+        pager.close();
+
+        std::uint8_t first = 0;
+        int check = libc.open("/wb.db", oRdOnly);
+        EXPECT_EQ(libc.pread(check, &first, 1,
+                             std::uint64_t(id) * minisql::pageSize),
+                  1);
+        EXPECT_EQ(first, 0x5a);
+        libc.close(check);
+    });
+}
+
 TEST(SqlTokenizer, HandlesLiteralsAndPunctuation)
 {
     auto toks = minisql::tokenize(

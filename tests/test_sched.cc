@@ -1,12 +1,17 @@
 /**
  * @file
  * Unit tests for uksched: spawn/join/yield ordering, blocking,
- * virtual-time sleep, mutex/semaphore semantics, backend hooks, and the
- * free-running (uncharged) thread mode.
+ * virtual-time sleep, mutex/semaphore semantics, backend hooks, the
+ * free-running (uncharged) thread mode, and the fiber switch itself
+ * (per-fiber floating-point control state, exceptions, deep stacks,
+ * spawn/teardown churn).
  */
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -279,6 +284,192 @@ TEST_F(SchedFixture, RunUntilReturnsFalseWhenWorkDriesUp)
 {
     sched.spawn("short", [] {});
     EXPECT_FALSE(sched.runUntil([] { return false; }, 1000));
+}
+
+/** 1/3 in double precision under the current SSE rounding mode. */
+double
+oneThird()
+{
+    volatile double one = 1.0;
+    volatile double three = 3.0;
+    return one / three;
+}
+
+TEST_F(SchedFixture, RoundingModeIsPerFiber)
+{
+    const double nearest = oneThird();
+    ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+    std::vector<std::string> failures;
+    sched.spawn("upward", [&] {
+        std::fesetround(FE_UPWARD);
+        const double up = oneThird();
+        if (up <= nearest)
+            failures.push_back("FE_UPWARD did not round 1/3 up");
+        for (int i = 0; i < 4; ++i) {
+            sched.yield();
+            // x87 control word (fegetround) and MXCSR (SSE division)
+            // both survive the switch.
+            if (std::fegetround() != FE_UPWARD || oneThird() != up)
+                failures.push_back("upward lost its mode");
+        }
+    });
+    sched.spawn("nearest", [&] {
+        for (int i = 0; i < 4; ++i) {
+            if (std::fegetround() != FE_TONEAREST ||
+                oneThird() != nearest)
+                failures.push_back("mode leaked into another fiber");
+            sched.yield();
+        }
+    });
+    EXPECT_TRUE(sched.run());
+    EXPECT_TRUE(failures.empty()) << failures.front();
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    EXPECT_EQ(oneThird(), nearest);
+}
+
+[[noreturn]] void
+throwAt(int depth)
+{
+    if (depth == 0)
+        throw std::runtime_error("deep");
+    throwAt(depth - 1);
+}
+
+TEST_F(SchedFixture, ExceptionCaughtInsideFiberAfterInterleavedYields)
+{
+    std::vector<std::string> log;
+    for (const char *name : {"a", "b", "c"}) {
+        sched.spawn(name, [&, name] {
+            for (int i = 0; i < 5; ++i)
+                sched.yield();
+            try {
+                throwAt(8);
+            } catch (const std::runtime_error &e) {
+                log.push_back(std::string(name) + ":" + e.what());
+            }
+            sched.yield();
+            log.push_back(std::string(name) + ":after");
+        });
+    }
+    EXPECT_TRUE(sched.run());
+    EXPECT_EQ(log, (std::vector<std::string>{"a:deep", "b:deep", "c:deep",
+                                             "a:after", "b:after",
+                                             "c:after"}));
+}
+
+/** How deep recurseDeep() went. */
+struct DeepRun
+{
+    std::size_t bytesUsed = 0; ///< base to the deepest frame's buffer
+    int frames = 0;
+};
+
+/**
+ * Recurse with 1 KiB buffers until the fiber has used at least `want`
+ * bytes below `base`, yield at the bottom, and return a checksum that
+ * depends on every frame's buffer surviving the switch.
+ */
+std::uint64_t
+recurseDeep(Scheduler &s, std::uintptr_t base, std::size_t want,
+            int depth, DeepRun &run)
+{
+    volatile unsigned char buf[1024];
+    for (auto &b : buf)
+        b = static_cast<unsigned char>(depth);
+    std::uint64_t below = 0;
+    auto here = reinterpret_cast<std::uintptr_t>(&buf[0]);
+    if (base - here < want) {
+        below = recurseDeep(s, base, want, depth + 1, run);
+    } else {
+        run.bytesUsed = base - here;
+        run.frames = depth + 1;
+        s.yield();
+    }
+    std::uint64_t sum = 0;
+    for (auto &b : buf)
+        sum += b;
+    return below + sum;
+}
+
+TEST_F(SchedFixture, FiberRecursesThroughMostOfItsStack)
+{
+    constexpr std::size_t stackBytes = 128 * 1024;
+    std::uint64_t sum = 0;
+    DeepRun run;
+    sched.spawn(
+        "deep",
+        [&] {
+            volatile char anchor = 0;
+            auto base = reinterpret_cast<std::uintptr_t>(&anchor);
+            // Stop at 5/8 of the stack: more than half, with room for
+            // the deepest frame and the yield beneath it.
+            sum = recurseDeep(sched, base, stackBytes * 5 / 8, 0, run);
+        },
+        stackBytes);
+    sched.spawn("other", [&] {
+        for (int i = 0; i < 3; ++i)
+            sched.yield();
+    });
+    EXPECT_TRUE(sched.run());
+    EXPECT_GT(run.bytesUsed, stackBytes / 2);
+    std::uint64_t expected = 0;
+    for (int d = 0; d < run.frames; ++d)
+        expected += 1024u * static_cast<unsigned char>(d);
+    EXPECT_EQ(sum, expected);
+}
+
+/** Counts live instances, so tests can see fiber locals destroyed. */
+struct LiveCounter
+{
+    explicit LiveCounter(int &n) : live(n) { ++live; }
+    ~LiveCounter() { --live; }
+    LiveCounter(const LiveCounter &) = delete;
+    LiveCounter &operator=(const LiveCounter &) = delete;
+    int &live;
+};
+
+TEST_F(SchedFixture, SpawnChurnThenCancelUnwindsParkedFibers)
+{
+    // 10 000 spawn/finish cycles, in rounds on fresh schedulers so the
+    // finished threads' stacks are freed between rounds.
+    constexpr std::size_t stackBytes = 32 * 1024;
+    int finished = 0;
+    for (int round = 0; round < 100; ++round) {
+        Scheduler s(mach);
+        for (int i = 0; i < 100; ++i) {
+            s.spawn("churn", [&] {
+                s.yield();
+                ++finished;
+            }, stackBytes);
+        }
+        ASSERT_TRUE(s.run());
+    }
+    EXPECT_EQ(finished, 10'000);
+
+    // Park fibers every way a fiber can be suspended, then cancel.
+    int live = 0;
+    WaitQueue q(sched);
+    std::vector<Thread *> parked;
+    parked.push_back(sched.spawn("blocked", [&] {
+        LiveCounter c(live);
+        q.wait();
+    }));
+    parked.push_back(sched.spawn("sleeping", [&] {
+        LiveCounter c(live);
+        sched.sleepNs(1'000'000'000);
+    }));
+    parked.push_back(sched.spawn("timed", [&] {
+        LiveCounter c(live);
+        sched.blockFor(q, 1'000'000'000);
+    }));
+    EXPECT_TRUE(sched.runUntil([&] { return live == 3; }));
+    ASSERT_EQ(live, 3);
+    sched.cancelAll();
+    EXPECT_EQ(live, 0);
+    for (Thread *t : parked) {
+        EXPECT_EQ(t->state(), Thread::State::Finished) << t->name();
+        EXPECT_FALSE(t->failed()) << t->name();
+    }
 }
 
 } // namespace
