@@ -456,5 +456,86 @@ TEST(Wayfinder, LeastPrivilegeSpaceSkipsRequiredEdges)
     }
 }
 
+// ------------------------------------------------ pruned product sweep
+
+/**
+ * Deterministic stand-in for a measurement in the pruned boundary
+ * sweep: perf falls with every safety axis (mechanism rank sum, blocks
+ * behind the DSS gate, denied edges, crossing legs kept rather than
+ * elided) and does not depend on batch width.
+ */
+double
+syntheticPerf(const ConfigPoint &p)
+{
+    int mech = 0, dss = 0;
+    for (int r : p.blockMechanism)
+        mech += r;
+    for (int f : p.blockGateFlavor)
+        dss += f;
+    int kept = 2 - static_cast<int>((p.elided & 1) + (p.elided >> 1));
+    return 100.0 - 10.0 * mech - 5.0 * dss -
+           5.0 * static_cast<double>(p.deniedEdges.size()) - 5.0 * kept;
+}
+
+TEST(PrunedSweep, LwipSplitListingAndPruningArePinned)
+{
+    const std::vector<int> partition = {0, 0, 0, 1}; // C: lwip split
+    constexpr double budget = 95;
+    std::vector<ConfigPoint> evaluated, accepted;
+    std::size_t evals = wayfinder::prunedBoundarySweep(
+        partition, "libredis",
+        [&](ConfigPoint &p) {
+            p.perf = syntheticPerf(p);
+            evaluated.push_back(p);
+            return p.perf;
+        },
+        budget, accepted);
+    EXPECT_EQ(evals, evaluated.size());
+    EXPECT_EQ(evals, 39u);
+
+    // The accepted points in listing order: ascending index sum over
+    // mechanism x flavour x deny x elide x batch, each axis listed
+    // least safe first (elide: both, validate, scrub, none).
+    std::vector<std::string> labels;
+    for (const ConfigPoint &p : accepted) {
+        EXPECT_EQ(p.perf, syntheticPerf(p));
+        std::string l = wayfinder::pointLabel(p, "app");
+        std::size_t axes = l.find('{');
+        EXPECT_EQ(l.substr(0, axes), "app+newlib+uksched / lwip  [○○○○] ");
+        labels.push_back(l.substr(axes));
+    }
+    EXPECT_EQ(accepted.size(), 15u);
+    EXPECT_EQ(labels, (std::vector<std::string>{
+        "{none/none} <light/light> elide:both",
+        "{none/none} <light/light> batch4 elide:both",
+        "{none/none} <light/light> elide:validate",
+        "{none/none} <dss/light> elide:both",
+        "{none/none} <light/light> batch8 elide:both",
+        "{none/none} <light/light> batch4 elide:validate",
+        "{none/none} <light/light> elide:scrub",
+        "{none/none} <dss/light> batch4 elide:both",
+        "{none/none} <light/dss> elide:both",
+        "{none/none} <light/light> batch8 elide:validate",
+        "{none/none} <light/light> batch4 elide:scrub",
+        "{none/none} <dss/light> batch8 elide:both",
+        "{none/none} <light/dss> batch4 elide:both",
+        "{none/none} <light/light> batch8 elide:scrub",
+        "{none/none} <light/dss> batch8 elide:both",
+    }));
+
+    // Monotone pruning: once a point misses the budget, nothing that
+    // safety-dominates it at the same (perf-only) batch width is run.
+    for (const ConfigPoint &miss : evaluated) {
+        if (miss.perf >= budget)
+            continue;
+        for (const ConfigPoint &e : evaluated)
+            if (e.gateBatch == miss.gateBatch) {
+                EXPECT_NE(compareSafety(e, miss), SafetyOrder::Greater)
+                    << wayfinder::pointLabel(e, "app") << " over "
+                    << wayfinder::pointLabel(miss, "app");
+            }
+    }
+}
+
 } // namespace
 } // namespace flexos
