@@ -539,6 +539,40 @@ attackSection(const std::vector<adversary::AttackClass> &classes,
     return 0;
 }
 
+/** One per-boundary dimension of the configuration space to scatter. */
+struct Scatter
+{
+    const char *dimension; ///< section title
+    const char *points;    ///< what the points are, after their count
+    std::vector<ConfigPoint> space;
+};
+
+/**
+ * Measure every point of each space with Redis and print it normalized
+ * to the space's own fastest point.
+ */
+void
+scatterSections(const std::vector<Scatter> &sections)
+{
+    for (const Scatter &sec : sections) {
+        std::vector<double> redis;
+        double redisMax = 0;
+        for (const ConfigPoint &p : sec.space) {
+            redis.push_back(wayfinder::measureRedis(p, 150));
+            redisMax = std::max(redisMax, redis.back());
+        }
+        std::printf("\n=== %s dimension: Redis, %zu %s ===\n",
+                    sec.dimension, sec.space.size(), sec.points);
+        std::printf("%-6s %-14s %s\n", "comps", "redis (norm)",
+                    "configuration");
+        for (std::size_t i = 0; i < sec.space.size(); ++i) {
+            std::printf("%-6d %-14.3f %s\n", sec.space[i].compartments(),
+                        redis[i] / redisMax,
+                        wayfinder::pointLabel(sec.space[i], "app").c_str());
+        }
+    }
+}
+
 } // namespace
 
 int
@@ -648,76 +682,25 @@ main(int argc, char **argv)
                 countWithin(nginx, nginxMax, 0.45),
                 countWithin(redis, redisMax, 0.45));
 
-    // --- Mixed-mechanism scatter -------------------------------------
-    // The mechanism is a per-boundary knob: the same partitions, with
-    // every per-block assignment from {none, mpk, ept}. Heterogeneous
-    // points sit between the homogeneous corners — e.g. keeping only
-    // the network boundary on EPT buys VM-grade isolation where it
-    // matters at a fraction of the all-EPT cost.
-    std::vector<ConfigPoint> mixed = wayfinder::mixedMechanismSpace();
-    std::vector<double> mixedRedis;
-    double mixedMax = 0;
-    for (const ConfigPoint &p : mixed) {
-        mixedRedis.push_back(wayfinder::measureRedis(p, 150));
-        mixedMax = std::max(mixedMax, mixedRedis.back());
-    }
-    std::printf("\n=== Mixed-mechanism dimension: Redis, %zu per-block "
-                "mechanism assignments ===\n",
-                mixed.size());
-    std::printf("%-6s %-14s %s\n", "comps", "redis (norm)",
-                "configuration");
-    for (std::size_t i = 0; i < mixed.size(); ++i) {
-        std::printf("%-6d %-14.3f %s\n", mixed[i].compartments(),
-                    mixedRedis[i] / mixedMax,
-                    wayfinder::pointLabel(mixed[i], "app").c_str());
-    }
-
-    // --- Per-boundary gate-flavour dimension -------------------------
-    // The MPK flavour is a (from, to) knob of the gate matrix, not a
-    // global: each block's boundary picks light (ERIM-style) or dss
+    // --- Per-boundary dimensions -------------------------------------
+    // Mechanism: each block picks from {none, mpk, ept, cheri}, so
+    // keeping only the network boundary on EPT buys VM-grade isolation
+    // where it matters at a fraction of the all-EPT cost. Gate flavour:
+    // each block's boundary picks light (ERIM-style) or dss
     // (HODOR-style), so a hot trusted boundary can run the cheap gate
     // while an attacker-facing one keeps the register-scrubbing one.
-    std::vector<ConfigPoint> flav = wayfinder::gateFlavorSpace();
-    std::vector<double> flavRedis;
-    double flavMax = 0;
-    for (const ConfigPoint &p : flav) {
-        flavRedis.push_back(wayfinder::measureRedis(p, 150));
-        flavMax = std::max(flavMax, flavRedis.back());
-    }
-    std::printf("\n=== Gate-flavour dimension: Redis, %zu per-block "
-                "flavour assignments (light < dss per boundary) ===\n",
-                flav.size());
-    std::printf("%-6s %-14s %s\n", "comps", "redis (norm)",
-                "configuration");
-    for (std::size_t i = 0; i < flav.size(); ++i) {
-        std::printf("%-6d %-14.3f %s\n", flav[i].compartments(),
-                    flavRedis[i] / flavMax,
-                    wayfinder::pointLabel(flav[i], "app").c_str());
-    }
-
-    // --- Vectored-crossing dimension ---------------------------------
-    // batch/elide are boundary knobs like flavour: batch width is
-    // performance-only (every call still passes entry checks and rate
-    // enforcement), the elided set orders points by subset in the
-    // poset.
-    std::vector<ConfigPoint> bat = wayfinder::batchingSpace();
-    std::vector<double> batRedis;
-    double batMax = 0;
-    for (const ConfigPoint &p : bat) {
-        batRedis.push_back(wayfinder::measureRedis(p, 150));
-        batMax = std::max(batMax, batRedis.back());
-    }
-    std::printf("\n=== Vectored-crossing dimension: Redis, %zu "
-                "batch/elide points (batch perf-only, elide subset-"
-                "ordered) ===\n",
-                bat.size());
-    std::printf("%-6s %-14s %s\n", "comps", "redis (norm)",
-                "configuration");
-    for (std::size_t i = 0; i < bat.size(); ++i) {
-        std::printf("%-6d %-14.3f %s\n", bat[i].compartments(),
-                    batRedis[i] / batMax,
-                    wayfinder::pointLabel(bat[i], "app").c_str());
-    }
+    // Vectored crossings: batch width is performance-only (every call
+    // still passes entry checks and rate enforcement), the elided set
+    // orders points by subset in the poset.
+    scatterSections(
+        {{"Mixed-mechanism", "per-block mechanism assignments",
+          wayfinder::mixedMechanismSpace()},
+         {"Gate-flavour",
+          "per-block flavour assignments (light < dss per boundary)",
+          wayfinder::gateFlavorSpace()},
+         {"Vectored-crossing",
+          "batch/elide points (batch perf-only, elide subset-ordered)",
+          wayfinder::batchingSpace()}});
 
     // --- Pruned product sweep ----------------------------------------
     // mechanism x flavour x deny x elide x batch for one partition,
@@ -822,23 +805,9 @@ libraries:
     // wayfinder enumerates only subsets of edges the static call graph
     // can spare — a point denying a required edge would be rejected at
     // image build, so denied edges are never swept as reachable.
-    std::vector<ConfigPoint> lp = wayfinder::leastPrivilegeSpace();
-    std::vector<double> lpRedis;
-    double lpMax = 0;
-    for (const ConfigPoint &p : lp) {
-        lpRedis.push_back(wayfinder::measureRedis(p, 150));
-        lpMax = std::max(lpMax, lpRedis.back());
-    }
-    std::printf("\n=== Least-privilege dimension: Redis, %zu "
-                "deny-rule subsets over the Figure 8 partitions ===\n",
-                lp.size());
-    std::printf("%-6s %-14s %s\n", "comps", "redis (norm)",
-                "configuration");
-    for (std::size_t i = 0; i < lp.size(); ++i) {
-        std::printf("%-6d %-14.3f %s\n", lp[i].compartments(),
-                    lpRedis[i] / lpMax,
-                    wayfinder::pointLabel(lp[i], "app").c_str());
-    }
+    scatterSections({{"Least-privilege",
+                      "deny-rule subsets over the Figure 8 partitions",
+                      wayfinder::leastPrivilegeSpace()}});
 
     // --- Denied and throttled boundaries under load ------------------
     // A rate-limited boundary back-pressures gate storms (stall) and

@@ -79,17 +79,6 @@ struct ConfigPoint
     unsigned elided = 0;
 
     /**
-     * Runtime policy controller enabled, with every boundary opted in
-     * (`controller:` section plus an image-wide `adaptive: true`
-     * rule). Performance/operations-only in the safety order: the
-     * controller only ever tightens below the configured baseline and
-     * relaxes back to it — never past it — so the static protection
-     * state is a floor, and compareSafety ignores the flag like cores
-     * and batch width.
-     */
-    bool adaptive = false;
-
-    /**
      * Least-privilege dimension: ordered (from, to) partition-block
      * edges the configuration denies (`deny: true` boundary rules).
      * Denying more edges shrinks the reachable call graph, so the

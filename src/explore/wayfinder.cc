@@ -1,6 +1,9 @@
 #include "explore/wayfinder.hh"
 
+#include <algorithm>
+#include <bit>
 #include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 
@@ -33,25 +36,6 @@ fig6Partitions()
     return parts;
 }
 
-std::vector<ConfigPoint>
-fig6Space()
-{
-    std::vector<ConfigPoint> out;
-    for (const auto &partition : fig6Partitions()) {
-        for (unsigned mask = 0; mask < 16; ++mask) {
-            ConfigPoint p;
-            p.partition = partition;
-            p.hardening.resize(4);
-            for (unsigned c = 0; c < 4; ++c)
-                p.hardening[c] = (mask >> c) & 1;
-            p.mechanismRank = 1; // MPK
-            p.sharingRank = 1;   // DSS
-            out.push_back(std::move(p));
-        }
-    }
-    return out;
-}
-
 namespace {
 
 /** Mechanism rank (poset order) -> config-file mechanism name. */
@@ -71,60 +55,189 @@ mechanismNameOfRank(int rank)
     fatal("unknown mechanism rank ", rank);
 }
 
+/** The dimensions of the configuration space the wayfinder sweeps. */
+enum class Dim { Hardening, Mechanism, Flavour, Deny, Elide, Batch };
+
+/**
+ * One swept dimension, instantiated for a partition: `choices`
+ * settings, apply(p, i) writes setting i into a point, and rank(i)
+ * lists the settings least safe first for the pruned sweep (a linear
+ * extension of the axis's safety order). A perfOnly dimension is one
+ * compareSafety ignores. The safety order itself is not restated
+ * here: prunedBoundarySweep derives it from compareSafety.
+ */
+struct Axis
+{
+    const char *name = "";
+    std::size_t choices = 1;
+    std::function<void(ConfigPoint &, std::size_t)> apply;
+    std::function<int(std::size_t)> rank;
+    bool perfOnly = false;
+};
+
+int
+popcount(std::size_t x)
+{
+    return std::popcount(x);
+}
+
+/** The axis catalogue: every swept dimension, defined once. */
+Axis
+axis(Dim dim, const std::vector<int> &partition, const std::string &appLib)
+{
+    std::size_t blocks =
+        std::set<int>(partition.begin(), partition.end()).size();
+    switch (dim) {
+      case Dim::Hardening: {
+        // One hardening bundle bit per component.
+        std::size_t comps = partition.size();
+        return {"hardening", std::size_t(1) << comps,
+                [comps](ConfigPoint &p, std::size_t mask) {
+                    for (std::size_t c = 0; c < comps; ++c)
+                        p.hardening[c] = (mask >> c) & 1;
+                },
+                popcount};
+      }
+      case Dim::Mechanism: {
+        // {none, mpk, ept, cheri} per block, one base-4 digit each;
+        // listed by rank sum.
+        std::size_t codes = 1;
+        for (std::size_t b = 0; b < blocks; ++b)
+            codes *= 4;
+        return {"mechanism", codes,
+                [blocks](ConfigPoint &p, std::size_t code) {
+                    p.blockMechanism.resize(blocks);
+                    for (int &rank : p.blockMechanism) {
+                        rank = static_cast<int>(code % 4);
+                        code /= 4;
+                    }
+                },
+                [](std::size_t code) {
+                    int sum = 0;
+                    for (; code; code /= 4)
+                        sum += static_cast<int>(code % 4);
+                    return sum;
+                }};
+      }
+      case Dim::Flavour:
+        // {light, dss} per block (the gates *into* it), bit = dss.
+        return {"flavour", std::size_t(1) << blocks,
+                [blocks](ConfigPoint &p, std::size_t mask) {
+                    p.blockGateFlavor.resize(blocks);
+                    for (std::size_t b = 0; b < blocks; ++b)
+                        p.blockGateFlavor[b] = (mask >> b) & 1;
+                },
+                popcount};
+      case Dim::Deny: {
+        // Subsets of the deniable edges, bit e = edge e denied: every
+        // ordered cross-block pair the static call graph does not
+        // need. Required edges are never offered — a point denying
+        // one would be rejected at image build, i.e. it is not a
+        // reachable configuration.
+        auto required = requiredBlockEdges(partition, appLib);
+        std::set<std::pair<int, int>> keep(required.begin(),
+                                           required.end());
+        std::vector<std::pair<int, int>> edges;
+        for (int f = 0; f < static_cast<int>(blocks); ++f)
+            for (int t = 0; t < static_cast<int>(blocks); ++t)
+                if (f != t && !keep.count({f, t}))
+                    edges.emplace_back(f, t);
+        return {"deny", std::size_t(1) << edges.size(),
+                [edges](ConfigPoint &p, std::size_t mask) {
+                    for (std::size_t e = 0; e < edges.size(); ++e)
+                        if ((mask >> e) & 1)
+                            p.deniedEdges.push_back(edges[e]);
+                },
+                popcount};
+      }
+      case Dim::Elide:
+        // Elided crossing work (bit 0 validation, bit 1 scrub), listed
+        // by work kept: both, validate, scrub, none.
+        return {"elide", 4,
+                [](ConfigPoint &p, std::size_t set) {
+                    p.elided = static_cast<unsigned>(set);
+                },
+                [](std::size_t set) { return 2 - popcount(set); }};
+      case Dim::Batch:
+        return {"batch", 3,
+                [](ConfigPoint &p, std::size_t i) {
+                    static const int widths[] = {1, 4, 8};
+                    p.gateBatch = widths[i];
+                },
+                [](std::size_t i) { return static_cast<int>(i); }, true};
+    }
+    panic("unknown sweep dimension");
+}
+
+/** A partition's point before any axis applies: all-MPK, DSS, bare. */
+ConfigPoint
+basePoint(const std::vector<int> &partition)
+{
+    ConfigPoint p;
+    p.partition = partition;
+    p.hardening.assign(partition.size(), 0);
+    return p;
+}
+
+/**
+ * The five Figure 8 partitions, each crossed with every choice of
+ * `dims` (first dimension outermost, choices in natural order).
+ */
+std::vector<ConfigPoint>
+productSpace(std::initializer_list<Dim> dims,
+             const std::string &appLib = "libredis")
+{
+    std::vector<ConfigPoint> out;
+    for (const auto &partition : fig6Partitions()) {
+        std::vector<Axis> axes;
+        for (Dim d : dims)
+            axes.push_back(axis(d, partition, appLib));
+        std::vector<std::size_t> choice(axes.size(), 0);
+        std::size_t d;
+        do {
+            ConfigPoint p = basePoint(partition);
+            for (std::size_t a = 0; a < axes.size(); ++a)
+                axes[a].apply(p, choice[a]);
+            out.push_back(std::move(p));
+            // Odometer step, last dimension fastest.
+            for (d = axes.size();
+                 d > 0 && ++choice[d - 1] == axes[d - 1].choices; --d)
+                choice[d - 1] = 0;
+        } while (d > 0);
+    }
+    return out;
+}
+
 } // namespace
+
+std::vector<ConfigPoint>
+fig6Space()
+{
+    return productSpace({Dim::Hardening});
+}
 
 std::vector<ConfigPoint>
 mixedMechanismSpace()
 {
-    std::vector<ConfigPoint> out;
-    for (const auto &partition : fig6Partitions()) {
-        ConfigPoint base;
-        base.partition = partition;
-        int nBlocks = base.compartments();
-        // Every assignment from {none, mpk, ept, cheri}^nBlocks.
-        int total = 1;
-        for (int b = 0; b < nBlocks; ++b)
-            total *= 4;
-        for (int code = 0; code < total; ++code) {
-            ConfigPoint p;
-            p.partition = partition;
-            p.hardening.assign(partition.size(), 0);
-            p.blockMechanism.resize(static_cast<std::size_t>(nBlocks));
-            int rest = code;
-            for (int b = 0; b < nBlocks; ++b) {
-                p.blockMechanism[static_cast<std::size_t>(b)] = rest % 4;
-                rest /= 4;
-            }
-            p.sharingRank = 1; // DSS
-            out.push_back(std::move(p));
-        }
-    }
-    return out;
+    return productSpace({Dim::Mechanism});
 }
 
 std::vector<ConfigPoint>
 gateFlavorSpace()
 {
-    std::vector<ConfigPoint> out;
-    for (const auto &partition : fig6Partitions()) {
-        ConfigPoint base;
-        base.partition = partition;
-        int nBlocks = base.compartments();
-        // Every assignment from {light, dss}^nBlocks, all-MPK.
-        for (int code = 0; code < (1 << nBlocks); ++code) {
-            ConfigPoint p;
-            p.partition = partition;
-            p.hardening.assign(partition.size(), 0);
-            p.mechanismRank = 1; // MPK
-            p.blockGateFlavor.resize(static_cast<std::size_t>(nBlocks));
-            for (int b = 0; b < nBlocks; ++b)
-                p.blockGateFlavor[static_cast<std::size_t>(b)] =
-                    (code >> b) & 1;
-            p.sharingRank = 1; // DSS
-            out.push_back(std::move(p));
-        }
-    }
-    return out;
+    return productSpace({Dim::Flavour});
+}
+
+std::vector<ConfigPoint>
+batchingSpace()
+{
+    return productSpace({Dim::Batch, Dim::Elide});
+}
+
+std::vector<ConfigPoint>
+leastPrivilegeSpace(const std::string &appLib)
+{
+    return productSpace({Dim::Deny}, appLib);
 }
 
 std::vector<std::pair<int, int>>
@@ -158,63 +271,6 @@ requiredBlockEdges(const std::vector<int> &partition,
         }
     }
     return {edges.begin(), edges.end()};
-}
-
-std::vector<ConfigPoint>
-coreCountSpace()
-{
-    std::vector<ConfigPoint> out;
-    for (const auto &partition : fig6Partitions()) {
-        for (int cores : {1, 2, 4}) {
-            ConfigPoint p;
-            p.partition = partition;
-            p.hardening.assign(partition.size(), 0);
-            p.mechanismRank = 1; // MPK
-            p.sharingRank = 1;   // DSS
-            p.cores = cores;
-            out.push_back(std::move(p));
-        }
-    }
-    return out;
-}
-
-std::vector<ConfigPoint>
-batchingSpace()
-{
-    std::vector<ConfigPoint> out;
-    for (const auto &partition : fig6Partitions()) {
-        for (int batch : {1, 4, 8}) {
-            for (unsigned elided : {0u, 1u, 2u, 3u}) {
-                ConfigPoint p;
-                p.partition = partition;
-                p.hardening.assign(partition.size(), 0);
-                p.mechanismRank = 1; // MPK
-                p.sharingRank = 1;   // DSS
-                p.gateBatch = batch;
-                p.elided = elided;
-                out.push_back(std::move(p));
-            }
-        }
-    }
-    return out;
-}
-
-std::vector<ConfigPoint>
-controllerSpace()
-{
-    std::vector<ConfigPoint> out;
-    for (const auto &partition : fig6Partitions()) {
-        for (bool adaptive : {false, true}) {
-            ConfigPoint p;
-            p.partition = partition;
-            p.hardening.assign(partition.size(), 0);
-            p.mechanismRank = 1; // MPK
-            p.sharingRank = 1;   // DSS
-            p.adaptive = adaptive;
-            out.push_back(std::move(p));
-        }
-    }
-    return out;
 }
 
 std::size_t
@@ -265,6 +321,12 @@ explorePrunedProduct(
     std::size_t maxSum = 0;
     for (const auto &d : dims) {
         panic_if(d.size == 0 || !d.le, "malformed product dimension");
+        for (std::size_t a = 1; a < d.size; ++a)
+            for (std::size_t b = 0; b < a; ++b)
+                panic_if(d.le(a, b), "product dimension '", d.name,
+                         "' lists choice ", a, " after choice ", b,
+                         " though le(", a, ", ", b,
+                         ") holds: list choices least safe first");
         maxSum += d.size - 1;
     }
     std::vector<std::size_t> v(dims.size(), 0);
@@ -292,124 +354,48 @@ prunedBoundarySweep(const std::vector<int> &partition,
                     const std::function<double(ConfigPoint &)> &eval,
                     double minPerf, std::vector<ConfigPoint> &accepted)
 {
-    ConfigPoint base;
-    base.partition = partition;
-    std::size_t nBlocks = static_cast<std::size_t>(base.compartments());
-
-    // Axis 1: per-block mechanism assignments, every code from
-    // {none, mpk, ept, cheri}^nBlocks listed by ascending rank sum (a
-    // linear extension of the component-wise partial order, ept/cheri
-    // antichain included).
-    std::size_t mechCount = 1;
-    for (std::size_t b = 0; b < nBlocks; ++b)
-        mechCount *= 4;
-    auto mechRanks = [nBlocks](std::size_t code) {
-        std::vector<int> r(nBlocks);
-        for (std::size_t b = 0; b < nBlocks; ++b) {
-            r[b] = static_cast<int>(code % 4);
-            code /= 4;
-        }
-        return r;
-    };
-    std::vector<std::size_t> mechCodes(mechCount);
-    for (std::size_t c = 0; c < mechCount; ++c)
-        mechCodes[c] = c;
-    std::stable_sort(mechCodes.begin(), mechCodes.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         auto ra = mechRanks(a), rb = mechRanks(b);
-                         int sa = 0, sb = 0;
-                         for (std::size_t i = 0; i < nBlocks; ++i) {
-                             sa += ra[i];
-                             sb += rb[i];
-                         }
-                         return sa < sb;
-                     });
-
-    // Axis 2: per-block gate flavours (bitmask, bit = dss), listed by
-    // popcount so subsets precede supersets.
-    std::vector<std::size_t> flavCodes(std::size_t(1) << nBlocks);
-    for (std::size_t c = 0; c < flavCodes.size(); ++c)
-        flavCodes[c] = c;
-    auto popcount = [](std::size_t x) {
-        int n = 0;
-        for (; x; x &= x - 1)
-            ++n;
-        return n;
-    };
-    std::stable_sort(flavCodes.begin(), flavCodes.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return popcount(a) < popcount(b);
-                     });
-
-    // Axis 3: deniable-edge subsets (bitmask over the edges the
-    // static call graph does not need), by popcount — denying more
-    // edges is safer.
-    auto required = requiredBlockEdges(partition, appLib);
-    std::set<std::pair<int, int>> keep(required.begin(), required.end());
-    std::vector<std::pair<int, int>> deniable;
-    for (int f = 0; f < static_cast<int>(nBlocks); ++f)
-        for (int t = 0; t < static_cast<int>(nBlocks); ++t)
-            if (f != t && !keep.count({f, t}))
-                deniable.emplace_back(f, t);
-    std::vector<std::size_t> denyCodes(std::size_t(1)
-                                       << deniable.size());
-    for (std::size_t c = 0; c < denyCodes.size(); ++c)
-        denyCodes[c] = c;
-    std::stable_sort(denyCodes.begin(), denyCodes.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return popcount(a) < popcount(b);
-                     });
-
-    // Axis 4: elision sets, least safe first (elide superset ⇒ less
-    // safe): both < {validate, scrub} < none.
-    static const unsigned elideLevels[] = {3u, 1u, 2u, 0u};
-
-    // Axis 5: batch width — performance-only, equality order.
-    static const int batchLevels[] = {1, 4, 8};
-
-    std::vector<ProductDimension> dims(5);
-    dims[0] = {"mechanism", mechCount, [&, nBlocks](std::size_t a,
-                                                    std::size_t b) {
-                   auto ra = mechRanks(mechCodes[a]),
-                        rb = mechRanks(mechCodes[b]);
-                   for (std::size_t i = 0; i < nBlocks; ++i)
-                       if (!mechanismRankLe(ra[i], rb[i]))
-                           return false;
-                   return true;
-               }};
-    dims[1] = {"flavour", flavCodes.size(),
-               [&](std::size_t a, std::size_t b) {
-                   return (flavCodes[a] & flavCodes[b]) == flavCodes[a];
-               }};
-    dims[2] = {"deny", denyCodes.size(),
-               [&](std::size_t a, std::size_t b) {
-                   return (denyCodes[a] & denyCodes[b]) == denyCodes[a];
-               }};
-    dims[3] = {"elide", 4, [](std::size_t a, std::size_t b) {
-                   return (elideLevels[a] & elideLevels[b]) ==
-                          elideLevels[b];
-               }};
-    dims[4] = {"batch", 3,
-               [](std::size_t a, std::size_t b) { return a == b; }};
+    const ConfigPoint base = basePoint(partition);
+    std::vector<Axis> axes;
+    std::vector<std::vector<std::size_t>> listing;
+    std::vector<ProductDimension> dims;
+    for (Dim d : {Dim::Mechanism, Dim::Flavour, Dim::Deny, Dim::Elide,
+                  Dim::Batch}) {
+        Axis a = axis(d, partition, appLib);
+        std::vector<std::size_t> order(a.choices);
+        std::iota(order.begin(), order.end(), 0);
+        std::stable_sort(order.begin(), order.end(),
+                         [&](std::size_t x, std::size_t y) {
+                             return a.rank(x) < a.rank(y);
+                         });
+        // The axis order is compareSafety's restricted to the axis:
+        // x <= y iff x is y, or (for a safety dimension) the point
+        // taking x is strictly less safe than the one taking y.
+        std::size_t n = order.size();
+        std::vector<ConfigPoint> pts(n, base);
+        for (std::size_t i = 0; i < n; ++i)
+            a.apply(pts[i], order[i]);
+        std::vector<char> le(n * n);
+        for (std::size_t x = 0; x < n; ++x)
+            for (std::size_t y = 0; y < n; ++y)
+                le[x * n + y] =
+                    x == y || (!a.perfOnly &&
+                               compareSafety(pts[x], pts[y]) ==
+                                   SafetyOrder::Less);
+        dims.push_back({a.name, n,
+                        [le = std::move(le), n](std::size_t x,
+                                                std::size_t y) {
+                            return le[x * n + y] != 0;
+                        }});
+        listing.push_back(std::move(order));
+        axes.push_back(std::move(a));
+    }
 
     auto materialize = [&](const std::vector<std::size_t> &v) {
-        ConfigPoint p;
-        p.partition = partition;
-        p.hardening.assign(partition.size(), 0);
-        p.blockMechanism = mechRanks(mechCodes[v[0]]);
-        p.blockGateFlavor.resize(nBlocks);
-        for (std::size_t b = 0; b < nBlocks; ++b)
-            p.blockGateFlavor[b] =
-                (flavCodes[v[1]] >> b) & 1 ? 1 : 0;
-        for (std::size_t e = 0; e < deniable.size(); ++e)
-            if (denyCodes[v[2]] & (std::size_t(1) << e))
-                p.deniedEdges.push_back(deniable[e]);
-        p.elided = elideLevels[v[3]];
-        p.gateBatch = batchLevels[v[4]];
-        p.sharingRank = 1; // DSS
+        ConfigPoint p = base;
+        for (std::size_t d = 0; d < axes.size(); ++d)
+            axes[d].apply(p, listing[d][v[d]]);
         return p;
     };
-
     return explorePrunedProduct(
         dims,
         [&](const std::vector<std::size_t> &v) {
@@ -424,50 +410,14 @@ prunedBoundarySweep(const std::vector<int> &partition,
         });
 }
 
-std::vector<ConfigPoint>
-leastPrivilegeSpace(const std::string &appLib)
-{
-    std::vector<ConfigPoint> out;
-    for (const auto &partition : fig6Partitions()) {
-        ConfigPoint base;
-        base.partition = partition;
-        int nBlocks = base.compartments();
-
-        // Deniable edges: every ordered cross-block pair the static
-        // call graph does not need. Required edges are never offered
-        // to the sweep — a point denying one would be rejected at
-        // image build, i.e. it is not a reachable configuration.
-        auto required = requiredBlockEdges(partition, appLib);
-        std::set<std::pair<int, int>> keep(required.begin(),
-                                           required.end());
-        std::vector<std::pair<int, int>> deniable;
-        for (int f = 0; f < nBlocks; ++f)
-            for (int t = 0; t < nBlocks; ++t)
-                if (f != t && !keep.count({f, t}))
-                    deniable.emplace_back(f, t);
-
-        for (unsigned mask = 0; mask < (1u << deniable.size());
-             ++mask) {
-            ConfigPoint p;
-            p.partition = partition;
-            p.hardening.assign(partition.size(), 0);
-            p.mechanismRank = 1; // MPK
-            p.sharingRank = 1;   // DSS
-            for (std::size_t e = 0; e < deniable.size(); ++e)
-                if (mask & (1u << e))
-                    p.deniedEdges.push_back(deniable[e]);
-            out.push_back(std::move(p));
-        }
-    }
-    return out;
-}
-
 SafetyConfig
 toSafetyConfig(const ConfigPoint &point, const std::string &appLib)
 {
     std::vector<std::string> comps = sweepComponents(appLib);
     panic_if(point.partition.size() != comps.size(),
              "partition arity mismatch");
+    panic_if(point.hardening.size() != comps.size(),
+             "hardening arity mismatch");
 
     int nBlocks = point.compartments();
     std::ostringstream cfg;
@@ -517,7 +467,7 @@ toSafetyConfig(const ConfigPoint &point, const std::string &appLib)
     }
     // Vectored-crossing knobs apply image-wide: one least-specific
     // wildcard rule that every exact/deny rule above still overrides.
-    if (point.gateBatch > 1 || point.elided != 0 || point.adaptive) {
+    if (point.gateBatch > 1 || point.elided != 0) {
         std::string knobs;
         if (point.gateBatch > 1)
             knobs += "batch: " + std::to_string(point.gateBatch);
@@ -529,11 +479,6 @@ toSafetyConfig(const ConfigPoint &point, const std::string &appLib)
                       : point.elided == 1 ? "validate"
                                           : "scrub");
         }
-        if (point.adaptive) {
-            if (!knobs.empty())
-                knobs += ", ";
-            knobs += "adaptive: true";
-        }
         rules.push_back("- '*' -> '*': {" + knobs + "}");
     }
     if (!rules.empty()) {
@@ -543,10 +488,6 @@ toSafetyConfig(const ConfigPoint &point, const std::string &appLib)
     }
     if (point.cores > 1)
         cfg << "cores: " << point.cores << "\n";
-    // Controller points run the default sampling/threshold knobs —
-    // the section's presence alone enables the control plane.
-    if (point.adaptive)
-        cfg << "controller:\n";
     return SafetyConfig::parse(cfg.str());
 }
 
@@ -554,6 +495,10 @@ std::string
 pointLabel(const ConfigPoint &point, const std::string &appLib)
 {
     std::vector<std::string> comps = sweepComponents(appLib);
+    panic_if(point.partition.size() != comps.size(),
+             "partition arity mismatch");
+    panic_if(point.hardening.size() != comps.size(),
+             "hardening arity mismatch");
     std::ostringstream oss;
     // Partition rendering: blocks joined by '/'.
     int nBlocks = point.compartments();
@@ -612,8 +557,6 @@ pointLabel(const ConfigPoint &point, const std::string &appLib)
             << (point.elided == 3   ? "both"
                 : point.elided == 1 ? "validate"
                                     : "scrub");
-    if (point.adaptive)
-        oss << " ctl";
     return oss.str();
 }
 

@@ -31,36 +31,32 @@ std::vector<std::string> sweepComponents(const std::string &appLib);
  */
 const std::vector<std::vector<int>> &fig6Partitions();
 
+/*
+ * The sweep spaces below each cross the five Figure 8 partitions with
+ * one or two dimensions of a single axis catalogue (wayfinder.cc):
+ * hardening mask, per-block mechanism, per-block gate flavour,
+ * deniable-edge subset, elide set and batch width. Every other knob
+ * stays at the base point — all-MPK, DSS, no hardening.
+ */
+
 /** All 80 configuration points (5 partitions x 16 hardening masks). */
 std::vector<ConfigPoint> fig6Space();
 
 /**
- * The mixed-mechanism dimension of the configuration space: the five
- * Figure 8 partitions crossed with every per-block mechanism
- * assignment from {none, intel-mpk, vm-ept, cheri} (no hardening,
- * DSS). A homogeneous assignment reproduces a fig6-style point; the
- * rest are heterogeneous images where each boundary picks its own
- * mechanism.
+ * The mixed-mechanism dimension: every per-block mechanism assignment
+ * from {none, intel-mpk, vm-ept, cheri}. A homogeneous assignment
+ * reproduces a fig6-style point; the rest are heterogeneous images
+ * where each boundary picks its own mechanism.
  */
 std::vector<ConfigPoint> mixedMechanismSpace();
 
 /**
- * The per-boundary gate-flavour dimension: the five Figure 8
- * partitions (all-MPK, no hardening) crossed with every per-block
- * flavour assignment from {light, dss} — each block's flavour governs
- * the gates *into* it, materialized as a `'*' -> block` boundary
- * rule. light < dss orders the points component-wise in the poset.
+ * The per-boundary gate-flavour dimension: every per-block flavour
+ * assignment from {light, dss} — each block's flavour governs the
+ * gates *into* it, materialized as a `'*' -> block` boundary rule.
+ * light < dss orders the points component-wise in the poset.
  */
 std::vector<ConfigPoint> gateFlavorSpace();
-
-/**
- * The SMP dimension of the configuration space: the five Figure 8
- * partitions (all-MPK, no hardening, DSS) crossed with simulated core
- * counts {1, 2, 4}. Core count is performance-only — compareSafety
- * ignores it — so the sweep shows how each partition's gate overhead
- * scales (or fails to amortize) as RSS spreads flows across cores.
- */
-std::vector<ConfigPoint> coreCountSpace();
 
 /**
  * The (from, to) partition-block edges the application's *static call
@@ -73,37 +69,23 @@ requiredBlockEdges(const std::vector<int> &partition,
                    const std::string &appLib);
 
 /**
- * The vectored-crossing dimension of the configuration space: the
- * five Figure 8 partitions (all-MPK, no hardening, DSS) crossed with
- * gate batch widths {1, 4, 8} and elision sets {none, validate,
- * scrub, both}, applied image-wide as a `'*' -> '*'` boundary rule.
- * Batch width is performance-only; the elided set orders points by
- * subset (eliding more per-crossing work is strictly less safe).
+ * The vectored-crossing dimension: gate batch widths {1, 4, 8} crossed
+ * with elision sets {none, validate, scrub, both}, applied image-wide
+ * as a `'*' -> '*'` boundary rule. Batch width is performance-only;
+ * the elided set orders points by subset (eliding more per-crossing
+ * work is strictly less safe).
  */
 std::vector<ConfigPoint> batchingSpace();
-
-/**
- * The control-plane dimension of the configuration space: the five
- * Figure 8 partitions (all-MPK, no hardening, DSS) crossed with the
- * runtime policy controller {off, on}. "On" materializes a
- * `controller:` section plus an image-wide `adaptive: true` rule, so
- * every boundary is enrolled. Operations-only in the safety order
- * (the controller tightens below the configured baseline and relaxes
- * back to it, never past it): compareSafety ignores the flag, and the
- * sweep shows what the sampling/adaptation machinery itself costs on
- * storm-free workloads.
- */
-std::vector<ConfigPoint> controllerSpace();
 
 /**
  * One axis of a lazily enumerated product configuration space. The
  * axis has `size` choices; `le(a, b)` is the safety partial order on
  * choice indices ("a is at most as safe as b"). Choices MUST be
  * listed in a linear extension of that order — le(a, b) implies
- * a <= b — so that visiting index vectors by ascending index sum
- * never visits a dominating vector before a dominated one. A
- * performance-only axis (batch width, cores) uses equality as its
- * order: no choice prunes any other.
+ * a <= b, checked by explorePrunedProduct — so that visiting index
+ * vectors by ascending index sum never visits a dominating vector
+ * before a dominated one. A performance-only axis (batch width,
+ * cores) uses equality as its order: no choice prunes any other.
  */
 struct ProductDimension
 {
@@ -133,12 +115,13 @@ std::size_t explorePrunedProduct(
         &emit = {});
 
 /**
- * The carried follow-up sweep: per-block mechanisms × per-block gate
- * flavours × deniable-edge subsets × batching/elision for one
- * Figure 8 partition, wired through explorePrunedProduct so the new
- * batching dimension is sweepable without materializing the full
- * product. Points meeting the budget are appended to `accepted` with
- * their measured perf. @return number of evaluations actually run.
+ * Per-block mechanisms × per-block gate flavours × deniable-edge
+ * subsets × elide sets × batch widths for one Figure 8 partition,
+ * wired through explorePrunedProduct so the product is never
+ * materialized. The axes are the spaces' own; each axis's order is
+ * compareSafety restricted to it (equality for batch width). Points
+ * meeting the budget are appended to `accepted` with their measured
+ * perf. @return number of evaluations actually run.
  */
 std::size_t prunedBoundarySweep(
     const std::vector<int> &partition, const std::string &appLib,
@@ -146,13 +129,12 @@ std::size_t prunedBoundarySweep(
     std::vector<ConfigPoint> &accepted);
 
 /**
- * The least-privilege dimension of the configuration space: the five
- * Figure 8 partitions (all-MPK, no hardening, DSS) crossed with every
- * subset of *deniable* block edges — ordered pairs the static call
- * graph does not need. Edges the call graph requires are never
- * enumerated as denied (such points would be rejected at image
- * build), so the wayfinder sweeps only buildable least-privilege
- * graphs; denying a superset of edges orders points in the poset.
+ * The least-privilege dimension: every subset of *deniable* block
+ * edges — ordered pairs the static call graph does not need. Edges the
+ * call graph requires are never enumerated as denied (such points
+ * would be rejected at image build), so the wayfinder sweeps only
+ * buildable least-privilege graphs; denying a superset of edges
+ * orders points in the poset.
  */
 std::vector<ConfigPoint>
 leastPrivilegeSpace(const std::string &appLib = "libredis");

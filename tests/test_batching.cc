@@ -498,5 +498,25 @@ TEST(PrunedProduct, MatchesBruteForceAndSkipsDominatedFailures)
     EXPECT_LT(evals, 12u);
 }
 
+TEST(PrunedProduct, ListingAgainstTheAxisOrderPanics)
+{
+    // A chain listed safest first breaks the linear-extension contract
+    // ascending index-sum enumeration relies on: reject it up front.
+    std::vector<wayfinder::ProductDimension> dims = {
+        {"reversed", 3,
+         [](std::size_t a, std::size_t b) { return a >= b; }},
+    };
+    std::size_t evals = 0;
+    EXPECT_THROW(wayfinder::explorePrunedProduct(
+                     dims,
+                     [&](const std::vector<std::size_t> &) {
+                         ++evals;
+                         return 1.0;
+                     },
+                     0.0),
+                 PanicError);
+    EXPECT_EQ(evals, 0u);
+}
+
 } // namespace
 } // namespace flexos

@@ -9,6 +9,7 @@
 
 #include <set>
 
+#include "base/logging.hh"
 #include "base/rng.hh"
 #include "core/toolchain.hh"
 #include "explore/poset.hh"
@@ -239,6 +240,43 @@ TEST(Wayfinder, ConfigsValidateAndBuild)
         Toolchain tc(reg);
         EXPECT_NO_THROW(tc.validate(cfg)) << idx;
     }
+}
+
+TEST(Wayfinder, PointWithoutHardeningArityPanics)
+{
+    // A partition with the default (empty) hardening vector is a bug
+    // in the caller, reported as such rather than read out of bounds.
+    ConfigPoint p;
+    p.partition = {0, 0, 0, 1};
+    EXPECT_THROW(wayfinder::toSafetyConfig(p, "libredis"), PanicError);
+    EXPECT_THROW(wayfinder::pointLabel(p, "libredis"), PanicError);
+    p.hardening.assign(3, 0);
+    EXPECT_THROW(wayfinder::toSafetyConfig(p, "libredis"), PanicError);
+    EXPECT_THROW(wayfinder::pointLabel(p, "libredis"), PanicError);
+}
+
+TEST(Wayfinder, MeasuredPerfFallsAsSafetyRises)
+{
+    // The premise both pruners rest on: over the measured Figure 6
+    // space, no configuration that is strictly safer than another is
+    // also faster.
+    auto space = wayfinder::fig6Space();
+    std::vector<double> perf;
+    for (const ConfigPoint &p : space)
+        perf.push_back(wayfinder::measureRedis(p, 400));
+    std::size_t strictPairs = 0;
+    for (std::size_t i = 0; i < space.size(); ++i) {
+        for (std::size_t j = 0; j < space.size(); ++j) {
+            if (compareSafety(space[j], space[i]) != SafetyOrder::Greater)
+                continue;
+            ++strictPairs;
+            EXPECT_LE(perf[j], perf[i])
+                << wayfinder::pointLabel(space[j], "libredis")
+                << " is safer than and faster than "
+                << wayfinder::pointLabel(space[i], "libredis");
+        }
+    }
+    EXPECT_GT(strictPairs, 0u);
 }
 
 TEST(Wayfinder, MeasuredThroughputOrdersSanely)
