@@ -92,8 +92,9 @@ main()
     std::printf("\n[3] allocator family on the SQLite journal pattern "
                 "(steps per op, lower is faster):\n");
     {
-        TlsfAllocator tlsf(1 << 20);
-        LeaAllocator lea(1 << 20);
+        Machine clock; // charged, but only steps are reported
+        TlsfAllocator tlsf(clock, 1 << 20);
+        LeaAllocator lea(clock, 1 << 20);
         auto steps = [](Allocator &a) {
             for (int i = 0; i < 2000; ++i) {
                 void *j = a.alloc(4096);

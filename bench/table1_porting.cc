@@ -47,7 +47,6 @@ main()
     // and gates the toolchain touches for a simple Redis configuration
     // (the paper reports ~1 KLoC of generated modification).
     Machine mach;
-    MachineScope scope(mach);
     Scheduler sched(mach);
     Toolchain tc(reg);
     SafetyConfig cfg = SafetyConfig::parse(R"(

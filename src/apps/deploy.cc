@@ -25,7 +25,6 @@ Deployment::init(SafetyConfig cfg, const DeployOptions &opts)
     // off Machine::coreCount().
     mach = std::make_unique<Machine>(opts.timing,
                                      cfg.cores ? cfg.cores : 1);
-    scope = std::make_unique<MachineScope>(*mach);
     sched = std::make_unique<Scheduler>(*mach);
     tc = std::make_unique<Toolchain>(reg);
 
@@ -34,7 +33,7 @@ Deployment::init(SafetyConfig cfg, const DeployOptions &opts)
     img = tc->build(*mach, *sched, cfg);
 
     if (opts.withNet) {
-        link = std::make_unique<Link>();
+        link = std::make_unique<Link>(*mach);
         serverNet = std::make_unique<NetStack>(*mach, *sched,
                                                link->endA(),
                                                makeIp(10, 0, 0, 1));
@@ -60,7 +59,7 @@ Deployment::init(SafetyConfig cfg, const DeployOptions &opts)
         Allocator *fsAlloc = nullptr;
         if (opts.fsAllocator == DeployOptions::FsAllocator::Lea) {
             leaFsAlloc =
-                std::make_unique<LeaAllocator>(16 * 1024 * 1024);
+                std::make_unique<LeaAllocator>(*mach, 16 * 1024 * 1024);
             fsAlloc = leaFsAlloc.get();
         } else {
             bool fsInImage = false;
@@ -70,8 +69,8 @@ Deployment::init(SafetyConfig cfg, const DeployOptions &opts)
             if (fsInImage)
                 fsAlloc = &img->heapOf("vfscore");
         }
-        fsRoot = makeRamfs(fsAlloc);
-        fs = std::make_unique<Vfs>(fsRoot);
+        fsRoot = makeRamfs(*mach, fsAlloc);
+        fs = std::make_unique<Vfs>(*mach, fsRoot);
     }
 
     libcApi = std::make_unique<LibcApi>(*img, serverNet.get(), fs.get());
@@ -93,14 +92,13 @@ Deployment::~Deployment()
         sched->cancelAll();
     // Teardown order matters: the filesystem returns its blocks to the
     // vfscore compartment's allocator, so it must die before the image;
-    // the image (backend threads, regions) before scheduler and scope.
+    // the image (backend threads, regions) before the scheduler.
     controller.reset();
     libcApi.reset();
     fs.reset();
     fsRoot.reset();
     img.reset();
     sched.reset();
-    scope.reset();
 }
 
 void

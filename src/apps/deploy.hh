@@ -94,7 +94,6 @@ class Deployment
     void init(SafetyConfig cfg, const DeployOptions &opts);
 
     std::unique_ptr<Machine> mach;
-    std::unique_ptr<MachineScope> scope;
     std::unique_ptr<Scheduler> sched;
     LibraryRegistry reg;
     std::unique_ptr<Toolchain> tc;

@@ -126,7 +126,7 @@ HttpServer::serveConnection(TcpSocket *conn)
 std::string
 HttpServer::handle(const HttpRequest &req, bool &keepAlive)
 {
-    consumeCycles(requestCost);
+    libc.image().machine().consume(requestCost);
     ++served;
     keepAlive = req.keepAlive;
 

@@ -14,7 +14,7 @@ void
 LibcApi::schedTouch(const char *what)
 {
     img.gate("uksched", what, [&] {
-        consumeCycles(schedWork);
+        img.machine().consume(schedWork);
     });
 }
 
@@ -23,7 +23,7 @@ LibcApi::listen(std::uint16_t port)
 {
     panic_if(!net, "no network stack in this image");
     return img.gate("newlib", "socket_call", [&] {
-        consumeCycles(newlibWork);
+        img.machine().consume(newlibWork);
         return img.gate("lwip", "listen", [&] { return net->listen(port); });
     });
 }
@@ -32,7 +32,7 @@ TcpSocket *
 LibcApi::accept(TcpSocket *listener)
 {
     return img.gate("newlib", "socket_call", [&] {
-        consumeCycles(newlibWork);
+        img.machine().consume(newlibWork);
         return img.gate("lwip", "accept", [&] {
             if (listener->pendingAccepts() == 0)
                 schedTouch("thread_join"); // block until a SYN arrives
@@ -47,7 +47,7 @@ TcpSocket *
 LibcApi::connect(std::uint32_t ip, std::uint16_t port)
 {
     return img.gate("newlib", "socket_call", [&] {
-        consumeCycles(newlibWork);
+        img.machine().consume(newlibWork);
         return img.gate("lwip", "connect",
                         [&] { return net->connect(ip, port); });
     });
@@ -57,7 +57,7 @@ long
 LibcApi::recv(TcpSocket *s, void *buf, std::size_t n)
 {
     return img.gate("newlib", "socket_call", [&] {
-        consumeCycles(newlibWork);
+        img.machine().consume(newlibWork);
         // Two stack variables cross the gate by reference (the length
         // and the status word) — `__shared` annotations in the port,
         // materialized per the configured stack-sharing strategy.
@@ -85,7 +85,7 @@ long
 LibcApi::send(TcpSocket *s, const void *buf, std::size_t n)
 {
     return img.gate("newlib", "socket_call", [&] {
-        consumeCycles(newlibWork);
+        img.machine().consume(newlibWork);
         DssFrame frame(img);
         long *sharedLen = frame.var<long>();
         *frame.shadow(sharedLen) = static_cast<long>(n);
@@ -98,7 +98,7 @@ void
 LibcApi::closeSocket(TcpSocket *s)
 {
     img.gate("newlib", "socket_call", [&] {
-        consumeCycles(newlibWork);
+        img.machine().consume(newlibWork);
         img.gate("lwip", "close", [&] { s->close(); });
     });
 }
@@ -108,7 +108,7 @@ LibcApi::open(const std::string &path, unsigned flags)
 {
     panic_if(!vfs, "no filesystem in this image");
     return img.gate("newlib", "fs_call", [&] {
-        consumeCycles(newlibWork);
+        img.machine().consume(newlibWork);
         return img.gate("vfscore", "open",
                         [&] { return vfs->open(path, flags); });
     });
@@ -118,7 +118,7 @@ int
 LibcApi::close(int fd)
 {
     return img.gate("newlib", "fs_call", [&] {
-        consumeCycles(newlibWork);
+        img.machine().consume(newlibWork);
         return img.gate("vfscore", "close", [&] { return vfs->close(fd); });
     });
 }
@@ -127,7 +127,7 @@ long
 LibcApi::read(int fd, void *buf, std::size_t n)
 {
     return img.gate("newlib", "fs_call", [&] {
-        consumeCycles(newlibWork);
+        img.machine().consume(newlibWork);
         return img.gate("vfscore", "read",
                         [&] { return vfs->read(fd, buf, n); });
     });
@@ -137,7 +137,7 @@ long
 LibcApi::write(int fd, const void *buf, std::size_t n)
 {
     return img.gate("newlib", "fs_call", [&] {
-        consumeCycles(newlibWork);
+        img.machine().consume(newlibWork);
         return img.gate("vfscore", "write",
                         [&] { return vfs->write(fd, buf, n); });
     });
@@ -147,7 +147,7 @@ long
 LibcApi::pread(int fd, void *buf, std::size_t n, std::uint64_t off)
 {
     return img.gate("newlib", "fs_call", [&] {
-        consumeCycles(newlibWork);
+        img.machine().consume(newlibWork);
         return img.gate("vfscore", "pread",
                         [&] { return vfs->pread(fd, buf, n, off); });
     });
@@ -158,7 +158,7 @@ LibcApi::pwrite(int fd, const void *buf, std::size_t n,
                 std::uint64_t off)
 {
     return img.gate("newlib", "fs_call", [&] {
-        consumeCycles(newlibWork);
+        img.machine().consume(newlibWork);
         return img.gate("vfscore", "pwrite",
                         [&] { return vfs->pwrite(fd, buf, n, off); });
     });
@@ -168,7 +168,7 @@ long
 LibcApi::lseek(int fd, long off, SeekWhence whence)
 {
     return img.gate("newlib", "fs_call", [&] {
-        consumeCycles(newlibWork);
+        img.machine().consume(newlibWork);
         return img.gate("vfscore", "lseek",
                         [&] { return vfs->lseek(fd, off, whence); });
     });
@@ -178,7 +178,7 @@ int
 LibcApi::fsync(int fd)
 {
     return img.gate("newlib", "fs_call", [&] {
-        consumeCycles(newlibWork);
+        img.machine().consume(newlibWork);
         return img.gate("vfscore", "fsync", [&] { return vfs->fsync(fd); });
     });
 }
@@ -187,7 +187,7 @@ int
 LibcApi::ftruncate(int fd, std::uint64_t size)
 {
     return img.gate("newlib", "fs_call", [&] {
-        consumeCycles(newlibWork);
+        img.machine().consume(newlibWork);
         return img.gate("vfscore", "ftruncate",
                         [&] { return vfs->ftruncate(fd, size); });
     });
@@ -197,7 +197,7 @@ int
 LibcApi::unlink(const std::string &path)
 {
     return img.gate("newlib", "fs_call", [&] {
-        consumeCycles(newlibWork);
+        img.machine().consume(newlibWork);
         return img.gate("vfscore", "unlink",
                         [&] { return vfs->unlink(path); });
     });
@@ -207,7 +207,7 @@ int
 LibcApi::stat(const std::string &path, VfsStat &out)
 {
     return img.gate("newlib", "fs_call", [&] {
-        consumeCycles(newlibWork);
+        img.machine().consume(newlibWork);
         return img.gate("vfscore", "stat",
                         [&] { return vfs->stat(path, out); });
     });
@@ -217,9 +217,9 @@ std::uint64_t
 LibcApi::clockNs()
 {
     return img.gate("newlib", "time_call", [&] {
-        consumeCycles(newlibWork / 3);
+        img.machine().consume(newlibWork / 3);
         return img.gate("uktime", "clock_gettime", [&] {
-            consumeCycles(20); // clock read + conversion
+            img.machine().consume(20); // clock read + conversion
             return img.machine().nanoseconds();
         });
     });

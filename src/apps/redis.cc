@@ -117,8 +117,15 @@ RespParser::command(const RespCommand &cmd)
 
 // ----------------------------------------------------------------- dict
 
-RedisDict::RedisDict(std::size_t initialBuckets)
-    : slots(initialBuckets)
+namespace {
+
+/** Modelled dict operation cost (hash + probe + compare). */
+constexpr Cycles dictOpCost = 60;
+
+} // namespace
+
+RedisDict::RedisDict(Machine &m, std::size_t initialBuckets)
+    : mach(m), slots(initialBuckets)
 {
 }
 
@@ -174,7 +181,7 @@ RedisDict::set(const std::string &key, const std::string &value)
 {
     if ((used + 1) * 4 >= slots.size() * 3) // load factor 0.75
         grow();
-    consumeCyclesIfAny();
+    mach.consume(dictOpCost);
     std::size_t i = probe(key, true);
     panic_if(i == SIZE_MAX, "dict probe failed");
     Slot &s = slots[i];
@@ -188,7 +195,7 @@ RedisDict::set(const std::string &key, const std::string &value)
 const std::string *
 RedisDict::get(const std::string &key) const
 {
-    consumeCyclesIfAny();
+    mach.consume(dictOpCost);
     std::size_t i = probe(key, false);
     if (i == SIZE_MAX || slots[i].state != Slot::State::Used)
         return nullptr;
@@ -198,7 +205,7 @@ RedisDict::get(const std::string &key) const
 bool
 RedisDict::del(const std::string &key)
 {
-    consumeCyclesIfAny();
+    mach.consume(dictOpCost);
     std::size_t i = probe(key, false);
     if (i == SIZE_MAX || slots[i].state != Slot::State::Used)
         return false;
@@ -220,22 +227,13 @@ RedisDict::clear()
 
 namespace {
 
-/** Modelled dict operation cost (hash + probe + compare). */
-constexpr Cycles dictOpCost = 60;
 /** Modelled per-command parse/dispatch cost. */
 constexpr Cycles commandCost = 120;
 
 } // namespace
 
-void
-RedisDict::consumeCyclesIfAny() const
-{
-    if (Machine::hasCurrent())
-        Machine::current().consume(dictOpCost);
-}
-
 RedisServer::RedisServer(LibcApi &libcApi, std::uint16_t serverPort)
-    : libc(libcApi), port(serverPort)
+    : libc(libcApi), port(serverPort), db(libcApi.image().machine())
 {
 }
 
@@ -300,7 +298,7 @@ RedisServer::serveConnection(TcpSocket *conn)
 std::string
 RedisServer::execute(const RespCommand &cmd)
 {
-    consumeCycles(commandCost);
+    libc.image().machine().consume(commandCost);
     ++served;
     if (cmd.empty())
         return RespParser::error("empty command");

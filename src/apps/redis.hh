@@ -61,7 +61,8 @@ class RespParser
 class RedisDict
 {
   public:
-    explicit RedisDict(std::size_t initialBuckets = 1024);
+    /** A dict whose operations charge m's clock. */
+    explicit RedisDict(Machine &m, std::size_t initialBuckets = 1024);
 
     void set(const std::string &key, const std::string &value);
     const std::string *get(const std::string &key) const;
@@ -80,9 +81,9 @@ class RedisDict
 
     std::size_t probe(const std::string &key, bool forInsert) const;
     void grow();
-    void consumeCyclesIfAny() const;
     static std::uint64_t hashKey(const std::string &key);
 
+    Machine &mach;
     std::vector<Slot> slots;
     std::size_t used = 0;
 };

@@ -7,7 +7,8 @@
 
 namespace flexos {
 
-KasanHeap::KasanHeap(Allocator &innerAlloc) : inner(innerAlloc)
+KasanHeap::KasanHeap(Allocator &innerAlloc)
+    : Allocator(innerAlloc.machine()), inner(innerAlloc)
 {
 }
 

@@ -427,8 +427,8 @@ Image::boot()
     for (auto &c : comps) {
         c->heapArena.resize(cfg.heapBytes);
         c->dataSection.resize(64 * 1024);
-        c->rawHeap = std::make_unique<TlsfAllocator>(c->heapArena.data(),
-                                                     c->heapArena.size());
+        c->rawHeap = std::make_unique<TlsfAllocator>(
+            mach, c->heapArena.data(), c->heapArena.size());
         bool wantKasan = c->spec.hardenedWith(Hardening::Kasan) ||
                          c->spec.hardenedWith(Hardening::Asan);
         if (wantKasan) {
@@ -473,8 +473,8 @@ Image::boot()
     }
 
     sharedArena.resize(cfg.sharedHeapBytes);
-    sharedHeapAlloc = std::make_unique<TlsfAllocator>(sharedArena.data(),
-                                                      sharedArena.size());
+    sharedHeapAlloc = std::make_unique<TlsfAllocator>(
+        mach, sharedArena.data(), sharedArena.size());
 
     registerRegions();
     for (auto &b : backends)

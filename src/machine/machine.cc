@@ -10,9 +10,6 @@ namespace flexos {
 
 namespace {
 
-/** Active machine; single-host-thread model, so a plain static works. */
-Machine *currentMachine = nullptr;
-
 std::string
 describeFault(const void *addr, ProtKey key, AccessType at,
               const std::string &region)
@@ -172,29 +169,6 @@ const std::map<std::string, std::uint64_t> &
 Machine::counters() const
 {
     return stats;
-}
-
-Machine &
-Machine::current()
-{
-    panic_if(!currentMachine, "no MachineScope installed");
-    return *currentMachine;
-}
-
-bool
-Machine::hasCurrent()
-{
-    return currentMachine != nullptr;
-}
-
-MachineScope::MachineScope(Machine &m) : saved(currentMachine)
-{
-    currentMachine = &m;
-}
-
-MachineScope::~MachineScope()
-{
-    currentMachine = saved;
 }
 
 } // namespace flexos

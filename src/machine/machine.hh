@@ -3,10 +3,10 @@
  * The simulated machine: virtual cycle clock, MMU (region map + PKRU
  * check), enforcement policy, and event counters.
  *
- * Everything in the repository executes against exactly one Machine at a
- * time (runs are single-threaded and deterministic). Deep substrate code
- * reaches the active machine through Machine::current(), installed with a
- * MachineScope RAII guard by images and test fixtures.
+ * There is no ambient machine: every component that charges cycles
+ * (scheduler, image, allocators, NIC, VFS, apps) is handed the Machine
+ * it charges at construction, so any number of machines can be alive at
+ * once, each only ever advanced by its own components.
  */
 
 #ifndef FLEXOS_MACHINE_MACHINE_HH
@@ -220,15 +220,7 @@ class Machine
     /** The timing model in force. */
     TimingModel timing;
 
-    /** The machine the current thread of execution runs against. */
-    static Machine &current();
-
-    /** Whether a machine scope is installed. */
-    static bool hasCurrent();
-
   private:
-    friend class MachineScope;
-
     Cycles
     applyMultiplier(Cycles c) const
     {
@@ -245,29 +237,6 @@ class Machine
     std::vector<CoreContext> cores_;
     int active_ = 0;
 };
-
-/**
- * RAII guard installing a Machine as Machine::current(). Scopes nest.
- */
-class MachineScope
-{
-  public:
-    explicit MachineScope(Machine &m);
-    ~MachineScope();
-
-    MachineScope(const MachineScope &) = delete;
-    MachineScope &operator=(const MachineScope &) = delete;
-
-  private:
-    Machine *saved;
-};
-
-/** Convenience: charge cycles to the current machine. */
-inline void
-consumeCycles(Cycles c)
-{
-    Machine::current().consume(c);
-}
 
 } // namespace flexos
 

@@ -4,7 +4,7 @@
 
 namespace flexos {
 
-Link::Link()
+Link::Link(Machine &m) : a(m), b(m)
 {
     a.peer = &b;
     b.peer = &a;
@@ -37,19 +37,15 @@ NicEndpoint::configureRss(std::size_t queues, SteerFn steerFn)
 void
 NicEndpoint::transmit(NetBuf frame)
 {
-    if (Machine::hasCurrent()) {
-        auto &m = Machine::current();
-        m.consume(m.timing.nicFrame);
-        m.bump("nic.tx");
-    }
+    mach.consume(mach.timing.nicFrame);
+    mach.bump("nic.tx");
     if (peer->rxFilter && !peer->rxFilter(frame)) {
-        if (Machine::hasCurrent())
-            Machine::current().bump("nic.dropped");
+        mach.bump("nic.dropped");
         return;
     }
     std::size_t q = peer->steerTo(frame);
-    if (q != 0 && Machine::hasCurrent())
-        Machine::current().bump("nic.steered");
+    if (q != 0)
+        mach.bump("nic.steered");
     peer->rxQueues[q].push_back(std::move(frame));
     if (peer->onArrive)
         peer->onArrive(q);
@@ -70,11 +66,8 @@ NicEndpoint::receiveQueue(std::size_t q)
     auto &rx = rxQueues[q];
     if (rx.empty())
         return std::nullopt;
-    if (Machine::hasCurrent()) {
-        auto &m = Machine::current();
-        m.consume(m.timing.nicFrame);
-        m.bump("nic.rx");
-    }
+    mach.consume(mach.timing.nicFrame);
+    mach.bump("nic.rx");
     NetBuf f = std::move(rx.front());
     rx.pop_front();
     return f;

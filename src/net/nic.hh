@@ -6,7 +6,8 @@
  * endpoint enqueues at the peer, steered to a queue by the peer's
  * RSS hash when multi-queue is configured (single queue 0 otherwise).
  * A fault injector can drop, duplicate or reorder frames (used by the
- * TCP property tests). Frame handling charges the NIC descriptor cost.
+ * TCP property tests). Frame handling charges the NIC descriptor cost
+ * to the machine the link was built on.
  */
 
 #ifndef FLEXOS_NET_NIC_HH
@@ -79,11 +80,12 @@ class NicEndpoint
   private:
     friend class Link;
 
-    NicEndpoint() : rxQueues(1) {}
+    explicit NicEndpoint(Machine &m) : mach(m), rxQueues(1) {}
 
     /** The queue an arriving frame steers to. */
     std::size_t steerTo(const NetBuf &frame) const;
 
+    Machine &mach;
     NicEndpoint *peer = nullptr;
     std::vector<std::deque<NetBuf>> rxQueues;
     SteerFn steer;
@@ -95,7 +97,8 @@ class NicEndpoint
 class Link
 {
   public:
-    Link();
+    /** @param m the machine both endpoints charge frame handling to */
+    explicit Link(Machine &m);
 
     NicEndpoint &endA() { return a; }
     NicEndpoint &endB() { return b; }

@@ -8,10 +8,7 @@ void
 Allocator::charge(std::uint64_t steps)
 {
     stats_.steps += steps;
-    if (Machine::hasCurrent()) {
-        auto &m = Machine::current();
-        m.consume(m.timing.allocBase + steps * m.timing.allocStep);
-    }
+    mach.consume(mach.timing.allocBase + steps * mach.timing.allocStep);
 }
 
 } // namespace flexos

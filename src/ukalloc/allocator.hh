@@ -17,6 +17,8 @@
 
 namespace flexos {
 
+class Machine;
+
 /** Live statistics kept by every allocator. */
 struct AllocStats
 {
@@ -54,11 +56,20 @@ class Allocator
 
     const AllocStats &stats() const { return stats_; }
 
+    /** The machine whose clock this allocator's work charges. */
+    Machine &machine() const { return mach; }
+
   protected:
+    /** @param m the machine whose clock this allocator's work charges */
+    explicit Allocator(Machine &m) : mach(m) {}
+
     /** Record one operation's step count and charge the virtual clock. */
     void charge(std::uint64_t steps);
 
     AllocStats stats_;
+
+  private:
+    Machine &mach;
 };
 
 /** Standard allocation alignment (Unikraft uses 16 on x86-64). */

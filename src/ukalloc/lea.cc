@@ -66,14 +66,17 @@ struct LeaAllocator::Chunk
     }
 };
 
-LeaAllocator::LeaAllocator(std::size_t arenaSize)
-    : owned(new char[arenaSize]), arena(owned.get()), arenaBytes(arenaSize)
+LeaAllocator::LeaAllocator(Machine &m, std::size_t arenaSize)
+    : Allocator(m), owned(new char[arenaSize]), arena(owned.get()),
+      arenaBytes(arenaSize)
 {
     init();
 }
 
-LeaAllocator::LeaAllocator(void *arenaMem, std::size_t arenaSize)
-    : arena(static_cast<char *>(arenaMem)), arenaBytes(arenaSize)
+LeaAllocator::LeaAllocator(Machine &m, void *arenaMem,
+                           std::size_t arenaSize)
+    : Allocator(m), arena(static_cast<char *>(arenaMem)),
+      arenaBytes(arenaSize)
 {
     init();
 }

@@ -26,8 +26,8 @@ namespace flexos {
 class LeaAllocator : public Allocator
 {
   public:
-    explicit LeaAllocator(std::size_t arenaSize);
-    LeaAllocator(void *arena, std::size_t arenaSize);
+    LeaAllocator(Machine &m, std::size_t arenaSize);
+    LeaAllocator(Machine &m, void *arena, std::size_t arenaSize);
     ~LeaAllocator() override;
 
     void *alloc(std::size_t size) override;

@@ -65,14 +65,17 @@ namespace {
 constexpr std::size_t minBlockSize = 48; // header + two list links, aligned
 } // namespace
 
-TlsfAllocator::TlsfAllocator(std::size_t arenaSize)
-    : owned(new char[arenaSize]), arena(owned.get()), arenaBytes(arenaSize)
+TlsfAllocator::TlsfAllocator(Machine &m, std::size_t arenaSize)
+    : Allocator(m), owned(new char[arenaSize]), arena(owned.get()),
+      arenaBytes(arenaSize)
 {
     init();
 }
 
-TlsfAllocator::TlsfAllocator(void *arenaMem, std::size_t arenaSize)
-    : arena(static_cast<char *>(arenaMem)), arenaBytes(arenaSize)
+TlsfAllocator::TlsfAllocator(Machine &m, void *arenaMem,
+                             std::size_t arenaSize)
+    : Allocator(m), arena(static_cast<char *>(arenaMem)),
+      arenaBytes(arenaSize)
 {
     init();
 }

@@ -26,10 +26,10 @@ class TlsfAllocator : public Allocator
 {
   public:
     /** Build over an owned arena of arenaSize bytes. */
-    explicit TlsfAllocator(std::size_t arenaSize);
+    TlsfAllocator(Machine &m, std::size_t arenaSize);
 
     /** Build over external storage (e.g. a compartment heap region). */
-    TlsfAllocator(void *arena, std::size_t arenaSize);
+    TlsfAllocator(Machine &m, void *arena, std::size_t arenaSize);
 
     ~TlsfAllocator() override;
 

@@ -100,11 +100,14 @@ namespace flexos {
 namespace {
 
 #ifdef FLEXOS_ASAN_FIBERS
-/** Host (scheduler) stack bounds, learned on the first fiber entry. */
-const void *hostStackBottom = nullptr; // flexos: shared
-std::size_t hostStackSize = 0;         // flexos: shared
+/**
+ * Host (scheduler) stack bounds, learned on the first fiber entry. Per
+ * host thread: schedulers on different threads run on different stacks.
+ */
+thread_local const void *hostStackBottom = nullptr; // flexos: shared
+thread_local std::size_t hostStackSize = 0;         // flexos: shared
 /** The scheduler context's saved ASan fake stack. */
-void *schedFakeStack = nullptr; // flexos: shared
+thread_local void *schedFakeStack = nullptr; // flexos: shared
 
 void
 asanEnterFiber(void *fiberFakeStack)

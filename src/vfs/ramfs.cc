@@ -7,8 +7,8 @@
 
 namespace flexos {
 
-RamfsNode::RamfsNode(VnodeType t, Allocator *allocator)
-    : nodeType(t), alloc(allocator)
+RamfsNode::RamfsNode(Machine &m, VnodeType t, Allocator *allocator)
+    : mach(m), nodeType(t), alloc(allocator)
 {
 }
 
@@ -38,12 +38,9 @@ RamfsNode::freeBlock(char *b)
 void
 RamfsNode::chargeOp(std::size_t bytes) const
 {
-    if (Machine::hasCurrent()) {
-        auto &m = Machine::current();
-        m.consume(m.timing.ramfsOpBase);
-        m.consumePerByte(bytes, m.timing.fsCopyPer16B);
-        m.bump("ramfs.ops");
-    }
+    mach.consume(mach.timing.ramfsOpBase);
+    mach.consumePerByte(bytes, mach.timing.fsCopyPer16B);
+    mach.bump("ramfs.ops");
 }
 
 bool
@@ -157,7 +154,7 @@ RamfsNode::create(const std::string &name, VnodeType t)
     if (children.count(name))
         return nullptr;
     chargeOp(0);
-    auto node = std::make_shared<RamfsNode>(t, alloc);
+    auto node = std::make_shared<RamfsNode>(mach, t, alloc);
     children.emplace(name, node);
     return node;
 }
@@ -182,9 +179,9 @@ RamfsNode::list()
 }
 
 std::shared_ptr<RamfsNode>
-makeRamfs(Allocator *alloc)
+makeRamfs(Machine &m, Allocator *alloc)
 {
-    return std::make_shared<RamfsNode>(VnodeType::Directory, alloc);
+    return std::make_shared<RamfsNode>(m, VnodeType::Directory, alloc);
 }
 
 } // namespace flexos

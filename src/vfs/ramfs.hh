@@ -30,8 +30,11 @@ class RamfsNode : public Vnode,
   public:
     static constexpr std::size_t blockSize = 4096;
 
-    /** Create a node; alloc may be null (fall back to new[]). */
-    RamfsNode(VnodeType t, Allocator *alloc);
+    /**
+     * Create a node whose operations charge m's clock; alloc may be
+     * null (fall back to new[]).
+     */
+    RamfsNode(Machine &m, VnodeType t, Allocator *alloc);
     ~RamfsNode() override;
 
     VnodeType type() const override { return nodeType; }
@@ -55,6 +58,7 @@ class RamfsNode : public Vnode,
     bool ensureCapacity(std::uint64_t newSize);
     void chargeOp(std::size_t bytes) const;
 
+    Machine &mach;
     VnodeType nodeType;
     Allocator *alloc;
 
@@ -67,7 +71,8 @@ class RamfsNode : public Vnode,
 };
 
 /** Build a fresh ramfs and return its root directory. */
-std::shared_ptr<RamfsNode> makeRamfs(Allocator *alloc = nullptr);
+std::shared_ptr<RamfsNode> makeRamfs(Machine &m,
+                                     Allocator *alloc = nullptr);
 
 } // namespace flexos
 

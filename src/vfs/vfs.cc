@@ -6,7 +6,8 @@
 
 namespace flexos {
 
-Vfs::Vfs(std::shared_ptr<Vnode> rootNode) : root(std::move(rootNode))
+Vfs::Vfs(Machine &m, std::shared_ptr<Vnode> rootNode)
+    : mach(m), root(std::move(rootNode))
 {
     fatal_if(!root, "VFS mounted without a root");
     fatal_if(root->type() != VnodeType::Directory,
@@ -16,11 +17,8 @@ Vfs::Vfs(std::shared_ptr<Vnode> rootNode) : root(std::move(rootNode))
 void
 Vfs::chargeOp() const
 {
-    if (Machine::hasCurrent()) {
-        auto &m = Machine::current();
-        m.consume(m.timing.vfsOpBase);
-        m.bump("vfs.ops");
-    }
+    mach.consume(mach.timing.vfsOpBase);
+    mach.bump("vfs.ops");
 }
 
 std::shared_ptr<Vnode>

@@ -18,6 +18,8 @@
 
 namespace flexos {
 
+class Machine;
+
 /** VFS error codes (negative values returned by descriptor calls). */
 enum VfsError : int
 {
@@ -92,8 +94,8 @@ class Vnode
 class Vfs
 {
   public:
-    /** Mount a filesystem root. */
-    explicit Vfs(std::shared_ptr<Vnode> root);
+    /** Mount a filesystem root; operations charge m's clock. */
+    Vfs(Machine &m, std::shared_ptr<Vnode> root);
 
     /** @name POSIX-flavoured API. Negative returns are VfsError. @{ */
     int open(const std::string &path, unsigned flags);
@@ -135,6 +137,7 @@ class Vfs
     /** Charge the fixed VFS entry cost for one operation. */
     void chargeOp() const;
 
+    Machine &mach;
     std::shared_ptr<Vnode> root;
     std::vector<std::unique_ptr<OpenFile>> fds;
 };

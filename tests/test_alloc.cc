@@ -23,11 +23,11 @@ namespace {
 enum class Kind { Tlsf, Lea };
 
 std::unique_ptr<Allocator>
-makeAllocator(Kind k, std::size_t bytes)
+makeAllocator(Machine &m, Kind k, std::size_t bytes)
 {
     if (k == Kind::Tlsf)
-        return std::make_unique<TlsfAllocator>(bytes);
-    return std::make_unique<LeaAllocator>(bytes);
+        return std::make_unique<TlsfAllocator>(m, bytes);
+    return std::make_unique<LeaAllocator>(m, bytes);
 }
 
 void
@@ -41,11 +41,13 @@ checkConsistency(Allocator &a)
 
 class AllocatorTest : public ::testing::TestWithParam<Kind>
 {
+  protected:
+    Machine mach;
 };
 
 TEST_P(AllocatorTest, BasicAllocFree)
 {
-    auto a = makeAllocator(GetParam(), 64 * 1024);
+    auto a = makeAllocator(mach, GetParam(), 64 * 1024);
     void *p = a->alloc(100);
     ASSERT_NE(p, nullptr);
     std::memset(p, 0xab, 100);
@@ -58,7 +60,7 @@ TEST_P(AllocatorTest, BasicAllocFree)
 
 TEST_P(AllocatorTest, ReturnsAlignedPointers)
 {
-    auto a = makeAllocator(GetParam(), 64 * 1024);
+    auto a = makeAllocator(mach, GetParam(), 64 * 1024);
     for (std::size_t sz : {1u, 7u, 16u, 33u, 100u, 1000u}) {
         void *p = a->alloc(sz);
         ASSERT_NE(p, nullptr);
@@ -70,7 +72,7 @@ TEST_P(AllocatorTest, ReturnsAlignedPointers)
 
 TEST_P(AllocatorTest, DistinctLiveBlocksDoNotOverlap)
 {
-    auto a = makeAllocator(GetParam(), 256 * 1024);
+    auto a = makeAllocator(mach, GetParam(), 256 * 1024);
     std::vector<std::pair<char *, std::size_t>> live;
     for (int i = 0; i < 50; ++i) {
         std::size_t sz = 16 + 13 * static_cast<std::size_t>(i);
@@ -85,7 +87,7 @@ TEST_P(AllocatorTest, DistinctLiveBlocksDoNotOverlap)
 
 TEST_P(AllocatorTest, FreedMemoryIsReused)
 {
-    auto a = makeAllocator(GetParam(), 64 * 1024);
+    auto a = makeAllocator(mach, GetParam(), 64 * 1024);
     void *p = a->alloc(128);
     a->free(p);
     void *q = a->alloc(128);
@@ -94,7 +96,7 @@ TEST_P(AllocatorTest, FreedMemoryIsReused)
 
 TEST_P(AllocatorTest, CoalescingAllowsLargeRefill)
 {
-    auto a = makeAllocator(GetParam(), 64 * 1024);
+    auto a = makeAllocator(mach, GetParam(), 64 * 1024);
     // Fragment the heap, then free everything: a near-arena-size
     // allocation must succeed again, proving frees coalesced.
     std::vector<void *> ps;
@@ -112,7 +114,7 @@ TEST_P(AllocatorTest, CoalescingAllowsLargeRefill)
 
 TEST_P(AllocatorTest, ExhaustionReturnsNull)
 {
-    auto a = makeAllocator(GetParam(), 16 * 1024);
+    auto a = makeAllocator(mach, GetParam(), 16 * 1024);
     std::vector<void *> ps;
     while (void *p = a->alloc(1024))
         ps.push_back(p);
@@ -125,7 +127,7 @@ TEST_P(AllocatorTest, ExhaustionReturnsNull)
 
 TEST_P(AllocatorTest, DoubleFreePanics)
 {
-    auto a = makeAllocator(GetParam(), 16 * 1024);
+    auto a = makeAllocator(mach, GetParam(), 16 * 1024);
     void *p = a->alloc(64);
     a->free(p);
     EXPECT_THROW(a->free(p), PanicError);
@@ -133,13 +135,13 @@ TEST_P(AllocatorTest, DoubleFreePanics)
 
 TEST_P(AllocatorTest, FreeNullIsNoop)
 {
-    auto a = makeAllocator(GetParam(), 16 * 1024);
+    auto a = makeAllocator(mach, GetParam(), 16 * 1024);
     EXPECT_NO_THROW(a->free(nullptr));
 }
 
 TEST_P(AllocatorTest, LiveBytesTrackPeak)
 {
-    auto a = makeAllocator(GetParam(), 64 * 1024);
+    auto a = makeAllocator(mach, GetParam(), 64 * 1024);
     void *p = a->alloc(1024);
     void *q = a->alloc(2048);
     std::size_t peak = a->stats().liveBytes;
@@ -151,19 +153,22 @@ TEST_P(AllocatorTest, LiveBytesTrackPeak)
 
 TEST_P(AllocatorTest, ChargesCyclesWhenMachinePresent)
 {
-    Machine m;
-    MachineScope scope(m);
-    auto a = makeAllocator(GetParam(), 16 * 1024);
-    Cycles before = m.cycles();
+    // A bystander built after the allocator's own machine: the
+    // allocator charges the machine it was built with, never the most
+    // recently constructed one.
+    auto a = makeAllocator(mach, GetParam(), 16 * 1024);
+    Machine bystander;
+    Cycles before = mach.cycles();
     void *p = a->alloc(64);
-    EXPECT_GT(m.cycles(), before);
+    EXPECT_GT(mach.cycles(), before);
     a->free(p);
     EXPECT_GT(a->stats().steps, 0u);
+    EXPECT_EQ(bystander.cycles(), 0u);
 }
 
 TEST_P(AllocatorTest, WritesNeverCorruptNeighbours)
 {
-    auto a = makeAllocator(GetParam(), 128 * 1024);
+    auto a = makeAllocator(mach, GetParam(), 128 * 1024);
     std::map<char *, std::pair<std::size_t, char>> live;
     Rng rng(7);
     for (int round = 0; round < 400; ++round) {
@@ -192,7 +197,7 @@ TEST_P(AllocatorTest, WritesNeverCorruptNeighbours)
 TEST_P(AllocatorTest, RandomStressKeepsInvariants)
 {
     for (std::uint64_t seed : {1ull, 42ull, 0xdeadbeefull}) {
-        auto a = makeAllocator(GetParam(), 512 * 1024);
+        auto a = makeAllocator(mach, GetParam(), 512 * 1024);
         Rng rng(seed);
         std::vector<void *> live;
         for (int i = 0; i < 3000; ++i) {
@@ -226,8 +231,9 @@ INSTANTIATE_TEST_SUITE_P(Allocators, AllocatorTest,
 
 TEST(TlsfSpecific, ExternalArenaIsUsed)
 {
+    Machine mach;
     std::vector<char> arena(32 * 1024);
-    TlsfAllocator a(arena.data(), arena.size());
+    TlsfAllocator a(mach, arena.data(), arena.size());
     auto *p = static_cast<char *>(a.alloc(100));
     ASSERT_NE(p, nullptr);
     EXPECT_GE(p, arena.data());
@@ -239,7 +245,8 @@ TEST(LeaSpecific, DesignatedVictimMakesRepeatCyclesCheap)
     // The dlmalloc fast path: repeated same-size alloc/free settles into
     // very few steps per op — the property behind CubicleOS' allocator
     // advantage in the paper's Figure 10 discussion.
-    LeaAllocator a(256 * 1024);
+    Machine mach;
+    LeaAllocator a(mach, 256 * 1024);
     void *warm = a.alloc(100);
     a.free(warm);
     std::uint64_t before = a.stats().steps;
@@ -253,8 +260,9 @@ TEST(AllocatorComparison, LeaCheaperThanTlsfOnSqlitePattern)
 {
     // The pattern the SQLite benchmark produces: bursts of short-lived
     // equal-size allocations (journal pages / cell buffers).
-    TlsfAllocator tlsf(512 * 1024);
-    LeaAllocator lea(512 * 1024);
+    Machine mach;
+    TlsfAllocator tlsf(mach, 512 * 1024);
+    LeaAllocator lea(mach, 512 * 1024);
     auto run = [](Allocator &a) {
         for (int txn = 0; txn < 500; ++txn) {
             void *j = a.alloc(4096);

@@ -351,7 +351,6 @@ TEST_F(AnalysisFixture, SuggestedDenyRulesetBuildsCleanlyAndIsMinimal)
         tightened += "- " + f + " -> " + t + ": {deny: true}\n";
 
     Machine mach;
-    MachineScope scope(mach);
     Scheduler sched(mach);
     SafetyConfig cfg = parse(tightened);
     cfg.heapBytes = 1 << 20;

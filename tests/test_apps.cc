@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <string>
+#include <thread>
+
 #include "apps/deploy.hh"
 #include "apps/http.hh"
 #include "apps/iperf.hh"
@@ -96,7 +101,8 @@ TEST(Resp, BinarySafeValues)
 
 TEST(RedisDictTest, SetGetDelete)
 {
-    RedisDict d(8);
+    Machine mach;
+    RedisDict d(mach, 8);
     d.set("a", "1");
     d.set("b", "2");
     ASSERT_NE(d.get("a"), nullptr);
@@ -110,7 +116,8 @@ TEST(RedisDictTest, SetGetDelete)
 
 TEST(RedisDictTest, GrowsPastInitialCapacity)
 {
-    RedisDict d(8);
+    Machine mach;
+    RedisDict d(mach, 8);
     for (int i = 0; i < 1000; ++i)
         d.set("key" + std::to_string(i), std::to_string(i));
     EXPECT_EQ(d.size(), 1000u);
@@ -123,7 +130,8 @@ TEST(RedisDictTest, GrowsPastInitialCapacity)
 
 TEST(RedisDictTest, OverwriteKeepsSize)
 {
-    RedisDict d;
+    Machine mach;
+    RedisDict d(mach);
     d.set("k", "1");
     d.set("k", "2");
     EXPECT_EQ(d.size(), 1u);
@@ -246,6 +254,94 @@ TEST(RedisBenchmark, IsolationCostsThroughput)
     }
     EXPECT_LT(isolated, baseline);
     EXPECT_GT(isolated, baseline * 0.3); // but not catastrophic
+}
+
+/** What one redis GET run leaves on its deployment's machine. */
+struct RedisRun
+{
+    double requestsPerSec = 0;
+    Cycles wallCycles = 0;
+    std::map<std::string, std::uint64_t> counters;
+};
+
+RedisRun
+runRedisOn(Deployment &dep)
+{
+    dep.start();
+    RedisRun r;
+    r.requestsPerSec = runRedisGetBenchmark(dep.image(), dep.libc(),
+                                            dep.clientStack(), 400, 8, 50)
+                           .requestsPerSec;
+    dep.stop();
+    r.wallCycles = dep.machine().wallCycles();
+    r.counters = dep.machine().counters();
+    return r;
+}
+
+RedisRun
+soloRedisRun()
+{
+    Deployment dep(redisMpk2);
+    return runRedisOn(dep);
+}
+
+void
+expectSameRun(const RedisRun &got, const RedisRun &want)
+{
+    EXPECT_EQ(got.requestsPerSec, want.requestsPerSec);
+    EXPECT_EQ(got.wallCycles, want.wallCycles);
+    EXPECT_EQ(got.counters, want.counters);
+    EXPECT_GT(got.counters.count("nic.tx"), 0u);
+}
+
+TEST(RedisBenchmark, OverlappingDeploymentsKeepTheirOwnClocks)
+{
+    // Each deployment charges only the machine it was built with: a
+    // second live deployment neither absorbs the first one's work nor
+    // depends on being destroyed in reverse construction order.
+    const RedisRun solo = soloRedisRun();
+
+    auto a = std::make_unique<Deployment>(redisMpk2);
+    auto b = std::make_unique<Deployment>(redisMpk2);
+    const Cycles idleCycles = b->machine().wallCycles();
+    const auto idleCounters = b->machine().counters();
+
+    expectSameRun(runRedisOn(*a), solo);
+    EXPECT_EQ(b->machine().wallCycles(), idleCycles);
+    EXPECT_EQ(b->machine().counters(), idleCounters);
+
+    a.reset(); // first built, first destroyed
+    EXPECT_EQ(b->machine().wallCycles(), idleCycles);
+    EXPECT_EQ(b->machine().counters(), idleCounters);
+
+    expectSameRun(runRedisOn(*b), solo);
+}
+
+TEST(RedisBenchmark, ConcurrentHostThreadsMatchTheSoloRun)
+{
+    // Two identical deployments simulated at once on two host threads
+    // share no mutable state, so each reproduces the solo run exactly.
+    const RedisRun solo = soloRedisRun();
+
+    RedisRun runs[2];
+    std::string errors[2];
+    auto body = [&](int i) {
+        try {
+            Deployment dep(redisMpk2);
+            runs[i] = runRedisOn(dep);
+        } catch (const std::exception &e) {
+            errors[i] = e.what();
+        }
+    };
+    std::thread t0(body, 0);
+    std::thread t1(body, 1);
+    t0.join();
+    t1.join();
+    for (int i = 0; i < 2; ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(errors[i], "");
+        expectSameRun(runs[i], solo);
+    }
 }
 
 // ------------------------------------------------------------------ HTTP

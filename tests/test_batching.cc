@@ -29,7 +29,7 @@ namespace {
 struct BatchingFixture : ::testing::Test
 {
     BatchingFixture()
-        : scope(mach), sched(mach), reg(LibraryRegistry::standard()),
+        : sched(mach), reg(LibraryRegistry::standard()),
           tc(reg)
     {
     }
@@ -44,7 +44,6 @@ struct BatchingFixture : ::testing::Test
     }
 
     Machine mach;
-    MachineScope scope;
     Scheduler sched;
     LibraryRegistry reg;
     Toolchain tc;
@@ -177,7 +176,6 @@ runBatched(LibraryRegistry &reg, const std::string &text,
            std::size_t calls, std::size_t perCall)
 {
     Machine m;
-    MachineScope scope(m);
     Scheduler sched(m);
     Toolchain tc(reg);
     SafetyConfig cfg = SafetyConfig::parse(text);
@@ -217,7 +215,6 @@ TEST_F(BatchingFixture, BatchOneIsVcycleIdenticalToSequentialGates)
         const std::string text = onMechanism(twoCompMpk, mech);
         Machine m;
         {
-            MachineScope scope(m);
             Scheduler sched(m);
             Toolchain tc2(reg);
             SafetyConfig cfg = SafetyConfig::parse(text);

@@ -156,7 +156,7 @@ TEST(Registry, EntryPointLookup)
 
 struct CoreFixture : ::testing::Test
 {
-    CoreFixture() : scope(mach), sched(mach), reg(LibraryRegistry::standard()),
+    CoreFixture() : sched(mach), reg(LibraryRegistry::standard()),
                     tc(reg)
     {
     }
@@ -171,7 +171,6 @@ struct CoreFixture : ::testing::Test
     }
 
     Machine mach;
-    MachineScope scope;
     Scheduler sched;
     LibraryRegistry reg;
     Toolchain tc;
@@ -438,7 +437,6 @@ TEST_F(CoreFixture, LightGateCheaperThanDssGate)
 
     auto runOnce = [&](MpkGateFlavor flavor) {
         Machine m2;
-        MachineScope s2(m2);
         Scheduler sched2(m2);
         SafetyConfig c2 = cfg;
         BoundaryRule rule;
@@ -532,7 +530,6 @@ TEST_F(CoreFixture, EptGateCostsMoreThanMpk)
 {
     auto costOf = [&](const char *text) {
         Machine m2;
-        MachineScope s2(m2);
         Scheduler sched2(m2);
         Toolchain tc2(reg);
         SafetyConfig cfg = SafetyConfig::parse(text);
@@ -695,9 +692,9 @@ TEST_F(CoreFixture, HardenedComponentWorkIsTaxed)
     Cycles plainCost = 0, hardenedCost = 0;
     img->spawnIn("libredis", "t", [&] {
         Cycles a = mach.cycles();
-        img->gate("newlib", "memcpy", [&] { consumeCycles(1000); });
+        img->gate("newlib", "memcpy", [&] { mach.consume(1000); });
         Cycles b = mach.cycles();
-        img->gate("lwip", "recv", [&] { consumeCycles(1000); });
+        img->gate("lwip", "recv", [&] { mach.consume(1000); });
         Cycles c = mach.cycles();
         plainCost = b - a;
         hardenedCost = c - b;
@@ -870,7 +867,6 @@ TEST_F(CoreFixture, BaselineMechanismsHaveOrderedGateCosts)
 {
     auto gateCost = [&](const char *mech) {
         Machine m2;
-        MachineScope s2(m2);
         Scheduler sched2(m2);
         Toolchain tc2(reg);
         std::string text = std::string(R"(

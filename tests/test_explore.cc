@@ -465,7 +465,6 @@ TEST(Wayfinder, LeastPrivilegeSpaceSkipsRequiredEdges)
             // Image build runs the static-edge deny rejection; a
             // least-privilege point must never trip it.
             Machine mach;
-            MachineScope scope(mach);
             Scheduler sched(mach);
             cfg.heapBytes = 64 * 1024;
             cfg.sharedHeapBytes = 64 * 1024;

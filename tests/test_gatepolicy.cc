@@ -25,7 +25,7 @@ namespace {
 struct GatePolicyFixture : ::testing::Test
 {
     GatePolicyFixture()
-        : scope(mach), sched(mach), reg(LibraryRegistry::standard()),
+        : sched(mach), reg(LibraryRegistry::standard()),
           tc(reg)
     {
     }
@@ -40,7 +40,6 @@ struct GatePolicyFixture : ::testing::Test
     }
 
     Machine mach;
-    MachineScope scope;
     Scheduler sched;
     LibraryRegistry reg;
     Toolchain tc;
@@ -757,7 +756,6 @@ TEST_F(GatePolicyFixture, AsymmetricReturnPolicyIsCheaper)
 {
     auto cost = [&](const char *extra) {
         Machine m2;
-        MachineScope s2(m2);
         Scheduler sched2(m2);
         Toolchain tc2(reg);
         SafetyConfig cfg = SafetyConfig::parse(

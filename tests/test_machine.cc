@@ -266,24 +266,5 @@ TEST(Machine, CountersAccumulate)
     EXPECT_EQ(m.counter("missing"), 0u);
 }
 
-TEST(MachineScope, NestsAndRestores)
-{
-    Machine a, b;
-    EXPECT_FALSE(Machine::hasCurrent());
-    {
-        MachineScope sa(a);
-        EXPECT_EQ(&Machine::current(), &a);
-        {
-            MachineScope sb(b);
-            EXPECT_EQ(&Machine::current(), &b);
-            consumeCycles(10);
-        }
-        EXPECT_EQ(&Machine::current(), &a);
-    }
-    EXPECT_FALSE(Machine::hasCurrent());
-    EXPECT_EQ(b.cycles(), 10u);
-    EXPECT_EQ(a.cycles(), 0u);
-}
-
 } // namespace
 } // namespace flexos

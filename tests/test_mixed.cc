@@ -36,7 +36,7 @@ libraries:
 struct MixedFixture : ::testing::Test
 {
     MixedFixture()
-        : scope(mach), sched(mach), reg(LibraryRegistry::standard()),
+        : sched(mach), reg(LibraryRegistry::standard()),
           tc(reg)
     {
     }
@@ -51,7 +51,6 @@ struct MixedFixture : ::testing::Test
     }
 
     Machine mach;
-    MachineScope scope;
     Scheduler sched;
     LibraryRegistry reg;
     Toolchain tc;

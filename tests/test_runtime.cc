@@ -25,7 +25,7 @@ namespace {
 struct RuntimeFixture : ::testing::Test
 {
     RuntimeFixture()
-        : scope(mach), sched(mach), reg(LibraryRegistry::standard()),
+        : sched(mach), reg(LibraryRegistry::standard()),
           tc(reg)
     {
     }
@@ -40,7 +40,6 @@ struct RuntimeFixture : ::testing::Test
     }
 
     Machine mach;
-    MachineScope scope;
     Scheduler sched;
     LibraryRegistry reg;
     Toolchain tc;
@@ -349,7 +348,6 @@ boundaries:
 TEST(RuntimeSmp, SwapStormAcrossCores)
 {
     Machine mach(TimingModel{}, 4);
-    MachineScope scope(mach);
     Scheduler sched(mach);
     LibraryRegistry reg = LibraryRegistry::standard();
     Toolchain tc(reg);

@@ -23,7 +23,6 @@ namespace {
 struct SchedFixture : ::testing::Test
 {
     Machine mach;
-    MachineScope scope{mach};
     Scheduler sched{mach};
 };
 
@@ -201,9 +200,9 @@ TEST_F(SchedFixture, ContextSwitchChargesCycles)
 TEST_F(SchedFixture, FreeRunningThreadChargesNothing)
 {
     Thread *t = sched.spawn("client", [&] {
-        consumeCycles(1'000'000);
+        mach.consume(1'000'000);
         sched.yield();
-        consumeCycles(1'000'000);
+        mach.consume(1'000'000);
     });
     t->freeRunning = true;
     sched.run();
@@ -213,12 +212,12 @@ TEST_F(SchedFixture, FreeRunningThreadChargesNothing)
 TEST_F(SchedFixture, ChargedThreadNextToFreeRunningStillCharges)
 {
     Thread *c = sched.spawn("client", [&] {
-        consumeCycles(500);
+        mach.consume(500);
         sched.yield();
     });
     c->freeRunning = true;
     sched.spawn("server", [&] {
-        consumeCycles(100);
+        mach.consume(100);
         sched.yield();
     });
     sched.run();

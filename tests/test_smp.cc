@@ -27,7 +27,7 @@ namespace {
 struct SmpFixture : ::testing::Test
 {
     SmpFixture()
-        : mach(TimingModel{}, 4), scope(mach), sched(mach),
+        : mach(TimingModel{}, 4), sched(mach),
           reg(LibraryRegistry::standard()), tc(reg)
     {
     }
@@ -42,7 +42,6 @@ struct SmpFixture : ::testing::Test
     }
 
     Machine mach;
-    MachineScope scope;
     Scheduler sched;
     LibraryRegistry reg;
     Toolchain tc;

@@ -185,8 +185,9 @@ TEST(NetBuf, ViewSliceAndTrim)
 TEST(Nic, LinkDeliversFramesInOrder)
 {
     Machine m;
-    MachineScope scope(m);
-    Link link;
+    Link link(m);
+    // Built after the link's machine; must see none of its frames.
+    Machine bystander;
     NetBuf f1, f2;
     f1.append("one", 3);
     f2.append("two", 3);
@@ -198,6 +199,11 @@ TEST(Nic, LinkDeliversFramesInOrder)
     EXPECT_EQ(std::memcmp(r1->data(), "one", 3), 0);
     EXPECT_EQ(std::memcmp(r2->data(), "two", 3), 0);
     EXPECT_FALSE(link.endB().receive());
+    EXPECT_EQ(m.counter("nic.tx"), 2u);
+    EXPECT_EQ(m.counter("nic.rx"), 2u);
+    EXPECT_EQ(m.cycles(), 4 * m.timing.nicFrame);
+    EXPECT_EQ(bystander.cycles(), 0u);
+    EXPECT_TRUE(bystander.counters().empty());
 }
 
 /** Timer-queue harness: a bare machine whose clock the test moves. */
@@ -214,7 +220,6 @@ struct TimerFixture : ::testing::Test
     }
 
     Machine mach;
-    MachineScope scope{mach};
     TimerQueue timers{mach};
 };
 
@@ -302,7 +307,7 @@ TEST_F(TimerFixture, NextDeadlineCountsCancelledUntilPolledPast)
 struct TcpFixture : ::testing::Test
 {
     TcpFixture()
-        : scope(mach), sched(mach),
+        : sched(mach), link(mach),
           server(mach, sched, link.endA(), makeIp(10, 0, 0, 1)),
           client(mach, sched, link.endB(), makeIp(10, 0, 0, 2))
     {
@@ -324,7 +329,6 @@ struct TcpFixture : ::testing::Test
     }
 
     Machine mach;
-    MachineScope scope;
     Scheduler sched;
     Link link;
     NetStack server;

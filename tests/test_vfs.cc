@@ -20,8 +20,9 @@ namespace {
 
 struct VfsFixture : ::testing::Test
 {
-    VfsFixture() : vfs(makeRamfs()) {}
+    VfsFixture() : vfs(mach, makeRamfs(mach)) {}
 
+    Machine mach;
     Vfs vfs;
 
     std::string
@@ -231,9 +232,10 @@ TEST_F(VfsFixture, OpenFileSurvivesUnlink)
 
 TEST(RamfsAllocator, FileDataComesFromCompartmentAllocator)
 {
-    TlsfAllocator alloc(1024 * 1024);
-    auto root = makeRamfs(&alloc);
-    Vfs vfs(root);
+    Machine mach;
+    TlsfAllocator alloc(mach, 1024 * 1024);
+    auto root = makeRamfs(mach, &alloc);
+    Vfs vfs(mach, root);
 
     int fd = vfs.open("/blob", oCreat | oWrOnly);
     std::string data(3 * RamfsNode::blockSize, 'z');
@@ -247,9 +249,10 @@ TEST(RamfsAllocator, FileDataComesFromCompartmentAllocator)
 
 TEST(RamfsAllocator, ExhaustedAllocatorYieldsNoSpace)
 {
-    TlsfAllocator alloc(16 * 1024); // tiny heap
-    auto root = makeRamfs(&alloc);
-    Vfs vfs(root);
+    Machine mach;
+    TlsfAllocator alloc(mach, 16 * 1024); // tiny heap
+    auto root = makeRamfs(mach, &alloc);
+    Vfs vfs(mach, root);
     int fd = vfs.open("/f", oCreat | oWrOnly);
     std::string data(64 * 1024, 'x');
     EXPECT_EQ(vfs.write(fd, data.data(), data.size()), vfsNoSpace);
@@ -259,15 +262,19 @@ TEST(RamfsAllocator, ExhaustedAllocatorYieldsNoSpace)
 TEST(VfsCycles, OperationsChargeTheClock)
 {
     Machine m;
-    MachineScope scope(m);
-    Vfs vfs(makeRamfs());
+    Vfs vfs(m, makeRamfs(m));
+    // Built after the filesystem's machine; must see none of its work.
+    Machine bystander;
     int fd = vfs.open("/f", oCreat | oWrOnly);
     Cycles before = m.cycles();
     char buf[1024] = {};
     vfs.write(fd, buf, sizeof(buf));
     EXPECT_GT(m.cycles(), before + m.timing.vfsOpBase);
     EXPECT_GE(m.counter("vfs.ops"), 2u);
+    EXPECT_GE(m.counter("ramfs.ops"), 1u);
     vfs.close(fd);
+    EXPECT_EQ(bystander.cycles(), 0u);
+    EXPECT_TRUE(bystander.counters().empty());
 }
 
 } // namespace
