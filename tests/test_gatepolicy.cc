@@ -6,15 +6,15 @@
  * light/dss image, asymmetric return policies, the per-compartment
  * EPT server pool (`servers:` + elastic growth + ringDepth), key
  * virtualization (EPT compartments unmapped instead of key-tagged),
- * and the least-privilege rules: `deny` (static rejection + dynamic
- * DeniedCrossing), `rate`/`window`/`overflow` token buckets
- * (stall/fail, throttle storms), per-boundary `stack_sharing`, and
- * the equal-specificity conflict errors.
+ * the least-privilege rules (`deny`, `rate`/`window`/`overflow`
+ * token buckets, per-boundary `stack_sharing`), equal-specificity
+ * conflict errors, and seeded rule lists vs. a reference resolver.
  */
 
 #include <gtest/gtest.h>
 
 #include "apps/deploy.hh"
+#include "base/rng.hh"
 #include "core/dss.hh"
 #include "core/image.hh"
 #include "core/toolchain.hh"
@@ -915,5 +915,233 @@ libraries:
     img->shutdown();
 }
 
+// ------------------------------- generated rules vs. a reference resolver
+
+/**
+ * Draws safety configs over three compartments (a, b, c) whose
+ * `boundaries:` rules use every boundary key, every enum value and
+ * '*' on either side. Values come from small pools so that rules of
+ * equal specificity often collide. `deny: true` always stands alone,
+ * as the parser demands.
+ */
+struct ConfigGenerator
+{
+    Rng rng;
+
+    template <typename T>
+    T
+    pick(std::initializer_list<T> xs)
+    {
+        return *(xs.begin() + rng.below(xs.size()));
+    }
+
+    template <typename T>
+    void
+    maybe(std::optional<T> &field, T value)
+    {
+        if (rng.chance(1, 4))
+            field = value;
+    }
+
+    BoundaryRule
+    rule()
+    {
+        BoundaryRule r;
+        r.from = pick<std::string>({"*", "a", "b", "c"});
+        r.to = pick<std::string>({"*", "a", "b", "c"});
+        if (rng.chance(1, 6)) {
+            r.deny = true;
+            return r;
+        }
+        maybe(r.flavor, pick({MpkGateFlavor::Light, MpkGateFlavor::Dss}));
+        maybe(r.validate, rng.chance(1, 2));
+        maybe(r.validateReturn, rng.chance(1, 2));
+        maybe(r.scrub, rng.chance(1, 2));
+        maybe(r.deny, false);
+        maybe(r.rate, pick<std::uint64_t>({1, 5, 7}));
+        maybe(r.window, pick<std::uint64_t>({70, 1'000'000}));
+        maybe(r.weight, pick<std::uint64_t>({1, 3}));
+        maybe(r.overflow, pick({RateOverflow::Stall, RateOverflow::Fail}));
+        maybe(r.stackSharing, pick({StackSharing::Heap, StackSharing::Dss,
+                                    StackSharing::SharedStack}));
+        maybe(r.batch, pick<std::uint64_t>({1, 8}));
+        maybe(r.coalesce, pick<std::uint64_t>({1, 400}));
+        maybe(r.elide, pick({GateElide::None, GateElide::Validate,
+                             GateElide::Scrub, GateElide::Both}));
+        maybe(r.adaptive, rng.chance(1, 2));
+        return r;
+    }
+
+    SafetyConfig
+    config()
+    {
+        SafetyConfig cfg;
+        for (const char *name : {"a", "b", "c"}) {
+            CompartmentSpec c;
+            c.name = name;
+            c.mechanism = pick({Mechanism::None, Mechanism::IntelMpk,
+                                Mechanism::VmEpt, Mechanism::Cheri,
+                                Mechanism::LinuxPt, Mechanism::Sel4Ipc,
+                                Mechanism::CubicleMpk});
+            c.isDefault = cfg.compartments.empty();
+            for (Hardening h :
+                 {Hardening::StackProtector, Hardening::Ubsan,
+                  Hardening::Kasan, Hardening::Cfi, Hardening::Asan})
+                if (rng.chance(1, 3))
+                    c.hardening.push_back(h);
+            if (rng.chance(1, 4)) {
+                c.servers = static_cast<int>(rng.range(1, 9));
+                c.serversExplicit = true;
+            }
+            cfg.compartments.push_back(std::move(c));
+        }
+        cfg.libraries = {{"libredis", "a"}, {"lwip", "b"}};
+        if (rng.chance(1, 3))
+            cfg.libHardening["lwip"] = {pick({Hardening::Kasan,
+                                              Hardening::StackProtector})};
+        cfg.cores = static_cast<unsigned>(pick({1, 2, 4}));
+        cfg.steering = pick({NicSteering::Rss, NicSteering::Single});
+        if (rng.chance(1, 2))
+            cfg.controller = ControllerConfig{
+                rng.range(1, 5'000'000), rng.range(1, 5'000),
+                rng.range(1, 9), rng.range(1, 9)};
+        for (std::uint64_t i = rng.range(1, 6); i > 0; --i)
+            cfg.boundaries.push_back(rule());
+        return cfg;
+    }
+};
+
+/**
+ * Reference resolver, written without GateMatrix's layering loop: for
+ * each cell and field, the rule of highest specificity that matches
+ * the cell and sets the field decides (exact 3 > '*' -> to 2 >
+ * from -> '*' 1 > '*' -> '*' 0). Returns nullopt where the rules are
+ * ambiguous: matching rules of equal specificity that set one field
+ * to different values, or a `deny: true` beside a `rate:` at equal
+ * specificity.
+ */
+std::optional<std::vector<GatePolicy>>
+referenceMatrix(const SafetyConfig &cfg)
+{
+    std::size_t n = cfg.compartments.size();
+    std::vector<GatePolicy> cells;
+    for (std::size_t f = 0; f < n; ++f) {
+        for (std::size_t t = 0; t < n; ++t) {
+            auto specificity = [&](const BoundaryRule &r) {
+                bool fromOk = r.from == "*" ||
+                              r.from == cfg.compartments[f].name;
+                bool toOk =
+                    r.to == "*" || r.to == cfg.compartments[t].name;
+                if (!fromOk || !toOk)
+                    return -1;
+                return (r.from != "*" ? 1 : 0) + (r.to != "*" ? 2 : 0);
+            };
+            bool ambiguous = false;
+            for (int level = 0; level < 4; ++level) {
+                bool denied = false, rated = false;
+                for (const BoundaryRule &r : cfg.boundaries) {
+                    if (specificity(r) != level)
+                        continue;
+                    denied = denied || (r.deny && *r.deny);
+                    rated = rated || r.rate.has_value();
+                }
+                ambiguous = ambiguous || (denied && rated);
+            }
+            GatePolicy p;
+            p.mech = cfg.compartments[t].mechanism;
+            p.stackSharing = cfg.stackSharing;
+            auto resolve = [&](auto BoundaryRule::*opt, auto &field) {
+                for (int level = 0; level < 4; ++level) {
+                    std::optional<std::decay_t<decltype(field)>> value;
+                    for (const BoundaryRule &r : cfg.boundaries) {
+                        if (specificity(r) != level || !(r.*opt))
+                            continue;
+                        ambiguous = ambiguous ||
+                                    (value && *value != *(r.*opt));
+                        value = *(r.*opt);
+                    }
+                    if (value)
+                        field = *value;
+                }
+            };
+            resolve(&BoundaryRule::flavor, p.flavor);
+            resolve(&BoundaryRule::validate, p.validateEntry);
+            resolve(&BoundaryRule::validateReturn, p.validateReturn);
+            resolve(&BoundaryRule::scrub, p.scrubReturn);
+            resolve(&BoundaryRule::deny, p.deny);
+            resolve(&BoundaryRule::rate, p.rate);
+            resolve(&BoundaryRule::window, p.rateWindow);
+            resolve(&BoundaryRule::weight, p.weight);
+            resolve(&BoundaryRule::overflow, p.overflow);
+            resolve(&BoundaryRule::stackSharing, p.stackSharing);
+            resolve(&BoundaryRule::batch, p.batch);
+            resolve(&BoundaryRule::coalesce, p.coalesce);
+            resolve(&BoundaryRule::elide, p.elide);
+            resolve(&BoundaryRule::adaptive, p.adaptive);
+            if (ambiguous)
+                return std::nullopt;
+            cells.push_back(p);
+        }
+    }
+    return cells;
+}
+
+TEST_F(GatePolicyFixture, GeneratedRulesRoundTripAndResolveLikeTheReference)
+{
+    int rejected = 0, resolved = 0;
+    std::string corpus;
+    for (std::uint64_t seed : {1, 2, 3}) {
+        ConfigGenerator gen{Rng(seed)};
+        for (int i = 0; i < 150; ++i) {
+            SafetyConfig cfg = gen.config();
+            std::string text = cfg.toText();
+            corpus += text;
+            SCOPED_TRACE("seed " + std::to_string(seed) + " case " +
+                         std::to_string(i) + ":\n" + text);
+
+            SafetyConfig again = SafetyConfig::parse(text);
+            ASSERT_EQ(again.toText(), text);
+            ASSERT_EQ(again.boundaries, cfg.boundaries);
+
+            std::optional<std::vector<GatePolicy>> expected =
+                referenceMatrix(cfg);
+            if (!expected) {
+                EXPECT_THROW(GateMatrix::build(cfg), FatalError);
+                EXPECT_THROW(GateMatrix::build(again), FatalError);
+                ++rejected;
+                continue;
+            }
+            GateMatrix m = GateMatrix::build(cfg);
+            EXPECT_TRUE(m == GateMatrix::build(again));
+            for (int f = 0; f < 3; ++f) {
+                for (int t = 0; t < 3; ++t) {
+                    const GatePolicy &want =
+                        (*expected)[static_cast<std::size_t>(f * 3 + t)];
+                    EXPECT_TRUE(m.at(f, t) == want)
+                        << "cell " << f << " -> " << t << ": got "
+                        << m.at(f, t).name() << ", want " << want.name();
+                }
+            }
+            ++resolved;
+        }
+    }
+    // Both outcomes are common, and every key and enum value was drawn.
+    EXPECT_GT(rejected, 40);
+    EXPECT_GT(resolved, 300);
+    for (const char *needle :
+         {"gate: light", "gate: dss", "validate: true", "validate: false",
+          "validate_return: true", "scrub: false", "deny: true",
+          "deny: false", "rate: 7", "window: 70", "weight: 3",
+          "overflow: stall", "overflow: fail", "stack_sharing: heap",
+          "stack_sharing: dss", "stack_sharing: shared-stack", "batch: 8",
+          "coalesce: 400", "elide: none", "elide: validate",
+          "elide: scrub", "elide: both", "adaptive: true",
+          "mechanism: none", "mechanism: intel-mpk", "mechanism: vm-ept",
+          "mechanism: cheri", "mechanism: linux-pt", "mechanism: sel4-ipc",
+          "mechanism: cubicle-mpk", "stack-protector", "ubsan", "kasan",
+          "cfi", "asan", "steering: single", "cores: 4", "servers: ",
+          "deny_alert: ", "'*' -> '*'"})
+        EXPECT_NE(corpus.find(needle), std::string::npos) << needle;
+}
 } // namespace
 } // namespace flexos

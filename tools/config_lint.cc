@@ -17,6 +17,12 @@
  * (including multi-hop forwarding chains), and compartments denied
  * from everywhere. The deeper per-boundary policy and shared-data
  * audits live in `tools/boundary_audit`.
+ *
+ * Every config must also survive the text round trip: reparsing
+ * SafetyConfig::toText() must give the same text, the same
+ * `boundaries:` rules and the same resolved GateMatrix. A mismatch
+ * counts as a failure, so a printer that drops or respells a key
+ * cannot go unnoticed.
  */
 
 #include <cstdio>
@@ -59,6 +65,25 @@ lintCallGraph(const char *file, std::size_t line, const SafetyConfig &cfg,
     return warnings;
 }
 
+/**
+ * Check that parse(toText(cfg)) reproduces cfg.
+ *
+ * @return what differs after the round trip, or "" if nothing does.
+ */
+std::string
+roundTripMismatch(const SafetyConfig &cfg)
+{
+    std::string text = cfg.toText();
+    SafetyConfig again = SafetyConfig::parse(text);
+    if (again.toText() != text)
+        return "toText() changes when its output is reparsed";
+    if (again.boundaries != cfg.boundaries)
+        return "boundaries: rules change when toText() is reparsed";
+    if (!(GateMatrix::build(again) == GateMatrix::build(cfg)))
+        return "gate matrix changes when toText() is reparsed";
+    return "";
+}
+
 } // namespace
 
 int
@@ -83,6 +108,13 @@ main(int argc, char **argv)
             try {
                 SafetyConfig cfg = SafetyConfig::parse(b.text);
                 tc.validate(cfg);
+                std::string mismatch = roundTripMismatch(cfg);
+                if (!mismatch.empty()) {
+                    ++failed;
+                    std::fprintf(stderr,
+                                 "config-lint: %s:%zu: round trip: %s\n",
+                                 argv[i], b.line, mismatch.c_str());
+                }
                 warned += lintCallGraph(argv[i], b.line, cfg, reg);
             } catch (const std::exception &e) {
                 ++failed;
