@@ -1,6 +1,9 @@
 #include "core/config.hh"
 
 #include <array>
+#include <functional>
+#include <iterator>
+#include <set>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -8,47 +11,148 @@
 
 namespace flexos {
 
+namespace {
+
+// ------------------------------------------------------------ enum names
+
+/**
+ * One value of a config enum: the canonical name toText() prints, its
+ * meaning for the generated reference, and up to two aliases the
+ * parser also accepts.
+ */
+template <typename E>
+struct EnumName
+{
+    E value;
+    const char *name;
+    const char *doc;
+    std::array<const char *, 2> aliases{};
+};
+
+const EnumName<Mechanism> mechanismNames[] = {
+    {Mechanism::None, "none", "single protection domain (vanilla Unikraft)"},
+    {Mechanism::IntelMpk, "intel-mpk",
+     "Intel protection keys, intra-address-space (paper 4.1)", {"mpk"}},
+    {Mechanism::VmEpt, "vm-ept",
+     "one VM per compartment with RPC gates (paper 4.2)", {"ept"}},
+    {Mechanism::Cheri, "cheri", "capability backend sketch (paper 4.3)"},
+    {Mechanism::LinuxPt, "linux-pt",
+     "baseline: page-table isolation via Linux syscalls"},
+    {Mechanism::Sel4Ipc, "sel4-ipc", "baseline: seL4/Genode microkernel IPC"},
+    {Mechanism::CubicleMpk, "cubicle-mpk",
+     "baseline: CubicleOS MPK via pkey_mprotect"},
+};
+
+const EnumName<Hardening> hardeningNames[] = {
+    {Hardening::StackProtector, "stack-protector",
+     "stack canaries (+8% work)", {"stackprotector", "sp"}},
+    {Hardening::Ubsan, "ubsan", "undefined-behaviour sanitizer (+32%)"},
+    {Hardening::Kasan, "kasan", "kernel address sanitizer (+110%)"},
+    {Hardening::Asan, "asan", "userland address sanitizer (+95%)"},
+    {Hardening::Cfi, "cfi",
+     "forward-edge CFI, gates check entry points (+15%)"},
+};
+
+const EnumName<StackSharing> stackSharingNames[] = {
+    {StackSharing::Heap, "heap",
+     "convert shared stack variables to shared-heap allocations "
+     "(costly; Figure 11a)"},
+    {StackSharing::Dss, "dss",
+     "data shadow stacks: doubled stacks, shadow = &x + STACK_SIZE "
+     "(Figure 4)"},
+    {StackSharing::SharedStack, "shared-stack",
+     "share the whole stack (cheapest, weakest)", {"share"}},
+};
+
+const EnumName<RateOverflow> overflowNames[] = {
+    {RateOverflow::Stall, "stall",
+     "stall the caller until the token bucket refills (back-pressure)"},
+    {RateOverflow::Fail, "fail",
+     "fail the crossing with a ThrottledCrossing error"},
+};
+
+const EnumName<GateElide> elideNames[] = {
+    {GateElide::None, "none", "never skip a leg (full-strength policy)"},
+    {GateElide::Validate, "validate",
+     "skip the entry-validation charge on same-boundary streaks"},
+    {GateElide::Scrub, "scrub",
+     "skip the return-path register scrub on same-boundary streaks"},
+    {GateElide::Both, "both", "skip both legs on same-boundary streaks"},
+};
+
+const EnumName<NicSteering> steeringNames[] = {
+    {NicSteering::Rss, "rss",
+     "hash each connection's 4-tuple to one per-core receive queue"},
+    {NicSteering::Single, "single", "funnel every flow through queue 0"},
+};
+
+const EnumName<MpkGateFlavor> flavorNames[] = {
+    {MpkGateFlavor::Light, "light",
+     "shared stack and registers; a raw wrpkru pair (ERIM-like)"},
+    {MpkGateFlavor::Dss, "dss",
+     "full gate: register save/zero and stack switch (HODOR-like)",
+     {"full"}},
+};
+
+template <typename E, std::size_t N>
+const char *
+nameOf(const EnumName<E> (&names)[N], E value)
+{
+    for (const EnumName<E> &n : names)
+        if (n.value == value)
+            return n.name;
+    return "?";
+}
+
+/** Canonical names joined by `sep`, starting at row `first` (wrapping). */
+template <typename E, std::size_t N>
+std::string
+joinNames(const EnumName<E> (&names)[N], const char *sep,
+          std::size_t first = 0)
+{
+    std::string out;
+    for (std::size_t i = 0; i < N; ++i) {
+        if (i)
+            out += sep;
+        out += names[(first + i) % N].name;
+    }
+    return out;
+}
+
+/**
+ * The value named `name` (canonical or alias, any case, surrounding
+ * blanks ignored); fatal naming `what` and the accepted names if none
+ * matches. `where` prefixes the message, e.g. "config line 7: ".
+ */
+template <typename E, std::size_t N>
+E
+valueOf(const EnumName<E> (&names)[N], const std::string &what,
+        const std::string &name, const std::string &where = "")
+{
+    std::string n = toLower(trim(name));
+    for (const EnumName<E> &e : names) {
+        if (n == e.name)
+            return e.value;
+        for (const char *alias : e.aliases)
+            if (alias && n == alias)
+                return e.value;
+    }
+    fatal(where, "unknown ", what, " '", name, "' (expected one of: ",
+          joinNames(names, ", "), ")");
+}
+
+} // namespace
+
 Mechanism
 mechanismFromName(const std::string &name)
 {
-    std::string n = toLower(trim(name));
-    if (n == "none")
-        return Mechanism::None;
-    if (n == "intel-mpk" || n == "mpk")
-        return Mechanism::IntelMpk;
-    if (n == "vm-ept" || n == "ept")
-        return Mechanism::VmEpt;
-    if (n == "cheri")
-        return Mechanism::Cheri;
-    if (n == "linux-pt")
-        return Mechanism::LinuxPt;
-    if (n == "sel4-ipc")
-        return Mechanism::Sel4Ipc;
-    if (n == "cubicle-mpk")
-        return Mechanism::CubicleMpk;
-    fatal("unknown isolation mechanism '", name, "'");
+    return valueOf(mechanismNames, "isolation mechanism", name);
 }
 
 const char *
 mechanismName(Mechanism m)
 {
-    switch (m) {
-      case Mechanism::None:
-        return "none";
-      case Mechanism::IntelMpk:
-        return "intel-mpk";
-      case Mechanism::VmEpt:
-        return "vm-ept";
-      case Mechanism::Cheri:
-        return "cheri";
-      case Mechanism::LinuxPt:
-        return "linux-pt";
-      case Mechanism::Sel4Ipc:
-        return "sel4-ipc";
-      case Mechanism::CubicleMpk:
-        return "cubicle-mpk";
-    }
-    return "?";
+    return nameOf(mechanismNames, m);
 }
 
 bool
@@ -60,125 +164,119 @@ mechanismConsumesProtKey(Mechanism m)
     return m != Mechanism::VmEpt;
 }
 
+const char *
+flavorName(MpkGateFlavor f)
+{
+    return nameOf(flavorNames, f);
+}
+
 StackSharing
 stackSharingFromName(const std::string &name)
 {
-    std::string n = toLower(trim(name));
-    if (n == "heap")
-        return StackSharing::Heap;
-    if (n == "dss")
-        return StackSharing::Dss;
-    if (n == "shared-stack" || n == "share")
-        return StackSharing::SharedStack;
-    fatal("unknown stack_sharing '", name,
-          "' (expected heap, dss or shared-stack)");
+    return valueOf(stackSharingNames, "stack_sharing", name);
 }
 
 const char *
 stackSharingName(StackSharing s)
 {
-    switch (s) {
-      case StackSharing::Heap:
-        return "heap";
-      case StackSharing::Dss:
-        return "dss";
-      case StackSharing::SharedStack:
-        return "shared-stack";
-    }
-    return "?";
+    return nameOf(stackSharingNames, s);
 }
 
 const char *
 rateOverflowName(RateOverflow o)
 {
-    return o == RateOverflow::Stall ? "stall" : "fail";
+    return nameOf(overflowNames, o);
 }
 
 NicSteering
 steeringFromName(const std::string &name)
 {
-    std::string n = toLower(trim(name));
-    if (n == "rss")
-        return NicSteering::Rss;
-    if (n == "single")
-        return NicSteering::Single;
-    fatal("unknown steering '", name, "' (expected rss or single)");
+    return valueOf(steeringNames, "steering", name);
 }
 
 const char *
 steeringName(NicSteering s)
 {
-    return s == NicSteering::Rss ? "rss" : "single";
+    return nameOf(steeringNames, s);
 }
 
 GateElide
 elideFromName(const std::string &name)
 {
-    std::string n = toLower(trim(name));
-    if (n == "none")
-        return GateElide::None;
-    if (n == "validate")
-        return GateElide::Validate;
-    if (n == "scrub")
-        return GateElide::Scrub;
-    if (n == "both")
-        return GateElide::Both;
-    fatal("unknown elide '", name,
-          "' (expected validate, scrub, both or none)");
+    return valueOf(elideNames, "elide", name);
 }
 
 const char *
 elideName(GateElide e)
 {
-    switch (e) {
-      case GateElide::None:
-        return "none";
-      case GateElide::Validate:
-        return "validate";
-      case GateElide::Scrub:
-        return "scrub";
-      case GateElide::Both:
-        return "both";
-    }
-    return "?";
+    return nameOf(elideNames, e);
 }
 
 Hardening
 hardeningFromName(const std::string &name)
 {
-    std::string n = toLower(trim(name));
-    if (n == "stack-protector" || n == "stackprotector" || n == "sp")
-        return Hardening::StackProtector;
-    if (n == "ubsan")
-        return Hardening::Ubsan;
-    if (n == "kasan")
-        return Hardening::Kasan;
-    if (n == "asan")
-        return Hardening::Asan;
-    if (n == "cfi")
-        return Hardening::Cfi;
-    fatal("unknown hardening mechanism '", name, "'");
+    return valueOf(hardeningNames, "hardening mechanism", name);
 }
 
 const char *
 hardeningName(Hardening h)
 {
-    switch (h) {
-      case Hardening::StackProtector:
-        return "stack-protector";
-      case Hardening::Ubsan:
-        return "ubsan";
-      case Hardening::Kasan:
-        return "kasan";
-      case Hardening::Asan:
-        return "asan";
-      case Hardening::Cfi:
-        return "cfi";
-    }
-    return "?";
+    return nameOf(hardeningNames, h);
 }
 
 namespace {
+
+// ----------------------------------------------------------- value types
+
+/** Where a config value was read, for error messages. */
+struct ValueSite
+{
+    int lineNo;
+    const char *key;
+};
+
+std::string
+linePrefix(const ValueSite &at)
+{
+    return "config line " + std::to_string(at.lineNo) + ": ";
+}
+
+/** `true|false|yes|no|1|0` in any case; anything else is fatal. */
+bool
+parseBool(const std::string &text, const ValueSite &at)
+{
+    std::string v = toLower(trim(text));
+    if (v == "true" || v == "yes" || v == "1")
+        return true;
+    if (v == "false" || v == "no" || v == "0")
+        return false;
+    fatal(linePrefix(at), at.key, " must be true or false (or yes/no, "
+          "1/0), got '", trim(text), "'");
+}
+
+/** A positive integer of at most `maxDigits` digits. */
+std::uint64_t
+parseCount(const std::string &text, const ValueSite &at,
+           std::size_t maxDigits)
+{
+    std::string v = trim(text);
+    bool numeric = !v.empty() && v.size() <= maxDigits;
+    for (char ch : v)
+        numeric = numeric && ch >= '0' && ch <= '9';
+    fatal_if(!numeric, linePrefix(at), at.key,
+             " must be a positive integer, got '", text, "'");
+    std::uint64_t n = std::stoull(v);
+    fatal_if(n < 1, linePrefix(at), at.key, " must be >= 1");
+    return n;
+}
+
+template <typename E, std::size_t N>
+E
+parseEnum(const EnumName<E> (&names)[N], const std::string &text,
+          const ValueSite &at)
+{
+    return valueOf(names, at.key, text, linePrefix(at));
+}
 
 /** Parse "[a, b, c]" or "a" into items. */
 std::vector<std::string>
@@ -197,23 +295,318 @@ parseList(const std::string &value)
     return out;
 }
 
-bool
-parseBool(const std::string &value)
+/**
+ * A config value type: its syntax in the reference, how the parser
+ * reads it and how toText() writes it back.
+ */
+template <typename T>
+struct ValueType
 {
-    std::string v = toLower(trim(value));
-    return v == "true" || v == "yes" || v == "1";
+    std::string syntax;
+    std::function<T(const std::string &text, const ValueSite &at)> parse;
+    std::function<std::string(const T &)> print;
+};
+
+ValueType<bool>
+boolean()
+{
+    return {"true | false", parseBool,
+            [](const bool &b) { return std::string(b ? "true" : "false"); }};
 }
 
-MpkGateFlavor
-flavorFromName(const std::string &value, int lineNo)
+/** A count shown as `syntax` (e.g. "<vcycles>") in the reference. */
+ValueType<std::uint64_t>
+count(const char *syntax, std::size_t maxDigits)
 {
-    std::string v = toLower(trim(value));
-    if (v == "light")
-        return MpkGateFlavor::Light;
-    if (v == "dss" || v == "full")
-        return MpkGateFlavor::Dss;
-    fatal("config line ", lineNo, ": unknown gate flavour '", value,
-          "' (expected light or dss)");
+    return {syntax,
+            [maxDigits](const std::string &text, const ValueSite &at) {
+                return parseCount(text, at, maxDigits);
+            },
+            [](const std::uint64_t &n) { return std::to_string(n); }};
+}
+
+/**
+ * One of an enum's names. The syntax lists them from row
+ * `syntaxFirst` on, wrapping around.
+ */
+template <typename E, std::size_t N>
+ValueType<E>
+oneOf(const EnumName<E> (&names)[N], std::size_t syntaxFirst = 0)
+{
+    return {joinNames(names, " | ", syntaxFirst),
+            [&names](const std::string &text, const ValueSite &at) {
+                return parseEnum(names, text, at);
+            },
+            [&names](const E &e) { return std::string(nameOf(names, e)); }};
+}
+
+// ---------------------------------------------------------- section keys
+
+/**
+ * One `boundaries:` key, the single place it is declared: its name,
+ * value syntax and doc line (the generated reference), and, erased
+ * from the typed BoundaryRule optional and GatePolicy field it ties
+ * together, what the parser, toText() and GateMatrix::build do with
+ * it.
+ */
+struct BoundaryKey
+{
+    const char *key;
+    std::string values;
+    const char *doc;
+    std::function<bool(const BoundaryRule &)> isSet;
+    std::function<void(BoundaryRule &, const std::string &, const ValueSite &)>
+        parse;
+    std::function<std::string(const BoundaryRule &)> print;
+    /** Write the rule's value into the policy; false if already held. */
+    std::function<bool(const BoundaryRule &, GatePolicy &)> apply;
+};
+
+template <typename T>
+BoundaryKey
+boundaryKey(const char *key, std::optional<T> BoundaryRule::*rule,
+            T GatePolicy::*policy, const ValueType<T> &type,
+            const char *doc)
+{
+    return {key, type.syntax, doc,
+            [rule](const BoundaryRule &r) { return (r.*rule).has_value(); },
+            [rule, parse = type.parse](BoundaryRule &r,
+                                       const std::string &text,
+                                       const ValueSite &at) {
+                r.*rule = parse(text, at);
+            },
+            [rule, print = type.print](const BoundaryRule &r) {
+                return print(*(r.*rule));
+            },
+            [rule, policy](const BoundaryRule &r, GatePolicy &p) {
+                bool changes = p.*policy != *(r.*rule);
+                p.*policy = *(r.*rule);
+                return changes;
+            }};
+}
+
+/** The keys of one `boundaries:` rule, in toText() order. */
+const std::vector<BoundaryKey> &
+boundaryKeys()
+{
+    static const std::vector<BoundaryKey> keys = {
+        boundaryKey(
+            "gate", &BoundaryRule::flavor, &GatePolicy::flavor,
+            oneOf(flavorNames),
+            "MPK gate flavour of the edge: ERIM-style wrpkru pair (light) "
+            "or the full register-scrubbing, stack-switching gate (dss). "
+            "Default: dss."),
+        boundaryKey(
+            "validate", &BoundaryRule::validate, &GatePolicy::validateEntry,
+            boolean(),
+            "Force caller-side entry-point validation on every crossing of "
+            "the edge, whatever the mechanism's own rule. Default: false."),
+        boundaryKey(
+            "validate_return", &BoundaryRule::validateReturn,
+            &GatePolicy::validateReturn, boolean(),
+            "Validate the return site when the crossing comes back — the "
+            "return-path mirror of `validate`, charged on the return leg "
+            "of the gate (entry and return are modelled per direction). "
+            "Default: false."),
+        boundaryKey(
+            "scrub", &BoundaryRule::scrub, &GatePolicy::scrubReturn,
+            boolean(),
+            "Scrub the register set on the return path (DSS/EPT/CHERI "
+            "gates); `false` waives the return-side save/zero on edges "
+            "whose returns re-enter trusted state. Default: true."),
+        boundaryKey(
+            "deny", &BoundaryRule::deny, &GatePolicy::deny, boolean(),
+            "Statically forbid the edge (least-privilege call graph): "
+            "edges the static call graph needs are rejected at image "
+            "build, dynamic crossings raise DeniedCrossing and bump "
+            "`gate.denied`. `deny: false` re-allows an edge denied by a "
+            "less specific rule. `deny: true` admits no other key in the "
+            "same rule. Default: false."),
+        boundaryKey(
+            "rate", &BoundaryRule::rate, &GatePolicy::rate,
+            count("<crossings>", 12),
+            "Token-bucket crossing budget of the edge: at most this many "
+            "crossings per `window` virtual cycles (gate-storm "
+            "containment). Overflow bumps `gate.throttled` and acts per "
+            "`overflow`. Default: unlimited."),
+        boundaryKey(
+            "window", &BoundaryRule::window, &GatePolicy::rateWindow,
+            count("<vcycles>", 12),
+            "Refill window of the `rate` token bucket, in virtual cycles. "
+            "Default: 1000000."),
+        boundaryKey(
+            "weight", &BoundaryRule::weight, &GatePolicy::weight,
+            count("<factor>", 6),
+            "QoS weight of the edge's token bucket: the effective budget "
+            "is `rate` x `weight`, biasing boundaries that inherit a "
+            "shared wildcard `rate:` instead of starving callers "
+            "FIFO-less. Throttled crossings also bump "
+            "`gate.throttled.<from>`. Default: 1."),
+        boundaryKey(
+            "overflow", &BoundaryRule::overflow, &GatePolicy::overflow,
+            oneOf(overflowNames),
+            "What a crossing beyond the `rate` budget does: stall the "
+            "caller until a token refills (back-pressure) or fail with "
+            "ThrottledCrossing. Default: stall."),
+        boundaryKey(
+            "stack_sharing", &BoundaryRule::stackSharing,
+            &GatePolicy::stackSharing, oneOf(stackSharingNames),
+            "Shared-stack-variable strategy for frames opened behind this "
+            "boundary; overrides the image-wide `stack_sharing:` default "
+            "(which desugars to a `'*' -> '*'` rule). Default: dss."),
+        boundaryKey(
+            "batch", &BoundaryRule::batch, &GatePolicy::batch,
+            count("<calls>", 6),
+            "Vectored-crossing width: up to this many queued calls of the "
+            "edge are submitted through one gate (one EPT ring doorbell, "
+            "one MPK/CHERI entry/return leg), each extra call paying only "
+            "a per-slot dispatch cost. Only calls made through "
+            "`Image::gateBatch`/`gateDeferred` are batched; plain gates "
+            "and the in-lwip RX poller never are. Performance-only — "
+            "throttle budgets are still debited per logical call. "
+            "Default: 1 (no batching)."),
+        boundaryKey(
+            "coalesce", &BoundaryRule::coalesce, &GatePolicy::coalesce,
+            count("<vcycles>", 12),
+            "Doorbell-coalescing window for EPT edges under back-pressure: "
+            "a submission finding the ring non-empty within this many "
+            "vcycles of the last doorbell skips the doorbell (the ringing "
+            "server drains the slot) and bumps `gate.coalesced`. "
+            "Default: 0 (ring every time)."),
+        // The syntax lists the off switch last.
+        boundaryKey(
+            "elide", &BoundaryRule::elide, &GatePolicy::elide,
+            oneOf(elideNames, 1),
+            "Skip entry-validation and/or return-scrub legs for "
+            "consecutive same-boundary calls from the same thread; the "
+            "streak resets on any intervening crossing, so the first call "
+            "of every run pays the full legs. Strictly less safe than the "
+            "default. Elided legs bump `gate.elided.validate` / "
+            "`gate.elided.scrub`. Default: none."),
+        boundaryKey(
+            "adaptive", &BoundaryRule::adaptive, &GatePolicy::adaptive,
+            boolean(),
+            "Opt the edge into online adaptation by the runtime policy "
+            "controller (`controller:` section): its rate / overflow / "
+            "validation knobs and gate flavour may be tightened or relaxed "
+            "between quiesced matrix swaps. Edges without the opt-in (and "
+            "all `deny:` edges) are never touched at runtime. "
+            "Default: false."),
+    };
+    return keys;
+}
+
+std::size_t
+boundaryKeyIndex(const std::string &key)
+{
+    const std::vector<BoundaryKey> &keys = boundaryKeys();
+    for (std::size_t k = 0; k < keys.size(); ++k)
+        if (key == keys[k].key)
+            return k;
+    panic("no boundary key '", key, "'");
+}
+
+/** One key of a `compartments:` item. */
+struct CompartmentKey
+{
+    const char *key;
+    std::string values;
+    const char *doc;
+    void (*apply)(CompartmentSpec &spec, const std::string &value,
+                  const ValueSite &at);
+};
+
+const std::vector<CompartmentKey> &
+compartmentKeys()
+{
+    static const std::vector<CompartmentKey> keys = {
+        {"mechanism", joinNames(mechanismNames, " | "),
+         "Isolation mechanism enforcing this compartment's boundary. "
+         "Default: intel-mpk.",
+         [](CompartmentSpec &c, const std::string &v, const ValueSite &at) {
+             c.mechanism = parseEnum(mechanismNames, v, at);
+         }},
+        {"default", "true | false",
+         "Marks the trusted compartment threads start in; exactly one "
+         "compartment must set it.",
+         [](CompartmentSpec &c, const std::string &v, const ValueSite &at) {
+             c.isDefault = parseBool(v, at);
+         }},
+        {"hardening", "[" + joinNames(hardeningNames, ", ") + "]",
+         "Software hardening instrumented into every component placed in "
+         "the compartment. Default: none.",
+         [](CompartmentSpec &c, const std::string &v, const ValueSite &at) {
+             for (const std::string &h : parseList(v))
+                 c.hardening.push_back(parseEnum(hardeningNames, h, at));
+         }},
+        {"servers", "<threads>",
+         "RPC server threads the compartment's VM boots with (vm-ept "
+         "only; the pool grows elastically under load up to a cap). "
+         "Default: 2.",
+         [](CompartmentSpec &c, const std::string &v, const ValueSite &at) {
+             c.servers = static_cast<int>(parseCount(v, at, 4));
+             c.serversExplicit = true;
+         }},
+    };
+    return keys;
+}
+
+/**
+ * One key of the `controller:` section. The section's presence enables
+ * the runtime policy controller; every key is a count with a default.
+ */
+struct ControllerKey
+{
+    const char *key;
+    const char *values;
+    std::size_t maxDigits;
+    std::uint64_t ControllerConfig::*field;
+    const char *doc;
+};
+
+const ControllerKey controllerKeys[] = {
+    {"epoch", "<vcycles>", 12, &ControllerConfig::epoch,
+     "Sample window of the controller: per-boundary counter deltas "
+     "are evaluated once per this many virtual cycles. Default: "
+     "1000000."},
+    {"storm_threshold", "<crossings>", 12, &ControllerConfig::stormThreshold,
+     "Crossings per epoch on one boundary that count as a gate storm: "
+     "adaptive edges exceeding it get a `rate` budget imposed (or "
+     "halved), escalating to `overflow: fail` and entry/return "
+     "validation while the storm persists. Default: 1000."},
+    {"calm_epochs", "<epochs>", 6, &ControllerConfig::calmEpochs,
+     "Hysteresis: epochs a tightened boundary must stay below the "
+     "storm threshold before the controller relaxes it one step back "
+     "toward its configured policy. Default: 3."},
+    {"deny_alert", "<witnesses>", 9, &ControllerConfig::denyAlert,
+     "DeniedCrossing witnesses on one edge within an epoch that raise "
+     "a `controller.alerts` alert and harden the offender's outgoing "
+     "adaptive edges to the full DSS gate flavour. `deny:` edges "
+     "themselves are never relaxed online. Default: 1."},
+};
+
+/**
+ * The row of a section's key table named `key`; fatal if there is none
+ * or if the current item already set it (`seen` collects its keys).
+ */
+template <typename Rows>
+auto
+lookupKey(const Rows &rows, const std::string &key,
+          std::set<std::string> &seen, const char *section, int lineNo)
+    -> decltype(*std::begin(rows))
+{
+    for (const auto &row : rows) {
+        if (key != row.key)
+            continue;
+        fatal_if(!seen.insert(key).second, "config line ", lineNo, ": ",
+                 section, " key '", key, "' given twice");
+        return row;
+    }
+    std::string expected;
+    for (const auto &row : rows)
+        expected += (expected.empty() ? "" : ", ") + std::string(row.key);
+    fatal("config line ", lineNo, ": unknown ", section, " key '", key,
+          "' (expected one of: ", expected, ")");
 }
 
 /** Strip surrounding single or double quotes ('*' -> *). */
@@ -227,260 +620,7 @@ stripQuotes(const std::string &s)
     return v;
 }
 
-/** Parse a positive integer config value (rate, window, servers). */
-std::uint64_t
-parseCount(const std::string &value, int lineNo, const char *key,
-           std::size_t maxDigits)
-{
-    std::string v = trim(value);
-    bool numeric = !v.empty() && v.size() <= maxDigits;
-    for (char ch : v)
-        numeric = numeric && ch >= '0' && ch <= '9';
-    fatal_if(!numeric, "config line ", lineNo, ": ", key,
-             " must be a positive integer, got '", value, "'");
-    std::uint64_t n = std::stoull(v);
-    fatal_if(n < 1, "config line ", lineNo, ": ", key, " must be >= 1");
-    return n;
-}
-
-/**
- * The keys of one `boundaries:` rule — the table the parser dispatches
- * on AND the source of the generated config reference (key name, value
- * syntax and documentation live here, once).
- */
-struct BoundaryKey
-{
-    const char *key;
-    const char *values;
-    const char *doc;
-    void (*apply)(BoundaryRule &rule, const std::string &value,
-                  int lineNo);
-};
-
-const BoundaryKey boundaryKeyTable[] = {
-    {"gate", "light | dss",
-     "MPK gate flavour of the edge: ERIM-style wrpkru pair (light) or "
-     "the full register-scrubbing, stack-switching gate (dss). "
-     "Default: dss.",
-     [](BoundaryRule &r, const std::string &v, int lineNo) {
-         r.flavor = flavorFromName(v, lineNo);
-     }},
-    {"validate", "true | false",
-     "Force caller-side entry-point validation on every crossing of "
-     "the edge, whatever the mechanism's own rule. Default: false.",
-     [](BoundaryRule &r, const std::string &v, int) {
-         r.validate = parseBool(v);
-     }},
-    {"validate_return", "true | false",
-     "Validate the return site when the crossing comes back — the "
-     "return-path mirror of `validate`, charged on the return leg of "
-     "the gate (entry and return are modelled per direction). "
-     "Default: false.",
-     [](BoundaryRule &r, const std::string &v, int) {
-         r.validateReturn = parseBool(v);
-     }},
-    {"scrub", "true | false",
-     "Scrub the register set on the return path (DSS/EPT/CHERI "
-     "gates); `false` waives the return-side save/zero on edges whose "
-     "returns re-enter trusted state. Default: true.",
-     [](BoundaryRule &r, const std::string &v, int) {
-         r.scrub = parseBool(v);
-     }},
-    {"deny", "true | false",
-     "Statically forbid the edge (least-privilege call graph): edges "
-     "the static call graph needs are rejected at image build, "
-     "dynamic crossings raise DeniedCrossing and bump `gate.denied`. "
-     "`deny: false` re-allows an edge denied by a less specific rule. "
-     "`deny: true` admits no other key in the same rule. "
-     "Default: false.",
-     [](BoundaryRule &r, const std::string &v, int) {
-         r.deny = parseBool(v);
-     }},
-    {"rate", "<crossings>",
-     "Token-bucket crossing budget of the edge: at most this many "
-     "crossings per `window` virtual cycles (gate-storm containment). "
-     "Overflow bumps `gate.throttled` and acts per `overflow`. "
-     "Default: unlimited.",
-     [](BoundaryRule &r, const std::string &v, int lineNo) {
-         r.rate = parseCount(v, lineNo, "rate", 12);
-     }},
-    {"window", "<vcycles>",
-     "Refill window of the `rate` token bucket, in virtual cycles. "
-     "Default: 1000000.",
-     [](BoundaryRule &r, const std::string &v, int lineNo) {
-         r.window = parseCount(v, lineNo, "window", 12);
-     }},
-    {"weight", "<factor>",
-     "QoS weight of the edge's token bucket: the effective budget is "
-     "`rate` x `weight`, biasing boundaries that inherit a shared "
-     "wildcard `rate:` instead of starving callers FIFO-less. "
-     "Throttled crossings also bump `gate.throttled.<from>`. "
-     "Default: 1.",
-     [](BoundaryRule &r, const std::string &v, int lineNo) {
-         r.weight = parseCount(v, lineNo, "weight", 6);
-     }},
-    {"overflow", "stall | fail",
-     "What a crossing beyond the `rate` budget does: stall the caller "
-     "until a token refills (back-pressure) or fail with "
-     "ThrottledCrossing. Default: stall.",
-     [](BoundaryRule &r, const std::string &v, int lineNo) {
-         std::string o = toLower(trim(v));
-         if (o == "stall")
-             r.overflow = RateOverflow::Stall;
-         else if (o == "fail")
-             r.overflow = RateOverflow::Fail;
-         else
-             fatal("config line ", lineNo, ": unknown overflow '", v,
-                   "' (expected stall or fail)");
-     }},
-    {"stack_sharing", "heap | dss | shared-stack",
-     "Shared-stack-variable strategy for frames opened behind this "
-     "boundary; overrides the image-wide `stack_sharing:` default "
-     "(which desugars to a `'*' -> '*'` rule). Default: dss.",
-     [](BoundaryRule &r, const std::string &v, int) {
-         r.stackSharing = stackSharingFromName(v);
-     }},
-    {"batch", "<calls>",
-     "Vectored-crossing width: up to this many queued calls of the "
-     "edge are submitted through one gate (one EPT ring doorbell, one "
-     "MPK/CHERI entry/return leg), each extra call paying only a "
-     "per-slot dispatch cost. Only calls made through "
-     "`Image::gateBatch`/`gateDeferred` are batched; plain gates and "
-     "the in-lwip RX poller never are. Performance-only — throttle "
-     "budgets are still debited per logical call. Default: 1 (no "
-     "batching).",
-     [](BoundaryRule &r, const std::string &v, int lineNo) {
-         r.batch = parseCount(v, lineNo, "batch", 6);
-     }},
-    {"coalesce", "<vcycles>",
-     "Doorbell-coalescing window for EPT edges under back-pressure: a "
-     "submission finding the ring non-empty within this many vcycles "
-     "of the last doorbell skips the doorbell (the ringing server "
-     "drains the slot) and bumps `gate.coalesced`. Default: 0 (ring "
-     "every time).",
-     [](BoundaryRule &r, const std::string &v, int lineNo) {
-         r.coalesce = parseCount(v, lineNo, "coalesce", 12);
-     }},
-    {"elide", "validate | scrub | both | none",
-     "Skip entry-validation and/or return-scrub legs for consecutive "
-     "same-boundary calls from the same thread; the streak resets on "
-     "any intervening crossing, so the first call of every run pays "
-     "the full legs. Strictly less safe than the default. Elided legs "
-     "bump `gate.elided.validate` / `gate.elided.scrub`. "
-     "Default: none.",
-     [](BoundaryRule &r, const std::string &v, int) {
-         r.elide = elideFromName(v);
-     }},
-    {"adaptive", "true | false",
-     "Opt the edge into online adaptation by the runtime policy "
-     "controller (`controller:` section): its rate / overflow / "
-     "validation knobs and gate flavour may be tightened or relaxed "
-     "between quiesced matrix swaps. Edges without the opt-in (and "
-     "all `deny:` edges) are never touched at runtime. "
-     "Default: false.",
-     [](BoundaryRule &r, const std::string &v, int) {
-         r.adaptive = parseBool(v);
-     }},
-};
-
-/**
- * The keys of one `compartments:` item — same table-driven scheme as
- * boundaryKeyTable (parser dispatch + generated reference).
- */
-struct CompartmentKey
-{
-    const char *key;
-    const char *values;
-    const char *doc;
-    void (*apply)(CompartmentSpec &spec, const std::string &value,
-                  int lineNo);
-};
-
-const CompartmentKey compartmentKeyTable[] = {
-    {"mechanism",
-     "none | intel-mpk | vm-ept | cheri | linux-pt | sel4-ipc | "
-     "cubicle-mpk",
-     "Isolation mechanism enforcing this compartment's boundary. "
-     "Default: intel-mpk.",
-     [](CompartmentSpec &c, const std::string &v, int) {
-         c.mechanism = mechanismFromName(v);
-     }},
-    {"default", "true | false",
-     "Marks the trusted compartment threads start in; exactly one "
-     "compartment must set it.",
-     [](CompartmentSpec &c, const std::string &v, int) {
-         c.isDefault = parseBool(v);
-     }},
-    {"hardening", "[stack-protector, ubsan, kasan, asan, cfi]",
-     "Software hardening instrumented into every component placed in "
-     "the compartment. Default: none.",
-     [](CompartmentSpec &c, const std::string &v, int) {
-         for (const std::string &h : parseList(v))
-             c.hardening.push_back(hardeningFromName(h));
-     }},
-    {"servers", "<threads>",
-     "RPC server threads the compartment's VM boots with (vm-ept "
-     "only; the pool grows elastically under load up to a cap). "
-     "Default: 2.",
-     [](CompartmentSpec &c, const std::string &v, int lineNo) {
-         c.servers = static_cast<int>(
-             parseCount(v, lineNo, "servers", 4));
-         c.serversExplicit = true;
-     }},
-};
-
-/**
- * The keys of the `controller:` section — same table-driven scheme as
- * boundaryKeyTable (parser dispatch + generated reference). The
- * section's presence enables the runtime policy controller; every key
- * has a default.
- */
-struct ControllerKey
-{
-    const char *key;
-    const char *values;
-    const char *doc;
-    void (*apply)(ControllerConfig &ctl, const std::string &value,
-                  int lineNo);
-};
-
-const ControllerKey controllerKeyTable[] = {
-    {"epoch", "<vcycles>",
-     "Sample window of the controller: per-boundary counter deltas "
-     "are evaluated once per this many virtual cycles. Default: "
-     "1000000.",
-     [](ControllerConfig &c, const std::string &v, int lineNo) {
-         c.epoch = parseCount(v, lineNo, "epoch", 12);
-     }},
-    {"storm_threshold", "<crossings>",
-     "Crossings per epoch on one boundary that count as a gate storm: "
-     "adaptive edges exceeding it get a `rate` budget imposed (or "
-     "halved), escalating to `overflow: fail` and entry/return "
-     "validation while the storm persists. Default: 1000.",
-     [](ControllerConfig &c, const std::string &v, int lineNo) {
-         c.stormThreshold = parseCount(v, lineNo, "storm_threshold", 12);
-     }},
-    {"calm_epochs", "<epochs>",
-     "Hysteresis: epochs a tightened boundary must stay below the "
-     "storm threshold before the controller relaxes it one step back "
-     "toward its configured policy. Default: 3.",
-     [](ControllerConfig &c, const std::string &v, int lineNo) {
-         c.calmEpochs = parseCount(v, lineNo, "calm_epochs", 6);
-     }},
-    {"deny_alert", "<witnesses>",
-     "DeniedCrossing witnesses on one edge within an epoch that raise "
-     "a `controller.alerts` alert and harden the offender's outgoing "
-     "adaptive edges to the full DSS gate flavour. `deny:` edges "
-     "themselves are never relaxed online. Default: 1.",
-     [](ControllerConfig &c, const std::string &v, int lineNo) {
-         c.denyAlert = parseCount(v, lineNo, "deny_alert", 9);
-     }},
-};
-
-/**
- * Parse a boundary rule: key "from -> to", value "{k: v, ...}".
- * Recognized keys: see boundaryKeyTable.
- */
+/** Parse a boundary rule: key "from -> to", value "{k: v, ...}". */
 BoundaryRule
 parseBoundaryRule(const std::string &key, const std::string &value,
                   int lineNo)
@@ -498,6 +638,7 @@ parseBoundaryRule(const std::string &key, const std::string &value,
     fatal_if(v.empty() || v.front() != '{' || v.back() != '}',
              "config line ", lineNo,
              ": boundary policy must be an inline map '{...}'");
+    std::set<std::string> seen;
     for (const std::string &entry : split(v.substr(1, v.size() - 2), ',')) {
         if (trim(entry).empty())
             continue;
@@ -506,41 +647,20 @@ parseBoundaryRule(const std::string &key, const std::string &value,
                  ": boundary policy entry '", trim(entry),
                  "' is not 'key: value'");
         std::string k = toLower(trim(entry.substr(0, colon)));
-        std::string val = trim(entry.substr(colon + 1));
-        bool known = false;
-        for (const BoundaryKey &bk : boundaryKeyTable) {
-            if (k == bk.key) {
-                bk.apply(rule, val, lineNo);
-                known = true;
-                break;
-            }
-        }
-        if (!known) {
-            std::string expected;
-            for (const BoundaryKey &bk : boundaryKeyTable) {
-                if (!expected.empty())
-                    expected += ", ";
-                expected += bk.key;
-            }
-            fatal("config line ", lineNo, ": unknown boundary key '", k,
-                  "' (expected one of: ", expected, ")");
-        }
+        const BoundaryKey &bk =
+            lookupKey(boundaryKeys(), k, seen, "boundary", lineNo);
+        bk.parse(rule, trim(entry.substr(colon + 1)), {lineNo, bk.key});
     }
 
     // `deny: true` forbids the edge outright; combining it with knobs
     // that tune how crossings behave is contradictory, so reject it
     // here rather than silently ignoring the other keys.
-    bool denied = rule.deny && *rule.deny;
-    fatal_if(denied && (rule.flavor || rule.validate ||
-                        rule.validateReturn || rule.scrub ||
-                        rule.rate || rule.window || rule.weight ||
-                        rule.overflow || rule.stackSharing ||
-                        rule.batch || rule.coalesce || rule.elide ||
-                        rule.adaptive),
-             "config line ", lineNo, ": boundary rule '",
-             rule.edgeName(),
-             "' sets deny: true alongside other keys — a denied edge "
-             "has no gate to tune");
+    if (rule.deny && *rule.deny)
+        for (const BoundaryKey &bk : boundaryKeys())
+            fatal_if(bk.isSet(rule) && bk.key != std::string("deny"),
+                     "config line ", lineNo, ": boundary rule '",
+                     rule.edgeName(), "' sets deny: true alongside ",
+                     bk.key, " — a denied edge has no gate to tune");
     return rule;
 }
 
@@ -553,7 +673,7 @@ GatePolicy::name() const
         return "denied";
     std::string s = mechanismName(mech);
     if (mech == Mechanism::IntelMpk)
-        s += flavor == MpkGateFlavor::Light ? "(light)" : "(dss)";
+        s += std::string("(") + flavorName(flavor) + ")";
     if (validateEntry)
         s += "+validate";
     if (validateReturn)
@@ -583,44 +703,6 @@ GatePolicy::name() const
     return s;
 }
 
-namespace {
-
-/** The per-cell fields a boundary rule can set (conflict tracking). */
-enum PolicyField
-{
-    FieldFlavor,
-    FieldValidate,
-    FieldValidateReturn,
-    FieldScrub,
-    FieldDeny,
-    FieldRate,
-    FieldWindow,
-    FieldWeight,
-    FieldOverflow,
-    FieldStackSharing,
-    FieldBatch,
-    FieldCoalesce,
-    FieldElide,
-    FieldAdaptive,
-    FieldCount,
-};
-
-const char *const policyFieldName[FieldCount] = {
-    "gate",   "validate", "validate_return", "scrub",
-    "deny",   "rate",     "window",          "weight",
-    "overflow", "stack_sharing", "batch",    "coalesce",
-    "elide",  "adaptive",
-};
-
-/** Which rule last set a field of a cell, and at what layer. */
-struct FieldSetter
-{
-    int layer = -1;
-    int rule = -1;
-};
-
-} // namespace
-
 GateMatrix
 GateMatrix::build(const SafetyConfig &cfg)
 {
@@ -639,18 +721,28 @@ GateMatrix::build(const SafetyConfig &cfg)
         }
     }
 
-    // Layer the rules by specificity. Callee-side wildcards ('*' -> to)
-    // are more specific than caller-side ones (from -> '*'), mirroring
-    // callee-side dispatch. Two rules of EQUAL specificity that
-    // disagree on a field for the same cell are a user error — there
-    // is no silent precedence, and in particular none among deny, rate
-    // and the scalar knobs.
-    std::vector<std::array<FieldSetter, FieldCount>> setters(m.n * m.n);
+    // Layer the rules by specificity: ('*','*') 0, (from,'*') 1,
+    // ('*',to) 2, exact 3. Callee-side wildcards are more specific than
+    // caller-side ones, mirroring callee-side dispatch. Two rules of
+    // EQUAL specificity that disagree on a key for the same cell are a
+    // user error — there is no silent precedence, and in particular
+    // none among deny, rate and the scalar knobs.
+    const std::vector<BoundaryKey> &keys = boundaryKeys();
+    static const std::size_t denyKey = boundaryKeyIndex("deny");
+    static const std::size_t rateKey = boundaryKeyIndex("rate");
+    // Which rule last set key k of a cell, and at what layer:
+    // setters[cell * keys.size() + k].
+    struct Setter
+    {
+        int layer = -1;
+        int rule = -1;
+    };
+    std::vector<Setter> setters(m.n * m.n * keys.size());
 
-    auto applyLayer = [&](int layer, auto matches) {
+    for (int layer = 0; layer < 4; ++layer) {
         for (std::size_t ri = 0; ri < cfg.boundaries.size(); ++ri) {
             const BoundaryRule &r = cfg.boundaries[ri];
-            if (!matches(r))
+            if ((r.from != "*" ? 1 : 0) + (r.to != "*" ? 2 : 0) != layer)
                 continue;
             int fi = r.from == "*" ? -1 : cfg.compartmentIndex(r.from);
             int ti = r.to == "*" ? -1 : cfg.compartmentIndex(r.to);
@@ -658,6 +750,7 @@ GateMatrix::build(const SafetyConfig &cfg)
                      "unknown compartment '", r.from, "'");
             fatal_if(r.to != "*" && ti < 0, "boundary rule names ",
                      "unknown compartment '", r.to, "'");
+            const int rule = static_cast<int>(ri);
             for (std::size_t f = 0; f < m.n; ++f) {
                 if (fi >= 0 && f != static_cast<std::size_t>(fi))
                     continue;
@@ -665,12 +758,15 @@ GateMatrix::build(const SafetyConfig &cfg)
                     if (ti >= 0 && t != static_cast<std::size_t>(ti))
                         continue;
                     GatePolicy &p = m.cells[f * m.n + t];
-                    auto &st = setters[f * m.n + t];
+                    Setter *st = &setters[(f * m.n + t) * keys.size()];
 
-                    auto conflict = [&](PolicyField field,
-                                        const char *detail) {
+                    // Key k was set at this layer by another rule.
+                    auto contested = [&](std::size_t k) {
+                        return st[k].layer == layer && st[k].rule != rule;
+                    };
+                    auto conflict = [&](std::size_t k, const char *detail) {
                         const BoundaryRule &prev = cfg.boundaries
-                            [static_cast<std::size_t>(st[field].rule)];
+                            [static_cast<std::size_t>(st[k].rule)];
                         fatal("boundary rules '", prev.edgeName(),
                               "' and '", r.edgeName(), "' conflict on ",
                               detail, " for boundary ",
@@ -679,63 +775,25 @@ GateMatrix::build(const SafetyConfig &cfg)
                               " at equal specificity — make one rule "
                               "more specific or reconcile them");
                     };
-                    // A field set twice at the same layer by different
-                    // rules must agree; otherwise it is ambiguous.
-                    auto apply = [&](PolicyField field, auto &cellField,
-                                     const auto &optVal) {
-                        if (!optVal)
-                            return;
-                        if (st[field].layer == layer &&
-                            st[field].rule != static_cast<int>(ri) &&
-                            cellField != *optVal)
-                            conflict(field, policyFieldName[field]);
-                        cellField = *optVal;
-                        st[field] = {layer, static_cast<int>(ri)};
-                    };
                     // deny and rate have no precedence order between
                     // them: mixing them at one specificity is an error
                     // (a more specific rule may still override either).
-                    if (r.deny && *r.deny &&
-                        st[FieldRate].layer == layer &&
-                        st[FieldRate].rule != static_cast<int>(ri))
-                        conflict(FieldRate, "deny vs. rate");
-                    if (r.rate && st[FieldDeny].layer == layer &&
-                        st[FieldDeny].rule != static_cast<int>(ri) &&
-                        p.deny)
-                        conflict(FieldDeny, "deny vs. rate");
+                    if (r.deny && *r.deny && contested(rateKey))
+                        conflict(rateKey, "deny vs. rate");
+                    if (r.rate && contested(denyKey) && p.deny)
+                        conflict(denyKey, "deny vs. rate");
 
-                    apply(FieldFlavor, p.flavor, r.flavor);
-                    apply(FieldValidate, p.validateEntry, r.validate);
-                    apply(FieldValidateReturn, p.validateReturn,
-                          r.validateReturn);
-                    apply(FieldScrub, p.scrubReturn, r.scrub);
-                    apply(FieldDeny, p.deny, r.deny);
-                    apply(FieldRate, p.rate, r.rate);
-                    apply(FieldWindow, p.rateWindow, r.window);
-                    apply(FieldWeight, p.weight, r.weight);
-                    apply(FieldOverflow, p.overflow, r.overflow);
-                    apply(FieldStackSharing, p.stackSharing,
-                          r.stackSharing);
-                    apply(FieldBatch, p.batch, r.batch);
-                    apply(FieldCoalesce, p.coalesce, r.coalesce);
-                    apply(FieldElide, p.elide, r.elide);
-                    apply(FieldAdaptive, p.adaptive, r.adaptive);
+                    for (std::size_t k = 0; k < keys.size(); ++k) {
+                        if (!keys[k].isSet(r))
+                            continue;
+                        if (keys[k].apply(r, p) && contested(k))
+                            conflict(k, keys[k].key);
+                        st[k] = {layer, rule};
+                    }
                 }
             }
         }
-    };
-    applyLayer(0, [](const BoundaryRule &r) {
-        return r.from == "*" && r.to == "*";
-    });
-    applyLayer(1, [](const BoundaryRule &r) {
-        return r.from != "*" && r.to == "*";
-    });
-    applyLayer(2, [](const BoundaryRule &r) {
-        return r.from == "*" && r.to != "*";
-    });
-    applyLayer(3, [](const BoundaryRule &r) {
-        return r.from != "*" && r.to != "*";
-    });
+    }
     return m;
 }
 
@@ -774,6 +832,8 @@ SafetyConfig::parse(const std::string &text)
         Controller,
     } section = Section::None;
     CompartmentSpec *current = nullptr;
+    // Keys already set in the current compartment item / controller.
+    std::set<std::string> itemKeys, controllerKeysSeen;
 
     int lineNo = 0;
     for (const std::string &rawLine : split(text, '\n')) {
@@ -817,32 +877,32 @@ SafetyConfig::parse(const std::string &text)
                         : line.substr(0, colon));
         std::string value = trim(line.substr(colon + 1));
 
-        if (section == Section::None || (!isItem && current == nullptr &&
-                                         section == Section::None)) {
-            fatal("config line ", lineNo, ": '", key,
-                  "' outside any section");
-        }
+        fatal_if(section == Section::None, "config line ", lineNo, ": '",
+                 key, "' outside any section");
 
         // Legacy global knob, accepted anywhere a top-level key could
         // appear: desugars to a ('*','*') flavour rule so old configs
         // keep parsing while the matrix is the only policy source.
-        if (!isItem && current == nullptr && key == "mpk_gate") {
+        bool topLevel = !isItem && current == nullptr;
+        if (topLevel && key == "mpk_gate") {
             BoundaryRule rule;
             rule.from = "*";
             rule.to = "*";
-            rule.flavor = flavorFromName(value, lineNo);
+            rule.flavor =
+                parseEnum(flavorNames, value, {lineNo, "mpk_gate"});
             cfg.boundaries.push_back(std::move(rule));
             continue;
         }
 
         // SMP knobs, accepted in the same top-level positions.
-        if (!isItem && current == nullptr && key == "cores") {
+        if (topLevel && key == "cores") {
             cfg.cores = static_cast<unsigned>(
-                parseCount(value, lineNo, "cores", 3));
+                parseCount(value, {lineNo, "cores"}, 3));
             continue;
         }
-        if (!isItem && current == nullptr && key == "steering") {
-            cfg.steering = steeringFromName(value);
+        if (topLevel && key == "steering") {
+            cfg.steering =
+                parseEnum(steeringNames, value, {lineNo, "steering"});
             continue;
         }
 
@@ -853,17 +913,11 @@ SafetyConfig::parse(const std::string &text)
                 cfg.compartments.push_back(CompartmentSpec{});
                 current = &cfg.compartments.back();
                 current->name = key;
+                itemKeys.clear();
             } else if (current) {
-                bool known = false;
-                for (const CompartmentKey &ck : compartmentKeyTable) {
-                    if (key == ck.key) {
-                        ck.apply(*current, value, lineNo);
-                        known = true;
-                        break;
-                    }
-                }
-                fatal_if(!known, "config line ", lineNo,
-                         ": unknown compartment key '", key, "'");
+                const CompartmentKey &ck = lookupKey(
+                    compartmentKeys(), key, itemKeys, "compartment", lineNo);
+                ck.apply(*current, value, {lineNo, ck.key});
             } else {
                 fatal("config line ", lineNo, ": stray key '", key, "'");
             }
@@ -875,16 +929,10 @@ SafetyConfig::parse(const std::string &text)
         } else if (section == Section::Controller) {
             fatal_if(isItem, "config line ", lineNo,
                      ": controller entries are plain 'key: value'");
-            bool known = false;
-            for (const ControllerKey &ck : controllerKeyTable) {
-                if (key == ck.key) {
-                    ck.apply(*cfg.controller, value, lineNo);
-                    known = true;
-                    break;
-                }
-            }
-            fatal_if(!known, "config line ", lineNo,
-                     ": unknown controller key '", key, "'");
+            const ControllerKey &ck = lookupKey(
+                controllerKeys, key, controllerKeysSeen, "controller", lineNo);
+            (*cfg.controller).*ck.field =
+                parseCount(value, {lineNo, ck.key}, ck.maxDigits);
         } else if (section == Section::Libraries) {
             if (isItem) {
                 fatal_if(value.empty(), "config line ", lineNo,
@@ -896,8 +944,8 @@ SafetyConfig::parse(const std::string &text)
                     compName = trim(value.substr(0, bracket));
                     for (const std::string &h :
                          parseList(value.substr(bracket)))
-                        cfg.libHardening[key].push_back(
-                            hardeningFromName(h));
+                        cfg.libHardening[key].push_back(parseEnum(
+                            hardeningNames, h, {lineNo, "hardening"}));
                 }
                 cfg.libraries.emplace_back(key, compName);
             } else if (key == "stack_sharing") {
@@ -906,7 +954,8 @@ SafetyConfig::parse(const std::string &text)
                 // the matrix's specificity layering (a more specific
                 // rule overrides it, a conflicting equal-specificity
                 // rule is rejected) like any other boundary policy.
-                cfg.stackSharing = stackSharingFromName(value);
+                cfg.stackSharing = parseEnum(stackSharingNames, value,
+                                             {lineNo, "stack_sharing"});
                 BoundaryRule rule;
                 rule.from = "*";
                 rule.to = "*";
@@ -978,11 +1027,9 @@ SafetyConfig::toText() const
         // enables the controller, so a default-valued key costs
         // nothing and the round trip stays field-exact.
         oss << "controller:\n";
-        oss << "  epoch: " << controller->epoch << "\n";
-        oss << "  storm_threshold: " << controller->stormThreshold
-            << "\n";
-        oss << "  calm_epochs: " << controller->calmEpochs << "\n";
-        oss << "  deny_alert: " << controller->denyAlert << "\n";
+        for (const ControllerKey &ck : controllerKeys)
+            oss << "  " << ck.key << ": " << (*controller).*ck.field
+                << "\n";
     }
     if (!boundaries.empty()) {
         auto quoted = [](const std::string &s) {
@@ -996,71 +1043,12 @@ SafetyConfig::toText() const
         for (const BoundaryRule &r : boundaries) {
             oss << "- " << quoted(r.from) << " -> " << quoted(r.to)
                 << ": {";
-            bool first = true;
-            auto sep = [&] {
-                if (!first)
-                    oss << ", ";
-                first = false;
-            };
-            if (r.flavor) {
-                sep();
-                oss << "gate: "
-                    << (*r.flavor == MpkGateFlavor::Light ? "light"
-                                                          : "dss");
-            }
-            if (r.validate) {
-                sep();
-                oss << "validate: " << (*r.validate ? "true" : "false");
-            }
-            if (r.validateReturn) {
-                sep();
-                oss << "validate_return: "
-                    << (*r.validateReturn ? "true" : "false");
-            }
-            if (r.scrub) {
-                sep();
-                oss << "scrub: " << (*r.scrub ? "true" : "false");
-            }
-            if (r.deny) {
-                sep();
-                oss << "deny: " << (*r.deny ? "true" : "false");
-            }
-            if (r.rate) {
-                sep();
-                oss << "rate: " << *r.rate;
-            }
-            if (r.window) {
-                sep();
-                oss << "window: " << *r.window;
-            }
-            if (r.weight) {
-                sep();
-                oss << "weight: " << *r.weight;
-            }
-            if (r.overflow) {
-                sep();
-                oss << "overflow: " << rateOverflowName(*r.overflow);
-            }
-            if (r.stackSharing) {
-                sep();
-                oss << "stack_sharing: "
-                    << stackSharingName(*r.stackSharing);
-            }
-            if (r.batch) {
-                sep();
-                oss << "batch: " << *r.batch;
-            }
-            if (r.coalesce) {
-                sep();
-                oss << "coalesce: " << *r.coalesce;
-            }
-            if (r.elide) {
-                sep();
-                oss << "elide: " << elideName(*r.elide);
-            }
-            if (r.adaptive) {
-                sep();
-                oss << "adaptive: " << (*r.adaptive ? "true" : "false");
+            const char *sep = "";
+            for (const BoundaryKey &bk : boundaryKeys()) {
+                if (!bk.isSet(r))
+                    continue;
+                oss << sep << bk.key << ": " << bk.print(r);
+                sep = ", ";
             }
             oss << "}\n";
         }
@@ -1118,9 +1106,8 @@ configKeyReference()
         out.push_back({"compartments", "- <name>:", "",
                        "Declares one compartment; the keys below nest "
                        "under it."});
-        for (const CompartmentKey &ck : compartmentKeyTable)
-            out.push_back(
-                {"compartments", ck.key, ck.values, ck.doc});
+        for (const CompartmentKey &ck : compartmentKeys())
+            out.push_back({"compartments", ck.key, ck.values, ck.doc});
         out.push_back({"libraries",
                        "- <library>: <compartment> [hardening...]",
                        "",
@@ -1128,7 +1115,7 @@ configKeyReference()
                        "optional bracket list adds per-component "
                        "hardening on top of the compartment's."});
         out.push_back({"libraries", "stack_sharing",
-                       "heap | dss | shared-stack",
+                       joinNames(stackSharingNames, " | "),
                        "Image-wide default shared-stack strategy; "
                        "desugars to a `'*' -> '*'` boundary rule. "
                        "Default: dss."});
@@ -1140,7 +1127,7 @@ configKeyReference()
                        "specificity (exact > callee-side > "
                        "caller-side > global). Equal-specificity "
                        "conflicts are rejected."});
-        for (const BoundaryKey &bk : boundaryKeyTable)
+        for (const BoundaryKey &bk : boundaryKeys())
             out.push_back({"boundaries", bk.key, bk.values, bk.doc});
         out.push_back({"controller", "controller:", "",
                        "Enables the runtime policy controller; the "
@@ -1148,9 +1135,10 @@ configKeyReference()
                        "default. Only boundaries opting in with "
                        "`adaptive: true` are ever adapted, and `deny:` "
                        "edges are never relaxed online."});
-        for (const ControllerKey &ck : controllerKeyTable)
+        for (const ControllerKey &ck : controllerKeys)
             out.push_back({"controller", ck.key, ck.values, ck.doc});
-        out.push_back({"(top level)", "mpk_gate", "light | dss",
+        out.push_back({"(top level)", "mpk_gate",
+                       joinNames(flavorNames, " | "),
                        "Legacy global MPK flavour knob; desugars to a "
                        "`'*' -> '*': {gate: ...}` rule. Prefer "
                        "`boundaries:`."});
@@ -1159,7 +1147,8 @@ configKeyReference()
                        "own run queue, NIC receive queue and poller. "
                        "`cores: 1` is the exact single-core model. "
                        "Default: 1."});
-        out.push_back({"(top level)", "steering", "rss | single",
+        out.push_back({"(top level)", "steering",
+                       joinNames(steeringNames, " | "),
                        "Flow steering across cores: hash each "
                        "connection's 4-tuple to a per-core queue (rss) "
                        "or funnel everything through queue 0 (single). "
@@ -1169,6 +1158,22 @@ configKeyReference()
     }();
     return ref;
 }
+
+namespace {
+
+/** One "Enum values" table of the reference. */
+template <typename E, std::size_t N>
+void
+enumSection(std::ostream &oss, const char *title,
+            const EnumName<E> (&names)[N])
+{
+    oss << "\n### " << title << "\n\n";
+    oss << "| Name | Meaning |\n|------|---------|\n";
+    for (const EnumName<E> &n : names)
+        oss << "| `" << n.name << "` | " << n.doc << " |\n";
+}
+
+} // namespace
 
 std::string
 configReferenceMarkdown()
@@ -1198,104 +1203,25 @@ configReferenceMarkdown()
         return out;
     };
 
-    const char *section = "";
+    std::string section;
     for (const ConfigKeyInfo &k : configKeyReference()) {
-        if (section != std::string(k.section)) {
+        if (section != k.section) {
             section = k.section;
             oss << "\n## `" << section << "`\n\n";
             oss << "| Key | Values | Description |\n";
             oss << "|-----|--------|-------------|\n";
         }
         oss << "| `" << cell(k.key) << "` | "
-            << (k.values[0] ? "`" + cell(k.values) + "`" : "") << " | "
-            << cell(k.doc) << " |\n";
+            << (k.values.empty() ? "" : "`" + cell(k.values) + "`")
+            << " | " << cell(k.doc) << " |\n";
     }
 
-    oss << "\n## Enum values\n\n";
-    oss << "### Mechanisms\n\n";
-    oss << "| Name | Meaning |\n|------|---------|\n";
-    struct
-    {
-        Mechanism m;
-        const char *doc;
-    } mechs[] = {
-        {Mechanism::None, "single protection domain (vanilla Unikraft)"},
-        {Mechanism::IntelMpk,
-         "Intel protection keys, intra-address-space (paper 4.1)"},
-        {Mechanism::VmEpt,
-         "one VM per compartment with RPC gates (paper 4.2)"},
-        {Mechanism::Cheri, "capability backend sketch (paper 4.3)"},
-        {Mechanism::LinuxPt,
-         "baseline: page-table isolation via Linux syscalls"},
-        {Mechanism::Sel4Ipc, "baseline: seL4/Genode microkernel IPC"},
-        {Mechanism::CubicleMpk,
-         "baseline: CubicleOS MPK via pkey_mprotect"},
-    };
-    for (const auto &e : mechs)
-        oss << "| `" << mechanismName(e.m) << "` | " << e.doc << " |\n";
-
-    oss << "\n### Hardening\n\n";
-    oss << "| Name | Meaning |\n|------|---------|\n";
-    struct
-    {
-        Hardening h;
-        const char *doc;
-    } hards[] = {
-        {Hardening::StackProtector, "stack canaries (+8% work)"},
-        {Hardening::Ubsan, "undefined-behaviour sanitizer (+32%)"},
-        {Hardening::Kasan, "kernel address sanitizer (+110%)"},
-        {Hardening::Asan, "userland address sanitizer (+95%)"},
-        {Hardening::Cfi, "forward-edge CFI, gates check entry points "
-                         "(+15%)"},
-    };
-    for (const auto &e : hards)
-        oss << "| `" << hardeningName(e.h) << "` | " << e.doc << " |\n";
-
-    oss << "\n### Stack sharing\n\n";
-    oss << "| Name | Meaning |\n|------|---------|\n";
-    struct
-    {
-        StackSharing s;
-        const char *doc;
-    } shares[] = {
-        {StackSharing::Heap,
-         "convert shared stack variables to shared-heap allocations "
-         "(costly; Figure 11a)"},
-        {StackSharing::Dss,
-         "data shadow stacks: doubled stacks, shadow = &x + "
-         "STACK_SIZE (Figure 4)"},
-        {StackSharing::SharedStack,
-         "share the whole stack (cheapest, weakest)"},
-    };
-    for (const auto &e : shares)
-        oss << "| `" << stackSharingName(e.s) << "` | " << e.doc
-            << " |\n";
-
-    oss << "\n### Rate overflow\n\n";
-    oss << "| Name | Meaning |\n|------|---------|\n";
-    oss << "| `" << rateOverflowName(RateOverflow::Stall)
-        << "` | stall the caller until the token bucket refills "
-           "(back-pressure) |\n";
-    oss << "| `" << rateOverflowName(RateOverflow::Fail)
-        << "` | fail the crossing with a ThrottledCrossing error |\n";
-
-    oss << "\n### Gate elision\n\n";
-    oss << "| Name | Meaning |\n|------|---------|\n";
-    struct
-    {
-        GateElide e;
-        const char *doc;
-    } elides[] = {
-        {GateElide::None, "never skip a leg (full-strength policy)"},
-        {GateElide::Validate,
-         "skip the entry-validation charge on same-boundary streaks"},
-        {GateElide::Scrub,
-         "skip the return-path register scrub on same-boundary "
-         "streaks"},
-        {GateElide::Both, "skip both legs on same-boundary streaks"},
-    };
-    for (const auto &e : elides)
-        oss << "| `" << elideName(e.e) << "` | " << e.doc << " |\n";
+    oss << "\n## Enum values\n";
+    enumSection(oss, "Mechanisms", mechanismNames);
+    enumSection(oss, "Hardening", hardeningNames);
+    enumSection(oss, "Stack sharing", stackSharingNames);
+    enumSection(oss, "Rate overflow", overflowNames);
+    enumSection(oss, "Gate elision", elideNames);
 
     oss << "\n## Checking a configuration\n\n";
     oss << "`tools/config_lint` parses and validates embedded configs "

@@ -24,8 +24,10 @@
  *
  * The optional `boundaries:` section overrides the gate policy of
  * individual (from, to) compartment pairs; see BoundaryRule/GateMatrix.
- * The full key-by-key reference, docs/config-reference.md, is generated
- * from the same tables the parser dispatches on (tools/config_doc).
+ * config.cc declares each key once, in one table per section, and each
+ * enum's names once: those tables drive parsing, GateMatrix::build,
+ * toText() and the key-by-key reference docs/config-reference.md
+ * (tools/config_doc).
  */
 
 #ifndef FLEXOS_CORE_CONFIG_HH
@@ -114,9 +116,13 @@ enum class GateElide
     Both,     ///< skip both legs on streaks
 };
 
-/** Parse helpers for the enums (fatal on unknown names). */
+/**
+ * Parse helpers for the enums: canonical names and aliases in any case
+ * are accepted, and an unknown name is fatal, listing the accepted ones.
+ */
 Mechanism mechanismFromName(const std::string &name);
 const char *mechanismName(Mechanism m);
+const char *flavorName(MpkGateFlavor f);
 Hardening hardeningFromName(const std::string &name);
 const char *hardeningName(Hardening h);
 StackSharing stackSharingFromName(const std::string &name);
@@ -492,10 +498,10 @@ struct SafetyConfig
 /**
  * @name Self-describing config surface.
  *
- * The parser dispatches the per-section keys off static tables whose
- * entries carry the key name, its value syntax and one line of
- * documentation. configReferenceMarkdown() renders those same tables
- * (plus the enum-name tables behind the *FromName helpers) as
+ * The parser dispatches the per-section keys off tables whose rows
+ * carry the key name, its value syntax and one line of documentation.
+ * configReferenceMarkdown() renders those same tables (plus the
+ * enum-name tables behind the *FromName helpers) as
  * docs/config-reference.md, so the generated reference cannot drift
  * from what the parser accepts — CI regenerates it and fails on diff.
  * @{
@@ -506,7 +512,7 @@ struct ConfigKeyInfo
 {
     const char *section; ///< e.g. "compartments", "boundaries"
     const char *key;     ///< e.g. "mechanism", "rate"
-    const char *values;  ///< value syntax, e.g. "light | dss"
+    std::string values;  ///< value syntax, e.g. "light | dss"
     const char *doc;     ///< one-line description
 };
 

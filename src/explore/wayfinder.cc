@@ -38,21 +38,23 @@ fig6Partitions()
 
 namespace {
 
-/** Mechanism rank (poset order) -> config-file mechanism name. */
-const char *
-mechanismNameOfRank(int rank)
+/** Mechanism of a rank in the poset order (none=0 ... cheri=3). */
+Mechanism
+mechanismOfRank(int rank)
 {
-    switch (rank) {
-      case 0:
-        return "none";
-      case 1:
-        return "intel-mpk";
-      case 2:
-        return "vm-ept";
-      case 3:
-        return "cheri";
-    }
-    fatal("unknown mechanism rank ", rank);
+    static const Mechanism byRank[] = {Mechanism::None, Mechanism::IntelMpk,
+                                       Mechanism::VmEpt, Mechanism::Cheri};
+    fatal_if(rank < 0 || rank > 3, "unknown mechanism rank ", rank);
+    return byRank[rank];
+}
+
+/** Elide mode of an elided-work mask (bit 0 validate, bit 1 scrub). */
+GateElide
+elideOfMask(unsigned mask)
+{
+    static const GateElide byMask[] = {GateElide::None, GateElide::Validate,
+                                       GateElide::Scrub, GateElide::Both};
+    return byMask[mask & 3];
 }
 
 /** The dimensions of the configuration space the wayfinder sweeps. */
@@ -425,12 +427,12 @@ toSafetyConfig(const ConfigPoint &point, const std::string &appLib)
     int appBlock = point.partition[0];
     for (int b = 0; b < nBlocks; ++b) {
         cfg << "- comp" << b + 1 << ":\n";
-        const char *mech =
+        Mechanism mech =
             point.blockMechanism.empty()
-                ? "intel-mpk"
-                : mechanismNameOfRank(
+                ? Mechanism::IntelMpk
+                : mechanismOfRank(
                       point.blockMechanism[static_cast<std::size_t>(b)]);
-        cfg << "    mechanism: " << mech << "\n";
+        cfg << "    mechanism: " << mechanismName(mech) << "\n";
         if (b == appBlock)
             cfg << "    default: True\n";
     }
@@ -438,7 +440,9 @@ toSafetyConfig(const ConfigPoint &point, const std::string &appLib)
     for (std::size_t c = 0; c < comps.size(); ++c) {
         cfg << "- " << comps[c] << ": comp" << point.partition[c] + 1;
         if (point.hardening[c])
-            cfg << " [stack-protector, ubsan, kasan]";
+            cfg << " [" << hardeningName(Hardening::StackProtector) << ", "
+                << hardeningName(Hardening::Ubsan) << ", "
+                << hardeningName(Hardening::Kasan) << "]";
         cfg << "\n";
     }
     // Components not varied by the sweep ride in the app compartment.
@@ -457,7 +461,8 @@ toSafetyConfig(const ConfigPoint &point, const std::string &appLib)
         for (int b = 0; b < nBlocks; ++b)
             if (point.blockGateFlavor[static_cast<std::size_t>(b)] == 0)
                 rules.push_back("- '*' -> comp" + std::to_string(b + 1) +
-                                ": {gate: light}");
+                                ": {gate: " +
+                                flavorName(MpkGateFlavor::Light) + "}");
     }
     for (const auto &[f, t] : point.deniedEdges) {
         panic_if(f < 0 || t < 0 || f >= nBlocks || t >= nBlocks,
@@ -475,9 +480,7 @@ toSafetyConfig(const ConfigPoint &point, const std::string &appLib)
             if (!knobs.empty())
                 knobs += ", ";
             knobs += std::string("elide: ") +
-                     (point.elided == 3   ? "both"
-                      : point.elided == 1 ? "validate"
-                                          : "scrub");
+                     elideName(elideOfMask(point.elided));
         }
         rules.push_back("- '*' -> '*': {" + knobs + "}");
     }
@@ -534,7 +537,9 @@ pointLabel(const ConfigPoint &point, const std::string &appLib)
         for (std::size_t b = 0; b < point.blockGateFlavor.size(); ++b) {
             if (b)
                 oss << "/";
-            oss << (point.blockGateFlavor[b] == 0 ? "light" : "dss");
+            oss << flavorName(point.blockGateFlavor[b] == 0
+                                  ? MpkGateFlavor::Light
+                                  : MpkGateFlavor::Dss);
         }
         oss << ">";
     }
@@ -553,10 +558,7 @@ pointLabel(const ConfigPoint &point, const std::string &appLib)
     if (point.gateBatch > 1)
         oss << " batch" << point.gateBatch;
     if (point.elided)
-        oss << " elide:"
-            << (point.elided == 3   ? "both"
-                : point.elided == 1 ? "validate"
-                                    : "scrub");
+        oss << " elide:" << elideName(elideOfMask(point.elided));
     return oss.str();
 }
 

@@ -1143,5 +1143,124 @@ TEST_F(GatePolicyFixture, GeneratedRulesRoundTripAndResolveLikeTheReference)
           "deny_alert: ", "'*' -> '*'"})
         EXPECT_NE(corpus.find(needle), std::string::npos) << needle;
 }
+
+// ------------------------------------------------ malformed config input
+
+/**
+ * A two-compartment config: `aKeys` nest under compartment a (lines
+ * 4..), then b, the libraries and a `boundaries:` header, then `tail`.
+ */
+SafetyConfig
+parseWith(const std::string &aKeys, const std::string &tail)
+{
+    return SafetyConfig::parse("compartments:\n- a:\n"
+                               "    mechanism: intel-mpk\n" +
+                               aKeys +
+                               "- b:\n    mechanism: intel-mpk\n"
+                               "libraries:\n- libredis: a\n"
+                               "boundaries:\n" +
+                               tail);
+}
+
+/** The FatalError message of `parse`, or "accepted". */
+template <typename F>
+std::string
+fatalMessage(F parse)
+{
+    try {
+        parse();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "accepted";
+}
+
+TEST_F(GatePolicyFixture, MalformedBooleansAreFatal)
+{
+    // true|false|yes|no|1|0 in any case are booleans...
+    SafetyConfig ok = parseWith(
+        "    default: YES\n",
+        "- a -> b: {validate: True, scrub: no, adaptive: 1}\n"
+        "- b -> a: {deny: 0, validate_return: FALSE}\n");
+    EXPECT_TRUE(ok.compartments[0].isDefault);
+    EXPECT_EQ(ok.boundaries[0].validate, true);
+    EXPECT_EQ(ok.boundaries[0].scrub, false);
+    EXPECT_EQ(ok.boundaries[0].adaptive, true);
+    EXPECT_EQ(ok.boundaries[1].deny, false);
+    EXPECT_EQ(ok.boundaries[1].validateReturn, false);
+
+    // ...and anything else is fatal, naming the line and the key. These
+    // used to read as false, silently dropping a least-privilege rule
+    // or entry validation.
+    std::string deny = fatalMessage([] {
+        parseWith("    default: True\n", "- b -> a: {deny: yes please}\n");
+    });
+    EXPECT_NE(deny.find("config line 10: deny"), std::string::npos) << deny;
+    EXPECT_NE(deny.find("'yes please'"), std::string::npos) << deny;
+    std::string validate = fatalMessage([] {
+        parseWith("    default: True\n", "- a -> b: {validate: ture}\n");
+    });
+    EXPECT_NE(validate.find("config line 10: validate"), std::string::npos)
+        << validate;
+    std::string dflt =
+        fatalMessage([] { parseWith("    default: maybe\n", ""); });
+    EXPECT_NE(dflt.find("config line 4: default"), std::string::npos)
+        << dflt;
+}
+
+TEST_F(GatePolicyFixture, RepeatedKeysAreFatal)
+{
+    // In one boundary rule: this used to resolve to rate(7).
+    std::string rate = fatalMessage([] {
+        parseWith("    default: True\n", "- a -> b: {rate: 5, rate: 7}\n");
+    });
+    EXPECT_NE(rate.find("config line 10: boundary key 'rate'"),
+              std::string::npos)
+        << rate;
+    // In one compartment item, and in the controller section.
+    EXPECT_THROW(parseWith("    default: True\n    mechanism: vm-ept\n", ""),
+                 FatalError);
+    EXPECT_THROW(parseWith("    default: True\n",
+                           "controller:\n  epoch: 5\n  epoch: 9\n"),
+                 FatalError);
+
+    // The same key in different rules, items or sections stays legal.
+    SafetyConfig ok = parseWith("    default: True\n",
+                                "- a -> b: {rate: 5}\n"
+                                "- a -> b: {rate: 5, window: 70}\n"
+                                "controller:\n  epoch: 5\n");
+    EXPECT_EQ(GateMatrix::build(ok).at(0, 1).rate, 5u);
+    EXPECT_EQ(ok.controller->epoch, 5u);
+}
+
+TEST_F(GatePolicyFixture, EnumNamesAcceptAliasesAndListTheChoices)
+{
+    EXPECT_EQ(mechanismFromName(" MPK "), Mechanism::IntelMpk);
+    EXPECT_EQ(mechanismFromName("Ept"), Mechanism::VmEpt);
+    EXPECT_EQ(hardeningFromName("SP"), Hardening::StackProtector);
+    EXPECT_EQ(hardeningFromName("stackprotector"),
+              Hardening::StackProtector);
+    EXPECT_EQ(stackSharingFromName("share"), StackSharing::SharedStack);
+    EXPECT_STREQ(flavorName(MpkGateFlavor::Light), "light");
+    EXPECT_EQ(parseWith("    default: True\n", "- a -> b: {gate: FULL}\n")
+                  .boundaries[0]
+                  .flavor,
+              MpkGateFlavor::Dss);
+
+    std::string mech = fatalMessage([] { mechanismFromName("mpx"); });
+    EXPECT_NE(mech.find("'mpx'"), std::string::npos) << mech;
+    EXPECT_NE(mech.find("none, intel-mpk, vm-ept, cheri, linux-pt, "
+                        "sel4-ipc, cubicle-mpk"),
+              std::string::npos)
+        << mech;
+    std::string elide = fatalMessage([] {
+        parseWith("    default: True\n", "- a -> b: {elide: sometimes}\n");
+    });
+    EXPECT_NE(elide.find("config line 10: unknown elide 'sometimes'"),
+              std::string::npos)
+        << elide;
+    EXPECT_NE(elide.find("none, validate, scrub, both"), std::string::npos)
+        << elide;
+}
 } // namespace
 } // namespace flexos
