@@ -1189,9 +1189,9 @@ TEST_F(GatePolicyFixture, MalformedBooleansAreFatal)
     EXPECT_EQ(ok.boundaries[1].deny, false);
     EXPECT_EQ(ok.boundaries[1].validateReturn, false);
 
-    // ...and anything else is fatal, naming the line and the key. These
-    // used to read as false, silently dropping a least-privilege rule
-    // or entry validation.
+    // ...and anything else is fatal, naming the line and the key:
+    // reading these as false would silently drop a least-privilege
+    // rule or entry validation.
     std::string deny = fatalMessage([] {
         parseWith("    default: True\n", "- b -> a: {deny: yes please}\n");
     });
@@ -1210,7 +1210,8 @@ TEST_F(GatePolicyFixture, MalformedBooleansAreFatal)
 
 TEST_F(GatePolicyFixture, RepeatedKeysAreFatal)
 {
-    // In one boundary rule: this used to resolve to rate(7).
+    // In one boundary rule: keeping the last value would silently
+    // resolve this to rate(7).
     std::string rate = fatalMessage([] {
         parseWith("    default: True\n", "- a -> b: {rate: 5, rate: 7}\n");
     });
