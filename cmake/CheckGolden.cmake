@@ -1,26 +1,48 @@
-# Golden-output check: run a tool and fail when its stdout differs from
-# a committed reference file. Invoked by the `config_doc_fresh` and
-# `fig08_poset_golden` CTests as:
+# Golden-output check: run a tool and fail when its output differs from
+# a committed reference file. Invoked by the `config_doc_fresh`,
+# `fig08_poset_golden` and `bench_snapshots_fresh` CTests as:
 #   cmake -DTOOL=<binary> -DREFERENCE=<committed file>
 #         "-DREGENERATE=<command that rewrites the reference>"
+#         [-DOUTPUT=<file>]
 #         -P cmake/CheckGolden.cmake
+# Without OUTPUT the tool's stdout is compared. With OUTPUT the tool is
+# run as `<binary> --json <file>` (the bench snapshot convention) and
+# that file is compared instead. TOOL, REFERENCE and OUTPUT may be
+# lists of equal length; entry i of each forms one check.
 
-execute_process(COMMAND ${TOOL}
-                OUTPUT_VARIABLE generated
-                RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "${TOOL} failed with exit code ${rc}")
-endif()
+list(LENGTH TOOL count)
+math(EXPR last "${count} - 1")
+foreach(i RANGE ${last})
+  list(GET TOOL ${i} tool)
+  list(GET REFERENCE ${i} reference)
+  if(DEFINED OUTPUT)
+    list(GET OUTPUT ${i} output)
+    file(REMOVE ${output})
+    execute_process(COMMAND ${tool} --json ${output}
+                    OUTPUT_QUIET
+                    RESULT_VARIABLE rc)
+  else()
+    execute_process(COMMAND ${tool}
+                    OUTPUT_VARIABLE generated
+                    RESULT_VARIABLE rc)
+  endif()
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${tool} failed with exit code ${rc}")
+  endif()
+  if(DEFINED OUTPUT)
+    file(READ ${output} generated)
+  endif()
 
-if(NOT EXISTS ${REFERENCE})
-  message(FATAL_ERROR
-          "${REFERENCE} does not exist; generate it with `${REGENERATE}`")
-endif()
+  if(NOT EXISTS ${reference})
+    message(FATAL_ERROR
+            "${reference} does not exist; generate it with `${REGENERATE}`")
+  endif()
 
-file(READ ${REFERENCE} committed)
-if(NOT generated STREQUAL committed)
-  message(FATAL_ERROR
-          "${REFERENCE} is stale: the output of ${TOOL} changed. Review "
-          "the difference, regenerate with `${REGENERATE}` and commit "
-          "the result.")
-endif()
+  file(READ ${reference} committed)
+  if(NOT generated STREQUAL committed)
+    message(FATAL_ERROR
+            "${reference} is stale: the output of ${tool} changed. Review "
+            "the difference, regenerate with `${REGENERATE}` and commit "
+            "the result.")
+  endif()
+endforeach()

@@ -253,13 +253,10 @@ struct FileScanner
     trackGateSites(const std::string &code)
     {
         bool gateCall = code.find(".gate(") != std::string::npos ||
-                        code.find("gateDeferred(") != std::string::npos ||
                         code.find("gateBatch(") != std::string::npos;
         bool capture = code.find("[&") != std::string::npos;
-        bool prevGate =
-            prevCode.find(".gate(") != std::string::npos ||
-            prevCode.find("gateDeferred(") != std::string::npos ||
-            prevCode.find("gateBatch(") != std::string::npos;
+        bool prevGate = prevCode.find(".gate(") != std::string::npos ||
+                        prevCode.find("gateBatch(") != std::string::npos;
         if (capture && (gateCall || prevGate))
             ++out.pointerCarryingCalls;
     }

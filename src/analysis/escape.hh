@@ -21,9 +21,9 @@
  *    audit reports as an error).
  *
  * The scanner also counts cross-boundary pointer-carrying call sites:
- * `gate(...)` / `gateDeferred(...)` / `gateBatch(...)` invocations
- * whose lambda captures by reference (`[&]`), i.e. crossings that
- * hand the callee compartment pointers into the caller's frame.
+ * `gate(...)` / `gateBatch(...)` invocations whose lambda captures by
+ * reference (`[&]`), i.e. crossings that hand the callee compartment
+ * pointers into the caller's frame.
  */
 
 #ifndef FLEXOS_ANALYSIS_ESCAPE_HH

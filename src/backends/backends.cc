@@ -796,12 +796,14 @@ class CheriBackend : public IsolationBackend
     }
 };
 
-/** Baseline: page-table isolation via Linux syscalls (Figure 10 PT2). */
+/**
+ * Baseline: page-table isolation via Linux syscalls (Figure 10 PT2).
+ * Each call pays `timing.syscallKpti`; a kernel without KPTI is a
+ * timing override (fig11b's syscall-nokpti row).
+ */
 class LinuxPtBackend : public IsolationBackend
 {
   public:
-    explicit LinuxPtBackend(bool kpti = true) : kpti(kpti) {}
-
     Mechanism mechanism() const override { return Mechanism::LinuxPt; }
     const char *name() const override { return "linux-pt"; }
 
@@ -818,8 +820,7 @@ class LinuxPtBackend : public IsolationBackend
         // transition over a vector.
         auto &m = img.machine();
         for (std::size_t i = 0; i < count; ++i) {
-            m.consume(kpti ? m.timing.syscallKpti
-                           : m.timing.syscallNoKpti);
+            m.consume(m.timing.syscallKpti);
             m.bump("gate.syscall");
             img.noteCrossing(from, to);
             // The kernel return path sanitizes the scratch registers,
@@ -829,9 +830,6 @@ class LinuxPtBackend : public IsolationBackend
             bodies[i]();
         }
     }
-
-  private:
-    bool kpti;
 };
 
 /** Baseline: seL4/Genode microkernel IPC (Figure 10 PT3). */

@@ -2,11 +2,12 @@
  * @file
  * The isolation-backend API (paper 3.2).
  *
- * A backend supplies (1) gate implementations, (2) hooks into core
- * libraries (scheduler thread-creation/switch), (3) its memory-layout
- * recipe (how compartment regions are tagged), and (4) registration into
- * the toolchain. Adding a mechanism means implementing this interface —
- * no redesign of the OS.
+ * A backend supplies (1) gate implementations, (2) its memory-layout
+ * recipe (how compartment regions are tagged), and (3) registration into
+ * the toolchain. It needs no scheduler hooks: the scheduler saves and
+ * installs each thread's protection domain on every switch by itself.
+ * Adding a mechanism means implementing this interface — no redesign of
+ * the OS.
  */
 
 #ifndef FLEXOS_CORE_BACKEND_HH
@@ -38,12 +39,12 @@ class IsolationBackend
     virtual const char *name() const = 0;
 
     /**
-     * Boot-time hook: tag regions, install scheduler hooks, spawn RPC
-     * servers. Called once from Image::boot().
+     * Boot-time hook: tag regions, spawn RPC servers. Called once from
+     * Image::boot().
      */
     virtual void boot(Image &img) = 0;
 
-    /** Orderly teardown (stop server threads, remove hooks). */
+    /** Orderly teardown (stop server threads). */
     virtual void shutdown(Image &img) = 0;
 
     /**

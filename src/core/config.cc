@@ -104,17 +104,16 @@ nameOf(const EnumName<E> (&names)[N], E value)
     return "?";
 }
 
-/** Canonical names joined by `sep`, starting at row `first` (wrapping). */
+/** Canonical names joined by `sep`, in table order. */
 template <typename E, std::size_t N>
 std::string
-joinNames(const EnumName<E> (&names)[N], const char *sep,
-          std::size_t first = 0)
+joinNames(const EnumName<E> (&names)[N], const char *sep)
 {
     std::string out;
-    for (std::size_t i = 0; i < N; ++i) {
-        if (i)
+    for (const EnumName<E> &n : names) {
+        if (!out.empty())
             out += sep;
-        out += names[(first + i) % N].name;
+        out += n.name;
     }
     return out;
 }
@@ -325,15 +324,12 @@ count(const char *syntax, std::size_t maxDigits)
             [](const std::uint64_t &n) { return std::to_string(n); }};
 }
 
-/**
- * One of an enum's names. The syntax lists them from row
- * `syntaxFirst` on, wrapping around.
- */
+/** One of an enum's names; the syntax lists them in table order. */
 template <typename E, std::size_t N>
 ValueType<E>
-oneOf(const EnumName<E> (&names)[N], std::size_t syntaxFirst = 0)
+oneOf(const EnumName<E> (&names)[N])
 {
-    return {joinNames(names, " | ", syntaxFirst),
+    return {joinNames(names, " | "),
             [&names](const std::string &text, const ValueSite &at) {
                 return parseEnum(names, text, at);
             },
@@ -457,14 +453,13 @@ boundaryKeys()
         boundaryKey(
             "batch", &BoundaryRule::batch, &GatePolicy::batch,
             count("<calls>", 6),
-            "Vectored-crossing width: up to this many queued calls of the "
-            "edge are submitted through one gate (one EPT ring doorbell, "
+            "Vectored-crossing width: a call vector on the edge is "
+            "submitted this many calls per gate (one EPT ring doorbell, "
             "one MPK/CHERI entry/return leg), each extra call paying only "
-            "a per-slot dispatch cost. Only calls made through "
-            "`Image::gateBatch`/`gateDeferred` are batched; plain gates "
-            "and the in-lwip RX poller never are. Performance-only — "
-            "throttle budgets are still debited per logical call. "
-            "Default: 1 (no batching)."),
+            "a per-slot dispatch cost. Only `Image::gateBatch` submits "
+            "call vectors; plain gates and the in-lwip RX poller never "
+            "batch. Performance-only — throttle budgets are still debited "
+            "per logical call. Default: 1 (no batching)."),
         boundaryKey(
             "coalesce", &BoundaryRule::coalesce, &GatePolicy::coalesce,
             count("<vcycles>", 12),
@@ -473,10 +468,9 @@ boundaryKeys()
             "vcycles of the last doorbell skips the doorbell (the ringing "
             "server drains the slot) and bumps `gate.coalesced`. "
             "Default: 0 (ring every time)."),
-        // The syntax lists the off switch last.
         boundaryKey(
             "elide", &BoundaryRule::elide, &GatePolicy::elide,
-            oneOf(elideNames, 1),
+            oneOf(elideNames),
             "Skip entry-validation and/or return-scrub legs for "
             "consecutive same-boundary calls from the same thread; the "
             "streak resets on any intervening crossing, so the first call "
@@ -1222,6 +1216,8 @@ configReferenceMarkdown()
     enumSection(oss, "Stack sharing", stackSharingNames);
     enumSection(oss, "Rate overflow", overflowNames);
     enumSection(oss, "Gate elision", elideNames);
+    enumSection(oss, "MPK gate flavour", flavorNames);
+    enumSection(oss, "NIC steering", steeringNames);
 
     oss << "\n## Checking a configuration\n\n";
     oss << "`tools/config_lint` parses and validates embedded configs "

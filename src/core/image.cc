@@ -1,7 +1,6 @@
 #include "core/image.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -331,58 +330,6 @@ Image::gateBatch(const std::string &calleeLib, const char *fnName,
                    std::min(width, bodies.size() - i));
 }
 
-void
-Image::gateDeferred(const std::string &calleeLib, const char *fnName,
-                    std::function<void()> body)
-{
-    int from = currentCompartment();
-    int to = resolveCallee(calleeLib, from);
-    if (from == to || policyFor(from, to).batch <= 1) {
-        gate(calleeLib, fnName, [&] { body(); });
-        return;
-    }
-    Thread *t = sched.current();
-    int id = t ? t->id() : -1;
-    {
-        PendingBatch &pb = pendingBatches[id];
-        if (!pb.bodies.empty() &&
-            (pb.lib != calleeLib || std::strcmp(pb.fn, fnName) != 0)) {
-            // A deferred call to a different target flushes the
-            // pending batch first so the two boundaries stay ordered.
-            flushBatchFor(id);
-        }
-    }
-    PendingBatch &pb = pendingBatches[id]; // flush may have erased it
-    pb.lib = calleeLib;
-    pb.fn = fnName;
-    pb.bodies.push_back(std::move(body));
-    if (pb.bodies.size() >= static_cast<std::size_t>(
-                                policyFor(from, to).batch))
-        flushBatchFor(id);
-}
-
-void
-Image::flushBatch()
-{
-    Thread *t = sched.current();
-    flushBatchFor(t ? t->id() : -1);
-}
-
-void
-Image::flushBatchFor(int threadId)
-{
-    auto it = pendingBatches.find(threadId);
-    if (it == pendingBatches.end() || it->second.bodies.empty())
-        return;
-    // Move the batch out before crossing: the crossing can suspend
-    // (an EPT RPC blocks on its completion) and re-enter this
-    // function through the pre-suspension hook, which must then find
-    // no pending work.
-    PendingBatch pb = std::move(it->second);
-    pendingBatches.erase(it);
-    gateBatch(pb.lib, pb.fn, pb.bodies);
-}
-
 IsolationBackend &
 Image::backendFor(int comp) const
 {
@@ -486,13 +433,6 @@ Image::boot()
     threadExitListener = sched.addThreadExitListener(
         [this](Thread &t) { reapSimStacks(t.id()); });
 
-    // Deferred vectored calls must never ride a migration: flush a
-    // thread's pending batch at every suspension point, while it is
-    // still running on the core that queued the calls (only suspended
-    // threads can be stolen or woken cross-core).
-    sched.onPreSuspend = [this](Thread &t) { flushBatchFor(t.id()); };
-    preSuspendHooked = true;
-
     // Boot-time cost: section protection, key setup, backend init.
     mach.consume(50'000 + 10'000 * comps.size());
     mach.bump("image.boots");
@@ -510,11 +450,6 @@ Image::shutdown()
         (*it)->shutdown(*this);
     sched.removeThreadExitListener(threadExitListener);
     threadExitListener = -1;
-    if (preSuspendHooked) {
-        sched.onPreSuspend = nullptr;
-        preSuspendHooked = false;
-    }
-    pendingBatches.clear();
     lastBoundary.clear();
     unregisterRegions();
     booted = false;
@@ -765,15 +700,6 @@ Image::reapSimStacks(int threadId)
         mach.bump("image.simStackReaps");
     }
     lastBoundary.erase(threadId);
-    // A thread that exits with deferred calls still queued never
-    // reached a flush point — drop them, visibly (the cancellation
-    // unwind legitimately strands batches at teardown).
-    auto pit = pendingBatches.find(threadId);
-    if (pit != pendingBatches.end()) {
-        if (!pit->second.bodies.empty())
-            mach.bump("gate.batchDropped", pit->second.bodies.size());
-        pendingBatches.erase(pit);
-    }
 }
 
 std::string
@@ -855,12 +781,6 @@ Image::swapGateMatrix(GateMatrix next)
     int tid = self ? self->id() : -1;
     panic_if(crossingDepth.count(tid),
              "swapGateMatrix called from inside a gated crossing");
-
-    // The swapper's own pending batch would otherwise be flushed by a
-    // later suspension and cross under whichever matrix is live then;
-    // flush it now so its calls are charged under the epoch that
-    // queued them.
-    flushBatch();
 
     // Quiesce: wait until no thread holds references into the live
     // matrix (a crossing blocked in an EPT ring RPC does). New

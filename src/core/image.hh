@@ -259,27 +259,6 @@ class Image
                    const std::vector<std::function<void()>> &bodies);
 
     /**
-     * Deferred vectored gate: queue one call on the calling thread's
-     * pending batch for the boundary instead of crossing immediately.
-     * The batch flushes when `batch:` calls have accumulated, when a
-     * deferred call targets a different library/entry point, on
-     * flushBatch(), and — via the scheduler's pre-suspension hook —
-     * whenever the thread yields, blocks or sleeps, so a thread can
-     * never migrate cores with queued calls (they execute, and are
-     * charged, on the core that queued them). On `batch: 1`
-     * boundaries the call crosses immediately through the plain gate.
-     * Callers must not rely on results before the flush.
-     */
-    void gateDeferred(const std::string &calleeLib, const char *fnName,
-                      std::function<void()> body);
-
-    /** Flush the calling thread's pending deferred batch, if any. */
-    void flushBatch();
-
-    /** Flush one thread's pending deferred batch (suspension hook). */
-    void flushBatchFor(int threadId);
-
-    /**
      * Effective hardening work multiplier of a library: the union of
      * its compartment's hardening and its own per-component set.
      */
@@ -443,10 +422,9 @@ class Image
     /** @name Runtime policy swaps (the controller's apply path). @{ */
     /**
      * Replace the live gate matrix through a quiesced epoch flip: the
-     * caller's own pending deferred batch is flushed, the swap waits
-     * until no thread sits inside a backend transit (their gate frames
-     * reference cells of the matrix being replaced), then the matrix
-     * flips at one instant, changed-cell token buckets re-prime,
+     * swap waits until no thread sits inside a backend transit (their
+     * gate frames reference cells of the matrix being replaced), then
+     * the matrix flips at one instant, changed-cell token buckets re-prime,
      * every core acknowledges the epoch, and each backend's
      * policyChanged() hook runs. `deny` edges and the compartment
      * topology cannot change — only gate knobs do — so the swap never
@@ -590,13 +568,13 @@ class Image
     };
 
     /**
-     * The one crossing path behind gate(), gateBatch() and
-     * gateDeferred(): `k` (>= 1) calls from compartment `from` into
-     * `to` through ONE backend transition. In order: the swap
-     * barrier, the policy lookup, least-privilege enforcement per
-     * logical call, elision and the entry-validate leg, entry-point
-     * validation, SMP migration accounting, the crossing scope, the
-     * backend call, and the return-leg policy work.
+     * The one crossing path behind gate() and gateBatch(): `k`
+     * (>= 1) calls from compartment `from` into `to` through ONE
+     * backend transition. In order: the swap barrier, the policy
+     * lookup, least-privilege enforcement per logical call, elision
+     * and the entry-validate leg, entry-point validation, SMP
+     * migration accounting, the crossing scope, the backend call, and
+     * the return-leg policy work.
      */
     void crossChunk(const std::string &calleeLib, const char *fnName,
                     int from, int to, const std::function<void()> *bodies,
@@ -644,16 +622,6 @@ class Image
     /** Per-thread (from, to) of the last crossing (`elide:` streaks). */
     std::map<int, std::pair<int, int>> lastBoundary;
 
-    /** One thread's queued deferred calls (gateDeferred). */
-    struct PendingBatch
-    {
-        std::string lib;
-        const char *fn = nullptr;
-        std::vector<std::function<void()>> bodies;
-    };
-    std::map<int, PendingBatch> pendingBatches;
-    /** Scheduler pre-suspension hook installed (batch flushing). */
-    bool preSuspendHooked = false;
     std::map<std::pair<int, int>, SimStack> simStacks;
     std::map<std::pair<int, int>, std::uint64_t> crossings;
     std::vector<const void *> registeredRegions;

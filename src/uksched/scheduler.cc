@@ -190,10 +190,7 @@ Scheduler::cancelAll()
     // destructors (gate state, DSS frames) should call this while the
     // rest of the world is still alive; the destructor's own call is a
     // last-resort backstop where only Machine and the threads are
-    // guaranteed live. Backend hooks are disabled either way.
-    onSwitch = nullptr;
-    onThreadCreate = nullptr;
-    onPreSuspend = nullptr;
+    // guaranteed live. Exit listeners are dropped either way.
     exitListeners.clear();
     for (auto &t : threads)
         cancel(t.get());
@@ -276,12 +273,6 @@ Scheduler::spawnOn(int core, std::string name, Thread::Entry entry,
     raw->pinned = pinned;
 
     raw->sp = initialFrame(raw->stack, this, &Scheduler::trampoline);
-
-    // Backend hook: e.g. the MPK backend assigns the thread its initial
-    // protection domain and builds its per-compartment stack registry.
-    if (onThreadCreate)
-        onThreadCreate(*raw);
-
     runQueues[core].push_back(raw);
     return raw;
 }
@@ -349,7 +340,6 @@ Scheduler::switchTo(Thread *t)
     // home core the machine's active context (no-op on 1 core).
     mach.setActiveCore(t->core);
 
-    Thread *prev = running;
     running = t;
     t->state_ = Thread::State::Running;
     ++switchCount;
@@ -359,13 +349,10 @@ Scheduler::switchTo(Thread *t)
     mach.chargingEnabled = !t->freeRunning;
 
     // Install the incoming thread's protection domain and hardening
-    // multiplier, then give the backend hook a chance to extend the
-    // switch (stack registry etc.).
+    // multiplier.
     mach.pkru = t->pkru;
     mach.currentVm = t->vm;
     mach.workMultiplier = t->workMult;
-    if (onSwitch)
-        onSwitch(prev, t);
 
 #ifdef FLEXOS_ASAN_FIBERS
     __sanitizer_start_switch_fiber(&schedFakeStack, t->stack.data(),
@@ -610,18 +597,10 @@ Scheduler::runUntil(const std::function<bool()> &pred,
 }
 
 void
-Scheduler::preSuspend(Thread *self)
-{
-    if (onPreSuspend && !cancelling)
-        onPreSuspend(*self);
-}
-
-void
 Scheduler::yield()
 {
     Thread *self = running;
     panic_if(!self, "yield outside a thread");
-    preSuspend(self);
     self->state_ = Thread::State::Ready;
     runQueues[self->core].push_back(self);
     switchOut();
@@ -632,7 +611,6 @@ Scheduler::block(WaitQueue &q)
 {
     Thread *self = running;
     panic_if(!self, "block outside a thread");
-    preSuspend(self);
     self->state_ = Thread::State::Blocked;
     q.waiters.push_back(self);
     switchOut();
@@ -643,7 +621,6 @@ Scheduler::sleepNs(std::uint64_t ns)
 {
     Thread *self = running;
     panic_if(!self, "sleep outside a thread");
-    preSuspend(self);
     self->state_ = Thread::State::Sleeping;
     self->wakeAtCycles =
         mach.cycles() +
@@ -658,7 +635,6 @@ Scheduler::blockFor(WaitQueue &q, std::uint64_t ns)
 {
     Thread *self = running;
     panic_if(!self, "blockFor outside a thread");
-    preSuspend(self);
     self->state_ = Thread::State::Blocked;
     q.waiters.push_back(self);
     self->wakeAtCycles =
@@ -680,7 +656,6 @@ Scheduler::join(Thread *t)
     Thread *self = running;
     panic_if(!self, "join outside a thread");
     panic_if(t == self, "thread joining itself");
-    preSuspend(self);
     if (t->state_ == Thread::State::Finished)
         return;
     t->joiners.push_back(self);
@@ -727,16 +702,6 @@ Scheduler::coreHasRunnable(int core) const
              "core ", core, " out of range");
     for (const Thread *t : runQueues[static_cast<std::size_t>(core)]) {
         if (t->state() == Thread::State::Ready)
-            return true;
-    }
-    return false;
-}
-
-bool
-Scheduler::hasLiveThreads() const
-{
-    for (const auto &t : threads) {
-        if (t->state_ != Thread::State::Finished)
             return true;
     }
     return false;

@@ -8,10 +8,13 @@
  * is a few saved registers and a stack-pointer swap (no syscall).
  * This makes every run deterministic and lets the virtual clock be exact.
  *
- * The scheduler is part of FlexOS' trusted computing base (paper 3.3) and
- * exposes the backend hook API of paper 3.2: isolation backends register
- * thread-creation and context-switch hooks (e.g. the MPK backend swaps
- * the PKRU register and the per-compartment stack registry on switch).
+ * The scheduler is part of FlexOS' trusted computing base (paper 3.3).
+ * It has no backend hook API: each thread carries its protection domain
+ * (PKRU value, EPT VM) and hardening multiplier. A switch-out saves the
+ * machine's current values into the thread and a switch-in installs
+ * them again, so a gate only has to change the machine's domain, and a
+ * backend that spawns its own fibers (the EPT RPC servers) sets theirs
+ * on the Thread before they first run.
  */
 
 #ifndef FLEXOS_UKSCHED_SCHEDULER_HH
@@ -61,7 +64,7 @@ class Thread
     const std::string &error() const { return error_; }
     bool failed() const { return !error_.empty(); }
 
-    /** Saved protection-key register (swapped by the MPK switch hook). */
+    /** Saved protection-key register (installed on every switch). */
     Pkru pkru;
 
     /**
@@ -146,25 +149,6 @@ class Scheduler
 
     Scheduler(const Scheduler &) = delete;
     Scheduler &operator=(const Scheduler &) = delete;
-
-    /** @name Backend hook API (paper 3.2). @{ */
-    /** Called after a thread object is created, before it first runs. */
-    std::function<void(Thread &)> onThreadCreate;
-    /** Called on every switch; prev may be null (scheduler entry). */
-    std::function<void(Thread *prev, Thread *next)> onSwitch;
-    /**
-     * Called at the top of every voluntary suspension (yield, block,
-     * blockFor, sleep, join) while the thread is still Running, before
-     * its state changes. Images hook this to flush a thread's pending
-     * deferred gate batch on the core that queued it — only suspended
-     * threads can be stolen or woken cross-core, so firing here
-     * guarantees no batch ever rides a migration. The hook may itself
-     * suspend (the flush can block on an RPC); re-entry sees the
-     * flushed state and is a no-op. Cleared by cancelAll() alongside
-     * the other hooks so teardown unwinding never runs gate work.
-     */
-    std::function<void(Thread &)> onPreSuspend;
-    /** @} */
 
     /** @name Thread-exit listeners. @{ */
     /**
@@ -251,9 +235,9 @@ class Scheduler
     /**
      * Cancel and unwind one fiber: it is resumed with the cancellation
      * flag set so its next suspension point throws ThreadCancelled.
-     * Unlike cancelAll() the backend hooks stay installed — per-thread
-     * teardown (onThreadExit) still runs. Must be called from the
-     * scheduler context, not from inside a fiber.
+     * Unlike cancelAll() the thread-exit listeners stay registered, so
+     * per-thread teardown still runs. Must be called from the scheduler
+     * context, not from inside a fiber.
      */
     void cancel(Thread *t);
 
@@ -278,20 +262,11 @@ class Scheduler
     /** Whether a core's run queue holds a Ready thread right now. */
     bool coreHasRunnable(int core) const;
 
-    /** Threads that have been spawned and not yet destroyed. */
-    std::size_t threadCount() const { return threads.size(); }
-
-    /** True if any non-finished thread exists. */
-    bool hasLiveThreads() const;
-
   private:
     friend class WaitQueue;
 
     void switchTo(Thread *t);
     void switchOut();
-
-    /** Fire the pre-suspension hook (batch flush) unless tearing down. */
-    void preSuspend(Thread *self);
     void threadMain();
     static void trampoline(Scheduler *sched);
 

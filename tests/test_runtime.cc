@@ -2,18 +2,20 @@
  * @file
  * Runtime control-plane tests: the quiesced gate-matrix swap path
  * (no-op bit-identity, mid-crossing quiesce against a thread blocked
- * in an EPT ring RPC, pending deferred-batch flush before the epoch
- * flip, swap under a throttle stall, a multi-core swap storm) and the
- * policy controller itself (config surface, storm escalation ladder
- * with hysteresis relax, deny-witness hardening, windowed counter
- * deltas, and the static-identity pin for images with nothing
- * adaptive).
+ * in an EPT ring RPC, a vectored EPT chunk in flight across a swap
+ * that denies its edge, swap under a throttle stall, a multi-core swap
+ * storm) and the policy controller itself (config surface, storm
+ * escalation ladder with hysteresis relax, deny-witness hardening,
+ * windowed counter deltas, and the static-identity pin for images with
+ * nothing adaptive).
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/image.hh"
 #include "core/toolchain.hh"
@@ -250,47 +252,58 @@ TEST_F(RuntimeFixture, DriverSwapDrainsEptCrossingInFlight)
     EXPECT_TRUE(img->policyFor(app, net).validateReturn);
 }
 
-TEST_F(RuntimeFixture, PendingDeferredBatchFlushesBeforeEpochFlip)
+TEST_F(RuntimeFixture, SwapWaitsForVectoredEptChunkThenGatesTheRest)
 {
-    std::unique_ptr<Image> img = buildFrom(R"(
-compartments:
-- app:
-    mechanism: intel-mpk
-    default: True
-- sys:
-    mechanism: intel-mpk
-libraries:
-- libredis: app
-- uksched: sys
+    std::unique_ptr<Image> img = buildFrom(std::string(eptCfg) + R"(
 boundaries:
-- app -> sys: {batch: 8}
+- app -> net: {batch: 4}
 )");
     int app = img->compartmentIndexOf("libredis");
-    int sys = img->compartmentIndexOf("uksched");
+    int net = img->compartmentIndexOf("lwip");
 
     int ran = 0;
-    bool done = false, flushedBeforeFlip = false;
-    img->spawnIn("libredis", "deferrer", [&] {
-        for (int i = 0; i < 3; ++i)
-            img->gateDeferred("uksched", "yield", [&] { ++ran; });
-        // Still queued: the batch is narrower than its trigger width.
-        EXPECT_EQ(ran, 0);
-        // The swap denies the very edge the pending batch crosses: if
-        // the flush ran after the flip, it would raise DeniedCrossing.
-        GateMatrix next = img->gateMatrix();
-        GatePolicy p = next.at(app, sys);
-        p.deny = true;
-        next.set(app, sys, p);
-        EXPECT_TRUE(img->swapGateMatrix(std::move(next)));
-        flushedBeforeFlip = ran == 3;
-        EXPECT_THROW(img->gate("uksched", "yield", [] {}),
-                     DeniedCrossing);
-        done = true;
+    bool bodyStarted = false, denied = false, callerDone = false;
+    int ranAtSwap = -1;
+
+    // A: eight calls in chunks of four. The first body suspends on the
+    // far side of the EPT ring, so the whole first chunk is in flight.
+    img->spawnIn("libredis", "caller", [&] {
+        std::vector<std::function<void()>> bodies(8, [&] { ++ran; });
+        bodies[0] = [&] {
+            bodyStarted = true;
+            sched.sleepNs(200000);
+            ++ran;
+        };
+        try {
+            img->gateBatch("lwip", "recv", bodies);
+        } catch (const DeniedCrossing &) {
+            denied = true;
+        }
+        callerDone = true;
     });
-    sched.runUntil([&] { return done; });
-    EXPECT_TRUE(flushedBeforeFlip);
-    EXPECT_EQ(ran, 3);
+
+    // B: denies the edge mid-chunk. The swap must wait for the chunk
+    // in flight; the next chunk then crosses under the new matrix.
+    sched.spawn("swapper", [&] {
+        while (!bodyStarted)
+            sched.yield();
+        GateMatrix next = img->gateMatrix();
+        GatePolicy p = next.at(app, net);
+        p.deny = true;
+        next.set(app, net, p);
+        EXPECT_TRUE(img->swapGateMatrix(std::move(next)));
+        ranAtSwap = ran;
+    });
+
+    sched.runUntil([&] { return callerDone && ranAtSwap >= 0; });
+    EXPECT_EQ(ranAtSwap, 4);
+    EXPECT_TRUE(denied);
+    EXPECT_EQ(ran, 4);
+    EXPECT_EQ(mach.counter("gate.batched"), 1u);
+    EXPECT_EQ(mach.counter("gate.batchedCalls"), 4u);
+    EXPECT_GE(mach.counter("matrix.quiesceWaits"), 1u);
     EXPECT_EQ(img->gateMatrix().epoch(), 1u);
+    sched.cancelAll();
 }
 
 TEST_F(RuntimeFixture, SwapRelievesThrottleStall)

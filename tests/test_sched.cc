@@ -1,10 +1,11 @@
 /**
  * @file
  * Unit tests for uksched: spawn/join/yield ordering, blocking,
- * virtual-time sleep, mutex/semaphore semantics, backend hooks, the
- * free-running (uncharged) thread mode, and the fiber switch itself
- * (per-fiber floating-point control state, exceptions, deep stacks,
- * spawn/teardown churn).
+ * virtual-time sleep, mutex/semaphore semantics, the per-thread
+ * protection domain installed on a switch, the free-running
+ * (uncharged) thread mode, and the fiber switch itself (per-fiber
+ * floating-point control state, exceptions, deep stacks, spawn/teardown
+ * churn).
  */
 
 #include <gtest/gtest.h>
@@ -226,23 +227,10 @@ TEST_F(SchedFixture, ChargedThreadNextToFreeRunningStillCharges)
     EXPECT_LT(mach.cycles(), 500u);
 }
 
-TEST_F(SchedFixture, OnThreadCreateHookRuns)
-{
-    int created = 0;
-    sched.onThreadCreate = [&](Thread &t) {
-        ++created;
-        t.pkru = Pkru::allowing({2});
-    };
-    Thread *t = sched.spawn("hooked", [] {});
-    EXPECT_EQ(created, 1);
-    EXPECT_TRUE(t->pkru.permits(2, AccessType::Read));
-    sched.run();
-}
-
 TEST_F(SchedFixture, SwitchInstallsThreadPkru)
 {
-    // The MPK backend behaviour (paper 3.2): the scheduler hook swaps
-    // the protection domain on context switch.
+    // The MPK backend relies on this (paper 3.2): the switch itself
+    // installs the thread's protection domain.
     Pkru seen;
     Thread *t = sched.spawn("domain", [&] { seen = mach.pkru; });
     t->pkru = Pkru::allowing({5});
@@ -251,18 +239,6 @@ TEST_F(SchedFixture, SwitchInstallsThreadPkru)
     EXPECT_FALSE(seen.permits(1, AccessType::Read));
     // Back in the scheduler, the TCB runs unrestricted.
     EXPECT_EQ(mach.pkru, Pkru(Pkru::allowAllValue));
-}
-
-TEST_F(SchedFixture, OnSwitchHookObservesTarget)
-{
-    std::vector<std::string> switched;
-    sched.onSwitch = [&](Thread *, Thread *next) {
-        switched.push_back(next->name());
-    };
-    sched.spawn("x", [&] { sched.yield(); });
-    sched.run();
-    EXPECT_EQ(switched.size(), 2u);
-    EXPECT_EQ(switched[0], "x");
 }
 
 TEST_F(SchedFixture, RunUntilStopsAtPredicate)

@@ -423,63 +423,5 @@ boundaries:
     img->shutdown();
 }
 
-// ------------------------------- batch flush on migration / stealing
-
-TEST_F(SmpFixture, PendingBatchFlushesBeforeSuspensionAndStealing)
-{
-    // Regression: a thread holding deferred vectored calls must flush
-    // them at its next suspension point, BEFORE it can be stolen to
-    // another core — otherwise the batch would execute on the stealing
-    // core and charge the doorbell (and any crossCoreMigration) there.
-    auto img = buildFrom(std::string(twoMpkConfig) + R"(boundaries:
-- a -> b: {batch: 4}
-)");
-    int executed = 0;
-    std::vector<int> bodyCores;
-    int queueCore = -1;
-    bool flushedAtYield = false;
-    bool done = false;
-    img->spawnIn("libredis", "batcher", [&] {
-        queueCore = mach.activeCore();
-        // Load the queuing core so the (unpinned) batcher has a
-        // reason to be stolen once it suspends.
-        sched.spawnOn(queueCore, "hog", [&] {
-            for (int i = 0; i < 30; ++i) {
-                mach.consume(3000);
-                sched.yield();
-            }
-        });
-        auto body = [&] {
-            ++executed;
-            bodyCores.push_back(mach.activeCore());
-        };
-        img->gateDeferred("lwip", "recv", body);
-        img->gateDeferred("lwip", "recv", body);
-        // batch: 4 not reached — both calls are still queued.
-        EXPECT_EQ(executed, 0);
-        sched.yield(); // suspension point: the pre-suspend hook fires
-        flushedAtYield = executed == 2;
-        for (int i = 0; i < 5; ++i)
-            sched.yield();
-        done = true;
-    });
-    sched.runUntil([&] { return done; });
-    ASSERT_TRUE(done);
-    EXPECT_TRUE(flushedAtYield);
-    ASSERT_EQ(executed, 2);
-    // One vectored crossing of two logical calls, executed on the core
-    // that queued them: suspension flushes first, and stealing only
-    // ever moves suspended threads, so a pending batch can never cross
-    // cores.
-    EXPECT_EQ(mach.counter("gate.batched"), 1u);
-    EXPECT_EQ(mach.counter("gate.batchedCalls"), 2u);
-    for (int c : bodyCores)
-        EXPECT_EQ(c, queueCore);
-    // The batcher itself did get moved around afterwards — the flush
-    // happened under real stealing pressure, not on a quiet machine.
-    EXPECT_GE(mach.counter("sched.steals"), 1u);
-    img->shutdown();
-}
-
 } // namespace
 } // namespace flexos
