@@ -485,6 +485,9 @@ TcpSocket::armRetransmit()
     if (rtxTimer)
         return;
     rtxTimer = stack.timers.arm(rtoNs, [this] { onRetransmitTimeout(); });
+    // Queue 0's poller drives the wheel: if it waits in a heartbeat,
+    // that wait now has a timer to find and must keep the run alive.
+    stack.sched.promoteHeartbeats(*stack.queueWaits[0]);
 }
 
 void
@@ -829,16 +832,20 @@ NetStack::waitQueueActivity(std::size_t q)
 {
     if (nic.pendingIn(q % nic.queueCount()) > 0)
         return;
-    // Sleep at most until the next timer deadline (queue 0 owns the
-    // wheel) and never longer than a heartbeat, so stuck peers and
-    // shutdown flags are still observed in bounded virtual time.
-    std::uint64_t waitNs = 1'000'000; // 1 ms heartbeat
-    if (q == 0 && !timers.empty()) {
-        std::uint64_t now = mach.nanoseconds();
-        std::uint64_t due = timers.nextDeadlineNs();
-        waitNs = due > now ? std::min(waitNs, due - now) : 1;
+    WaitQueue &w = *queueWaits[q % queueWaits.size()];
+    // Without a timer to drive (queue 0 owns the wheel; cancelled
+    // entries count until polled) the timeout only re-polls: a
+    // heartbeat. Frames and Deployment::stop() wake the poller through
+    // the queue, so when nothing else is alive the run may dry up.
+    if (q != 0 || timers.empty()) {
+        sched.heartbeatFor(w, pollHeartbeatNs);
+        return;
     }
-    sched.blockFor(*queueWaits[q % queueWaits.size()], waitNs);
+    // Otherwise sleep until the next timer deadline, capped at the
+    // heartbeat.
+    std::uint64_t now = mach.nanoseconds();
+    std::uint64_t due = timers.nextDeadlineNs();
+    sched.blockFor(w, due > now ? std::min(pollHeartbeatNs, due - now) : 1);
 }
 
 void

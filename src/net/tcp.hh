@@ -259,11 +259,23 @@ class NetStack
 
     /**
      * Block the calling poller until its RX queue sees a frame, the
-     * next timer deadline (queue 0 polls the timer wheel) or a
-     * heartbeat elapses — the NAPI idiom: poll while there is work,
-     * sleep on the interrupt line otherwise.
+     * next timer deadline (queue 0 polls the timer wheel) or
+     * pollHeartbeatNs elapses — the NAPI idiom: poll while there is
+     * work, sleep on the interrupt line otherwise. Where the timeout
+     * can have no effect — on queues other than 0, which own no
+     * timers, and on queue 0 while its wheel is empty — the wait is a
+     * Scheduler::heartbeatFor(), so an idle deployment dries up
+     * instead of re-polling forever. Arming a timer promotes queue 0's
+     * heartbeat to an ordinary timed wait.
      */
     void waitQueueActivity(std::size_t q);
+
+    /**
+     * Longest poller wait (virtual ns). Its expiries fire whenever
+     * anything else in the run is alive, so on every queue, 0 or not,
+     * it is part of the simulated SMP timeline.
+     */
+    static constexpr std::uint64_t pollHeartbeatNs = 1'000'000; // 1 ms
 
     /** Wake every poller blocked in waitQueueActivity (shutdown). */
     void wakePollers();
@@ -279,7 +291,6 @@ class NetStack
     std::uint32_t ip() const { return ipAddr; }
     Machine &machine() { return mach; }
     Scheduler &scheduler() { return sched; }
-    TimerQueue &timerQueue() { return timers; }
 
     /** Active entries in the flow table (established + handshaking). */
     std::size_t flowCount() const { return flows.size(); }

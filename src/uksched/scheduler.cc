@@ -450,7 +450,11 @@ Scheduler::serviceSleepers(bool mayAdvanceClock)
             // Event-driven idle: everything is waiting, so the next
             // wakeup defines the passage of time. The woken thread
             // carries its deadline in readyAtCycles; dispatch jumps
-            // its core's clock forward to it.
+            // its core's clock forward to it. If only heartbeats wait,
+            // their re-polls would find nothing: the run has dried up
+            // and no clock moves.
+            if (timedWaits == 0)
+                break;
             due = true;
             mach.bump("sched.idleJumps");
         }
@@ -627,11 +631,46 @@ Scheduler::sleepNs(std::uint64_t ns)
         static_cast<std::uint64_t>(static_cast<double>(ns) *
                                    mach.timing.cpuGhz);
     sleepers.push({self->wakeAtCycles, ++self->sleepGen, self});
+    switchOutTimed(self, false);
+}
+
+void
+Scheduler::switchOutTimed(Thread *self, bool heartbeat)
+{
+    // Count the wait for exactly as long as the fiber is suspended,
+    // a cancellation unwind included. promoteHeartbeats() may turn a
+    // heartbeat into a counted wait meanwhile.
+    self->heartbeat = heartbeat;
+    if (!heartbeat)
+        ++timedWaits;
+    struct Uncount
+    {
+        Scheduler &sched;
+        Thread *t;
+        ~Uncount()
+        {
+            if (!t->heartbeat)
+                --sched.timedWaits;
+            t->heartbeat = false;
+        }
+    } uncount{*this, self};
     switchOut();
 }
 
 bool
 Scheduler::blockFor(WaitQueue &q, std::uint64_t ns)
+{
+    return timedBlock(q, ns, false);
+}
+
+bool
+Scheduler::heartbeatFor(WaitQueue &q, std::uint64_t ns)
+{
+    return timedBlock(q, ns, true);
+}
+
+bool
+Scheduler::timedBlock(WaitQueue &q, std::uint64_t ns, bool heartbeat)
 {
     Thread *self = running;
     panic_if(!self, "blockFor outside a thread");
@@ -644,7 +683,7 @@ Scheduler::blockFor(WaitQueue &q, std::uint64_t ns)
     self->timedWaitQueue = &q;
     self->timedOut = false;
     sleepers.push({self->wakeAtCycles, ++self->sleepGen, self});
-    switchOut();
+    switchOutTimed(self, heartbeat);
     self->timedWaitQueue = nullptr;
     ++self->sleepGen; // retire the timeout entry if woken normally
     return !self->timedOut;
@@ -683,6 +722,17 @@ Scheduler::wake(Thread *t)
                            ? mach.cycles()
                            : mach.coreCycles(t->core);
     runQueues[t->core].push_back(t);
+}
+
+void
+Scheduler::promoteHeartbeats(WaitQueue &q)
+{
+    for (Thread *t : q.waiters) {
+        if (t->heartbeat && t->timedWaitQueue == &q) {
+            t->heartbeat = false;
+            ++timedWaits;
+        }
+    }
 }
 
 std::uint64_t

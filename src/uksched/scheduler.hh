@@ -15,6 +15,15 @@
  * them again, so a gate only has to change the machine's domain, and a
  * backend that spawns its own fibers (the EPT RPC servers) sets theirs
  * on the Thread before they first run.
+ *
+ * A run *dries up* when no thread is Ready and every pending timed
+ * wait is a heartbeat (heartbeatFor()): a wait whose timeout only
+ * re-polls, such as an idle network poller's. With nothing else alive,
+ * firing a heartbeat would move a clock forward and find nothing to
+ * do, so run() and runUntil() return false at that point instead,
+ * without moving any clock. While any other timed wait (sleepNs(),
+ * blockFor()) is pending, heartbeats fire exactly like blockFor()
+ * timeouts.
  */
 
 #ifndef FLEXOS_UKSCHED_SCHEDULER_HH
@@ -128,6 +137,8 @@ class Thread
     WaitQueue *timedWaitQueue = nullptr;
     /** Whether the last blockFor() ended by timeout. */
     bool timedOut = false;
+    /** Whether the current timed wait is a heartbeat. */
+    bool heartbeat = false;
     std::vector<Thread *> joiners;
     void *asanFakeStack = nullptr; ///< ASan fiber-switch save slot
     bool started_ = false;         ///< has ever run on its own stack
@@ -191,15 +202,18 @@ class Scheduler
     void pin(Thread *t, int core);
 
     /**
-     * Run until no thread is Ready or Sleeping.
+     * Run until no thread is Ready or Sleeping, or the run dries up.
      * @return true if every thread finished; false if only Blocked
-     *         threads remain (deadlock — the caller decides what to do).
+     *         threads remain (deadlock, or the run dried up with only
+     *         heartbeat waits pending — the caller decides what to do).
      */
     bool run();
 
     /**
      * Run until pred() holds, checked after every thread switch-out.
-     * @return true if the predicate was met, false if execution dried up.
+     * @return true if the predicate was met; false if the switch
+     *         budget ran out or the run dried up (no thread Ready and
+     *         no timed wait pending but heartbeats).
      */
     bool runUntil(const std::function<bool()> &pred,
                   std::uint64_t maxSwitches = 50'000'000);
@@ -215,6 +229,12 @@ class Scheduler
      *         thread has been removed from the queue).
      */
     bool blockFor(WaitQueue &q, std::uint64_t ns);
+    /**
+     * blockFor() whose timeout is a heartbeat: it only re-polls, so it
+     * fires only while some other timed wait keeps the run alive (see
+     * the file comment). @return as blockFor().
+     */
+    bool heartbeatFor(WaitQueue &q, std::uint64_t ns);
     /** Sleep the calling thread for ns virtual nanoseconds. */
     void sleepNs(std::uint64_t ns);
     /** Wait for another thread to finish. */
@@ -223,6 +243,13 @@ class Scheduler
 
     /** Make a blocked thread runnable. */
     void wake(Thread *t);
+
+    /**
+     * Turn every heartbeat wait on q into an ordinary timed wait with
+     * the same deadline: its re-poll now has work to find (the network
+     * stack calls this when it arms a timer its poller drives).
+     */
+    void promoteHeartbeats(WaitQueue &q);
 
     /**
      * Cancel and unwind every unfinished fiber (their next suspension
@@ -267,10 +294,17 @@ class Scheduler
 
     void switchTo(Thread *t);
     void switchOut();
+    /** switchOut() for a timed wait, counted in timedWaits unless a
+     *  heartbeat. */
+    void switchOutTimed(Thread *self, bool heartbeat);
+    bool timedBlock(WaitQueue &q, std::uint64_t ns, bool heartbeat);
     void threadMain();
     static void trampoline(Scheduler *sched);
 
-    /** Move due sleepers to their run queues; force-wake if all idle. */
+    /**
+     * Move due sleepers to their run queues. If all is idle, force-wake
+     * the earliest one, unless only heartbeats wait (the run dried up).
+     */
     bool serviceSleepers(bool mayAdvanceClock);
 
     /** Drop run-queue entries whose thread is no longer Ready. */
@@ -332,6 +366,8 @@ class Scheduler
     void *schedSp = nullptr; ///< scheduler stack pointer while a fiber runs
     int nextId = 1;
     std::uint64_t switchCount = 0;
+    /** Suspended timed waits that are not heartbeats. */
+    std::size_t timedWaits = 0;
     bool cancelling = false; ///< teardown: suspension points throw
 };
 

@@ -806,5 +806,107 @@ libraries:
     EXPECT_GT(large, small); // batching amortizes the gate crossings
 }
 
+// ------------------------------------------- idle deployments dry up
+
+/**
+ * Spawn a free-running client that connects to the Redis server, sends
+ * each command in turn and waits for its reply (one CRLF-terminated
+ * line), then closes. Sets `done` once every reply arrived.
+ */
+Thread *
+spawnRedisClient(Deployment &dep, std::vector<std::string> commands,
+                 bool &done)
+{
+    Thread *cli = dep.scheduler().spawn("cli", [&dep, commands, &done] {
+        TcpSocket *s = dep.clientStack().connect(makeIp(10, 0, 0, 1),
+                                                 6379);
+        ASSERT_NE(s, nullptr);
+        char buf[256];
+        for (const std::string &cmd : commands) {
+            s->send(cmd.data(), cmd.size());
+            std::string reply;
+            while (reply.find("\r\n") == std::string::npos) {
+                long n = s->recv(buf, sizeof(buf));
+                if (n <= 0)
+                    return;
+                reply.append(buf, static_cast<std::size_t>(n));
+            }
+        }
+        s->close();
+        done = true;
+    });
+    cli->freeRunning = true;
+    return cli;
+}
+
+TEST(IdleDrain, DrainAfterServeDriesUpWellUnderItsBudget)
+{
+    Deployment dep(redisMpk2);
+    dep.start();
+    RedisServer server(dep.libc(), 6379);
+    server.start();
+    bool done = false;
+    spawnRedisClient(dep,
+                     {RespParser::command({"SET", "k", "v"}),
+                      RespParser::command({"GET", "k"})},
+                     done);
+    ASSERT_TRUE(dep.scheduler().runUntil([&] { return done; }));
+    server.stop();
+
+    // Only the pollers' heartbeats and a few cancelled retransmit
+    // deadlines are left: the drain ends long before its budget.
+    std::uint64_t before = dep.scheduler().switches();
+    EXPECT_FALSE(dep.scheduler().runUntil([] { return false; }, 20'000));
+    EXPECT_LT(dep.scheduler().switches() - before, 2'000u);
+    dep.stop();
+}
+
+TEST(IdleDrain, ClientWaitingOnSilentServerDriesUpPromptly)
+{
+    Deployment dep(redisMpk2);
+    dep.start();
+    RedisServer server(dep.libc(), 6379);
+    server.start();
+    // Half a command: the server waits for the rest and never replies.
+    bool done = false;
+    spawnRedisClient(dep, {"*2\r\n$3\r\nGET\r\n"}, done);
+
+    std::uint64_t before = dep.scheduler().switches();
+    EXPECT_FALSE(
+        dep.scheduler().runUntil([&] { return done; }, 200'000'000));
+    EXPECT_FALSE(done);
+    EXPECT_LT(dep.scheduler().switches() - before, 10'000u);
+    server.stop();
+    dep.stop();
+}
+
+TEST(IdleDrain, LiveRetransmitTimerKeepsALossyRunAlive)
+{
+    Deployment dep(redisMpk2);
+    // Drop the SYN and every fourth frame after it on their way into
+    // the server: each loss is recovered only by a retransmit timer,
+    // armed while the client's poller may sit in a heartbeat.
+    int arrived = 0;
+    dep.nicLink()->endA().rxFilter = [&](NetBuf &) {
+        return arrived++ % 4 != 0;
+    };
+    dep.start();
+    RedisServer server(dep.libc(), 6379);
+    server.start();
+    std::vector<std::string> commands;
+    for (int i = 0; i < 10; ++i)
+        commands.push_back(RespParser::command(
+            {"SET", "k" + std::to_string(i), "v"}));
+    bool done = false;
+    spawnRedisClient(dep, commands, done);
+
+    ASSERT_TRUE(dep.scheduler().runUntil([&] { return done; }));
+    EXPECT_EQ(server.commandsServed(), 10u);
+    EXPECT_GT(dep.machine().counter("nic.dropped"), 0u);
+    EXPECT_GT(dep.machine().counter("tcp.retransmits"), 0u);
+    server.stop();
+    dep.stop();
+}
+
 } // namespace
 } // namespace flexos

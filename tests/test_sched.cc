@@ -1,11 +1,11 @@
 /**
  * @file
  * Unit tests for uksched: spawn/join/yield ordering, blocking,
- * virtual-time sleep, mutex/semaphore semantics, the per-thread
- * protection domain installed on a switch, the free-running
- * (uncharged) thread mode, and the fiber switch itself (per-fiber
- * floating-point control state, exceptions, deep stacks, spawn/teardown
- * churn).
+ * virtual-time sleep, heartbeat waits and the run drying up,
+ * mutex/semaphore semantics, the per-thread protection domain
+ * installed on a switch, the free-running (uncharged) thread mode, and
+ * the fiber switch itself (per-fiber floating-point control state,
+ * exceptions, deep stacks, spawn/teardown churn).
  */
 
 #include <gtest/gtest.h>
@@ -259,6 +259,113 @@ TEST_F(SchedFixture, RunUntilReturnsFalseWhenWorkDriesUp)
 {
     sched.spawn("short", [] {});
     EXPECT_FALSE(sched.runUntil([] { return false; }, 1000));
+}
+
+TEST(SchedHeartbeat, OnlyHeartbeatWaitsLeftDryUpWithoutMovingClocks)
+{
+    Machine mach(TimingModel{}, 2);
+    Scheduler sched(mach);
+    WaitQueue q0(sched), q1(sched);
+    int waiting = 0;
+    auto poll = [&](WaitQueue *q) {
+        while (true) {
+            ++waiting;
+            sched.heartbeatFor(*q, 1'000'000);
+            --waiting;
+        }
+    };
+    sched.spawnOn(0, "hb0", [&] { poll(&q0); });
+    sched.spawnOn(1, "hb1", [&] { poll(&q1); });
+    ASSERT_TRUE(sched.runUntil([&] { return waiting == 2; }));
+
+    std::uint64_t switches = sched.switches();
+    Cycles core0 = mach.coreCycles(0);
+    Cycles core1 = mach.coreCycles(1);
+    EXPECT_FALSE(sched.runUntil([] { return false; }, 1000));
+    EXPECT_FALSE(sched.run());
+    EXPECT_EQ(sched.switches(), switches);
+    EXPECT_EQ(mach.coreCycles(0), core0);
+    EXPECT_EQ(mach.coreCycles(1), core1);
+    EXPECT_EQ(mach.counter("sched.idleJumps"), 0u);
+}
+
+TEST_F(SchedFixture, HeartbeatBesideOrdinaryWaitsFiresInDeadlineOrder)
+{
+    WaitQueue hbq(sched), q(sched);
+    std::vector<std::string> log;
+    auto stamp = [&](const char *what) {
+        log.push_back(what + std::to_string(mach.nanoseconds() /
+                                            1'000'000));
+    };
+    sched.spawn("hb", [&] {
+        while (true) {
+            if (!sched.heartbeatFor(hbq, 1'000'000))
+                stamp("hb@");
+        }
+    });
+    sched.spawn("worker", [&] {
+        sched.sleepNs(3'500'000);
+        stamp("slept@");
+        if (!sched.blockFor(q, 1'000'000))
+            stamp("timeout@");
+    });
+    // The worker keeps the run alive, so the heartbeat fires by idle
+    // jumps in deadline order; once the worker is done, it dries up.
+    EXPECT_FALSE(sched.run());
+    EXPECT_EQ(log, (std::vector<std::string>{"hb@1", "hb@2", "hb@3",
+                                             "slept@3", "hb@4",
+                                             "timeout@4"}));
+    EXPECT_EQ(mach.counter("sched.idleJumps"), 6u);
+    EXPECT_LT(mach.nanoseconds(), 5'000'000u);
+}
+
+TEST_F(SchedFixture, PromotedHeartbeatKeepsTheRunAlive)
+{
+    WaitQueue q(sched);
+    bool timedOut = false;
+    sched.spawn("hb", [&] { timedOut = !sched.heartbeatFor(q, 1'000'000); });
+    sched.spawn("arm", [&] { sched.promoteHeartbeats(q); });
+    EXPECT_TRUE(sched.run());
+    EXPECT_TRUE(timedOut);
+    EXPECT_GE(mach.nanoseconds(), 1'000'000u);
+}
+
+TEST_F(SchedFixture, CancelInsideTimedWaitsKeepsAccountingBalanced)
+{
+    WaitQueue hbq(sched), promoted(sched);
+    int waiting = 0;
+    sched.spawn("hb", [&] {
+        ++waiting;
+        while (true)
+            sched.heartbeatFor(hbq, 1'000'000);
+    });
+    sched.spawn("sleeper", [&] {
+        ++waiting;
+        sched.sleepNs(1'000'000'000);
+    });
+    sched.spawn("promoted", [&] {
+        ++waiting;
+        sched.heartbeatFor(promoted, 1'000'000'000);
+    });
+    ASSERT_TRUE(sched.runUntil([&] { return waiting == 3; }));
+    sched.promoteHeartbeats(promoted);
+    sched.cancelAll();
+
+    // The unwound waits no longer count: a fresh heartbeat-only state
+    // dries up at once instead of idle-jumping to the budget.
+    bool parked = false;
+    sched.spawn("hb2", [&] {
+        while (true) {
+            parked = true;
+            sched.heartbeatFor(hbq, 1'000'000);
+        }
+    });
+    ASSERT_TRUE(sched.runUntil([&] { return parked; }));
+    std::uint64_t switches = sched.switches();
+    Cycles now = mach.cycles();
+    EXPECT_FALSE(sched.runUntil([] { return false; }, 1000));
+    EXPECT_EQ(sched.switches(), switches);
+    EXPECT_EQ(mach.cycles(), now);
 }
 
 /** 1/3 in double precision under the current SSE rounding mode. */
