@@ -3,7 +3,6 @@
  * Isolation backend implementations (paper sections 4.1-4.3) plus the
  * baseline mechanisms used by the Figure 10 comparison.
  *
- * - None: single protection domain; gates are plain calls.
  * - MPK: inline gates that swap the PKRU (light flavour) and
  *   additionally save/zero registers and switch the per-compartment
  *   stack (DSS flavour).
@@ -11,7 +10,13 @@
  *   gates marshal a request into a shared ring and block the caller.
  * - CHERI: a sketch backend (paper 4.3) — CInvoke-style inline domain
  *   transitions with sentry-capability entry checks.
- * - LinuxPt / Sel4Ipc / CubicleMpk: baseline crossing-cost regimes.
+ * - None / LinuxPt / Sel4Ipc / CubicleMpk: per-call mechanisms, one
+ *   class driven by a row each. None is a single protection domain
+ *   whose gates are plain calls; the others are the baseline
+ *   crossing-cost regimes.
+ *
+ * The image enforces each boundary and counts its crossings before a
+ * backend runs; backends charge the gate and keep their own counters.
  */
 
 #include "core/backend.hh"
@@ -129,43 +134,48 @@ class ReturnCharge
     bool doScrub;
 };
 
-/** Single-domain backend: everything is one compartment. */
-class NoneBackend : public IsolationBackend
+/**
+ * The inline gate shared by MPK and CHERI: one entry leg and one
+ * return leg for the whole vector, each extra call paying only the
+ * slot-dispatch cost, the bodies running back-to-back inside the
+ * callee domain. Touches the per-thread compartment stack registry so
+ * the target stack exists (the functional stack switch), laid out
+ * under this boundary's stack-sharing policy; the MPK light gate keeps
+ * the caller's stack, but frames the callee opens still follow the
+ * boundary's policy. `scrub` wipes the scratch registers on the way
+ * back (see ReturnCharge).
+ */
+void
+inlineGate(Image &img, int to, const GatePolicy &policy, double workMult,
+           Cycles entryCost, Cycles returnCost, bool scrub,
+           const std::function<void()> *bodies, std::size_t count)
 {
-  public:
-    Mechanism mechanism() const override { return Mechanism::None; }
-    const char *name() const override { return "none"; }
+    auto &m = img.machine();
+    m.consume(entryCost);
+    if (count > 1)
+        m.consume(static_cast<Cycles>(count - 1) * m.timing.batchSlot);
+    Thread *t = img.scheduler().current();
+    if (t)
+        img.simStackFor(t->id(), to, policy.stackSharing);
+    ReturnCharge rc(m, returnCost, scrub);
+    DomainTransition dt(img, to, workMult);
+    for (std::size_t i = 0; i < count; ++i)
+        bodies[i]();
+}
 
-    void
-    boot(Image &img) override
-    {
-        // One protection domain: each unisolated compartment's PKRU
-        // allows all. Other compartments (mixed image) keep theirs.
-        for (std::size_t i = 0; i < img.compartmentCount(); ++i)
-            if (ownsCompartment(*this, img, i))
-                img.compartmentAt(i).domain = Pkru(Pkru::allowAllValue);
-    }
-
-    void shutdown(Image &) override {}
-
-    void
-    crossCall(Image &img, int from, int to, const GatePolicy &,
-              const std::string &, const char *, double workMult,
-              const std::function<void()> *bodies,
-              std::size_t count) override
-    {
-        // No isolation: the "gate" is the function call itself, once
-        // per call.
-        auto &m = img.machine();
-        for (std::size_t i = 0; i < count; ++i) {
-            m.consume(m.timing.functionCall);
-            m.bump("gate.none");
-            img.noteCrossing(from, to);
-            DomainTransition dt(img, to, workMult);
-            bodies[i]();
-        }
-    }
-};
+/**
+ * The full (register save/zero + stack switch) gate's return leg. An
+ * asymmetric policy can waive the return-side scrub (e.g. returns into
+ * the caller's own VM re-enter trusted state), saving the register
+ * save/zero on the way back.
+ */
+Cycles
+fullReturnLeg(const TimingModel &t, bool scrub)
+{
+    return scrub ? t.mpkDssReturn
+                 : t.mpkDssReturn - std::min(t.mpkDssReturn,
+                                             t.registerSaveZero);
+}
 
 /**
  * Intel MPK backend (paper 4.1). Flavour-agnostic: each crossing's
@@ -197,63 +207,39 @@ class MpkBackend : public IsolationBackend
     void shutdown(Image &) override {}
 
     void
-    crossCall(Image &img, int from, int to, const GatePolicy &policy,
+    crossCall(Image &img, int to, const GatePolicy &policy,
               const std::string &, const char *, double workMult,
               const std::function<void()> *bodies,
               std::size_t count) override
     {
         // One entry/return leg for the whole vector: the PKRU switch,
-        // register save/zero and stack switch are paid once, each
-        // extra call only its slot-dispatch cost. The bodies run
-        // back-to-back inside the callee domain.
+        // register save/zero and stack switch are paid once.
         auto &m = img.machine();
-        Cycles returnCost = 0;
         if (policy.flavor == MpkGateFlavor::Light) {
             // ERIM-style: wrpkru pair around a normal call; stack and
             // register set are shared with the callee (nothing to
             // scrub on return). Entry leg is the first wrpkru + call;
             // the second wrpkru + return is charged on the way back.
-            m.consume(m.timing.mpkLightGate - m.timing.mpkLightReturn);
-            returnCost = m.timing.mpkLightReturn;
             m.bump("gate.mpk.light");
-        } else {
-            // HODOR-style full gate: save+zero the register set, switch
-            // thread permissions, switch to the compartment's stack via
-            // the per-thread stack registry (and back on return). An
-            // asymmetric policy can waive the return-side scrub (e.g.
-            // returns into the caller's own VM re-enter trusted state),
-            // saving the register save/zero on the way back.
-            m.consume(m.timing.mpkDssGate - m.timing.mpkDssReturn);
-            returnCost = m.timing.mpkDssReturn;
-            if (!policy.scrubReturn) {
-                returnCost -=
-                    std::min(returnCost, m.timing.registerSaveZero);
-                m.bump("gate.mpk.dss.noscrub");
-            }
-            m.bump("gate.mpk.dss");
-            // The entry-side register save/zero: the callee starts
-            // from a clean scratch file (the light gate shares it).
-            m.scrubScratch();
+            inlineGate(img, to, policy, workMult,
+                       m.timing.mpkLightGate - m.timing.mpkLightReturn,
+                       m.timing.mpkLightReturn, /*scrub=*/false, bodies,
+                       count);
+            return;
         }
-        if (count > 1)
-            m.consume(static_cast<Cycles>(count - 1) *
-                      m.timing.batchSlot);
-        // Touch the per-thread compartment stack registry so the
-        // target stack exists (the functional stack switch), laid out
-        // under this boundary's stack-sharing policy. The light gate
-        // keeps the caller's stack, but frames the callee opens still
-        // follow the boundary's policy.
-        Thread *t = img.scheduler().current();
-        if (t)
-            img.simStackFor(t->id(), to, policy.stackSharing);
-        for (std::size_t i = 0; i < count; ++i)
-            img.noteCrossing(from, to);
-        ReturnCharge rc(m, returnCost,
-                        policy.flavor != MpkGateFlavor::Light &&
-                            policy.scrubReturn);
-        DomainTransition dt(img, to, workMult);
-        for (std::size_t i = 0; i < count; ++i)
-            bodies[i]();
+        // HODOR-style full gate: save+zero the register set, switch
+        // thread permissions, switch to the compartment's stack via the
+        // per-thread stack registry (and back on return).
+        m.bump("gate.mpk.dss");
+        if (!policy.scrubReturn)
+            m.bump("gate.mpk.dss.noscrub");
+        // The entry-side register save/zero: the callee starts from a
+        // clean scratch file (the light gate shares it).
+        m.scrubScratch();
+        inlineGate(img, to, policy, workMult,
+                   m.timing.mpkDssGate - m.timing.mpkDssReturn,
+                   fullReturnLeg(m.timing, policy.scrubReturn),
+                   policy.scrubReturn, bodies, count);
     }
 };
 
@@ -372,7 +358,7 @@ class EptBackend : public IsolationBackend
     }
 
     void
-    crossCall(Image &img, int from, int to, const GatePolicy &policy,
+    crossCall(Image &img, int to, const GatePolicy &policy,
               const std::string &calleeLib, const char *fnName,
               double workMult, const std::function<void()> *bodies,
               std::size_t count) override
@@ -429,8 +415,6 @@ class EptBackend : public IsolationBackend
             m.bump("gate.ept.noscrub");
         }
         m.bump("gate.ept");
-        for (std::size_t i = 0; i < count; ++i)
-            img.noteCrossing(from, to);
         ReturnCharge rc(m, returnCost, policy.scrubReturn);
 
         Rpc rpc;
@@ -759,149 +743,133 @@ class CheriBackend : public IsolationBackend
     void shutdown(Image &) override {}
 
     void
-    crossCall(Image &img, int from, int to, const GatePolicy &policy,
+    crossCall(Image &img, int to, const GatePolicy &policy,
               const std::string &, const char *, double workMult,
               const std::function<void()> *bodies,
               std::size_t count) override
     {
         // One CInvoke entry and one return-side clear for the whole
-        // vector, each extra call paying only the slot-dispatch cost
-        // (the sentry check covers the shared entry point once).
+        // vector (the sentry check covers the shared entry point once).
+        // Capability + register clear dominates: the entry leg carries
+        // the extra capability save on top of the full MPK gate's, the
+        // return leg mirrors the full MPK gate's, scrub waiver included.
         auto &m = img.machine();
-        // Capability + register clear dominates; the return-side clear
-        // can be waived by an asymmetric policy like the MPK gate's.
-        // Entry leg carries the extra capability save; the return leg
-        // mirrors the full MPK gate's.
-        m.consume(m.timing.registerSaveZero +
-                  (m.timing.mpkDssGate - m.timing.mpkDssReturn));
-        Cycles returnCost = m.timing.mpkDssReturn;
-        if (!policy.scrubReturn)
-            returnCost -= std::min(returnCost, m.timing.registerSaveZero);
         m.bump("gate.cheri");
         m.scrubScratch();
-        if (count > 1)
-            m.consume(static_cast<Cycles>(count - 1) *
-                      m.timing.batchSlot);
-        // The callee's sim stack follows this boundary's
-        // stack-sharing policy, as on the MPK gates.
-        Thread *t = img.scheduler().current();
-        if (t)
-            img.simStackFor(t->id(), to, policy.stackSharing);
-        for (std::size_t i = 0; i < count; ++i)
-            img.noteCrossing(from, to);
-        ReturnCharge rc(m, returnCost, policy.scrubReturn);
-        DomainTransition dt(img, to, workMult);
-        for (std::size_t i = 0; i < count; ++i)
-            bodies[i]();
+        inlineGate(img, to, policy, workMult,
+                   m.timing.registerSaveZero +
+                       (m.timing.mpkDssGate - m.timing.mpkDssReturn),
+                   fullReturnLeg(m.timing, policy.scrubReturn),
+                   policy.scrubReturn, bodies, count);
     }
 };
 
 /**
- * Baseline: page-table isolation via Linux syscalls (Figure 10 PT2).
- * Each call pays `timing.syscallKpti`; a kernel without KPTI is a
- * timing override (fig11b's syscall-nokpti row).
+ * One per-call mechanism: a crossing regime that cannot amortize a
+ * transition over a vector, so every call of a chunk pays the whole
+ * charge and counts once in `counter`.
  */
-class LinuxPtBackend : public IsolationBackend
+struct PerCallRow
 {
-  public:
-    Mechanism mechanism() const override { return Mechanism::LinuxPt; }
-    const char *name() const override { return "linux-pt"; }
-
-    void boot(Image &) override {}
-    void shutdown(Image &) override {}
-
-    void
-    crossCall(Image &img, int from, int to, const GatePolicy &,
-              const std::string &, const char *, double workMult,
-              const std::function<void()> *bodies,
-              std::size_t count) override
-    {
-        // One syscall per call: the baselines cannot amortize a
-        // transition over a vector.
-        auto &m = img.machine();
-        for (std::size_t i = 0; i < count; ++i) {
-            m.consume(m.timing.syscallKpti);
-            m.bump("gate.syscall");
-            img.noteCrossing(from, to);
-            // The kernel return path sanitizes the scratch registers,
-            // as on a real syscall boundary.
-            ReturnCharge rc(m, 0, /*scrub=*/true);
-            DomainTransition dt(img, to, workMult);
-            bodies[i]();
-        }
-    }
+    Mechanism mech;
+    const char *name;
+    const char *counter;
+    /** The per-call transition charge: `costRepeat` x `cost`. */
+    Cycles TimingModel::*cost;
+    Cycles costRepeat = 1;
+    /** Extra charge on every second crossing (nullptr: none). */
+    Cycles TimingModel::*everySecondCall = nullptr;
+    /** The return path zeroes the scratch registers. */
+    bool scrubReturn = false;
+    bool checksEntryPoints = false;
+    /** Boot gives the compartments it owns an allow-all PKRU. */
+    bool allowAllDomain = false;
 };
 
-/** Baseline: seL4/Genode microkernel IPC (Figure 10 PT3). */
-class Sel4IpcBackend : public IsolationBackend
-{
-  public:
-    Mechanism mechanism() const override { return Mechanism::Sel4Ipc; }
-    const char *name() const override { return "sel4-ipc"; }
-    bool checksEntryPoints() const override { return true; }
-
-    void boot(Image &) override {}
-    void shutdown(Image &) override {}
-
-    void
-    crossCall(Image &img, int from, int to, const GatePolicy &,
-              const std::string &, const char *, double workMult,
-              const std::function<void()> *bodies,
-              std::size_t count) override
-    {
-        // One IPC round trip per call.
-        auto &m = img.machine();
-        for (std::size_t i = 0; i < count; ++i) {
-            m.consume(m.timing.sel4Ipc);
-            m.bump("gate.sel4ipc");
-            img.noteCrossing(from, to);
-            // IPC replies carry only the message registers;
-            // everything else comes back zeroed.
-            ReturnCharge rc(m, 0, /*scrub=*/true);
-            DomainTransition dt(img, to, workMult);
-            bodies[i]();
-        }
-    }
+const PerCallRow perCallRows[] = {
+    // No isolation: one protection domain, and the "gate" is the
+    // function call itself.
+    {.mech = Mechanism::None,
+     .name = "none",
+     .counter = "gate.none",
+     .cost = &TimingModel::functionCall,
+     .allowAllDomain = true},
+    // Page-table isolation via Linux syscalls (Figure 10 PT2). A kernel
+    // without KPTI is a timing override (fig11b's syscall-nokpti row).
+    // The kernel return path sanitizes the scratch registers, as on a
+    // real syscall boundary.
+    {.mech = Mechanism::LinuxPt,
+     .name = "linux-pt",
+     .counter = "gate.syscall",
+     .cost = &TimingModel::syscallKpti,
+     .scrubReturn = true},
+    // seL4/Genode microkernel IPC round trip (Figure 10 PT3). Replies
+    // carry only the message registers; everything else comes back
+    // zeroed.
+    {.mech = Mechanism::Sel4Ipc,
+     .name = "sel4-ipc",
+     .counter = "gate.sel4ipc",
+     .cost = &TimingModel::sel4Ipc,
+     .scrubReturn = true,
+     .checksEntryPoints = true},
+    // CubicleOS: MPK emulated with pkey_mprotect syscalls from linuxu
+    // plus the trap-and-map shared window (paper 6.4). Two syscalls per
+    // transition (open + close the window); every other crossing
+    // touches a not-yet-mapped shared object and takes the fault.
+    {.mech = Mechanism::CubicleMpk,
+     .name = "cubicle-mpk",
+     .counter = "gate.cubicle",
+     .cost = &TimingModel::pkeyMprotect,
+     .costRepeat = 2,
+     .everySecondCall = &TimingModel::trapAndMapFault},
 };
 
-/**
- * Baseline: CubicleOS — MPK emulated with pkey_mprotect syscalls from
- * linuxu plus the trap-and-map shared-window mechanism (paper 6.4: the
- * transitions are orders of magnitude more expensive than real MPK
- * gates, and every newly touched shared object faults once).
- */
-class CubicleMpkBackend : public IsolationBackend
+/** The per-call mechanisms (the None domain and the Figure 10
+ *  baselines), each driven by its row. */
+class PerCallBackend : public IsolationBackend
 {
   public:
-    Mechanism mechanism() const override { return Mechanism::CubicleMpk; }
-    const char *name() const override { return "cubicle-mpk"; }
+    explicit PerCallBackend(const PerCallRow &r) : row(r) {}
 
-    void boot(Image &) override { callCount = 0; }
+    Mechanism mechanism() const override { return row.mech; }
+    const char *name() const override { return row.name; }
+    bool checksEntryPoints() const override { return row.checksEntryPoints; }
+
+    void
+    boot(Image &img) override
+    {
+        callCount = 0;
+        // One protection domain: each unisolated compartment's PKRU
+        // allows all. Other compartments (mixed image) keep theirs.
+        if (row.allowAllDomain)
+            for (std::size_t i = 0; i < img.compartmentCount(); ++i)
+                if (ownsCompartment(*this, img, i))
+                    img.compartmentAt(i).domain =
+                        Pkru(Pkru::allowAllValue);
+    }
+
     void shutdown(Image &) override {}
 
     void
-    crossCall(Image &img, int from, int to, const GatePolicy &,
+    crossCall(Image &img, int to, const GatePolicy &,
               const std::string &, const char *, double workMult,
               const std::function<void()> *bodies,
               std::size_t count) override
     {
         auto &m = img.machine();
         for (std::size_t i = 0; i < count; ++i) {
-            // Two pkey_mprotect syscalls per transition (open + close
-            // the window); every other crossing touches a
-            // not-yet-mapped shared object and takes the trap-and-map
-            // fault.
-            m.consume(2 * m.timing.pkeyMprotect);
-            if (++callCount % 2 == 0)
-                m.consume(m.timing.trapAndMapFault);
-            m.bump("gate.cubicle");
-            img.noteCrossing(from, to);
+            m.consume(row.costRepeat * m.timing.*row.cost);
+            if (row.everySecondCall && ++callCount % 2 == 0)
+                m.consume(m.timing.*row.everySecondCall);
+            m.bump(row.counter);
+            ReturnCharge rc(m, 0, row.scrubReturn);
             DomainTransition dt(img, to, workMult);
             bodies[i]();
         }
     }
 
   private:
+    const PerCallRow &row;
     std::uint64_t callCount = 0;
 };
 
@@ -911,21 +879,18 @@ std::unique_ptr<IsolationBackend>
 makeBackend(Mechanism m)
 {
     switch (m) {
-      case Mechanism::None:
-        return std::make_unique<NoneBackend>();
       case Mechanism::IntelMpk:
         return std::make_unique<MpkBackend>();
       case Mechanism::VmEpt:
         return std::make_unique<EptBackend>();
       case Mechanism::Cheri:
         return std::make_unique<CheriBackend>();
-      case Mechanism::LinuxPt:
-        return std::make_unique<LinuxPtBackend>();
-      case Mechanism::Sel4Ipc:
-        return std::make_unique<Sel4IpcBackend>();
-      case Mechanism::CubicleMpk:
-        return std::make_unique<CubicleMpkBackend>();
+      default:
+        break;
     }
+    for (const PerCallRow &row : perCallRows)
+        if (row.mech == m)
+            return std::make_unique<PerCallBackend>(row);
     fatal("unhandled mechanism");
 }
 

@@ -49,24 +49,24 @@ class IsolationBackend
 
     /**
      * Execute `count` (>= 1) bodies in compartment 'to' on behalf of
-     * the current thread running in compartment 'from' — the
-     * instantiated call gate. Charges the gate cost, performs the
-     * domain transition, and runs the bodies in order under
-     * calleeWorkMult (the callee component's hardening tax). The
-     * resolved (from, to) GatePolicy selects the MPK flavour,
-     * caller-side entry validation, and whether the return path
-     * scrubs the register set (asymmetric policies like "EPT->MPK
-     * returns skip re-validation" drop the return-side scrub).
+     * the current thread — the instantiated call gate. Charges the
+     * gate cost, performs the domain transition, and runs the bodies
+     * in order under calleeWorkMult (the callee component's hardening
+     * tax). The resolved (from, to) GatePolicy selects the MPK
+     * flavour, caller-side entry validation, and whether the return
+     * path scrubs the register set (asymmetric policies like "EPT->MPK
+     * returns skip re-validation" drop the return-side scrub). The
+     * image has already enforced the boundary and counted the calls in
+     * its per-boundary ledger; a backend keeps only its own counters.
      *
      * count > 1 is a vectored crossing (`batch: N` boundaries).
      * Mechanisms that can amortize pay ONE transition for the whole
      * vector: MPK and CHERI one entry/return leg plus a per-slot
      * dispatch cost, EPT one ring slot and one doorbell. The
-     * baselines pay their per-call charge for every body. An
+     * per-call mechanisms pay their charge for every body. An
      * exception from any body aborts the rest of the vector.
      */
-    virtual void crossCall(Image &img, int from, int to,
-                           const GatePolicy &policy,
+    virtual void crossCall(Image &img, int to, const GatePolicy &policy,
                            const std::string &calleeLib,
                            const char *fnName, double calleeWorkMult,
                            const std::function<void()> *bodies,

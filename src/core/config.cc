@@ -436,8 +436,8 @@ boundaryKeys()
             "QoS weight of the edge's token bucket: the effective budget "
             "is `rate` x `weight`, biasing boundaries that inherit a "
             "shared wildcard `rate:` instead of starving callers "
-            "FIFO-less. Throttled crossings also bump "
-            "`gate.throttled.<from>`. Default: 1."),
+            "FIFO-less. Throttled crossings also count in the edge's "
+            "`throttled` cell of `Image::ledger()`. Default: 1."),
         boundaryKey(
             "overflow", &BoundaryRule::overflow, &GatePolicy::overflow,
             oneOf(overflowNames),

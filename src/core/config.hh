@@ -239,8 +239,8 @@ struct GatePolicy
      * QoS weight of the edge's token bucket (`weight:` key): the
      * effective budget is rate x weight, so boundaries sharing a
      * wildcard `rate:` can be biased per caller instead of starving
-     * FIFO-less. Throttled crossings additionally bump the per-caller
-     * `gate.throttled.<from>` counter. Default 1 (no bias).
+     * FIFO-less. Throttled crossings also count in the edge's
+     * `throttled` cell of Image::ledger(). Default 1 (no bias).
      */
     std::uint64_t weight = 1;
 

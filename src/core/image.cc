@@ -118,6 +118,7 @@ Image::Image(Machine &m, Scheduler &s, SafetyConfig config,
     // enforced under the gate matrix's resolved (from, to) policy.
     gates = GateMatrix::build(cfg);
     gateBuckets.resize(comps.size() * comps.size());
+    boundaryLedger.resize(comps.size() * comps.size());
     compLastCore.assign(comps.size(), -1);
     for (Mechanism m : cfg.mechanisms())
         backends.push_back(makeBackend(m));
@@ -168,17 +169,16 @@ Image::rejectDeniedStaticEdges() const
 void
 Image::enforceBoundary(int from, int to, const GatePolicy &pol)
 {
+    std::size_t cell = boundaryIndex(from, to);
     if (pol.deny) {
-        const std::string &fromName =
-            cfg.compartments[static_cast<std::size_t>(from)].name;
-        const std::string &toName =
-            cfg.compartments[static_cast<std::size_t>(to)].name;
         mach.bump("gate.denied");
         // Per-edge witness: the runtime controller's deny-alert rule
         // needs to know WHICH edge is being probed, not just that
         // some denied crossing happened somewhere.
-        mach.bump("gate.denied." + fromName + "->" + toName);
-        throw DeniedCrossing(fromName, toName);
+        ++boundaryLedger[cell].denied;
+        throw DeniedCrossing(
+            cfg.compartments[static_cast<std::size_t>(from)].name,
+            cfg.compartments[static_cast<std::size_t>(to)].name);
     }
     if (!pol.rate)
         return;
@@ -188,9 +188,7 @@ Image::enforceBoundary(int from, int to, const GatePolicy &pol)
     // N/window behaves identically to k*N/(k*window). The policy's QoS
     // weight scales the edge's effective budget, so boundaries
     // inheriting one wildcard `rate:` can be biased per caller.
-    GateBucket &b =
-        gateBuckets[static_cast<std::size_t>(from) * comps.size() +
-                    static_cast<std::size_t>(to)];
+    GateBucket &b = gateBuckets[cell];
     Cycles now = mach.cycles();
     double rate = static_cast<double>(pol.rate * pol.weight);
     if (!b.primed) {
@@ -205,17 +203,9 @@ Image::enforceBoundary(int from, int to, const GatePolicy &pol)
 
     if (b.tokens < 1.0) {
         mach.bump("gate.throttled");
-        // Per-caller breakdown: who is being back-pressured matters
-        // for QoS tuning (which `weight:` to raise).
-        mach.bump("gate.throttled." +
-                  cfg.compartments[static_cast<std::size_t>(from)].name);
-        // Per-edge breakdown: the controller's relax rule reads this
-        // to see whether a tightened budget still actively constrains.
-        mach.bump(
-            "gate.throttled." +
-            cfg.compartments[static_cast<std::size_t>(from)].name +
-            "->" +
-            cfg.compartments[static_cast<std::size_t>(to)].name);
+        // Per-edge breakdown: who is being back-pressured matters for
+        // QoS tuning (which `weight:` to raise).
+        ++boundaryLedger[cell].throttled;
         if (pol.overflow == RateOverflow::Fail)
             throw ThrottledCrossing(
                 cfg.compartments[static_cast<std::size_t>(from)].name,
@@ -307,7 +297,10 @@ Image::crossChunk(const std::string &calleeLib, const char *fnName,
         mach.bump("gate.batched");
         mach.bump("gate.batchedCalls", k);
     }
-    be.crossCall(*this, from, to, eff, calleeLib, fnName,
+    // Every call past enforcement counts once, here, whichever backend
+    // carries it — also the calls of a vector a throwing body aborts.
+    boundaryLedger[boundaryIndex(from, to)].crossings += k;
+    be.crossCall(*this, to, eff, calleeLib, fnName,
                  libMultiplier(calleeLib), bodies, k);
     noteReturn(pol);
 }
@@ -574,7 +567,7 @@ Image::currentHardening() const
 
 void
 Image::checkEntry(const std::string &lib, const char *fnName, int from,
-                  int to, const GatePolicy &pol) const
+                  int to, const GatePolicy &pol)
 {
     bool enforce = pol.validateEntry ||
                    backendOf(pol.mech).checksEntryPoints() ||
@@ -587,10 +580,7 @@ Image::checkEntry(const std::string &lib, const char *fnName, int from,
         // the adversary scorecard (and the controller's deny-witness
         // pass) can attribute the forged entry to its boundary.
         mach.bump("gate.validate.reject");
-        mach.bump(
-            "gate.validate.reject." +
-            comps[static_cast<std::size_t>(from)]->spec.name + "->" +
-            comps[static_cast<std::size_t>(to)]->spec.name);
+        ++boundaryLedger[boundaryIndex(from, to)].rejected;
         throw CfiViolation(std::string("gate to non-entry-point ") + lib +
                            "." + fnName);
     }
@@ -891,11 +881,23 @@ Image::statsDelta(const StatsSnapshot &before, const StatsSnapshot &now)
     return out;
 }
 
+std::map<std::pair<int, int>, std::uint64_t>
+Image::gateCrossings() const
+{
+    std::map<std::pair<int, int>, std::uint64_t> out;
+    int n = static_cast<int>(comps.size());
+    for (int f = 0; f < n; ++f)
+        for (int t = 0; t < n; ++t)
+            if (std::uint64_t c = ledgerAt(f, t).crossings)
+                out.emplace(std::make_pair(f, t), c);
+    return out;
+}
+
 std::map<std::pair<int, int>, Image::BoundaryStat>
 Image::boundaryStats() const
 {
     std::map<std::pair<int, int>, BoundaryStat> out;
-    for (const auto &[pair, count] : crossings) {
+    for (const auto &[pair, count] : gateCrossings()) {
         BoundaryStat s;
         s.from = comps[static_cast<std::size_t>(pair.first)]->spec.name;
         s.to = comps[static_cast<std::size_t>(pair.second)]->spec.name;

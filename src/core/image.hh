@@ -54,7 +54,8 @@ unsigned layoutEntropyBits(Mechanism m);
  * `deny: true`: the configuration declares the edge unreachable
  * (least-privilege call graph). Statically-known call edges are
  * rejected at image build instead; this error covers dynamic
- * crossings the static graph does not see. Counted in `gate.denied`.
+ * crossings the static graph does not see. Counted in `gate.denied`
+ * and the edge's ledger cell.
  */
 class DeniedCrossing : public std::runtime_error
 {
@@ -72,8 +73,9 @@ class DeniedCrossing : public std::runtime_error
 /**
  * Raised by Image::gate() when a rate-limited boundary overflows its
  * token budget and the policy's overflow action is `fail`. Counted in
- * `gate.throttled` (the `stall` action bumps the same counter but
- * back-pressures the caller instead of raising).
+ * `gate.throttled` and the edge's ledger cell (the `stall` action
+ * counts the same way but back-pressures the caller instead of
+ * raising).
  */
 class ThrottledCrossing : public std::runtime_error
 {
@@ -348,12 +350,45 @@ class Image
     /** Generated linker-script analogue describing the memory layout. */
     std::string linkerScript() const;
 
-    /** Gate-crossing counters per (from, to) pair. */
-    const std::map<std::pair<int, int>, std::uint64_t> &
-    gateCrossings() const
+    /**
+     * One (from, to) boundary's cell of the per-boundary ledger: what
+     * happened at the gate, each event counted once, here only (the
+     * machine keeps just the image-wide totals `gate.denied`,
+     * `gate.throttled` and `gate.validate.reject`).
+     */
+    struct BoundaryCounts
     {
-        return crossings;
+        /** Calls that passed enforcement into the backend. */
+        std::uint64_t crossings = 0;
+        /** Calls refused by `deny: true`. */
+        std::uint64_t denied = 0;
+        /** Calls that found the token bucket dry (stalled or failed). */
+        std::uint64_t throttled = 0;
+        /** Calls refused by entry-point validation. */
+        std::uint64_t rejected = 0;
+    };
+
+    /**
+     * The per-boundary ledger, row-major [from * n + to] like the gate
+     * matrix. Cells are monotonic totals; windowed readers (the
+     * controller) difference two copies.
+     */
+    const std::vector<BoundaryCounts> &
+    ledger() const
+    {
+        return boundaryLedger;
     }
+
+    /** One boundary's ledger cell. */
+    const BoundaryCounts &
+    ledgerAt(int from, int to) const
+    {
+        return boundaryLedger[boundaryIndex(from, to)];
+    }
+
+    /** Crossings per (from, to) pair: the ledger cells that carried
+     *  any. */
+    std::map<std::pair<int, int>, std::uint64_t> gateCrossings() const;
 
     /** One (from, to) boundary's traffic, named by its policy. */
     struct BoundaryStat
@@ -365,17 +400,11 @@ class Image
     };
 
     /**
-     * The per-(from, to) crossing ledger joined with the gate matrix:
+     * The crossing column of the ledger joined with the gate matrix:
      * every boundary that carried traffic, labelled with the policy
      * that enforced it. Map key is the (from, to) index pair.
      */
     std::map<std::pair<int, int>, BoundaryStat> boundaryStats() const;
-
-    void
-    noteCrossing(int from, int to)
-    {
-        ++crossings[{from, to}];
-    }
 
     /**
      * SMP crossing accounting: when a compartment was last entered
@@ -443,13 +472,13 @@ class Image
     int activeCrossings() const { return activeCrossings_; }
     /** @} */
 
-    /** @name Windowed statistics (the controller's sample path). @{ */
+    /** @name Windowed statistics. @{ */
     /** A point-in-time copy of the machine's counters. */
     using StatsSnapshot = std::map<std::string, std::uint64_t>;
 
     /**
      * Snapshot every machine counter. Counters are monotonic totals;
-     * rate logic (the controller, epoch tests) must difference two
+     * rate logic (epoch tests, benchmark windows) must difference two
      * snapshots with statsDelta() instead of reading totals — using
      * totals double-counts all history before the window.
      */
@@ -486,20 +515,31 @@ class Image
     friend class Toolchain;
 
     int resolveCallee(const std::string &lib, int from) const;
+
+    /** Row-major index of a (from, to) boundary in the per-boundary
+     *  tables (the ledger and the token buckets). */
+    std::size_t
+    boundaryIndex(int from, int to) const
+    {
+        return static_cast<std::size_t>(from) * comps.size() +
+               static_cast<std::size_t>(to);
+    }
+
     /**
      * Entry-point validation of one crossing: a gate aimed at a
      * non-exported symbol (a ROP-style jump into the middle of the
      * callee) raises CfiViolation, witnessed in `gate.validate.reject`
-     * and the per-edge `gate.validate.reject.<from>-><to>` counter so
-     * the adversary scorecard can pin rejections to the attacked edge.
+     * and the edge's ledger cell so the adversary scorecard can pin
+     * rejections to the attacked edge.
      */
     void checkEntry(const std::string &lib, const char *fnName, int from,
-                    int to, const GatePolicy &pol) const;
+                    int to, const GatePolicy &pol);
     /**
      * Least-privilege enforcement of one crossing: raises
      * DeniedCrossing on a denied edge, and debits the boundary's
      * token bucket on a rate-limited one (stalling the virtual clock
-     * or raising ThrottledCrossing on overflow, per the policy).
+     * or raising ThrottledCrossing on overflow, per the policy). Each
+     * refusal and overflow counts in the edge's ledger cell.
      */
     void enforceBoundary(int from, int to, const GatePolicy &pol);
     void rejectDeniedStaticEdges() const;
@@ -573,8 +613,8 @@ class Image
      * backend transition. In order: the swap barrier, the policy
      * lookup, least-privilege enforcement per logical call, elision
      * and the entry-validate leg, entry-point validation, SMP
-     * migration accounting, the crossing scope, the backend call, and
-     * the return-leg policy work.
+     * migration accounting, the crossing scope, the ledger count, the
+     * backend call, and the return-leg policy work.
      */
     void crossChunk(const std::string &calleeLib, const char *fnName,
                     int from, int to, const std::function<void()> *bodies,
@@ -623,7 +663,8 @@ class Image
     std::map<int, std::pair<int, int>> lastBoundary;
 
     std::map<std::pair<int, int>, SimStack> simStacks;
-    std::map<std::pair<int, int>, std::uint64_t> crossings;
+    /** Row-major [from * n + to] per-boundary ledger (ledger()). */
+    std::vector<BoundaryCounts> boundaryLedger;
     std::vector<const void *> registeredRegions;
     bool booted = false;
 };

@@ -96,12 +96,6 @@ Machine::wallCycles() const
     return wall;
 }
 
-double
-Machine::wallSeconds() const
-{
-    return static_cast<double>(wallCycles()) / (timing.cpuGhz * 1e9);
-}
-
 void
 Machine::advanceCoreTo(int core, Cycles target)
 {

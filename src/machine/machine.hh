@@ -106,7 +106,6 @@ class Machine
             return;
         cycleCount += c;
         bump("machine.stallCycles", c);
-        bump("machine.stallCycles.core" + std::to_string(active_), c);
     }
 
     /**
@@ -151,8 +150,6 @@ class Machine
 
     /** Aggregate wall clock: the furthest-ahead core's clock. */
     Cycles wallCycles() const;
-    /** Wall-clock seconds at the model frequency. */
-    double wallSeconds() const;
 
     /**
      * Jump a core's clock forward to target (no-op if already past):

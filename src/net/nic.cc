@@ -51,15 +51,6 @@ NicEndpoint::transmit(NetBuf frame)
         peer->onArrive(q);
 }
 
-std::size_t
-NicEndpoint::pending() const
-{
-    std::size_t n = 0;
-    for (const auto &q : rxQueues)
-        n += q.size();
-    return n;
-}
-
 std::optional<NetBuf>
 NicEndpoint::receiveQueue(std::size_t q)
 {

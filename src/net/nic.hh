@@ -44,9 +44,6 @@ class NicEndpoint
     /** Pop the next received frame of one RX queue, if any. */
     std::optional<NetBuf> receiveQueue(std::size_t q);
 
-    /** Frames waiting across all RX queues. */
-    std::size_t pending() const;
-
     /** Frames waiting in one RX queue. */
     std::size_t
     pendingIn(std::size_t q) const

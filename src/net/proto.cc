@@ -111,24 +111,4 @@ TcpHeader::parse(const std::uint8_t *p, std::size_t segmentLen,
     return (p[12] >> 4) == 5;
 }
 
-void
-UdpHeader::serialize(std::uint8_t *p) const
-{
-    putBe16(p, srcPort);
-    putBe16(p + 2, dstPort);
-    putBe16(p + 4, length);
-    putBe16(p + 6, 0); // checksum optional in IPv4; we leave it zero
-}
-
-bool
-UdpHeader::parse(const std::uint8_t *p, std::size_t len)
-{
-    if (len < wireSize)
-        return false;
-    srcPort = getBe16(p);
-    dstPort = getBe16(p + 2);
-    length = getBe16(p + 4);
-    return length >= wireSize && length <= len;
-}
-
 } // namespace flexos

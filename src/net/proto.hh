@@ -123,19 +123,6 @@ struct TcpHeader
                std::uint32_t srcIp, std::uint32_t dstIp);
 };
 
-/** UDP header. */
-struct UdpHeader
-{
-    static constexpr std::size_t wireSize = 8;
-
-    std::uint16_t srcPort = 0;
-    std::uint16_t dstPort = 0;
-    std::uint16_t length = 0;
-
-    void serialize(std::uint8_t *p) const;
-    bool parse(const std::uint8_t *p, std::size_t len);
-};
-
 /** Internet checksum (RFC 1071) over a byte range. */
 std::uint16_t inetChecksum(const std::uint8_t *data, std::size_t len,
                            std::uint32_t seed = 0);

@@ -1,6 +1,7 @@
 #include "runtime/controller.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "base/logging.hh"
 
@@ -25,9 +26,7 @@ PolicyController::PolicyController(Image &image, ControllerConfig config)
             edges.emplace(std::make_pair(f, t), st);
         }
     }
-    prevStats = img.snapshotStats();
-    for (const auto &[pair, stat] : img.boundaryStats())
-        prevCrossings[pair] = stat.count;
+    prevLedger = img.ledger();
 }
 
 PolicyController::~PolicyController()
@@ -116,19 +115,16 @@ PolicyController::step()
     mach.bump("controller.epochs");
 
     // Windowed sample: everything below reasons about THIS epoch's
-    // activity, never the monotonic totals (satellite: counter-reset
-    // semantics — snapshot and difference, don't reset).
-    Image::StatsSnapshot snap = img.snapshotStats();
-    Image::StatsSnapshot delta = Image::statsDelta(prevStats, snap);
-    prevStats = std::move(snap);
-
-    std::map<std::pair<int, int>, std::uint64_t> crossed;
-    for (const auto &[pair, stat] : img.boundaryStats()) {
-        std::uint64_t prev = prevCrossings[pair];
-        if (stat.count > prev)
-            crossed[pair] = stat.count - prev;
-        prevCrossings[pair] = stat.count;
-    }
+    // activity, never the monotonic totals — difference a copy of the
+    // per-boundary ledger, don't reset it.
+    std::vector<Image::BoundaryCounts> before =
+        std::exchange(prevLedger, img.ledger());
+    int n = static_cast<int>(img.compartmentCount());
+    auto windowed = [&](int f, int t,
+                        std::uint64_t Image::BoundaryCounts::*field) {
+        auto i = static_cast<std::size_t>(f * n + t);
+        return prevLedger[i].*field - before[i].*field;
+    };
 
     const auto &comps = img.config().compartments;
     auto nameOf = [&](int i) {
@@ -138,15 +134,14 @@ PolicyController::step()
     // Deny witnesses first: an offender caught probing a closed edge
     // this epoch gets its outgoing adaptive edges hardened before the
     // storm/relax pass below reasons about them.
-    int n = static_cast<int>(comps.size());
     for (int f = 0; f < n; ++f) {
         bool offender = false;
         for (int t = 0; t < n; ++t) {
             if (f == t)
                 continue;
-            auto it =
-                delta.find("gate.denied." + nameOf(f) + "->" + nameOf(t));
-            if (it != delta.end() && it->second >= cfg.denyAlert) {
+            std::uint64_t denied =
+                windowed(f, t, &Image::BoundaryCounts::denied);
+            if (denied > 0 && denied >= cfg.denyAlert) {
                 offender = true;
                 mach.bump("controller.alerts");
             }
@@ -167,8 +162,8 @@ PolicyController::step()
     // Storm / calm pass, with hysteresis: a single quiet epoch never
     // relaxes anything, and any storm resets the calm streak.
     for (auto &[pair, st] : edges) {
-        auto it = crossed.find(pair);
-        std::uint64_t count = it == crossed.end() ? 0 : it->second;
+        std::uint64_t count = windowed(pair.first, pair.second,
+                                       &Image::BoundaryCounts::crossings);
         if (count > cfg.stormThreshold) {
             st.calm = 0;
             if (st.level < 3) {

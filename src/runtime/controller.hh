@@ -2,7 +2,7 @@
  * @file
  * Runtime policy controller: the online half of the FlexOS safety
  * story. The build-time toolchain picks a gate matrix for the traffic
- * it can predict; this control plane watches the per-boundary counters
+ * it can predict; this control plane watches the per-boundary ledger
  * the gates already maintain and adapts the matrix — through
  * Image::swapGateMatrix's quiesced epoch flips — when observed
  * behaviour diverges from the configuration's assumptions.
@@ -25,6 +25,7 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/image.hh"
 
@@ -136,10 +137,9 @@ class PolicyController
     std::uint64_t epochCount = 0;
 
     std::map<std::pair<int, int>, EdgeState> edges;
-    /** Previous epoch's counter snapshot (windowed deltas). */
-    Image::StatsSnapshot prevStats;
-    /** Previous epoch's per-boundary crossing totals. */
-    std::map<std::pair<int, int>, std::uint64_t> prevCrossings;
+    /** The image's per-boundary ledger at the previous epoch
+     *  (windowed deltas). */
+    std::vector<Image::BoundaryCounts> prevLedger;
     /** Bounded decision trace (see TraceEntry). */
     std::deque<TraceEntry> traceRing;
 };

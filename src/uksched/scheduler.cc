@@ -799,23 +799,6 @@ Mutex::unlock()
     waiters.wakeOne();
 }
 
-bool
-Mutex::tryLock()
-{
-    Thread *self = sched.current();
-    panic_if(!self, "Mutex::tryLock outside a thread");
-    if (owner)
-        return false;
-    owner = self;
-    return true;
-}
-
-bool
-Mutex::heldByCaller() const
-{
-    return owner && owner == sched.current();
-}
-
 void
 Semaphore::post()
 {
@@ -829,15 +812,6 @@ Semaphore::wait()
     while (count == 0)
         waiters.wait();
     --count;
-}
-
-bool
-Semaphore::tryWait()
-{
-    if (count == 0)
-        return false;
-    --count;
-    return true;
 }
 
 } // namespace flexos

@@ -407,8 +407,6 @@ class Mutex
 
     void lock();
     void unlock();
-    bool tryLock();
-    bool heldByCaller() const;
 
   private:
     Scheduler &sched;
@@ -441,7 +439,6 @@ class Semaphore
 
     void post();
     void wait();
-    bool tryWait();
     unsigned value() const { return count; }
 
   private:

@@ -151,8 +151,8 @@ TEST(Adversary, HardenedConfigContainsEverything)
 TEST(Adversary, DenyEdgeAttacksPinnedToDeniedWitness)
 {
     // Regression pin: an attack across a `deny:` edge must be
-    // witnessed by the per-edge gate.denied counter — the same signal
-    // the runtime controller's deny-witness rule alerts on.
+    // witnessed by the edge's denied ledger cell — the same signal the
+    // runtime controller's deny-witness rule alerts on.
     Deployment dep(hardenedCfg, quietOpts());
     adversary::AttackScorecard card =
         adversary::runScorecard(dep, netAttacker());
@@ -165,8 +165,51 @@ TEST(Adversary, DenyEdgeAttacksPinnedToDeniedWitness)
         EXPECT_EQ(r.witness, "gate.denied.net->app");
     }
     EXPECT_TRUE(sawRopCross);
-    EXPECT_GT(dep.machine().counter("gate.denied.net->app"), 0u);
+    Image &img = dep.image();
+    EXPECT_GT(img.ledgerAt(img.compartmentIndexOf("lwip"),
+                           img.compartmentIndexOf("libredis"))
+                  .denied,
+              0u);
     EXPECT_GT(dep.machine().counter("gate.denied"), 0u);
+}
+
+/** One ledger column summed over every boundary. */
+std::uint64_t
+ledgerSum(const Image &img, std::uint64_t Image::BoundaryCounts::*field)
+{
+    std::uint64_t sum = 0;
+    for (const Image::BoundaryCounts &cell : img.ledger())
+        sum += cell.*field;
+    return sum;
+}
+
+TEST(Adversary, LedgerCellsSumToGateTotalsAfterEveryAttackClass)
+{
+    // Conservation: each denied, throttled or entry-rejected call is
+    // counted once in its machine total and once in its boundary's
+    // ledger cell, whichever attack raised it.
+    for (const char *text : {hardenedCfg, eptTargetCfg}) {
+        DeployOptions opts = quietOpts();
+        opts.withNet = true;
+        Deployment dep(text, opts);
+        dep.start();
+        adversary::AttackOptions aopts = netAttacker();
+        aopts.withNet = true;
+        adversary::AttackScorecard card =
+            adversary::runScorecard(dep, aopts);
+        dep.stop();
+        ASSERT_FALSE(card.results.empty());
+        const Machine &m = dep.machine();
+        const Image &img = dep.image();
+        EXPECT_GT(m.counter("gate.denied"), 0u);
+        EXPECT_GT(m.counter("gate.validate.reject"), 0u);
+        EXPECT_EQ(ledgerSum(img, &Image::BoundaryCounts::denied),
+                  m.counter("gate.denied"));
+        EXPECT_EQ(ledgerSum(img, &Image::BoundaryCounts::throttled),
+                  m.counter("gate.throttled"));
+        EXPECT_EQ(ledgerSum(img, &Image::BoundaryCounts::rejected),
+                  m.counter("gate.validate.reject"));
+    }
 }
 
 TEST(Adversary, LooseConfigBreachesAtLeastTwoClasses)

@@ -209,11 +209,22 @@ TEST_F(BatchingFixture, BatchOneIsVcycleIdenticalToSequentialGates)
     // driven through the vectored API) must be bit-identical in
     // virtual time AND counters to the plain sequential gate, on every
     // mechanism's crossing.
-    for (const char *mech : {"none", "intel-mpk", "vm-ept", "cheri",
-                             "linux-pt", "sel4-ipc", "cubicle-mpk"}) {
+    // Each mechanism's gate counter also counts one per crossing, as
+    // the image's ledger does.
+    const std::pair<const char *, const char *> mechs[] = {
+        {"none", "gate.none"},
+        {"intel-mpk", "gate.mpk.dss"},
+        {"vm-ept", "gate.ept"},
+        {"cheri", "gate.cheri"},
+        {"linux-pt", "gate.syscall"},
+        {"sel4-ipc", "gate.sel4ipc"},
+        {"cubicle-mpk", "gate.cubicle"},
+    };
+    for (const auto &[mech, gateCounter] : mechs) {
         SCOPED_TRACE(mech);
         const std::string text = onMechanism(twoCompMpk, mech);
         Machine m;
+        std::uint64_t ledgerCrossings = 0;
         {
             Scheduler sched(m);
             Toolchain tc2(reg);
@@ -227,9 +238,13 @@ TEST_F(BatchingFixture, BatchOneIsVcycleIdenticalToSequentialGates)
             });
             sched.run();
             img->shutdown();
+            for (const Image::BoundaryCounts &cell : img->ledger())
+                ledgerCrossings += cell.crossings;
         }
         auto [plainCycles, plainCounters] =
             std::make_pair(m.wallCycles(), m.counters());
+        EXPECT_EQ(ledgerCrossings, 64u);
+        EXPECT_EQ(ledgerCrossings, m.counter(gateCounter));
 
         auto [defCycles, defCounters] = runBatched(reg, text, 64, 1);
         auto [oneCycles, oneCounters] = runBatched(

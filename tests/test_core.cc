@@ -927,8 +927,9 @@ TEST_F(CoreFixture, CrossingsAreCounted)
             img->gate("lwip", "recv", [] {});
     });
     sched.run();
-    auto it = img->gateCrossings().find({0, 1});
-    ASSERT_NE(it, img->gateCrossings().end());
+    const auto crossings = img->gateCrossings();
+    auto it = crossings.find({0, 1});
+    ASSERT_NE(it, crossings.end());
     EXPECT_EQ(it->second, 3u);
 }
 

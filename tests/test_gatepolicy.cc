@@ -602,6 +602,17 @@ TEST_F(GatePolicyFixture, HundredBoundaryThrottleStorm)
     // overflow somewhere, and stalled time must be accounted).
     EXPECT_GT(mach.counter("gate.throttled"), 0u);
     EXPECT_GT(mach.counter("machine.stallCycles"), 0u);
+    // Conservation: each overflow counts once in the machine total and
+    // once in its boundary's ledger cell.
+    std::uint64_t throttled = 0, denied = 0, rejected = 0;
+    for (const Image::BoundaryCounts &cell : img->ledger()) {
+        throttled += cell.throttled;
+        denied += cell.denied;
+        rejected += cell.rejected;
+    }
+    EXPECT_EQ(throttled, mach.counter("gate.throttled"));
+    EXPECT_EQ(denied, mach.counter("gate.denied"));
+    EXPECT_EQ(rejected, mach.counter("gate.validate.reject"));
     // Stall never drops a crossing: per-boundary totals are exact.
     EXPECT_EQ(img->gateCrossings().at({1, 0}), 5u);
     EXPECT_EQ(img->gateCrossings().at({0, 1}), 10u);
