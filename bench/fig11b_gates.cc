@@ -119,22 +119,26 @@ batchedGateBench(benchmark::State &state, const std::string &cfg,
 
 } // namespace
 
-BENCHMARK_CAPTURE(gateBench, function_call, twoComp("intel-mpk"), true,
-                  false);
-BENCHMARK_CAPTURE(gateBench, mpk_light, twoComp("intel-mpk", "light"),
-                  false, false);
-BENCHMARK_CAPTURE(gateBench, mpk_dss, twoComp("intel-mpk", "dss"), false,
-                  false);
-BENCHMARK_CAPTURE(gateBench, ept, twoComp("vm-ept"), false, false);
-BENCHMARK_CAPTURE(gateBench, syscall, twoComp("linux-pt"), false, false);
-BENCHMARK_CAPTURE(gateBench, syscall_nokpti, twoComp("linux-pt"), false,
-                  true);
-BENCHMARK_CAPTURE(gateBench, sel4_ipc, twoComp("sel4-ipc"), false,
-                  false);
-BENCHMARK_CAPTURE(gateBench, cubicle_pkey_mprotect,
-                  twoComp("cubicle-mpk"), false, false);
-BENCHMARK_CAPTURE(gateBench, cheri_sketch, twoComp("cheri"), false,
-                  false);
+/**
+ * Every row runs a fixed 9 repetitions and reports only their
+ * aggregates. One run's host time moves 15-30 % between back-to-back
+ * invocations; the median of 9 moves about 10 %. `vcycles` is the same
+ * in every repetition.
+ */
+#define GATE_ROW(...)                                                     \
+    BENCHMARK_CAPTURE(__VA_ARGS__)->Repetitions(9)->ReportAggregatesOnly( \
+        true)
+
+GATE_ROW(gateBench, function_call, twoComp("intel-mpk"), true, false);
+GATE_ROW(gateBench, mpk_light, twoComp("intel-mpk", "light"), false, false);
+GATE_ROW(gateBench, mpk_dss, twoComp("intel-mpk", "dss"), false, false);
+GATE_ROW(gateBench, ept, twoComp("vm-ept"), false, false);
+GATE_ROW(gateBench, syscall, twoComp("linux-pt"), false, false);
+GATE_ROW(gateBench, syscall_nokpti, twoComp("linux-pt"), false, true);
+GATE_ROW(gateBench, sel4_ipc, twoComp("sel4-ipc"), false, false);
+GATE_ROW(gateBench, cubicle_pkey_mprotect,
+         twoComp("cubicle-mpk"), false, false);
+GATE_ROW(gateBench, cheri_sketch, twoComp("cheri"), false, false);
 
 // --- Vectored crossings: the `batch:` / `coalesce:` / `elide:` knobs.
 // batch: 1 is regression-pinned to the sequential gate (vcycle-
@@ -142,36 +146,29 @@ BENCHMARK_CAPTURE(gateBench, cheri_sketch, twoComp("cheri"), false,
 // one EPT doorbell per eight calls — and the EPT step-change is the
 // headline number. The elide rows show repeated same-boundary
 // crossings shedding the entry-validate / return-scrub charges.
-BENCHMARK_CAPTURE(batchedGateBench, ept_batch1,
-                  twoComp("vm-ept", nullptr, "'*' -> '*': {batch: 1}"),
-                  1);
-BENCHMARK_CAPTURE(batchedGateBench, ept_batch4,
-                  twoComp("vm-ept", nullptr, "'*' -> '*': {batch: 4}"),
-                  4);
-BENCHMARK_CAPTURE(batchedGateBench, ept_batch8,
-                  twoComp("vm-ept", nullptr, "'*' -> '*': {batch: 8}"),
-                  8);
-BENCHMARK_CAPTURE(batchedGateBench, ept_batch8_coalesce,
-                  twoComp("vm-ept", nullptr,
-                          "'*' -> '*': {batch: 8, coalesce: 2000}"),
-                  8);
-BENCHMARK_CAPTURE(batchedGateBench, mpk_dss_batch8,
-                  twoComp("intel-mpk", "dss", "'*' -> '*': {batch: 8}"),
-                  8);
-BENCHMARK_CAPTURE(batchedGateBench, cheri_batch8,
-                  twoComp("cheri", nullptr, "'*' -> '*': {batch: 8}"),
-                  8);
-BENCHMARK_CAPTURE(gateBench, mpk_dss_validate,
-                  twoComp("intel-mpk", "dss",
-                          "'*' -> '*': {validate: true}"),
-                  false, false);
-BENCHMARK_CAPTURE(gateBench, mpk_dss_elide_both,
-                  twoComp("intel-mpk", "dss",
-                          "'*' -> '*': {validate: true, elide: both}"),
-                  false, false);
-BENCHMARK_CAPTURE(gateBench, ept_elide_scrub,
-                  twoComp("vm-ept", nullptr,
-                          "'*' -> '*': {elide: scrub}"),
-                  false, false);
+GATE_ROW(batchedGateBench, ept_batch1,
+         twoComp("vm-ept", nullptr, "'*' -> '*': {batch: 1}"), 1);
+GATE_ROW(batchedGateBench, ept_batch4,
+         twoComp("vm-ept", nullptr, "'*' -> '*': {batch: 4}"), 4);
+GATE_ROW(batchedGateBench, ept_batch8,
+         twoComp("vm-ept", nullptr, "'*' -> '*': {batch: 8}"), 8);
+GATE_ROW(batchedGateBench, ept_batch8_coalesce,
+         twoComp("vm-ept", nullptr,
+                 "'*' -> '*': {batch: 8, coalesce: 2000}"),
+         8);
+GATE_ROW(batchedGateBench, mpk_dss_batch8,
+         twoComp("intel-mpk", "dss", "'*' -> '*': {batch: 8}"), 8);
+GATE_ROW(batchedGateBench, cheri_batch8,
+         twoComp("cheri", nullptr, "'*' -> '*': {batch: 8}"), 8);
+GATE_ROW(gateBench, mpk_dss_validate,
+         twoComp("intel-mpk", "dss", "'*' -> '*': {validate: true}"),
+         false, false);
+GATE_ROW(gateBench, mpk_dss_elide_both,
+         twoComp("intel-mpk", "dss",
+                 "'*' -> '*': {validate: true, elide: both}"),
+         false, false);
+GATE_ROW(gateBench, ept_elide_scrub,
+         twoComp("vm-ept", nullptr, "'*' -> '*': {elide: scrub}"),
+         false, false);
 
 BENCHMARK_MAIN();

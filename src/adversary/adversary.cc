@@ -6,6 +6,7 @@
 
 #include "apps/deploy.hh"
 #include "base/logging.hh"
+#include "base/rng.hh"
 #include "core/hardening.hh"
 #include "core/image.hh"
 #include "machine/machine.hh"

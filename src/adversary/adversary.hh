@@ -25,8 +25,8 @@
  *
  * Each scenario reports contained / partial / breached plus the
  * virtual cycles until the containment witness fired, aggregated into
- * an AttackScorecard — the measured security outcome the explore
- * sweeps plot against performance (ConfigPoint::attackScore).
+ * an AttackScorecard — the measured security outcome that
+ * `fig07_scatter --attack` and `least_privilege --score` report.
  */
 
 #ifndef FLEXOS_ADVERSARY_ADVERSARY_HH
@@ -93,10 +93,9 @@ struct AttackResult
 };
 
 /**
- * The aggregated containment scorecard of one deployment. Attached to
- * explore points as ConfigPoint::attackScore (lower = better, 0 =
- * full containment), the measured counterpart of the static
- * auditScore.
+ * The aggregated containment scorecard of one deployment: the
+ * measured counterpart of the static boundary audit's score (lower =
+ * better, 0 = full containment).
  */
 struct AttackScorecard
 {
@@ -129,37 +128,6 @@ struct AttackOptions
     std::string attackerLib = "lwip";
     /** Mount the resource class against the deployment's netstack. */
     bool withNet = false;
-};
-
-/**
- * Deterministic splitmix64 generator: the harness must replay
- * identically under a fixed seed (std:: distributions are not
- * portable across standard libraries, so this hand-rolls everything).
- */
-class Rng
-{
-  public:
-    explicit Rng(std::uint64_t seed) : state(seed) {}
-
-    std::uint64_t
-    next()
-    {
-        state += 0x9e3779b97f4a7c15ull;
-        std::uint64_t z = state;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
-    }
-
-    /** Uniform draw in [0, n); 0 when n is 0. */
-    std::uint64_t
-    below(std::uint64_t n)
-    {
-        return n ? next() % n : 0;
-    }
-
-  private:
-    std::uint64_t state;
 };
 
 /**

@@ -7,7 +7,6 @@
 #include <tuple>
 
 #include "base/logging.hh"
-#include "core/backend.hh"
 
 namespace flexos {
 namespace analysis {
@@ -82,25 +81,17 @@ buildCompartmentGraph(const SafetyConfig &cfg, const LibraryRegistry &reg)
                                .deny;
 
     // Static cross-compartment edges from the registry's dependency
-    // graph. TCB callees of a kernel-replicating caller stay local —
-    // ask the caller's backend, the predicate the image build uses.
+    // graph, each landing where landingCompartment() — the rule the
+    // image routes by — puts it.
     std::map<std::pair<int, int>, std::vector<CompartmentGraph::Witness>>
         edgeWitnesses;
     for (const auto &[lib, from] : compOf) {
         if (!reg.contains(lib))
             continue;
         for (const std::string &callee : reg.get(lib).callees) {
-            auto it = compOf.find(callee);
-            if (it == compOf.end() || it->second == from)
-                continue;
-            Mechanism callerMech =
-                cfg.compartments[static_cast<std::size_t>(from)]
-                    .mechanism;
-            if (reg.get(callee).tcb &&
-                makeBackend(callerMech)->replicatesTcb())
-                continue;
-            edgeWitnesses[{from, it->second}].push_back(
-                {lib, callee});
+            int to = landingCompartment(cfg, reg, callee, from);
+            if (to >= 0 && to != from)
+                edgeWitnesses[{from, to}].push_back({lib, callee});
         }
     }
     for (auto &[pair, witnesses] : edgeWitnesses) {

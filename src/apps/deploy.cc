@@ -141,7 +141,7 @@ Deployment::start()
     // scheduler's idle jumps that fire timers.
     Thread *cp = sched->spawn("client-poll", [this] {
         while (!stopPollers) {
-            if (clientNet->pollOnce())
+            if (clientNet->pollQueue(0))
                 sched->yield();
             else
                 clientNet->waitQueueActivity(0);

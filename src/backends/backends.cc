@@ -260,7 +260,6 @@ class EptBackend : public IsolationBackend
     Mechanism mechanism() const override { return Mechanism::VmEpt; }
     const char *name() const override { return "vm-ept"; }
     bool checksEntryPoints() const override { return true; }
-    bool replicatesTcb() const override { return true; }
 
     void
     boot(Image &img) override

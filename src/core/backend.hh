@@ -130,13 +130,6 @@ class IsolationBackend
         (void)to;
         return false;
     }
-
-    /**
-     * Whether the TCB is replicated into every compartment (paper 3.1:
-     * backends relying on several systems — VMs — duplicate the TCB so
-     * each compartment has a self-contained kernel).
-     */
-    virtual bool replicatesTcb() const { return false; }
 };
 
 /**

@@ -163,6 +163,12 @@ mechanismConsumesProtKey(Mechanism m)
     return m != Mechanism::VmEpt;
 }
 
+bool
+mechanismReplicatesTcb(Mechanism m)
+{
+    return m == Mechanism::VmEpt;
+}
+
 const char *
 flavorName(MpkGateFlavor f)
 {

@@ -154,6 +154,14 @@ elidesScrub(GateElide e)
  */
 bool mechanismConsumesProtKey(Mechanism m);
 
+/**
+ * Whether a mechanism replicates the TCB into each of its compartments
+ * (paper 3.1: backends relying on several systems — VMs — duplicate
+ * the TCB so each compartment has a self-contained kernel). A TCB
+ * library called from such a compartment runs locally.
+ */
+bool mechanismReplicatesTcb(Mechanism m);
+
 /** RPC servers an EPT compartment's VM boots with by default. */
 inline constexpr int defaultEptServers = 2;
 

@@ -93,26 +93,32 @@ Image::Image(Machine &m, Scheduler &s, SafetyConfig config,
         comps.push_back(std::move(c));
     }
 
-    for (const auto &[lib, compName] : cfg.libraries) {
-        const CompartmentSpec &spec = cfg.compartment(compName);
-        for (std::size_t i = 0; i < cfg.compartments.size(); ++i) {
-            if (cfg.compartments[i].name == spec.name) {
-                libToComp[lib] = static_cast<int>(i);
-                break;
-            }
-        }
-    }
-
-    // Resolve per-library hardening multipliers: compartment set plus
-    // the component's own set (Figure 6 hardens per component).
-    for (const auto &[lib, compIdx] : libToComp) {
+    // Routing table: one row per placed library and per registry TCB
+    // library, resolved here once through landingCompartment(). A
+    // row's multiplier is its compartment's hardening plus the
+    // component's own set (Figure 6 hardens per component); a TCB
+    // library placed nowhere runs in its caller and inherits no extra
+    // instrumentation.
+    auto addRoute = [&](const std::string &lib, int home) {
+        LibraryRoute &r = routes[lib];
+        r.home = home;
+        for (std::size_t from = 0; from < comps.size(); ++from)
+            r.landing.push_back(
+                landingCompartment(cfg, reg, lib, static_cast<int>(from)));
+        if (home < 0)
+            return;
         std::vector<Hardening> set =
-            cfg.compartments[static_cast<std::size_t>(compIdx)].hardening;
+            cfg.compartments[static_cast<std::size_t>(home)].hardening;
         auto it = cfg.libHardening.find(lib);
         if (it != cfg.libHardening.end())
             set.insert(set.end(), it->second.begin(), it->second.end());
-        libMults[lib] = hardeningMultiplier(set, mach.timing);
-    }
+        r.mult = hardeningMultiplier(set, mach.timing);
+    };
+    for (const auto &[lib, compName] : cfg.libraries)
+        addRoute(lib, cfg.compartmentIndex(compName));
+    for (const std::string &lib : reg.names())
+        if (reg.get(lib).tcb && !routes.count(lib))
+            addRoute(lib, -1);
 
     // One backend per distinct mechanism; each boundary's crossing is
     // enforced under the gate matrix's resolved (from, to) policy.
@@ -128,41 +134,6 @@ Image::Image(Machine &m, Scheduler &s, SafetyConfig config,
             if (b->mechanism() == comps[i]->spec.mechanism)
                 compBackends[i] = b.get();
         panic_if(!compBackends[i], "compartment without a backend");
-    }
-
-    // Least privilege is checked at build for everything the build can
-    // see: a `deny:` rule on an edge the static call graph needs is a
-    // configuration contradiction, not a runtime surprise.
-    rejectDeniedStaticEdges();
-}
-
-void
-Image::rejectDeniedStaticEdges() const
-{
-    for (const auto &[lib, compName] : cfg.libraries) {
-        int from = compartmentIndexOf(lib);
-        for (const std::string &callee : reg.get(lib).callees) {
-            if (!reg.contains(callee))
-                continue;
-            auto it = libToComp.find(callee);
-            if (it == libToComp.end())
-                continue; // unassigned TCB service: local to the caller
-            int to = it->second;
-            // Mirrors resolveCallee: TCB libraries are local to
-            // callers whose mechanism replicates the kernel.
-            if (from == to ||
-                (reg.get(callee).tcb && backendFor(from).replicatesTcb()))
-                continue;
-            fatal_if(policyFor(from, to).deny, "boundary ",
-                     cfg.compartments[static_cast<std::size_t>(from)]
-                         .name,
-                     " -> ",
-                     cfg.compartments[static_cast<std::size_t>(to)].name,
-                     " is denied but the static call graph needs it: ",
-                     lib, " calls ", callee,
-                     " (re-allow the edge with 'deny: false' or move "
-                     "the libraries)");
-        }
     }
 }
 
@@ -265,8 +236,8 @@ Image::applyElision(int from, int to, const GatePolicy &pol,
 
 void
 Image::crossChunk(const std::string &calleeLib, const char *fnName,
-                  int from, int to, const std::function<void()> *bodies,
-                  std::size_t k)
+                  int from, int to, double calleeMult,
+                  const std::function<void()> *bodies, std::size_t k)
 {
     // A pending quiesced matrix swap wins over NEW crossings: yielding
     // here — before any policy reference is taken — lets the swapper
@@ -300,8 +271,8 @@ Image::crossChunk(const std::string &calleeLib, const char *fnName,
     // Every call past enforcement counts once, here, whichever backend
     // carries it — also the calls of a vector a throwing body aborts.
     boundaryLedger[boundaryIndex(from, to)].crossings += k;
-    be.crossCall(*this, to, eff, calleeLib, fnName,
-                 libMultiplier(calleeLib), bodies, k);
+    be.crossCall(*this, to, eff, calleeLib, fnName, calleeMult, bodies,
+                 k);
     noteReturn(pol);
 }
 
@@ -310,7 +281,8 @@ Image::gateBatch(const std::string &calleeLib, const char *fnName,
                  const std::vector<std::function<void()>> &bodies)
 {
     int from = currentCompartment();
-    int to = resolveCallee(calleeLib, from);
+    const LibraryRoute &r = route(calleeLib);
+    int to = r.landing[static_cast<std::size_t>(from)];
     if (from == to) {
         for (const auto &body : bodies)
             gate(calleeLib, fnName, body);
@@ -319,7 +291,7 @@ Image::gateBatch(const std::string &calleeLib, const char *fnName,
     const auto width = static_cast<std::size_t>(
         std::max<std::uint64_t>(policyFor(from, to).batch, 1));
     for (std::size_t i = 0; i < bodies.size(); i += width)
-        crossChunk(calleeLib, fnName, from, to, &bodies[i],
+        crossChunk(calleeLib, fnName, from, to, r.mult, &bodies[i],
                    std::min(width, bodies.size() - i));
 }
 
@@ -381,8 +353,8 @@ Image::boot()
         // Functional hardening is active when the compartment, or any
         // component placed in it, enables the mechanism.
         auto anyLibWants = [&](Hardening h) {
-            for (const auto &[lib, compIdx] : libToComp) {
-                if (compIdx != c->id)
+            for (const auto &[lib, r] : routes) {
+                if (r.home != c->id)
                     continue;
                 auto it = cfg.libHardening.find(lib);
                 if (it == cfg.libHardening.end())
@@ -507,46 +479,36 @@ Image::compartmentAt(std::size_t idx)
     return *comps[idx];
 }
 
+const Image::LibraryRoute &
+Image::route(const std::string &lib) const
+{
+    auto it = routes.find(lib);
+    fatal_if(it == routes.end(), "library '", lib, "' not in the image");
+    return it->second;
+}
+
+int
+Image::landingOf(const std::string &lib, int from) const
+{
+    auto it = routes.find(lib);
+    if (it == routes.end())
+        return -1;
+    return it->second.landing[static_cast<std::size_t>(from)];
+}
+
 int
 Image::compartmentIndexOf(const std::string &lib) const
 {
-    auto it = libToComp.find(lib);
-    fatal_if(it == libToComp.end(), "library '", lib,
+    auto it = routes.find(lib);
+    fatal_if(it == routes.end() || it->second.home < 0, "library '", lib,
              "' not assigned to any compartment");
-    return it->second;
+    return it->second.home;
 }
 
 Compartment &
 Image::compartmentOf(const std::string &lib)
 {
     return *comps[static_cast<std::size_t>(compartmentIndexOf(lib))];
-}
-
-bool
-Image::sameCompartment(const std::string &a, const std::string &b) const
-{
-    return compartmentIndexOf(a) == compartmentIndexOf(b);
-}
-
-int
-Image::resolveCallee(const std::string &lib, int from) const
-{
-    // TCB libraries are replicated into every compartment when the
-    // backend duplicates the kernel (EPT), and always for the memory
-    // manager: each compartment owns a private allocator instance.
-    auto it = libToComp.find(lib);
-    if (it == libToComp.end()) {
-        const LibraryInfo &info = reg.get(lib);
-        fatal_if(!info.tcb, "library '", lib, "' not in the image");
-        return from; // unassigned TCB service: local to every caller
-    }
-    // TCB replication is a property of the *caller's* compartment: a
-    // compartment whose mechanism duplicates the kernel (EPT VMs) has
-    // its own local copy; callers under non-replicating mechanisms
-    // cross into the TCB library's home compartment.
-    if (reg.get(lib).tcb && backendFor(from).replicatesTcb())
-        return from;
-    return it->second;
 }
 
 int
@@ -586,17 +548,6 @@ Image::checkEntry(const std::string &lib, const char *fnName, int from,
     }
 }
 
-double
-Image::libMultiplier(const std::string &lib) const
-{
-    auto it = libMults.find(lib);
-    if (it != libMults.end())
-        return it->second;
-    // Unassigned TCB services execute in the caller's compartment and
-    // inherit no extra instrumentation.
-    return 1.0;
-}
-
 Thread *
 Image::spawnIn(const std::string &lib, std::string name,
                std::function<void()> entry)
@@ -607,7 +558,7 @@ Image::spawnIn(const std::string &lib, std::string name,
     t->currentCompartment = comp;
     t->pkru = c.domain;
     t->vm = c.vmPrivate ? comp : -1;
-    t->workMult = libMultiplier(lib);
+    t->workMult = route(lib).mult;
     return t;
 }
 

@@ -204,11 +204,16 @@ class Image
     /** @name Topology. @{ */
     std::size_t compartmentCount() const { return comps.size(); }
     Compartment &compartmentAt(std::size_t idx);
-    /** Compartment index a library lives in (caller-relative for
-     *  replicated TCB libraries under EPT). */
+    /** Compartment a library is placed in (fatal for a library
+     *  placed nowhere). */
     int compartmentIndexOf(const std::string &lib) const;
     Compartment &compartmentOf(const std::string &lib);
-    bool sameCompartment(const std::string &a, const std::string &b) const;
+    /**
+     * Compartment a call from `from` into `lib` lands in, read from
+     * the routing table resolved at construction (see
+     * landingCompartment()); -1 when `lib` is not in the image.
+     */
+    int landingOf(const std::string &lib, int from) const;
     /** @} */
 
     /**
@@ -226,25 +231,26 @@ class Image
     {
         using R = std::invoke_result_t<F>;
         int from = currentCompartment();
-        int to = resolveCallee(calleeLib, from);
+        const LibraryRoute &r = route(calleeLib);
+        int to = r.landing[static_cast<std::size_t>(from)];
         if (from == to) {
             // Same compartment: the gate degenerates to a plain call
             // (paper Figure 3, step 3': zero overhead). Only the
             // callee's own hardening instrumentation applies.
             mach.consume(mach.timing.functionCall);
             mach.bump("gate.direct");
-            WorkMultGuard guard(mach, libMultiplier(calleeLib));
+            WorkMultGuard guard(mach, r.mult);
             return fn();
         }
         if constexpr (std::is_void_v<R>) {
             const std::function<void()> body = [&] { fn(); };
-            crossChunk(calleeLib, fnName, from, to, &body, 1);
+            crossChunk(calleeLib, fnName, from, to, r.mult, &body, 1);
         } else {
             std::optional<R> result;
             const std::function<void()> body = [&] {
                 result.emplace(fn());
             };
-            crossChunk(calleeLib, fnName, from, to, &body, 1);
+            crossChunk(calleeLib, fnName, from, to, r.mult, &body, 1);
             return std::move(*result);
         }
     }
@@ -259,12 +265,6 @@ class Image
      */
     void gateBatch(const std::string &calleeLib, const char *fnName,
                    const std::vector<std::function<void()>> &bodies);
-
-    /**
-     * Effective hardening work multiplier of a library: the union of
-     * its compartment's hardening and its own per-component set.
-     */
-    double libMultiplier(const std::string &lib) const;
 
     /** Spawn a thread whose execution starts in lib's compartment. */
     Thread *spawnIn(const std::string &lib, std::string name,
@@ -512,9 +512,24 @@ class Image
     void reapSimStacks(int threadId);
 
   private:
-    friend class Toolchain;
+    /**
+     * One library's row of the routing table: where a call into it
+     * lands from each caller compartment and the hardening work
+     * multiplier its code runs under (its compartment's set plus its
+     * own per-component set).
+     */
+    struct LibraryRoute
+    {
+        /** Compartment the library is placed in; -1 for a TCB library
+         *  placed nowhere (local to every caller). */
+        int home = -1;
+        /** Landing compartment, indexed by caller compartment. */
+        std::vector<int> landing;
+        double mult = 1.0;
+    };
 
-    int resolveCallee(const std::string &lib, int from) const;
+    /** A library's routing row; fatal when it is not in the image. */
+    const LibraryRoute &route(const std::string &lib) const;
 
     /** Row-major index of a (from, to) boundary in the per-boundary
      *  tables (the ledger and the token buckets). */
@@ -542,7 +557,6 @@ class Image
      * refusal and overflow counts in the edge's ledger cell.
      */
     void enforceBoundary(int from, int to, const GatePolicy &pol);
-    void rejectDeniedStaticEdges() const;
     void registerRegions();
     void unregisterRegions();
 
@@ -610,15 +624,16 @@ class Image
     /**
      * The one crossing path behind gate() and gateBatch(): `k`
      * (>= 1) calls from compartment `from` into `to` through ONE
-     * backend transition. In order: the swap barrier, the policy
-     * lookup, least-privilege enforcement per logical call, elision
-     * and the entry-validate leg, entry-point validation, SMP
-     * migration accounting, the crossing scope, the ledger count, the
-     * backend call, and the return-leg policy work.
+     * backend transition, the bodies running under `calleeMult`. In
+     * order: the swap barrier, the policy lookup, least-privilege
+     * enforcement per logical call, elision and the entry-validate
+     * leg, entry-point validation, SMP migration accounting, the
+     * crossing scope, the ledger count, the backend call, and the
+     * return-leg policy work.
      */
     void crossChunk(const std::string &calleeLib, const char *fnName,
-                    int from, int to, const std::function<void()> *bodies,
-                    std::size_t k);
+                    int from, int to, double calleeMult,
+                    const std::function<void()> *bodies, std::size_t k);
 
     /** The crossing-side half of the swap barrier (defined with
      *  swapGateMatrix). */
@@ -643,7 +658,8 @@ class Image
     WaitQueue quiesceWait;
 
     std::vector<std::unique_ptr<Compartment>> comps;
-    std::map<std::string, int> libToComp;
+    /** Routing table: placed libraries and registry TCB libraries. */
+    std::map<std::string, LibraryRoute> routes;
     /** One backend per distinct mechanism in the config. */
     std::vector<std::unique_ptr<IsolationBackend>> backends;
     /** Compartment index -> its mechanism's backend. */
@@ -654,7 +670,6 @@ class Image
     std::vector<char> sharedArena;
     std::unique_ptr<TlsfAllocator> sharedHeapAlloc;
 
-    std::map<std::string, double> libMults;
     /** Row-major [from * n + to] buckets for rate-limited boundaries. */
     std::vector<GateBucket> gateBuckets;
     /** Core each compartment last executed on (-1 = never entered). */

@@ -1,8 +1,26 @@
 #include "core/library.hh"
 
 #include "base/logging.hh"
+#include "core/config.hh"
 
 namespace flexos {
+
+int
+landingCompartment(const SafetyConfig &cfg, const LibraryRegistry &reg,
+                   const std::string &callee, int from)
+{
+    bool tcb = reg.contains(callee) && reg.get(callee).tcb;
+    for (const auto &[lib, compName] : cfg.libraries) {
+        if (lib != callee)
+            continue;
+        if (tcb && mechanismReplicatesTcb(
+                       cfg.compartments[static_cast<std::size_t>(from)]
+                           .mechanism))
+            return from;
+        return cfg.compartmentIndex(compName);
+    }
+    return tcb ? from : -1;
+}
 
 void
 LibraryRegistry::add(LibraryInfo info)

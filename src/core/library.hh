@@ -18,6 +18,8 @@
 
 namespace flexos {
 
+struct SafetyConfig;
+
 /**
  * Static description of one micro-library.
  */
@@ -101,6 +103,19 @@ class LibraryRegistry
     std::map<std::string, LibraryInfo> libs;
     std::vector<std::string> order;
 };
+
+/**
+ * The compartment a call from compartment `from` into library `callee`
+ * lands in: the callee's home compartment, except that a TCB library
+ * runs locally when the caller's mechanism replicates the TCB (EPT)
+ * and everywhere when it is placed nowhere. -1 when the callee is not
+ * in the image (unplaced and not a registered TCB library). The one
+ * placement rule: the image's routing table, the toolchain's gate
+ * instantiation and the boundary auditor all resolve through it.
+ */
+int landingCompartment(const SafetyConfig &cfg,
+                       const LibraryRegistry &reg,
+                       const std::string &callee, int from);
 
 } // namespace flexos
 

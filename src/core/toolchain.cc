@@ -23,22 +23,16 @@ Toolchain::validate(const SafetyConfig &cfg) const
     fatal_if(defaults == 0, "no default compartment declared");
     fatal_if(defaults > 1, "multiple default compartments declared");
 
-    // Mechanisms are a per-boundary knob: a mixed image instantiates
-    // one backend per distinct mechanism. Probe each once so per-
-    // mechanism rules (key budgets, TCB replication) can be checked
-    // without booting an image.
-    std::map<Mechanism, std::unique_ptr<IsolationBackend>> probes;
-    for (const CompartmentSpec &c : cfg.compartments)
-        if (!probes.count(c.mechanism))
-            probes.emplace(c.mechanism, makeBackend(c.mechanism));
-
     // MPK key budget: 15 compartments + 1 shared key (paper 4.1).
     // Only key-consuming compartments count against the budget; with
     // key virtualization, EPT compartments are VM-private (unmapped
     // outside their VM) and take no key at all, so a mixed image may
     // exceed 15 compartments as long as at most 15 of them are keyed.
     std::size_t mpkComps = 0, keyedComps = 0;
+    bool allReplicateTcb = true;
     for (const CompartmentSpec &c : cfg.compartments) {
+        allReplicateTcb =
+            allReplicateTcb && mechanismReplicatesTcb(c.mechanism);
         if (c.mechanism == Mechanism::IntelMpk ||
             c.mechanism == Mechanism::CubicleMpk)
             ++mpkComps;
@@ -63,10 +57,6 @@ Toolchain::validate(const SafetyConfig &cfg) const
 
     // Library assignments.
     std::set<std::string> assigned;
-    bool allReplicateTcb = true;
-    for (const auto &[m, probe] : probes)
-        if (!probe->replicatesTcb())
-            allReplicateTcb = false;
     std::string defaultName;
     for (const CompartmentSpec &c : cfg.compartments)
         if (c.isDefault)
@@ -108,53 +98,42 @@ Toolchain::build(Machine &m, Scheduler &s, const SafetyConfig &cfg)
     BuildReport rep;
 
     // --- Gate instantiation (Figure 3, step 3/3') --------------------
-    // Walk the static call graph; every cross-compartment edge gets a
-    // backend gate, every intra-compartment edge stays a function call.
+    // Walk the static call graph; every edge whose call lands in
+    // another compartment gets a backend gate, every other edge stays
+    // a function call. Least privilege is checked here for everything
+    // the build can see: a `deny:` rule on an edge the static call
+    // graph needs is a configuration contradiction, not a runtime
+    // surprise.
     for (const auto &[lib, compName] : cfg.libraries) {
-        const LibraryInfo &info = reg.get(lib);
-        for (const std::string &callee : info.callees) {
-            if (!reg.contains(callee))
-                continue;
-            bool inImage = false;
-            for (const auto &[other, oc] : cfg.libraries)
-                if (other == callee)
-                    inImage = true;
-            const LibraryInfo &calleeInfo = reg.get(callee);
-            if (!inImage && !calleeInfo.tcb)
-                continue;
-
+        int from = img->compartmentIndexOf(lib);
+        for (const std::string &callee : reg.get(lib).callees) {
+            int to = img->landingOf(callee, from);
+            if (to < 0)
+                continue; // not in the image
             std::ostringstream line;
-            int callerComp = img->compartmentIndexOf(lib);
-            int calleeComp =
-                inImage ? img->compartmentIndexOf(callee) : callerComp;
-            // The caller's mechanism decides whether the TCB is local
-            // (replicated); the *callee's* mechanism supplies the gate.
-            bool crosses =
-                inImage && callerComp != calleeComp &&
-                !(calleeInfo.tcb &&
-                  img->backendFor(callerComp).replicatesTcb());
-            if (crosses) {
-                // Name the boundary's resolved policy, not just the
-                // mechanism: flavour/validate/scrub overrides show up
-                // in the transformation record.
-                line << lib << ": flexos_gate(" << callee
-                     << ", ...) -> "
-                     << img->policyFor(callerComp, calleeComp).name()
-                     << " gate ["
-                     << cfg.compartments[static_cast<std::size_t>(
-                                             callerComp)]
-                            .name
-                     << " -> "
-                     << cfg.compartments[static_cast<std::size_t>(
-                                             calleeComp)]
-                            .name
-                     << "]";
-                ++rep.gatesInserted;
-            } else {
-                line << lib << ": flexos_gate(" << callee
-                     << ", ...) -> direct call (same compartment)";
+            line << lib << ": flexos_gate(" << callee << ", ...) -> ";
+            if (to == from) {
+                line << "direct call (same compartment)";
+                rep.transformations.push_back(line.str());
+                continue;
             }
+            const std::string &fromName =
+                cfg.compartments[static_cast<std::size_t>(from)].name;
+            const std::string &toName =
+                cfg.compartments[static_cast<std::size_t>(to)].name;
+            // Name the boundary's resolved policy, not just the
+            // mechanism: flavour/validate/scrub overrides show up in
+            // the transformation record.
+            const GatePolicy &pol = img->policyFor(from, to);
+            fatal_if(pol.deny, "boundary ", fromName, " -> ", toName,
+                     " is denied but the static call graph needs it: ",
+                     lib, " calls ", callee,
+                     " (re-allow the edge with 'deny: false' or move "
+                     "the libraries)");
+            line << pol.name() << " gate [" << fromName << " -> " << toName
+                 << "]";
             rep.transformations.push_back(line.str());
+            ++rep.gatesInserted;
         }
     }
 

@@ -55,8 +55,8 @@ class Toolchain
      * boundary is enforced under its GateMatrix policy. Matrix
      * resolution also rejects equal-specificity rule conflicts;
      * `deny:` rules covering statically-needed call edges are
-     * rejected at image build (Image's constructor), which build()
-     * below reaches — `tools/config_lint` warns about them earlier.
+     * rejected by build() below while it instantiates gates —
+     * `tools/config_lint` warns about them earlier.
      */
     void validate(const SafetyConfig &cfg) const;
 

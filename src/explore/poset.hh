@@ -110,18 +110,6 @@ struct ConfigPoint
      */
     int auditScore = -1;
 
-    /**
-     * Measured adversary-simulation hazard score: the config is
-     * deployed and the attack catalogue (flexos::adversary) is run
-     * from a compromised net compartment; 10 per breach + 3 per
-     * partial containment (0 = full containment), or -1 before
-     * wayfinder::attachAttackScore() fills it. A measurement label
-     * like perf/auditScore — compareSafety ignores it; it is the
-     * *dynamic* counterpart of the static auditScore (what the config
-     * actually contains, not what it promises).
-     */
-    int attackScore = -1;
-
     /** Number of distinct compartments in the partition. */
     int compartments() const;
 };

@@ -7,7 +7,6 @@
 #include <set>
 #include <sstream>
 
-#include "adversary/adversary.hh"
 #include "analysis/audit.hh"
 #include "apps/deploy.hh"
 #include "apps/http.hh"
@@ -576,36 +575,6 @@ void
 attachAuditScore(ConfigPoint &point, const std::string &appLib)
 {
     point.auditScore = auditScore(point, appLib);
-}
-
-int
-attackScore(const ConfigPoint &point, const std::string &appLib)
-{
-    SafetyConfig cfg = toSafetyConfig(point, appLib);
-    adversary::AttackOptions aopts;
-    aopts.attackerLib = cfg.libraries.empty()
-                            ? std::string("lwip")
-                            : cfg.libraries.front().first;
-    for (const auto &[lib, comp] : cfg.libraries)
-        if (lib == "lwip")
-            aopts.attackerLib = lib;
-    DeployOptions opts;
-    opts.withNet = false;
-    opts.withFs = false;
-    opts.heapBytes = 2 * 1024 * 1024;
-    opts.sharedHeapBytes = 1 * 1024 * 1024;
-    Deployment dep(std::move(cfg), opts);
-    dep.start();
-    adversary::AttackScorecard card =
-        adversary::runScorecard(dep, aopts);
-    dep.stop();
-    return card.score();
-}
-
-void
-attachAttackScore(ConfigPoint &point, const std::string &appLib)
-{
-    point.attackScore = attackScore(point, appLib);
 }
 
 double

@@ -164,21 +164,6 @@ int auditScore(const ConfigPoint &point, const std::string &appLib);
 /** Fill point.auditScore (see auditScore()). */
 void attachAuditScore(ConfigPoint &point, const std::string &appLib);
 
-/**
- * Measured adversary-simulation hazard score of a sweep point:
- * materializes and *deploys* it (no networking — the resource class
- * reports n/a), then mounts the flexos::adversary attack catalogue
- * from the compromised net compartment (lwip when configured, the
- * first configured library otherwise). Lower is better; 0 = every
- * applicable scenario contained. The dynamic complement of
- * auditScore(): the audit scores what the matrix promises, this
- * scores what the deployed image actually contained.
- */
-int attackScore(const ConfigPoint &point, const std::string &appLib);
-
-/** Fill point.attackScore (see attackScore()). */
-void attachAttackScore(ConfigPoint &point, const std::string &appLib);
-
 /** Measured Redis GET throughput (req/s) for a configuration. */
 double measureRedis(const ConfigPoint &point, std::uint64_t requests);
 

@@ -753,20 +753,6 @@ NetStack::handleFrame(NetBuf frame)
 }
 
 bool
-NetStack::pollOnce()
-{
-    bool worked = false;
-    mach.consume(mach.timing.pollDispatch);
-    while (auto f = nic.receive()) {
-        handleFrame(std::move(*f));
-        worked = true;
-    }
-    if (timers.poll() > 0)
-        worked = true;
-    return worked;
-}
-
-bool
 NetStack::pollQueue(std::size_t q)
 {
     bool worked = false;
@@ -865,18 +851,6 @@ NetStack::rssQueueOf(const TcpSocket &s) const
     return rssHash(s.remoteIp(), s.remotePort(), ipAddr,
                    s.localPort()) %
            rssQueues;
-}
-
-void
-NetStack::startPoller(const std::string &name)
-{
-    stopping = false;
-    sched.spawn(name, [this] {
-        while (!stopping) {
-            pollOnce();
-            sched.yield();
-        }
-    });
 }
 
 } // namespace flexos

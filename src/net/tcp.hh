@@ -223,13 +223,11 @@ class NetStack
     /** Actively connect; blocks until established or failed. */
     TcpSocket *connect(std::uint32_t dstIp, std::uint16_t dstPort);
 
-    /** Process all pending frames and due timers once. @return work done */
-    bool pollOnce();
-
     /**
-     * Drain one RX queue (and, on queue 0, the timer wheel). The
-     * per-core pollers of an RSS-enabled stack each call this with
-     * their own queue so no two cores touch the same ring.
+     * Drain one RX queue (and, on queue 0, the timer wheel): every
+     * poller's one step. The per-core pollers of an RSS-enabled stack
+     * each call this with their own queue so no two cores touch the
+     * same ring; a single-queue stack polls queue 0.
      * @return work done
      */
     bool pollQueue(std::size_t q);
@@ -279,14 +277,6 @@ class NetStack
 
     /** Wake every poller blocked in waitQueueActivity (shutdown). */
     void wakePollers();
-
-    /**
-     * Spawn the poller fiber. It loops pollOnce() + yield until stop().
-     */
-    void startPoller(const std::string &name = "netpoll");
-
-    /** Ask the poller to exit (it observes the flag at its next loop). */
-    void stop() { stopping = true; }
 
     std::uint32_t ip() const { return ipAddr; }
     Machine &machine() { return mach; }
@@ -357,7 +347,6 @@ class NetStack
     std::size_t rssQueues = 1;
     /** One wait per RX queue; frames arriving wake the matching one. */
     std::vector<std::unique_ptr<WaitQueue>> queueWaits;
-    bool stopping = false;
 };
 
 } // namespace flexos

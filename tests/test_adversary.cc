@@ -18,6 +18,7 @@
 
 #include "adversary/adversary.hh"
 #include "apps/deploy.hh"
+#include "base/rng.hh"
 #include "core/image.hh"
 #include "core/toolchain.hh"
 #include "runtime/controller.hh"
@@ -421,7 +422,7 @@ TEST(Adversary, PropertyForgedCrossingsNeverExecuteOnDenyComplete)
     Machine &m = dep.machine();
 
     const char *libs[3] = {"libredis", "vfscore", "uktime"};
-    adversary::Rng rng(0xf00dULL);
+    Rng rng(0xf00dULL);
     std::uint64_t deniedBefore = m.counter("gate.denied");
     int executed = 0;
     int denied = 0;

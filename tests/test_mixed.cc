@@ -3,15 +3,23 @@
  * Mixed-mechanism (heterogeneous isolation) tests: per-boundary gate
  * dispatch through the callee compartment's backend, per-mechanism
  * boot/shutdown, range-aware MMU checks, EPT shutdown with servers
- * still blocked in RPC bodies, and sim-stack reaping on thread exit.
+ * still blocked in RPC bodies, sim-stack reaping on thread exit, and
+ * one placement rule shared by the auditor, the build and live gates.
  */
+
+#include <algorithm>
+#include <map>
+#include <optional>
+#include <set>
 
 #include <gtest/gtest.h>
 
+#include "analysis/callgraph.hh"
 #include "apps/deploy.hh"
 #include "apps/iperf.hh"
 #include "core/image.hh"
 #include "core/toolchain.hh"
+#include "explore/wayfinder.hh"
 
 namespace flexos {
 namespace {
@@ -372,6 +380,130 @@ libraries:
     }
     dep.stop();
     EXPECT_GE(stableRuns, 2);
+}
+
+// --------------------------------------------------- one placement rule
+
+/** (caller library, callee library) static call edges, by name. */
+using CallSet = std::set<std::pair<std::string, std::string>>;
+/** Compartment-name pair -> the call edges crossing it. */
+using EdgeMap = std::map<std::pair<std::string, std::string>, CallSet>;
+
+/**
+ * The auditor's static edges, the build's gate instantiation and the
+ * live gate agree on where every call lands. Over fig6's 80 configs
+ * and the mixed EPT/MPK shapes of this file: the CompartmentGraph's
+ * edges equal the crossings the build reports, and one live gate from
+ * a thread in each caller library to each static callee increments
+ * exactly the reported ledger cell, or `gate.direct` when the build
+ * made the call direct.
+ */
+TEST_F(MixedFixture, AuditorBuildAndLiveGatesAgreeOnWhereCallsLand)
+{
+    std::vector<SafetyConfig> cfgs;
+    for (const ConfigPoint &p : wayfinder::fig6Space())
+        cfgs.push_back(wayfinder::toSafetyConfig(p, "libredis"));
+    SafetyConfig mixed = SafetyConfig::parse(threeMechConfig);
+    cfgs.push_back(mixed);
+    // The allocator homed in the trusted MPK compartment: the EPT
+    // caller (lwip) keeps it local, the unisolated newlib crosses.
+    SafetyConfig tcbHome = mixed;
+    tcbHome.libraries.emplace_back("ukalloc", "trusted");
+    cfgs.push_back(tcbHome);
+    // The iperf deployment's MPK/MPK/EPT shape: newlib and uksched in
+    // a second MPK compartment.
+    SafetyConfig mpkEpt = tcbHome;
+    mpkEpt.compartments[2].mechanism = Mechanism::IntelMpk;
+    for (auto &[lib, comp] : mpkEpt.libraries)
+        if (lib == "uksched")
+            comp = "loose";
+    cfgs.push_back(mpkEpt);
+    ASSERT_EQ(cfgs.size(), 83u);
+
+    int eptCallsKeptTcbLocal = 0;
+    for (SafetyConfig &cfg : cfgs) {
+        cfg.heapBytes = 1 << 20;
+        cfg.sharedHeapBytes = 1 << 20;
+        SCOPED_TRACE(cfg.toText());
+        Machine m;
+        Scheduler s(m);
+        Toolchain chain(reg);
+        auto img = chain.build(m, s, cfg);
+        const std::size_t n = img->compartmentCount();
+
+        // The build's verdict per static call: the crossed cell, or
+        // nullopt for a direct call.
+        EdgeMap built;
+        std::map<std::pair<std::string, std::string>,
+                 std::optional<std::size_t>>
+            verdict;
+        for (const std::string &t : chain.report().transformations) {
+            std::size_t colon = t.find(": flexos_gate(");
+            if (colon == std::string::npos)
+                continue; // a shared-data annotation line
+            std::size_t at = colon + std::string(": flexos_gate(").size();
+            std::pair<std::string, std::string> call{
+                t.substr(0, colon), t.substr(at, t.find(", ...)") - at)};
+            std::size_t open = t.find(" gate [");
+            if (open == std::string::npos) {
+                verdict[call] = std::nullopt;
+                continue;
+            }
+            open += std::string(" gate [").size();
+            std::size_t arrow = t.find(" -> ", open);
+            std::string from = t.substr(open, arrow - open);
+            std::string to = t.substr(arrow + 4, t.size() - 1 - arrow - 4);
+            built[{from, to}].insert(call);
+            verdict[call] = static_cast<std::size_t>(
+                cfg.compartmentIndex(from) * static_cast<int>(n) +
+                cfg.compartmentIndex(to));
+        }
+
+        EdgeMap audited;
+        analysis::CompartmentGraph g =
+            analysis::buildCompartmentGraph(cfg, reg);
+        for (const analysis::CompartmentGraph::Edge &e : g.edges)
+            for (const analysis::CompartmentGraph::Witness &w : e.witnesses)
+                audited[{g.comps[static_cast<std::size_t>(e.from)],
+                         g.comps[static_cast<std::size_t>(e.to)]}]
+                    .insert({w.lib, w.callee});
+        EXPECT_EQ(audited, built);
+
+        for (const auto &[call, cell] : verdict) {
+            const auto &[lib, callee] = call;
+            SCOPED_TRACE(lib + " calls " + callee);
+            ASSERT_FALSE(reg.get(callee).entryPoints.empty());
+            std::string entry = *reg.get(callee).entryPoints.begin();
+            std::vector<Image::BoundaryCounts> before = img->ledger();
+            std::uint64_t directBefore = m.counter("gate.direct");
+            bool done = false;
+            img->spawnIn(lib, "probe", [&] {
+                img->gate(callee, entry.c_str(), [] {});
+                done = true;
+            });
+            ASSERT_TRUE(s.runUntil([&] { return done; }));
+
+            std::vector<std::uint64_t> moved(n * n), expected(n * n, 0);
+            for (std::size_t i = 0; i < n * n; ++i)
+                moved[i] = img->ledger()[i].crossings - before[i].crossings;
+            if (cell)
+                expected[*cell] = 1;
+            EXPECT_EQ(moved, expected);
+            EXPECT_EQ(m.counter("gate.direct"), directBefore + (cell ? 0 : 1));
+
+            // A TCB callee homed elsewhere, called from an EPT VM.
+            int from = img->compartmentIndexOf(lib);
+            int home = -1;
+            for (const auto &[placed, comp] : cfg.libraries)
+                if (placed == callee)
+                    home = cfg.compartmentIndex(comp);
+            if (!cell && reg.get(callee).tcb && home >= 0 && home != from &&
+                cfg.compartments[static_cast<std::size_t>(from)].mechanism ==
+                    Mechanism::VmEpt)
+                ++eptCallsKeptTcbLocal;
+        }
+    }
+    EXPECT_GT(eptCallsKeptTcbLocal, 0);
 }
 
 } // namespace

@@ -314,14 +314,25 @@ struct TcpFixture : ::testing::Test
         // Shrink timeouts so loss tests converge quickly.
         server.baseRtoNs = 2'000'000;
         client.baseRtoNs = 2'000'000;
-        server.startPoller("srv-poll");
-        client.startPoller("cli-poll");
+        spawnPoller(server, "srv-poll");
+        spawnPoller(client, "cli-poll");
+    }
+
+    /** A spinning poller fiber: poll + yield until the fixture ends. */
+    void
+    spawnPoller(NetStack &stack, const char *name)
+    {
+        sched.spawn(name, [this, &stack] {
+            while (!stopping) {
+                stack.pollQueue(0);
+                sched.yield();
+            }
+        });
     }
 
     ~TcpFixture() override
     {
-        server.stop();
-        client.stop();
+        stopping = true;
         sched.run();
         // Unwind fibers still blocked in recv/accept while the network
         // stacks (and their sockets) are alive.
@@ -333,6 +344,7 @@ struct TcpFixture : ::testing::Test
     Link link;
     NetStack server;
     NetStack client;
+    bool stopping = false;
 };
 
 TEST_F(TcpFixture, HandshakeEstablishesBothEnds)
