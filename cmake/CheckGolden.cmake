@@ -1,6 +1,7 @@
 # Golden-output check: run a tool and fail when its output differs from
 # a committed reference file. Invoked by the `config_doc_fresh`,
-# `fig08_poset_golden` and `bench_snapshots_fresh` CTests as:
+# `counter_doc_fresh`, `fig08_poset_golden` and `bench_snapshots_fresh`
+# CTests as:
 #   cmake -DTOOL=<binary> -DREFERENCE=<committed file>
 #         "-DREGENERATE=<command that rewrites the reference>"
 #         [-DOUTPUT=<file>] [-DARGS=<arguments>]

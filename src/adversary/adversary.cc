@@ -488,7 +488,7 @@ Harness::forgedDoorbells(std::vector<AttackResult> &out)
             r.cls = AttackClass::ForgedDoorbell;
             r.scenario = "doorbell-spurious:" + compName(v);
             std::uint64_t before =
-                m.counter("gate.ept.spuriousDoorbells");
+                m.counter(Counter::GateEptSpuriousDoorbells);
             bool rang = false;
             runAsAttacker("adv-bell", [&] {
                 Cycles start = m.cycles();
@@ -502,7 +502,7 @@ Harness::forgedDoorbells(std::vector<AttackResult> &out)
             } else {
                 r.outcome = Outcome::Contained;
                 r.witness = "gate.ept.spuriousDoorbells";
-                panic_if(m.counter("gate.ept.spuriousDoorbells") <=
+                panic_if(m.counter(Counter::GateEptSpuriousDoorbells) <=
                              before,
                          "spurious doorbell not witnessed");
             }
@@ -766,7 +766,7 @@ Harness::resourceAttacks(std::vector<AttackResult> &out)
             out.push_back(r);
         } else {
             child->oooLimit = 2048;
-            std::uint64_t evBase = m.counter("tcp.oooEvicted");
+            std::uint64_t evBase = m.counter(Counter::TcpOooEvicted);
             NicEndpoint &srvNic = dep.nicLink()->endA();
             bool droppedOne = false;
             srvNic.rxFilter = [&droppedOne](NetBuf &f) {
@@ -785,7 +785,7 @@ Harness::resourceAttacks(std::vector<AttackResult> &out)
                 sendDone = true;
             });
             bool evicted = sched.runUntil([&] {
-                return m.counter("tcp.oooEvicted") > evBase;
+                return m.counter(Counter::TcpOooEvicted) > evBase;
             });
             r.detectionCycles = m.cycles() - start;
             bool bounded =
@@ -824,7 +824,7 @@ Harness::resourceAttacks(std::vector<AttackResult> &out)
         const std::uint16_t port = 9612;
         const std::size_t backlog = 2;
         TcpSocket *lst = srv.listen(port, backlog);
-        std::uint64_t dropBase = m.counter("tcp.backlogDrops");
+        std::uint64_t dropBase = m.counter(Counter::TcpBacklogDrops);
         std::vector<Thread *> flood;
         std::vector<TcpSocket *> floodSocks;
         Cycles start = m.cycles();
@@ -836,7 +836,7 @@ Harness::resourceAttacks(std::vector<AttackResult> &out)
                         floodSocks.push_back(c);
                 }));
         bool dropped = sched.runUntil([&] {
-            return m.counter("tcp.backlogDrops") > dropBase;
+            return m.counter(Counter::TcpBacklogDrops) > dropBase;
         });
         r.detectionCycles = m.cycles() - start;
         bool boundHeld = lst->pendingAccepts() <= backlog;

@@ -220,7 +220,7 @@ class MpkBackend : public IsolationBackend
             // register set are shared with the callee (nothing to
             // scrub on return). Entry leg is the first wrpkru + call;
             // the second wrpkru + return is charged on the way back.
-            m.bump("gate.mpk.light");
+            m.bump(Counter::GateMpkLight);
             inlineGate(img, to, policy, workMult,
                        m.timing.mpkLightGate - m.timing.mpkLightReturn,
                        m.timing.mpkLightReturn, /*scrub=*/false, bodies,
@@ -230,9 +230,9 @@ class MpkBackend : public IsolationBackend
         // HODOR-style full gate: save+zero the register set, switch
         // thread permissions, switch to the compartment's stack via the
         // per-thread stack registry (and back on return).
-        m.bump("gate.mpk.dss");
+        m.bump(Counter::GateMpkDss);
         if (!policy.scrubReturn)
-            m.bump("gate.mpk.dss.noscrub");
+            m.bump(Counter::GateMpkDssNoscrub);
         // The entry-side register save/zero: the callee starts from a
         // clean scratch file (the light gate shares it).
         m.scrubScratch();
@@ -330,7 +330,7 @@ class EptBackend : public IsolationBackend
             }
         }
         if (cancels)
-            img.machine().bump("gate.ept.shutdownCancels", cancels);
+            img.machine().bump(Counter::GateEptShutdownCancels, cancels);
         // RPCs still queued in a ring (all servers were busy or
         // cancelled) would leave their callers blocked on doneWait
         // forever: fail each one and wake its caller before the rings
@@ -351,7 +351,7 @@ class EptBackend : public IsolationBackend
             }
         }
         if (drained)
-            img.machine().bump("gate.ept.shutdownDrained", drained);
+            img.machine().bump(Counter::GateEptShutdownDrained, drained);
         serverThreads.clear();
         vms.clear();
     }
@@ -405,15 +405,15 @@ class EptBackend : public IsolationBackend
                          m.timing.batchSlot;
         if (coalesced) {
             entryCost -= std::min(entryCost, m.timing.eptDoorbell);
-            m.bump("gate.coalesced");
+            m.bump(Counter::GateCoalesced);
         }
         m.consume(entryCost);
         Cycles returnCost = m.timing.eptReturn;
         if (!policy.scrubReturn) {
             returnCost -= std::min(returnCost, m.timing.registerSaveZero);
-            m.bump("gate.ept.noscrub");
+            m.bump(Counter::GateEptNoscrub);
         }
-        m.bump("gate.ept");
+        m.bump(Counter::GateEpt);
         ReturnCharge rc(m, returnCost, policy.scrubReturn);
 
         Rpc rpc;
@@ -433,9 +433,9 @@ class EptBackend : public IsolationBackend
         // survives reboots, so it only ratchets upward.
         if (sh.ring.size() > sh.ringHighWater) {
             sh.ringHighWater = sh.ring.size();
-            std::uint64_t cur = m.counter("gate.ept.ringDepth");
+            std::uint64_t cur = m.counter(Counter::GateEptRingDepth);
             if (sh.ringHighWater > cur)
-                m.bump("gate.ept.ringDepth", sh.ringHighWater - cur);
+                m.bump(Counter::GateEptRingDepth, sh.ringHighWater - cur);
         }
         // Elastic growth: if every server in the shard is busy
         // (running or blocked inside an RPC body) and requests are
@@ -448,7 +448,7 @@ class EptBackend : public IsolationBackend
                         static_cast<std::size_t>(m.activeCore()) %
                             vm.shards.size(),
                         /*elastic=*/true);
-            m.bump("gate.ept.elasticSpawns");
+            m.bump(Counter::GateEptElasticSpawns);
         }
         if (!coalesced) {
             sh.serverIdle->wakeOne();
@@ -495,7 +495,7 @@ class EptBackend : public IsolationBackend
         WaitQueue doneWait(sched);
         rpc.doneWait = &doneWait;
         sh.ring.push_back(&rpc);
-        m.bump("gate.ept.forgedRpcs");
+        m.bump(Counter::GateEptForgedRpcs);
         sh.serverIdle->wakeOne();
         sh.lastDoorbell = m.cycles();
         while (!rpc.done)
@@ -505,7 +505,7 @@ class EptBackend : public IsolationBackend
         // not an exception.
         if (executed)
             return ForgedRpcOutcome::Executed;
-        m.bump("gate.ept.forgedRejected");
+        m.bump(Counter::GateEptForgedRejected);
         return ForgedRpcOutcome::Rejected;
     }
 
@@ -523,7 +523,7 @@ class EptBackend : public IsolationBackend
         // A replayed interrupt with no slot behind it: the woken
         // server observes an empty ring and re-idles (counted so the
         // scorecard can assert the wake was absorbed, not serviced).
-        m.bump("gate.ept.spuriousDoorbells");
+        m.bump(Counter::GateEptSpuriousDoorbells);
         sh.serverIdle->wakeOne();
         return true;
     }
@@ -562,7 +562,7 @@ class EptBackend : public IsolationBackend
                 }
             }
             if (woken)
-                m.bump("gate.ept.policyResizes", woken);
+                m.bump(Counter::GateEptPolicyResizes, woken);
         }
     }
 
@@ -668,7 +668,7 @@ class EptBackend : public IsolationBackend
                         if (static_cast<int>(pool.size()) <=
                             img.compartmentAt(vmId).spec.servers)
                             sh.fastRetire = false;
-                        m.bump("gate.ept.elasticRetires");
+                        m.bump(Counter::GateEptElasticRetires);
                         return;
                     }
                 } else {
@@ -753,7 +753,7 @@ class CheriBackend : public IsolationBackend
         // the extra capability save on top of the full MPK gate's, the
         // return leg mirrors the full MPK gate's, scrub waiver included.
         auto &m = img.machine();
-        m.bump("gate.cheri");
+        m.bump(Counter::GateCheri);
         m.scrubScratch();
         inlineGate(img, to, policy, workMult,
                    m.timing.registerSaveZero +
@@ -772,7 +772,7 @@ struct PerCallRow
 {
     Mechanism mech;
     const char *name;
-    const char *counter;
+    Counter counter;
     /** The per-call transition charge: `costRepeat` x `cost`. */
     Cycles TimingModel::*cost;
     Cycles costRepeat = 1;
@@ -790,7 +790,7 @@ const PerCallRow perCallRows[] = {
     // function call itself.
     {.mech = Mechanism::None,
      .name = "none",
-     .counter = "gate.none",
+     .counter = Counter::GateNone,
      .cost = &TimingModel::functionCall,
      .allowAllDomain = true},
     // Page-table isolation via Linux syscalls (Figure 10 PT2). A kernel
@@ -799,7 +799,7 @@ const PerCallRow perCallRows[] = {
     // real syscall boundary.
     {.mech = Mechanism::LinuxPt,
      .name = "linux-pt",
-     .counter = "gate.syscall",
+     .counter = Counter::GateSyscall,
      .cost = &TimingModel::syscallKpti,
      .scrubReturn = true},
     // seL4/Genode microkernel IPC round trip (Figure 10 PT3). Replies
@@ -807,7 +807,7 @@ const PerCallRow perCallRows[] = {
     // zeroed.
     {.mech = Mechanism::Sel4Ipc,
      .name = "sel4-ipc",
-     .counter = "gate.sel4ipc",
+     .counter = Counter::GateSel4Ipc,
      .cost = &TimingModel::sel4Ipc,
      .scrubReturn = true,
      .checksEntryPoints = true},
@@ -817,7 +817,7 @@ const PerCallRow perCallRows[] = {
     // touches a not-yet-mapped shared object and takes the fault.
     {.mech = Mechanism::CubicleMpk,
      .name = "cubicle-mpk",
-     .counter = "gate.cubicle",
+     .counter = Counter::GateCubicle,
      .cost = &TimingModel::pkeyMprotect,
      .costRepeat = 2,
      .everySecondCall = &TimingModel::trapAndMapFault},

@@ -40,7 +40,7 @@ DssFrame::~DssFrame() noexcept(false)
         stack->top = savedTop;
 
     if (smashed) {
-        img.machine().bump("hardening.canarySmashed");
+        img.machine().bump(Counter::HardeningCanarySmashed);
         // Throwing while another exception unwinds would terminate.
         if (std::uncaught_exceptions() == 0)
             throw CanaryViolation("stack smashing detected in DSS frame");
@@ -68,7 +68,7 @@ DssFrame::alloc(std::size_t n)
     void *p = stack->mem.get() + stack->top;
     stack->top += aligned;
     m.consume(m.timing.stackAlloc);
-    m.bump("dss.stackAllocs");
+    m.bump(Counter::DssStackAllocs);
     return p;
 }
 

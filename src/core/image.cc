@@ -142,7 +142,7 @@ Image::enforceBoundary(int from, int to, const GatePolicy &pol)
 {
     std::size_t cell = boundaryIndex(from, to);
     if (pol.deny) {
-        mach.bump("gate.denied");
+        mach.bump(Counter::GateDenied);
         // Per-edge witness: the runtime controller's deny-alert rule
         // needs to know WHICH edge is being probed, not just that
         // some denied crossing happened somewhere.
@@ -173,7 +173,7 @@ Image::enforceBoundary(int from, int to, const GatePolicy &pol)
     b.lastRefill = now;
 
     if (b.tokens < 1.0) {
-        mach.bump("gate.throttled");
+        mach.bump(Counter::GateThrottled);
         // Per-edge breakdown: who is being back-pressured matters for
         // QoS tuning (which `weight:` to raise).
         ++boundaryLedger[cell].throttled;
@@ -216,19 +216,19 @@ Image::applyElision(int from, int to, const GatePolicy &pol,
     bool streak = noteBoundaryStreak(from, to);
     if (pol.validateEntry) {
         if (streak && elidesValidate(pol.elide)) {
-            mach.bump("gate.elided.validate");
+            mach.bump(Counter::GateElidedValidate);
         } else {
             // Policy-forced caller-side entry validation: one probe
             // of the callee's export table, whatever the mechanism's
             // own rule (the functional check is in checkEntry).
             mach.consume(mach.timing.entryValidate);
-            mach.bump("gate.validate");
+            mach.bump(Counter::GateValidate);
         }
     }
     if (streak && elidesScrub(pol.elide) && pol.scrubReturn) {
         scratch = pol;
         scratch.scrubReturn = false;
-        mach.bump("gate.elided.scrub");
+        mach.bump(Counter::GateElidedScrub);
         return scratch;
     }
     return pol;
@@ -265,8 +265,8 @@ Image::crossChunk(const std::string &calleeLib, const char *fnName,
     // suspend inside an EPT ring RPC) is in flight.
     CrossingScope xing(*this);
     if (k > 1) {
-        mach.bump("gate.batched");
-        mach.bump("gate.batchedCalls", k);
+        mach.bump(Counter::GateBatched);
+        mach.bump(Counter::GateBatchedCalls, k);
     }
     // Every call past enforcement counts once, here, whichever backend
     // carries it — also the calls of a vector a throwing body aborts.
@@ -400,7 +400,7 @@ Image::boot()
 
     // Boot-time cost: section protection, key setup, backend init.
     mach.consume(50'000 + 10'000 * comps.size());
-    mach.bump("image.boots");
+    mach.bump(Counter::ImageBoots);
     booted = true;
 }
 
@@ -541,7 +541,7 @@ Image::checkEntry(const std::string &lib, const char *fnName, int from,
         // Witness the rejection per attacked edge before raising, so
         // the adversary scorecard (and the controller's deny-witness
         // pass) can attribute the forged entry to its boundary.
-        mach.bump("gate.validate.reject");
+        mach.bump(Counter::GateValidateReject);
         ++boundaryLedger[boundaryIndex(from, to)].rejected;
         throw CfiViolation(std::string("gate to non-entry-point ") + lib +
                            "." + fnName);
@@ -638,7 +638,7 @@ Image::reapSimStacks(int threadId)
             mach.memMap.remove(it->second.mem.get() +
                                SimStack::stackBytes);
         it = simStacks.erase(it);
-        mach.bump("image.simStackReaps");
+        mach.bump(Counter::ImageSimStackReaps);
     }
     lastBoundary.erase(threadId);
 }
@@ -701,7 +701,7 @@ Image::yieldForSwap()
     // Kept out of the header's hot path: a plain cooperative yield —
     // the swapper is runnable (or will be woken by the next drained
     // crossing) and flips the matrix before this thread runs again.
-    mach.bump("matrix.swapYields");
+    mach.bump(Counter::MatrixSwapYields);
     sched.yield();
 }
 
@@ -728,7 +728,7 @@ Image::swapGateMatrix(GateMatrix next)
     // crossings park at the gate()-side barrier while swapWaiters > 0.
     ++swapWaiters;
     if (activeCrossings_ > 0)
-        mach.bump("matrix.quiesceWaits");
+        mach.bump(Counter::MatrixQuiesceWaits);
     while (activeCrossings_ > 0) {
         if (self) {
             quiesceWait.wait(); // woken by the last CrossingScope
@@ -774,8 +774,8 @@ Image::swapGateMatrix(GateMatrix next)
     for (auto &b : backends)
         b->policyChanged(*this);
 
-    mach.bump("matrix.swaps");
-    mach.bump("matrix.epoch");
+    mach.bump(Counter::MatrixSwaps);
+    mach.bump(Counter::MatrixEpoch);
     return true;
 }
 
@@ -796,7 +796,7 @@ Image::ackCoresAfterSwap()
         int core = static_cast<int>(c);
         if (core == selfCore) {
             // The swapper's own core acks by running this code.
-            mach.bump("matrix.coreAcks");
+            mach.bump(Counter::MatrixCoreAcks);
             continue;
         }
         if (self) {
@@ -809,7 +809,7 @@ Image::ackCoresAfterSwap()
                        sched.dispatchesOn(core) != mark[c];
             });
         }
-        mach.bump("matrix.coreAcks");
+        mach.bump(Counter::MatrixCoreAcks);
     }
 }
 

@@ -238,7 +238,7 @@ class Image
             // (paper Figure 3, step 3': zero overhead). Only the
             // callee's own hardening instrumentation applies.
             mach.consume(mach.timing.functionCall);
-            mach.bump("gate.direct");
+            mach.bump(Counter::GateDirect);
             WorkMultGuard guard(mach, r.mult);
             return fn();
         }
@@ -419,7 +419,7 @@ class Image
         int &lastCore = compLastCore[static_cast<std::size_t>(to)];
         if (lastCore >= 0 && lastCore != coreNow) {
             mach.consume(mach.timing.crossCoreMigration);
-            mach.bump("gate.crossCore");
+            mach.bump(Counter::GateCrossCore);
         }
         lastCore = coreNow;
     }
@@ -434,7 +434,7 @@ class Image
     {
         if (pol.validateReturn) {
             mach.consume(mach.timing.entryValidate);
-            mach.bump("gate.validate.return");
+            mach.bump(Counter::GateValidateReturn);
         }
     }
 

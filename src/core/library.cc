@@ -32,7 +32,7 @@ LibraryRegistry::add(LibraryInfo info)
 }
 
 const LibraryInfo &
-LibraryRegistry::get(const std::string &name) const
+LibraryRegistry::get(std::string_view name) const
 {
     auto it = libs.find(name);
     fatal_if(it == libs.end(), "unknown library '", name, "'");
@@ -46,8 +46,8 @@ LibraryRegistry::contains(const std::string &name) const
 }
 
 bool
-LibraryRegistry::isEntryPoint(const std::string &lib,
-                              const std::string &fn) const
+LibraryRegistry::isEntryPoint(std::string_view lib,
+                              std::string_view fn) const
 {
     return get(lib).entryPoints.count(fn) != 0;
 }

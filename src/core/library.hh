@@ -11,9 +11,11 @@
 #ifndef FLEXOS_CORE_LIBRARY_HH
 #define FLEXOS_CORE_LIBRARY_HH
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace flexos {
@@ -35,8 +37,11 @@ struct LibraryInfo
      */
     bool tcb = false;
 
-    /** Legal cross-compartment entry points (gate/CFI targets). */
-    std::set<std::string> entryPoints;
+    /**
+     * Legal cross-compartment entry points (gate/CFI targets);
+     * transparent, so gates look a name up without building a string.
+     */
+    std::set<std::string, std::less<>> entryPoints;
 
     /** Libraries this one calls (static call-graph edges). */
     std::set<std::string> callees;
@@ -80,16 +85,15 @@ class LibraryRegistry
     void add(LibraryInfo info);
 
     /** Look up a library; fatal if unknown. */
-    const LibraryInfo &get(const std::string &name) const;
+    const LibraryInfo &get(std::string_view name) const;
 
     bool contains(const std::string &name) const;
 
     /** All names, registration order. */
     const std::vector<std::string> &names() const { return order; }
 
-    /** Whether callee is a legal entry point of lib. */
-    bool isEntryPoint(const std::string &lib,
-                      const std::string &fn) const;
+    /** Whether fn is a legal entry point of lib (fatal if lib unknown). */
+    bool isEntryPoint(std::string_view lib, std::string_view fn) const;
 
     /**
      * The standard FlexOS registry: the kernel micro-libraries this
@@ -100,7 +104,7 @@ class LibraryRegistry
     static LibraryRegistry standard();
 
   private:
-    std::map<std::string, LibraryInfo> libs;
+    std::map<std::string, LibraryInfo, std::less<>> libs;
     std::vector<std::string> order;
 };
 

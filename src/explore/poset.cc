@@ -207,19 +207,27 @@ SafetyPoset::buildEdges()
     covers.assign(n, {});
     coveredBy.assign(n, {});
 
+    // Compare every pair once (n^2 comparisons); the reduction below
+    // only reads the table.
+    std::vector<char> safer(n * n, 0);
+    for (std::size_t a = 0; a < n; ++a)
+        for (std::size_t b = 0; b < n; ++b)
+            if (a != b)
+                safer[a * n + b] = strictlySafer(a, b);
+    auto above = [&](std::size_t a, std::size_t b) {
+        return safer[a * n + b] != 0;
+    };
+
     for (std::size_t lo = 0; lo < n; ++lo) {
         for (std::size_t hi = 0; hi < n; ++hi) {
-            if (lo == hi || !strictlySafer(hi, lo))
+            if (!above(hi, lo))
                 continue;
             // Cover edge iff no intermediate m with lo < m < hi
             // (transitive reduction -> Hasse diagram).
             bool direct = true;
-            for (std::size_t m = 0; m < n && direct; ++m) {
-                if (m == lo || m == hi)
-                    continue;
-                if (strictlySafer(m, lo) && strictlySafer(hi, m))
+            for (std::size_t m = 0; m < n && direct; ++m)
+                if (above(m, lo) && above(hi, m))
                     direct = false;
-            }
             if (direct) {
                 covers[lo].push_back(hi);
                 coveredBy[hi].push_back(lo);

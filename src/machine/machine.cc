@@ -103,7 +103,7 @@ Machine::advanceCoreTo(int core, Cycles target)
     if (target <= now)
         return;
     chargeCore(core, target - now);
-    bump("machine.idleCycles", target - now);
+    bump(Counter::MachineIdleCycles, target - now);
 }
 
 void
@@ -141,28 +141,26 @@ Machine::checkAccess(const void *p, std::size_t size, AccessType at)
         return;
 
     ++violations;
-    bump("mmu.violations");
+    bump(Counter::MmuViolations);
     if (enforcement == Enforcement::Enforcing)
         throw ProtectionFault(p, denied->key, at, denied->name);
 }
 
-void
-Machine::bump(const std::string &counter, std::uint64_t n)
-{
-    stats[counter] += n;
-}
-
 std::uint64_t
-Machine::counter(const std::string &name) const
+Machine::counter(std::string_view name) const
 {
-    auto it = stats.find(name);
-    return it == stats.end() ? 0 : it->second;
+    std::optional<Counter> c = counterNamed(name);
+    return c ? counter(*c) : 0;
 }
 
-const std::map<std::string, std::uint64_t> &
+std::map<std::string, std::uint64_t>
 Machine::counters() const
 {
-    return stats;
+    std::map<std::string, std::uint64_t> out;
+    for (std::size_t i = 0; i < counterCount; ++i)
+        if (touched[i])
+            out.emplace(counterTable[i].name, counts[i]);
+    return out;
 }
 
 } // namespace flexos

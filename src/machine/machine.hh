@@ -16,8 +16,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "machine/counters.hh"
 #include "machine/memmap.hh"
 #include "machine/pkru.hh"
 #include "machine/timing.hh"
@@ -105,7 +107,7 @@ class Machine
         if (!chargingEnabled)
             return;
         cycleCount += c;
-        bump("machine.stallCycles", c);
+        bump(Counter::MachineStallCycles, c);
     }
 
     /**
@@ -208,10 +210,26 @@ class Machine
     /** @} */
 
     /** @name Statistics. @{ */
-    /** Bump a named event counter (gate crossings, faults, RPCs...). */
-    void bump(const std::string &counter, std::uint64_t n = 1);
-    std::uint64_t counter(const std::string &name) const;
-    const std::map<std::string, std::uint64_t> &counters() const;
+    /**
+     * Bump an event counter (gate crossings, faults, RPCs...). A bump,
+     * even by 0, marks the counter touched: counters() reports it.
+     */
+    void
+    bump(Counter c, std::uint64_t n = 1)
+    {
+        auto i = static_cast<std::size_t>(c);
+        counts[i] += n;
+        touched[i] = true;
+    }
+    std::uint64_t
+    counter(Counter c) const
+    {
+        return counts[static_cast<std::size_t>(c)];
+    }
+    /** A counter by its declared name; 0 for an unknown name. */
+    std::uint64_t counter(std::string_view name) const;
+    /** Every touched counter by name (built on demand, off-path). */
+    std::map<std::string, std::uint64_t> counters() const;
     /** @} */
 
     /** The timing model in force. */
@@ -228,7 +246,8 @@ class Machine
     }
 
     Cycles cycleCount = 0;
-    std::map<std::string, std::uint64_t> stats;
+    std::array<std::uint64_t, counterCount> counts{};
+    std::array<bool, counterCount> touched{};
 
     /** Banked register files; cores_[active_] is stale while active. */
     std::vector<CoreContext> cores_;

@@ -38,14 +38,14 @@ void
 NicEndpoint::transmit(NetBuf frame)
 {
     mach.consume(mach.timing.nicFrame);
-    mach.bump("nic.tx");
+    mach.bump(Counter::NicTx);
     if (peer->rxFilter && !peer->rxFilter(frame)) {
-        mach.bump("nic.dropped");
+        mach.bump(Counter::NicDropped);
         return;
     }
     std::size_t q = peer->steerTo(frame);
     if (q != 0)
-        mach.bump("nic.steered");
+        mach.bump(Counter::NicSteered);
     peer->rxQueues[q].push_back(std::move(frame));
     if (peer->onArrive)
         peer->onArrive(q);
@@ -58,7 +58,7 @@ NicEndpoint::receiveQueue(std::size_t q)
     if (rx.empty())
         return std::nullopt;
     mach.consume(mach.timing.nicFrame);
-    mach.bump("nic.rx");
+    mach.bump(Counter::NicRx);
     NetBuf f = std::move(rx.front());
     rx.pop_front();
     return f;

@@ -72,7 +72,7 @@ PolicyController::record(const std::string &rule, const std::string &edge,
     traceRing.push_back({epochCount, rule, edge, level});
     if (traceRing.size() > traceCapacity)
         traceRing.pop_front();
-    img.machine().bump("controller.trace");
+    img.machine().bump(Counter::ControllerTrace);
 }
 
 GatePolicy
@@ -112,7 +112,7 @@ PolicyController::step()
 {
     Machine &mach = img.machine();
     ++epochCount;
-    mach.bump("controller.epochs");
+    mach.bump(Counter::ControllerEpochs);
 
     // Windowed sample: everything below reasons about THIS epoch's
     // activity, never the monotonic totals — difference a copy of the
@@ -143,7 +143,7 @@ PolicyController::step()
                 windowed(f, t, &Image::BoundaryCounts::denied);
             if (denied > 0 && denied >= cfg.denyAlert) {
                 offender = true;
-                mach.bump("controller.alerts");
+                mach.bump(Counter::ControllerAlerts);
             }
         }
         if (!offender)
@@ -153,7 +153,7 @@ PolicyController::step()
                 continue;
             st.denyHardened = true;
             st.calm = 0;
-            mach.bump("controller.tightens");
+            mach.bump(Counter::ControllerTightens);
             record("deny-harden",
                    nameOf(pair.first) + "->" + nameOf(pair.second), -1);
         }
@@ -168,7 +168,7 @@ PolicyController::step()
             st.calm = 0;
             if (st.level < 3) {
                 ++st.level;
-                mach.bump("controller.tightens");
+                mach.bump(Counter::ControllerTightens);
                 record("tighten",
                        nameOf(pair.first) + "->" + nameOf(pair.second),
                        st.level);
@@ -180,7 +180,7 @@ PolicyController::step()
                 else
                     st.denyHardened = false;
                 st.calm = 0;
-                mach.bump("controller.relaxes");
+                mach.bump(Counter::ControllerRelaxes);
                 record("relax",
                        nameOf(pair.first) + "->" + nameOf(pair.second),
                        st.level);

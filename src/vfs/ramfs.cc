@@ -40,7 +40,7 @@ RamfsNode::chargeOp(std::size_t bytes) const
 {
     mach.consume(mach.timing.ramfsOpBase);
     mach.consumePerByte(bytes, mach.timing.fsCopyPer16B);
-    mach.bump("ramfs.ops");
+    mach.bump(Counter::RamfsOps);
 }
 
 bool

@@ -18,7 +18,7 @@ void
 Vfs::chargeOp() const
 {
     mach.consume(mach.timing.vfsOpBase);
-    mach.bump("vfs.ops");
+    mach.bump(Counter::VfsOps);
 }
 
 std::shared_ptr<Vnode>

@@ -129,6 +129,71 @@ TEST(Poset, HasseEdgesSkipTransitive)
     EXPECT_TRUE(poset.coversOf(c3).empty());
 }
 
+/**
+ * The cover relation by the definition, comparing inside the O(n^3)
+ * loop: hi covers lo iff hi is strictly safer and no third node lies
+ * strictly between them.
+ */
+std::vector<std::vector<std::size_t>>
+bruteForceCovers(const SafetyPoset &poset)
+{
+    auto safer = [&](std::size_t a, std::size_t b) {
+        return compareSafety(poset.at(a), poset.at(b)) ==
+               SafetyOrder::Greater;
+    };
+    std::size_t n = poset.size();
+    std::vector<std::vector<std::size_t>> covers(n);
+    for (std::size_t lo = 0; lo < n; ++lo)
+        for (std::size_t hi = 0; hi < n; ++hi) {
+            if (lo == hi || !safer(hi, lo))
+                continue;
+            bool direct = true;
+            for (std::size_t m = 0; m < n; ++m)
+                if (m != lo && m != hi && safer(m, lo) && safer(hi, m))
+                    direct = false;
+            if (direct)
+                covers[lo].push_back(hi);
+        }
+    return covers;
+}
+
+void
+expectCoversMatchBruteForce(SafetyPoset &poset)
+{
+    poset.buildEdges();
+    std::vector<std::vector<std::size_t>> want = bruteForceCovers(poset);
+    for (std::size_t i = 0; i < poset.size(); ++i)
+        EXPECT_EQ(poset.coversOf(i), want[i]) << "node " << i;
+}
+
+TEST(Poset, CoverEdgesMatchBruteForceReduction)
+{
+    SafetyPoset fig6;
+    for (ConfigPoint &p : wayfinder::fig6Space())
+        fig6.add(std::move(p));
+    expectCoversMatchBruteForce(fig6);
+
+    // Random posets mixing every scalar dimension, with the mechanism
+    // ranks that make pairs incomparable (ept vs cheri).
+    for (std::uint64_t seed : {1, 2, 3}) {
+        Rng rng(seed);
+        SafetyPoset poset;
+        for (int i = 0; i < 60; ++i) {
+            std::vector<int> part(4);
+            for (int &b : part)
+                b = static_cast<int>(rng.below(3));
+            std::vector<unsigned> hard(4);
+            for (unsigned &h : hard)
+                h = static_cast<unsigned>(rng.below(4));
+            ConfigPoint p = mk(part, hard, static_cast<int>(rng.below(4)),
+                               static_cast<int>(rng.below(3)));
+            p.elided = static_cast<unsigned>(rng.below(4));
+            poset.add(std::move(p));
+        }
+        expectCoversMatchBruteForce(poset);
+    }
+}
+
 TEST(Poset, SafestWithinBudgetPicksMaximal)
 {
     SafetyPoset poset;

@@ -1,14 +1,21 @@
 /**
  * @file
  * Unit tests for the simulated machine: PKRU semantics, region map,
- * MMU checks, enforcement modes, virtual clock.
+ * MMU checks, enforcement modes, virtual clock, event counters.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "base/rng.hh"
+#include "core/image.hh"
+#include "machine/counters.hh"
 #include "machine/machine.hh"
 
 namespace flexos {
@@ -260,10 +267,84 @@ TEST(Machine, ReadOnlySharedRegion)
 TEST(Machine, CountersAccumulate)
 {
     Machine m;
-    m.bump("gates.mpk");
-    m.bump("gates.mpk", 4);
-    EXPECT_EQ(m.counter("gates.mpk"), 5u);
+    m.bump(Counter::GateMpkDss);
+    m.bump(Counter::GateMpkDss, 4);
+    EXPECT_EQ(m.counter(Counter::GateMpkDss), 5u);
+    EXPECT_EQ(m.counter("gate.mpk.dss"), 5u);
     EXPECT_EQ(m.counter("missing"), 0u);
+}
+
+TEST(Counters, EachIsDeclaredOnceWithUnitAndDescription)
+{
+    std::set<std::string_view> names;
+    for (std::size_t i = 0; i < counterCount; ++i) {
+        const CounterInfo &c = counterTable[i];
+        SCOPED_TRACE(c.name);
+        EXPECT_FALSE(std::string_view(c.name).empty());
+        EXPECT_FALSE(std::string_view(c.unit).empty());
+        EXPECT_FALSE(std::string_view(c.doc).empty());
+        EXPECT_TRUE(names.insert(c.name).second) << "duplicate name";
+        // The by-name lookup finds the row it was declared in.
+        std::optional<Counter> id = counterNamed(c.name);
+        ASSERT_TRUE(id);
+        EXPECT_EQ(static_cast<std::size_t>(*id), i);
+    }
+    EXPECT_FALSE(counterNamed("gates.mpk"));
+}
+
+TEST(Counters, OnlyTouchedCountersAreReportedAndZeroBumpsCount)
+{
+    Machine m;
+    EXPECT_TRUE(m.counters().empty());
+    m.bump(Counter::GateEpt, 3);
+    // A bump by 0 (an eviction of nothing, a zero-length stall) still
+    // makes the counter visible, at 0: fig09 and the perfbench records
+    // print every touched counter.
+    m.bump(Counter::TcpOooEvicted, 0);
+    m.stall(0);
+    std::map<std::string, std::uint64_t> want{
+        {"gate.ept", 3}, {"machine.stallCycles", 0}, {"tcp.oooEvicted", 0}};
+    EXPECT_EQ(m.counters(), want);
+    EXPECT_EQ(m.counter(Counter::GateMpkDss), 0u);
+    EXPECT_EQ(m.counters().count("gate.mpk.dss"), 0u);
+}
+
+/**
+ * The readers against a name-keyed reference: replay one seeded bump
+ * sequence into the machine and into a map (`map[name] += n`), and
+ * require the same counters() and, over a window, the same
+ * statsDelta.
+ */
+TEST(Counters, ReadersMatchANameKeyedMapOverTheSameBumps)
+{
+    Rng rng(23);
+    Machine m;
+    std::map<std::string, std::uint64_t> ref;
+    auto bumpBoth = [&](int count) {
+        for (int k = 0; k < count; ++k) {
+            std::size_t i = rng.below(counterCount);
+            std::uint64_t n = rng.chance(1, 5) ? 0 : rng.range(1, 1000);
+            m.bump(static_cast<Counter>(i), n);
+            ref[counterTable[i].name] += n;
+        }
+    };
+    bumpBoth(40);
+    Image::StatsSnapshot before = m.counters();
+    EXPECT_EQ(before, ref);
+    std::map<std::string, std::uint64_t> refBefore = ref;
+    bumpBoth(40);
+    EXPECT_EQ(m.counters(), ref);
+
+    // The window's delta: the keys that moved, by how much.
+    Image::StatsSnapshot want;
+    for (const auto &[name, value] : ref) {
+        auto it = refBefore.find(name);
+        std::uint64_t prev = it == refBefore.end() ? 0 : it->second;
+        if (value > prev)
+            want[name] = value - prev;
+    }
+    EXPECT_EQ(Image::statsDelta(before, m.counters()), want);
+    EXPECT_FALSE(want.empty());
 }
 
 } // namespace

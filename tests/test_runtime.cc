@@ -416,16 +416,16 @@ TEST(RuntimeSmp, SwapStormAcrossCores)
 TEST_F(RuntimeFixture, SnapshotStatsDeltasKeepOnlyMovedKeys)
 {
     std::unique_ptr<Image> img = buildFrom(adaptiveCfg);
-    mach.bump("test.a", 5);
-    mach.bump("test.b", 2);
+    mach.bump(Counter::IpBadHeader, 5); // no network here: nothing
+    mach.bump(Counter::IpNotMine, 2);   // else bumps the ip.* counters
     Image::StatsSnapshot before = img->snapshotStats();
-    mach.bump("test.a", 3);
-    mach.bump("test.c", 7);
-    Image::StatsSnapshot delta =
-        Image::statsDelta(before, img->snapshotStats());
-    EXPECT_EQ(delta.count("test.b"), 0u); // unmoved: not in the delta
-    EXPECT_EQ(delta.at("test.a"), 3u);    // windowed, not the total
-    EXPECT_EQ(delta.at("test.c"), 7u);    // new keys count from zero
+    EXPECT_EQ(before.count("ip.truncated"), 0u); // never bumped: absent
+    mach.bump(Counter::IpBadHeader, 3);
+    mach.bump(Counter::IpTruncated, 7);
+    auto delta = Image::statsDelta(before, img->snapshotStats());
+    EXPECT_EQ(delta.count("ip.notMine"), 0u); // unmoved: not in the delta
+    EXPECT_EQ(delta.at("ip.badHeader"), 3u);  // windowed, not the total
+    EXPECT_EQ(delta.at("ip.truncated"), 7u);  // new keys count from zero
 }
 
 // --------------------------------------------------- the controller
