@@ -63,6 +63,12 @@ class Harness
         fatal_if(attackerComp < 0, "adversary: attacker library '",
                  opts.attackerLib, "' is not in the configuration");
         attackerName = compName(attackerComp);
+        // Crossings outside the static call graph are what a ROP
+        // pivot must forge.
+        talksTo.assign(img.compartmentCount(), false);
+        for (const StaticCall &c : staticCalls(img.config(), img.registry()))
+            if (c.from == attackerComp)
+                talksTo[static_cast<std::size_t>(c.to)] = true;
     }
 
     void illegalCrossings(std::vector<AttackResult> &out);
@@ -124,29 +130,6 @@ class Harness
     {
         const auto &eps = img.registry().get(lib).entryPoints;
         return eps.empty() ? std::string() : *eps.begin();
-    }
-
-    /**
-     * Whether the static call graph has an edge from the attacker's
-     * compartment into `to` (some attacker-side library calls some
-     * library configured there). Crossings outside this set are what
-     * a ROP pivot must forge.
-     */
-    bool
-    staticallyAdjacent(int to) const
-    {
-        const SafetyConfig &cfg = img.config();
-        for (const auto &[lib, comp] : cfg.libraries) {
-            if (comp != compName(attackerComp))
-                continue;
-            for (const std::string &callee :
-                 img.registry().get(lib).callees) {
-                for (const auto &[l2, c2] : cfg.libraries)
-                    if (l2 == callee && c2 == compName(to))
-                        return true;
-            }
-        }
-        return false;
     }
 
     /**
@@ -304,6 +287,8 @@ class Harness
     Rng rng;
     int attackerComp = -1;
     std::string attackerName;
+    /** Compartments some static call of the attacker's lands in. */
+    std::vector<bool> talksTo;
 };
 
 void
@@ -323,7 +308,7 @@ Harness::illegalCrossings(std::vector<AttackResult> &out)
         // (deny) is the only thing standing between a compromised
         // compartment and every API the image exports.
         std::string entry = entryOf(lib);
-        if (!staticallyAdjacent(to) && !entry.empty())
+        if (!talksTo[static_cast<std::size_t>(to)] && !entry.empty())
             out.push_back(mountGate(AttackClass::IllegalCrossing,
                                     "rop-cross:" + edge, lib, entry,
                                     to));

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <set>
 #include <tuple>
 
 #include "base/logging.hh"
@@ -60,15 +59,11 @@ buildCompartmentGraph(const SafetyConfig &cfg, const LibraryRegistry &reg)
     }
     std::size_t n = g.comps.size();
 
-    // Library placement; the first compartment holding a net-facing
-    // library is the attacker-facing root.
-    std::map<std::string, int> compOf;
-    for (const auto &[lib, compName] : cfg.libraries) {
-        int idx = cfg.compartmentIndex(compName);
-        compOf[lib] = idx;
+    // The first compartment holding a net-facing library is the
+    // attacker-facing root.
+    for (const auto &[lib, compName] : cfg.libraries)
         if (g.netComp < 0 && reg.contains(lib) && reg.get(lib).netFacing)
-            g.netComp = idx;
-    }
+            g.netComp = cfg.compartmentIndex(compName);
 
     GateMatrix matrix = GateMatrix::build(cfg);
     g.allowed.assign(n * n, false);
@@ -80,20 +75,13 @@ buildCompartmentGraph(const SafetyConfig &cfg, const LibraryRegistry &reg)
                                    static_cast<int>(t))
                                .deny;
 
-    // Static cross-compartment edges from the registry's dependency
-    // graph, each landing where landingCompartment() — the rule the
-    // image routes by — puts it.
+    // Static cross-compartment edges: the config's static calls that
+    // land outside their caller, grouped by boundary.
     std::map<std::pair<int, int>, std::vector<CompartmentGraph::Witness>>
         edgeWitnesses;
-    for (const auto &[lib, from] : compOf) {
-        if (!reg.contains(lib))
-            continue;
-        for (const std::string &callee : reg.get(lib).callees) {
-            int to = landingCompartment(cfg, reg, callee, from);
-            if (to >= 0 && to != from)
-                edgeWitnesses[{from, to}].push_back({lib, callee});
-        }
-    }
+    for (const StaticCall &c : staticCalls(cfg, reg))
+        if (c.to != c.from)
+            edgeWitnesses[{c.from, c.to}].push_back({c.lib, c.callee});
     for (auto &[pair, witnesses] : edgeWitnesses) {
         CompartmentGraph::Edge e;
         e.from = pair.first;

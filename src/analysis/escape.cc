@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "base/logging.hh"
+#include "base/strutil.hh"
 
 namespace flexos {
 namespace analysis {
@@ -25,23 +26,6 @@ datumClassName(DatumClass c)
 }
 
 namespace {
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t a = 0, b = s.size();
-    while (a < b && std::isspace(static_cast<unsigned char>(s[a])))
-        ++a;
-    while (b > a && std::isspace(static_cast<unsigned char>(s[b - 1])))
-        --b;
-    return s.substr(a, b - a);
-}
-
-bool
-startsWith(const std::string &s, const char *prefix)
-{
-    return s.rfind(prefix, 0) == 0;
-}
 
 /** Whether `word` occurs in `s` as a whole token. */
 bool

@@ -1,7 +1,6 @@
 #include "analysis/report.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <sstream>
 #include <tuple>
@@ -23,18 +22,6 @@ severityName(Severity s)
         return "error";
     }
     panic("unreachable severity");
-}
-
-Severity
-severityFromName(const std::string &name)
-{
-    if (name == "note")
-        return Severity::Note;
-    if (name == "warning")
-        return Severity::Warning;
-    if (name == "error")
-        return Severity::Error;
-    fatal("unknown severity '", name, "'");
 }
 
 bool
@@ -186,222 +173,6 @@ AuditReport::toJson() const
     }
     oss << "], \"score\": " << score() << "}";
     return oss.str();
-}
-
-namespace {
-
-/**
- * Minimal recursive-descent JSON reader — just enough to parse what
- * AuditReport::toJson emits (objects, arrays, strings, integers,
- * bools/null for forward compatibility). Fatal on malformed input.
- */
-class JsonReader
-{
-  public:
-    explicit JsonReader(const std::string &text) : src(text) {}
-
-    void
-    skipWs()
-    {
-        while (pos < src.size() &&
-               std::isspace(static_cast<unsigned char>(src[pos])))
-            ++pos;
-    }
-
-    char
-    peek()
-    {
-        skipWs();
-        fatal_if(pos >= src.size(), "json: unexpected end of input");
-        return src[pos];
-    }
-
-    void
-    expect(char c)
-    {
-        fatal_if(peek() != c, "json: expected '", c, "' at offset ",
-                 pos);
-        ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        if (peek() == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    std::string
-    string()
-    {
-        expect('"');
-        std::string out;
-        while (pos < src.size() && src[pos] != '"') {
-            char c = src[pos++];
-            if (c == '\\') {
-                fatal_if(pos >= src.size(), "json: dangling escape");
-                char e = src[pos++];
-                switch (e) {
-                case 'n':
-                    out += '\n';
-                    break;
-                case 't':
-                    out += '\t';
-                    break;
-                case 'u': {
-                    fatal_if(pos + 4 > src.size(),
-                             "json: truncated \\u escape");
-                    out += static_cast<char>(
-                        std::stoi(src.substr(pos, 4), nullptr, 16));
-                    pos += 4;
-                    break;
-                }
-                default:
-                    out += e; // \" \\ \/ and friends
-                }
-            } else {
-                out += c;
-            }
-        }
-        fatal_if(pos >= src.size(), "json: unterminated string");
-        ++pos; // closing quote
-        return out;
-    }
-
-    std::uint64_t
-    number()
-    {
-        skipWs();
-        std::size_t start = pos;
-        while (pos < src.size() &&
-               (std::isdigit(static_cast<unsigned char>(src[pos])) ||
-                src[pos] == '-'))
-            ++pos;
-        fatal_if(start == pos, "json: expected number at offset ", pos);
-        return std::stoull(src.substr(start, pos - start));
-    }
-
-    /** Skip one value of any type (unknown keys stay ignorable). */
-    void
-    skipValue()
-    {
-        char c = peek();
-        if (c == '"') {
-            string();
-        } else if (c == '{') {
-            expect('{');
-            if (!consume('}')) {
-                do {
-                    string();
-                    expect(':');
-                    skipValue();
-                } while (consume(','));
-                expect('}');
-            }
-        } else if (c == '[') {
-            expect('[');
-            if (!consume(']')) {
-                do {
-                    skipValue();
-                } while (consume(','));
-                expect(']');
-            }
-        } else {
-            // number / true / false / null
-            while (pos < src.size() && src[pos] != ',' &&
-                   src[pos] != '}' && src[pos] != ']')
-                ++pos;
-        }
-    }
-
-  private:
-    const std::string &src;
-    std::size_t pos = 0;
-};
-
-} // namespace
-
-AuditReport
-AuditReport::fromJson(const std::string &json)
-{
-    AuditReport report;
-    JsonReader r(json);
-    r.expect('{');
-    if (r.consume('}'))
-        return report;
-    do {
-        std::string key = r.string();
-        r.expect(':');
-        if (key == "config") {
-            report.label = r.string();
-        } else if (key == "findings") {
-            r.expect('[');
-            if (!r.consume(']')) {
-                do {
-                    Finding f;
-                    r.expect('{');
-                    do {
-                        std::string fk = r.string();
-                        r.expect(':');
-                        if (fk == "pass")
-                            f.pass = r.string();
-                        else if (fk == "code")
-                            f.code = r.string();
-                        else if (fk == "severity")
-                            f.severity = severityFromName(r.string());
-                        else if (fk == "message")
-                            f.message = r.string();
-                        else if (fk == "from")
-                            f.from = r.string();
-                        else if (fk == "to")
-                            f.to = r.string();
-                        else if (fk == "library")
-                            f.library = r.string();
-                        else if (fk == "datum")
-                            f.datum = r.string();
-                        else if (fk == "file")
-                            f.file = r.string();
-                        else if (fk == "line")
-                            f.line = static_cast<std::size_t>(r.number());
-                        else
-                            r.skipValue();
-                    } while (r.consume(','));
-                    r.expect('}');
-                    report.findings.push_back(std::move(f));
-                } while (r.consume(','));
-                r.expect(']');
-            }
-        } else if (key == "suggested_deny") {
-            r.expect('[');
-            if (!r.consume(']')) {
-                do {
-                    std::string from, to;
-                    r.expect('{');
-                    do {
-                        std::string dk = r.string();
-                        r.expect(':');
-                        if (dk == "from")
-                            from = r.string();
-                        else if (dk == "to")
-                            to = r.string();
-                        else
-                            r.skipValue();
-                    } while (r.consume(','));
-                    r.expect('}');
-                    report.suggestedDeny.emplace_back(std::move(from),
-                                                      std::move(to));
-                } while (r.consume(','));
-                r.expect(']');
-            }
-        } else {
-            r.skipValue(); // "score" is derived; ignore unknown keys
-        }
-    } while (r.consume(','));
-    r.expect('}');
-    return report;
 }
 
 } // namespace analysis

@@ -5,8 +5,7 @@
  * passes). A finding names the pass and a stable kebab-case code, the
  * severity, the boundary / library / datum it is anchored to, and a
  * human-readable message. The report renders to text (the CLI and
- * golden-diff format) and to JSON, and parses back from JSON so
- * downstream tooling can round-trip it.
+ * golden-diff format) and to JSON (the CLI's `--json` output).
  */
 
 #ifndef FLEXOS_ANALYSIS_REPORT_HH
@@ -36,7 +35,6 @@ enum class Severity
 };
 
 const char *severityName(Severity s);
-Severity severityFromName(const std::string &name);
 
 /** One finding of one pass over one configuration. */
 struct Finding
@@ -57,8 +55,6 @@ struct Finding
     std::string file;  ///< source file (escape pass), repo-relative
     std::size_t line = 0;
     /** @} */
-
-    bool operator==(const Finding &o) const = default;
 
     /** Deterministic report order (pass, code, anchors, message). */
     bool operator<(const Finding &o) const;
@@ -103,11 +99,6 @@ struct AuditReport
 
     /** JSON rendering (one object; the CLI emits an array of them). */
     std::string toJson() const;
-
-    /** Parse a report back from toJson() output (round-trip). */
-    static AuditReport fromJson(const std::string &json);
-
-    bool operator==(const AuditReport &o) const = default;
 };
 
 /** @name Minimal JSON helpers (shared with the CLI). @{ */

@@ -43,16 +43,6 @@ LibcApi::accept(TcpSocket *listener)
     });
 }
 
-TcpSocket *
-LibcApi::connect(std::uint32_t ip, std::uint16_t port)
-{
-    return img.gate("newlib", "socket_call", [&] {
-        img.machine().consume(newlibWork);
-        return img.gate("lwip", "connect",
-                        [&] { return net->connect(ip, port); });
-    });
-}
-
 long
 LibcApi::recv(TcpSocket *s, void *buf, std::size_t n)
 {
@@ -164,16 +154,6 @@ LibcApi::pwrite(int fd, const void *buf, std::size_t n,
     });
 }
 
-long
-LibcApi::lseek(int fd, long off, SeekWhence whence)
-{
-    return img.gate("newlib", "fs_call", [&] {
-        img.machine().consume(newlibWork);
-        return img.gate("vfscore", "lseek",
-                        [&] { return vfs->lseek(fd, off, whence); });
-    });
-}
-
 int
 LibcApi::fsync(int fd)
 {
@@ -226,12 +206,6 @@ LibcApi::clockNs()
 }
 
 void
-LibcApi::yield()
-{
-    schedTouch("yield");
-}
-
-void
 LibcApi::lock()
 {
     schedTouch("mutex_lock");
@@ -241,23 +215,6 @@ void
 LibcApi::unlock()
 {
     schedTouch("mutex_unlock");
-}
-
-void *
-LibcApi::malloc(std::size_t n)
-{
-    // Per-compartment allocator (paper 4.5): local fast path, no gate.
-    Thread *t = img.scheduler().current();
-    int comp = t ? t->currentCompartment : 0;
-    return img.compartmentAt(static_cast<std::size_t>(comp)).heap->alloc(n);
-}
-
-void
-LibcApi::free(void *p)
-{
-    Thread *t = img.scheduler().current();
-    int comp = t ? t->currentCompartment : 0;
-    img.compartmentAt(static_cast<std::size_t>(comp)).heap->free(p);
 }
 
 const HardeningContext &

@@ -42,7 +42,6 @@ class LibcApi
     /** @name Sockets (app -> newlib -> lwip [-> uksched]). @{ */
     TcpSocket *listen(std::uint16_t port);
     TcpSocket *accept(TcpSocket *listener);
-    TcpSocket *connect(std::uint32_t ip, std::uint16_t port);
     long recv(TcpSocket *s, void *buf, std::size_t n);
     long send(TcpSocket *s, const void *buf, std::size_t n);
     void closeSocket(TcpSocket *s);
@@ -56,7 +55,6 @@ class LibcApi
     long pread(int fd, void *buf, std::size_t n, std::uint64_t off);
     long pwrite(int fd, const void *buf, std::size_t n,
                 std::uint64_t off);
-    long lseek(int fd, long off, SeekWhence whence);
     int fsync(int fd);
     int ftruncate(int fd, std::uint64_t size);
     int unlink(const std::string &path);
@@ -68,16 +66,9 @@ class LibcApi
     /** @} */
 
     /** @name Scheduler services (app -> uksched). @{ */
-    /** Cooperative yield through the scheduler component. */
-    void yield();
     /** Mutex acquire/release (thread-per-connection servers). */
     void lock();
     void unlock();
-    /** @} */
-
-    /** @name Memory (compartment-local allocator; no crossing). @{ */
-    void *malloc(std::size_t n);
-    void free(void *p);
     /** @} */
 
     /** The hardening context of the caller's compartment. */

@@ -457,32 +457,6 @@ Btree::insert(std::int64_t key, const std::uint8_t *rec, std::size_t len)
     rootId = newRoot;
 }
 
-std::vector<std::uint8_t>
-Btree::find(std::int64_t key)
-{
-    std::uint32_t page = rootId;
-    while (true) {
-        Pager::PageBuf &p = pager.get(page);
-        std::uint16_t n = cellCount(p);
-        if (p[0] == leafType) {
-            for (std::size_t i = 0; i < n; ++i) {
-                if (leafKey(p, i) == key) {
-                    std::uint8_t *cell = leafCell(p, i);
-                    std::uint16_t len;
-                    std::memcpy(&len, cell + 8, 2);
-                    return std::vector<std::uint8_t>(cell + 10,
-                                                     cell + 10 + len);
-                }
-            }
-            return {};
-        }
-        std::size_t idx = 0;
-        while (idx < n && key >= innerKey(p, idx))
-            ++idx;
-        page = idx == 0 ? innerFirstChild(p) : innerChild(p, idx - 1);
-    }
-}
-
 void
 Btree::scanPage(std::uint32_t page,
                 const std::function<void(std::int64_t,

@@ -165,9 +165,6 @@ class Btree
     void insert(std::int64_t key, const std::uint8_t *rec,
                 std::size_t len);
 
-    /** Look up one key. @return record bytes or empty if absent */
-    std::vector<std::uint8_t> find(std::int64_t key);
-
     /** In-order scan over all records. */
     void scan(const std::function<void(std::int64_t,
                                        const std::uint8_t *,

@@ -188,22 +188,9 @@ class MpkBackend : public IsolationBackend
     Mechanism mechanism() const override { return Mechanism::IntelMpk; }
     const char *name() const override { return "intel-mpk"; }
 
-    void
-    boot(Image &img) override
-    {
-        // The key budget binds only the compartments this backend
-        // enforces; EPT/none compartments in a mixed image don't
-        // consume protection keys at the boundary.
-        std::size_t mpkComps = 0;
-        for (std::size_t i = 0; i < img.compartmentCount(); ++i)
-            if (ownsCompartment(*this, img, i))
-                ++mpkComps;
-        fatal_if(mpkComps > numProtKeys - 1,
-                 "MPK supports at most ", numProtKeys - 1,
-                 " compartments (one key is reserved for the shared "
-                 "domain)");
-    }
-
+    // The key budget is the Image's: it fails on the first keyed
+    // compartment past the budget, before any backend boots.
+    void boot(Image &) override {}
     void shutdown(Image &) override {}
 
     void

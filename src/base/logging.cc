@@ -39,11 +39,5 @@ warnImpl(const char *file, int line, const std::string &msg)
     std::fprintf(stderr, "warn: %s @ %s:%d\n", msg.c_str(), file, line);
 }
 
-void
-informImpl(const std::string &msg)
-{
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
 } // namespace detail
 } // namespace flexos

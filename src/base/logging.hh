@@ -5,7 +5,6 @@
  * panic()  — an internal invariant was violated: a bug in this code base.
  * fatal()  — the user asked for something impossible (bad configuration).
  * warn()   — something is off but the run can continue.
- * inform() — neutral status for the user.
  */
 
 #ifndef FLEXOS_BASE_LOGGING_HH
@@ -36,7 +35,6 @@ namespace detail {
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 void warnImpl(const char *file, int line, const std::string &msg);
-void informImpl(const std::string &msg);
 
 /** Build a message from stream-style arguments. */
 template <typename... Args>
@@ -66,10 +64,6 @@ formatMessage(Args &&...args)
 #define warn(...)                                                           \
     ::flexos::detail::warnImpl(__FILE__, __LINE__,                          \
         ::flexos::detail::formatMessage(__VA_ARGS__))
-
-/** Report neutral status. */
-#define inform(...)                                                         \
-    ::flexos::detail::informImpl(::flexos::detail::formatMessage(__VA_ARGS__))
 
 /** panic() unless the given invariant condition holds. */
 #define panic_if(cond, ...)                                                 \

@@ -56,13 +56,6 @@ startsWith(std::string_view s, std::string_view prefix)
     return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool
-endsWith(std::string_view s, std::string_view suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.substr(s.size() - suffix.size()) == suffix;
-}
-
 std::string
 toLower(std::string_view s)
 {
@@ -84,18 +77,6 @@ parseInt(std::string_view s, long &out)
         return false;
     out = v;
     return true;
-}
-
-std::string
-join(const std::vector<std::string> &items, std::string_view sep)
-{
-    std::string out;
-    for (size_t i = 0; i < items.size(); ++i) {
-        if (i)
-            out += sep;
-        out += items[i];
-    }
-    return out;
 }
 
 } // namespace flexos

@@ -24,17 +24,11 @@ std::vector<std::string> splitWs(std::string_view s);
 /** True if s starts with the given prefix. */
 bool startsWith(std::string_view s, std::string_view prefix);
 
-/** True if s ends with the given suffix. */
-bool endsWith(std::string_view s, std::string_view suffix);
-
 /** Lower-case an ASCII string. */
 std::string toLower(std::string_view s);
 
 /** Parse a decimal integer; returns false on malformed input. */
 bool parseInt(std::string_view s, long &out);
-
-/** Join items with a separator. */
-std::string join(const std::vector<std::string> &items, std::string_view sep);
 
 } // namespace flexos
 

@@ -188,27 +188,9 @@ stackSharingName(StackSharing s)
 }
 
 const char *
-rateOverflowName(RateOverflow o)
-{
-    return nameOf(overflowNames, o);
-}
-
-NicSteering
-steeringFromName(const std::string &name)
-{
-    return valueOf(steeringNames, "steering", name);
-}
-
-const char *
 steeringName(NicSteering s)
 {
     return nameOf(steeringNames, s);
-}
-
-GateElide
-elideFromName(const std::string &name)
-{
-    return valueOf(elideNames, "elide", name);
 }
 
 const char *

@@ -127,10 +127,7 @@ Hardening hardeningFromName(const std::string &name);
 const char *hardeningName(Hardening h);
 StackSharing stackSharingFromName(const std::string &name);
 const char *stackSharingName(StackSharing s);
-const char *rateOverflowName(RateOverflow o);
-NicSteering steeringFromName(const std::string &name);
 const char *steeringName(NicSteering s);
-GateElide elideFromName(const std::string &name);
 const char *elideName(GateElide e);
 
 /** Whether an elide mode covers entry validation / return scrubbing. */

@@ -87,11 +87,4 @@ DssFrame::shadowOf(void *priv) const
     return priv;
 }
 
-void
-DssFrame::checkCanary() const
-{
-    if (protectorOn && canary && *canary != canaryValue)
-        throw CanaryViolation("stack smashing detected in DSS frame");
-}
-
 } // namespace flexos

@@ -66,9 +66,6 @@ class DssFrame
         return reinterpret_cast<T *>(shadowOf(priv));
     }
 
-    /** Validate the stack-protector canary explicitly. */
-    void checkCanary() const;
-
   private:
     void *shadowOf(void *priv) const;
 

@@ -99,7 +99,6 @@ class KasanHeap : public Allocator
     void *alloc(std::size_t size) override;
     void free(void *p) override;
     std::size_t blockSize(const void *p) const override;
-    const char *name() const override { return "kasan"; }
 
     /**
      * Validate an access of n bytes at p. Throws KasanViolation on a

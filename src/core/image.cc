@@ -488,15 +488,6 @@ Image::route(const std::string &lib) const
 }
 
 int
-Image::landingOf(const std::string &lib, int from) const
-{
-    auto it = routes.find(lib);
-    if (it == routes.end())
-        return -1;
-    return it->second.landing[static_cast<std::size_t>(from)];
-}
-
-int
 Image::compartmentIndexOf(const std::string &lib) const
 {
     auto it = routes.find(lib);

@@ -208,12 +208,6 @@ class Image
      *  placed nowhere). */
     int compartmentIndexOf(const std::string &lib) const;
     Compartment &compartmentOf(const std::string &lib);
-    /**
-     * Compartment a call from `from` into `lib` lands in, read from
-     * the routing table resolved at construction (see
-     * landingCompartment()); -1 when `lib` is not in the image.
-     */
-    int landingOf(const std::string &lib, int from) const;
     /** @} */
 
     /**

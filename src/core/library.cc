@@ -22,6 +22,23 @@ landingCompartment(const SafetyConfig &cfg, const LibraryRegistry &reg,
     return tcb ? from : -1;
 }
 
+std::vector<StaticCall>
+staticCalls(const SafetyConfig &cfg, const LibraryRegistry &reg)
+{
+    std::vector<StaticCall> calls;
+    for (const auto &[lib, compName] : cfg.libraries) {
+        int from = cfg.compartmentIndex(compName);
+        if (from < 0 || !reg.contains(lib))
+            continue;
+        for (const std::string &callee : reg.get(lib).callees) {
+            int to = landingCompartment(cfg, reg, callee, from);
+            if (to >= 0)
+                calls.push_back({lib, callee, from, to});
+        }
+    }
+    return calls;
+}
+
 void
 LibraryRegistry::add(LibraryInfo info)
 {

@@ -121,6 +121,28 @@ int landingCompartment(const SafetyConfig &cfg,
                        const LibraryRegistry &reg,
                        const std::string &callee, int from);
 
+/** One edge of a configured image's static call graph. */
+struct StaticCall
+{
+    std::string lib;    ///< calling library
+    std::string callee; ///< called library
+    int from = -1;      ///< the caller's home compartment
+    int to = -1;        ///< where the call lands (landingCompartment)
+};
+
+/**
+ * The static call graph of a config: one row per registry dependency
+ * of every placed library, in `cfg.libraries` order with callees in
+ * set order, each placed by landingCompartment(). A row with
+ * `to == from` is a direct call. Callees not in the image, and
+ * libraries the registry or the config's compartments do not know,
+ * are left out. The one walk of the call graph: the toolchain's gate
+ * instantiation, the boundary auditor, the explorer's required edges
+ * and the adversary's adjacency all read it.
+ */
+std::vector<StaticCall> staticCalls(const SafetyConfig &cfg,
+                                    const LibraryRegistry &reg);
+
 } // namespace flexos
 
 #endif // FLEXOS_CORE_LIBRARY_HH

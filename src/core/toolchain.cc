@@ -28,22 +28,17 @@ Toolchain::validate(const SafetyConfig &cfg) const
     // key virtualization, EPT compartments are VM-private (unmapped
     // outside their VM) and take no key at all, so a mixed image may
     // exceed 15 compartments as long as at most 15 of them are keyed.
-    std::size_t mpkComps = 0, keyedComps = 0;
+    std::size_t keyedComps = 0;
     bool allReplicateTcb = true;
     for (const CompartmentSpec &c : cfg.compartments) {
         allReplicateTcb =
             allReplicateTcb && mechanismReplicatesTcb(c.mechanism);
-        if (c.mechanism == Mechanism::IntelMpk ||
-            c.mechanism == Mechanism::CubicleMpk)
-            ++mpkComps;
         if (mechanismConsumesProtKey(c.mechanism))
             ++keyedComps;
         fatal_if(c.serversExplicit && c.mechanism != Mechanism::VmEpt,
                  "compartment '", c.name, "' sets servers: ", c.servers,
                  " but only vm-ept compartments boot an RPC pool");
     }
-    fatal_if(mpkComps > numProtKeys - 1, "MPK supports at most ",
-             numProtKeys - 1, " compartments");
     fatal_if(keyedComps > numProtKeys - 1,
              "the key-tagged region model supports at most ",
              numProtKeys - 1,
@@ -98,43 +93,37 @@ Toolchain::build(Machine &m, Scheduler &s, const SafetyConfig &cfg)
     BuildReport rep;
 
     // --- Gate instantiation (Figure 3, step 3/3') --------------------
-    // Walk the static call graph; every edge whose call lands in
-    // another compartment gets a backend gate, every other edge stays
-    // a function call. Least privilege is checked here for everything
+    // Walk the static call graph; every call that lands in another
+    // compartment gets a backend gate, every other call stays a
+    // function call. Least privilege is checked here for everything
     // the build can see: a `deny:` rule on an edge the static call
     // graph needs is a configuration contradiction, not a runtime
     // surprise.
-    for (const auto &[lib, compName] : cfg.libraries) {
-        int from = img->compartmentIndexOf(lib);
-        for (const std::string &callee : reg.get(lib).callees) {
-            int to = img->landingOf(callee, from);
-            if (to < 0)
-                continue; // not in the image
-            std::ostringstream line;
-            line << lib << ": flexos_gate(" << callee << ", ...) -> ";
-            if (to == from) {
-                line << "direct call (same compartment)";
-                rep.transformations.push_back(line.str());
-                continue;
-            }
-            const std::string &fromName =
-                cfg.compartments[static_cast<std::size_t>(from)].name;
-            const std::string &toName =
-                cfg.compartments[static_cast<std::size_t>(to)].name;
-            // Name the boundary's resolved policy, not just the
-            // mechanism: flavour/validate/scrub overrides show up in
-            // the transformation record.
-            const GatePolicy &pol = img->policyFor(from, to);
-            fatal_if(pol.deny, "boundary ", fromName, " -> ", toName,
-                     " is denied but the static call graph needs it: ",
-                     lib, " calls ", callee,
-                     " (re-allow the edge with 'deny: false' or move "
-                     "the libraries)");
-            line << pol.name() << " gate [" << fromName << " -> " << toName
-                 << "]";
+    for (const StaticCall &c : staticCalls(cfg, reg)) {
+        std::ostringstream line;
+        line << c.lib << ": flexos_gate(" << c.callee << ", ...) -> ";
+        if (c.to == c.from) {
+            line << "direct call (same compartment)";
             rep.transformations.push_back(line.str());
-            ++rep.gatesInserted;
+            continue;
         }
+        const std::string &fromName =
+            cfg.compartments[static_cast<std::size_t>(c.from)].name;
+        const std::string &toName =
+            cfg.compartments[static_cast<std::size_t>(c.to)].name;
+        // Name the boundary's resolved policy, not just the mechanism:
+        // flavour/validate/scrub overrides show up in the
+        // transformation record.
+        const GatePolicy &pol = img->policyFor(c.from, c.to);
+        fatal_if(pol.deny, "boundary ", fromName, " -> ", toName,
+                 " is denied but the static call graph needs it: ",
+                 c.lib, " calls ", c.callee,
+                 " (re-allow the edge with 'deny: false' or move "
+                 "the libraries)");
+        line << pol.name() << " gate [" << fromName << " -> " << toName
+             << "]";
+        rep.transformations.push_back(line.str());
+        ++rep.gatesInserted;
     }
 
     // --- Shared-data annotation instantiation ------------------------

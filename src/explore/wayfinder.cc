@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -245,32 +244,14 @@ std::vector<std::pair<int, int>>
 requiredBlockEdges(const std::vector<int> &partition,
                    const std::string &appLib)
 {
-    // Which block every library of the materialized image lands in
-    // (toSafetyConfig places the non-swept components with the app).
-    std::vector<std::string> comps = sweepComponents(appLib);
-    panic_if(partition.size() != comps.size(),
-             "partition arity mismatch");
-    std::map<std::string, int> blockOf;
-    for (std::size_t c = 0; c < comps.size(); ++c)
-        blockOf[comps[c]] = partition[c];
-    int appBlock = partition[0];
-    blockOf["uktime"] = appBlock;
-    if (appLib == "libnginx")
-        blockOf["vfscore"] = appBlock;
-
-    // Cross-block edges of the registry's static call graph. All
-    // sweep points are MPK-only, so no TCB replication applies and
-    // unassigned TCB services (ukalloc) stay local to every caller.
-    LibraryRegistry reg = LibraryRegistry::standard();
+    // The cross-compartment static calls of the partition's
+    // materialized image, where block b is compartment b.
+    SafetyConfig cfg = toSafetyConfig(basePoint(partition), appLib);
     std::set<std::pair<int, int>> edges;
-    for (const auto &[lib, from] : blockOf) {
-        for (const std::string &callee : reg.get(lib).callees) {
-            auto it = blockOf.find(callee);
-            if (it == blockOf.end() || it->second == from)
-                continue;
-            edges.emplace(from, it->second);
-        }
-    }
+    for (const StaticCall &c :
+         staticCalls(cfg, LibraryRegistry::standard()))
+        if (c.to != c.from)
+            edges.emplace(c.from, c.to);
     return {edges.begin(), edges.end()};
 }
 

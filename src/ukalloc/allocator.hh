@@ -51,9 +51,6 @@ class Allocator
     /** Usable size of an allocated block (>= requested). */
     virtual std::size_t blockSize(const void *p) const = 0;
 
-    /** Allocator family name for reports. */
-    virtual const char *name() const = 0;
-
     const AllocStats &stats() const { return stats_; }
 
     /** The machine whose clock this allocator's work charges. */

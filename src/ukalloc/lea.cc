@@ -73,14 +73,6 @@ LeaAllocator::LeaAllocator(Machine &m, std::size_t arenaSize)
     init();
 }
 
-LeaAllocator::LeaAllocator(Machine &m, void *arenaMem,
-                           std::size_t arenaSize)
-    : Allocator(m), arena(static_cast<char *>(arenaMem)),
-      arenaBytes(arenaSize)
-{
-    init();
-}
-
 LeaAllocator::~LeaAllocator() = default;
 
 void

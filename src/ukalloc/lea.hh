@@ -27,13 +27,11 @@ class LeaAllocator : public Allocator
 {
   public:
     LeaAllocator(Machine &m, std::size_t arenaSize);
-    LeaAllocator(Machine &m, void *arena, std::size_t arenaSize);
     ~LeaAllocator() override;
 
     void *alloc(std::size_t size) override;
     void free(void *p) override;
     std::size_t blockSize(const void *p) const override;
-    const char *name() const override { return "lea"; }
 
     void *arenaBase() const { return arena; }
     std::size_t arenaSize() const { return arenaBytes; }

@@ -36,7 +36,6 @@ class TlsfAllocator : public Allocator
     void *alloc(std::size_t size) override;
     void free(void *p) override;
     std::size_t blockSize(const void *p) const override;
-    const char *name() const override { return "tlsf"; }
 
     /** Arena base (for region registration by the image). */
     void *arenaBase() const { return arena; }

@@ -92,9 +92,6 @@ class Thread
     /** Saved hardening work multiplier (swapped on context switch). */
     double workMult = 1.0;
 
-    /** Opaque per-thread backend state (e.g. MPK stack registry). */
-    std::shared_ptr<void> backendData;
-
     /**
      * Free-running threads execute without charging virtual cycles;
      * used for client-side load generators (the paper pins clients to

@@ -492,5 +492,47 @@ TEST(Adversary, ScorecardNamesRoundTrip)
     EXPECT_FALSE(adversary::parseAttackClass("bogus", out));
 }
 
+/** All-EPT image whose TCB allocator is homed in a third compartment
+ *  next to an untrusted parser. EPT replicates the TCB, so lwip's
+ *  ukalloc calls run locally in net: no static call lands in x. */
+const char *replicatedTcbCfg = R"(
+compartments:
+- app:
+    mechanism: vm-ept
+    default: True
+- net:
+    mechanism: vm-ept
+- x:
+    mechanism: vm-ept
+libraries:
+- libredis: app
+- newlib: app
+- uksched: app
+- uktime: app
+- lwip: net
+- ukalloc: x
+- libopenjpg: x
+)";
+
+TEST(Adversary, RopCrossFollowsWhereStaticCallsLand)
+{
+    // The ROP pivot into x forges a crossing the static call graph
+    // never makes: open boundaries let it reach libopenjpg, a deny
+    // rule on net -> x stops it.
+    auto ropCross = [](const std::string &text) {
+        Deployment dep(text, quietOpts());
+        adversary::AttackScorecard card = adversary::runAttackClass(
+            dep, adversary::AttackClass::IllegalCrossing, netAttacker());
+        for (const adversary::AttackResult &r : card.results)
+            if (r.scenario == "rop-cross:net->x")
+                return std::string(adversary::outcomeName(r.outcome));
+        return std::string("absent");
+    };
+    EXPECT_EQ(ropCross(replicatedTcbCfg), "breached");
+    EXPECT_EQ(ropCross(std::string(replicatedTcbCfg) +
+                       "boundaries:\n- net -> x: {deny: true}\n"),
+              "contained");
+}
+
 } // namespace
 } // namespace flexos

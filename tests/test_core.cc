@@ -241,7 +241,10 @@ TEST_F(CoreFixture, MixedMpkBudgetCountsOnlyKeyedCompartments)
             text += "    mechanism: vm-ept\n";
         }
         text += "libraries:\n- lwip: m0\n";
-        return SafetyConfig::parse(text);
+        SafetyConfig cfg = SafetyConfig::parse(text);
+        cfg.heapBytes = 1 << 20;
+        cfg.sharedHeapBytes = 1 << 20;
+        return cfg;
     };
     // EPT compartments don't tighten the MPK budget: 14 MPK + 1 EPT is
     // as legal as 15 pure-MPK compartments.
@@ -256,6 +259,15 @@ TEST_F(CoreFixture, MixedMpkBudgetCountsOnlyKeyedCompartments)
     EXPECT_NO_THROW(tc.validate(make(15, 1)));
     EXPECT_NO_THROW(tc.validate(make(15, 10)));
     EXPECT_THROW(tc.validate(make(16, 10)), FatalError);
+    // The image guards key assignment on its own, without validate().
+    EXPECT_THROW(std::make_unique<Image>(mach, sched, make(16, 0), reg),
+                 FatalError);
+    // ...and the budget is the image's only: 15 MPK + 10 EPT
+    // compartments build and boot.
+    std::unique_ptr<Image> img;
+    ASSERT_NO_THROW(img = tc.build(mach, sched, make(15, 10)));
+    EXPECT_EQ(img->compartmentCount(), 25u);
+    img->shutdown();
 }
 
 TEST_F(CoreFixture, ValidateRejectsMissingDefault)

@@ -639,5 +639,25 @@ TEST(PrunedSweep, LwipSplitListingAndPruningArePinned)
     }
 }
 
+TEST(Wayfinder, RequiredBlockEdgesPinnedForFigure8Partitions)
+{
+    // Partitions A..E; nginx's extra vfscore rides with the app, so
+    // both applications need the same cross-block edges.
+    using Edges = std::vector<std::pair<int, int>>;
+    const std::vector<Edges> want = {
+        {},
+        {{0, 1}, {1, 0}},
+        {{0, 1}, {1, 0}},
+        {{0, 1}, {1, 0}},
+        {{0, 1}, {0, 2}, {1, 0}, {2, 0}, {2, 1}},
+    };
+    const auto &parts = wayfinder::fig6Partitions();
+    ASSERT_EQ(parts.size(), want.size());
+    for (const char *app : {"libredis", "libnginx"})
+        for (std::size_t i = 0; i < parts.size(); ++i)
+            EXPECT_EQ(wayfinder::requiredBlockEdges(parts[i], app), want[i])
+                << app << " partition " << i;
+}
+
 } // namespace
 } // namespace flexos

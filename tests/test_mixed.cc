@@ -506,6 +506,35 @@ TEST_F(MixedFixture, AuditorBuildAndLiveGatesAgreeOnWhereCallsLand)
     EXPECT_GT(eptCallsKeptTcbLocal, 0);
 }
 
+TEST_F(MixedFixture, ToolchainTransformationReportIsPinned)
+{
+    // One line per static call in config order (callees in name
+    // order), then one per library with shared annotations.
+    auto img = buildFrom(threeMechConfig);
+    const std::vector<std::string> want = {
+        "libredis: flexos_gate(lwip, ...) -> vm-ept gate [trusted -> net]",
+        "libredis: flexos_gate(newlib, ...) -> none gate [trusted -> loose]",
+        "libredis: flexos_gate(uksched, ...) -> direct call (same "
+        "compartment)",
+        "uksched: flexos_gate(ukalloc, ...) -> direct call (same "
+        "compartment)",
+        "lwip: flexos_gate(ukalloc, ...) -> direct call (same compartment)",
+        "lwip: flexos_gate(uksched, ...) -> intel-mpk(dss) gate [net -> "
+        "trusted]",
+        "newlib: flexos_gate(lwip, ...) -> vm-ept gate [loose -> net]",
+        "newlib: flexos_gate(ukalloc, ...) -> direct call (same "
+        "compartment)",
+        "newlib: flexos_gate(uksched, ...) -> intel-mpk(dss) gate [loose "
+        "-> trusted]",
+        "libredis: 16 __shared annotations -> dss",
+        "uksched: 5 __shared annotations -> dss",
+        "lwip: 23 __shared annotations -> dss",
+    };
+    EXPECT_EQ(tc.report().transformations, want);
+    EXPECT_EQ(tc.report().gatesInserted, 5);
+    img->shutdown();
+}
+
 } // namespace
 } // namespace flexos
 
