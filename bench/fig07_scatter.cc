@@ -108,8 +108,9 @@ void
 attackerLoop(Deployment &dep, const bool &stop)
 {
     Image &img = dep.image();
+    const GateSite yield = img.site("uksched", "yield");
     try {
-        img.gate("libredis", "redis_handle_conn", [] {});
+        img.gate(img.site("libredis", "redis_handle_conn"), [] {});
     } catch (const DeniedCrossing &) {
         // The deny witness the controller's alert rule picks up.
     }
@@ -117,7 +118,7 @@ attackerLoop(Deployment &dep, const bool &stop)
     while (!stop) {
         try {
             for (std::uint64_t i = 0; i < burst && !stop; ++i)
-                img.gate("uksched", "yield", [] {});
+                img.gate(yield, [] {});
         } catch (const ThrottledCrossing &) {
             dep.scheduler().sleepNs(2'000'000);
         }
@@ -356,7 +357,7 @@ denyProbe(Deployment &dep, const std::string &attackerLib)
     bool done = false;
     img.spawnIn(attackerLib, "deny-probe", [&] {
         try {
-            img.gate("libredis", "redis_handle_conn", [] {});
+            img.gate(img.site("libredis", "redis_handle_conn"), [] {});
         } catch (const DeniedCrossing &) {
         }
         done = true;
@@ -777,11 +778,12 @@ libraries:
         bool done = false;
         // Spawn inside the EPT VM and gate into the MPK sys
         // compartment: the (net -> sys) cell of the matrix.
+        const GateSite yield = dep.image().site("uksched", "yield");
         dep.image().spawnIn("lwip", "ept-caller", [&] {
             Machine &m = dep.machine();
             Cycles before = m.cycles();
             for (std::uint64_t i = 0; i < iters; ++i)
-                dep.image().gate("uksched", "yield", [] {});
+                dep.image().gate(yield, [] {});
             measured = m.cycles() - before;
             done = true;
         });
@@ -839,16 +841,18 @@ boundaries:
         Cycles spent = 0;
         std::uint64_t denied = 0;
         bool done = false;
+        const GateSite yield = dep.image().site("uksched", "yield");
+        const GateSite handleConn =
+            dep.image().site("libredis", "redis_handle_conn");
         dep.image().spawnIn("libredis", "storm", [&] {
             Cycles before = m.cycles();
             for (std::uint64_t i = 0; i < crossings; ++i)
-                dep.image().gate("uksched", "yield", [] {});
+                dep.image().gate(yield, [] {});
             spent = m.cycles() - before;
             // The reverse edge is denied outright.
-            dep.image().gate("uksched", "yield", [&] {
+            dep.image().gate(yield, [&] {
                 try {
-                    dep.image().gate("libredis", "redis_handle_conn",
-                                     [] {});
+                    dep.image().gate(handleConn, [] {});
                 } catch (const DeniedCrossing &) {
                     ++denied;
                 }

@@ -53,12 +53,14 @@ libraries:
  * `callsPerCross` of them) on a fresh deployment and reports their
  * average virtual cycles as the `vcycles` counter. It then runs the
  * same crossing inside the timed loop, so the time column is host ns
- * per crossing (per vectored chunk on the batched rows).
+ * per crossing (per vectored chunk on the batched rows). The gate site
+ * is resolved once, outside the timed loop, as ported callers do.
  */
 template <typename Cross>
 void
 runRow(benchmark::State &state, const std::string &cfgText, bool noKpti,
-       std::size_t callsPerCross, Cross cross)
+       std::size_t callsPerCross, const char *callee, const char *entry,
+       Cross cross)
 {
     DeployOptions opts;
     opts.withNet = false;
@@ -69,6 +71,7 @@ runRow(benchmark::State &state, const std::string &cfgText, bool noKpti,
     }
     Deployment dep(cfgText, opts);
     Image &img = dep.image();
+    const GateSite site = img.site(callee, entry);
 
     constexpr std::uint64_t iters = 2000;
     static_assert(iters % 8 == 0 && iters % 4 == 0,
@@ -79,10 +82,10 @@ runRow(benchmark::State &state, const std::string &cfgText, bool noKpti,
         Machine &m = dep.machine();
         Cycles before = m.cycles();
         for (std::uint64_t i = 0; i < iters; i += callsPerCross)
-            cross(img);
+            cross(img, site);
         measured = m.cycles() - before;
         for (auto _ : state)
-            cross(img);
+            cross(img, site);
         done = true;
     });
     dep.scheduler().runUntil([&] { return done; });
@@ -95,10 +98,9 @@ void
 gateBench(benchmark::State &state, const std::string &cfg,
           bool sameComp, bool noKpti)
 {
-    const std::string callee = sameComp ? "libredis" : "lwip";
-    const char *entry = sameComp ? "redis_main" : "recv";
-    runRow(state, cfg, noKpti, 1,
-           [&](Image &img) { img.gate(callee, entry, [] {}); });
+    runRow(state, cfg, noKpti, 1, sameComp ? "libredis" : "lwip",
+           sameComp ? "redis_main" : "recv",
+           [](Image &img, const GateSite &site) { img.gate(site, [] {}); });
 }
 
 /**
@@ -113,9 +115,10 @@ batchedGateBench(benchmark::State &state, const std::string &cfg,
                  std::size_t width)
 {
     std::vector<std::function<void()>> bodies(width, [] {});
-    runRow(state, cfg, false, width, [&](Image &img) {
-        img.gateBatch("lwip", "recv", bodies);
-    });
+    runRow(state, cfg, false, width, "lwip", "recv",
+           [&](Image &img, const GateSite &site) {
+               img.gateBatch(site, bodies);
+           });
 }
 
 /** Fastest repetition: preemption and a busy neighbour only ever add

@@ -136,10 +136,14 @@ main(int argc, char **argv)
     // refuse their dynamic crossings.
     std::uint64_t denied = 0, throttleFailed = 0;
     bool done = false;
+    // Gate sites resolve once, before any crossing.
+    const GateSite yield = img.site("uksched", "yield");
+    const GateSite poll = img.site("lwip", "poll");
+    const GateSite handleConn = img.site("libredis", "redis_handle_conn");
     img.spawnIn("libredis", "driver", [&] {
         // Hot edge: app -> sys keeps the DSS, so frames opened behind
         // it still split private variable from shared shadow copy.
-        img.gate("uksched", "yield", [&] {
+        img.gate(yield, [&] {
             DssFrame frame(img);
             int *x = frame.var<int>();
             img.store(x, 7);
@@ -149,17 +153,17 @@ main(int argc, char **argv)
         });
 
         // Gate storm across the rate-limited sys -> net edge.
-        img.gate("uksched", "yield", [&] {
+        img.gate(yield, [&] {
             for (int i = 0; i < 300; ++i)
-                img.gate("lwip", "poll", [] {});
+                img.gate(poll, [] {});
         });
 
         // net -> sys is budgeted with overflow: fail.
-        img.gate("uksched", "yield", [&] {
-            img.gate("lwip", "poll", [&] {
+        img.gate(yield, [&] {
+            img.gate(poll, [&] {
                 for (int i = 0; i < 700; ++i) {
                     try {
-                        img.gate("uksched", "yield", [] {});
+                        img.gate(yield, [] {});
                     } catch (const ThrottledCrossing &) {
                         ++throttleFailed;
                     }
@@ -169,16 +173,16 @@ main(int argc, char **argv)
 
         // Crossings back into the app compartment are denied for
         // everyone — sys and net alike.
-        img.gate("uksched", "yield", [&] {
+        img.gate(yield, [&] {
             try {
-                img.gate("libredis", "redis_handle_conn", [] {});
+                img.gate(handleConn, [] {});
             } catch (const DeniedCrossing &) {
                 ++denied;
             }
         });
-        img.gate("lwip", "poll", [&] {
+        img.gate(poll, [&] {
             try {
-                img.gate("libredis", "redis_handle_conn", [] {});
+                img.gate(handleConn, [] {});
             } catch (const DeniedCrossing &) {
                 ++denied;
             }

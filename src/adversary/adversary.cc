@@ -251,7 +251,7 @@ class Harness
         runAsAttacker("adv-gate", [&] {
             Cycles start = m.cycles();
             try {
-                img.gate(lib, fnName.c_str(), [&] { executed = true; });
+                img.gate(img.site(lib, fnName), [&] { executed = true; });
             } catch (const DeniedCrossing &) {
                 r.outcome = Outcome::Contained;
                 r.witness = "gate.denied." + edge;
@@ -401,8 +401,8 @@ Harness::forgedDoorbells(std::vector<AttackResult> &out)
             r.scenario = "doorbell-gadget:" + compName(v);
             runAsAttacker("adv-ring", [&] {
                 Cycles start = m.cycles();
-                FRO oc = be.injectForgedRpc(img, v, vlib,
-                                            "gadget_ring", [] {});
+                FRO oc = be.injectForgedRpc(
+                    img, v, img.site(vlib, "gadget_ring"), [] {});
                 r.detectionCycles = m.cycles() - start;
                 switch (oc) {
                 case FRO::Rejected:
@@ -438,9 +438,9 @@ Harness::forgedDoorbells(std::vector<AttackResult> &out)
                 bool ran = false;
                 runAsAttacker("adv-replay", [&] {
                     Cycles start = m.cycles();
-                    FRO oc = be.injectForgedRpc(img, v, vlib,
-                                                entry.c_str(),
-                                                [&ran] { ran = true; });
+                    FRO oc = be.injectForgedRpc(
+                        img, v, img.site(vlib, entry),
+                        [&ran] { ran = true; });
                     r.detectionCycles = m.cycles() - start;
                     bool denied =
                         img.policyFor(attackerComp, v).deny;
@@ -537,7 +537,7 @@ Harness::infoLeaks(std::vector<AttackResult> &out)
                              compName(v);
                 runAsAttacker("adv-regprobe", [&] {
                     try {
-                        img.gate(vlib, ventry.c_str(), [&] {
+                        img.gate(img.site(vlib, ventry), [&] {
                             for (std::size_t i = 0; i < m.scratch.size();
                                  ++i)
                                 m.scratch[i] = base + i;
@@ -561,7 +561,7 @@ Harness::infoLeaks(std::vector<AttackResult> &out)
                              ++i)
                             m.scratch[i] = base + i;
                         try {
-                            img.gate(opts.attackerLib, aentry.c_str(),
+                            img.gate(img.site(opts.attackerLib, aentry),
                                      [&] {
                                          for (std::size_t i = 0;
                                               i < m.scratch.size(); ++i)

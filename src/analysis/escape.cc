@@ -93,12 +93,12 @@ struct FileScanner
 
     bool inBlockComment = false;
     bool inRawString = false;
-    std::string rawStringEnd;
+    std::string rawStringEnd{};
     /** Scope stack: true = namespace-like (file scope continues). */
-    std::vector<bool> scopes;
+    std::vector<bool> scopes{};
     bool pendingNamespace = false;
-    std::string prevRaw;  ///< previous raw line (trailing markers)
-    std::string prevCode; ///< previous stripped line (gate sites)
+    std::string prevRaw{};  ///< previous raw line (trailing markers)
+    std::string prevCode{}; ///< previous stripped line (gate sites)
 
     bool
     atFileScope() const

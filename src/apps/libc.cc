@@ -6,14 +6,38 @@
 namespace flexos {
 
 LibcApi::LibcApi(Image &image, NetStack *netstack, Vfs *filesystem)
-    : img(image), net(netstack), vfs(filesystem)
+    : img(image), net(netstack), vfs(filesystem),
+      socketCall(image.site("newlib", "socket_call")),
+      fsCall(image.site("newlib", "fs_call")),
+      timeCall(image.site("newlib", "time_call")),
+      netListen(image.site("lwip", "listen")),
+      netAccept(image.site("lwip", "accept")),
+      netRecv(image.site("lwip", "recv")),
+      netSend(image.site("lwip", "send")),
+      netClose(image.site("lwip", "close")),
+      fsOpen(image.site("vfscore", "open")),
+      fsClose(image.site("vfscore", "close")),
+      fsRead(image.site("vfscore", "read")),
+      fsWrite(image.site("vfscore", "write")),
+      fsPread(image.site("vfscore", "pread")),
+      fsPwrite(image.site("vfscore", "pwrite")),
+      fsFsync(image.site("vfscore", "fsync")),
+      fsFtruncate(image.site("vfscore", "ftruncate")),
+      fsUnlink(image.site("vfscore", "unlink")),
+      fsStat(image.site("vfscore", "stat")),
+      clockGettime(image.site("uktime", "clock_gettime")),
+      schedJoin(image.site("uksched", "thread_join")),
+      schedYield(image.site("uksched", "yield")),
+      schedSleep(image.site("uksched", "sleep")),
+      schedLock(image.site("uksched", "mutex_lock")),
+      schedUnlock(image.site("uksched", "mutex_unlock"))
 {
 }
 
 void
-LibcApi::schedTouch(const char *what)
+LibcApi::schedTouch(const GateSite &what)
 {
-    img.gate("uksched", what, [&] {
+    img.gate(what, [&] {
         img.machine().consume(schedWork);
     });
 }
@@ -22,22 +46,22 @@ TcpSocket *
 LibcApi::listen(std::uint16_t port)
 {
     panic_if(!net, "no network stack in this image");
-    return img.gate("newlib", "socket_call", [&] {
+    return img.gate(socketCall, [&] {
         img.machine().consume(newlibWork);
-        return img.gate("lwip", "listen", [&] { return net->listen(port); });
+        return img.gate(netListen, [&] { return net->listen(port); });
     });
 }
 
 TcpSocket *
 LibcApi::accept(TcpSocket *listener)
 {
-    return img.gate("newlib", "socket_call", [&] {
+    return img.gate(socketCall, [&] {
         img.machine().consume(newlibWork);
-        return img.gate("lwip", "accept", [&] {
+        return img.gate(netAccept, [&] {
             if (listener->pendingAccepts() == 0)
-                schedTouch("thread_join"); // block until a SYN arrives
+                schedTouch(schedJoin); // block until a SYN arrives
             TcpSocket *s = listener->accept();
-            schedTouch("yield"); // wakeup path
+            schedTouch(schedYield); // wakeup path
             return s;
         });
     });
@@ -46,7 +70,7 @@ LibcApi::accept(TcpSocket *listener)
 long
 LibcApi::recv(TcpSocket *s, void *buf, std::size_t n)
 {
-    return img.gate("newlib", "socket_call", [&] {
+    return img.gate(socketCall, [&] {
         img.machine().consume(newlibWork);
         // Two stack variables cross the gate by reference (the length
         // and the status word) — `__shared` annotations in the port,
@@ -61,12 +85,12 @@ LibcApi::recv(TcpSocket *s, void *buf, std::size_t n)
         // not talk to the scheduler on this hot path — paper 6.1, the
         // "isolation for free" effect when grouping lwip with uksched.)
         if (s->available() == 0 && !s->peerHasClosed()) {
-            schedTouch("sleep"); // enqueue on the wait queue
-            schedTouch("yield"); // dispatch away
+            schedTouch(schedSleep); // enqueue on the wait queue
+            schedTouch(schedYield); // dispatch away
         }
-        long got = img.gate("lwip", "recv",
+        long got = img.gate(netRecv,
                             [&] { return s->recv(buf, n); });
-        schedTouch("yield"); // wakeup bookkeeping
+        schedTouch(schedYield); // wakeup bookkeeping
         return got;
     });
 }
@@ -74,12 +98,12 @@ LibcApi::recv(TcpSocket *s, void *buf, std::size_t n)
 long
 LibcApi::send(TcpSocket *s, const void *buf, std::size_t n)
 {
-    return img.gate("newlib", "socket_call", [&] {
+    return img.gate(socketCall, [&] {
         img.machine().consume(newlibWork);
         DssFrame frame(img);
         long *sharedLen = frame.var<long>();
         *frame.shadow(sharedLen) = static_cast<long>(n);
-        return img.gate("lwip", "send",
+        return img.gate(netSend,
                         [&] { return s->send(buf, n); });
     });
 }
@@ -87,9 +111,9 @@ LibcApi::send(TcpSocket *s, const void *buf, std::size_t n)
 void
 LibcApi::closeSocket(TcpSocket *s)
 {
-    img.gate("newlib", "socket_call", [&] {
+    img.gate(socketCall, [&] {
         img.machine().consume(newlibWork);
-        img.gate("lwip", "close", [&] { s->close(); });
+        img.gate(netClose, [&] { s->close(); });
     });
 }
 
@@ -97,9 +121,9 @@ int
 LibcApi::open(const std::string &path, unsigned flags)
 {
     panic_if(!vfs, "no filesystem in this image");
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(fsCall, [&] {
         img.machine().consume(newlibWork);
-        return img.gate("vfscore", "open",
+        return img.gate(fsOpen,
                         [&] { return vfs->open(path, flags); });
     });
 }
@@ -107,18 +131,18 @@ LibcApi::open(const std::string &path, unsigned flags)
 int
 LibcApi::close(int fd)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(fsCall, [&] {
         img.machine().consume(newlibWork);
-        return img.gate("vfscore", "close", [&] { return vfs->close(fd); });
+        return img.gate(fsClose, [&] { return vfs->close(fd); });
     });
 }
 
 long
 LibcApi::read(int fd, void *buf, std::size_t n)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(fsCall, [&] {
         img.machine().consume(newlibWork);
-        return img.gate("vfscore", "read",
+        return img.gate(fsRead,
                         [&] { return vfs->read(fd, buf, n); });
     });
 }
@@ -126,9 +150,9 @@ LibcApi::read(int fd, void *buf, std::size_t n)
 long
 LibcApi::write(int fd, const void *buf, std::size_t n)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(fsCall, [&] {
         img.machine().consume(newlibWork);
-        return img.gate("vfscore", "write",
+        return img.gate(fsWrite,
                         [&] { return vfs->write(fd, buf, n); });
     });
 }
@@ -136,9 +160,9 @@ LibcApi::write(int fd, const void *buf, std::size_t n)
 long
 LibcApi::pread(int fd, void *buf, std::size_t n, std::uint64_t off)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(fsCall, [&] {
         img.machine().consume(newlibWork);
-        return img.gate("vfscore", "pread",
+        return img.gate(fsPread,
                         [&] { return vfs->pread(fd, buf, n, off); });
     });
 }
@@ -147,9 +171,9 @@ long
 LibcApi::pwrite(int fd, const void *buf, std::size_t n,
                 std::uint64_t off)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(fsCall, [&] {
         img.machine().consume(newlibWork);
-        return img.gate("vfscore", "pwrite",
+        return img.gate(fsPwrite,
                         [&] { return vfs->pwrite(fd, buf, n, off); });
     });
 }
@@ -157,18 +181,18 @@ LibcApi::pwrite(int fd, const void *buf, std::size_t n,
 int
 LibcApi::fsync(int fd)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(fsCall, [&] {
         img.machine().consume(newlibWork);
-        return img.gate("vfscore", "fsync", [&] { return vfs->fsync(fd); });
+        return img.gate(fsFsync, [&] { return vfs->fsync(fd); });
     });
 }
 
 int
 LibcApi::ftruncate(int fd, std::uint64_t size)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(fsCall, [&] {
         img.machine().consume(newlibWork);
-        return img.gate("vfscore", "ftruncate",
+        return img.gate(fsFtruncate,
                         [&] { return vfs->ftruncate(fd, size); });
     });
 }
@@ -176,9 +200,9 @@ LibcApi::ftruncate(int fd, std::uint64_t size)
 int
 LibcApi::unlink(const std::string &path)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(fsCall, [&] {
         img.machine().consume(newlibWork);
-        return img.gate("vfscore", "unlink",
+        return img.gate(fsUnlink,
                         [&] { return vfs->unlink(path); });
     });
 }
@@ -186,9 +210,9 @@ LibcApi::unlink(const std::string &path)
 int
 LibcApi::stat(const std::string &path, VfsStat &out)
 {
-    return img.gate("newlib", "fs_call", [&] {
+    return img.gate(fsCall, [&] {
         img.machine().consume(newlibWork);
-        return img.gate("vfscore", "stat",
+        return img.gate(fsStat,
                         [&] { return vfs->stat(path, out); });
     });
 }
@@ -196,9 +220,9 @@ LibcApi::stat(const std::string &path, VfsStat &out)
 std::uint64_t
 LibcApi::clockNs()
 {
-    return img.gate("newlib", "time_call", [&] {
+    return img.gate(timeCall, [&] {
         img.machine().consume(newlibWork / 3);
-        return img.gate("uktime", "clock_gettime", [&] {
+        return img.gate(clockGettime, [&] {
             img.machine().consume(20); // clock read + conversion
             return img.machine().nanoseconds();
         });
@@ -208,13 +232,13 @@ LibcApi::clockNs()
 void
 LibcApi::lock()
 {
-    schedTouch("mutex_lock");
+    schedTouch(schedLock);
 }
 
 void
 LibcApi::unlock()
 {
-    schedTouch("mutex_unlock");
+    schedTouch(schedUnlock);
 }
 
 const HardeningContext &

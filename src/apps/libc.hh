@@ -79,11 +79,21 @@ class LibcApi
 
   private:
     /** One scheduler interaction (block or wakeup) through a gate. */
-    void schedTouch(const char *what);
+    void schedTouch(const GateSite &what);
 
     Image &img;
     NetStack *net;
     Vfs *vfs;
+
+    /** @name Gate sites, resolved against the image at construction.
+     *  @{ */
+    GateSite socketCall, fsCall, timeCall; ///< app -> newlib
+    GateSite netListen, netAccept, netRecv, netSend, netClose;
+    GateSite fsOpen, fsClose, fsRead, fsWrite, fsPread, fsPwrite, fsFsync,
+        fsFtruncate, fsUnlink, fsStat;
+    GateSite clockGettime;
+    GateSite schedJoin, schedYield, schedSleep, schedLock, schedUnlock;
+    /** @} */
 
     /** Modelled per-call work inside newlib itself (arg shuffling,
      *  errno handling, small copies). */

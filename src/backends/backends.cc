@@ -195,13 +195,13 @@ class MpkBackend : public IsolationBackend
 
     void
     crossCall(Image &img, int to, const GatePolicy &policy,
-              const std::string &, const char *, double workMult,
-              const std::function<void()> *bodies,
+              const GateSite &site, const std::function<void()> *bodies,
               std::size_t count) override
     {
         // One entry/return leg for the whole vector: the PKRU switch,
         // register save/zero and stack switch are paid once.
         auto &m = img.machine();
+        double workMult = site.route->mult;
         if (policy.flavor == MpkGateFlavor::Light) {
             // ERIM-style: wrpkru pair around a normal call; stack and
             // register set are shared with the callee (nothing to
@@ -319,9 +319,9 @@ class EptBackend : public IsolationBackend
         if (cancels)
             img.machine().bump(Counter::GateEptShutdownCancels, cancels);
         // RPCs still queued in a ring (all servers were busy or
-        // cancelled) would leave their callers blocked on doneWait
-        // forever: fail each one and wake its caller before the rings
-        // are destroyed. The callers observe the cancellation and
+        // cancelled) would leave their callers parked forever: fail
+        // each one and wake its caller before the rings are
+        // destroyed. The callers observe the cancellation and
         // unwind.
         std::uint64_t drained = 0;
         for (auto &vm : vms) {
@@ -332,7 +332,7 @@ class EptBackend : public IsolationBackend
                     rpc->error =
                         std::make_exception_ptr(ThreadCancelled{});
                     rpc->done = true;
-                    rpc->doneWait->wakeAll();
+                    img.scheduler().wake(rpc->caller);
                     ++drained;
                 }
             }
@@ -345,8 +345,7 @@ class EptBackend : public IsolationBackend
 
     void
     crossCall(Image &img, int to, const GatePolicy &policy,
-              const std::string &calleeLib, const char *fnName,
-              double workMult, const std::function<void()> *bodies,
+              const GateSite &site, const std::function<void()> *bodies,
               std::size_t count) override
     {
         // One ring slot and one doorbell carry the whole vector; the
@@ -406,12 +405,10 @@ class EptBackend : public IsolationBackend
         Rpc rpc;
         rpc.bodies = bodies;
         rpc.count = count;
-        rpc.calleeLib = &calleeLib;
-        rpc.fnName = fnName;
-        rpc.workMult = workMult;
+        rpc.site = &site;
+        rpc.workMult = site.route->mult;
         rpc.stackSharing = policy.stackSharing;
-        WaitQueue doneWait(sched);
-        rpc.doneWait = &doneWait;
+        rpc.caller = caller;
 
         sh.ring.push_back(&rpc);
         // Ring-depth high-water mark: the deepest any shard's request
@@ -442,15 +439,16 @@ class EptBackend : public IsolationBackend
             sh.lastDoorbell = m.cycles();
         }
 
+        // The caller parks on its own: the server completing the slot
+        // wakes it by name, so a crossing builds no wait queue.
         while (!rpc.done)
-            doneWait.wait();
+            sched.park();
         if (rpc.error)
             std::rethrow_exception(rpc.error);
     }
 
     ForgedRpcOutcome
-    injectForgedRpc(Image &img, int to, const std::string &calleeLib,
-                    const char *fnName,
+    injectForgedRpc(Image &img, int to, const GateSite &site,
                     const std::function<void()> &body) override
     {
         auto &m = img.machine();
@@ -477,16 +475,14 @@ class EptBackend : public IsolationBackend
         Rpc rpc;
         rpc.bodies = &probe;
         rpc.count = 1;
-        rpc.calleeLib = &calleeLib;
-        rpc.fnName = fnName;
-        WaitQueue doneWait(sched);
-        rpc.doneWait = &doneWait;
+        rpc.site = &site;
+        rpc.caller = sched.current();
         sh.ring.push_back(&rpc);
         m.bump(Counter::GateEptForgedRpcs);
         sh.serverIdle->wakeOne();
         sh.lastDoorbell = m.cycles();
         while (!rpc.done)
-            doneWait.wait();
+            sched.park();
         // The slot's error (CfiViolation on rejection, or whatever the
         // payload raised) is absorbed: the adversary reads an outcome,
         // not an exception.
@@ -560,15 +556,17 @@ class EptBackend : public IsolationBackend
          *  (one for a plain crossing, the whole vector for a batch). */
         const std::function<void()> *bodies = nullptr;
         std::size_t count = 1;
-        const std::string *calleeLib = nullptr;
-        const char *fnName = nullptr;
+        /** The call site: its entry-point verdict is what the server
+         *  re-checks, its names what a rejection reports. */
+        const GateSite *site = nullptr;
         double workMult = 1.0;
         /** The crossing boundary's stack-sharing policy: governs the
          *  layout of the server thread's stack in the VM. */
         StackSharing stackSharing = StackSharing::Dss;
         bool done = false;
         std::exception_ptr error;
-        WaitQueue *doneWait = nullptr;
+        /** The parked submitter, woken when the slot completes. */
+        Thread *caller = nullptr;
     };
 
     /** One core's slice of a VM's RPC machinery. */
@@ -668,12 +666,12 @@ class EptBackend : public IsolationBackend
 
             // The RPC server checks the function is a legal API entry
             // point before executing it (paper 4.2). Image::checkEntry
-            // validated against the registry; re-validate defensively.
-            if (!img.registry().isEntryPoint(*rpc->calleeLib,
-                                             rpc->fnName)) {
+            // validated the site's verdict; re-validate defensively (a
+            // forged slot skipped the caller side).
+            if (!rpc->site->entryPoint) {
                 rpc->error = std::make_exception_ptr(CfiViolation(
-                    std::string("EPT RPC to illegal entry point ") +
-                    *rpc->calleeLib + "." + rpc->fnName));
+                    "EPT RPC to illegal entry point " + rpc->site->lib +
+                    "." + rpc->site->fn));
             } else {
                 m.consume(m.timing.pollDispatch);
                 // Entering the VM: the server dispatches from a clean
@@ -703,7 +701,7 @@ class EptBackend : public IsolationBackend
                 --sh.busy;
             }
             rpc->done = true;
-            rpc->doneWait->wakeAll();
+            img.scheduler().wake(rpc->caller);
         }
     }
 
@@ -730,8 +728,7 @@ class CheriBackend : public IsolationBackend
 
     void
     crossCall(Image &img, int to, const GatePolicy &policy,
-              const std::string &, const char *, double workMult,
-              const std::function<void()> *bodies,
+              const GateSite &site, const std::function<void()> *bodies,
               std::size_t count) override
     {
         // One CInvoke entry and one return-side clear for the whole
@@ -742,7 +739,7 @@ class CheriBackend : public IsolationBackend
         auto &m = img.machine();
         m.bump(Counter::GateCheri);
         m.scrubScratch();
-        inlineGate(img, to, policy, workMult,
+        inlineGate(img, to, policy, site.route->mult,
                    m.timing.registerSaveZero +
                        (m.timing.mpkDssGate - m.timing.mpkDssReturn),
                    fullReturnLeg(m.timing, policy.scrubReturn),
@@ -837,8 +834,7 @@ class PerCallBackend : public IsolationBackend
     void shutdown(Image &) override {}
 
     void
-    crossCall(Image &img, int to, const GatePolicy &,
-              const std::string &, const char *, double workMult,
+    crossCall(Image &img, int to, const GatePolicy &, const GateSite &site,
               const std::function<void()> *bodies,
               std::size_t count) override
     {
@@ -849,7 +845,7 @@ class PerCallBackend : public IsolationBackend
                 m.consume(m.timing.*row.everySecondCall);
             m.bump(row.counter);
             ReturnCharge rc(m, 0, row.scrubReturn);
-            DomainTransition dt(img, to, workMult);
+            DomainTransition dt(img, to, site.route->mult);
             bodies[i]();
         }
     }

@@ -23,6 +23,7 @@
 namespace flexos {
 
 class Image;
+struct GateSite;
 
 /**
  * One isolation mechanism's implementation.
@@ -51,13 +52,14 @@ class IsolationBackend
      * Execute `count` (>= 1) bodies in compartment 'to' on behalf of
      * the current thread — the instantiated call gate. Charges the
      * gate cost, performs the domain transition, and runs the bodies
-     * in order under calleeWorkMult (the callee component's hardening
-     * tax). The resolved (from, to) GatePolicy selects the MPK
-     * flavour, caller-side entry validation, and whether the return
-     * path scrubs the register set (asymmetric policies like "EPT->MPK
-     * returns skip re-validation" drop the return-side scrub). The
-     * image has already enforced the boundary and counted the calls in
-     * its per-boundary ledger; a backend keeps only its own counters.
+     * in order under the site's route multiplier (the callee
+     * component's hardening tax). The resolved (from, to) GatePolicy
+     * selects the MPK flavour, caller-side entry validation, and
+     * whether the return path scrubs the register set (asymmetric
+     * policies like "EPT->MPK returns skip re-validation" drop the
+     * return-side scrub). The image has already enforced the boundary
+     * and counted the calls in its per-boundary ledger; a backend keeps
+     * only its own counters.
      *
      * count > 1 is a vectored crossing (`batch: N` boundaries).
      * Mechanisms that can amortize pay ONE transition for the whole
@@ -67,8 +69,7 @@ class IsolationBackend
      * exception from any body aborts the rest of the vector.
      */
     virtual void crossCall(Image &img, int to, const GatePolicy &policy,
-                           const std::string &calleeLib,
-                           const char *fnName, double calleeWorkMult,
+                           const GateSite &site,
                            const std::function<void()> *bodies,
                            std::size_t count) = 0;
 
@@ -103,16 +104,17 @@ class IsolationBackend
      * writing the ring memory would. Backends without a shared ring
      * (MPK, CHERI, the baselines) have nothing to forge: NoRing. The
      * EPT backend enqueues the slot and rings the doorbell; its
-     * server-side re-validation decides Rejected vs Executed.
+     * server-side re-validation decides Rejected vs Executed. The
+     * forger picks the symbol; the verdict the server re-checks is
+     * the one Image::site() took from the registry.
      */
     virtual ForgedRpcOutcome
-    injectForgedRpc(Image &img, int to, const std::string &calleeLib,
-                    const char *fnName, const std::function<void()> &body)
+    injectForgedRpc(Image &img, int to, const GateSite &site,
+                    const std::function<void()> &body)
     {
         (void)img;
         (void)to;
-        (void)calleeLib;
-        (void)fnName;
+        (void)site;
         (void)body;
         return ForgedRpcOutcome::NoRing;
     }

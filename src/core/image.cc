@@ -235,8 +235,7 @@ Image::applyElision(int from, int to, const GatePolicy &pol,
 }
 
 void
-Image::crossChunk(const std::string &calleeLib, const char *fnName,
-                  int from, int to, double calleeMult,
+Image::crossChunk(const GateSite &site, int from, int to,
                   const std::function<void()> *bodies, std::size_t k)
 {
     // A pending quiesced matrix swap wins over NEW crossings: yielding
@@ -257,7 +256,7 @@ Image::crossChunk(const std::string &calleeLib, const char *fnName,
         enforceBoundary(from, to, pol);
     GatePolicy scratch;
     const GatePolicy &eff = applyElision(from, to, pol, scratch);
-    checkEntry(calleeLib, fnName, from, to, pol);
+    checkEntry(site, from, to, pol);
     noteCoreMigration(to);
     IsolationBackend &be = backendOf(pol.mech);
     // `pol`/`eff` reference cells of the live matrix; the scope keeps
@@ -271,27 +270,25 @@ Image::crossChunk(const std::string &calleeLib, const char *fnName,
     // Every call past enforcement counts once, here, whichever backend
     // carries it — also the calls of a vector a throwing body aborts.
     boundaryLedger[boundaryIndex(from, to)].crossings += k;
-    be.crossCall(*this, to, eff, calleeLib, fnName, calleeMult, bodies,
-                 k);
+    be.crossCall(*this, to, eff, site, bodies, k);
     noteReturn(pol);
 }
 
 void
-Image::gateBatch(const std::string &calleeLib, const char *fnName,
+Image::gateBatch(const GateSite &site,
                  const std::vector<std::function<void()>> &bodies)
 {
     int from = currentCompartment();
-    const LibraryRoute &r = route(calleeLib);
-    int to = r.landing[static_cast<std::size_t>(from)];
+    int to = route(site).landing[static_cast<std::size_t>(from)];
     if (from == to) {
         for (const auto &body : bodies)
-            gate(calleeLib, fnName, body);
+            gate(site, body);
         return;
     }
     const auto width = static_cast<std::size_t>(
         std::max<std::uint64_t>(policyFor(from, to).batch, 1));
     for (std::size_t i = 0; i < bodies.size(); i += width)
-        crossChunk(calleeLib, fnName, from, to, r.mult, &bodies[i],
+        crossChunk(site, from, to, &bodies[i],
                    std::min(width, bodies.size() - i));
 }
 
@@ -479,12 +476,35 @@ Image::compartmentAt(std::size_t idx)
     return *comps[idx];
 }
 
-const Image::LibraryRoute &
+const LibraryRoute &
 Image::route(const std::string &lib) const
 {
     auto it = routes.find(lib);
     fatal_if(it == routes.end(), "library '", lib, "' not in the image");
     return it->second;
+}
+
+const LibraryRoute &
+Image::route(const GateSite &site) const
+{
+    panic_if(site.image != this, "gate site '", site.lib, ".", site.fn,
+             "' resolved against another image");
+    fatal_if(!site.route, "library '", site.lib, "' not in the image");
+    return *site.route;
+}
+
+GateSite
+Image::site(const std::string &lib, const std::string &fn) const
+{
+    GateSite s;
+    s.image = this;
+    auto it = routes.find(lib);
+    if (it != routes.end())
+        s.route = &it->second;
+    s.entryPoint = reg.contains(lib) && reg.isEntryPoint(lib, fn);
+    s.lib = lib;
+    s.fn = fn;
+    return s;
 }
 
 int
@@ -519,8 +539,8 @@ Image::currentHardening() const
 }
 
 void
-Image::checkEntry(const std::string &lib, const char *fnName, int from,
-                  int to, const GatePolicy &pol)
+Image::checkEntry(const GateSite &site, int from, int to,
+                  const GatePolicy &pol)
 {
     bool enforce = pol.validateEntry ||
                    backendOf(pol.mech).checksEntryPoints() ||
@@ -528,14 +548,14 @@ Image::checkEntry(const std::string &lib, const char *fnName, int from,
                        Hardening::Cfi);
     if (!enforce)
         return;
-    if (!reg.isEntryPoint(lib, fnName)) {
+    if (!site.entryPoint) {
         // Witness the rejection per attacked edge before raising, so
         // the adversary scorecard (and the controller's deny-witness
         // pass) can attribute the forged entry to its boundary.
         mach.bump(Counter::GateValidateReject);
         ++boundaryLedger[boundaryIndex(from, to)].rejected;
-        throw CfiViolation(std::string("gate to non-entry-point ") + lib +
-                           "." + fnName);
+        throw CfiViolation("gate to non-entry-point " + site.lib + "." +
+                           site.fn);
     }
 }
 
@@ -686,6 +706,15 @@ Image::linkerScript() const
     return oss.str();
 }
 
+int
+Image::activeCrossings() const
+{
+    int n = 0;
+    for (const CrossingScope *x = inFlight; x; x = x->next)
+        ++n;
+    return n;
+}
+
 void
 Image::yieldForSwap()
 {
@@ -710,27 +739,27 @@ Image::swapGateMatrix(GateMatrix next)
         return false;
 
     Thread *self = sched.current();
-    int tid = self ? self->id() : -1;
-    panic_if(crossingDepth.count(tid),
-             "swapGateMatrix called from inside a gated crossing");
+    for (const CrossingScope *x = inFlight; x; x = x->next)
+        panic_if(x->thread == self,
+                 "swapGateMatrix called from inside a gated crossing");
 
     // Quiesce: wait until no thread holds references into the live
     // matrix (a crossing blocked in an EPT ring RPC does). New
     // crossings park at the gate()-side barrier while swapWaiters > 0.
     ++swapWaiters;
-    if (activeCrossings_ > 0)
+    if (inFlight)
         mach.bump(Counter::MatrixQuiesceWaits);
-    while (activeCrossings_ > 0) {
+    while (inFlight) {
         if (self) {
             quiesceWait.wait(); // woken by the last CrossingScope
         } else {
             // Driver context: run the scheduler until the in-flight
             // crossings drain on their own.
-            sched.runUntil([&] { return activeCrossings_ == 0; });
-            panic_if(activeCrossings_ > 0,
+            sched.runUntil([&] { return !inFlight; });
+            panic_if(inFlight,
                      "swapGateMatrix could not quiesce: a crossing is "
                      "blocked forever (execution dried up with ",
-                     activeCrossings_, " crossings in flight)");
+                     activeCrossings(), " crossings in flight)");
         }
     }
     --swapWaiters;

@@ -183,6 +183,43 @@ struct SimStack
 };
 
 /**
+ * One library's row of an image's routing table: where a call into it
+ * lands from each caller compartment and the hardening work multiplier
+ * its code runs under (its compartment's set plus its own per-component
+ * set).
+ */
+struct LibraryRoute
+{
+    /** Compartment the library is placed in; -1 for a TCB library
+     *  placed nowhere (local to every caller). */
+    int home = -1;
+    /** Landing compartment, indexed by caller compartment. */
+    std::vector<int> landing;
+    double mult = 1.0;
+};
+
+/**
+ * A gate call site resolved against one image by Image::site(): what
+ * every crossing through it would otherwise look up by name. Callers
+ * resolve their sites once (LibcApi at construction) and pass the
+ * handle to Image::gate()/gateBatch(), so the crossing path does no
+ * string-keyed lookup. Valid while its image lives.
+ */
+struct GateSite
+{
+    /** The image the site was resolved against. */
+    const Image *image = nullptr;
+    /** The callee's routing row; null when the library is not in the
+     *  image (gating through the site fatals). */
+    const LibraryRoute *route = nullptr;
+    /** The registry lists `fn` as an entry point of `lib`: the verdict
+     *  caller-side validation and the EPT server check. */
+    bool entryPoint = false;
+    std::string lib;
+    std::string fn;
+};
+
+/**
  * The runtime image.
  */
 class Image
@@ -211,21 +248,28 @@ class Image
     /** @} */
 
     /**
-     * The call gate. Executes fn as entry point fnName of calleeLib,
-     * performing a domain transition when the caller's current
-     * compartment differs from the callee's. Same-compartment calls
-     * cost exactly a function call — "you only pay for what you get".
-     * A real crossing is the one-call case of the vectored path: the
-     * same crossChunk() that gateBatch() drives.
+     * Resolve a gate call site once: the callee's routing row, the
+     * registry's entry-point verdict for `fn`, and the names error
+     * messages carry. Never raises; a library the image does not hold
+     * resolves to a site whose gate() fatals.
+     */
+    GateSite site(const std::string &lib, const std::string &fn) const;
+
+    /**
+     * The call gate. Executes fn as the site's entry point, performing
+     * a domain transition when the caller's current compartment
+     * differs from the callee's. Same-compartment calls cost exactly a
+     * function call — "you only pay for what you get". A real crossing
+     * is the one-call case of the vectored path: the same crossChunk()
+     * that gateBatch() drives.
      */
     template <typename F>
     auto
-    gate(const std::string &calleeLib, const char *fnName, F &&fn)
-        -> std::invoke_result_t<F>
+    gate(const GateSite &site, F &&fn) -> std::invoke_result_t<F>
     {
         using R = std::invoke_result_t<F>;
         int from = currentCompartment();
-        const LibraryRoute &r = route(calleeLib);
+        const LibraryRoute &r = route(site);
         int to = r.landing[static_cast<std::size_t>(from)];
         if (from == to) {
             // Same compartment: the gate degenerates to a plain call
@@ -238,26 +282,26 @@ class Image
         }
         if constexpr (std::is_void_v<R>) {
             const std::function<void()> body = [&] { fn(); };
-            crossChunk(calleeLib, fnName, from, to, r.mult, &body, 1);
+            crossChunk(site, from, to, &body, 1);
         } else {
             std::optional<R> result;
             const std::function<void()> body = [&] {
                 result.emplace(fn());
             };
-            crossChunk(calleeLib, fnName, from, to, r.mult, &body, 1);
+            crossChunk(site, from, to, &body, 1);
             return std::move(*result);
         }
     }
 
     /**
-     * Vectored gate: run a sequence of calls to one entry point of
-     * calleeLib through crossings of the boundary's `batch:` width —
-     * each chunk pays ONE backend transition (one EPT doorbell, one
-     * MPK/CHERI entry/return leg) plus a per-slot cost, while
-     * deny/rate enforcement is still debited per logical call. On a
-     * `batch: 1` boundary every chunk is one call, exactly gate().
+     * Vectored gate: run a sequence of calls to the site's entry point
+     * through crossings of the boundary's `batch:` width — each chunk
+     * pays ONE backend transition (one EPT doorbell, one MPK/CHERI
+     * entry/return leg) plus a per-slot cost, while deny/rate
+     * enforcement is still debited per logical call. On a `batch: 1`
+     * boundary every chunk is one call, exactly gate().
      */
-    void gateBatch(const std::string &calleeLib, const char *fnName,
+    void gateBatch(const GateSite &site,
                    const std::vector<std::function<void()>> &bodies);
 
     /** Spawn a thread whose execution starts in lib's compartment. */
@@ -463,7 +507,7 @@ class Image
     bool swapGateMatrix(GateMatrix next);
 
     /** Crossings currently inside a backend transit (tests). */
-    int activeCrossings() const { return activeCrossings_; }
+    int activeCrossings() const;
     /** @} */
 
     /** @name Windowed statistics. @{ */
@@ -506,24 +550,11 @@ class Image
     void reapSimStacks(int threadId);
 
   private:
-    /**
-     * One library's row of the routing table: where a call into it
-     * lands from each caller compartment and the hardening work
-     * multiplier its code runs under (its compartment's set plus its
-     * own per-component set).
-     */
-    struct LibraryRoute
-    {
-        /** Compartment the library is placed in; -1 for a TCB library
-         *  placed nowhere (local to every caller). */
-        int home = -1;
-        /** Landing compartment, indexed by caller compartment. */
-        std::vector<int> landing;
-        double mult = 1.0;
-    };
-
     /** A library's routing row; fatal when it is not in the image. */
     const LibraryRoute &route(const std::string &lib) const;
+    /** A site's routing row; fatal when its library is not in the
+     *  image. */
+    const LibraryRoute &route(const GateSite &site) const;
 
     /** Row-major index of a (from, to) boundary in the per-boundary
      *  tables (the ledger and the token buckets). */
@@ -541,8 +572,8 @@ class Image
      * and the edge's ledger cell so the adversary scorecard can pin
      * rejections to the attacked edge.
      */
-    void checkEntry(const std::string &lib, const char *fnName, int from,
-                    int to, const GatePolicy &pol);
+    void checkEntry(const GateSite &site, int from, int to,
+                    const GatePolicy &pol);
     /**
      * Least-privilege enforcement of one crossing: raises
      * DeniedCrossing on a denied edge, and debits the boundary's
@@ -584,27 +615,29 @@ class Image
     };
 
     /**
-     * RAII depth of crossings inside backend transits: swapGateMatrix
-     * quiesces on the global count (a crossing blocked in an EPT ring
-     * holds references into the live matrix), and the per-thread depth
-     * catches a swap attempted from inside a gated body.
+     * RAII record of a crossing inside a backend transit, linked into
+     * the image's intrusive list of in-flight crossings (so entering
+     * and leaving one allocates nothing): swapGateMatrix quiesces until
+     * the list drains (a crossing blocked in an EPT ring holds
+     * references into the live matrix), and walks it to catch a swap
+     * attempted from inside a gated body.
      */
     struct CrossingScope
     {
         explicit CrossingScope(Image &i)
-            : img(i),
-              tid(i.sched.current() ? i.sched.current()->id() : -1)
+            : img(i), thread(i.sched.current()), next(i.inFlight)
         {
-            ++img.activeCrossings_;
-            ++img.crossingDepth[tid];
+            if (next)
+                next->prev = this;
+            img.inFlight = this;
         }
 
         ~CrossingScope()
         {
-            auto it = img.crossingDepth.find(tid);
-            if (--it->second == 0)
-                img.crossingDepth.erase(it);
-            if (--img.activeCrossings_ == 0 && img.swapWaiters > 0)
+            (prev ? prev->next : img.inFlight) = next;
+            if (next)
+                next->prev = prev;
+            if (!img.inFlight && img.swapWaiters > 0)
                 img.quiesceWait.wakeAll();
         }
 
@@ -612,21 +645,23 @@ class Image
         CrossingScope &operator=(const CrossingScope &) = delete;
 
         Image &img;
-        int tid;
+        /** The crossing thread (null for the driver context). */
+        Thread *thread;
+        CrossingScope *prev = nullptr;
+        CrossingScope *next;
     };
 
     /**
      * The one crossing path behind gate() and gateBatch(): `k`
      * (>= 1) calls from compartment `from` into `to` through ONE
-     * backend transition, the bodies running under `calleeMult`. In
-     * order: the swap barrier, the policy lookup, least-privilege
-     * enforcement per logical call, elision and the entry-validate
-     * leg, entry-point validation, SMP migration accounting, the
-     * crossing scope, the ledger count, the backend call, and the
-     * return-leg policy work.
+     * backend transition, the bodies running under the site's
+     * hardening multiplier. In order: the swap barrier, the policy
+     * lookup, least-privilege enforcement per logical call, elision
+     * and the entry-validate leg, entry-point validation, SMP
+     * migration accounting, the crossing scope, the ledger count, the
+     * backend call, and the return-leg policy work.
      */
-    void crossChunk(const std::string &calleeLib, const char *fnName,
-                    int from, int to, double calleeMult,
+    void crossChunk(const GateSite &site, int from, int to,
                     const std::function<void()> *bodies, std::size_t k);
 
     /** The crossing-side half of the swap barrier (defined with
@@ -642,10 +677,9 @@ class Image
     const LibraryRegistry &reg;
     /** Resolved (from, to) gate-policy matrix. */
     GateMatrix gates;
-    /** Crossings currently inside a backend transit (all threads). */
-    int activeCrossings_ = 0;
-    /** Per-thread crossing depth (self-swap detection). */
-    std::map<int, int> crossingDepth;
+    /** Crossings inside a backend transit (all threads), most recent
+     *  first. */
+    CrossingScope *inFlight = nullptr;
     /** swapGateMatrix callers blocked on the quiesce barrier. */
     int swapWaiters = 0;
     /** Woken when the last in-flight crossing drains. */

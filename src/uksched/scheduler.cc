@@ -698,6 +698,14 @@ Scheduler::join(Thread *t)
     if (t->state_ == Thread::State::Finished)
         return;
     t->joiners.push_back(self);
+    park();
+}
+
+void
+Scheduler::park()
+{
+    Thread *self = running;
+    panic_if(!self, "park outside a thread");
     self->state_ = Thread::State::Blocked;
     switchOut();
 }

@@ -232,6 +232,12 @@ class Scheduler
      * the file comment). @return as blockFor().
      */
     bool heartbeatFor(WaitQueue &q, std::uint64_t ns);
+    /**
+     * Block the calling thread on no queue at all: it stays Blocked
+     * until some thread holding its pointer calls wake(). Callers loop
+     * on their own completion flag, as with any wait.
+     */
+    void park();
     /** Sleep the calling thread for ns virtual nanoseconds. */
     void sleepNs(std::uint64_t ns);
     /** Wait for another thread to finish. */

@@ -52,7 +52,8 @@ use(flexos::Image &img, int x)
 {
     // A pointer-carrying gate call site: the by-reference capture
     // hands caller-frame addresses across the boundary.
-    return img.gate("newlib", "memcpy", [&] { return x + leakedState; });
+    return img.gate(img.site("newlib", "memcpy"),
+                    [&] { return x + leakedState; });
 }
 
 } // namespace leaky

@@ -336,7 +336,7 @@ boundaries:
         std::uint64_t seen = ~0ull;
         bool done = false;
         img.spawnIn("libredis", "driver", [&] {
-            img.gate("uksched", "yield",
+            img.gate(img.site("uksched", "yield"),
                      [&] { m.scratch[3] = 0xfeedbeef; });
             seen = m.scratch[3];
             done = true;
@@ -382,9 +382,9 @@ boundaries:
     bool done = false;
     img.spawnIn("uktime", "storm", [&] {
         for (int i = 0; i < 30; ++i)
-            img.gate("uksched", "yield", [] {});
+            img.gate(img.site("uksched", "yield"), [] {});
         try {
-            img.gate("libredis", "redis_main", [] {});
+            img.gate(img.site("libredis", "redis_main"), [] {});
         } catch (const DeniedCrossing &) {
         }
         done = true;
@@ -442,7 +442,7 @@ TEST(Adversary, PropertyForgedCrossingsNeverExecuteOnDenyComplete)
         bool done = false;
         img.spawnIn(libs[from], "forge-" + std::to_string(i), [&] {
             try {
-                img.gate(callee, fn.c_str(), [&] { ++executed; });
+                img.gate(img.site(callee, fn), [&] { ++executed; });
             } catch (const DeniedCrossing &) {
                 ++denied;
             }

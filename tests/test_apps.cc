@@ -180,6 +180,50 @@ TEST(RedisServerTest, ServesGetSetOverTcpUnderMpk)
     dep.stop();
 }
 
+TEST(RedisServerTest, FlushallEmptiesTheDict)
+{
+    Deployment dep(redisMpk2);
+    dep.start();
+    RedisServer server(dep.libc(), 6379);
+    server.start();
+
+    std::string reply;
+    Thread *cli = dep.scheduler().spawn("cli", [&] {
+        TcpSocket *s = dep.clientStack().connect(makeIp(10, 0, 0, 1),
+                                                 6379);
+        ASSERT_NE(s, nullptr);
+        std::string wire = RespParser::command({"SET", "a", "1"}) +
+                           RespParser::command({"SET", "b", "2"}) +
+                           RespParser::command({"SET", "c", "3"}) +
+                           RespParser::command({"DBSIZE"}) +
+                           RespParser::command({"FLUSHALL"}) +
+                           RespParser::command({"DBSIZE"}) +
+                           RespParser::command({"GET", "a"}) +
+                           RespParser::command({"PING"});
+        s->send(wire.data(), wire.size());
+        char buf[512];
+        while (reply.find("PONG") == std::string::npos) {
+            long n = s->recv(buf, sizeof(buf));
+            if (n <= 0)
+                break;
+            reply.append(buf, static_cast<std::size_t>(n));
+        }
+        s->close();
+    });
+    cli->freeRunning = true;
+
+    ASSERT_TRUE(dep.scheduler().runUntil(
+        [&] { return reply.find("PONG") != std::string::npos; }));
+    // Three SETs land, FLUSHALL answers +OK, the dict is empty after
+    // it and a later GET of a flushed key misses.
+    EXPECT_EQ(reply, "+OK\r\n+OK\r\n+OK\r\n:3\r\n"
+                     "+OK\r\n:0\r\n$-1\r\n+PONG\r\n");
+    EXPECT_EQ(server.dict().size(), 0u);
+    EXPECT_EQ(server.commandsServed(), 8u);
+    server.stop();
+    dep.stop();
+}
+
 TEST(RedisServerTest, IncrIsCheckedUnderUbsanHardening)
 {
     std::string cfg = std::string(redisMpk2);

@@ -185,7 +185,7 @@ runBatched(LibraryRegistry &reg, const std::string &text,
     std::vector<std::function<void()>> bodies(perCall, [] {});
     img->spawnIn("libredis", "t", [&] {
         for (std::size_t i = 0; i < calls; i += perCall)
-            img->gateBatch("lwip", "recv", bodies);
+            img->gateBatch(img->site("lwip", "recv"), bodies);
     });
     sched.run();
     img->shutdown();
@@ -234,7 +234,7 @@ TEST_F(BatchingFixture, BatchOneIsVcycleIdenticalToSequentialGates)
             auto img = tc2.build(m, sched, cfg);
             img->spawnIn("libredis", "t", [&] {
                 for (int i = 0; i < 64; ++i)
-                    img->gate("lwip", "recv", [] {});
+                    img->gate(img->site("lwip", "recv"), [] {});
             });
             sched.run();
             img->shutdown();
@@ -272,12 +272,12 @@ TEST_F(BatchingFixture, BatchedChunkCostsOneGatePlusSlotDispatch)
     Cycles gateCost = 0, chunkCost = 0;
     bool done = false;
     img->spawnIn("libredis", "t", [&] {
-        img->gateBatch("lwip", "recv", one); // warm the sim stack
+        img->gateBatch(img->site("lwip", "recv"), one); // warm the sim stack
         Cycles t0 = mach.cycles();
-        img->gateBatch("lwip", "recv", one);
+        img->gateBatch(img->site("lwip", "recv"), one);
         gateCost = mach.cycles() - t0;
         t0 = mach.cycles();
-        img->gateBatch("lwip", "recv", eight);
+        img->gateBatch(img->site("lwip", "recv"), eight);
         chunkCost = mach.cycles() - t0;
         done = true;
     });
@@ -305,9 +305,9 @@ TEST_F(BatchingFixture, ThrottleDebitsPerLogicalCallNotPerDoorbell)
     bool done = false;
     std::vector<std::function<void()>> four(4, [&] { ++executed; });
     img->spawnIn("libredis", "t", [&] {
-        img->gateBatch("lwip", "recv", four);
+        img->gateBatch(img->site("lwip", "recv"), four);
         try {
-            img->gateBatch("lwip", "recv", four);
+            img->gateBatch(img->site("lwip", "recv"), four);
         } catch (const ThrottledCrossing &) {
             throttled = true;
         }
@@ -350,14 +350,15 @@ boundaries:
 )");
     Cycles elidedCost = 0, resetCost = 0;
     bool done = false;
+    const GateSite recv = img->site("lwip", "recv");
     img->spawnIn("libredis", "t", [&] {
-        img->gate("lwip", "recv", [] {}); // streak opener, full price
+        img->gate(recv, [] {}); // streak opener, full price
         Cycles t0 = mach.cycles();
-        img->gate("lwip", "recv", [] {}); // streak: both legs elided
+        img->gate(recv, [] {}); // streak: both legs elided
         elidedCost = mach.cycles() - t0;
-        img->gate("uksched", "yield", [] {}); // breaks the streak
+        img->gate(img->site("uksched", "yield"), [] {}); // breaks the streak
         t0 = mach.cycles();
-        img->gate("lwip", "recv", [] {}); // full price again
+        img->gate(recv, [] {}); // full price again
         resetCost = mach.cycles() - t0;
         done = true;
     });

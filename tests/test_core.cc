@@ -359,7 +359,7 @@ TEST_F(CoreFixture, SameCompartmentGateIsPlainCall)
     bool ran = false;
     Cycles before = mach.cycles();
     img->spawnIn("libredis", "t", [&] {
-        img->gate("newlib", "memcpy", [&] { ran = true; });
+        img->gate(img->site("newlib", "memcpy"), [&] { ran = true; });
     });
     sched.run();
     EXPECT_TRUE(ran);
@@ -377,7 +377,7 @@ TEST_F(CoreFixture, CrossCompartmentMpkGateChargesAndSwitchesDomain)
     Pkru inside;
     int compInside = -1;
     img->spawnIn("libredis", "t", [&] {
-        img->gate("lwip", "recv", [&] {
+        img->gate(img->site("lwip", "recv"), [&] {
             inside = mach.pkru;
             compInside = img->currentCompartment();
         });
@@ -397,7 +397,7 @@ TEST_F(CoreFixture, GateReturnsValues)
     auto img = buildFrom(twoCompMpk);
     int got = 0;
     img->spawnIn("libredis", "t", [&] {
-        got = img->gate("lwip", "recv", [&] { return 41 + 1; });
+        got = img->gate(img->site("lwip", "recv"), [&] { return 41 + 1; });
     });
     sched.run();
     EXPECT_EQ(got, 42);
@@ -411,7 +411,7 @@ TEST_F(CoreFixture, IsolationBlocksCrossCompartmentHeapAccess)
     int *secret = nullptr;
     bool faulted = false;
     Thread *t = img->spawnIn("libredis", "t", [&] {
-        img->gate("lwip", "recv", [&] {
+        img->gate(img->site("lwip", "recv"), [&] {
             secret = static_cast<int *>(img->heapOf("lwip").alloc(16));
             img->store(secret, 1234);
         });
@@ -433,7 +433,7 @@ TEST_F(CoreFixture, SharedHeapReadableFromBothCompartments)
     img->spawnIn("libredis", "t", [&] {
         auto *shared = static_cast<int *>(img->sharedAlloc(16));
         img->store(shared, 77);
-        img->gate("lwip", "recv",
+        img->gate(img->site("lwip", "recv"),
                   [&] { seen = img->load(shared); });
         img->sharedFree(shared);
     });
@@ -461,7 +461,7 @@ TEST_F(CoreFixture, LightGateCheaperThanDssGate)
         Cycles before = m2.cycles();
         img->spawnIn("libredis", "t", [&] {
             for (int i = 0; i < 100; ++i)
-                img->gate("lwip", "recv", [] {});
+                img->gate(img->site("lwip", "recv"), [] {});
         });
         sched2.run();
         return m2.cycles() - before;
@@ -493,7 +493,7 @@ TEST_F(CoreFixture, EptGateExecutesViaRpcServer)
     int result = 0;
     std::string serverThread;
     img->spawnIn("libredis", "caller", [&] {
-        result = img->gate("lwip", "recv", [&] {
+        result = img->gate(img->site("lwip", "recv"), [&] {
             serverThread = sched.current()->name();
             return 7;
         });
@@ -512,7 +512,7 @@ TEST_F(CoreFixture, EptRejectsIllegalEntryPoint)
     bool rejected = false;
     img->spawnIn("libredis", "caller", [&] {
         try {
-            img->gate("lwip", "not_an_entry", [] {});
+            img->gate(img->site("lwip", "not_an_entry"), [] {});
         } catch (const CfiViolation &) {
             rejected = true;
         }
@@ -530,7 +530,7 @@ TEST_F(CoreFixture, EptReplicatesTcb)
     std::uint64_t before = mach.counter("gate.ept");
     bool done = false;
     img->spawnIn("lwip", "t", [&] {
-        img->gate("ukalloc", "malloc", [] {});
+        img->gate(img->site("ukalloc", "malloc"), [] {});
         done = true;
     });
     sched.runUntil([&] { return done; });
@@ -552,7 +552,7 @@ TEST_F(CoreFixture, EptGateCostsMoreThanMpk)
         Cycles before = m2.cycles();
         img->spawnIn("libredis", "t", [&] {
             for (int i = 0; i < 50; ++i)
-                img->gate("lwip", "recv", [] {});
+                img->gate(img->site("lwip", "recv"), [] {});
             done = true;
         });
         sched2.runUntil([&] { return done; });
@@ -570,7 +570,7 @@ TEST_F(CoreFixture, KasanDetectsHeapOverflow)
     auto img = buildFrom(twoCompMpk); // comp2 has kasan
     bool caught = false;
     img->spawnIn("libredis", "t", [&] {
-        img->gate("lwip", "recv", [&] {
+        img->gate(img->site("lwip", "recv"), [&] {
             auto *buf =
                 static_cast<char *>(img->heapOf("lwip").alloc(32));
             try {
@@ -593,7 +593,7 @@ TEST_F(CoreFixture, KasanDetectsUseAfterFree)
     auto img = buildFrom(twoCompMpk);
     bool caught = false;
     img->spawnIn("libredis", "t", [&] {
-        img->gate("lwip", "recv", [&] {
+        img->gate(img->site("lwip", "recv"), [&] {
             auto *buf =
                 static_cast<char *>(img->heapOf("lwip").alloc(32));
             img->heapOf("lwip").free(buf);
@@ -613,7 +613,7 @@ TEST_F(CoreFixture, KasanDetectsDoubleFree)
     auto img = buildFrom(twoCompMpk);
     bool caught = false;
     img->spawnIn("libredis", "t", [&] {
-        img->gate("lwip", "recv", [&] {
+        img->gate(img->site("lwip", "recv"), [&] {
             auto *buf = img->heapOf("lwip").alloc(8);
             img->heapOf("lwip").free(buf);
             try {
@@ -663,7 +663,7 @@ TEST_F(CoreFixture, CfiGateRejectsNonEntryPoint)
     bool rejected = false;
     img->spawnIn("libredis", "t", [&] {
         try {
-            img->gate("lwip", "secret_internal_fn", [] {});
+            img->gate(img->site("lwip", "secret_internal_fn"), [] {});
         } catch (const CfiViolation &) {
             rejected = true;
         }
@@ -704,9 +704,9 @@ TEST_F(CoreFixture, HardenedComponentWorkIsTaxed)
     Cycles plainCost = 0, hardenedCost = 0;
     img->spawnIn("libredis", "t", [&] {
         Cycles a = mach.cycles();
-        img->gate("newlib", "memcpy", [&] { mach.consume(1000); });
+        img->gate(img->site("newlib", "memcpy"), [&] { mach.consume(1000); });
         Cycles b = mach.cycles();
-        img->gate("lwip", "recv", [&] { mach.consume(1000); });
+        img->gate(img->site("lwip", "recv"), [&] { mach.consume(1000); });
         Cycles c = mach.cycles();
         plainCost = b - a;
         hardenedCost = c - b;
@@ -753,7 +753,7 @@ TEST_F(CoreFixture, DssShadowSharedAcrossCompartments)
         int *x = frame.var<int>();
         int *sh = frame.shadow(x);
         img->store(sh, 99); // write through the shadow (shared domain)
-        img->gate("lwip", "recv", [&] {
+        img->gate(img->site("lwip", "recv"), [&] {
             seen = img->load(sh); // callee reads the shadow: allowed
             try {
                 img->load(x); // the private half: denied
@@ -899,7 +899,7 @@ libraries:
         Cycles before = m2.cycles();
         img->spawnIn("libsqlite", "t", [&] {
             for (int i = 0; i < 20; ++i)
-                img->gate("vfscore", "write", [] {});
+                img->gate(img->site("vfscore", "write"), [] {});
         });
         sched2.run();
         return m2.cycles() - before;
@@ -920,7 +920,7 @@ TEST_F(CoreFixture, GateExceptionRestoresCallerDomain)
     img->spawnIn("libredis", "t", [&] {
         Pkru before = mach.pkru;
         try {
-            img->gate("lwip", "recv", [&]() -> void {
+            img->gate(img->site("lwip", "recv"), [&]() -> void {
                 throw std::runtime_error("callee exploded");
             });
         } catch (const std::runtime_error &) {
@@ -936,7 +936,7 @@ TEST_F(CoreFixture, CrossingsAreCounted)
     auto img = buildFrom(twoCompMpk);
     img->spawnIn("libredis", "t", [&] {
         for (int i = 0; i < 3; ++i)
-            img->gate("lwip", "recv", [] {});
+            img->gate(img->site("lwip", "recv"), [] {});
     });
     sched.run();
     const auto crossings = img->gateCrossings();

@@ -1,0 +1,256 @@
+/**
+ * @file
+ * The crossing path allocates nothing: a steady-state MPK crossing
+ * makes no heap allocation, and an EPT crossing stays far below one
+ * (the remainder is std::deque node churn in the RPC ring and the run
+ * queues). Counted with a replaced global operator new, which is why
+ * these tests live in their own binary.
+ *
+ * Also pins the resolved gate site (Image::site): building one never
+ * raises, and gating through it raises exactly what a crossing raised
+ * when it looked the callee up by name.
+ */
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "core/image.hh"
+#include "core/toolchain.hh"
+
+namespace {
+
+std::atomic<std::uint64_t> newCalls{0};
+
+} // namespace
+
+void *
+operator new(std::size_t n)
+{
+    newCalls.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new[](std::size_t n)
+{
+    return ::operator new(n);
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+namespace flexos {
+namespace {
+
+/** Crossings run before counting: first-crossing state (simulated
+ *  stacks, streak records, ring and queue capacity) is built here. */
+constexpr std::uint64_t warmup = 1000;
+/** Crossings counted. */
+constexpr std::uint64_t measured = 10'000;
+
+/**
+ * Two compartments under one mechanism: libredis calls from `app`
+ * into lwip in `net`. `netHardening` and `boundaries` are appended
+ * verbatim when given.
+ */
+std::string
+twoComp(const std::string &mech, const std::string &netHardening = "",
+        const std::string &boundaries = "")
+{
+    std::string text = "compartments:\n- app:\n    mechanism: " + mech +
+                       "\n    default: True\n- net:\n    mechanism: " +
+                       mech + "\n";
+    if (!netHardening.empty())
+        text += "    hardening: [" + netHardening + "]\n";
+    text += "libraries:\n"
+            "- libredis: app\n"
+            "- lwip: net\n";
+    if (!boundaries.empty())
+        text += "boundaries:\n- " + boundaries + "\n";
+    return text;
+}
+
+struct CrossingFixture : ::testing::Test
+{
+    CrossingFixture()
+        : sched(mach), reg(LibraryRegistry::standard()), tc(reg)
+    {
+    }
+
+    std::unique_ptr<Image>
+    buildFrom(const std::string &text)
+    {
+        SafetyConfig cfg = SafetyConfig::parse(text);
+        cfg.heapBytes = 1 << 20;
+        cfg.sharedHeapBytes = 1 << 20;
+        return tc.build(mach, sched, cfg);
+    }
+
+    /**
+     * Heap allocations made while a libredis thread runs `measured`
+     * libredis -> lwip crossings after `warmup` uncounted ones (half
+     * of each through a void body, half through a value-returning
+     * one).
+     */
+    std::uint64_t
+    allocsPerSteadyState(Image &img)
+    {
+        const GateSite recv = img.site("lwip", "recv");
+        std::uint64_t allocs = 0;
+        long sum = 0;
+        bool done = false;
+        img.spawnIn("libredis", "caller", [&] {
+            auto cross = [&](std::uint64_t n) {
+                for (std::uint64_t i = 0; i < n; i += 2) {
+                    img.gate(recv, [&] { ++sum; });
+                    sum += img.gate(recv, [] { return 1L; });
+                }
+            };
+            cross(warmup);
+            std::uint64_t before = newCalls.load();
+            cross(measured);
+            allocs = newCalls.load() - before;
+            done = true;
+        });
+        EXPECT_TRUE(sched.runUntil([&] { return done; }));
+        EXPECT_EQ(sum, static_cast<long>(warmup + measured));
+        EXPECT_EQ(img.ledgerAt(0, 1).crossings, warmup + measured);
+        return allocs;
+    }
+
+    Machine mach;
+    Scheduler sched;
+    LibraryRegistry reg;
+    Toolchain tc;
+};
+
+TEST_F(CrossingFixture, MpkCrossingsAllocateNothing)
+{
+    auto img = buildFrom(twoComp("intel-mpk"));
+    EXPECT_EQ(allocsPerSteadyState(*img), 0u);
+    EXPECT_EQ(mach.counter("gate.mpk.dss"), warmup + measured);
+}
+
+TEST_F(CrossingFixture, MpkLightCrossingsAllocateNothing)
+{
+    auto img = buildFrom(
+        twoComp("intel-mpk", "", "'*' -> '*': {gate: light}"));
+    EXPECT_EQ(allocsPerSteadyState(*img), 0u);
+    EXPECT_EQ(mach.counter("gate.mpk.light"), warmup + measured);
+}
+
+TEST_F(CrossingFixture, EptCrossingsAllocateUnderATenthPerCrossing)
+{
+    auto img = buildFrom(twoComp("vm-ept"));
+    std::uint64_t allocs = allocsPerSteadyState(*img);
+    EXPECT_LT(allocs, measured / 10)
+        << allocs << " allocations over " << measured << " crossings";
+    EXPECT_EQ(mach.counter("gate.ept"), warmup + measured);
+    img->shutdown();
+}
+
+// ------------------------------------------------------------ gate sites
+
+TEST_F(CrossingFixture, SiteForLibraryOutsideTheImageFatalsOnlyWhenGated)
+{
+    auto img = buildFrom(twoComp("intel-mpk"));
+    GateSite site;
+    ASSERT_NO_THROW(site = img->site("libnginx", "nginx_main"));
+    EXPECT_EQ(site.route, nullptr);
+    EXPECT_TRUE(site.entryPoint); // the registry knows the symbol
+    try {
+        img->gate(site, [] {});
+        FAIL() << "gating into a library outside the image must fatal";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "library 'libnginx' not in the image"),
+                  std::string::npos)
+            << e.what();
+    }
+    // A library the registry does not know resolves too.
+    ASSERT_NO_THROW(site = img->site("libquantum", "spin"));
+    EXPECT_FALSE(site.entryPoint);
+    EXPECT_THROW(img->gate(site, [] {}), FatalError);
+}
+
+/** Gate a non-entry symbol of lwip once from libredis; whether the
+ *  body ran. Rethrows nothing: a CfiViolation is reported in `why`. */
+bool
+gateNonEntry(Scheduler &sched, Image &img, std::string &why)
+{
+    const GateSite gadget = img.site("lwip", "internal_tcp_input");
+    EXPECT_FALSE(gadget.entryPoint);
+    bool ran = false, done = false;
+    img.spawnIn("libredis", "forger", [&] {
+        try {
+            img.gate(gadget, [&] { ran = true; });
+        } catch (const CfiViolation &e) {
+            why = e.what();
+        }
+        done = true;
+    });
+    EXPECT_TRUE(sched.runUntil([&] { return done; }));
+    return ran;
+}
+
+TEST_F(CrossingFixture, NonEntrySiteRejectedOnEnforcingBoundary)
+{
+    auto img = buildFrom(
+        twoComp("intel-mpk", "", "'*' -> '*': {validate: true}"));
+    std::string why;
+    EXPECT_FALSE(gateNonEntry(sched, *img, why));
+    EXPECT_EQ(why, "cfi: gate to non-entry-point lwip.internal_tcp_input");
+    EXPECT_EQ(mach.counter("gate.validate.reject"), 1u);
+    EXPECT_EQ(img->ledgerAt(0, 1).rejected, 1u);
+    EXPECT_EQ(img->ledgerAt(0, 1).crossings, 0u);
+}
+
+TEST_F(CrossingFixture, NonEntrySiteRejectedUnderCalleeCfi)
+{
+    auto img = buildFrom(twoComp("intel-mpk", "cfi"));
+    std::string why;
+    EXPECT_FALSE(gateNonEntry(sched, *img, why));
+    EXPECT_EQ(why, "cfi: gate to non-entry-point lwip.internal_tcp_input");
+    EXPECT_EQ(mach.counter("gate.validate.reject"), 1u);
+    EXPECT_EQ(img->ledgerAt(0, 1).rejected, 1u);
+}
+
+TEST_F(CrossingFixture, NonEntrySitePassesNonEnforcingMpkBoundary)
+{
+    auto img = buildFrom(twoComp("intel-mpk"));
+    std::string why;
+    EXPECT_TRUE(gateNonEntry(sched, *img, why));
+    EXPECT_TRUE(why.empty()) << why;
+    EXPECT_EQ(mach.counter("gate.validate.reject"), 0u);
+    EXPECT_EQ(img->ledgerAt(0, 1).rejected, 0u);
+    EXPECT_EQ(img->ledgerAt(0, 1).crossings, 1u);
+}
+
+} // namespace
+} // namespace flexos

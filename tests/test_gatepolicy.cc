@@ -436,11 +436,11 @@ boundaries:
 )");
     bool denied = false, done = false;
     img->spawnIn("libredis", "t", [&] {
-        img->gate("uksched", "yield", [&] {
+        img->gate(img->site("uksched", "yield"), [&] {
             // No static edge sys -> app exists; the dynamic attempt
             // is refused at the gate.
             try {
-                img->gate("libredis", "redis_handle_conn", [] {});
+                img->gate(img->site("libredis", "redis_handle_conn"), [] {});
             } catch (const DeniedCrossing &e) {
                 EXPECT_EQ(e.from, "sys");
                 EXPECT_EQ(e.to, "app");
@@ -479,7 +479,7 @@ boundaries:
     img->spawnIn("libredis", "t", [&] {
         Cycles before = mach.cycles();
         for (int i = 0; i < 30; ++i)
-            img->gate("uksched", "yield", [] {});
+            img->gate(img->site("uksched", "yield"), [] {});
         spent = mach.cycles() - before;
         done = true;
     });
@@ -515,7 +515,7 @@ boundaries:
     img->spawnIn("libredis", "t", [&] {
         for (int i = 0; i < 8; ++i) {
             try {
-                img->gate("uksched", "yield", [&] { ++ran; });
+                img->gate(img->site("uksched", "yield"), [&] { ++ran; });
             } catch (const ThrottledCrossing &e) {
                 EXPECT_EQ(e.from, "app");
                 EXPECT_EQ(e.to, "sys");
@@ -570,6 +570,9 @@ TEST_F(GatePolicyFixture, HundredBoundaryThrottleStorm)
     cfg.heapBytes = 64 * 1024;
     cfg.sharedHeapBytes = 64 * 1024;
     auto img = tc.build(mach, sched, cfg);
+    std::vector<GateSite> sites;
+    for (const auto &[lib, fn] : libs)
+        sites.push_back(img->site(lib, fn));
 
     int finished = 0;
     for (int t = 0; t < 5; ++t) {
@@ -578,13 +581,10 @@ TEST_F(GatePolicyFixture, HundredBoundaryThrottleStorm)
             // into every other: all ~90 ordered boundaries, each
             // beaten past its 2-token budget by the 5 threads.
             for (int i = 0; i < nLibs; ++i) {
-                img->gate(libs[i].first, libs[i].second, [&] {
-                    for (int j = 0; j < nLibs; ++j) {
-                        if (j == i)
-                            continue;
-                        img->gate(libs[j].first, libs[j].second,
-                                  [] {});
-                    }
+                img->gate(sites[i], [&] {
+                    for (int j = 0; j < nLibs; ++j)
+                        if (j != i)
+                            img->gate(sites[j], [] {});
                 });
             }
             ++finished;
@@ -644,7 +644,7 @@ boundaries:
     bool done = false;
     int *sysVar = nullptr;
     img->spawnIn("libredis", "t", [&] {
-        img->gate("uksched", "yield", [&] {
+        img->gate(img->site("uksched", "yield"), [&] {
             DssFrame f(*img);
             sysVar = f.var<int>();
             // Shared stack: the variable itself is shared memory.
@@ -654,7 +654,7 @@ boundaries:
             // stack carries the shared key.
         });
         EXPECT_EQ(img->load(sysVar), 41);
-        img->gate("lwip", "recv", [&] {
+        img->gate(img->site("lwip", "recv"), [&] {
             DssFrame f(*img);
             int *x = f.var<int>();
             // DSS boundary: shadow lives stackBytes above.
@@ -696,10 +696,11 @@ TEST_F(GatePolicyFixture, TwoMpkFlavorsRunSimultaneously)
 {
     auto img = buildFrom(mixedFlavorConfig);
     bool done = false;
+    const GateSite yield = img->site("uksched", "yield");
     img->spawnIn("libredis", "t", [&] {
         for (int i = 0; i < 3; ++i)
-            img->gate("uksched", "yield", [] {}); // app -> hot: light
-        img->gate("lwip", "recv", [] {});         // app -> cold: dss
+            img->gate(yield, [] {});                 // app -> hot: light
+        img->gate(img->site("lwip", "recv"), [] {}); // app -> cold: dss
         done = true;
     });
     sched.runUntil([&] { return done; });
@@ -750,11 +751,11 @@ boundaries:
         // MPK gates don't validate entry points on their own (no CFI
         // here); the policy forces the check.
         try {
-            img->gate("uksched", "not_an_entry_point", [] {});
+            img->gate(img->site("uksched", "not_an_entry_point"), [] {});
         } catch (const CfiViolation &) {
             rejected = true;
         }
-        img->gate("uksched", "yield", [&] { ran = true; });
+        img->gate(img->site("uksched", "yield"), [&] { ran = true; });
     });
     sched.runUntil([&] { return ran; });
     EXPECT_TRUE(rejected);
@@ -787,10 +788,10 @@ libraries:
         Cycles before = 0, after = 0;
         img->spawnIn("libredis", "t", [&] {
             // Warm up the sim stack so both runs charge identically.
-            img->gate("lwip", "recv", [] {});
+            img->gate(img->site("lwip", "recv"), [] {});
             before = m2.cycles();
             for (int i = 0; i < 100; ++i)
-                img->gate("lwip", "recv", [] {});
+                img->gate(img->site("lwip", "recv"), [] {});
             after = m2.cycles();
         });
         sched2.run();
@@ -824,7 +825,7 @@ libraries:
     int inBody = 0;
     for (int i = 0; i < 3; ++i) {
         img->spawnIn("libredis", "caller-" + std::to_string(i), [&] {
-            img->gate("lwip", "recv", [&] {
+            img->gate(img->site("lwip", "recv"), [&] {
                 ++inBody;
                 never.wait();
             });
@@ -899,7 +900,7 @@ libraries:
     int *secretA = nullptr;
     bool mpkFaulted = false, crossVmFaulted = false, done = false;
     img->spawnIn("libredis", "t", [&] {
-        img->gate("lwip", "recv", [&] {
+        img->gate(img->site("lwip", "recv"), [&] {
             secretA = static_cast<int *>(img->heapOf("lwip").alloc(16));
             img->store(secretA, 7);
         });
@@ -910,7 +911,7 @@ libraries:
             mpkFaulted = true;
         }
         // So does a *different* VM: netB's servers can't read netA.
-        img->gate("vfscore", "open", [&] {
+        img->gate(img->site("vfscore", "open"), [&] {
             try {
                 img->load(secretA);
             } catch (const ProtectionFault &) {

@@ -156,7 +156,7 @@ TEST(Integration, CrossCompartmentSnoopingFaultsUnderMpkAndEpt)
         bool done = false;
         dep.image().spawnIn("libredis", "attacker", [&] {
             int *lwipSecret = nullptr;
-            dep.image().gate("lwip", "recv", [&] {
+            dep.image().gate(dep.image().site("lwip", "recv"), [&] {
                 lwipSecret = static_cast<int *>(
                     dep.image().heapOf("lwip").alloc(8));
                 dep.image().store(lwipSecret, 7);

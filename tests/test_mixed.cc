@@ -91,11 +91,11 @@ TEST_F(MixedFixture, CrossingsUseCalleeCompartmentsBackend)
     bool done = false;
     img->spawnIn("libredis", "t", [&] {
         // trusted -> net: the callee is EPT-backed -> RPC gate.
-        img->gate("lwip", "recv", [] {});
+        img->gate(img->site("lwip", "recv"), [] {});
         // trusted -> loose: callee unisolated -> plain-call gate.
-        img->gate("newlib", "memcpy", [&] {
+        img->gate(img->site("newlib", "memcpy"), [&] {
             // loose -> trusted: callee is MPK -> MPK gate.
-            img->gate("uksched", "yield", [] {});
+            img->gate(img->site("uksched", "yield"), [] {});
         });
         done = true;
     });
@@ -120,12 +120,12 @@ TEST_F(MixedFixture, EptEntryCheckAppliesOnlyAtEptBoundary)
     img->spawnIn("libredis", "t", [&] {
         // Crossing into the EPT compartment validates entry points...
         try {
-            img->gate("lwip", "internal_tcp_input", [] {});
+            img->gate(img->site("lwip", "internal_tcp_input"), [] {});
         } catch (const CfiViolation &) {
             rejected = true;
         }
         // ...crossing into the unhardened 'none' compartment does not.
-        img->gate("newlib", "not_an_entry_point",
+        img->gate(img->site("newlib", "not_an_entry_point"),
                   [&] { looseRan = true; });
     });
     sched.runUntil([&] { return looseRan; });
@@ -182,7 +182,7 @@ TEST_F(MixedFixture, IsolationStillHoldsAcrossMixedBoundaries)
     int *secret = nullptr;
     bool faulted = false, done = false;
     img->spawnIn("libredis", "t", [&] {
-        img->gate("lwip", "recv", [&] {
+        img->gate(img->site("lwip", "recv"), [&] {
             secret = static_cast<int *>(img->heapOf("lwip").alloc(16));
             img->store(secret, 7);
         });
@@ -238,7 +238,7 @@ TEST_F(MixedFixture, EptShutdownCancelsServerBlockedInRpcBody)
     WaitQueue never(sched); // nobody ever signals this
     bool inBody = false;
     Thread *caller = img->spawnIn("libredis", "caller", [&] {
-        img->gate("lwip", "recv", [&] {
+        img->gate(img->site("lwip", "recv"), [&] {
             inBody = true;
             never.wait(); // an RPC that will not complete
         });
@@ -268,7 +268,7 @@ TEST_F(MixedFixture, EptShutdownDrainsQueuedRpcs)
     for (int i = 0; i < 10; ++i) {
         callers.push_back(img->spawnIn(
             "libredis", "caller-" + std::to_string(i), [&] {
-                img->gate("lwip", "recv", [&] {
+                img->gate(img->site("lwip", "recv"), [&] {
                     ++inBody;
                     never.wait();
                 });
@@ -279,7 +279,7 @@ TEST_F(MixedFixture, EptShutdownDrainsQueuedRpcs)
     EXPECT_EQ(mach.counter("gate.ept.elasticSpawns"), 6u);
 
     // Shutdown must cancel all busy servers AND fail the queued RPCs —
-    // otherwise their callers wait on doneWait forever.
+    // otherwise their callers stay parked forever.
     img->shutdown();
     EXPECT_EQ(mach.counter("gate.ept.shutdownCancels"), 8u);
     EXPECT_EQ(mach.counter("gate.ept.shutdownDrained"), 2u);
@@ -312,7 +312,7 @@ libraries:
     // registers a private+shadow stack pair for (thread, comp2).
     for (int i = 0; i < 100; ++i) {
         img->spawnIn("libredis", "worker-" + std::to_string(i), [&] {
-            img->gate("lwip", "recv", [] {});
+            img->gate(img->site("lwip", "recv"), [] {});
         });
     }
     sched.run();
@@ -478,7 +478,7 @@ TEST_F(MixedFixture, AuditorBuildAndLiveGatesAgreeOnWhereCallsLand)
             std::uint64_t directBefore = m.counter("gate.direct");
             bool done = false;
             img->spawnIn(lib, "probe", [&] {
-                img->gate(callee, entry.c_str(), [] {});
+                img->gate(img->site(callee, entry), [] {});
                 done = true;
             });
             ASSERT_TRUE(s.runUntil([&] { return done; }));

@@ -181,7 +181,7 @@ TEST_F(RuntimeFixture, FiberSwapQuiescesAgainstEptCrossingInFlight)
     // A: blocks mid-crossing — the body suspends on the far side of
     // the EPT ring, so the caller sits inside a backend transit.
     img->spawnIn("libredis", "caller", [&] {
-        img->gate("lwip", "recv", [&] {
+        img->gate(img->site("lwip", "recv"), [&] {
             bodyStarted = true;
             sched.sleepNs(200000);
             bodyDone = true;
@@ -207,7 +207,7 @@ TEST_F(RuntimeFixture, FiberSwapQuiescesAgainstEptCrossingInFlight)
     // yield to the waiting swapper instead of starving it.
     sched.spawn("prober", [&] {
         while (!swapDone) {
-            img->gate("lwip", "poll", [] {});
+            img->gate(img->site("lwip", "poll"), [] {});
             sched.yield();
         }
     });
@@ -230,7 +230,7 @@ TEST_F(RuntimeFixture, DriverSwapDrainsEptCrossingInFlight)
 
     bool bodyStarted = false, bodyDone = false;
     img->spawnIn("libredis", "caller", [&] {
-        img->gate("lwip", "recv", [&] {
+        img->gate(img->site("lwip", "recv"), [&] {
             bodyStarted = true;
             sched.sleepNs(150000);
             bodyDone = true;
@@ -275,7 +275,7 @@ boundaries:
             ++ran;
         };
         try {
-            img->gateBatch("lwip", "recv", bodies);
+            img->gateBatch(img->site("lwip", "recv"), bodies);
         } catch (const DeniedCrossing &) {
             denied = true;
         }
@@ -328,7 +328,7 @@ boundaries:
     bool done = false;
     img->spawnIn("libredis", "storm", [&] {
         for (int i = 0; i < 10; ++i) {
-            img->gate("uksched", "yield", [] {});
+            img->gate(img->site("uksched", "yield"), [] {});
             ++crossed;
             sched.yield();
         }
@@ -370,6 +370,7 @@ TEST(RuntimeSmp, SwapStormAcrossCores)
     std::unique_ptr<Image> img = tc.build(mach, sched, cfg);
     int att = img->compartmentIndexOf("uktime");
     int sys = img->compartmentIndexOf("uksched");
+    const GateSite yield = img->site("uksched", "yield");
 
     // Three storms pinned to three cores, all hammering the same
     // boundary while the driver flips the matrix ten times.
@@ -379,8 +380,7 @@ TEST(RuntimeSmp, SwapStormAcrossCores)
         Thread *t = img->spawnIn("uktime", "storm" + std::to_string(c),
                                  [&, c] {
                                      for (int i = 0; i < 500; ++i) {
-                                         img->gate("uksched", "yield",
-                                                   [] {});
+                                         img->gate(yield, [] {});
                                          ++crossed[c];
                                          if (i % 16 == 0)
                                              sched.yield();
@@ -441,7 +441,7 @@ stormRounds(Image &img, Scheduler &sched, int rounds)
         for (int r = 0; r < rounds; ++r) {
             for (int i = 0; i < 200; ++i) {
                 try {
-                    img.gate("uksched", "yield", [] {});
+                    img.gate(img.site("uksched", "yield"), [] {});
                 } catch (const ThrottledCrossing &) {
                 }
             }
@@ -534,7 +534,7 @@ boundaries:
     bool done = false, denied = false;
     img->spawnIn("uktime", "prober", [&] {
         try {
-            img->gate("libredis", "redis_handle_conn", [] {});
+            img->gate(img->site("libredis", "redis_handle_conn"), [] {});
         } catch (const DeniedCrossing &) {
             denied = true;
         }

@@ -142,7 +142,7 @@ TEST_F(SmpFixture, CrossCoreCrossingChargesMigration)
     auto img = buildFrom(twoMpkConfig);
     bool done0 = false, done1 = false;
     Thread *t0 = img->spawnIn("libredis", "c0", [&] {
-        img->gate("lwip", "recv", [] {});
+        img->gate(img->site("lwip", "recv"), [] {});
         done0 = true;
     });
     sched.pin(t0, 0);
@@ -152,8 +152,8 @@ TEST_F(SmpFixture, CrossCoreCrossingChargesMigration)
     EXPECT_EQ(mach.counter("gate.crossCore"), 0u);
 
     Thread *t1 = img->spawnIn("libredis", "c1", [&] {
-        img->gate("lwip", "recv", [] {});
-        img->gate("lwip", "recv", [] {});
+        img->gate(img->site("lwip", "recv"), [] {});
+        img->gate(img->site("lwip", "recv"), [] {});
         done1 = true;
     });
     sched.pin(t1, 1);
@@ -325,10 +325,10 @@ libraries:
     };
     Thread *t1 =
         img->spawnIn("libredis", "r1",
-                     [&] { img->gate("lwip", "recv", body); });
+                     [&] { img->gate(img->site("lwip", "recv"), body); });
     (void)t1;
     img->spawnIn("libredis", "r2", [&] {
-        img->gate("lwip", "recv", body);
+        img->gate(img->site("lwip", "recv"), body);
         // Outlive the elastic server's retire deadline so virtual
         // time provably passes it while the boundary is idle.
         sched.sleepNs(5'000'000);
@@ -367,7 +367,7 @@ boundaries:
     img->spawnIn("libredis", "burst", [&] {
         try {
             for (int i = 0; i < 9; ++i) {
-                img->gate("lwip", "recv", [] {});
+                img->gate(img->site("lwip", "recv"), [] {});
                 ++ok;
             }
         } catch (const ThrottledCrossing &) {
@@ -409,10 +409,10 @@ boundaries:
     bool done = false;
     img->spawnIn("libredis", "t", [&] {
         Cycles t0 = mach.cycles();
-        img->gate("uksched", "yield", [] {});
+        img->gate(img->site("uksched", "yield"), [] {});
         withValidate = mach.cycles() - t0;
         t0 = mach.cycles();
-        img->gate("lwip", "recv", [] {});
+        img->gate(img->site("lwip", "recv"), [] {});
         without = mach.cycles() - t0;
         done = true;
     });
