@@ -1,16 +1,16 @@
 /**
  * @file
- * Figure 11a reproduction (google-benchmark): latency of allocating
- * 1..3 shared 1-byte stack variables under the three data-sharing
- * strategies — shared-heap conversion, DSS, and fully shared stacks.
+ * Figure 11a reproduction: latency of allocating 1..3 shared 1-byte
+ * stack variables under the three data-sharing strategies — shared-heap
+ * conversion, DSS, and fully shared stacks.
  *
- * The reported `vcycles` counter is virtual machine cycles per
- * operation (the paper's y axis); wall time of the simulator is
- * irrelevant. Expected: heap 100-300+ cycles growing with the variable
- * count; DSS and shared stack constant ~2 cycles.
+ * Prints virtual machine cycles per frame (the paper's y axis); the
+ * table is deterministic and pinned by the `fig11a_golden` CTest.
+ * Expected: heap 100-300+ cycles growing with the variable count; DSS
+ * and shared stack constant ~2 cycles.
  */
 
-#include <benchmark/benchmark.h>
+#include <cstdio>
 
 #include "apps/deploy.hh"
 #include "core/dss.hh"
@@ -51,7 +51,7 @@ measure(StackSharing sharing, int nVars, std::uint64_t iters)
             {
                 DssFrame frame(dep.image());
                 for (int v = 0; v < nVars; ++v)
-                    benchmark::DoNotOptimize(frame.alloc(1));
+                    frame.alloc(1);
             }
             total += m.cycles() - before;
         }
@@ -61,29 +61,20 @@ measure(StackSharing sharing, int nVars, std::uint64_t iters)
     return static_cast<double>(total) / static_cast<double>(iters);
 }
 
-void
-allocBench(benchmark::State &state, StackSharing sharing)
-{
-    int nVars = static_cast<int>(state.range(0));
-    double perOp = measure(sharing, nVars, 2000);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(perOp);
-    state.counters["vcycles"] = perOp;
-}
-
 } // namespace
 
-BENCHMARK_CAPTURE(allocBench, heap, StackSharing::Heap)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3);
-BENCHMARK_CAPTURE(allocBench, dss, StackSharing::Dss)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3);
-BENCHMARK_CAPTURE(allocBench, shared_stack, StackSharing::SharedStack)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3);
-
-BENCHMARK_MAIN();
+int
+main()
+{
+    std::printf("=== Figure 11a: shared stack variable allocation "
+                "(vcycles per frame) ===\n%-14s %8s %8s %8s\n",
+                "stack_sharing", "1 var", "2 vars", "3 vars");
+    for (StackSharing s : {StackSharing::Heap, StackSharing::Dss,
+                           StackSharing::SharedStack}) {
+        std::printf("%-14s", stackSharingName(s));
+        for (int nVars = 1; nVars <= 3; ++nVars)
+            std::printf(" %8.10g", measure(s, nVars, 2000));
+        std::printf("\n");
+    }
+    return 0;
+}

@@ -1,19 +1,26 @@
 /**
  * @file
- * Figure 11b reproduction (google-benchmark): raw gate latencies —
- * plain function call, MPK light gate, MPK DSS gate, EPT RPC gate,
- * and Linux system calls with/without KPTI.
+ * Figure 11b reproduction: raw gate latencies — plain function call,
+ * MPK light gate, MPK DSS gate, EPT RPC gate, and Linux system calls
+ * with/without KPTI — plus the vectored-crossing and elision rows.
  *
- * The `vcycles` counter is virtual cycles per gate round trip; paper
- * values: function 2, MPK-light 62, MPK-dss 108, EPT 462, syscall 470,
- * syscall-nokpti 146. The time column is the simulator's host cost of
- * one crossing.
+ * `vcycles` is virtual cycles per logical call (paper: function 2,
+ * MPK-light 62, MPK-dss 108, EPT 462, syscall 470, syscall-nokpti 146)
+ * and is deterministic; `--json [path]` writes it to a snapshot
+ * (default BENCH_fig11b.json) instead of the table. The host columns
+ * are the simulator's own ns per crossing (per chunk on batched rows),
+ * min and median of fixed timed episodes; they move with the host, so
+ * compare builds alternately.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
+#include <array>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "apps/deploy.hh"
@@ -22,169 +29,177 @@ using namespace flexos;
 
 namespace {
 
+/** Logical calls whose average virtual cycles make a row's vcycles. */
+constexpr std::uint64_t iters = 2000;
+static_assert(iters % 8 == 0, "iters must divide into batch widths");
+/** Timed episodes per row, and crossings per episode. */
+constexpr std::size_t episodes = 9;
+constexpr unsigned crossingsPerEpisode = 20'000;
+
+/** libredis and lwip in two compartments under one mechanism. */
 std::string
 twoComp(const char *mech, const char *gateFlavor = nullptr,
-        const char *extraRule = nullptr)
+        const char *rule = nullptr)
 {
-    std::string text = std::string(R"(
-compartments:
-- c1:
-    mechanism: )") + mech + R"(
-    default: True
-- c2:
-    mechanism: )" + mech + R"(
-libraries:
-- libredis: c1
-- lwip: c2
-)";
-    if (gateFlavor || extraRule)
+    std::string text = std::string("\ncompartments:\n- c1:\n    mechanism: ") +
+                       mech + "\n    default: True\n- c2:\n    mechanism: " +
+                       mech + "\nlibraries:\n- libredis: c1\n- lwip: c2\n";
+    if (gateFlavor || rule)
         text += "boundaries:\n";
     if (gateFlavor)
-        text += std::string("- '*' -> '*': {gate: ") + gateFlavor +
-                "}\n";
-    if (extraRule)
-        text += std::string("- ") + extraRule + "\n";
+        text += std::string("- '*' -> '*': {gate: ") + gateFlavor + "}\n";
+    if (rule)
+        text += std::string("- '*' -> '*': ") + rule + "\n";
     return text;
 }
 
 /**
- * One benchmark row. A fiber in libredis's compartment first drives
- * `iters` logical calls through `cross` (each invocation carries
- * `callsPerCross` of them) on a fresh deployment and reports their
- * average virtual cycles as the `vcycles` counter. It then runs the
- * same crossing inside the timed loop, so the time column is host ns
- * per crossing (per vectored chunk on the batched rows). The gate site
- * is resolved once, outside the timed loop, as ported callers do.
+ * A call from libredis into `callee`/`entry` under `cfg`. `batch` 0
+ * crosses with `Image::gate`; width k carries k calls per
+ * `Image::gateBatch` chunk, and width 1 must match the plain gate.
+ * `noKpti` boots with KPTI off, so syscalls take the cheap path.
+ */
+struct Row
+{
+    const char *name;
+    std::string cfg;
+    std::size_t batch = 0;
+    bool noKpti = false;
+    const char *callee = "lwip";
+    const char *entry = "recv";
+};
+
+/** vcycles, then host ns per crossing of each episode, ascending. */
+struct Result
+{
+    double vcycles = 0;
+    std::array<double, episodes> hostNs{};
+};
+
+/**
+ * A fiber in libredis's compartment drives `iters` logical calls
+ * through `cross` on a fresh deployment, then the timed episodes. The
+ * gate site is resolved once, outside both loops, and `cross` is a
+ * template parameter so the timed loop inlines it.
  */
 template <typename Cross>
-void
-runRow(benchmark::State &state, const std::string &cfgText, bool noKpti,
-       std::size_t callsPerCross, const char *callee, const char *entry,
-       Cross cross)
+Result
+runRow(const Row &row, Cross cross)
 {
     DeployOptions opts;
     opts.withNet = false;
     opts.withFs = false;
-    if (noKpti) {
-        // Reboot with KPTI disabled: syscalls get the cheap path.
+    if (row.noKpti)
         opts.timing.syscallKpti = opts.timing.syscallNoKpti;
-    }
-    Deployment dep(cfgText, opts);
+    Deployment dep(row.cfg, opts);
     Image &img = dep.image();
-    const GateSite site = img.site(callee, entry);
+    const GateSite site = img.site(row.callee, row.entry);
+    const std::size_t callsPerCross = std::max<std::size_t>(row.batch, 1);
 
-    constexpr std::uint64_t iters = 2000;
-    static_assert(iters % 8 == 0 && iters % 4 == 0,
-                  "iters must divide evenly into batch widths");
-    Cycles measured = 0;
+    Result res;
     bool done = false;
     img.spawnIn("libredis", "gate-bench", [&] {
         Machine &m = dep.machine();
         Cycles before = m.cycles();
         for (std::uint64_t i = 0; i < iters; i += callsPerCross)
             cross(img, site);
-        measured = m.cycles() - before;
-        for (auto _ : state)
-            cross(img, site);
+        res.vcycles = static_cast<double>(m.cycles() - before) / iters;
+        for (std::size_t e = 0; e < episodes; ++e) {
+            auto t0 = std::chrono::steady_clock::now();
+            for (unsigned i = 0; i < crossingsPerEpisode; ++i)
+                cross(img, site);
+            std::chrono::duration<double, std::nano> dt =
+                std::chrono::steady_clock::now() - t0;
+            res.hostNs[e] = dt.count() / crossingsPerEpisode;
+        }
         done = true;
     });
     dep.scheduler().runUntil([&] { return done; });
-    state.counters["vcycles"] =
-        static_cast<double>(measured) / static_cast<double>(iters);
+    std::sort(res.hostNs.begin(), res.hostNs.end());
+    return res;
 }
 
-/** Virtual cycles and host ns of one gate round trip. */
+Result
+measure(const Row &row)
+{
+    if (row.batch == 0)
+        return runRow(row, [](Image &img, const GateSite &site) {
+            img.gate(site, [] {});
+        });
+    std::vector<std::function<void()>> bodies(row.batch, [] {});
+    return runRow(row, [&](Image &img, const GateSite &site) {
+        img.gateBatch(site, bodies);
+    });
+}
+
+/** The paper's rows, then the `batch:` (EPT 462 -> 63 at width 8),
+ *  `coalesce:` and `elide:` knobs. */
+const std::vector<Row> rows = {
+    {"function_call", twoComp("intel-mpk"), 0, false, "libredis",
+     "redis_main"},
+    {"mpk_light", twoComp("intel-mpk", "light")},
+    {"mpk_dss", twoComp("intel-mpk", "dss")},
+    {"ept", twoComp("vm-ept")},
+    {"syscall", twoComp("linux-pt")},
+    {"syscall_nokpti", twoComp("linux-pt"), 0, true},
+    {"sel4_ipc", twoComp("sel4-ipc")},
+    {"cubicle_pkey_mprotect", twoComp("cubicle-mpk")},
+    {"cheri_sketch", twoComp("cheri")},
+    {"ept_batch1", twoComp("vm-ept", nullptr, "{batch: 1}"), 1},
+    {"ept_batch4", twoComp("vm-ept", nullptr, "{batch: 4}"), 4},
+    {"ept_batch8", twoComp("vm-ept", nullptr, "{batch: 8}"), 8},
+    {"ept_batch8_coalesce",
+     twoComp("vm-ept", nullptr, "{batch: 8, coalesce: 2000}"), 8},
+    {"mpk_dss_batch8", twoComp("intel-mpk", "dss", "{batch: 8}"), 8},
+    {"cheri_batch8", twoComp("cheri", nullptr, "{batch: 8}"), 8},
+    {"mpk_dss_validate", twoComp("intel-mpk", "dss", "{validate: true}")},
+    {"mpk_dss_elide_both",
+     twoComp("intel-mpk", "dss", "{validate: true, elide: both}")},
+    {"ept_elide_scrub", twoComp("vm-ept", nullptr, "{elide: scrub}")},
+};
+
+/** Each row's name and vcycles, and no host numbers, as a snapshot. */
 void
-gateBench(benchmark::State &state, const std::string &cfg,
-          bool sameComp, bool noKpti)
+emitJson(const char *path)
 {
-    runRow(state, cfg, noKpti, 1, sameComp ? "libredis" : "lwip",
-           sameComp ? "redis_main" : "recv",
-           [](Image &img, const GateSite &site) { img.gate(site, [] {}); });
-}
-
-/**
- * Virtual cycles per LOGICAL call when calls ride vectored crossings
- * of the given width — the amortization the `batch:` knob buys: one
- * backend transition (one EPT doorbell) per chunk plus a per-slot
- * dispatch cost, instead of a full round trip per call. width 1 is
- * the identity case and must match gateBench exactly.
- */
-void
-batchedGateBench(benchmark::State &state, const std::string &cfg,
-                 std::size_t width)
-{
-    std::vector<std::function<void()>> bodies(width, [] {});
-    runRow(state, cfg, false, width, "lwip", "recv",
-           [&](Image &img, const GateSite &site) {
-               img.gateBatch(site, bodies);
-           });
-}
-
-/** Fastest repetition: preemption and a busy neighbour only ever add
- *  time within a run, so the minimum is the least inflated repetition.
- *  It does not cancel the host's speed drift between runs. */
-double
-minOf(const std::vector<double> &v)
-{
-    return *std::min_element(v.begin(), v.end());
+    FILE *f = std::fopen(path, "w");
+    if (!f) {
+        std::fprintf(stderr, "fig11b_gates: cannot write %s\n", path);
+        std::exit(2);
+    }
+    std::fprintf(f, "{\n  \"bench\": \"fig11b_gates\",\n  \"unit\": "
+                    "\"vcycles per logical call\",\n  \"results\": [\n");
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        std::fprintf(f, "    {\"name\": \"%s\", \"vcycles\": %.10g}%s\n",
+                     rows[i].name, measure(rows[i]).vcycles,
+                     i + 1 < rows.size() ? "," : "");
+    std::fprintf(f, "  ]\n}\n");
+    std::fclose(f);
+    std::printf("wrote %s\n", path);
 }
 
 } // namespace
 
-/**
- * Every row runs a fixed 9 repetitions and reports only their
- * aggregates, the minimum among them. One run's host time moves
- * 15-30 % between back-to-back invocations; the median and the minimum
- * of 9 each move 10-60 % depending on the row. `vcycles` is the same
- * in every repetition.
- */
-#define GATE_ROW(...)                                                     \
-    BENCHMARK_CAPTURE(__VA_ARGS__)                                        \
-        ->Repetitions(9)                                                  \
-        ->ReportAggregatesOnly(true)                                      \
-        ->ComputeStatistics("min", minOf)
+int
+main(int argc, char **argv)
+{
+    if (argc >= 2 && argc <= 3 && std::strcmp(argv[1], "--json") == 0) {
+        emitJson(argc == 3 ? argv[2] : "BENCH_fig11b.json");
+        return 0;
+    }
+    if (argc > 1) {
+        std::fprintf(stderr, "usage: fig11b_gates [--json [path]]\n");
+        return 2;
+    }
 
-GATE_ROW(gateBench, function_call, twoComp("intel-mpk"), true, false);
-GATE_ROW(gateBench, mpk_light, twoComp("intel-mpk", "light"), false, false);
-GATE_ROW(gateBench, mpk_dss, twoComp("intel-mpk", "dss"), false, false);
-GATE_ROW(gateBench, ept, twoComp("vm-ept"), false, false);
-GATE_ROW(gateBench, syscall, twoComp("linux-pt"), false, false);
-GATE_ROW(gateBench, syscall_nokpti, twoComp("linux-pt"), false, true);
-GATE_ROW(gateBench, sel4_ipc, twoComp("sel4-ipc"), false, false);
-GATE_ROW(gateBench, cubicle_pkey_mprotect,
-         twoComp("cubicle-mpk"), false, false);
-GATE_ROW(gateBench, cheri_sketch, twoComp("cheri"), false, false);
-
-// --- Vectored crossings: the `batch:` / `coalesce:` / `elide:` knobs.
-// batch: 1 is regression-pinned to the sequential gate (vcycle-
-// identical by construction); batch: 8 amortizes the transition —
-// one EPT doorbell per eight calls — and the EPT step-change is the
-// headline number. The elide rows show repeated same-boundary
-// crossings shedding the entry-validate / return-scrub charges.
-GATE_ROW(batchedGateBench, ept_batch1,
-         twoComp("vm-ept", nullptr, "'*' -> '*': {batch: 1}"), 1);
-GATE_ROW(batchedGateBench, ept_batch4,
-         twoComp("vm-ept", nullptr, "'*' -> '*': {batch: 4}"), 4);
-GATE_ROW(batchedGateBench, ept_batch8,
-         twoComp("vm-ept", nullptr, "'*' -> '*': {batch: 8}"), 8);
-GATE_ROW(batchedGateBench, ept_batch8_coalesce,
-         twoComp("vm-ept", nullptr,
-                 "'*' -> '*': {batch: 8, coalesce: 2000}"),
-         8);
-GATE_ROW(batchedGateBench, mpk_dss_batch8,
-         twoComp("intel-mpk", "dss", "'*' -> '*': {batch: 8}"), 8);
-GATE_ROW(batchedGateBench, cheri_batch8,
-         twoComp("cheri", nullptr, "'*' -> '*': {batch: 8}"), 8);
-GATE_ROW(gateBench, mpk_dss_validate,
-         twoComp("intel-mpk", "dss", "'*' -> '*': {validate: true}"),
-         false, false);
-GATE_ROW(gateBench, mpk_dss_elide_both,
-         twoComp("intel-mpk", "dss",
-                 "'*' -> '*': {validate: true, elide: both}"),
-         false, false);
-GATE_ROW(gateBench, ept_elide_scrub,
-         twoComp("vm-ept", nullptr, "'*' -> '*': {elide: scrub}"),
-         false, false);
-
-BENCHMARK_MAIN();
+    std::printf("=== Figure 11b: gate latency ===\n%-24s %10s %12s %12s\n",
+                "row", "vcycles", "host ns min", "host ns med");
+    for (const Row &row : rows) {
+        Result r = measure(row);
+        std::printf("%-24s %10.10g %12.1f %12.1f\n", row.name, r.vcycles,
+                    r.hostNs.front(), r.hostNs[episodes / 2]);
+    }
+    std::printf("\nhost ns per crossing: min and median of %zu episodes x "
+                "%u crossings\n", episodes, crossingsPerEpisode);
+    return 0;
+}

@@ -41,25 +41,27 @@ operator new[](std::size_t n)
     return ::operator new(n);
 }
 
-void
+// The deletes stay out of line: inlined into a caller, GCC pairs their
+// free() with the caller's new-expression (-Wmismatched-new-delete).
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
