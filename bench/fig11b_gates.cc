@@ -2,7 +2,7 @@
  * @file
  * Figure 11b reproduction: raw gate latencies — plain function call,
  * MPK light gate, MPK DSS gate, EPT RPC gate, and Linux system calls
- * with/without KPTI — plus the vectored-crossing and elision rows.
+ * with/without KPTI — plus the vectored-crossing and validation rows.
  *
  * `vcycles` is virtual cycles per logical call (paper: function 2,
  * MPK-light 62, MPK-dss 108, EPT 462, syscall 470, syscall-nokpti 146)
@@ -132,8 +132,8 @@ measure(const Row &row)
     });
 }
 
-/** The paper's rows, then the `batch:` (EPT 462 -> 63 at width 8),
- *  `coalesce:` and `elide:` knobs. */
+/** The paper's rows, then the `batch:` (EPT 462 -> 63 at width 8) and
+ *  `validate:` knobs. */
 const std::vector<Row> rows = {
     {"function_call", twoComp("intel-mpk"), 0, false, "libredis",
      "redis_main"},
@@ -148,14 +148,9 @@ const std::vector<Row> rows = {
     {"ept_batch1", twoComp("vm-ept", nullptr, "{batch: 1}"), 1},
     {"ept_batch4", twoComp("vm-ept", nullptr, "{batch: 4}"), 4},
     {"ept_batch8", twoComp("vm-ept", nullptr, "{batch: 8}"), 8},
-    {"ept_batch8_coalesce",
-     twoComp("vm-ept", nullptr, "{batch: 8, coalesce: 2000}"), 8},
     {"mpk_dss_batch8", twoComp("intel-mpk", "dss", "{batch: 8}"), 8},
     {"cheri_batch8", twoComp("cheri", nullptr, "{batch: 8}"), 8},
     {"mpk_dss_validate", twoComp("intel-mpk", "dss", "{validate: true}")},
-    {"mpk_dss_elide_both",
-     twoComp("intel-mpk", "dss", "{validate: true, elide: both}")},
-    {"ept_elide_scrub", twoComp("vm-ept", nullptr, "{elide: scrub}")},
 };
 
 /** Each row's name and vcycles, and no host numbers, as a snapshot. */

@@ -13,7 +13,7 @@
  * register-scrubbing DSS gate (two flavours live in one image),
  * crossings into the attacker-facing net VM force caller-side entry
  * validation, and EPT -> MPK returns skip the return-side scrub —
- * asymmetric policies the old global `mpk_gate` knob could not say.
+ * asymmetric policies that one image-wide gate flavour could not say.
  *
  * The workload is the PR 1 multi-flow iperf: N parallel connections
  * through one listener, i.e. MPK->EPT and EPT->MPK crossings under

@@ -64,21 +64,6 @@ policyPass(const SafetyConfig &cfg, const CompartmentGraph &g,
                             "' — returning registers leak";
                 report.add(std::move(f));
             }
-            if (pol.elide != GateElide::None) {
-                Finding f;
-                f.pass = "policy";
-                f.code = "elided-net-boundary";
-                f.severity = Severity::Error;
-                f.from = fromName;
-                f.to = toName;
-                f.message =
-                    std::string("`elide: ") + elideName(pol.elide) +
-                    "` skips per-crossing legs on a boundary "
-                    "reachable from net-facing compartment '" +
-                    g.comps[static_cast<std::size_t>(g.netComp)] +
-                    "'";
-                report.add(std::move(f));
-            }
             if (!pol.validateEntry) {
                 Finding f;
                 f.pass = "policy";

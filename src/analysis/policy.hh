@@ -26,8 +26,6 @@ namespace analysis {
  *    whose caller compartment is reachable from the net-facing
  *    compartment — register contents leak to an attacker-drivable
  *    edge;
- *  - `elided-net-boundary` (error): `elide:` skips validation or
- *    scrubbing legs on such a boundary (streak gadget surface);
  *  - `unvalidated-net-boundary` (warning): no `validate:` on such a
  *    boundary;
  *  - `unthrottled-external-edge` (warning): a gate out of the
@@ -36,7 +34,7 @@ namespace analysis {
  *  - `unused-static-edge` (note): the pair carries no static call
  *    edge and is not denied; collected into report.suggestedDeny.
  *
- * With no net-facing compartment only the last two kinds can fire.
+ * With no net-facing compartment only `unused-static-edge` can fire.
  */
 void policyPass(const SafetyConfig &cfg, const CompartmentGraph &graph,
                 AuditReport &report);

@@ -47,8 +47,7 @@ Deployment::init(SafetyConfig cfg, const DeployOptions &opts)
         // Multi-core server: RSS steers each connection's frames to
         // one core's RX queue (the client stack models a separate
         // load-generator box and stays single-queue).
-        if (mach->coreCount() > 1 &&
-            img->config().steering == NicSteering::Rss)
+        if (mach->coreCount() > 1)
             serverNet->enableRss(mach->coreCount());
     }
 

@@ -22,7 +22,6 @@
 #include "core/backend.hh"
 
 #include <algorithm>
-#include <deque>
 #include <exception>
 
 #include "base/logging.hh"
@@ -326,9 +325,8 @@ class EptBackend : public IsolationBackend
         std::uint64_t drained = 0;
         for (auto &vm : vms) {
             for (auto &sh : vm.shards) {
-                while (!sh.ring.empty()) {
-                    Rpc *rpc = sh.ring.front();
-                    sh.ring.pop_front();
+                while (!sh.empty()) {
+                    Rpc *rpc = sh.pop();
                     rpc->error =
                         std::make_exception_ptr(ThreadCancelled{});
                     rpc->done = true;
@@ -366,15 +364,6 @@ class EptBackend : public IsolationBackend
             vm.shards[static_cast<std::size_t>(m.activeCore()) %
                       vm.shards.size()];
 
-        // Doorbell coalescing under back-pressure (`coalesce:` key):
-        // a submission that finds requests already queued within the
-        // window of the last doorbell skips the ring notify — the
-        // earlier doorbell's server is still draining this ring and
-        // will reach the new slot (entries are only queued behind a
-        // rung doorbell, so the chain never strands a request).
-        bool coalesced = policy.coalesce && !sh.ring.empty() &&
-                         m.cycles() - sh.lastDoorbell <= policy.coalesce;
-
         // Caller side: place the "function pointer" and arguments in
         // the predefined shared area (paper 4.2) and wait. The entry
         // leg is the request marshalling + doorbell; the response
@@ -389,10 +378,6 @@ class EptBackend : public IsolationBackend
         if (count > 1)
             entryCost += static_cast<Cycles>(count - 1) *
                          m.timing.batchSlot;
-        if (coalesced) {
-            entryCost -= std::min(entryCost, m.timing.eptDoorbell);
-            m.bump(Counter::GateCoalesced);
-        }
         m.consume(entryCost);
         Cycles returnCost = m.timing.eptReturn;
         if (!policy.scrubReturn) {
@@ -410,13 +395,13 @@ class EptBackend : public IsolationBackend
         rpc.stackSharing = policy.stackSharing;
         rpc.caller = caller;
 
-        sh.ring.push_back(&rpc);
+        sh.push(&rpc);
         // Ring-depth high-water mark: the deepest any shard's request
         // ring ever got (pool pressure; ROADMAP "EPT server pool
         // sizing"). The machine counter tracks the max across VMs and
         // survives reboots, so it only ratchets upward.
-        if (sh.ring.size() > sh.ringHighWater) {
-            sh.ringHighWater = sh.ring.size();
+        if (sh.depth > sh.ringHighWater) {
+            sh.ringHighWater = sh.depth;
             std::uint64_t cur = m.counter(Counter::GateEptRingDepth);
             if (sh.ringHighWater > cur)
                 m.bump(Counter::GateEptRingDepth, sh.ringHighWater - cur);
@@ -426,7 +411,7 @@ class EptBackend : public IsolationBackend
         // queueing, add a server up to the cap so blocked bodies
         // can't starve the boundary.
         int idle = static_cast<int>(sh.pool.size()) - sh.busy;
-        if (static_cast<int>(sh.ring.size()) > idle &&
+        if (static_cast<int>(sh.depth) > idle &&
             static_cast<int>(sh.pool.size()) < poolCap(img, to)) {
             spawnServer(img, static_cast<std::size_t>(to),
                         static_cast<std::size_t>(m.activeCore()) %
@@ -434,10 +419,7 @@ class EptBackend : public IsolationBackend
                         /*elastic=*/true);
             m.bump(Counter::GateEptElasticSpawns);
         }
-        if (!coalesced) {
-            sh.serverIdle->wakeOne();
-            sh.lastDoorbell = m.cycles();
-        }
+        sh.serverIdle->wakeOne();
 
         // The caller parks on its own: the server completing the slot
         // wakes it by name, so a crossing builds no wait queue.
@@ -477,10 +459,9 @@ class EptBackend : public IsolationBackend
         rpc.count = 1;
         rpc.site = &site;
         rpc.caller = sched.current();
-        sh.ring.push_back(&rpc);
+        sh.push(&rpc);
         m.bump(Counter::GateEptForgedRpcs);
         sh.serverIdle->wakeOne();
-        sh.lastDoorbell = m.cycles();
         while (!rpc.done)
             sched.park();
         // The slot's error (CfiViolation on rejection, or whatever the
@@ -567,22 +548,49 @@ class EptBackend : public IsolationBackend
         std::exception_ptr error;
         /** The parked submitter, woken when the slot completes. */
         Thread *caller = nullptr;
+        /** The slot queued behind this one in its shard's ring. */
+        Rpc *next = nullptr;
     };
 
     /** One core's slice of a VM's RPC machinery. */
     struct Shard
     {
-        std::deque<Rpc *> ring; ///< the shared-memory request ring
+        /** The shared-memory request ring: a FIFO threaded through
+         *  the submitters' on-stack slots, so queueing allocates
+         *  nothing. */
+        Rpc *head = nullptr;
+        Rpc *tail = nullptr;
+        std::size_t depth = 0; ///< slots queued in the ring
         std::unique_ptr<WaitQueue> serverIdle;
         std::vector<Thread *> pool; ///< this shard's server threads
         int busy = 0;               ///< servers inside an RPC body
         std::size_t ringHighWater = 0;
-        /** When this shard's doorbell last rang (coalescing window). */
-        Cycles lastDoorbell = 0;
         /** A policy swap throttled this VM's inbound edges: elastic
          *  servers retire on their first idle observation instead of
          *  riding out the full grace period. */
         bool fastRetire = false;
+
+        bool empty() const { return head == nullptr; }
+
+        void
+        push(Rpc *rpc)
+        {
+            rpc->next = nullptr;
+            (tail ? tail->next : head) = rpc;
+            tail = rpc;
+            ++depth;
+        }
+
+        Rpc *
+        pop()
+        {
+            Rpc *rpc = head;
+            head = rpc->next;
+            if (!head)
+                tail = nullptr;
+            --depth;
+            return rpc;
+        }
     };
 
     struct Vm
@@ -635,7 +643,7 @@ class EptBackend : public IsolationBackend
         auto &m = img.machine();
         auto &sh = vms[vmId].shards[shardIdx];
         while (!stopping) {
-            if (sh.ring.empty()) {
+            if (sh.empty()) {
                 // Busy-wait in the paper; cooperatively idle here (the
                 // MONITOR/MWAIT variant it also describes). Elastic
                 // servers idle with a deadline: one that sees no work
@@ -644,7 +652,7 @@ class EptBackend : public IsolationBackend
                 if (elastic) {
                     bool woken = img.scheduler().blockFor(
                         *sh.serverIdle, elasticRetireNs);
-                    if ((!woken || sh.fastRetire) && sh.ring.empty() &&
+                    if ((!woken || sh.fastRetire) && sh.empty() &&
                         !stopping) {
                         auto &pool = sh.pool;
                         pool.erase(std::remove(pool.begin(), pool.end(),
@@ -661,8 +669,7 @@ class EptBackend : public IsolationBackend
                 }
                 continue;
             }
-            Rpc *rpc = sh.ring.front();
-            sh.ring.pop_front();
+            Rpc *rpc = sh.pop();
 
             // The RPC server checks the function is a legal API entry
             // point before executing it (paper 4.2). Image::checkEntry

@@ -71,21 +71,6 @@ const EnumName<RateOverflow> overflowNames[] = {
      "fail the crossing with a ThrottledCrossing error"},
 };
 
-const EnumName<GateElide> elideNames[] = {
-    {GateElide::None, "none", "never skip a leg (full-strength policy)"},
-    {GateElide::Validate, "validate",
-     "skip the entry-validation charge on same-boundary streaks"},
-    {GateElide::Scrub, "scrub",
-     "skip the return-path register scrub on same-boundary streaks"},
-    {GateElide::Both, "both", "skip both legs on same-boundary streaks"},
-};
-
-const EnumName<NicSteering> steeringNames[] = {
-    {NicSteering::Rss, "rss",
-     "hash each connection's 4-tuple to one per-core receive queue"},
-    {NicSteering::Single, "single", "funnel every flow through queue 0"},
-};
-
 const EnumName<MpkGateFlavor> flavorNames[] = {
     {MpkGateFlavor::Light, "light",
      "shared stack and registers; a raw wrpkru pair (ERIM-like)"},
@@ -185,18 +170,6 @@ const char *
 stackSharingName(StackSharing s)
 {
     return nameOf(stackSharingNames, s);
-}
-
-const char *
-steeringName(NicSteering s)
-{
-    return nameOf(steeringNames, s);
-}
-
-const char *
-elideName(GateElide e)
-{
-    return nameOf(elideNames, e);
 }
 
 Hardening
@@ -419,14 +392,6 @@ boundaryKeys()
             "Refill window of the `rate` token bucket, in virtual cycles. "
             "Default: 1000000."),
         boundaryKey(
-            "weight", &BoundaryRule::weight, &GatePolicy::weight,
-            count("<factor>", 6),
-            "QoS weight of the edge's token bucket: the effective budget "
-            "is `rate` x `weight`, biasing boundaries that inherit a "
-            "shared wildcard `rate:` instead of starving callers "
-            "FIFO-less. Throttled crossings also count in the edge's "
-            "`throttled` cell of `Image::ledger()`. Default: 1."),
-        boundaryKey(
             "overflow", &BoundaryRule::overflow, &GatePolicy::overflow,
             oneOf(overflowNames),
             "What a crossing beyond the `rate` budget does: stall the "
@@ -448,23 +413,6 @@ boundaryKeys()
             "call vectors; plain gates and the in-lwip RX poller never "
             "batch. Performance-only — throttle budgets are still debited "
             "per logical call. Default: 1 (no batching)."),
-        boundaryKey(
-            "coalesce", &BoundaryRule::coalesce, &GatePolicy::coalesce,
-            count("<vcycles>", 12),
-            "Doorbell-coalescing window for EPT edges under back-pressure: "
-            "a submission finding the ring non-empty within this many "
-            "vcycles of the last doorbell skips the doorbell (the ringing "
-            "server drains the slot) and bumps `gate.coalesced`. "
-            "Default: 0 (ring every time)."),
-        boundaryKey(
-            "elide", &BoundaryRule::elide, &GatePolicy::elide,
-            oneOf(elideNames),
-            "Skip entry-validation and/or return-scrub legs for "
-            "consecutive same-boundary calls from the same thread; the "
-            "streak resets on any intervening crossing, so the first call "
-            "of every run pays the full legs. Strictly less safe than the "
-            "default. Elided legs bump `gate.elided.validate` / "
-            "`gate.elided.scrub`. Default: none."),
         boundaryKey(
             "adaptive", &BoundaryRule::adaptive, &GatePolicy::adaptive,
             boolean(),
@@ -666,8 +614,6 @@ GatePolicy::name() const
         s += "+rate(" + std::to_string(rate);
         if (rateWindow != defaultRateWindow)
             s += "/" + std::to_string(rateWindow);
-        if (weight != 1)
-            s += ",w" + std::to_string(weight);
         if (overflow == RateOverflow::Fail)
             s += ",fail";
         s += ")";
@@ -676,10 +622,6 @@ GatePolicy::name() const
         s += std::string("+stack=") + stackSharingName(stackSharing);
     if (batch > 1)
         s += "+batch(" + std::to_string(batch) + ")";
-    if (coalesce)
-        s += "+coalesce(" + std::to_string(coalesce) + ")";
-    if (elide != GateElide::None)
-        s += std::string("+elide=") + elideName(elide);
     if (adaptive)
         s += "+adaptive";
     return s;
@@ -862,29 +804,11 @@ SafetyConfig::parse(const std::string &text)
         fatal_if(section == Section::None, "config line ", lineNo, ": '",
                  key, "' outside any section");
 
-        // Legacy global knob, accepted anywhere a top-level key could
-        // appear: desugars to a ('*','*') flavour rule so old configs
-        // keep parsing while the matrix is the only policy source.
+        // The SMP knob, accepted anywhere a top-level key could appear.
         bool topLevel = !isItem && current == nullptr;
-        if (topLevel && key == "mpk_gate") {
-            BoundaryRule rule;
-            rule.from = "*";
-            rule.to = "*";
-            rule.flavor =
-                parseEnum(flavorNames, value, {lineNo, "mpk_gate"});
-            cfg.boundaries.push_back(std::move(rule));
-            continue;
-        }
-
-        // SMP knobs, accepted in the same top-level positions.
         if (topLevel && key == "cores") {
             cfg.cores = static_cast<unsigned>(
                 parseCount(value, {lineNo, "cores"}, 3));
-            continue;
-        }
-        if (topLevel && key == "steering") {
-            cfg.steering =
-                parseEnum(steeringNames, value, {lineNo, "steering"});
             continue;
         }
 
@@ -905,7 +829,8 @@ SafetyConfig::parse(const std::string &text)
             }
         } else if (section == Section::Boundaries) {
             fatal_if(!isItem, "config line ", lineNo,
-                     ": boundaries entries are '- from -> to: {...}'");
+                     ": boundaries entries are '- from -> to: {...}', "
+                     "got '", line, "'");
             cfg.boundaries.push_back(
                 parseBoundaryRule(key, value, lineNo));
         } else if (section == Section::Controller) {
@@ -1002,8 +927,6 @@ SafetyConfig::toText() const
             << "\n";
     if (cores != 1)
         oss << "cores: " << cores << "\n";
-    if (steering != NicSteering::Rss)
-        oss << "steering: " << steeringName(steering) << "\n";
     if (controller) {
         // All keys are serialized explicitly: section presence alone
         // enables the controller, so a default-valued key costs
@@ -1119,23 +1042,11 @@ configKeyReference()
                        "edges are never relaxed online."});
         for (const ControllerKey &ck : controllerKeys)
             out.push_back({"controller", ck.key, ck.values, ck.doc});
-        out.push_back({"(top level)", "mpk_gate",
-                       joinNames(flavorNames, " | "),
-                       "Legacy global MPK flavour knob; desugars to a "
-                       "`'*' -> '*': {gate: ...}` rule. Prefer "
-                       "`boundaries:`."});
         out.push_back({"(top level)", "cores", "<count>",
                        "Simulated cores the image boots; each gets its "
                        "own run queue, NIC receive queue and poller. "
                        "`cores: 1` is the exact single-core model. "
                        "Default: 1."});
-        out.push_back({"(top level)", "steering",
-                       joinNames(steeringNames, " | "),
-                       "Flow steering across cores: hash each "
-                       "connection's 4-tuple to a per-core queue (rss) "
-                       "or funnel everything through queue 0 (single). "
-                       "Only meaningful when cores > 1. Default: "
-                       "rss."});
         return out;
     }();
     return ref;
@@ -1203,9 +1114,7 @@ configReferenceMarkdown()
     enumSection(oss, "Hardening", hardeningNames);
     enumSection(oss, "Stack sharing", stackSharingNames);
     enumSection(oss, "Rate overflow", overflowNames);
-    enumSection(oss, "Gate elision", elideNames);
     enumSection(oss, "MPK gate flavour", flavorNames);
-    enumSection(oss, "NIC steering", steeringNames);
 
     oss << "\n## Checking a configuration\n\n";
     oss << "`tools/config_lint` parses and validates embedded configs "

@@ -90,33 +90,6 @@ enum class RateOverflow
 };
 
 /**
- * How the NIC spreads received flows across cores on a multi-core
- * image (`steering:` key): RSS hashes each connection's 4-tuple to one
- * of per-core receive queues, `single` funnels everything through
- * queue 0 (the single-core data path, kept as a control knob).
- */
-enum class NicSteering
-{
-    Rss,
-    Single,
-};
-
-/**
- * Which per-crossing safety legs a boundary may skip for consecutive
- * same-boundary calls from the same thread (`elide:` key). The streak
- * resets on any intervening crossing of a *different* boundary, so the
- * first call after a boundary change always pays the full legs.
- * Strictly less safe than None — the explore poset orders it so.
- */
-enum class GateElide
-{
-    None,     ///< never skip (the default, full-strength policy)
-    Validate, ///< skip the entry-validation charge on streaks
-    Scrub,    ///< skip the return-path register scrub on streaks
-    Both,     ///< skip both legs on streaks
-};
-
-/**
  * Parse helpers for the enums: canonical names and aliases in any case
  * are accepted, and an unknown name is fatal, listing the accepted ones.
  */
@@ -127,20 +100,6 @@ Hardening hardeningFromName(const std::string &name);
 const char *hardeningName(Hardening h);
 StackSharing stackSharingFromName(const std::string &name);
 const char *stackSharingName(StackSharing s);
-const char *steeringName(NicSteering s);
-const char *elideName(GateElide e);
-
-/** Whether an elide mode covers entry validation / return scrubbing. */
-inline bool
-elidesValidate(GateElide e)
-{
-    return e == GateElide::Validate || e == GateElide::Both;
-}
-inline bool
-elidesScrub(GateElide e)
-{
-    return e == GateElide::Scrub || e == GateElide::Both;
-}
 
 /**
  * Whether a mechanism's compartments occupy an MPK protection key in
@@ -233,21 +192,13 @@ struct GatePolicy
     /**
      * Crossing budget: at most `rate` crossings per `rateWindow`
      * virtual cycles (token bucket), 0 = unlimited. Overflowing
-     * crossings bump `gate.throttled` and either stall until a token
-     * refills or fail with ThrottledCrossing, per `overflow`.
+     * crossings bump `gate.throttled` and the edge's `throttled` cell
+     * of Image::ledger(), and either stall until a token refills or
+     * fail with ThrottledCrossing, per `overflow`.
      */
     std::uint64_t rate = 0;
     std::uint64_t rateWindow = defaultRateWindow;
     RateOverflow overflow = RateOverflow::Stall;
-
-    /**
-     * QoS weight of the edge's token bucket (`weight:` key): the
-     * effective budget is rate x weight, so boundaries sharing a
-     * wildcard `rate:` can be biased per caller instead of starving
-     * FIFO-less. Throttled crossings also count in the edge's
-     * `throttled` cell of Image::ledger(). Default 1 (no bias).
-     */
-    std::uint64_t weight = 1;
 
     /**
      * How shared stack variables are materialized for frames opened
@@ -267,23 +218,6 @@ struct GatePolicy
      * vcycle-identical to the unbatched gate by construction.
      */
     std::uint64_t batch = 1;
-
-    /**
-     * Doorbell-coalescing window in virtual cycles (`coalesce:` key,
-     * EPT boundaries under back-pressure): a submission that finds the
-     * ring non-empty within this window of the last doorbell skips the
-     * doorbell — the already-ringing server will drain the slot. 0 =
-     * ring every time.
-     */
-    std::uint64_t coalesce = 0;
-
-    /**
-     * Skip entry-validation and/or return-scrub legs for consecutive
-     * same-boundary calls from the same thread (`elide:` key). The
-     * streak resets on any intervening crossing, so the first call of
-     * every run pays the full legs. Strictly less safe than None.
-     */
-    GateElide elide = GateElide::None;
 
     /**
      * Opt this edge into online policy adaptation (`adaptive:` key):
@@ -317,14 +251,11 @@ struct BoundaryRule
     std::optional<bool> deny;            ///< `deny: true|false`
     std::optional<std::uint64_t> rate;   ///< `rate: N` (crossings)
     std::optional<std::uint64_t> window; ///< `window: N` (vcycles)
-    std::optional<std::uint64_t> weight; ///< `weight: N` (QoS bias)
     std::optional<RateOverflow> overflow; ///< `overflow: stall|fail`
     /** `stack_sharing: heap|dss|shared-stack` */
     std::optional<StackSharing> stackSharing;
-    std::optional<std::uint64_t> batch;    ///< `batch: N` (calls/gate)
-    std::optional<std::uint64_t> coalesce; ///< `coalesce: N` (vcycles)
-    std::optional<GateElide> elide; ///< `elide: validate|scrub|both|none`
-    std::optional<bool> adaptive;   ///< `adaptive: true|false`
+    std::optional<std::uint64_t> batch; ///< `batch: N` (calls/gate)
+    std::optional<bool> adaptive;       ///< `adaptive: true|false`
 
     /** "from -> to", for error messages. */
     std::string edgeName() const { return from + " -> " + to; }
@@ -438,10 +369,7 @@ struct SafetyConfig
      */
     std::map<std::string, std::vector<Hardening>> libHardening;
 
-    /**
-     * Per-boundary policy overrides in declaration order. The legacy
-     * global `mpk_gate:` knob desugars to a ('*','*') flavour rule.
-     */
+    /** Per-boundary policy overrides in declaration order. */
     std::vector<BoundaryRule> boundaries;
 
     /**
@@ -464,12 +392,6 @@ struct SafetyConfig
      * single-core model every earlier config ran under.
      */
     unsigned cores = 1;
-
-    /**
-     * Flow steering across cores (`steering:`); only meaningful when
-     * cores > 1. Default RSS.
-     */
-    NicSteering steering = NicSteering::Rss;
 
     /**
      * Runtime policy controller (`controller:` section). Engaged when

@@ -156,12 +156,10 @@ Image::enforceBoundary(int from, int to, const GatePolicy &pol)
 
     // Token bucket in virtual time: `rate` tokens per `rateWindow`
     // vcycles, starting full. The refill is fractional so a budget of
-    // N/window behaves identically to k*N/(k*window). The policy's QoS
-    // weight scales the edge's effective budget, so boundaries
-    // inheriting one wildcard `rate:` can be biased per caller.
+    // N/window behaves identically to k*N/(k*window).
     GateBucket &b = gateBuckets[cell];
     Cycles now = mach.cycles();
-    double rate = static_cast<double>(pol.rate * pol.weight);
+    double rate = static_cast<double>(pol.rate);
     if (!b.primed) {
         b.tokens = rate;
         b.primed = true;
@@ -174,8 +172,7 @@ Image::enforceBoundary(int from, int to, const GatePolicy &pol)
 
     if (b.tokens < 1.0) {
         mach.bump(Counter::GateThrottled);
-        // Per-edge breakdown: who is being back-pressured matters for
-        // QoS tuning (which `weight:` to raise).
+        // Per-edge breakdown: which boundary is being back-pressured.
         ++boundaryLedger[cell].throttled;
         if (pol.overflow == RateOverflow::Fail)
             throw ThrottledCrossing(
@@ -193,45 +190,6 @@ Image::enforceBoundary(int from, int to, const GatePolicy &pol)
         b.lastRefill = mach.cycles();
     }
     b.tokens -= 1.0;
-}
-
-bool
-Image::noteBoundaryStreak(int from, int to)
-{
-    Thread *t = sched.current();
-    int id = t ? t->id() : -1;
-    auto key = std::make_pair(from, to);
-    auto [it, inserted] = lastBoundary.try_emplace(id, key);
-    if (inserted)
-        return false;
-    bool same = it->second == key;
-    it->second = key;
-    return same;
-}
-
-const GatePolicy &
-Image::applyElision(int from, int to, const GatePolicy &pol,
-                    GatePolicy &scratch)
-{
-    bool streak = noteBoundaryStreak(from, to);
-    if (pol.validateEntry) {
-        if (streak && elidesValidate(pol.elide)) {
-            mach.bump(Counter::GateElidedValidate);
-        } else {
-            // Policy-forced caller-side entry validation: one probe
-            // of the callee's export table, whatever the mechanism's
-            // own rule (the functional check is in checkEntry).
-            mach.consume(mach.timing.entryValidate);
-            mach.bump(Counter::GateValidate);
-        }
-    }
-    if (streak && elidesScrub(pol.elide) && pol.scrubReturn) {
-        scratch = pol;
-        scratch.scrubReturn = false;
-        mach.bump(Counter::GateElidedScrub);
-        return scratch;
-    }
-    return pol;
 }
 
 void
@@ -254,12 +212,17 @@ Image::crossChunk(const GateSite &site, int from, int to,
     const GatePolicy &pol = policyFor(from, to);
     for (std::size_t j = 0; j < k; ++j)
         enforceBoundary(from, to, pol);
-    GatePolicy scratch;
-    const GatePolicy &eff = applyElision(from, to, pol, scratch);
+    if (pol.validateEntry) {
+        // Policy-forced caller-side entry validation: one probe of the
+        // callee's export table, whatever the mechanism's own rule (the
+        // functional check is in checkEntry).
+        mach.consume(mach.timing.entryValidate);
+        mach.bump(Counter::GateValidate);
+    }
     checkEntry(site, from, to, pol);
     noteCoreMigration(to);
     IsolationBackend &be = backendOf(pol.mech);
-    // `pol`/`eff` reference cells of the live matrix; the scope keeps
+    // `pol` references a cell of the live matrix; the scope keeps
     // swapGateMatrix from replacing it while the crossing (which may
     // suspend inside an EPT ring RPC) is in flight.
     CrossingScope xing(*this);
@@ -270,7 +233,7 @@ Image::crossChunk(const GateSite &site, int from, int to,
     // Every call past enforcement counts once, here, whichever backend
     // carries it — also the calls of a vector a throwing body aborts.
     boundaryLedger[boundaryIndex(from, to)].crossings += k;
-    be.crossCall(*this, to, eff, site, bodies, k);
+    be.crossCall(*this, to, pol, site, bodies, k);
     noteReturn(pol);
 }
 
@@ -412,7 +375,6 @@ Image::shutdown()
         (*it)->shutdown(*this);
     sched.removeThreadExitListener(threadExitListener);
     threadExitListener = -1;
-    lastBoundary.clear();
     unregisterRegions();
     booted = false;
 }
@@ -651,7 +613,6 @@ Image::reapSimStacks(int threadId)
         it = simStacks.erase(it);
         mach.bump(Counter::ImageSimStackReaps);
     }
-    lastBoundary.erase(threadId);
 }
 
 std::string
@@ -779,15 +740,10 @@ Image::swapGateMatrix(GateMatrix next)
                 gates.at(static_cast<int>(f), static_cast<int>(t));
             const GatePolicy &op =
                 old.at(static_cast<int>(f), static_cast<int>(t));
-            if (np.rate != op.rate || np.rateWindow != op.rateWindow ||
-                np.weight != op.weight)
+            if (np.rate != op.rate || np.rateWindow != op.rateWindow)
                 gateBuckets[f * n + t] = GateBucket{};
         }
     }
-
-    // Elision streaks are a same-policy-run optimisation; they do not
-    // survive an epoch whose policies may differ.
-    lastBoundary.clear();
 
     ackCoresAfterSwap();
 

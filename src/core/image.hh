@@ -585,27 +585,6 @@ class Image
     void registerRegions();
     void unregisterRegions();
 
-    /**
-     * Elision streak accounting + the entry-validate leg: records the
-     * calling thread's (from, to) crossing, and when the previous
-     * crossing was this same boundary and the policy elides legs,
-     * returns a policy copy (in `scratch`) with the elided legs
-     * dropped (`gate.elided.validate` / `gate.elided.scrub`). The
-     * validate charge is made here either way; with `elide: none`
-     * (the default) the returned policy is `pol` itself and the
-     * charges are exactly the pre-batching gate's.
-     */
-    const GatePolicy &applyElision(int from, int to,
-                                   const GatePolicy &pol,
-                                   GatePolicy &scratch);
-
-    /**
-     * Whether the calling thread's previous crossing was this same
-     * boundary; records (from, to) either way so any intervening
-     * crossing resets every other boundary's streak. Charge-free.
-     */
-    bool noteBoundaryStreak(int from, int to);
-
     /** Token bucket of one rate-limited boundary (vcycle refill). */
     struct GateBucket
     {
@@ -702,8 +681,6 @@ class Image
     std::vector<GateBucket> gateBuckets;
     /** Core each compartment last executed on (-1 = never entered). */
     std::vector<int> compLastCore;
-    /** Per-thread (from, to) of the last crossing (`elide:` streaks). */
-    std::map<int, std::pair<int, int>> lastBoundary;
 
     std::map<std::pair<int, int>, SimStack> simStacks;
     /** Row-major [from * n + to] per-boundary ledger (ledger()). */

@@ -161,14 +161,6 @@ compareSafety(const ConfigPoint &a, const ConfigPoint &b)
         acc = combine(acc, comparable && aSubset, comparable && bSubset);
     }
 
-    // 3d) Per-crossing work elision: skipping entry validation or
-    // return scrubbing on repeated crossings weakens the boundary, so
-    // eliding a subset of another config's work is safer — a ≤ b iff
-    // b's elided set is contained in a's. gateBatch, like cores, is
-    // performance-only and deliberately left out of the order.
-    acc = combine(acc, (a.elided & b.elided) == b.elided,
-                  (a.elided & b.elided) == a.elided);
-
     // 4) Data-isolation strength.
     acc = combine(acc, a.sharingRank <= b.sharingRank,
                   b.sharingRank <= a.sharingRank);

@@ -70,15 +70,6 @@ struct ConfigPoint
     int gateBatch = 1;
 
     /**
-     * Crossing-work elided on repeated same-boundary calls (the
-     * `elide:` knob): bit 0 = entry validation, bit 1 = return-side
-     * scrubbing. Unlike batching this weakens the protection state,
-     * so the subset order ranks it — a config eliding a strict
-     * superset of another's per-crossing work is strictly LESS safe.
-     */
-    unsigned elided = 0;
-
-    /**
      * Least-privilege dimension: ordered (from, to) partition-block
      * edges the configuration denies (`deny: true` boundary rules).
      * Denying more edges shrinks the reachable call graph, so the

@@ -46,17 +46,8 @@ mechanismOfRank(int rank)
     return byRank[rank];
 }
 
-/** Elide mode of an elided-work mask (bit 0 validate, bit 1 scrub). */
-GateElide
-elideOfMask(unsigned mask)
-{
-    static const GateElide byMask[] = {GateElide::None, GateElide::Validate,
-                                       GateElide::Scrub, GateElide::Both};
-    return byMask[mask & 3];
-}
-
 /** The dimensions of the configuration space the wayfinder sweeps. */
-enum class Dim { Hardening, Mechanism, Flavour, Deny, Elide, Batch };
+enum class Dim { Hardening, Mechanism, Flavour, Deny, Batch };
 
 /**
  * One swept dimension, instantiated for a partition: `choices`
@@ -150,14 +141,6 @@ axis(Dim dim, const std::vector<int> &partition, const std::string &appLib)
                 },
                 popcount};
       }
-      case Dim::Elide:
-        // Elided crossing work (bit 0 validation, bit 1 scrub), listed
-        // by work kept: both, validate, scrub, none.
-        return {"elide", 4,
-                [](ConfigPoint &p, std::size_t set) {
-                    p.elided = static_cast<unsigned>(set);
-                },
-                [](std::size_t set) { return 2 - popcount(set); }};
       case Dim::Batch:
         return {"batch", 3,
                 [](ConfigPoint &p, std::size_t i) {
@@ -231,7 +214,7 @@ gateFlavorSpace()
 std::vector<ConfigPoint>
 batchingSpace()
 {
-    return productSpace({Dim::Batch, Dim::Elide});
+    return productSpace({Dim::Batch});
 }
 
 std::vector<ConfigPoint>
@@ -340,8 +323,7 @@ prunedBoundarySweep(const std::vector<int> &partition,
     std::vector<Axis> axes;
     std::vector<std::vector<std::size_t>> listing;
     std::vector<ProductDimension> dims;
-    for (Dim d : {Dim::Mechanism, Dim::Flavour, Dim::Deny, Dim::Elide,
-                  Dim::Batch}) {
+    for (Dim d : {Dim::Mechanism, Dim::Flavour, Dim::Deny, Dim::Batch}) {
         Axis a = axis(d, partition, appLib);
         std::vector<std::size_t> order(a.choices);
         std::iota(order.begin(), order.end(), 0);
@@ -450,20 +432,11 @@ toSafetyConfig(const ConfigPoint &point, const std::string &appLib)
         rules.push_back("- comp" + std::to_string(f + 1) + " -> comp" +
                         std::to_string(t + 1) + ": {deny: true}");
     }
-    // Vectored-crossing knobs apply image-wide: one least-specific
-    // wildcard rule that every exact/deny rule above still overrides.
-    if (point.gateBatch > 1 || point.elided != 0) {
-        std::string knobs;
-        if (point.gateBatch > 1)
-            knobs += "batch: " + std::to_string(point.gateBatch);
-        if (point.elided != 0) {
-            if (!knobs.empty())
-                knobs += ", ";
-            knobs += std::string("elide: ") +
-                     elideName(elideOfMask(point.elided));
-        }
-        rules.push_back("- '*' -> '*': {" + knobs + "}");
-    }
+    // The batch width applies image-wide: one least-specific wildcard
+    // rule that every exact/deny rule above still overrides.
+    if (point.gateBatch > 1)
+        rules.push_back("- '*' -> '*': {batch: " +
+                        std::to_string(point.gateBatch) + "}");
     if (!rules.empty()) {
         cfg << "boundaries:\n";
         for (const std::string &r : rules)
@@ -537,8 +510,6 @@ pointLabel(const ConfigPoint &point, const std::string &appLib)
         oss << " x" << point.cores << "cores";
     if (point.gateBatch > 1)
         oss << " batch" << point.gateBatch;
-    if (point.elided)
-        oss << " elide:" << elideName(elideOfMask(point.elided));
     return oss.str();
 }
 

@@ -33,9 +33,9 @@ const std::vector<std::vector<int>> &fig6Partitions();
 
 /*
  * The sweep spaces below each cross the five Figure 8 partitions with
- * one or two dimensions of a single axis catalogue (wayfinder.cc):
- * hardening mask, per-block mechanism, per-block gate flavour,
- * deniable-edge subset, elide set and batch width. Every other knob
+ * one dimension of a single axis catalogue (wayfinder.cc): hardening
+ * mask, per-block mechanism, per-block gate flavour, deniable-edge
+ * subset or batch width. Every other knob
  * stays at the base point — all-MPK, DSS, no hardening.
  */
 
@@ -69,11 +69,9 @@ requiredBlockEdges(const std::vector<int> &partition,
                    const std::string &appLib);
 
 /**
- * The vectored-crossing dimension: gate batch widths {1, 4, 8} crossed
- * with elision sets {none, validate, scrub, both}, applied image-wide
- * as a `'*' -> '*'` boundary rule. Batch width is performance-only;
- * the elided set orders points by subset (eliding more per-crossing
- * work is strictly less safe).
+ * The vectored-crossing dimension: gate batch widths {1, 4, 8},
+ * applied image-wide as a `'*' -> '*'` boundary rule. Batch width is
+ * performance-only, so no two of these points are ordered by safety.
  */
 std::vector<ConfigPoint> batchingSpace();
 
@@ -116,7 +114,7 @@ std::size_t explorePrunedProduct(
 
 /**
  * Per-block mechanisms × per-block gate flavours × deniable-edge
- * subsets × elide sets × batch widths for one Figure 8 partition,
+ * subsets × batch widths for one Figure 8 partition,
  * wired through explorePrunedProduct so the product is never
  * materialized. The axes are the spaces' own; each axis's order is
  * compareSafety restricted to it (equality for batch width). Points
@@ -146,8 +144,8 @@ leastPrivilegeSpace(const std::string &appLib = "libredis");
  * one mechanism per compartment (none/intel-mpk/vm-ept/cheri by
  * rank); points carrying blockGateFlavor emit a `boundaries:` section
  * with one wildcard rule per light block; deniedEdges add one
- * `deny: true` rule per edge; gateBatch > 1 and a non-empty elided
- * set emit an image-wide `'*' -> '*'` batch/elide rule.
+ * `deny: true` rule per edge; gateBatch > 1 emits an image-wide
+ * `'*' -> '*'` batch rule.
  */
 SafetyConfig toSafetyConfig(const ConfigPoint &point,
                             const std::string &appLib);

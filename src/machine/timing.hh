@@ -72,12 +72,6 @@ struct TimingModel
      * amortized over the whole batch.
      */
     Cycles batchSlot = 6;
-    /**
-     * The doorbell component of an EPT submission: the ring notify
-     * (VMCALL-style kick) that wakes an idle server. Coalesced
-     * submissions under back-pressure skip exactly this term.
-     */
-    Cycles eptDoorbell = 24;
     /** @} */
 
     /**

@@ -267,8 +267,8 @@ TEST(AnalysisEscape, ClassifiesLeakyFixtureLibrary)
 
 // The paper's section-7 story with every mistake the auditor exists
 // to catch: the untrusted parser is compartmentalized but leaks a
-// global, and the boundary out of the netstack disables scrubbing,
-// elides legs, and validates nothing.
+// global, and the boundary out of the netstack disables scrubbing and
+// validates nothing.
 const char *seededViolation = R"(
 compartments:
 - app:
@@ -286,7 +286,7 @@ libraries:
 - libopenjpg: jail
 - lwip: net
 boundaries:
-- net -> app: {scrub: false, elide: scrub}
+- net -> app: {scrub: false}
 )";
 
 TEST_F(AnalysisFixture, SeededViolationConfigReportsAllThreePasses)
@@ -304,14 +304,11 @@ TEST_F(AnalysisFixture, SeededViolationConfigReportsAllThreePasses)
     ASSERT_EQ(unscrubbed.size(), 1u);
     EXPECT_EQ(unscrubbed[0]->from, "net");
     EXPECT_EQ(unscrubbed[0]->to, "app");
-    auto elided = byCode(r, "elided-net-boundary");
-    ASSERT_EQ(elided.size(), 1u);
-    EXPECT_EQ(elided[0]->from, "net");
     // Every allowed pair is net-reachable and unvalidated.
     EXPECT_EQ(byCode(r, "unvalidated-net-boundary").size(), 6u);
     EXPECT_EQ(byCode(r, "unthrottled-external-edge").size(), 2u);
 
-    EXPECT_EQ(r.countOf(Severity::Error), 3u);
+    EXPECT_EQ(r.countOf(Severity::Error), 2u);
 
     // The suggested ruleset is exactly the statically-unneeded pairs.
     std::vector<std::pair<std::string, std::string>> want = {

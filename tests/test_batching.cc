@@ -1,12 +1,11 @@
 /**
  * @file
- * Vectored-crossing tests: `batch:` / `coalesce:` / `elide:` knob
- * parse + toText round-trip and wildcard layering, the batch: 1
- * vcycle-identity regression, exact chunk arithmetic (one gate plus
- * per-slot dispatch), per-logical-call throttle debiting, elision
- * streaks resetting on interleaved boundaries, a `batch:` RX boundary
- * leaving a deployment's traffic untouched, and the monotone
- * product-space pruner against brute force.
+ * Vectored-crossing tests: `batch:` knob parse + toText round-trip
+ * and wildcard layering, the batch: 1 vcycle-identity regression,
+ * exact chunk arithmetic (one gate plus per-slot dispatch),
+ * per-logical-call throttle debiting, a `batch:` RX boundary leaving
+ * a deployment's traffic untouched, and the monotone product-space
+ * pruner against brute force.
  */
 
 #include <gtest/gtest.h>
@@ -64,30 +63,25 @@ libraries:
 - libredis: app
 - lwip: net
 boundaries:
-- app -> net: {batch: 8, coalesce: 2000}
-- net -> app: {elide: scrub}
+- app -> net: {batch: 8}
+- net -> app: {stack_sharing: heap}
 )";
     SafetyConfig cfg = SafetyConfig::parse(text);
     ASSERT_EQ(cfg.boundaries.size(), 2u);
     EXPECT_EQ(cfg.boundaries[0].batch, 8u);
-    EXPECT_EQ(cfg.boundaries[0].coalesce, 2000u);
-    EXPECT_FALSE(cfg.boundaries[0].elide.has_value());
-    EXPECT_EQ(cfg.boundaries[1].elide, GateElide::Scrub);
+    EXPECT_FALSE(cfg.boundaries[1].batch.has_value());
 
     SafetyConfig again = SafetyConfig::parse(cfg.toText());
     EXPECT_EQ(again.boundaries, cfg.boundaries);
     GateMatrix m = GateMatrix::build(again);
     EXPECT_EQ(m.at(0, 1).batch, 8u);
-    EXPECT_EQ(m.at(0, 1).coalesce, 2000u);
-    EXPECT_EQ(m.at(1, 0).elide, GateElide::Scrub);
-    // Untouched cells keep the full-strength defaults.
+    // Untouched cells keep the defaults.
     EXPECT_EQ(m.at(1, 0).batch, 1u);
-    EXPECT_EQ(m.at(0, 1).elide, GateElide::None);
+    EXPECT_EQ(m.at(1, 0).stackSharing, StackSharing::Heap);
+    EXPECT_EQ(m.at(0, 1).stackSharing, StackSharing::Dss);
     // The policy name carries the tuning for ledgers and docs.
     EXPECT_NE(m.at(0, 1).name().find("batch(8)"), std::string::npos);
-    EXPECT_NE(m.at(0, 1).name().find("coalesce(2000)"),
-              std::string::npos);
-    EXPECT_NE(m.at(1, 0).name().find("elide=scrub"), std::string::npos);
+    EXPECT_EQ(m.at(1, 0).name().find("batch"), std::string::npos);
 }
 
 TEST_F(BatchingFixture, BatchKnobsLayerBySpecificity)
@@ -108,23 +102,24 @@ libraries:
 - libredis: a
 boundaries:
 - '*' -> '*': {batch: 4}
-- '*' -> b: {batch: 8, elide: validate}
-- a -> b: {elide: both}
-- a -> '*': {coalesce: 500}
+- '*' -> b: {batch: 8, validate: true}
+- a -> b: {validate: false}
+- a -> '*': {scrub: false}
 )");
     GateMatrix m = GateMatrix::build(cfg);
-    // a -> c: global batch, caller-side coalesce.
+    // a -> c: global batch, caller-side scrub.
     EXPECT_EQ(m.at(0, 2).batch, 4u);
-    EXPECT_EQ(m.at(0, 2).coalesce, 500u);
-    EXPECT_EQ(m.at(0, 2).elide, GateElide::None);
-    // a -> b: callee-side batch beats global; exact elide beats the
-    // callee-side one; caller-side coalesce still layers in.
+    EXPECT_FALSE(m.at(0, 2).scrubReturn);
+    EXPECT_FALSE(m.at(0, 2).validateEntry);
+    // a -> b: callee-side batch beats global; exact validate beats the
+    // callee-side one; caller-side scrub still layers in.
     EXPECT_EQ(m.at(0, 1).batch, 8u);
-    EXPECT_EQ(m.at(0, 1).elide, GateElide::Both);
-    EXPECT_EQ(m.at(0, 1).coalesce, 500u);
+    EXPECT_FALSE(m.at(0, 1).validateEntry);
+    EXPECT_FALSE(m.at(0, 1).scrubReturn);
     // c -> b: callee-side only.
     EXPECT_EQ(m.at(2, 1).batch, 8u);
-    EXPECT_EQ(m.at(2, 1).elide, GateElide::Validate);
+    EXPECT_TRUE(m.at(2, 1).validateEntry);
+    EXPECT_TRUE(m.at(2, 1).scrubReturn);
 
     // Knob validation: batch: 0 is not a width, a denied edge has no
     // gate to tune, and equal-specificity disagreement is ambiguous.
@@ -144,8 +139,6 @@ boundaries:
     };
     EXPECT_THROW(parse("- a -> b: {batch: 0}\n"), FatalError);
     EXPECT_THROW(parse("- a -> b: {deny: true, batch: 8}\n"),
-                 FatalError);
-    EXPECT_THROW(parse("- a -> b: {deny: true, elide: both}\n"),
                  FatalError);
     EXPECT_THROW(GateMatrix::build(parse("- a -> b: {batch: 4}\n"
                                          "- a -> b: {batch: 8}\n")),
@@ -255,7 +248,6 @@ TEST_F(BatchingFixture, BatchOneIsVcycleIdenticalToSequentialGates)
         EXPECT_EQ(oneCounters, plainCounters);
         // No vectored-path artifacts exist at width 1.
         EXPECT_EQ(plainCounters.count("gate.batched"), 0u);
-        EXPECT_EQ(plainCounters.count("gate.coalesced"), 0u);
     }
 }
 
@@ -325,55 +317,6 @@ TEST_F(BatchingFixture, ThrottleDebitsPerLogicalCallNotPerDoorbell)
     img->shutdown();
 }
 
-// --------------------------------------------------- elision streaks
-
-TEST_F(BatchingFixture, ElisionStreakResetsOnInterleavedBoundary)
-{
-    // elide: both sheds the validate + scrub legs only on consecutive
-    // same-boundary calls; an intervening a -> c crossing breaks the
-    // streak so the next a -> b call pays both legs in full.
-    auto img = buildFrom(R"(
-compartments:
-- a:
-    mechanism: intel-mpk
-    default: True
-- b:
-    mechanism: intel-mpk
-- c:
-    mechanism: intel-mpk
-libraries:
-- libredis: a
-- lwip: b
-- uksched: c
-boundaries:
-- a -> b: {validate: true, elide: both}
-)");
-    Cycles elidedCost = 0, resetCost = 0;
-    bool done = false;
-    const GateSite recv = img->site("lwip", "recv");
-    img->spawnIn("libredis", "t", [&] {
-        img->gate(recv, [] {}); // streak opener, full price
-        Cycles t0 = mach.cycles();
-        img->gate(recv, [] {}); // streak: both legs elided
-        elidedCost = mach.cycles() - t0;
-        img->gate(img->site("uksched", "yield"), [] {}); // breaks the streak
-        t0 = mach.cycles();
-        img->gate(recv, [] {}); // full price again
-        resetCost = mach.cycles() - t0;
-        done = true;
-    });
-    sched.runUntil([&] { return done; });
-    ASSERT_TRUE(done);
-    // Exactly one elision of each leg happened, and the post-reset
-    // crossing is dearer by precisely those two charges.
-    EXPECT_EQ(mach.counter("gate.elided.validate"), 1u);
-    EXPECT_EQ(mach.counter("gate.elided.scrub"), 1u);
-    EXPECT_EQ(mach.counter("gate.validate"), 2u);
-    EXPECT_EQ(resetCost, elidedCost + mach.timing.entryValidate +
-                             mach.timing.registerSaveZero);
-    img->shutdown();
-}
-
 // ------------------------------------- batched RX drain end to end
 
 TEST(BatchedRxDrain, DeploymentDeliversAllBytesInOrder)
@@ -422,24 +365,11 @@ boundaries:
 
 // ------------------------------------------------ poset + pruning
 
-TEST(BatchingPoset, ElisionOrdersPointsBatchWidthDoesNot)
+TEST(BatchingPoset, BatchWidthDoesNotOrderPoints)
 {
     ConfigPoint base;
     base.partition = {0, 0, 0, 1};
     base.hardening.assign(4, 0);
-
-    ConfigPoint elided = base;
-    elided.elided = 3; // validate + scrub
-    EXPECT_EQ(compareSafety(elided, base), SafetyOrder::Less);
-    EXPECT_EQ(compareSafety(base, elided), SafetyOrder::Greater);
-
-    ConfigPoint scrubOnly = base;
-    scrubOnly.elided = 2;
-    EXPECT_EQ(compareSafety(scrubOnly, elided), SafetyOrder::Greater);
-    ConfigPoint validateOnly = base;
-    validateOnly.elided = 1;
-    EXPECT_EQ(compareSafety(validateOnly, scrubOnly),
-              SafetyOrder::Incomparable);
 
     // Batch width is performance-only, exactly like cores.
     ConfigPoint batched = base;
@@ -449,7 +379,7 @@ TEST(BatchingPoset, ElisionOrdersPointsBatchWidthDoesNot)
     // And the sweep space materializes valid configs end to end.
     for (const ConfigPoint &p : wayfinder::batchingSpace()) {
         SafetyConfig c = wayfinder::toSafetyConfig(p, "libredis");
-        if (p.gateBatch > 1 || p.elided != 0) {
+        if (p.gateBatch > 1) {
             ASSERT_FALSE(c.boundaries.empty());
             EXPECT_EQ(c.boundaries.back().from, "*");
         }

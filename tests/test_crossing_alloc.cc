@@ -2,9 +2,11 @@
  * @file
  * The crossing path allocates nothing: a steady-state MPK crossing
  * makes no heap allocation, and an EPT crossing stays far below one
- * (the remainder is std::deque node churn in the RPC ring and the run
- * queues). Counted with a replaced global operator new, which is why
- * these tests live in their own binary.
+ * (the RPC ring is threaded through the callers' on-stack slots; the
+ * remainder is std::deque node churn in the RPC servers' idle
+ * WaitQueue, one node per 64 server waits). Counted with a replaced
+ * global operator new, which is why these tests live in their own
+ * binary.
  *
  * Also pins the resolved gate site (Image::site): building one never
  * raises, and gating through it raises exactly what a crossing raised
@@ -71,7 +73,7 @@ namespace flexos {
 namespace {
 
 /** Crossings run before counting: first-crossing state (simulated
- *  stacks, streak records, ring and queue capacity) is built here. */
+ *  stacks and queue capacity) is built here. */
 constexpr std::uint64_t warmup = 1000;
 /** Crossings counted. */
 constexpr std::uint64_t measured = 10'000;
@@ -167,11 +169,11 @@ TEST_F(CrossingFixture, MpkLightCrossingsAllocateNothing)
     EXPECT_EQ(mach.counter("gate.mpk.light"), warmup + measured);
 }
 
-TEST_F(CrossingFixture, EptCrossingsAllocateUnderATenthPerCrossing)
+TEST_F(CrossingFixture, EptCrossingsAllocateUnderAFiftiethPerCrossing)
 {
     auto img = buildFrom(twoComp("vm-ept"));
     std::uint64_t allocs = allocsPerSteadyState(*img);
-    EXPECT_LT(allocs, measured / 10)
+    EXPECT_LT(allocs, measured / 50)
         << allocs << " allocations over " << measured << " crossings";
     EXPECT_EQ(mach.counter("gate.ept"), warmup + measured);
     img->shutdown();

@@ -188,10 +188,8 @@ TEST(Poset, CoverEdgesMatchBruteForceReduction)
             std::vector<unsigned> hard(4);
             for (unsigned &h : hard)
                 h = static_cast<unsigned>(rng.below(4));
-            ConfigPoint p = mk(part, hard, static_cast<int>(rng.below(4)),
-                               static_cast<int>(rng.below(3)));
-            p.elided = static_cast<unsigned>(rng.below(4));
-            poset.add(std::move(p));
+            poset.add(mk(part, hard, static_cast<int>(rng.below(4)),
+                         static_cast<int>(rng.below(3))));
         }
         expectCoversMatchBruteForce(poset);
     }
@@ -566,8 +564,8 @@ TEST(Wayfinder, LeastPrivilegeSpaceSkipsRequiredEdges)
 /**
  * Deterministic stand-in for a measurement in the pruned boundary
  * sweep: perf falls with every safety axis (mechanism rank sum, blocks
- * behind the DSS gate, denied edges, crossing legs kept rather than
- * elided) and does not depend on batch width.
+ * behind the DSS gate, denied edges) and does not depend on batch
+ * width.
  */
 double
 syntheticPerf(const ConfigPoint &p)
@@ -577,9 +575,8 @@ syntheticPerf(const ConfigPoint &p)
         mech += r;
     for (int f : p.blockGateFlavor)
         dss += f;
-    int kept = 2 - static_cast<int>((p.elided & 1) + (p.elided >> 1));
     return 100.0 - 10.0 * mech - 5.0 * dss -
-           5.0 * static_cast<double>(p.deniedEdges.size()) - 5.0 * kept;
+           5.0 * static_cast<double>(p.deniedEdges.size());
 }
 
 TEST(PrunedSweep, LwipSplitListingAndPruningArePinned)
@@ -596,11 +593,11 @@ TEST(PrunedSweep, LwipSplitListingAndPruningArePinned)
         },
         budget, accepted);
     EXPECT_EQ(evals, evaluated.size());
-    EXPECT_EQ(evals, 39u);
+    EXPECT_EQ(evals, 18u);
 
     // The accepted points in listing order: ascending index sum over
-    // mechanism x flavour x deny x elide x batch, each axis listed
-    // least safe first (elide: both, validate, scrub, none).
+    // mechanism x flavour x deny x batch, each axis listed least safe
+    // first.
     std::vector<std::string> labels;
     for (const ConfigPoint &p : accepted) {
         EXPECT_EQ(p.perf, syntheticPerf(p));
@@ -609,23 +606,17 @@ TEST(PrunedSweep, LwipSplitListingAndPruningArePinned)
         EXPECT_EQ(l.substr(0, axes), "app+newlib+uksched / lwip  [○○○○] ");
         labels.push_back(l.substr(axes));
     }
-    EXPECT_EQ(accepted.size(), 15u);
+    EXPECT_EQ(accepted.size(), 9u);
     EXPECT_EQ(labels, (std::vector<std::string>{
-        "{none/none} <light/light> elide:both",
-        "{none/none} <light/light> batch4 elide:both",
-        "{none/none} <light/light> elide:validate",
-        "{none/none} <dss/light> elide:both",
-        "{none/none} <light/light> batch8 elide:both",
-        "{none/none} <light/light> batch4 elide:validate",
-        "{none/none} <light/light> elide:scrub",
-        "{none/none} <dss/light> batch4 elide:both",
-        "{none/none} <light/dss> elide:both",
-        "{none/none} <light/light> batch8 elide:validate",
-        "{none/none} <light/light> batch4 elide:scrub",
-        "{none/none} <dss/light> batch8 elide:both",
-        "{none/none} <light/dss> batch4 elide:both",
-        "{none/none} <light/light> batch8 elide:scrub",
-        "{none/none} <light/dss> batch8 elide:both",
+        "{none/none} <light/light>",
+        "{none/none} <light/light> batch4",
+        "{none/none} <dss/light>",
+        "{none/none} <light/light> batch8",
+        "{none/none} <dss/light> batch4",
+        "{none/none} <light/dss>",
+        "{none/none} <dss/light> batch8",
+        "{none/none} <light/dss> batch4",
+        "{none/none} <light/dss> batch8",
     }));
 
     // Monotone pruning: once a point misses the budget, nothing that

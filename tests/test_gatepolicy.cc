@@ -134,29 +134,6 @@ boundaries:
               std::string("intel-mpk(dss)+validate-scrub"));
 }
 
-TEST_F(GatePolicyFixture, LegacyMpkGateKnobDesugarsToWildcardRule)
-{
-    SafetyConfig cfg = SafetyConfig::parse(R"(
-compartments:
-- c1:
-    mechanism: intel-mpk
-    default: True
-- c2:
-    mechanism: intel-mpk
-libraries:
-- libredis: c1
-- lwip: c2
-mpk_gate: light
-)");
-    ASSERT_EQ(cfg.boundaries.size(), 1u);
-    EXPECT_EQ(cfg.boundaries[0].from, "*");
-    EXPECT_EQ(cfg.boundaries[0].to, "*");
-    EXPECT_EQ(cfg.boundaries[0].flavor, MpkGateFlavor::Light);
-    GateMatrix m = GateMatrix::build(cfg);
-    EXPECT_EQ(m.at(0, 1).flavor, MpkGateFlavor::Light);
-    EXPECT_EQ(m.at(1, 0).flavor, MpkGateFlavor::Light);
-}
-
 TEST_F(GatePolicyFixture, ValidateRejectsBoundariesNamingUnknowns)
 {
     // lint-skip: intentionally invalid configuration.
@@ -972,14 +949,10 @@ struct ConfigGenerator
         maybe(r.deny, false);
         maybe(r.rate, pick<std::uint64_t>({1, 5, 7}));
         maybe(r.window, pick<std::uint64_t>({70, 1'000'000}));
-        maybe(r.weight, pick<std::uint64_t>({1, 3}));
         maybe(r.overflow, pick({RateOverflow::Stall, RateOverflow::Fail}));
         maybe(r.stackSharing, pick({StackSharing::Heap, StackSharing::Dss,
                                     StackSharing::SharedStack}));
         maybe(r.batch, pick<std::uint64_t>({1, 8}));
-        maybe(r.coalesce, pick<std::uint64_t>({1, 400}));
-        maybe(r.elide, pick({GateElide::None, GateElide::Validate,
-                             GateElide::Scrub, GateElide::Both}));
         maybe(r.adaptive, rng.chance(1, 2));
         return r;
     }
@@ -1012,7 +985,6 @@ struct ConfigGenerator
             cfg.libHardening["lwip"] = {pick({Hardening::Kasan,
                                               Hardening::StackProtector})};
         cfg.cores = static_cast<unsigned>(pick({1, 2, 4}));
-        cfg.steering = pick({NicSteering::Rss, NicSteering::Single});
         if (rng.chance(1, 2))
             cfg.controller = ControllerConfig{
                 rng.range(1, 5'000'000), rng.range(1, 5'000),
@@ -1083,12 +1055,9 @@ referenceMatrix(const SafetyConfig &cfg)
             resolve(&BoundaryRule::deny, p.deny);
             resolve(&BoundaryRule::rate, p.rate);
             resolve(&BoundaryRule::window, p.rateWindow);
-            resolve(&BoundaryRule::weight, p.weight);
             resolve(&BoundaryRule::overflow, p.overflow);
             resolve(&BoundaryRule::stackSharing, p.stackSharing);
             resolve(&BoundaryRule::batch, p.batch);
-            resolve(&BoundaryRule::coalesce, p.coalesce);
-            resolve(&BoundaryRule::elide, p.elide);
             resolve(&BoundaryRule::adaptive, p.adaptive);
             if (ambiguous)
                 return std::nullopt;
@@ -1143,15 +1112,13 @@ TEST_F(GatePolicyFixture, GeneratedRulesRoundTripAndResolveLikeTheReference)
     for (const char *needle :
          {"gate: light", "gate: dss", "validate: true", "validate: false",
           "validate_return: true", "scrub: false", "deny: true",
-          "deny: false", "rate: 7", "window: 70", "weight: 3",
-          "overflow: stall", "overflow: fail", "stack_sharing: heap",
-          "stack_sharing: dss", "stack_sharing: shared-stack", "batch: 8",
-          "coalesce: 400", "elide: none", "elide: validate",
-          "elide: scrub", "elide: both", "adaptive: true",
+          "deny: false", "rate: 7", "window: 70", "overflow: stall",
+          "overflow: fail", "stack_sharing: heap", "stack_sharing: dss",
+          "stack_sharing: shared-stack", "batch: 8", "adaptive: true",
           "mechanism: none", "mechanism: intel-mpk", "mechanism: vm-ept",
           "mechanism: cheri", "mechanism: linux-pt", "mechanism: sel4-ipc",
           "mechanism: cubicle-mpk", "stack-protector", "ubsan", "kasan",
-          "cfi", "asan", "steering: single", "cores: 4", "servers: ",
+          "cfi", "asan", "cores: 4", "servers: ",
           "deny_alert: ", "'*' -> '*'"})
         EXPECT_NE(corpus.find(needle), std::string::npos) << needle;
 }
@@ -1266,14 +1233,34 @@ TEST_F(GatePolicyFixture, EnumNamesAcceptAliasesAndListTheChoices)
                         "sel4-ipc, cubicle-mpk"),
               std::string::npos)
         << mech;
-    std::string elide = fatalMessage([] {
-        parseWith("    default: True\n", "- a -> b: {elide: sometimes}\n");
+    std::string overflow = fatalMessage([] {
+        parseWith("    default: True\n", "- a -> b: {overflow: sometimes}\n");
     });
-    EXPECT_NE(elide.find("config line 10: unknown elide 'sometimes'"),
+    EXPECT_NE(overflow.find("config line 10: unknown overflow 'sometimes'"),
               std::string::npos)
-        << elide;
-    EXPECT_NE(elide.find("none, validate, scrub, both"), std::string::npos)
-        << elide;
+        << overflow;
+    EXPECT_NE(overflow.find("stall, fail"), std::string::npos) << overflow;
+}
+
+TEST_F(GatePolicyFixture, RemovedKnobsAreRejected)
+{
+    // `elide:`, `coalesce:` and `weight:` in a boundary rule, and the
+    // top-level `mpk_gate:` and `steering:`, are not keys of the
+    // config language: each is fatal naming its line and the key,
+    // never parsed silently.
+    const std::pair<const char *, const char *> cases[] = {
+        {"- a -> b: {elide: both}\n", "unknown boundary key 'elide'"},
+        {"- a -> b: {coalesce: 10}\n", "unknown boundary key 'coalesce'"},
+        {"- a -> b: {weight: 2}\n", "unknown boundary key 'weight'"},
+        {"mpk_gate: light\n", "got 'mpk_gate: light'"},
+        {"steering: single\n", "got 'steering: single'"},
+    };
+    for (const auto &[tail, key] : cases) {
+        std::string msg = fatalMessage(
+            [tail] { parseWith("    default: True\n", tail); });
+        EXPECT_NE(msg.find("config line 10: "), std::string::npos) << msg;
+        EXPECT_NE(msg.find(key), std::string::npos) << msg;
+    }
 }
 } // namespace
 } // namespace flexos

@@ -3,9 +3,8 @@
  * SMP machine-model tests: work-stealing balance across per-core run
  * queues, per-core PKRU register files, cross-core crossing and IPI
  * charges, RSS steering determinism, the `cores: 1` timing-equivalence
- * regression, elastic EPT server retirement, weighted token buckets
- * with per-edge throttle accounting, and the return-leg validation
- * charge.
+ * regression, elastic EPT server retirement, per-edge throttle
+ * accounting, and the return-leg validation charge.
  */
 
 #include <gtest/gtest.h>
@@ -342,9 +341,9 @@ libraries:
     img->shutdown();
 }
 
-// ------------------------------------- weighted buckets + return legs
+// ----------------------------------- throttle accounting + return legs
 
-TEST_F(SmpFixture, WeightMultipliesTokenBudgetAndCountsPerCaller)
+TEST_F(SmpFixture, FailedOverflowCountsInTheEdgeLedger)
 {
     auto img = buildFrom(R"(
 compartments:
@@ -357,10 +356,10 @@ libraries:
 - libredis: a
 - lwip: b
 boundaries:
-- a -> b: {rate: 4, weight: 2, window: 10000000, overflow: fail}
+- a -> b: {rate: 8, window: 10000000, overflow: fail}
 )");
-    // rate 4 x weight 2 = 8 tokens before the bucket runs dry (the
-    // window is far too long to refill meaningfully mid-burst).
+    // 8 tokens before the bucket runs dry (the window is far too long
+    // to refill meaningfully mid-burst).
     unsigned ok = 0;
     bool throttled = false;
     bool done = false;
