@@ -31,9 +31,9 @@
 #include <string>
 #include <vector>
 
+#include "analysis/audit.hh"
 #include "apps/deploy.hh"
 #include "apps/iperf.hh"
-#include "explore/wayfinder.hh"
 
 using namespace flexos;
 
@@ -118,18 +118,6 @@ runMulti(const std::string &cfgText, unsigned flows, std::size_t bufSize,
         runIperfMulti(dep.image(), dep.libc(), dep.clientStack(),
                       bytesPerFlow, bufSize, flows);
     dep.stop();
-    if (std::getenv("FLEXOS_FIG09_DEBUG")) {
-        Machine &m = dep.machine();
-        for (unsigned c = 0; c < m.coreCount(); ++c)
-            std::fprintf(stderr, "  core%u: %llu cycles\n", c,
-                         static_cast<unsigned long long>(
-                             m.coreCycles(static_cast<int>(c))));
-        for (const auto &[k, v] : m.counters())
-            if (k.rfind("sched.", 0) == 0 || k.rfind("nic.", 0) == 0 ||
-                k.rfind("machine.", 0) == 0 || k.rfind("tcp.", 0) == 0)
-                std::fprintf(stderr, "  %s = %llu\n", k.c_str(),
-                             static_cast<unsigned long long>(v));
-    }
     return res;
 }
 
@@ -184,11 +172,13 @@ emitJson(const char *path, const std::vector<unsigned> &flowCounts,
     }
     // The audit-score axis: the static boundary-audit hazard score of
     // the swept configuration (one config here, so one top-level
-    // field; lower = cleaner boundaries).
-    ConfigPoint nonePt;
-    nonePt.partition = {0, 0, 0, 0};
-    nonePt.hardening.assign(4, 0);
-    nonePt.mechanismRank = 0; // none
+    // field; lower = cleaner boundaries). No escape scan, as for the
+    // sweeps' scores.
+    analysis::AuditOptions audit;
+    audit.escape = false;
+    int auditScore = analysis::runAudit(SafetyConfig::parse(noneCfg),
+                                        LibraryRegistry::standard(), audit)
+                         .score();
     std::fprintf(f, "{\n"
                     "  \"bench\": \"fig09_iperf_multiflow\",\n"
                     "  \"config\": \"flexos-none\",\n"
@@ -196,7 +186,7 @@ emitJson(const char *path, const std::vector<unsigned> &flowCounts,
                     "  \"buf_bytes\": %zu,\n"
                     "  \"bytes_per_flow\": %llu,\n"
                     "  \"results\": [\n",
-                 wayfinder::auditScore(nonePt, "libiperf"), multiBufSize,
+                 auditScore, multiBufSize,
                  static_cast<unsigned long long>(multiBytesPerFlow));
     bool first = true;
     for (unsigned flows : flowCounts) {

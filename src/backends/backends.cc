@@ -492,44 +492,6 @@ class EptBackend : public IsolationBackend
         return true;
     }
 
-    void
-    policyChanged(Image &img) override
-    {
-        // The server pool is sized to demand; demand is bounded by the
-        // inbound edges' rate budgets. After a swap that throttles a
-        // VM's inbound edges, elastic servers grown for the old (open)
-        // regime would idle out only after their full retirement
-        // grace. Flag the shard for fast retirement and wake them: a
-        // woken elastic server that finds its ring empty under the
-        // tightened budget retires immediately instead of re-arming
-        // its grace timer.
-        auto &m = img.machine();
-        int n = static_cast<int>(img.compartmentCount());
-        for (int vmId = 0; vmId < n; ++vmId) {
-            auto &vm = vms[static_cast<std::size_t>(vmId)];
-            if (vm.shards.empty())
-                continue;
-            bool throttledInbound = false;
-            for (int from = 0; from < n; ++from)
-                if (from != vmId && img.policyFor(from, vmId).rate)
-                    throttledInbound = true;
-            if (!throttledInbound)
-                continue;
-            std::size_t woken = 0;
-            for (auto &sh : vm.shards) {
-                int base =
-                    img.compartmentAt(static_cast<std::size_t>(vmId))
-                        .spec.servers;
-                if (static_cast<int>(sh.pool.size()) > base) {
-                    sh.fastRetire = true;
-                    woken += sh.serverIdle->wakeAll();
-                }
-            }
-            if (woken)
-                m.bump(Counter::GateEptPolicyResizes, woken);
-        }
-    }
-
   private:
     struct Rpc
     {
@@ -565,10 +527,6 @@ class EptBackend : public IsolationBackend
         std::vector<Thread *> pool; ///< this shard's server threads
         int busy = 0;               ///< servers inside an RPC body
         std::size_t ringHighWater = 0;
-        /** A policy swap throttled this VM's inbound edges: elastic
-         *  servers retire on their first idle observation instead of
-         *  riding out the full grace period. */
-        bool fastRetire = false;
 
         bool empty() const { return head == nullptr; }
 
@@ -652,15 +610,11 @@ class EptBackend : public IsolationBackend
                 if (elastic) {
                     bool woken = img.scheduler().blockFor(
                         *sh.serverIdle, elasticRetireNs);
-                    if ((!woken || sh.fastRetire) && sh.empty() &&
-                        !stopping) {
+                    if (!woken && sh.empty() && !stopping) {
                         auto &pool = sh.pool;
                         pool.erase(std::remove(pool.begin(), pool.end(),
                                                img.scheduler().current()),
                                    pool.end());
-                        if (static_cast<int>(pool.size()) <=
-                            img.compartmentAt(vmId).spec.servers)
-                            sh.fastRetire = false;
                         m.bump(Counter::GateEptElasticRetires);
                         return;
                     }

@@ -74,16 +74,6 @@ class IsolationBackend
                            std::size_t count) = 0;
 
     /**
-     * Notification that the image's gate matrix changed through a
-     * quiesced epoch swap (Image::swapGateMatrix). Called after the
-     * flip, outside any crossing, so backends may resize the resources
-     * they scale to the policy — the EPT backend shrinks elastic
-     * server pools above VMs whose inbound edges became throttled.
-     * Default: nothing to adapt.
-     */
-    virtual void policyChanged(Image &img) { (void)img; }
-
-    /**
      * Whether the mechanism validates entry points on every crossing
      * regardless of CFI hardening (the EPT RPC server does, paper 4.2).
      */

@@ -747,9 +747,6 @@ Image::swapGateMatrix(GateMatrix next)
 
     ackCoresAfterSwap();
 
-    for (auto &b : backends)
-        b->policyChanged(*this);
-
     mach.bump(Counter::MatrixSwaps);
     mach.bump(Counter::MatrixEpoch);
     return true;

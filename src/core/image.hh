@@ -491,11 +491,10 @@ class Image
      * Replace the live gate matrix through a quiesced epoch flip: the
      * swap waits until no thread sits inside a backend transit (their
      * gate frames reference cells of the matrix being replaced), then
-     * the matrix flips at one instant, changed-cell token buckets re-prime,
-     * every core acknowledges the epoch, and each backend's
-     * policyChanged() hook runs. `deny` edges and the compartment
-     * topology cannot change — only gate knobs do — so the swap never
-     * invalidates region or backend state.
+     * the matrix flips at one instant, changed-cell token buckets
+     * re-prime and every core acknowledges the epoch. `deny` edges and
+     * the compartment topology cannot change — only gate knobs do — so
+     * the swap never invalidates region or backend state.
      *
      * A policy-identical `next` is a charge- and counter-free no-op
      * (the regression pin that a no-op swap is bit-identical to no

@@ -118,9 +118,6 @@ Machine::chargeCore(int core, Cycles c)
 void
 Machine::checkAccess(const void *p, std::size_t size, AccessType at)
 {
-    if (enforcement == Enforcement::Off)
-        return;
-
     // Every registered region the access touches must be permitted;
     // real paging faults on the first offending page even when the
     // access *starts* in unregistered (or permitted) memory and only
@@ -140,10 +137,8 @@ Machine::checkAccess(const void *p, std::size_t size, AccessType at)
     if (!denied)
         return;
 
-    ++violations;
     bump(Counter::MmuViolations);
-    if (enforcement == Enforcement::Enforcing)
-        throw ProtectionFault(p, denied->key, at, denied->name);
+    throw ProtectionFault(p, denied->key, at, denied->name);
 }
 
 std::uint64_t

@@ -1,7 +1,7 @@
 /**
  * @file
  * The simulated machine: virtual cycle clock, MMU (region map + PKRU
- * check), enforcement policy, and event counters.
+ * check), and event counters.
  *
  * There is no ambient machine: every component that charges cycles
  * (scheduler, image, allocators, NIC, VFS, apps) is handed the Machine
@@ -27,8 +27,8 @@
 namespace flexos {
 
 /**
- * Raised when an access violates the current PKRU/key configuration and
- * enforcement is on; the analogue of the MPK page fault (paper 4.1).
+ * Raised when an access violates the current PKRU/key configuration;
+ * the analogue of the MPK page fault (paper 4.1).
  */
 class ProtectionFault : public std::runtime_error
 {
@@ -40,14 +40,6 @@ class ProtectionFault : public std::runtime_error
     ProtKey key;
     AccessType access;
     std::string region;
-};
-
-/** What the MMU does on a key-permission mismatch. */
-enum class Enforcement
-{
-    Off,        ///< No checks at all (pure timing runs).
-    Permissive, ///< Count violations but let them pass (porting workflow).
-    Enforcing,  ///< Raise ProtectionFault (deployed image).
 };
 
 /**
@@ -183,15 +175,11 @@ class Machine
     /**
      * MMU access check: every registered region overlapping
      * [p, p+size) must carry a key the current PKRU permits; the first
-     * denied region faults per the enforcement mode. Unregistered
-     * memory is simulator-internal and always passes.
+     * denied region raises ProtectionFault (and counts in
+     * mmu.violations). Unregistered memory is simulator-internal and
+     * always passes.
      */
     void checkAccess(const void *p, std::size_t size, AccessType at);
-
-    Enforcement enforcement = Enforcement::Enforcing;
-
-    /** Number of violations observed (Permissive mode keeps counting). */
-    std::uint64_t violations = 0;
     /** @} */
 
     /** @name Scratch registers. @{ */

@@ -168,10 +168,50 @@ Thread::Thread(int id, std::string name, Entry entry,
 {
 }
 
-Scheduler::Scheduler(Machine &m) : mach(m)
+Thread::~Thread()
 {
-    runQueues.resize(m.coreCount());
-    coreDispatches.assign(m.coreCount(), 0);
+    unlink();
+}
+
+void
+Thread::unlink()
+{
+    if (queue)
+        queue->remove(this);
+}
+
+ThreadQueue::~ThreadQueue()
+{
+    while (head)
+        remove(head);
+}
+
+void
+ThreadQueue::push(Thread *t)
+{
+    panic_if(t->queue, "thread ", t->name(), " is already queued");
+    t->queue = this;
+    t->queuePrev = tail;
+    t->queueNext = nullptr;
+    (tail ? tail->queueNext : head) = t;
+    tail = t;
+    ++count;
+}
+
+void
+ThreadQueue::remove(Thread *t)
+{
+    panic_if(t->queue != this, "thread ", t->name(), " is not in this queue");
+    (t->queuePrev ? t->queuePrev->queueNext : head) = t->queueNext;
+    (t->queueNext ? t->queueNext->queuePrev : tail) = t->queuePrev;
+    t->queue = nullptr;
+    t->queuePrev = t->queueNext = nullptr;
+    --count;
+}
+
+Scheduler::Scheduler(Machine &m)
+    : mach(m), runQueues(m.coreCount()), coreDispatches(m.coreCount(), 0)
+{
 }
 
 Scheduler::~Scheduler()
@@ -235,6 +275,7 @@ Scheduler::cancel(Thread *t)
     if (t->state_ == Thread::State::Finished)
         return;
     if (!t->started_) {
+        t->unlink();
         t->state_ = Thread::State::Finished; // nothing on its stack
         notifyThreadExit(*t);
         return;
@@ -242,10 +283,13 @@ Scheduler::cancel(Thread *t)
     bool wasCancelling = cancelling;
     cancelling = true;
     // A fiber may swallow the cancellation with catch(...) and
-    // suspend again; bound the retries to avoid livelock.
+    // suspend again; bound the retries to avoid livelock. Each resume
+    // takes it off whatever queue it waits in.
     for (int tries = 0;
-         t->state_ != Thread::State::Finished && tries < 8; ++tries)
+         t->state_ != Thread::State::Finished && tries < 8; ++tries) {
+        t->unlink();
         switchTo(t);
+    }
     cancelling = wasCancelling;
 }
 
@@ -273,7 +317,7 @@ Scheduler::spawnOn(int core, std::string name, Thread::Entry entry,
     raw->pinned = pinned;
 
     raw->sp = initialFrame(raw->stack, this, &Scheduler::trampoline);
-    runQueues[core].push_back(raw);
+    runQueues[core].push(raw);
     return raw;
 }
 
@@ -283,12 +327,8 @@ Scheduler::pin(Thread *t, int core)
     panic_if(core < 0 || unsigned(core) >= runQueues.size(), "core ",
              core, " out of range (machine has ", runQueues.size(), ")");
     if (t->core != core && t->state_ == Thread::State::Ready) {
-        auto &q = runQueues[t->core];
-        auto it = std::find(q.begin(), q.end(), t);
-        if (it != q.end()) {
-            q.erase(it);
-            runQueues[core].push_back(t);
-        }
+        t->unlink();
+        runQueues[core].push(t);
     }
     t->core = core;
     t->pinned = true;
@@ -321,9 +361,6 @@ Scheduler::threadMain()
     // Per-thread teardown (still on this fiber's stack, so listeners
     // may not suspend): images reap the thread's simulated stacks here.
     notifyThreadExit(*self);
-    for (Thread *j : self->joiners)
-        wake(j);
-    self->joiners.clear();
 #ifdef FLEXOS_ASAN_FIBERS
     // Dying fiber: null save slot tells ASan to free its fake stack.
     __sanitizer_start_switch_fiber(nullptr, hostStackBottom,
@@ -412,25 +449,8 @@ Scheduler::anyQueued() const
 }
 
 void
-Scheduler::pruneStale()
+Scheduler::serviceSleepers()
 {
-    // Queue entries can outlive their thread's readiness (cancel()
-    // finishes a queued thread in place); drop them before the idle
-    // checks below so a queue of corpses doesn't look like work.
-    for (auto &q : runQueues) {
-        q.erase(std::remove_if(q.begin(), q.end(),
-                               [](Thread *t) {
-                                   return t->state() !=
-                                          Thread::State::Ready;
-                               }),
-                q.end());
-    }
-}
-
-bool
-Scheduler::serviceSleepers(bool mayAdvanceClock)
-{
-    bool woke = false;
     while (!sleepers.empty()) {
         SleeperEntry e = sleepers.top();
         // An entry is live while its generation matches the thread's
@@ -446,7 +466,7 @@ Scheduler::serviceSleepers(bool mayAdvanceClock)
             continue;
         }
         bool due = e.at <= mach.wallCycles();
-        if (!due && mayAdvanceClock && !anyQueued()) {
+        if (!due && !anyQueued()) {
             // Event-driven idle: everything is waiting, so the next
             // wakeup defines the passage of time. The woken thread
             // carries its deadline in readyAtCycles; dispatch jumps
@@ -462,26 +482,15 @@ Scheduler::serviceSleepers(bool mayAdvanceClock)
             break;
         sleepers.pop();
         Thread *t = e.t;
-        if (t->state_ == Thread::State::Sleeping) {
-            t->state_ = Thread::State::Ready;
-            t->readyAtCycles = e.at;
-            runQueues[t->core].push_back(t);
-            woke = true;
-        } else if (t->state_ == Thread::State::Blocked &&
-                   t->timedWaitQueue) {
+        if (t->state_ == Thread::State::Blocked) {
             // blockFor() timeout: leave the wait queue empty-handed.
-            auto &ws = t->timedWaitQueue->waiters;
-            auto it = std::find(ws.begin(), ws.end(), t);
-            if (it != ws.end())
-                ws.erase(it);
+            t->unlink();
             t->timedOut = true;
-            t->state_ = Thread::State::Ready;
-            t->readyAtCycles = e.at;
-            runQueues[t->core].push_back(t);
-            woke = true;
         }
+        t->state_ = Thread::State::Ready;
+        t->readyAtCycles = e.at;
+        runQueues[t->core].push(t);
     }
-    return woke;
 }
 
 void
@@ -504,14 +513,12 @@ Scheduler::stealWork()
         }
         if (victim == n)
             continue;
-        auto &vq = runQueues[victim];
         // Newest-first: the oldest entries are about to run hot on the
         // victim; the tail has waited least and migrates cheapest.
-        for (auto it = vq.rbegin(); it != vq.rend(); ++it) {
-            Thread *t = *it;
-            if (t->pinned || t->state_ != Thread::State::Ready)
+        for (Thread *t = runQueues[victim].back(); t; t = t->queuePrev) {
+            if (t->pinned)
                 continue;
-            vq.erase(std::next(it).base());
+            runQueues[victim].remove(t);
             t->core = int(thief);
             // The thread was living on the victim's timeline; it
             // cannot start on the thief before the moment it left.
@@ -519,7 +526,7 @@ Scheduler::stealWork()
                 t->readyAtCycles, mach.coreCycles(int(victim)));
             mach.chargeCore(int(thief), mach.timing.stealMigration);
             mach.bump(Counter::SchedSteals);
-            runQueues[thief].push_back(t);
+            runQueues[thief].push(t);
             break;
         }
     }
@@ -534,11 +541,10 @@ Scheduler::dispatchOne()
     // already due on its own core's clock.
     for (unsigned i = 0; i < n; ++i) {
         unsigned c = (nextDispatchCore + i) % n;
-        for (Thread *t : runQueues[c]) {
+        for (Thread *t = runQueues[c].front(); t; t = t->queueNext) {
             if (t->readyAtCycles > mach.coreCycles(int(c)))
                 continue;
-            auto &q = runQueues[c];
-            q.erase(std::find(q.begin(), q.end(), t));
+            runQueues[c].remove(t);
             nextDispatchCore = (c + 1) % n;
             switchTo(t);
             return true;
@@ -550,15 +556,14 @@ Scheduler::dispatchOne()
     // forward to the event time.
     Thread *next = nullptr;
     for (unsigned c = 0; c < n; ++c) {
-        for (Thread *t : runQueues[c]) {
+        for (Thread *t = runQueues[c].front(); t; t = t->queueNext) {
             if (!next || t->readyAtCycles < next->readyAtCycles)
                 next = t;
         }
     }
     if (!next)
         return false;
-    auto &q = runQueues[next->core];
-    q.erase(std::find(q.begin(), q.end(), next));
+    runQueues[next->core].remove(next);
     mach.advanceCoreTo(next->core, next->readyAtCycles);
     nextDispatchCore = (unsigned(next->core) + 1) % n;
     switchTo(next);
@@ -566,14 +571,17 @@ Scheduler::dispatchOne()
 }
 
 bool
+Scheduler::step()
+{
+    serviceSleepers();
+    stealWork();
+    return dispatchOne();
+}
+
+bool
 Scheduler::run()
 {
-    while (true) {
-        pruneStale();
-        serviceSleepers(true);
-        stealWork();
-        if (!dispatchOne())
-            break;
+    while (step()) {
     }
 
     for (const auto &t : threads) {
@@ -589,12 +597,7 @@ Scheduler::runUntil(const std::function<bool()> &pred,
 {
     std::uint64_t budget = maxSwitches;
     while (!pred()) {
-        if (budget-- == 0)
-            return false;
-        pruneStale();
-        serviceSleepers(true);
-        stealWork();
-        if (!dispatchOne())
+        if (budget-- == 0 || !step())
             return false;
     }
     return true;
@@ -606,7 +609,7 @@ Scheduler::yield()
     Thread *self = running;
     panic_if(!self, "yield outside a thread");
     self->state_ = Thread::State::Ready;
-    runQueues[self->core].push_back(self);
+    runQueues[self->core].push(self);
     switchOut();
 }
 
@@ -616,7 +619,7 @@ Scheduler::block(WaitQueue &q)
     Thread *self = running;
     panic_if(!self, "block outside a thread");
     self->state_ = Thread::State::Blocked;
-    q.waiters.push_back(self);
+    q.waiters.push(self);
     switchOut();
 }
 
@@ -675,7 +678,7 @@ Scheduler::timedBlock(WaitQueue &q, std::uint64_t ns, bool heartbeat)
     Thread *self = running;
     panic_if(!self, "blockFor outside a thread");
     self->state_ = Thread::State::Blocked;
-    q.waiters.push_back(self);
+    q.waiters.push(self);
     self->wakeAtCycles =
         mach.cycles() +
         static_cast<std::uint64_t>(static_cast<double>(ns) *
@@ -687,18 +690,6 @@ Scheduler::timedBlock(WaitQueue &q, std::uint64_t ns, bool heartbeat)
     self->timedWaitQueue = nullptr;
     ++self->sleepGen; // retire the timeout entry if woken normally
     return !self->timedOut;
-}
-
-void
-Scheduler::join(Thread *t)
-{
-    Thread *self = running;
-    panic_if(!self, "join outside a thread");
-    panic_if(t == self, "thread joining itself");
-    if (t->state_ == Thread::State::Finished)
-        return;
-    t->joiners.push_back(self);
-    park();
 }
 
 void
@@ -715,6 +706,7 @@ Scheduler::wake(Thread *t)
 {
     if (t->state_ != Thread::State::Blocked)
         return;
+    t->unlink(); // off its wait queue before it joins a run queue
     // Cross-core wakeup: the waker pays an IPI, and the wakee cannot
     // observe the event before the waker's clock reads now — stamp
     // readyAtCycles so the target core idles forward if it is behind.
@@ -729,14 +721,14 @@ Scheduler::wake(Thread *t)
     t->readyAtCycles = (timedWaker && !t->freeRunning)
                            ? mach.cycles()
                            : mach.coreCycles(t->core);
-    runQueues[t->core].push_back(t);
+    runQueues[t->core].push(t);
 }
 
 void
 Scheduler::promoteHeartbeats(WaitQueue &q)
 {
-    for (Thread *t : q.waiters) {
-        if (t->heartbeat && t->timedWaitQueue == &q) {
+    for (Thread *t = q.waiters.front(); t; t = t->queueNext) {
+        if (t->heartbeat) {
             t->heartbeat = false;
             ++timedWaits;
         }
@@ -758,25 +750,16 @@ Scheduler::coreHasRunnable(int core) const
     panic_if(core < 0 ||
                  static_cast<std::size_t>(core) >= runQueues.size(),
              "core ", core, " out of range");
-    for (const Thread *t : runQueues[static_cast<std::size_t>(core)]) {
-        if (t->state() == Thread::State::Ready)
-            return true;
-    }
-    return false;
+    return !runQueues[static_cast<std::size_t>(core)].empty();
 }
 
 Thread *
 WaitQueue::wakeOne()
 {
-    while (!waiters.empty()) {
-        Thread *t = waiters.front();
-        waiters.pop_front();
-        if (t->state() == Thread::State::Blocked) {
-            sched.wake(t);
-            return t;
-        }
-    }
-    return nullptr;
+    Thread *t = waiters.front();
+    if (t)
+        sched.wake(t);
+    return t;
 }
 
 std::size_t
@@ -786,40 +769,6 @@ WaitQueue::wakeAll()
     while (wakeOne())
         ++n;
     return n;
-}
-
-void
-Mutex::lock()
-{
-    Thread *self = sched.current();
-    panic_if(!self, "Mutex::lock outside a thread");
-    panic_if(owner == self, "recursive Mutex::lock");
-    while (owner)
-        waiters.wait();
-    owner = self;
-}
-
-void
-Mutex::unlock()
-{
-    panic_if(owner != sched.current(), "unlock by non-owner");
-    owner = nullptr;
-    waiters.wakeOne();
-}
-
-void
-Semaphore::post()
-{
-    ++count;
-    waiters.wakeOne();
-}
-
-void
-Semaphore::wait()
-{
-    while (count == 0)
-        waiters.wait();
-    --count;
 }
 
 } // namespace flexos

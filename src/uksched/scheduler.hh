@@ -30,7 +30,6 @@
 #define FLEXOS_UKSCHED_SCHEDULER_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -42,6 +41,7 @@
 namespace flexos {
 
 class Scheduler;
+class ThreadQueue;
 class WaitQueue;
 
 /**
@@ -109,10 +109,18 @@ class Thread
      */
     bool pinned = false;
 
+    ~Thread();
+    Thread(const Thread &) = delete;
+    Thread &operator=(const Thread &) = delete;
+
   private:
     friend class Scheduler;
+    friend class ThreadQueue;
 
     Thread(int id, std::string name, Entry entry, std::size_t stackBytes);
+
+    /** Leave whichever queue the thread sits in (no-op if none). */
+    void unlink();
 
     int id_;
     std::string name_;
@@ -136,9 +144,46 @@ class Thread
     bool timedOut = false;
     /** Whether the current timed wait is a heartbeat. */
     bool heartbeat = false;
-    std::vector<Thread *> joiners;
+    /**
+     * The thread's one queue link: a run queue while Ready, a wait
+     * queue while blocked on one, no queue otherwise.
+     */
+    ThreadQueue *queue = nullptr;
+    Thread *queuePrev = nullptr;
+    Thread *queueNext = nullptr;
     void *asanFakeStack = nullptr; ///< ASan fiber-switch save slot
     bool started_ = false;         ///< has ever run on its own stack
+};
+
+/**
+ * An intrusive FIFO of threads, threaded through Thread's queue link:
+ * run queues and wait queues alike. A thread sits in at most one queue
+ * and leaves it in O(1); whichever of a queue and its threads dies
+ * first unlinks the other.
+ */
+class ThreadQueue
+{
+  public:
+    ThreadQueue() = default;
+    ~ThreadQueue();
+
+    ThreadQueue(const ThreadQueue &) = delete;
+    ThreadQueue &operator=(const ThreadQueue &) = delete;
+
+    bool empty() const { return !head; }
+    std::size_t size() const { return count; }
+    Thread *front() const { return head; }
+    Thread *back() const { return tail; }
+
+    /** Append t; panics if t already sits in a queue. */
+    void push(Thread *t);
+    /** Unlink t, which must sit in this queue. */
+    void remove(Thread *t);
+
+  private:
+    Thread *head = nullptr;
+    Thread *tail = nullptr;
+    std::size_t count = 0;
 };
 
 /**
@@ -240,11 +285,9 @@ class Scheduler
     void park();
     /** Sleep the calling thread for ns virtual nanoseconds. */
     void sleepNs(std::uint64_t ns);
-    /** Wait for another thread to finish. */
-    void join(Thread *t);
     /** @} */
 
-    /** Make a blocked thread runnable. */
+    /** Make a blocked thread runnable, taking it off its wait queue. */
     void wake(Thread *t);
 
     /**
@@ -308,10 +351,7 @@ class Scheduler
      * Move due sleepers to their run queues. If all is idle, force-wake
      * the earliest one, unless only heartbeats wait (the run dried up).
      */
-    bool serviceSleepers(bool mayAdvanceClock);
-
-    /** Drop run-queue entries whose thread is no longer Ready. */
-    void pruneStale();
+    void serviceSleepers();
 
     /** Migrate ready unpinned threads from loaded cores to idle ones. */
     void stealWork();
@@ -327,12 +367,16 @@ class Scheduler
     /** Whether any core's run queue is non-empty. */
     bool anyQueued() const;
 
+    /** One scheduling round: service sleepers, steal, dispatch.
+     *  @return false if nothing could be dispatched. */
+    bool step();
+
     void notifyThreadExit(Thread &t);
 
     Machine &mach;
     std::vector<std::unique_ptr<Thread>> threads;
-    /** One run queue per machine core. */
-    std::vector<std::deque<Thread *>> runQueues;
+    /** One run queue per machine core (never resized). */
+    std::vector<ThreadQueue> runQueues;
     /** Per-core dispatch counters (epoch-ack safe points). */
     std::vector<std::uint64_t> coreDispatches;
     std::vector<std::pair<int, std::function<void(Thread &)>>>
@@ -375,8 +419,8 @@ class Scheduler
 };
 
 /**
- * A queue of blocked threads (the primitive under mutexes, semaphores,
- * socket waits and RPC rings).
+ * A queue of blocked threads (the primitive under socket waits, RPC
+ * rings and quiesce barriers).
  */
 class WaitQueue
 {
@@ -392,62 +436,11 @@ class WaitQueue
     /** Wake everyone. @return number woken */
     std::size_t wakeAll();
 
-    bool empty() const { return waiters.empty(); }
-    std::size_t size() const { return waiters.size(); }
-
   private:
     friend class Scheduler;
 
     Scheduler &sched;
-    std::deque<Thread *> waiters;
-};
-
-/** Cooperative mutex. */
-class Mutex
-{
-  public:
-    explicit Mutex(Scheduler &s) : sched(s), waiters(s) {}
-
-    void lock();
-    void unlock();
-
-  private:
-    Scheduler &sched;
-    Thread *owner = nullptr;
-    WaitQueue waiters;
-};
-
-/** RAII lock guard for Mutex. */
-class LockGuard
-{
-  public:
-    explicit LockGuard(Mutex &m) : mtx(m) { mtx.lock(); }
-    ~LockGuard() { mtx.unlock(); }
-
-    LockGuard(const LockGuard &) = delete;
-    LockGuard &operator=(const LockGuard &) = delete;
-
-  private:
-    Mutex &mtx;
-};
-
-/** Counting semaphore. */
-class Semaphore
-{
-  public:
-    Semaphore(Scheduler &s, unsigned initial = 0)
-        : sched(s), waiters(s), count(initial)
-    {
-    }
-
-    void post();
-    void wait();
-    unsigned value() const { return count; }
-
-  private:
-    Scheduler &sched;
-    WaitQueue waiters;
-    unsigned count;
+    ThreadQueue waiters;
 };
 
 } // namespace flexos

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the simulated machine: PKRU semantics, region map,
- * MMU checks, enforcement modes, virtual clock, event counters.
+ * MMU checks, virtual clock, event counters.
  */
 
 #include <gtest/gtest.h>
@@ -153,7 +153,7 @@ TEST(Machine, AccessExtendingIntoDeniedRegionFaults)
     // Starts in unregistered memory, extends into the denied region.
     EXPECT_THROW(m.checkAccess(buf, 16, AccessType::Write),
                  ProtectionFault);
-    EXPECT_EQ(m.violations, 1u);
+    EXPECT_EQ(m.counter(Counter::MmuViolations), 1u);
     EXPECT_NO_THROW(m.checkAccess(buf, 8, AccessType::Write));
 }
 
@@ -202,7 +202,7 @@ TEST(Machine, EnforcingFaultsOnDeniedAccess)
     m.memMap.add(buf, sizeof(buf), 3, "comp1-heap");
     m.pkru = Pkru::allowing({0});
     EXPECT_THROW(m.checkAccess(buf, 8, AccessType::Read), ProtectionFault);
-    EXPECT_EQ(m.violations, 1u);
+    EXPECT_EQ(m.counter(Counter::MmuViolations), 1u);
 }
 
 TEST(Machine, FaultCarriesContext)
@@ -219,28 +219,6 @@ TEST(Machine, FaultCarriesContext)
         EXPECT_EQ(f.region, "comp1-heap");
         EXPECT_EQ(f.access, AccessType::Write);
     }
-}
-
-TEST(Machine, PermissiveCountsButPasses)
-{
-    Machine m;
-    m.enforcement = Enforcement::Permissive;
-    char buf[64];
-    m.memMap.add(buf, sizeof(buf), 3, "x");
-    m.pkru = Pkru(Pkru::denyAllValue);
-    EXPECT_NO_THROW(m.checkAccess(buf, 1, AccessType::Read));
-    EXPECT_EQ(m.violations, 1u);
-}
-
-TEST(Machine, OffSkipsChecks)
-{
-    Machine m;
-    m.enforcement = Enforcement::Off;
-    char buf[64];
-    m.memMap.add(buf, sizeof(buf), 3, "x");
-    m.pkru = Pkru(Pkru::denyAllValue);
-    EXPECT_NO_THROW(m.checkAccess(buf, 1, AccessType::Write));
-    EXPECT_EQ(m.violations, 0u);
 }
 
 TEST(Machine, UnregisteredMemoryAlwaysPasses)

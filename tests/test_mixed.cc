@@ -210,7 +210,7 @@ TEST_F(MixedFixture, CheckAccessCatchesWriteExtendingIntoDeniedRegion)
     mach.pkru = Pkru::allowing({0});
     EXPECT_THROW(mach.checkAccess(arena, 16, AccessType::Write),
                  ProtectionFault);
-    EXPECT_EQ(mach.violations, 1u);
+    EXPECT_EQ(mach.counter(Counter::MmuViolations), 1u);
     // The same access entirely before the region passes.
     EXPECT_NO_THROW(mach.checkAccess(arena, 8, AccessType::Write));
     mach.memMap.remove(arena + 8);

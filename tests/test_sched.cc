@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for uksched: spawn/join/yield ordering, blocking,
- * virtual-time sleep, heartbeat waits and the run drying up,
- * mutex/semaphore semantics, the per-thread protection domain
+ * Unit tests for uksched: spawn/yield ordering, blocking and wait-queue
+ * order, virtual-time sleep, heartbeat waits and the run drying up,
+ * the per-thread protection domain
  * installed on a switch, the free-running (uncharged) thread mode, and
  * the fiber switch itself (per-fiber floating-point control state,
  * exceptions, deep stacks, spawn/teardown churn).
@@ -51,29 +51,6 @@ TEST_F(SchedFixture, RoundRobinInterleavesAtYields)
     EXPECT_TRUE(sched.run());
     EXPECT_EQ(log,
               (std::vector<std::string>{"a1", "b1", "a2", "b2"}));
-}
-
-TEST_F(SchedFixture, JoinWaitsForTarget)
-{
-    std::vector<int> order;
-    Thread *worker = sched.spawn("worker", [&] {
-        sched.yield();
-        sched.yield();
-        order.push_back(1);
-    });
-    sched.spawn("joiner", [&] {
-        sched.join(worker);
-        order.push_back(2);
-    });
-    EXPECT_TRUE(sched.run());
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST_F(SchedFixture, JoinFinishedThreadReturnsImmediately)
-{
-    Thread *t = sched.spawn("quick", [] {});
-    sched.spawn("j", [&] { sched.join(t); });
-    EXPECT_TRUE(sched.run());
 }
 
 TEST_F(SchedFixture, DeadlockDetectedAsFalse)
@@ -142,52 +119,25 @@ TEST_F(SchedFixture, WaitQueueWakeOneFifo)
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST_F(SchedFixture, MutexProvidesExclusion)
+TEST_F(SchedFixture, ThreadWokenWhileQueuedRejoinsAtTheBack)
 {
-    Mutex mtx(sched);
-    int inside = 0;
-    int maxInside = 0;
-    auto body = [&] {
-        for (int i = 0; i < 10; ++i) {
-            LockGuard g(mtx);
-            ++inside;
-            maxInside = std::max(maxInside, inside);
-            sched.yield(); // try to interleave within the section
-            --inside;
-        }
-    };
-    sched.spawn("m1", body);
-    sched.spawn("m2", body);
-    EXPECT_TRUE(sched.run());
-    EXPECT_EQ(maxInside, 1);
-}
-
-TEST_F(SchedFixture, MutexUnlockByNonOwnerPanics)
-{
-    Mutex mtx(sched);
-    Thread *t = sched.spawn("bad", [&] { mtx.unlock(); });
-    EXPECT_TRUE(sched.run());
-    EXPECT_TRUE(t->failed());
-}
-
-TEST_F(SchedFixture, SemaphoreCountsPermits)
-{
-    Semaphore sem(sched, 0);
-    std::vector<int> order;
-    sched.spawn("consumer", [&] {
-        sem.wait();
-        order.push_back(1);
-        sem.wait();
-        order.push_back(2);
+    // A direct wake() takes the thread off its wait queue, so blocking
+    // there again queues it behind the threads that came in between.
+    WaitQueue q(sched);
+    Thread *first = nullptr;
+    Thread *a = sched.spawn("a", [&] {
+        q.wait();
+        q.wait(); // after the direct wake: behind b
     });
-    sched.spawn("producer", [&] {
-        order.push_back(0);
-        sem.post();
-        sched.yield();
-        sem.post();
+    sched.spawn("waker", [&] {
+        sched.wake(a);
+        sched.yield(); // b blocks, then a blocks again
+        first = q.wakeOne();
+        q.wakeAll();
     });
+    Thread *b = sched.spawn("b", [&] { q.wait(); });
     EXPECT_TRUE(sched.run());
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(first, b);
 }
 
 TEST_F(SchedFixture, ContextSwitchChargesCycles)
