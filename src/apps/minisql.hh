@@ -221,8 +221,6 @@ class Database
      */
     Result exec(const std::string &sql);
 
-    bool isOpen() const { return opened; }
-
   private:
     Result dispatch(const std::vector<std::string> &tokens);
     Result createTable(const std::vector<std::string> &tokens);

@@ -118,19 +118,6 @@ KasanHeap::check(const void *p, std::size_t n) const
     // Not heap memory we manage: out of KASan's jurisdiction.
 }
 
-void
-CfiRegistry::registerTarget(const void *fn, const std::string &name)
-{
-    targets[fn] = name;
-}
-
-void
-CfiRegistry::checkCall(const void *fn) const
-{
-    if (!targets.count(fn))
-        throw CfiViolation("indirect call to unregistered target");
-}
-
 unsigned
 hardeningCostPct(Hardening h, const TimingModel &tm)
 {

@@ -140,64 +140,7 @@ addChecked(T a, T b)
     return out;
 }
 
-template <typename T>
-T
-subChecked(T a, T b)
-{
-    T out;
-    if (__builtin_sub_overflow(a, b, &out))
-        throw UbsanViolation("signed integer overflow in subtraction");
-    return out;
-}
-
-template <typename T>
-T
-mulChecked(T a, T b)
-{
-    T out;
-    if (__builtin_mul_overflow(a, b, &out))
-        throw UbsanViolation("signed integer overflow in multiplication");
-    return out;
-}
-
-template <typename T>
-T
-shlChecked(T v, unsigned amount)
-{
-    if (amount >= sizeof(T) * 8)
-        throw UbsanViolation("shift amount out of range");
-    return static_cast<T>(v << amount);
-}
-
-inline std::size_t
-indexChecked(std::size_t idx, std::size_t bound)
-{
-    if (idx >= bound)
-        throw UbsanViolation("index out of bounds");
-    return idx;
-}
-
 } // namespace ubsan
-
-/**
- * CFI indirect-call registry: the toolchain's answer to function
- * pointers crossing compartments (paper 3.1 requires annotating the
- * possible targets; the gate then validates).
- */
-class CfiRegistry
-{
-  public:
-    /** Register a legal indirect-call target. */
-    void registerTarget(const void *fn, const std::string &name);
-
-    /** Validate a target before an indirect call. */
-    void checkCall(const void *fn) const;
-
-    bool known(const void *fn) const { return targets.count(fn) != 0; }
-
-  private:
-    std::map<const void *, std::string> targets;
-};
 
 /**
  * The per-compartment hardening context handed to library code: a
@@ -211,11 +154,9 @@ struct HardeningContext
 {
     bool kasan = false;
     bool ubsan = false;
-    bool cfi = false;
     bool stackProtector = false;
 
     KasanHeap *kasanHeap = nullptr;
-    CfiRegistry *cfiRegistry = nullptr;
 
     /** Checked memory access (no-op unless kasan). */
     void
@@ -231,27 +172,6 @@ struct HardeningContext
     add(T a, T b) const
     {
         return ubsan ? ubsan::addChecked(a, b) : static_cast<T>(a + b);
-    }
-
-    template <typename T>
-    T
-    mul(T a, T b) const
-    {
-        return ubsan ? ubsan::mulChecked(a, b) : static_cast<T>(a * b);
-    }
-
-    std::size_t
-    index(std::size_t idx, std::size_t bound) const
-    {
-        return ubsan ? ubsan::indexChecked(idx, bound) : idx;
-    }
-
-    /** Checked indirect call target (no-op unless cfi). */
-    void
-    checkIndirect(const void *fn) const
-    {
-        if (cfi && cfiRegistry)
-            cfiRegistry->checkCall(fn);
     }
 };
 

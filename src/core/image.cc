@@ -335,13 +335,10 @@ Image::boot()
         c->hardening.kasan = wantKasan;
         c->hardening.ubsan = c->spec.hardenedWith(Hardening::Ubsan) ||
                              anyLibWants(Hardening::Ubsan);
-        c->hardening.cfi = c->spec.hardenedWith(Hardening::Cfi) ||
-                           anyLibWants(Hardening::Cfi);
         c->hardening.stackProtector =
             c->spec.hardenedWith(Hardening::StackProtector) ||
             anyLibWants(Hardening::StackProtector);
         c->hardening.kasanHeap = c->kasanHeap.get();
-        c->hardening.cfiRegistry = &c->cfiRegistry;
     }
 
     sharedArena.resize(cfg.sharedHeapBytes);
@@ -355,8 +352,7 @@ Image::boot()
     // Reap a thread's simulated compartment stacks the moment it
     // finishes; long-running images would otherwise leak one memMap
     // region pair per (thread, compartment) ever seen.
-    threadExitListener = sched.addThreadExitListener(
-        [this](Thread &t) { reapSimStacks(t.id()); });
+    sched.setThreadExitHook([this](Thread &t) { reapSimStacks(t.id()); });
 
     // Boot-time cost: section protection, key setup, backend init.
     mach.consume(50'000 + 10'000 * comps.size());
@@ -373,8 +369,7 @@ Image::shutdown()
     // the compartments it owns (EPT stops its RPC servers, etc.).
     for (auto it = backends.rbegin(); it != backends.rend(); ++it)
         (*it)->shutdown(*this);
-    sched.removeThreadExitListener(threadExitListener);
-    threadExitListener = -1;
+    sched.setThreadExitHook(nullptr);
     unregisterRegions();
     booted = false;
 }

@@ -158,7 +158,6 @@ class Compartment
 
     std::unique_ptr<TlsfAllocator> rawHeap;
     std::unique_ptr<KasanHeap> kasanHeap;
-    CfiRegistry cfiRegistry;
 };
 
 /**
@@ -670,8 +669,6 @@ class Image
     std::vector<std::unique_ptr<IsolationBackend>> backends;
     /** Compartment index -> its mechanism's backend. */
     std::vector<IsolationBackend *> compBackends;
-    /** Scheduler thread-exit listener id (sim-stack reaping). */
-    int threadExitListener = -1;
 
     std::vector<char> sharedArena;
     std::unique_ptr<TlsfAllocator> sharedHeapAlloc;

@@ -199,16 +199,6 @@ class NetBuf
         dataLen += n;
     }
 
-    /** Extend the tail by n uninitialized bytes and return its start. */
-    std::uint8_t *
-    extend(std::size_t n)
-    {
-        panic_if(n > tailroom(), "netbuf tailroom exhausted");
-        std::uint8_t *p = storage.data() + dataOff + dataLen;
-        dataLen += n;
-        return p;
-    }
-
   private:
     std::vector<std::uint8_t> storage;
     std::size_t dataOff;

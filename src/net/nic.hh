@@ -4,7 +4,8 @@
  *
  * Two endpoints, each with one or more RX queues; transmitting on one
  * endpoint enqueues at the peer, steered to a queue by the peer's
- * RSS hash when multi-queue is configured (single queue 0 otherwise).
+ * RSS hash of the TCP 4-tuple when multi-queue is configured (single
+ * queue 0 otherwise).
  * A fault injector can drop, duplicate or reorder frames (used by the
  * TCP property tests). Frame handling charges the NIC descriptor cost
  * to the machine the link was built on.
@@ -26,15 +27,18 @@ namespace flexos {
 class Link;
 
 /**
+ * Toeplitz-style RSS hash of a flow 4-tuple (deterministic): the NIC
+ * steers an arriving TCP frame to queue rssHash(...) % queues.
+ */
+std::uint32_t rssHash(std::uint32_t srcIp, std::uint16_t srcPort,
+                      std::uint32_t dstIp, std::uint16_t dstPort);
+
+/**
  * One end of a link.
  */
 class NicEndpoint
 {
   public:
-    /** RSS indirection: maps an arriving frame to a queue index
-     *  (taken modulo the queue count). */
-    using SteerFn = std::function<std::size_t(const NetBuf &)>;
-
     /** Transmit a frame to the peer endpoint. */
     void transmit(NetBuf frame);
 
@@ -55,11 +59,11 @@ class NicEndpoint
     std::size_t queueCount() const { return rxQueues.size(); }
 
     /**
-     * Reconfigure this endpoint with `queues` RX queues steered by
-     * `steerFn` (RSS). Frames already queued are re-steered. A null
-     * steerFn sends everything to queue 0.
+     * Reconfigure this endpoint with `queues` RX queues (RSS): arriving
+     * TCP frames steer by rssHash over their 4-tuple, everything else
+     * to queue 0. Frames already queued are re-steered.
      */
-    void configureRss(std::size_t queues, SteerFn steerFn);
+    void configureRss(std::size_t queues);
 
     /**
      * Fault injector applied to frames *arriving* at this endpoint.
@@ -85,7 +89,6 @@ class NicEndpoint
     Machine &mach;
     NicEndpoint *peer = nullptr;
     std::vector<std::deque<NetBuf>> rxQueues;
-    SteerFn steer;
 };
 
 /**

@@ -482,9 +482,9 @@ TcpSocket::sendDataSegment(std::uint32_t seq, const std::uint8_t *data,
 void
 TcpSocket::armRetransmit()
 {
-    if (rtxTimer)
+    if (armed)
         return;
-    rtxTimer = stack.timers.arm(rtoNs, [this] { onRetransmitTimeout(); });
+    stack.timers.arm(*this, rtoNs);
     // Queue 0's poller drives the wheel: if it waits in a heartbeat,
     // that wait now has a timer to find and must keep the run alive.
     stack.sched.promoteHeartbeats(*stack.queueWaits[0]);
@@ -493,16 +493,12 @@ TcpSocket::armRetransmit()
 void
 TcpSocket::cancelRetransmit()
 {
-    if (rtxTimer) {
-        stack.timers.cancel(rtxTimer);
-        rtxTimer = 0;
-    }
+    stack.timers.cancel(*this);
 }
 
 void
 TcpSocket::onRetransmitTimeout()
 {
-    rtxTimer = 0;
     if (st == State::Closed)
         return;
 
@@ -763,44 +759,12 @@ NetStack::pollQueue(std::size_t q)
     }
     // The timer wheel is stack-global (retransmits, probes): exactly
     // one poller — queue 0's — drives it, so timers never fire twice.
-    if (q == 0 && timers.poll() > 0)
+    auto retransmit = [](TimerSlot &s) {
+        static_cast<TcpSocket &>(s).onRetransmitTimeout();
+    };
+    if (q == 0 && timers.poll(retransmit) > 0)
         worked = true;
     return worked;
-}
-
-std::uint32_t
-NetStack::rssHash(std::uint32_t srcIp, std::uint16_t srcPort,
-                  std::uint32_t dstIp, std::uint16_t dstPort)
-{
-    // Multiplicative fold of the 4-tuple. The per-field multipliers
-    // are odd, so consecutive ephemeral ports step the hash by an odd
-    // constant and rotate through any power-of-two queue count without
-    // clumping — the property admins tune Toeplitz keys for, here by
-    // construction. Deterministic and trivially reproducible in tests.
-    std::uint32_t v = srcPort * 0x9e3779b1u + dstPort * 0x85ebca77u +
-                      srcIp * 0xc2b2ae3du + dstIp * 0x27d4eb2fu;
-    return v;
-}
-
-std::size_t
-NetStack::steerFrame(const NetBuf &frame)
-{
-    // Raw header peek — no checksum work: the real NIC's RSS engine
-    // hashes header fields straight off the wire before any protocol
-    // validation happens.
-    const std::uint8_t *p = frame.data();
-    std::size_t n = frame.size();
-    constexpr std::size_t need =
-        EthHeader::wireSize + Ip4Header::wireSize + 4;
-    if (n < need || getBe16(p + 12) != EthHeader::typeIp4)
-        return 0;
-    const std::uint8_t *ip = p + EthHeader::wireSize;
-    if ((ip[0] >> 4) != 4 || ip[9] != Ip4Header::protoTcp)
-        return 0;
-    std::uint32_t src = getBe32(ip + 12);
-    std::uint32_t dst = getBe32(ip + 16);
-    const std::uint8_t *tcp = ip + Ip4Header::wireSize;
-    return rssHash(src, getBe16(tcp), dst, getBe16(tcp + 2));
 }
 
 void
@@ -809,8 +773,7 @@ NetStack::enableRss(std::size_t queues)
     rssQueues = queues ? queues : 1;
     while (queueWaits.size() < rssQueues)
         queueWaits.push_back(std::make_unique<WaitQueue>(sched));
-    nic.configureRss(rssQueues,
-                     [](const NetBuf &f) { return steerFrame(f); });
+    nic.configureRss(rssQueues);
 }
 
 void

@@ -32,9 +32,10 @@ class NetStack;
 /**
  * A TCP socket (also used as the listener object). All calls block the
  * calling fiber cooperatively; the stack's poller thread drives protocol
- * progress.
+ * progress. The socket is its own retransmit timer slot: the stack's
+ * TimerQueue hands a due socket back to NetStack::pollQueue.
  */
-class TcpSocket
+class TcpSocket : private TimerSlot
 {
   public:
     enum class State
@@ -178,7 +179,6 @@ class TcpSocket
     std::uint16_t lastAdvWindow = 0xffff;
 
     // Retransmission.
-    std::uint64_t rtxTimer = 0; ///< live timer id, 0 if unarmed
     std::uint64_t rtoNs = 0;
 
     // Blocking support.
@@ -245,15 +245,6 @@ class NetStack
 
     /** The RX queue this socket's inbound segments steer to. */
     std::size_t rssQueueOf(const TcpSocket &s) const;
-
-    /** Toeplitz-style RSS hash of a flow 4-tuple (deterministic). */
-    static std::uint32_t rssHash(std::uint32_t srcIp,
-                                 std::uint16_t srcPort,
-                                 std::uint32_t dstIp,
-                                 std::uint16_t dstPort);
-
-    /** Hash an arriving frame's TCP 4-tuple (0 for non-TCP frames). */
-    static std::size_t steerFrame(const NetBuf &frame);
 
     /**
      * Block the calling poller until its RX queue sees a frame, the

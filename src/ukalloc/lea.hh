@@ -33,9 +33,6 @@ class LeaAllocator : public Allocator
     void free(void *p) override;
     std::size_t blockSize(const void *p) const override;
 
-    void *arenaBase() const { return arena; }
-    std::size_t arenaSize() const { return arenaBytes; }
-
     /** Walk the heap checking invariants; panics on corruption. */
     void checkConsistency() const;
 

@@ -37,10 +37,6 @@ class TlsfAllocator : public Allocator
     void free(void *p) override;
     std::size_t blockSize(const void *p) const override;
 
-    /** Arena base (for region registration by the image). */
-    void *arenaBase() const { return arena; }
-    std::size_t arenaSize() const { return arenaBytes; }
-
     /** Walk the heap checking invariants; panics on corruption. */
     void checkConsistency() const;
 

@@ -230,42 +230,18 @@ Scheduler::cancelAll()
     // destructors (gate state, DSS frames) should call this while the
     // rest of the world is still alive; the destructor's own call is a
     // last-resort backstop where only Machine and the threads are
-    // guaranteed live. Exit listeners are dropped either way.
-    exitListeners.clear();
+    // guaranteed live. The exit hook is dropped either way.
+    exitHook = nullptr;
     for (auto &t : threads)
         cancel(t.get());
 }
 
-int
-Scheduler::addThreadExitListener(std::function<void(Thread &)> fn)
-{
-    int id = nextListenerId++;
-    exitListeners.emplace_back(id, std::move(fn));
-    return id;
-}
-
 void
-Scheduler::removeThreadExitListener(int id)
+Scheduler::setThreadExitHook(std::function<void(Thread &)> hook)
 {
-    for (auto it = exitListeners.begin(); it != exitListeners.end();
-         ++it) {
-        if (it->first == id) {
-            exitListeners.erase(it);
-            return;
-        }
-    }
-}
-
-void
-Scheduler::notifyThreadExit(Thread &t)
-{
-    // Listener order: most-recently registered first, and robust
-    // against a listener unregistering others from within the call.
-    for (std::size_t i = exitListeners.size(); i-- > 0;) {
-        if (i >= exitListeners.size())
-            continue;
-        exitListeners[i].second(t);
-    }
+    panic_if(hook && exitHook,
+             "a second image hooks thread exit on one scheduler");
+    exitHook = std::move(hook);
 }
 
 void
@@ -277,7 +253,8 @@ Scheduler::cancel(Thread *t)
     if (!t->started_) {
         t->unlink();
         t->state_ = Thread::State::Finished; // nothing on its stack
-        notifyThreadExit(*t);
+        if (exitHook)
+            exitHook(*t);
         return;
     }
     bool wasCancelling = cancelling;
@@ -358,9 +335,10 @@ Scheduler::threadMain()
         self->error_ = "unknown exception";
     }
     self->state_ = Thread::State::Finished;
-    // Per-thread teardown (still on this fiber's stack, so listeners
-    // may not suspend): images reap the thread's simulated stacks here.
-    notifyThreadExit(*self);
+    // Per-thread teardown (still on this fiber's stack, so the hook
+    // may not suspend): the image reaps the thread's simulated stacks.
+    if (exitHook)
+        exitHook(*self);
 #ifdef FLEXOS_ASAN_FIBERS
     // Dying fiber: null save slot tells ASan to free its fake stack.
     __sanitizer_start_switch_fiber(nullptr, hostStackBottom,

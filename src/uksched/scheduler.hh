@@ -203,20 +203,15 @@ class Scheduler
     Scheduler(const Scheduler &) = delete;
     Scheduler &operator=(const Scheduler &) = delete;
 
-    /** @name Thread-exit listeners. @{ */
     /**
-     * Register fn to run once whenever a thread finishes (returns,
-     * fails, or is cancelled), on the dying fiber's own stack. Images
-     * hook this to reap per-thread resources (simulated compartment
-     * stacks). Multiple listeners may coexist (several images on one
-     * scheduler); each must unregister with the returned id before its
-     * captured state dies. @return the listener id.
+     * Set the hook that runs once whenever a thread finishes (returns,
+     * fails, or is cancelled), on the dying fiber's own stack, so it
+     * may not suspend. The booted Image sets it to reap the thread's
+     * simulated compartment stacks, and clears it (nullptr) before its
+     * captured state dies. One image owns the hook at a time: setting
+     * it while another is set panics.
      */
-    int addThreadExitListener(std::function<void(Thread &)> fn);
-
-    /** Remove a listener by id (no-op for unknown/already-removed). */
-    void removeThreadExitListener(int id);
-    /** @} */
+    void setThreadExitHook(std::function<void(Thread &)> hook);
 
     /**
      * Create a thread; it becomes runnable immediately. Unpinned
@@ -308,7 +303,7 @@ class Scheduler
     /**
      * Cancel and unwind one fiber: it is resumed with the cancellation
      * flag set so its next suspension point throws ThreadCancelled.
-     * Unlike cancelAll() the thread-exit listeners stay registered, so
+     * Unlike cancelAll() the thread-exit hook stays set, so
      * per-thread teardown still runs. Must be called from the scheduler
      * context, not from inside a fiber.
      */
@@ -371,17 +366,13 @@ class Scheduler
      *  @return false if nothing could be dispatched. */
     bool step();
 
-    void notifyThreadExit(Thread &t);
-
     Machine &mach;
     std::vector<std::unique_ptr<Thread>> threads;
     /** One run queue per machine core (never resized). */
     std::vector<ThreadQueue> runQueues;
     /** Per-core dispatch counters (epoch-ack safe points). */
     std::vector<std::uint64_t> coreDispatches;
-    std::vector<std::pair<int, std::function<void(Thread &)>>>
-        exitListeners;
-    int nextListenerId = 1;
+    std::function<void(Thread &)> exitHook;
 
     /**
      * Sleeper-heap entry: a copy of the deadline plus the arming

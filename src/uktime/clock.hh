@@ -1,6 +1,7 @@
 /**
  * @file
- * uktime: the time micro-library (virtual clock + timer queue).
+ * uktime: the time micro-library (the retransmit timer queue over the
+ * machine's virtual clock).
  *
  * One of the components compartmentalized in the paper's SQLite
  * experiment (Figure 10, MPK3/PT3 isolate the time subsystem). It shares
@@ -12,9 +13,7 @@
 #define FLEXOS_UKTIME_CLOCK_HH
 
 #include <cstdint>
-#include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "machine/machine.hh"
@@ -22,74 +21,66 @@
 namespace flexos {
 
 /**
- * Virtual wall clock over the machine cycle counter.
+ * One timer, embedded in its owner (a TCP socket holds its retransmit
+ * timer). Every arm and cancel bumps gen, which retires whatever heap
+ * entry the slot had before, so the queue needs no ids and no lookup.
  */
-class Clock
+struct TimerSlot
 {
-  public:
-    explicit Clock(Machine &m) : mach(m) {}
-
-    /** Monotonic nanoseconds since machine start. */
-    std::uint64_t
-    monotonicNs() const
-    {
-        return mach.nanoseconds();
-    }
-
-    /** Monotonic microseconds. */
-    std::uint64_t monotonicUs() const { return monotonicNs() / 1000; }
-
-    /** Seconds as a double (for reports). */
-    double seconds() const { return mach.seconds(); }
-
-  private:
-    Machine &mach;
+    std::uint64_t gen = 0;
+    bool armed = false; ///< a live heap entry carries gen
 };
 
 /**
  * Deadline-ordered timer queue; polled by whoever owns it (the network
  * stack polls it on every loop iteration for TCP retransmissions).
  *
- * Cancelling is O(1): it drops the callback and leaves the heap entry
- * in place, and poll() skips entries whose callback is gone. Until
- * poll() passes a cancelled deadline, nextDeadlineNs() and empty()
- * still count it — the network poller wakes at it, which is part of
- * the simulated timeline.
+ * Cancelling is O(1): it bumps the slot's generation and leaves the
+ * heap entry in place, and poll() skips entries whose generation is
+ * stale. Until poll() passes a cancelled deadline, nextDeadlineNs() and
+ * empty() still count it — the network poller wakes at it, which is
+ * part of the simulated timeline.
  */
 class TimerQueue
 {
   public:
-    using Callback = std::function<void()>;
-
     explicit TimerQueue(Machine &m) : mach(m) {}
 
-    /** Arm a timer; returns an id usable with cancel(). */
-    std::uint64_t
-    arm(std::uint64_t delayNs, Callback cb)
+    /** Arm s to fire delayNs from now; re-arming retires the old
+     *  deadline. s must stay alive until poll() passes the entry. */
+    void
+    arm(TimerSlot &s, std::uint64_t delayNs)
     {
-        std::uint64_t id = nextId++;
-        pending.push(Entry{mach.nanoseconds() + delayNs, id});
-        callbacks.emplace(id, std::move(cb));
-        return id;
+        s.armed = true;
+        pending.push(Entry{mach.nanoseconds() + delayNs, ++s.gen, &s});
     }
 
-    /** Cancel a timer by id (no-op if already fired or cancelled). */
-    void cancel(std::uint64_t id) { callbacks.erase(id); }
+    /** Disarm s (no-op if it already fired or was cancelled). */
+    void
+    cancel(TimerSlot &s)
+    {
+        ++s.gen;
+        s.armed = false;
+    }
 
-    /** Fire every timer whose deadline has passed. @return fired count */
+    /**
+     * Disarm every slot whose deadline has passed and hand it to
+     * fire(TimerSlot &), in deadline order; fire may arm and cancel.
+     * @return fired count
+     */
+    template <typename Fire>
     std::size_t
-    poll()
+    poll(Fire &&fire)
     {
         std::size_t fired = 0;
         while (!pending.empty() &&
                pending.top().deadlineNs <= mach.nanoseconds()) {
-            auto it = callbacks.find(pending.top().id);
+            Entry e = pending.top();
             pending.pop();
-            if (it == callbacks.end())
-                continue; // cancelled
-            Callback cb = std::move(it->second);
-            callbacks.erase(it);
-            cb();
+            if (e.gen != e.slot->gen)
+                continue; // cancelled or re-armed
+            e.slot->armed = false;
+            fire(*e.slot);
             ++fired;
         }
         return fired;
@@ -112,7 +103,8 @@ class TimerQueue
     struct Entry
     {
         std::uint64_t deadlineNs;
-        std::uint64_t id;
+        std::uint64_t gen;
+        TimerSlot *slot;
     };
 
     /**
@@ -130,8 +122,6 @@ class TimerQueue
 
     Machine &mach;
     std::priority_queue<Entry, std::vector<Entry>, Order> pending;
-    std::unordered_map<std::uint64_t, Callback> callbacks;
-    std::uint64_t nextId = 1;
 };
 
 } // namespace flexos

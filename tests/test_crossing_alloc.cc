@@ -7,6 +7,10 @@
  * replaced global operator new, which is why these tests live in
  * their own binary.
  *
+ * The retransmit timer queue allocates nothing either: its slots live
+ * in their owners, so arming, cancelling, firing and polling only
+ * reuse the heap's storage.
+ *
  * Also pins the resolved gate site (Image::site): building one never
  * raises, and gating through it raises exactly what a crossing raised
  * when it looked the callee up by name.
@@ -20,6 +24,7 @@
 
 #include "core/image.hh"
 #include "core/toolchain.hh"
+#include "uktime/clock.hh"
 
 namespace {
 
@@ -176,6 +181,43 @@ TEST_F(CrossingFixture, EptCrossingsAllocateNothing)
         << allocs << " allocations over " << measured << " crossings";
     EXPECT_EQ(mach.counter("gate.ept"), warmup + measured);
     img->shutdown();
+}
+
+// ------------------------------------------------------ retransmit timers
+
+TEST(TimerQueueAlloc, ArmCancelFireAndPollAllocateNothing)
+{
+    // Four sockets' retransmit timers, each armed 4 us out and polled
+    // every 1 us, so up to four entries are in flight; every third arm
+    // is cancelled (an ACK arrived) and the rest fire.
+    Machine mach;
+    TimerQueue timers(mach);
+    TimerSlot slots[4];
+    const Cycles usCycles = static_cast<Cycles>(1000 * mach.timing.cpuGhz);
+    std::uint64_t armed = 0, cancelled = 0, fired = 0;
+    auto cycle = [&](std::uint64_t n) {
+        for (std::uint64_t i = 0; i < n; ++i) {
+            TimerSlot &s = slots[armed % 4];
+            timers.arm(s, 4000);
+            if (armed++ % 3 == 0) {
+                timers.cancel(s);
+                ++cancelled;
+            }
+            mach.consume(usCycles);
+            fired += timers.poll([](TimerSlot &) {});
+        }
+    };
+    cycle(warmup);
+    std::uint64_t before = newCalls.load();
+    cycle(measured);
+    std::uint64_t allocs = newCalls.load() - before;
+    EXPECT_EQ(allocs, 0u)
+        << allocs << " allocations over " << measured << " timer cycles";
+
+    mach.consume(4 * usCycles);
+    fired += timers.poll([](TimerSlot &) {});
+    EXPECT_TRUE(timers.empty());
+    EXPECT_EQ(fired, armed - cancelled);
 }
 
 // ------------------------------------------------------------ gate sites

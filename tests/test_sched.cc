@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for uksched: spawn/yield ordering, blocking and wait-queue
- * order, virtual-time sleep, heartbeat waits and the run drying up,
+ * order, virtual-time sleep, heartbeat waits and the run drying up, the
+ * single-owner thread-exit hook,
  * the per-thread protection domain
  * installed on a switch, the free-running (uncharged) thread mode, and
  * the fiber switch itself (per-fiber floating-point control state,
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "base/logging.hh"
 #include "uksched/scheduler.hh"
 
 namespace flexos {
@@ -58,6 +60,27 @@ TEST_F(SchedFixture, DeadlockDetectedAsFalse)
     WaitQueue q(sched);
     sched.spawn("stuck", [&] { q.wait(); });
     EXPECT_FALSE(sched.run());
+}
+
+TEST_F(SchedFixture, ThreadExitHookHasOneOwner)
+{
+    std::vector<std::string> exited;
+    sched.setThreadExitHook(
+        [&](Thread &t) { exited.push_back(t.name()); });
+    // A second owner is refused; the first keeps the hook.
+    EXPECT_THROW(sched.setThreadExitHook([](Thread &) {}), PanicError);
+    sched.spawn("a", [] {});
+    Thread *b = sched.spawn("b", [] {});
+    sched.cancel(b); // never started: finishes without running
+    EXPECT_TRUE(sched.run());
+    EXPECT_EQ(exited, (std::vector<std::string>{"b", "a"}));
+
+    // Cleared, the slot takes a new owner.
+    sched.setThreadExitHook(nullptr);
+    sched.spawn("c", [] {});
+    EXPECT_TRUE(sched.run());
+    EXPECT_EQ(exited.size(), 2u);
+    EXPECT_NO_THROW(sched.setThreadExitHook([](Thread &) {}));
 }
 
 TEST_F(SchedFixture, SleepAdvancesVirtualClock)

@@ -195,14 +195,11 @@ TEST_F(SmpFixture, SameCoreWakeChargesNoIpi)
 
 TEST(RssSteering, HashIsDeterministic)
 {
-    std::uint32_t a =
-        NetStack::rssHash(0x0a000002u, 49152, 0x0a000001u, 5001);
-    std::uint32_t b =
-        NetStack::rssHash(0x0a000002u, 49152, 0x0a000001u, 5001);
+    std::uint32_t a = rssHash(0x0a000002u, 49152, 0x0a000001u, 5001);
+    std::uint32_t b = rssHash(0x0a000002u, 49152, 0x0a000001u, 5001);
     EXPECT_EQ(a, b);
     // Different tuple, different hash (with these constants).
-    EXPECT_NE(a, NetStack::rssHash(0x0a000002u, 49153, 0x0a000001u,
-                                   5001));
+    EXPECT_NE(a, rssHash(0x0a000002u, 49153, 0x0a000001u, 5001));
 }
 
 TEST(RssSteering, ConsecutivePortsRotateThroughQueues)
@@ -213,8 +210,7 @@ TEST(RssSteering, ConsecutivePortsRotateThroughQueues)
     // consecutive ports over 4 queues means exactly 2 per queue.
     std::vector<int> load(4, 0);
     for (std::uint16_t p = 49152; p < 49160; ++p)
-        ++load[NetStack::rssHash(0x0a000002u, p, 0x0a000001u, 5001) %
-               4];
+        ++load[rssHash(0x0a000002u, p, 0x0a000001u, 5001) % 4];
     for (int q = 0; q < 4; ++q)
         EXPECT_EQ(load[q], 2) << "queue " << q;
 }

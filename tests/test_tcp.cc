@@ -225,51 +225,79 @@ struct TimerFixture : ::testing::Test
 
 TEST_F(TimerFixture, FiresInDeadlineOrder)
 {
+    TimerSlot s1, s2, s3;
     std::vector<int> order;
-    timers.arm(3000, [&] { order.push_back(3); });
-    timers.arm(1000, [&] { order.push_back(1); });
-    timers.arm(2000, [&] { order.push_back(2); });
+    auto record = [&](TimerSlot &s) {
+        order.push_back(&s == &s1 ? 1 : &s == &s2 ? 2 : 3);
+    };
+    timers.arm(s3, 3000);
+    timers.arm(s1, 1000);
+    timers.arm(s2, 2000);
+    EXPECT_TRUE(s1.armed && s2.armed && s3.armed);
     advanceToNs(1500);
-    EXPECT_EQ(timers.poll(), 1u);
+    EXPECT_EQ(timers.poll(record), 1u);
+    EXPECT_FALSE(s1.armed);
     advanceToNs(5000);
-    EXPECT_EQ(timers.poll(), 2u);
+    EXPECT_EQ(timers.poll(record), 2u);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_FALSE(s2.armed || s3.armed);
     EXPECT_TRUE(timers.empty());
-    EXPECT_EQ(timers.poll(), 0u);
+    EXPECT_EQ(timers.poll(record), 0u);
 }
 
 TEST_F(TimerFixture, CancelledTimerNeverFires)
 {
+    TimerSlot a, b;
     int fired = 0;
-    std::uint64_t a = timers.arm(1000, [&] { fired += 1; });
-    timers.arm(2000, [&] { fired += 10; });
+    auto count = [&](TimerSlot &s) { fired += &s == &a ? 1 : 10; };
+    timers.arm(a, 1000);
+    timers.arm(b, 2000);
     timers.cancel(a);
+    EXPECT_FALSE(a.armed);
     advanceToNs(3000);
-    EXPECT_EQ(timers.poll(), 1u);
+    EXPECT_EQ(timers.poll(count), 1u);
     EXPECT_EQ(fired, 10);
+
+    // Re-arming retires the earlier deadline: the slot fires once, at
+    // its last deadline, not at the first entry the heap pops.
+    timers.arm(a, 1000);
+    timers.arm(a, 3000);
+    advanceToNs(5000);
+    EXPECT_EQ(timers.poll(count), 0u);
+    EXPECT_TRUE(a.armed);
+    advanceToNs(6000);
+    EXPECT_EQ(timers.poll(count), 1u);
+    EXPECT_EQ(fired, 11);
 }
 
 TEST_F(TimerFixture, CancelFromCallbackAndAfterFiringIsHarmless)
 {
+    TimerSlot first, later, last;
     int fired = 0;
-    std::uint64_t later = 0;
-    std::uint64_t first = timers.arm(1000, [&] {
-        ++fired;
-        timers.cancel(later); // due in the same poll
-    });
-    later = timers.arm(1500, [&] { fired += 100; });
-    timers.arm(1800, [&] { fired += 10; });
+    auto fire = [&](TimerSlot &s) {
+        if (&s == &first) {
+            ++fired;
+            timers.cancel(later); // due in the same poll
+        } else {
+            fired += &s == &later ? 100 : &s == &last ? 10 : 1000;
+        }
+    };
+    timers.arm(first, 1000);
+    timers.arm(later, 1500);
+    timers.arm(last, 1800);
     advanceToNs(2000);
-    EXPECT_EQ(timers.poll(), 2u);
+    EXPECT_EQ(timers.poll(fire), 2u);
     EXPECT_EQ(fired, 11);
 
-    // Ids are never reused: cancelling fired or cancelled ones is a
-    // no-op and leaves a later timer armed.
+    // Cancelling fired or cancelled slots is a no-op and leaves a
+    // later timer armed.
+    TimerSlot next;
+    timers.arm(next, 100);
     timers.cancel(first);
     timers.cancel(later);
-    timers.arm(100, [&] { fired += 1000; });
+    EXPECT_TRUE(next.armed);
     advanceToNs(2200);
-    EXPECT_EQ(timers.poll(), 1u);
+    EXPECT_EQ(timers.poll(fire), 1u);
     EXPECT_EQ(fired, 1011);
 }
 
@@ -278,24 +306,26 @@ TEST_F(TimerFixture, NextDeadlineCountsCancelledUntilPolledPast)
     // The network poller sleeps until nextDeadlineNs(): a cancelled
     // deadline still wakes it once, so the simulated timeline does not
     // depend on how cancellation is stored.
+    TimerSlot a, b, c;
+    auto ignore = [](TimerSlot &) {};
     EXPECT_TRUE(timers.empty());
     EXPECT_EQ(timers.nextDeadlineNs(), UINT64_MAX);
-    std::uint64_t a = timers.arm(1000, [] {});
-    timers.arm(4000, [] {});
+    timers.arm(a, 1000);
+    timers.arm(b, 4000);
     timers.cancel(a);
     EXPECT_FALSE(timers.empty());
     EXPECT_EQ(timers.nextDeadlineNs(), 1000u);
     advanceToNs(500);
-    EXPECT_EQ(timers.poll(), 0u);
+    EXPECT_EQ(timers.poll(ignore), 0u);
     EXPECT_EQ(timers.nextDeadlineNs(), 1000u);
     advanceToNs(1000);
-    EXPECT_EQ(timers.poll(), 0u);
+    EXPECT_EQ(timers.poll(ignore), 0u);
     EXPECT_EQ(timers.nextDeadlineNs(), 4000u);
 
-    std::uint64_t b = timers.arm(3000, [] {}); // deadline 1000 + 3000
-    timers.cancel(b);
+    timers.arm(c, 3000); // deadline 1000 + 3000
+    timers.cancel(c);
     advanceToNs(4000);
-    EXPECT_EQ(timers.poll(), 1u);
+    EXPECT_EQ(timers.poll(ignore), 1u);
     EXPECT_TRUE(timers.empty());
     EXPECT_EQ(timers.nextDeadlineNs(), UINT64_MAX);
 }
