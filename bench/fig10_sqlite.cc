@@ -14,10 +14,17 @@
  *   CubicleOS MPK3              — pkey_mprotect gates + trap-and-map
  *
  * Paper values (seconds): .052 .702 .054 .106 .173 .177 .333 .657 1.557
+ *
+ * Every number is simulated time, so the table is deterministic;
+ * `--json [path]` writes each row's seconds and the paper's value to a
+ * snapshot (default BENCH_fig10.json) instead of the table.
  */
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "apps/deploy.hh"
 #include "apps/minisql.hh"
@@ -93,44 +100,86 @@ linuxuTiming()
     return tm;
 }
 
-void
-row(const char *sys, const char *profile, double seconds, double paper)
+/** One bar of the figure: a system, its isolation profile, the
+ *  configuration it runs and the paper's time in seconds. */
+struct Row
 {
-    std::printf("%-14s %-8s %8.3f s   (paper: %5.3f s)\n", sys, profile,
-                seconds, paper);
+    const char *system;
+    const char *profile;
+    const char *mech;
+    int comps;
+    DeployOptions opts;
+    double paper;
+};
+
+std::vector<Row>
+figureRows()
+{
+    DeployOptions plain;
+    DeployOptions linuxu;
+    linuxu.timing = linuxuTiming();
+    DeployOptions cubicle = linuxu;
+    cubicle.fsAllocator = DeployOptions::FsAllocator::Lea;
+    return {
+        {"Unikraft", "NONE", "none", 1, plain, 0.052},
+        {"Unikraft", "linuxu", "none", 1, linuxu, 0.702},
+        {"FlexOS", "NONE", "none", 1, plain, 0.054},
+        {"FlexOS", "MPK3", "intel-mpk", 3, plain, 0.106},
+        {"FlexOS", "EPT2", "vm-ept", 2, plain, 0.173},
+        {"Linux", "PT2", "linux-pt", 2, plain, 0.177},
+        {"seL4/Genode", "PT3", "sel4-ipc", 3, plain, 0.333},
+        {"CubicleOS", "NONE", "none", 1, cubicle, 0.657},
+        {"CubicleOS", "MPK3", "cubicle-mpk", 3, cubicle, 1.557},
+    };
+}
+
+/** Each row's simulated seconds and the paper's, as a snapshot. */
+void
+emitJson(const char *path)
+{
+    FILE *f = std::fopen(path, "w");
+    if (!f) {
+        std::fprintf(stderr, "fig10_sqlite: cannot write %s\n", path);
+        std::exit(2);
+    }
+    std::fprintf(f, "{\n  \"bench\": \"fig10_sqlite\",\n  \"unit\": "
+                    "\"simulated seconds for %d INSERTs\",\n"
+                    "  \"results\": [\n",
+                 insertCount);
+    const std::vector<Row> rows = figureRows();
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        std::fprintf(f,
+                     "    {\"system\": \"%s\", \"profile\": \"%s\", "
+                     "\"seconds\": %.6f, \"paper_seconds\": %.3f}%s\n",
+                     rows[i].system, rows[i].profile,
+                     run(cfgFor(rows[i].mech, rows[i].comps), rows[i].opts),
+                     rows[i].paper, i + 1 < rows.size() ? "," : "");
+    std::fprintf(f, "  ]\n}\n");
+    std::fclose(f);
+    std::printf("wrote %s\n", path);
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (argc >= 2 && argc <= 3 && std::strcmp(argv[1], "--json") == 0) {
+        emitJson(argc == 3 ? argv[2] : "BENCH_fig10.json");
+        return 0;
+    }
+    if (argc > 1) {
+        std::fprintf(stderr, "usage: fig10_sqlite [--json [path]]\n");
+        return 2;
+    }
+
     std::printf("=== Figure 10: SQLite, %d INSERTs, one transaction "
                 "each ===\n\n",
                 insertCount);
-
-    DeployOptions plain;
-
-    double unikraftKvm = run(cfgFor("none", 1), plain);
-    row("Unikraft", "NONE", unikraftKvm, 0.052);
-
-    DeployOptions linuxu;
-    linuxu.timing = linuxuTiming();
-    row("Unikraft", "linuxu", run(cfgFor("none", 1), linuxu), 0.702);
-
-    row("FlexOS", "NONE", run(cfgFor("none", 1), plain), 0.054);
-    row("FlexOS", "MPK3", run(cfgFor("intel-mpk", 3), plain), 0.106);
-    row("FlexOS", "EPT2", run(cfgFor("vm-ept", 2), plain), 0.173);
-
-    row("Linux", "PT2", run(cfgFor("linux-pt", 2), plain), 0.177);
-    row("seL4/Genode", "PT3", run(cfgFor("sel4-ipc", 3), plain), 0.333);
-
-    DeployOptions cubicle;
-    cubicle.timing = linuxuTiming();
-    cubicle.fsAllocator = DeployOptions::FsAllocator::Lea;
-    row("CubicleOS", "NONE", run(cfgFor("none", 1), cubicle), 0.657);
-    row("CubicleOS", "MPK3", run(cfgFor("cubicle-mpk", 3), cubicle),
-        1.557);
+    for (const Row &r : figureRows())
+        std::printf("%-14s %-8s %8.3f s   (paper: %5.3f s)\n", r.system,
+                    r.profile, run(cfgFor(r.mech, r.comps), r.opts),
+                    r.paper);
 
     std::printf("\nexpected shape: FlexOS NONE == Unikraft; MPK3 ~2x "
                 "NONE; EPT2 ~= Linux; seL4 ~3x MPK3; CubicleOS MPK3 "

@@ -297,8 +297,8 @@ Image::boot()
 
     // ukboot: carve out per-compartment memory and the shared heap.
     for (auto &c : comps) {
-        c->heapArena.resize(cfg.heapBytes);
-        c->dataSection.resize(64 * 1024);
+        c->heapArena = ZeroPages(cfg.heapBytes);
+        c->dataSection = ZeroPages(64 * 1024);
         c->rawHeap = std::make_unique<TlsfAllocator>(
             mach, c->heapArena.data(), c->heapArena.size());
         bool wantKasan = c->spec.hardenedWith(Hardening::Kasan) ||
@@ -341,7 +341,7 @@ Image::boot()
         c->hardening.kasanHeap = c->kasanHeap.get();
     }
 
-    sharedArena.resize(cfg.sharedHeapBytes);
+    sharedArena = ZeroPages(cfg.sharedHeapBytes);
     sharedHeapAlloc = std::make_unique<TlsfAllocator>(
         mach, sharedArena.data(), sharedArena.size());
 

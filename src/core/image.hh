@@ -26,6 +26,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "base/zeropages.hh"
 #include "core/backend.hh"
 #include "core/config.hh"
 #include "core/hardening.hh"
@@ -151,10 +152,12 @@ class Compartment
      *  points at the KASan wrapper when kasan/asan is enabled. */
     Allocator *heap = nullptr;
 
-    /** Arena backing the private heap (registered in the region map). */
-    std::vector<char> heapArena;
-    /** Per-compartment static data section (.data/.bss analogue). */
-    std::vector<char> dataSection;
+    /** Arena backing the private heap (registered in the region map);
+     *  zero at boot. */
+    ZeroPages heapArena;
+    /** Per-compartment static data section (.data/.bss analogue); zero
+     *  at boot. */
+    ZeroPages dataSection;
 
     std::unique_ptr<TlsfAllocator> rawHeap;
     std::unique_ptr<KasanHeap> kasanHeap;
@@ -670,7 +673,8 @@ class Image
     /** Compartment index -> its mechanism's backend. */
     std::vector<IsolationBackend *> compBackends;
 
-    std::vector<char> sharedArena;
+    /** Arena backing the shared heap; zero at boot. */
+    ZeroPages sharedArena;
     std::unique_ptr<TlsfAllocator> sharedHeapAlloc;
 
     /** Row-major [from * n + to] buckets for rate-limited boundaries. */

@@ -130,8 +130,7 @@ asanLeaveFiber(void **fiberFakeStackSave)
  * rbx, rbp, return address. @return the stack pointer to switch to.
  */
 void *
-initialFrame(std::vector<char> &stack, Scheduler *sched,
-             void (*entry)(Scheduler *))
+initialFrame(char *stackEnd, Scheduler *sched, void (*entry)(Scheduler *))
 {
     // The fiber inherits the spawner's MXCSR and x87 control word, as
     // a new POSIX thread inherits its creator's floating-point modes.
@@ -142,7 +141,7 @@ initialFrame(std::vector<char> &stack, Scheduler *sched,
 
     // A 16-byte-aligned top: once the frame is popped, the start stub
     // calls the trampoline with rsp aligned as the ABI requires.
-    auto top = reinterpret_cast<std::uintptr_t>(stack.data()) + stack.size();
+    auto top = reinterpret_cast<std::uintptr_t>(stackEnd);
     top &= ~std::uintptr_t(15);
     std::uint64_t frame[8] = {
         mxcsr | std::uint64_t(fcw) << 32,
@@ -164,7 +163,8 @@ initialFrame(std::vector<char> &stack, Scheduler *sched,
 Thread::Thread(int id, std::string name, Entry entry,
                std::size_t stackBytes)
     : id_(id), name_(std::move(name)), entry(std::move(entry)),
-      stack(stackBytes)
+      stack(std::make_unique_for_overwrite<char[]>(stackBytes)),
+      stackBytes(stackBytes)
 {
 }
 
@@ -253,6 +253,7 @@ Scheduler::cancel(Thread *t)
     if (!t->started_) {
         t->unlink();
         t->state_ = Thread::State::Finished; // nothing on its stack
+        t->stack.reset();
         if (exitHook)
             exitHook(*t);
         return;
@@ -293,7 +294,8 @@ Scheduler::spawnOn(int core, std::string name, Thread::Entry entry,
     raw->core = core;
     raw->pinned = pinned;
 
-    raw->sp = initialFrame(raw->stack, this, &Scheduler::trampoline);
+    raw->sp = initialFrame(raw->stack.get() + stackBytes, this,
+                           &Scheduler::trampoline);
     runQueues[core].push(raw);
     return raw;
 }
@@ -370,20 +372,22 @@ Scheduler::switchTo(Thread *t)
     mach.workMultiplier = t->workMult;
 
 #ifdef FLEXOS_ASAN_FIBERS
-    __sanitizer_start_switch_fiber(&schedFakeStack, t->stack.data(),
-                                   t->stack.size());
+    __sanitizer_start_switch_fiber(&schedFakeStack, t->stack.get(),
+                                   t->stackBytes);
 #endif
     flexos_fiber_switch(&schedSp, t->sp);
 #ifdef FLEXOS_ASAN_FIBERS
     __sanitizer_finish_switch_fiber(schedFakeStack, nullptr, nullptr);
 #endif
 
-    // Back in the scheduler (TCB): run unrestricted and charged. This
-    // also covers threads that returned without passing switchOut() —
-    // they bypass the running=nullptr reset, so clear the stale
-    // pointer here.
-    if (running == t && t->state_ == Thread::State::Finished)
+    // Back in the scheduler (TCB): run unrestricted and charged. A
+    // thread that returned bypassed switchOut()'s running=nullptr
+    // reset, so clear the stale pointer here; it never runs again, so
+    // its stack goes back now rather than when the scheduler dies.
+    if (t->state_ == Thread::State::Finished) {
         running = nullptr;
+        t->stack.reset();
+    }
     mach.pkru = Pkru(Pkru::allowAllValue);
     mach.currentVm = -1;
     mach.chargingEnabled = true;

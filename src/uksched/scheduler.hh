@@ -73,6 +73,10 @@ class Thread
     const std::string &error() const { return error_; }
     bool failed() const { return !error_.empty(); }
 
+    /** Whether the thread still owns its fiber stack (given back once
+     *  it has finished). */
+    bool holdsStack() const { return stack != nullptr; }
+
     /** Saved protection-key register (installed on every switch). */
     Pkru pkru;
 
@@ -128,7 +132,9 @@ class Thread
     std::string error_;
     Entry entry;
     void *sp = nullptr; ///< saved stack pointer while switched out
-    std::vector<char> stack;
+    /** Fiber stack, uninitialised: the fiber writes before it reads. */
+    std::unique_ptr<char[]> stack;
+    std::size_t stackBytes;
     std::uint64_t wakeAtCycles = 0;
     /**
      * Earliest cycle (on the thread's own core) it may run: stamped

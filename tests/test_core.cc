@@ -2,12 +2,15 @@
  * @file
  * Tests for the FlexOS core: config parsing, toolchain validation and
  * transformation, gate semantics across every backend, isolation
- * enforcement, DSS, and the hardening mechanisms (including failure
- * injection proving they detect planted bugs).
+ * enforcement, zero-at-boot image memory, DSS, and the hardening
+ * mechanisms (including failure injection proving they detect planted
+ * bugs).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 
 #include "core/config.hh"
@@ -439,6 +442,64 @@ TEST_F(CoreFixture, SharedHeapReadableFromBothCompartments)
     });
     sched.run();
     EXPECT_EQ(seen, 77);
+}
+
+/** Bytes in [p, p + n) that are not zero. */
+std::size_t
+nonZeroBytes(const char *p, std::size_t n)
+{
+    return static_cast<std::size_t>(
+        std::count_if(p, p + n, [](char c) { return c != 0; }));
+}
+
+/**
+ * Every region a freshly booted twoCompMpk image registers reads zero:
+ * the data sections entirely, the heaps except the allocator's
+ * boot-time block headers within 64 bytes of either end.
+ */
+void
+expectZeroAtBoot(const Machine &mach)
+{
+    constexpr std::size_t headerBytes = 64;
+    std::size_t regions = 0;
+    mach.memMap.forEachOverlap(nullptr, SIZE_MAX, [&](const MemRegion &r) {
+        ++regions;
+        const char *p = reinterpret_cast<const char *>(r.base);
+        if (r.name.ends_with(".heap"))
+            EXPECT_EQ(nonZeroBytes(p + headerBytes, r.size - 2 * headerBytes),
+                      0u)
+                << r.name;
+        else
+            EXPECT_EQ(nonZeroBytes(p, r.size), 0u) << r.name;
+    });
+    EXPECT_EQ(regions, 5u); // two heaps, two data sections, shared heap
+}
+
+TEST_F(CoreFixture, ImageMemoryReadsZeroAtBoot)
+{
+    constexpr std::size_t dirty = 256 * 1024;
+    {
+        auto img = buildFrom(twoCompMpk);
+        expectZeroAtBoot(mach);
+        // Write through every allocator and over every data section.
+        for (const char *lib : {"libredis", "lwip"}) {
+            Allocator &heap = img->heapOf(lib);
+            void *p = heap.alloc(dirty);
+            std::memset(p, 0xa5, dirty);
+            heap.free(p);
+        }
+        void *shared = img->sharedAlloc(dirty);
+        std::memset(shared, 0xa5, dirty);
+        img->sharedFree(shared);
+        for (std::size_t i = 0; i < img->compartmentCount(); ++i) {
+            ZeroPages &data = img->compartmentAt(i).dataSection;
+            std::memset(data.data(), 0x5a, data.size());
+        }
+    }
+    ASSERT_EQ(mach.memMap.count(), 0u);
+    // A second image in the same process starts from zero again.
+    auto img = buildFrom(twoCompMpk);
+    expectZeroAtBoot(mach);
 }
 
 TEST_F(CoreFixture, LightGateCheaperThanDssGate)

@@ -11,6 +11,11 @@
  * in their owners, so arming, cancelling, firing and polling only
  * reuse the heap's storage.
  *
+ * Simulated memory stays off the C++ heap: an image's heap arenas,
+ * data sections and shared heap are mapped pages, so booting one with
+ * megabytes of simulated heap requests only kilobytes through
+ * operator new.
+ *
  * Also pins the resolved gate site (Image::site): building one never
  * raises, and gating through it raises exactly what a crossing raised
  * when it looked the callee up by name.
@@ -29,6 +34,7 @@
 namespace {
 
 std::atomic<std::uint64_t> newCalls{0};
+std::atomic<std::uint64_t> newBytes{0};
 
 } // namespace
 
@@ -36,6 +42,7 @@ void *
 operator new(std::size_t n)
 {
     newCalls.fetch_add(1, std::memory_order_relaxed);
+    newBytes.fetch_add(n, std::memory_order_relaxed);
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -218,6 +225,35 @@ TEST(TimerQueueAlloc, ArmCancelFireAndPollAllocateNothing)
     fired += timers.poll([](TimerSlot &) {});
     EXPECT_TRUE(timers.empty());
     EXPECT_EQ(fired, armed - cancelled);
+}
+
+// --------------------------------------------------------- image memory
+
+TEST_F(CrossingFixture, ImageMemoryStaysOffTheHeap)
+{
+    // Three compartments with the default 8 MB heaps and 4 MB shared
+    // heap: 28 MB of simulated memory plus three 64 KiB data sections.
+    SafetyConfig cfg = SafetyConfig::parse(R"(
+compartments:
+- app:
+    mechanism: intel-mpk
+    default: True
+- net:
+    mechanism: intel-mpk
+- fs:
+    mechanism: intel-mpk
+libraries:
+- libredis: app
+- lwip: net
+- vfscore: fs
+)");
+    std::uint64_t before = newBytes.load();
+    auto img = tc.build(mach, sched, cfg);
+    img->shutdown();
+    img.reset();
+    std::uint64_t bytes = newBytes.load() - before;
+    EXPECT_LT(bytes, 1u << 20)
+        << bytes << " bytes through operator new for one image";
 }
 
 // ------------------------------------------------------------ gate sites

@@ -2,11 +2,11 @@
  * @file
  * Unit tests for uksched: spawn/yield ordering, blocking and wait-queue
  * order, virtual-time sleep, heartbeat waits and the run drying up, the
- * single-owner thread-exit hook,
- * the per-thread protection domain
- * installed on a switch, the free-running (uncharged) thread mode, and
- * the fiber switch itself (per-fiber floating-point control state,
- * exceptions, deep stacks, spawn/teardown churn).
+ * single-owner thread-exit hook, finished threads giving their stacks
+ * back, the per-thread protection domain installed on a switch, the
+ * free-running (uncharged) thread mode, and the fiber switch itself
+ * (per-fiber floating-point control state, exceptions, deep stacks,
+ * spawn/teardown churn).
  */
 
 #include <gtest/gtest.h>
@@ -81,6 +81,29 @@ TEST_F(SchedFixture, ThreadExitHookHasOneOwner)
     EXPECT_TRUE(sched.run());
     EXPECT_EQ(exited.size(), 2u);
     EXPECT_NO_THROW(sched.setThreadExitHook([](Thread &) {}));
+}
+
+TEST_F(SchedFixture, FinishedThreadHoldsNoStack)
+{
+    WaitQueue q(sched);
+    Thread *returned = sched.spawn("returned", [] {});
+    Thread *threw =
+        sched.spawn("threw", [] { throw std::runtime_error("x"); });
+    Thread *waiting = sched.spawn("waiting", [&] { q.wait(); });
+    Thread *unstarted = sched.spawn("unstarted", [] {});
+    EXPECT_TRUE(unstarted->holdsStack());
+    sched.cancel(unstarted);
+    EXPECT_FALSE(unstarted->holdsStack());
+
+    EXPECT_FALSE(sched.run()); // `waiting` stays blocked
+    EXPECT_FALSE(returned->holdsStack());
+    EXPECT_TRUE(threw->failed());
+    EXPECT_FALSE(threw->holdsStack());
+    EXPECT_TRUE(waiting->holdsStack());
+
+    sched.cancel(waiting); // unwound off its stack, then the stack goes
+    EXPECT_EQ(waiting->state(), Thread::State::Finished);
+    EXPECT_FALSE(waiting->holdsStack());
 }
 
 TEST_F(SchedFixture, SleepAdvancesVirtualClock)
