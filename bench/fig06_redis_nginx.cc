@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "explore/wayfinder.hh"
+#include "snapshot.hh"
 
 using namespace flexos;
 
@@ -139,39 +140,6 @@ coresTable(const std::vector<Sample> &samples)
                     s.audit);
 }
 
-/**
- * The cores sweep as a JSON snapshot (BENCH_fig06.json): the
- * regression-tracked artefact for the multi-core app benchmarks. Every
- * row crosses unbatched; the snapshot keeps its `batch` column.
- */
-void
-emitJson(const char *path, const std::vector<Sample> &samples)
-{
-    FILE *f = std::fopen(path, "w");
-    if (!f) {
-        std::fprintf(stderr, "fig06_redis_nginx: cannot write %s\n",
-                     path);
-        std::exit(2);
-    }
-    std::fprintf(f, "{\n"
-                    "  \"bench\": \"fig06_redis_nginx_cores\",\n"
-                    "  \"config\": \"mpk-dss, no hardening\",\n"
-                    "  \"results\": [\n");
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        const Sample &s = samples[i];
-        std::fprintf(f,
-                     "    {\"app\": \"%s\", \"partition\": \"%s\", "
-                     "\"cores\": %u, \"batch\": 1, "
-                     "\"req_per_sec\": %.1f, \"audit_score\": %d}%s\n",
-                     s.app, s.partition.c_str(), s.cores, s.reqPerSec,
-                     s.audit,
-                     i + 1 < samples.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path);
-}
-
 } // namespace
 
 int
@@ -206,9 +174,17 @@ main(int argc, char **argv)
                  250);
     }
     std::vector<Sample> samples = coresSweep();
-    if (jsonMode)
-        emitJson(jsonPath, samples);
-    else
+    if (!jsonMode) {
         coresTable(samples);
+        return 0;
+    }
+    bench::Snapshot snap("fig06");
+    for (const Sample &s : samples) {
+        std::string row = std::string(s.app) + " " + s.partition +
+                          " cores=" + std::to_string(s.cores);
+        snap.number(row, "req_per_sec", s.reqPerSec, "req/s");
+        snap.number(row, "audit_score", s.audit, "score");
+    }
+    snap.write(jsonPath);
     return 0;
 }

@@ -38,6 +38,7 @@
 #include "apps/deploy.hh"
 #include "apps/redis.hh"
 #include "explore/wayfinder.hh"
+#include "snapshot.hh"
 
 using namespace flexos;
 
@@ -201,41 +202,6 @@ runClosedLoop(std::uint64_t requests)
 }
 
 void
-emitControllerJson(const char *path, const ClosedLoopResult &r)
-{
-    FILE *f = std::fopen(path, "w");
-    if (!f) {
-        std::fprintf(stderr, "fig07_scatter: cannot write %s\n", path);
-        std::exit(2);
-    }
-    std::fprintf(
-        f,
-        "{\n"
-        "  \"bench\": \"fig07_controller_closed_loop\",\n"
-        "  \"config\": \"att->sys adaptive, controller epoch 300000, "
-        "storm_threshold 100\",\n"
-        "  \"baseline_req_per_sec\": %.1f,\n"
-        "  \"attacked_req_per_sec\": %.1f,\n"
-        "  \"contained_req_per_sec\": %.1f,\n"
-        "  \"recovery_ratio\": %.3f,\n"
-        "  \"contained\": %s,\n"
-        "  \"containment_epochs\": %lu,\n"
-        "  \"matrix_swaps\": %lu,\n"
-        "  \"controller_tightens\": %lu,\n"
-        "  \"controller_alerts\": %lu\n"
-        "}\n",
-        r.baseline, r.attacked, r.contained,
-        r.baseline > 0 ? r.contained / r.baseline : 0.0,
-        r.containedOk ? "true" : "false",
-        static_cast<unsigned long>(r.containEpochs),
-        static_cast<unsigned long>(r.swaps),
-        static_cast<unsigned long>(r.tightens),
-        static_cast<unsigned long>(r.alerts));
-    std::fclose(f);
-    std::printf("wrote %s\n", path);
-}
-
-void
 closedLoopSection(bool jsonMode, const char *jsonPath)
 {
     ClosedLoopResult cl = runClosedLoop(300);
@@ -258,8 +224,21 @@ closedLoopSection(bool jsonMode, const char *jsonPath)
                 static_cast<unsigned long>(cl.swaps),
                 static_cast<unsigned long>(cl.tightens),
                 static_cast<unsigned long>(cl.alerts));
-    if (jsonMode)
-        emitControllerJson(jsonPath, cl);
+    if (!jsonMode)
+        return;
+    bench::Snapshot snap("fig07_controller");
+    const char *row = "att->sys storm";
+    snap.number(row, "baseline_req_per_sec", cl.baseline, "req/s");
+    snap.number(row, "attacked_req_per_sec", cl.attacked, "req/s");
+    snap.number(row, "contained_req_per_sec", cl.contained, "req/s");
+    snap.number(row, "recovery_ratio",
+                cl.baseline > 0 ? cl.contained / cl.baseline : 0.0, "ratio");
+    snap.flag(row, "contained", cl.containedOk);
+    snap.number(row, "containment_epochs", cl.containEpochs, "epochs");
+    snap.number(row, "matrix_swaps", cl.swaps, "count");
+    snap.number(row, "controller_tightens", cl.tightens, "count");
+    snap.number(row, "controller_alerts", cl.alerts, "count");
+    snap.write(jsonPath);
 }
 
 // --- Adversary closed loop (`--attack`) ------------------------------
@@ -415,79 +394,51 @@ runAttackClassLoop(adversary::AttackClass cls)
     return run;
 }
 
+/**
+ * Each class's outcome, its per-round tallies (rows `<class> round
+ * <i>`), its final scenario verdicts and its controller trace (rows
+ * `<class> trace <i>`) as a snapshot.
+ */
 void
-emitAttackJson(const char *path, const std::vector<AttackClassRun> &runs)
+writeAttackSnapshot(const char *path,
+                    const std::vector<AttackClassRun> &runs)
 {
-    FILE *f = std::fopen(path, "w");
-    if (!f) {
-        std::fprintf(stderr, "fig07_scatter: cannot write %s\n", path);
-        std::exit(2);
-    }
-    std::fprintf(f,
-                 "{\n"
-                 "  \"bench\": \"fig07_attack_closed_loop\",\n"
-                 "  \"attacker\": \"att/lwip\",\n"
-                 "  \"classes\": [\n");
-    for (std::size_t c = 0; c < runs.size(); ++c) {
-        const AttackClassRun &r = runs[c];
-        std::fprintf(f,
-                     "    {\n"
-                     "      \"class\": \"%s\",\n"
-                     "      \"contained\": %s,\n"
-                     "      \"adaptation_rounds_to_containment\": %zu,\n"
-                     "      \"controller_epochs_elapsed\": %lu,\n"
-                     "      \"vcycles_to_containment\": %lu,\n"
-                     "      \"rounds\": [\n",
-                     adversary::attackClassName(r.cls),
-                     r.contained ? "true" : "false",
-                     r.roundsToContain,
-                     static_cast<unsigned long>(r.epochsElapsed),
-                     static_cast<unsigned long>(r.vcyclesToContain));
-        for (std::size_t i = 0; i < r.rounds.size(); ++i)
-            std::fprintf(f,
-                         "        {\"epoch\": %lu, \"contained\": %zu, "
-                         "\"partial\": %zu, \"breached\": %zu}%s\n",
-                         static_cast<unsigned long>(r.rounds[i].epoch),
-                         r.rounds[i].contained, r.rounds[i].partial,
-                         r.rounds[i].breached,
-                         i + 1 < r.rounds.size() ? "," : "");
-        std::fprintf(f,
-                     "      ],\n"
-                     "      \"final_scenarios\": [\n");
-        for (std::size_t i = 0; i < r.finalResults.size(); ++i) {
-            const adversary::AttackResult &s = r.finalResults[i];
-            std::fprintf(
-                f,
-                "        {\"scenario\": \"%s\", \"outcome\": \"%s\", "
-                "\"witness\": \"%s\", \"detection_vcycles\": %lu, "
-                "\"bits_leaked\": %u, \"entropy_defeated\": %u}%s\n",
-                s.scenario.c_str(), adversary::outcomeName(s.outcome),
-                s.witness.c_str(),
-                static_cast<unsigned long>(s.detectionCycles),
-                s.bitsLeaked, s.entropyDefeated,
-                i + 1 < r.finalResults.size() ? "," : "");
+    bench::Snapshot snap("attack");
+    for (const AttackClassRun &r : runs) {
+        const std::string cls = adversary::attackClassName(r.cls);
+        snap.flag(cls, "contained", r.contained);
+        snap.number(cls, "adaptation_rounds_to_containment",
+                    r.roundsToContain, "rounds");
+        snap.number(cls, "controller_epochs_elapsed", r.epochsElapsed,
+                    "epochs");
+        snap.number(cls, "vcycles_to_containment", r.vcyclesToContain,
+                    "vcycles");
+        for (std::size_t i = 0; i < r.rounds.size(); ++i) {
+            const std::string row = cls + " round " + std::to_string(i);
+            snap.number(row, "epoch", r.rounds[i].epoch, "epochs");
+            snap.number(row, "contained", r.rounds[i].contained, "count");
+            snap.number(row, "partial", r.rounds[i].partial, "count");
+            snap.number(row, "breached", r.rounds[i].breached, "count");
         }
-        std::fprintf(f,
-                     "      ],\n"
-                     "      \"controller_trace\": [\n");
-        for (std::size_t i = 0; i < r.trace.size(); ++i)
-            std::fprintf(
-                f,
-                "        {\"epoch\": %lu, \"rule\": \"%s\", "
-                "\"edge\": \"%s\", \"level\": %d}%s\n",
-                static_cast<unsigned long>(r.trace[i].epoch),
-                r.trace[i].rule.c_str(), r.trace[i].edge.c_str(),
-                r.trace[i].level, i + 1 < r.trace.size() ? "," : "");
-        std::fprintf(f,
-                     "      ]\n"
-                     "    }%s\n",
-                     c + 1 < runs.size() ? "," : "");
+        for (const adversary::AttackResult &s : r.finalResults) {
+            const std::string row = cls + " scenario " + s.scenario;
+            snap.text(row, "outcome", adversary::outcomeName(s.outcome));
+            snap.text(row, "witness", s.witness);
+            snap.number(row, "detection_vcycles", s.detectionCycles,
+                        "vcycles");
+            snap.number(row, "bits_leaked", s.bitsLeaked, "bits");
+            snap.number(row, "entropy_defeated", s.entropyDefeated,
+                        "bits");
+        }
+        for (std::size_t i = 0; i < r.trace.size(); ++i) {
+            const std::string row = cls + " trace " + std::to_string(i);
+            snap.number(row, "epoch", r.trace[i].epoch, "epochs");
+            snap.text(row, "rule", r.trace[i].rule);
+            snap.text(row, "edge", r.trace[i].edge);
+            snap.number(row, "level", r.trace[i].level, "level");
+        }
     }
-    std::fprintf(f,
-                 "  ]\n"
-                 "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path);
+    snap.write(path);
 }
 
 int
@@ -531,7 +482,7 @@ attackSection(const std::vector<adversary::AttackClass> &classes,
         runs.push_back(std::move(run));
     }
     if (jsonMode)
-        emitAttackJson(jsonPath, runs);
+        writeAttackSnapshot(jsonPath, runs);
     if (!allContained) {
         std::printf("\nFAIL: some attack class was not contained\n");
         return 1;

@@ -24,8 +24,8 @@
  * minCoreScaling x the 1-core aggregate of the same flow count (when
  * the sweep includes 1 core), so CI can hold the SMP shape.
  *
- * `--json [path]` additionally writes the flows x cores matrix to a
- * JSON snapshot (default BENCH_fig09.json) for regression tracking.
+ * `--json [path]` writes the flows x cores matrix to a snapshot
+ * (default BENCH_fig09.json) for regression tracking instead.
  */
 
 #include <cstdio>
@@ -38,6 +38,7 @@
 #include "analysis/audit.hh"
 #include "apps/deploy.hh"
 #include "apps/iperf.hh"
+#include "snapshot.hh"
 
 using namespace flexos;
 
@@ -133,13 +134,33 @@ runMulti(const std::string &cfgText, unsigned flows, std::size_t bufSize,
     return res;
 }
 
+/** One cell of the flows x cores goodput matrix. */
+struct Cell
+{
+    unsigned flows;
+    unsigned cores;
+    IperfResult res;
+};
+
+std::vector<Cell>
+sweep(const std::vector<unsigned> &flowCounts,
+      const std::vector<unsigned> &coreCounts)
+{
+    std::vector<Cell> cells;
+    for (unsigned flows : flowCounts)
+        for (unsigned cores : coreCounts)
+            cells.push_back({flows, cores,
+                             runMulti(noneCfg, flows, multiBufSize,
+                                      multiBytesPerFlow, cores)});
+    return cells;
+}
+
 /**
  * Print the flows x cores goodput table.
  * @return false if a row falls under minCoreScaling (named on stderr)
  */
 bool
-multiFlowTable(const std::vector<unsigned> &flowCounts,
-               const std::vector<unsigned> &coreCounts)
+multiFlowTable(const std::vector<Cell> &cells, bool oneCoreOnly)
 {
     std::printf("\n=== Multi-flow iPerf: aggregate goodput (Gb/s) vs "
                 "concurrent connections (FlexOS-NONE, %zu B buffer) "
@@ -148,34 +169,19 @@ multiFlowTable(const std::vector<unsigned> &flowCounts,
     std::printf("%-8s %-8s %-12s %-14s %-12s\n", "flows", "cores",
                 "aggregate", "per-flow avg", "vs first");
 
-    struct Row
-    {
-        unsigned flows;
-        unsigned cores;
-        double gbps;
-    };
-    std::vector<Row> spread; // rows with flows >= cores > 1
     std::map<unsigned, double> oneCore; // flows -> 1-core aggregate
-    double single = 0;
-    for (unsigned flows : flowCounts) {
-        for (unsigned cores : coreCounts) {
-            IperfResult res = runMulti(noneCfg, flows, multiBufSize,
-                                       multiBytesPerFlow, cores);
-            if (cores == 1)
-                oneCore[flows] = res.gbitPerSec;
-            else if (flows >= cores)
-                spread.push_back({flows, cores, res.gbitPerSec});
-            if (single == 0)
-                single = res.gbitPerSec;
-            char ratio[32];
-            std::snprintf(ratio, sizeof(ratio), "%.2fx",
-                          single > 0 ? res.gbitPerSec / single : 0);
-            std::printf("%-8u %-8u %-12.3f %-14.3f %-12s\n", flows,
-                        cores, res.gbitPerSec,
-                        res.gbitPerSec / flows, ratio);
-        }
+    const double single = cells.front().res.gbitPerSec;
+    for (const Cell &c : cells) {
+        const double gbps = c.res.gbitPerSec;
+        if (c.cores == 1)
+            oneCore[c.flows] = gbps;
+        char ratio[32];
+        std::snprintf(ratio, sizeof(ratio), "%.2fx",
+                      single > 0 ? gbps / single : 0);
+        std::printf("%-8u %-8u %-12.3f %-14.3f %-12s\n", c.flows,
+                    c.cores, gbps, gbps / c.flows, ratio);
     }
-    if (coreCounts.size() == 1 && coreCounts[0] == 1)
+    if (oneCoreOnly)
         std::printf("\nexpected shape: aggregate holds (single "
                     "simulated core); no collapse as flows scale\n");
     else
@@ -184,15 +190,15 @@ multiFlowTable(const std::vector<unsigned> &flowCounts,
                     "holds steady per core count as flows grow\n");
 
     bool ok = true;
-    for (const Row &r : spread) {
-        auto base = oneCore.find(r.flows);
-        if (base == oneCore.end() ||
-            r.gbps >= minCoreScaling * base->second)
+    for (const Cell &c : cells) {
+        auto base = oneCore.find(c.flows);
+        if (c.cores == 1 || c.flows < c.cores || base == oneCore.end() ||
+            c.res.gbitPerSec >= minCoreScaling * base->second)
             continue;
         std::fprintf(stderr,
                      "fig09_iperf: %u flows on %u cores reach %.3f Gb/s, "
                      "under %.1fx the 1-core %.3f Gb/s\n",
-                     r.flows, r.cores, r.gbps, minCoreScaling,
+                     c.flows, c.cores, c.res.gbitPerSec, minCoreScaling,
                      base->second);
         ok = false;
     }
@@ -200,55 +206,33 @@ multiFlowTable(const std::vector<unsigned> &flowCounts,
 }
 
 /**
- * The flows x cores goodput matrix as a JSON snapshot
- * (BENCH_fig09.json): the regression-tracked artefact for the SMP
- * machine model.
+ * The flows x cores goodput matrix as a snapshot (BENCH_fig09.json):
+ * the regression-tracked artefact for the SMP machine model.
  */
 void
-emitJson(const char *path, const std::vector<unsigned> &flowCounts,
-         const std::vector<unsigned> &coreCounts)
+writeSnapshot(const char *path, const std::vector<Cell> &cells)
 {
-    FILE *f = std::fopen(path, "w");
-    if (!f) {
-        std::fprintf(stderr, "fig09_iperf: cannot write %s\n", path);
-        std::exit(2);
-    }
-    // The audit-score axis: the static boundary-audit hazard score of
-    // the swept configuration (one config here, so one top-level
-    // field; lower = cleaner boundaries). No escape scan, as for the
-    // sweeps' scores.
+    bench::Snapshot snap("fig09");
+    // The swept configuration's static boundary-audit hazard score
+    // (lower = cleaner boundaries). No escape scan, as for the sweeps'
+    // scores.
     analysis::AuditOptions audit;
     audit.escape = false;
-    int auditScore = analysis::runAudit(SafetyConfig::parse(noneCfg),
-                                        LibraryRegistry::standard(), audit)
-                         .score();
-    std::fprintf(f, "{\n"
-                    "  \"bench\": \"fig09_iperf_multiflow\",\n"
-                    "  \"config\": \"flexos-none\",\n"
-                    "  \"audit_score\": %d,\n"
-                    "  \"buf_bytes\": %zu,\n"
-                    "  \"bytes_per_flow\": %llu,\n"
-                    "  \"results\": [\n",
-                 auditScore, multiBufSize,
-                 static_cast<unsigned long long>(multiBytesPerFlow));
-    bool first = true;
-    for (unsigned flows : flowCounts) {
-        for (unsigned cores : coreCounts) {
-            IperfResult res = runMulti(noneCfg, flows, multiBufSize,
-                                       multiBytesPerFlow, cores);
-            std::fprintf(f,
-                         "%s    {\"flows\": %u, \"cores\": %u, "
-                         "\"gbps\": %.3f, \"seconds\": %.6f, "
-                         "\"bytes\": %llu}",
-                         first ? "" : ",\n", flows, cores,
-                         res.gbitPerSec, res.seconds,
-                         static_cast<unsigned long long>(res.bytes));
-            first = false;
-        }
+    snap.number("flexos-none", "audit_score",
+                analysis::runAudit(SafetyConfig::parse(noneCfg),
+                                   LibraryRegistry::standard(), audit)
+                    .score(),
+                "score");
+    snap.number("flexos-none", "buf_bytes", multiBufSize, "B");
+    snap.number("flexos-none", "bytes_per_flow", multiBytesPerFlow, "B");
+    for (const Cell &c : cells) {
+        std::string row = "flows=" + std::to_string(c.flows) +
+                          " cores=" + std::to_string(c.cores);
+        snap.number(row, "gbps", c.res.gbitPerSec, "Gb/s");
+        snap.number(row, "seconds", c.res.seconds, "s");
+        snap.number(row, "bytes", c.res.bytes, "B");
     }
-    std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path);
+    snap.write(path);
 }
 
 } // namespace
@@ -304,11 +288,13 @@ main(int argc, char **argv)
             flowCounts = {1, 2, 4, 8, 16, 32};
         if (coreCounts.empty())
             coreCounts = {1};
+        std::vector<Cell> cells = sweep(flowCounts, coreCounts);
         if (jsonMode) {
-            emitJson(jsonPath, flowCounts, coreCounts);
+            writeSnapshot(jsonPath, cells);
             return 0;
         }
-        return multiFlowTable(flowCounts, coreCounts) ? 0 : 1;
+        bool oneCoreOnly = coreCounts.size() == 1 && coreCounts[0] == 1;
+        return multiFlowTable(cells, oneCoreOnly) ? 0 : 1;
     }
 
     std::printf("=== Figure 9: iPerf throughput (Gb/s) vs receive "
@@ -334,5 +320,5 @@ main(int argc, char **argv)
     std::printf("\nexpected shape: NONE==Unikraft; light >= dss >= ept "
                 "at small buffers; all converge as the buffer grows\n");
 
-    return multiFlowTable({1, 2, 4, 8, 16, 32}, {1}) ? 0 : 1;
+    return multiFlowTable(sweep({1, 2, 4, 8, 16, 32}, {1}), true) ? 0 : 1;
 }

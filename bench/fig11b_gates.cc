@@ -17,13 +17,13 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "apps/deploy.hh"
+#include "snapshot.hh"
 
 using namespace flexos;
 
@@ -153,33 +153,18 @@ const std::vector<Row> rows = {
     {"mpk_dss_validate", twoComp("intel-mpk", "dss", "{validate: true}")},
 };
 
-/** Each row's name and vcycles, and no host numbers, as a snapshot. */
-void
-emitJson(const char *path)
-{
-    FILE *f = std::fopen(path, "w");
-    if (!f) {
-        std::fprintf(stderr, "fig11b_gates: cannot write %s\n", path);
-        std::exit(2);
-    }
-    std::fprintf(f, "{\n  \"bench\": \"fig11b_gates\",\n  \"unit\": "
-                    "\"vcycles per logical call\",\n  \"results\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i)
-        std::fprintf(f, "    {\"name\": \"%s\", \"vcycles\": %.10g}%s\n",
-                     rows[i].name, measure(rows[i]).vcycles,
-                     i + 1 < rows.size() ? "," : "");
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", path);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     if (argc >= 2 && argc <= 3 && std::strcmp(argv[1], "--json") == 0) {
-        emitJson(argc == 3 ? argv[2] : "BENCH_fig11b.json");
+        // vcycles only: the host columns move with the host.
+        bench::Snapshot snap("fig11b");
+        for (const Row &row : rows)
+            snap.number(row.name, "vcycles", measure(row).vcycles,
+                        "vcycles");
+        snap.write(argc == 3 ? argv[2] : "BENCH_fig11b.json");
         return 0;
     }
     if (argc > 1) {

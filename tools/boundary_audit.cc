@@ -6,8 +6,9 @@
  *
  * Inputs are either C++ sources (`.cc`, `.cpp`, `.hh`, `.hpp`, `.h`)
  * — every embedded raw-string config is audited, with the same
- * extraction and `lint-skip` rules as `tools/config_lint` — or plain
- * config files, audited as one config.
+ * extraction and `lint-skip` rules as `tools/config_lint`, and labelled
+ * `file#k` for the k-th config in the file — or plain config files,
+ * audited as one config.
  *
  * Usage:
  *   boundary_audit [--json] [--src-root DIR] [--no-escape]
@@ -124,9 +125,12 @@ main(int argc, char **argv)
         std::ostringstream ss;
         ss << in.rdbuf();
         if (isCppSource(file)) {
+            // Label each embedded config by its ordinal in the file, not
+            // its line, so editing a file moves no other config's label.
+            std::size_t k = 0;
             for (const analysis::ConfigBlock &b :
                  analysis::extractEmbeddedConfigs(ss.str()))
-                audit(file + ":" + std::to_string(b.line), b.text);
+                audit(file + "#" + std::to_string(++k), b.text);
         } else {
             audit(file, ss.str());
         }
