@@ -641,20 +641,15 @@ main(int argc, char **argv)
     // each block's boundary picks light (ERIM-style) or dss
     // (HODOR-style), so a hot trusted boundary can run the cheap gate
     // while an attacker-facing one keeps the register-scrubbing one.
-    // Vectored crossings: batch width is performance-only (every call
-    // still passes entry checks and rate enforcement).
     scatterSections(
         {{"Mixed-mechanism", "per-block mechanism assignments",
           wayfinder::mixedMechanismSpace()},
          {"Gate-flavour",
           "per-block flavour assignments (light < dss per boundary)",
-          wayfinder::gateFlavorSpace()},
-         {"Vectored-crossing",
-          "batch-width points (performance-only)",
-          wayfinder::batchingSpace()}});
+          wayfinder::gateFlavorSpace()}});
 
     // --- Pruned product sweep ----------------------------------------
-    // mechanism x flavour x deny x batch for one partition,
+    // mechanism x flavour x deny for one partition,
     // enumerated lazily with monotone budget pruning: once a point
     // misses the budget, everything safety-dominating it is skipped
     // unevaluated — the full product is never materialized.
@@ -674,11 +669,11 @@ main(int argc, char **argv)
         std::size_t deniable =
             blocks * blocks - blocks -
             wayfinder::requiredBlockEdges(partition, "libredis").size();
-        std::size_t product = 16 * 4 * 3; // mech x flav x batch
+        std::size_t product = 16 * 4; // mech x flav
         for (std::size_t i = 0; i < deniable; ++i)
             product *= 2;
         std::printf("\n=== Pruned boundary sweep (lwip split): "
-                    "mechanism x flavour x deny x batch ===\n");
+                    "mechanism x flavour x deny ===\n");
         std::printf("  budget %.1f req/s: evaluated %zu of %zu points "
                     "(%zu pruned unevaluated), %zu met the budget\n",
                     budget, evaluated, product, product - evaluated,

@@ -2,15 +2,15 @@
  * @file
  * Figure 11b reproduction: raw gate latencies — plain function call,
  * MPK light gate, MPK DSS gate, EPT RPC gate, and Linux system calls
- * with/without KPTI — plus the vectored-crossing and validation rows.
+ * with/without KPTI — plus the other baselines and a validation row.
  *
  * `vcycles` is virtual cycles per logical call (paper: function 2,
  * MPK-light 62, MPK-dss 108, EPT 462, syscall 470, syscall-nokpti 146)
  * and is deterministic; `--json [path]` writes it to a snapshot
  * (default BENCH_fig11b.json) instead of the table. The host columns
- * are the simulator's own ns per crossing (per chunk on batched rows),
- * min and median of fixed timed episodes; they move with the host, so
- * compare builds alternately.
+ * are the simulator's own ns per crossing, min and median of fixed
+ * timed episodes; they move with the host, so compare builds
+ * alternately.
  */
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -29,9 +28,8 @@ using namespace flexos;
 
 namespace {
 
-/** Logical calls whose average virtual cycles make a row's vcycles. */
+/** Calls whose average virtual cycles make a row's vcycles. */
 constexpr std::uint64_t iters = 2000;
-static_assert(iters % 8 == 0, "iters must divide into batch widths");
 /** Timed episodes per row, and crossings per episode. */
 constexpr std::size_t episodes = 9;
 constexpr unsigned crossingsPerEpisode = 20'000;
@@ -54,16 +52,13 @@ twoComp(const char *mech, const char *gateFlavor = nullptr,
 }
 
 /**
- * A call from libredis into `callee`/`entry` under `cfg`. `batch` 0
- * crosses with `Image::gate`; width k carries k calls per
- * `Image::gateBatch` chunk, and width 1 must match the plain gate.
- * `noKpti` boots with KPTI off, so syscalls take the cheap path.
+ * A call from libredis into `callee`/`entry` under `cfg`. `noKpti`
+ * boots with KPTI off, so syscalls take the cheap path.
  */
 struct Row
 {
     const char *name;
     std::string cfg;
-    std::size_t batch = 0;
     bool noKpti = false;
     const char *callee = "lwip";
     const char *entry = "recv";
@@ -77,14 +72,12 @@ struct Result
 };
 
 /**
- * A fiber in libredis's compartment drives `iters` logical calls
- * through `cross` on a fresh deployment, then the timed episodes. The
- * gate site is resolved once, outside both loops, and `cross` is a
- * template parameter so the timed loop inlines it.
+ * A fiber in libredis's compartment drives `iters` calls through
+ * `Image::gate` on a fresh deployment, then the timed episodes. The
+ * gate site is resolved once, outside both loops.
  */
-template <typename Cross>
 Result
-runRow(const Row &row, Cross cross)
+measure(const Row &row)
 {
     DeployOptions opts;
     opts.withNet = false;
@@ -94,20 +87,19 @@ runRow(const Row &row, Cross cross)
     Deployment dep(row.cfg, opts);
     Image &img = dep.image();
     const GateSite site = img.site(row.callee, row.entry);
-    const std::size_t callsPerCross = std::max<std::size_t>(row.batch, 1);
 
     Result res;
     bool done = false;
     img.spawnIn("libredis", "gate-bench", [&] {
         Machine &m = dep.machine();
         Cycles before = m.cycles();
-        for (std::uint64_t i = 0; i < iters; i += callsPerCross)
-            cross(img, site);
+        for (std::uint64_t i = 0; i < iters; ++i)
+            img.gate(site, [] {});
         res.vcycles = static_cast<double>(m.cycles() - before) / iters;
         for (std::size_t e = 0; e < episodes; ++e) {
             auto t0 = std::chrono::steady_clock::now();
             for (unsigned i = 0; i < crossingsPerEpisode; ++i)
-                cross(img, site);
+                img.gate(site, [] {});
             std::chrono::duration<double, std::nano> dt =
                 std::chrono::steady_clock::now() - t0;
             res.hostNs[e] = dt.count() / crossingsPerEpisode;
@@ -119,37 +111,18 @@ runRow(const Row &row, Cross cross)
     return res;
 }
 
-Result
-measure(const Row &row)
-{
-    if (row.batch == 0)
-        return runRow(row, [](Image &img, const GateSite &site) {
-            img.gate(site, [] {});
-        });
-    std::vector<std::function<void()>> bodies(row.batch, [] {});
-    return runRow(row, [&](Image &img, const GateSite &site) {
-        img.gateBatch(site, bodies);
-    });
-}
-
-/** The paper's rows, then the `batch:` (EPT 462 -> 63 at width 8) and
- *  `validate:` knobs. */
+/** The paper's rows, then the `validate:` knob. */
 const std::vector<Row> rows = {
-    {"function_call", twoComp("intel-mpk"), 0, false, "libredis",
+    {"function_call", twoComp("intel-mpk"), false, "libredis",
      "redis_main"},
     {"mpk_light", twoComp("intel-mpk", "light")},
     {"mpk_dss", twoComp("intel-mpk", "dss")},
     {"ept", twoComp("vm-ept")},
     {"syscall", twoComp("linux-pt")},
-    {"syscall_nokpti", twoComp("linux-pt"), 0, true},
+    {"syscall_nokpti", twoComp("linux-pt"), true},
     {"sel4_ipc", twoComp("sel4-ipc")},
     {"cubicle_pkey_mprotect", twoComp("cubicle-mpk")},
     {"cheri_sketch", twoComp("cheri")},
-    {"ept_batch1", twoComp("vm-ept", nullptr, "{batch: 1}"), 1},
-    {"ept_batch4", twoComp("vm-ept", nullptr, "{batch: 4}"), 4},
-    {"ept_batch8", twoComp("vm-ept", nullptr, "{batch: 8}"), 8},
-    {"mpk_dss_batch8", twoComp("intel-mpk", "dss", "{batch: 8}"), 8},
-    {"cheri_batch8", twoComp("cheri", nullptr, "{batch: 8}"), 8},
     {"mpk_dss_validate", twoComp("intel-mpk", "dss", "{validate: true}")},
 };
 

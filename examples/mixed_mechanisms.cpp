@@ -90,9 +90,9 @@ main()
                 dep.image().config().toText().c_str());
 
     dep.start();
-    IperfResult res = runIperfMulti(dep.image(), dep.libc(),
-                                    dep.clientStack(), 64 * 1024, 4096,
-                                    /*flows=*/4);
+    IperfResult res = runIperf(dep.image(), dep.libc(),
+                               dep.clientStack(), 64 * 1024, 4096,
+                               /*flows=*/4);
     dep.stop();
 
     Machine &m = dep.machine();

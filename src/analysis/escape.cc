@@ -236,11 +236,9 @@ struct FileScanner
     void
     trackGateSites(const std::string &code)
     {
-        bool gateCall = code.find(".gate(") != std::string::npos ||
-                        code.find("gateBatch(") != std::string::npos;
+        bool gateCall = code.find(".gate(") != std::string::npos;
         bool capture = code.find("[&") != std::string::npos;
-        bool prevGate = prevCode.find(".gate(") != std::string::npos ||
-                        prevCode.find("gateBatch(") != std::string::npos;
+        bool prevGate = prevCode.find(".gate(") != std::string::npos;
         if (capture && (gateCall || prevGate))
             ++out.pointerCarryingCalls;
     }

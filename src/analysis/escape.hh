@@ -21,7 +21,7 @@
  *    audit reports as an error).
  *
  * The scanner also counts cross-boundary pointer-carrying call sites:
- * `gate(...)` / `gateBatch(...)` invocations whose lambda captures by
+ * `gate(...)` invocations whose lambda captures by
  * reference (`[&]`), i.e. crossings that hand the callee compartment
  * pointers into the caller's frame.
  */

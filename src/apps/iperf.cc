@@ -8,9 +8,9 @@
 namespace flexos {
 
 IperfResult
-runIperfMulti(Image &img, LibcApi &serverLibc, NetStack &clientStack,
-              std::uint64_t bytesPerFlow, std::size_t recvBufSize,
-              unsigned flows, std::uint16_t port)
+runIperf(Image &img, LibcApi &serverLibc, NetStack &clientStack,
+         std::uint64_t bytesPerFlow, std::size_t recvBufSize,
+         unsigned flows, std::uint16_t port)
 {
     panic_if(flows == 0, "iperf needs at least one flow");
     Scheduler &sched = img.scheduler();
@@ -93,15 +93,6 @@ runIperfMulti(Image &img, LibcApi &serverLibc, NetStack &clientStack,
             ? static_cast<double>(res.bytes) * 8.0 / res.seconds / 1e9
             : 0;
     return res;
-}
-
-IperfResult
-runIperf(Image &img, LibcApi &serverLibc, NetStack &clientStack,
-         std::uint64_t totalBytes, std::size_t recvBufSize,
-         std::uint16_t port)
-{
-    return runIperfMulti(img, serverLibc, clientStack, totalBytes,
-                         recvBufSize, 1, port);
 }
 
 } // namespace flexos

@@ -29,25 +29,16 @@ struct IperfResult
 };
 
 /**
- * Run an iPerf transfer of totalBytes with the given server-side
- * receive buffer size. The server runs in libiperf's compartment; the
- * client is free-running on the peer stack.
+ * Run an iPerf transfer: `flows` parallel connections, each
+ * transferring bytesPerFlow, with the given server-side receive
+ * buffer size. The server runs in libiperf's compartment; the clients
+ * are free-running on the peer stack. Aggregate goodput is measured
+ * from the first byte of any flow to the completion of the last.
  */
 IperfResult runIperf(Image &img, LibcApi &serverLibc,
-                     NetStack &clientStack, std::uint64_t totalBytes,
-                     std::size_t recvBufSize,
+                     NetStack &clientStack, std::uint64_t bytesPerFlow,
+                     std::size_t recvBufSize, unsigned flows = 1,
                      std::uint16_t port = 5201);
-
-/**
- * Multi-flow iPerf: `flows` parallel connections, each transferring
- * bytesPerFlow. Aggregate goodput is measured from the first byte of
- * any flow to the completion of the last.
- */
-IperfResult runIperfMulti(Image &img, LibcApi &serverLibc,
-                          NetStack &clientStack,
-                          std::uint64_t bytesPerFlow,
-                          std::size_t recvBufSize, unsigned flows,
-                          std::uint16_t port = 5201);
 
 } // namespace flexos
 

@@ -134,32 +134,28 @@ class ReturnCharge
 };
 
 /**
- * The inline gate shared by MPK and CHERI: one entry leg and one
- * return leg for the whole vector, each extra call paying only the
- * slot-dispatch cost, the bodies running back-to-back inside the
- * callee domain. Touches the per-thread compartment stack registry so
- * the target stack exists (the functional stack switch), laid out
- * under this boundary's stack-sharing policy; the MPK light gate keeps
- * the caller's stack, but frames the callee opens still follow the
- * boundary's policy. `scrub` wipes the scratch registers on the way
- * back (see ReturnCharge).
+ * The inline gate shared by MPK and CHERI: an entry leg, the body
+ * running inside the callee domain, and a return leg. Touches the
+ * per-thread compartment stack registry so the target stack exists
+ * (the functional stack switch), laid out under this boundary's
+ * stack-sharing policy; the MPK light gate keeps the caller's stack,
+ * but frames the callee opens still follow the boundary's policy.
+ * `scrub` wipes the scratch registers on the way back (see
+ * ReturnCharge).
  */
 void
 inlineGate(Image &img, int to, const GatePolicy &policy, double workMult,
            Cycles entryCost, Cycles returnCost, bool scrub,
-           const std::function<void()> *bodies, std::size_t count)
+           const std::function<void()> &body)
 {
     auto &m = img.machine();
     m.consume(entryCost);
-    if (count > 1)
-        m.consume(static_cast<Cycles>(count - 1) * m.timing.batchSlot);
     Thread *t = img.scheduler().current();
     if (t)
         img.simStackFor(t->id(), to, policy.stackSharing);
     ReturnCharge rc(m, returnCost, scrub);
     DomainTransition dt(img, to, workMult);
-    for (std::size_t i = 0; i < count; ++i)
-        bodies[i]();
+    body();
 }
 
 /**
@@ -194,11 +190,9 @@ class MpkBackend : public IsolationBackend
 
     void
     crossCall(Image &img, int to, const GatePolicy &policy,
-              const GateSite &site, const std::function<void()> *bodies,
-              std::size_t count) override
+              const GateSite &site,
+              const std::function<void()> &body) override
     {
-        // One entry/return leg for the whole vector: the PKRU switch,
-        // register save/zero and stack switch are paid once.
         auto &m = img.machine();
         double workMult = site.route->mult;
         if (policy.flavor == MpkGateFlavor::Light) {
@@ -209,8 +203,7 @@ class MpkBackend : public IsolationBackend
             m.bump(Counter::GateMpkLight);
             inlineGate(img, to, policy, workMult,
                        m.timing.mpkLightGate - m.timing.mpkLightReturn,
-                       m.timing.mpkLightReturn, /*scrub=*/false, bodies,
-                       count);
+                       m.timing.mpkLightReturn, /*scrub=*/false, body);
             return;
         }
         // HODOR-style full gate: save+zero the register set, switch
@@ -225,7 +218,7 @@ class MpkBackend : public IsolationBackend
         inlineGate(img, to, policy, workMult,
                    m.timing.mpkDssGate - m.timing.mpkDssReturn,
                    fullReturnLeg(m.timing, policy.scrubReturn),
-                   policy.scrubReturn, bodies, count);
+                   policy.scrubReturn, body);
     }
 };
 
@@ -343,12 +336,11 @@ class EptBackend : public IsolationBackend
 
     void
     crossCall(Image &img, int to, const GatePolicy &policy,
-              const GateSite &site, const std::function<void()> *bodies,
-              std::size_t count) override
+              const GateSite &site,
+              const std::function<void()> &body) override
     {
-        // One ring slot and one doorbell carry the whole vector; the
-        // caller blocks once for all the calls and the server walks
-        // the slot's body list in order.
+        // One ring slot and one doorbell per call; the caller blocks
+        // until the server has run the slot's body.
         auto &m = img.machine();
         Scheduler &sched = img.scheduler();
         Thread *caller = sched.current();
@@ -371,14 +363,8 @@ class EptBackend : public IsolationBackend
         // it completes by raising — the error unwinds back through
         // the same shared area). A policy waiving the return-side
         // scrub skips the register save/zero the caller would
-        // otherwise redo when the RPC completes. A batched submission
-        // marshals each extra call into the next slot of the same
-        // request for a per-slot cost.
-        Cycles entryCost = m.timing.eptGate - m.timing.eptReturn;
-        if (count > 1)
-            entryCost += static_cast<Cycles>(count - 1) *
-                         m.timing.batchSlot;
-        m.consume(entryCost);
+        // otherwise redo when the RPC completes.
+        m.consume(m.timing.eptGate - m.timing.eptReturn);
         Cycles returnCost = m.timing.eptReturn;
         if (!policy.scrubReturn) {
             returnCost -= std::min(returnCost, m.timing.registerSaveZero);
@@ -388,8 +374,7 @@ class EptBackend : public IsolationBackend
         ReturnCharge rc(m, returnCost, policy.scrubReturn);
 
         Rpc rpc;
-        rpc.bodies = bodies;
-        rpc.count = count;
+        rpc.body = &body;
         rpc.site = &site;
         rpc.workMult = site.route->mult;
         rpc.stackSharing = policy.stackSharing;
@@ -455,8 +440,7 @@ class EptBackend : public IsolationBackend
             body();
         };
         Rpc rpc;
-        rpc.bodies = &probe;
-        rpc.count = 1;
+        rpc.body = &probe;
         rpc.site = &site;
         rpc.caller = sched.current();
         sh.push(&rpc);
@@ -495,10 +479,8 @@ class EptBackend : public IsolationBackend
   private:
     struct Rpc
     {
-        /** The calls this slot carries: `count` bodies, run in order
-         *  (one for a plain crossing, the whole vector for a batch). */
-        const std::function<void()> *bodies = nullptr;
-        std::size_t count = 1;
+        /** The call this slot carries. */
+        const std::function<void()> *body = nullptr;
         /** The call site: its entry-point verdict is what the server
          *  re-checks, its names what a rejection reports. */
         const GateSite *site = nullptr;
@@ -649,13 +631,7 @@ class EptBackend : public IsolationBackend
                 ++sh.busy;
                 try {
                     WorkMultGuard guard(m, rpc->workMult);
-                    // A batched slot carries several calls, run in
-                    // order under one dispatch (the per-slot cost was
-                    // charged by the submitter). An exception from
-                    // any body aborts the rest of the batch and
-                    // travels back as the slot's single error.
-                    for (std::size_t i = 0; i < rpc->count; ++i)
-                        rpc->bodies[i]();
+                    (*rpc->body)();
                 } catch (...) {
                     rpc->error = std::current_exception();
                 }
@@ -689,11 +665,10 @@ class CheriBackend : public IsolationBackend
 
     void
     crossCall(Image &img, int to, const GatePolicy &policy,
-              const GateSite &site, const std::function<void()> *bodies,
-              std::size_t count) override
+              const GateSite &site,
+              const std::function<void()> &body) override
     {
-        // One CInvoke entry and one return-side clear for the whole
-        // vector (the sentry check covers the shared entry point once).
+        // One CInvoke entry and one return-side clear per call.
         // Capability + register clear dominates: the entry leg carries
         // the extra capability save on top of the full MPK gate's, the
         // return leg mirrors the full MPK gate's, scrub waiver included.
@@ -704,14 +679,13 @@ class CheriBackend : public IsolationBackend
                    m.timing.registerSaveZero +
                        (m.timing.mpkDssGate - m.timing.mpkDssReturn),
                    fullReturnLeg(m.timing, policy.scrubReturn),
-                   policy.scrubReturn, bodies, count);
+                   policy.scrubReturn, body);
     }
 };
 
 /**
- * One per-call mechanism: a crossing regime that cannot amortize a
- * transition over a vector, so every call of a chunk pays the whole
- * charge and counts once in `counter`.
+ * One per-call mechanism: a transition charge, a counter and a
+ * return-side scrub rule, applied alike to every crossing.
  */
 struct PerCallRow
 {
@@ -796,19 +770,16 @@ class PerCallBackend : public IsolationBackend
 
     void
     crossCall(Image &img, int to, const GatePolicy &, const GateSite &site,
-              const std::function<void()> *bodies,
-              std::size_t count) override
+              const std::function<void()> &body) override
     {
         auto &m = img.machine();
-        for (std::size_t i = 0; i < count; ++i) {
-            m.consume(row.costRepeat * m.timing.*row.cost);
-            if (row.everySecondCall && ++callCount % 2 == 0)
-                m.consume(m.timing.*row.everySecondCall);
-            m.bump(row.counter);
-            ReturnCharge rc(m, 0, row.scrubReturn);
-            DomainTransition dt(img, to, site.route->mult);
-            bodies[i]();
-        }
+        m.consume(row.costRepeat * m.timing.*row.cost);
+        if (row.everySecondCall && ++callCount % 2 == 0)
+            m.consume(m.timing.*row.everySecondCall);
+        m.bump(row.counter);
+        ReturnCharge rc(m, 0, row.scrubReturn);
+        DomainTransition dt(img, to, site.route->mult);
+        body();
     }
 
   private:

@@ -49,29 +49,20 @@ class IsolationBackend
     virtual void shutdown(Image &img) = 0;
 
     /**
-     * Execute `count` (>= 1) bodies in compartment 'to' on behalf of
-     * the current thread — the instantiated call gate. Charges the
-     * gate cost, performs the domain transition, and runs the bodies
-     * in order under the site's route multiplier (the callee
-     * component's hardening tax). The resolved (from, to) GatePolicy
-     * selects the MPK flavour, caller-side entry validation, and
-     * whether the return path scrubs the register set (asymmetric
-     * policies like "EPT->MPK returns skip re-validation" drop the
-     * return-side scrub). The image has already enforced the boundary
-     * and counted the calls in its per-boundary ledger; a backend keeps
-     * only its own counters.
-     *
-     * count > 1 is a vectored crossing (`batch: N` boundaries).
-     * Mechanisms that can amortize pay ONE transition for the whole
-     * vector: MPK and CHERI one entry/return leg plus a per-slot
-     * dispatch cost, EPT one ring slot and one doorbell. The
-     * per-call mechanisms pay their charge for every body. An
-     * exception from any body aborts the rest of the vector.
+     * Execute `body` in compartment 'to' on behalf of the current
+     * thread — the instantiated call gate. Charges the gate cost,
+     * performs the domain transition, and runs the body under the
+     * site's route multiplier (the callee component's hardening tax).
+     * The resolved (from, to) GatePolicy selects the MPK flavour,
+     * caller-side entry validation, and whether the return path scrubs
+     * the register set (asymmetric policies like "EPT->MPK returns skip
+     * re-validation" drop the return-side scrub). The image has already
+     * enforced the boundary and counted the call in its per-boundary
+     * ledger; a backend keeps only its own counters.
      */
     virtual void crossCall(Image &img, int to, const GatePolicy &policy,
                            const GateSite &site,
-                           const std::function<void()> *bodies,
-                           std::size_t count) = 0;
+                           const std::function<void()> &body) = 0;
 
     /**
      * Whether the mechanism validates entry points on every crossing

@@ -404,16 +404,6 @@ boundaryKeys()
             "boundary; overrides the image-wide `stack_sharing:` default "
             "(which desugars to a `'*' -> '*'` rule). Default: dss."),
         boundaryKey(
-            "batch", &BoundaryRule::batch, &GatePolicy::batch,
-            count("<calls>", 6),
-            "Vectored-crossing width: a call vector on the edge is "
-            "submitted this many calls per gate (one EPT ring doorbell, "
-            "one MPK/CHERI entry/return leg), each extra call paying only "
-            "a per-slot dispatch cost. Only `Image::gateBatch` submits "
-            "call vectors; plain gates and the in-lwip RX poller never "
-            "batch. Performance-only — throttle budgets are still debited "
-            "per logical call. Default: 1 (no batching)."),
-        boundaryKey(
             "adaptive", &BoundaryRule::adaptive, &GatePolicy::adaptive,
             boolean(),
             "Opt the edge into online adaptation by the runtime policy "
@@ -620,8 +610,6 @@ GatePolicy::name() const
     }
     if (stackSharing != StackSharing::Dss)
         s += std::string("+stack=") + stackSharingName(stackSharing);
-    if (batch > 1)
-        s += "+batch(" + std::to_string(batch) + ")";
     if (adaptive)
         s += "+adaptive";
     return s;

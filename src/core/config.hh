@@ -209,17 +209,6 @@ struct GatePolicy
     StackSharing stackSharing = StackSharing::Dss;
 
     /**
-     * Vectored-crossing width (`batch:` key): up to this many queued
-     * calls of the same boundary are submitted through ONE gate —
-     * one EPT ring doorbell, one MPK/CHERI entry/return leg — with
-     * each extra call charged only the per-slot dispatch cost.
-     * Perf-only (every call still runs behind the boundary, and
-     * throttle budgets are debited per logical call). 1 = no batching,
-     * vcycle-identical to the unbatched gate by construction.
-     */
-    std::uint64_t batch = 1;
-
-    /**
      * Opt this edge into online policy adaptation (`adaptive:` key):
      * the runtime PolicyController may tighten or relax its rate /
      * overflow / validation knobs between epochs. Edges without the
@@ -254,8 +243,7 @@ struct BoundaryRule
     std::optional<RateOverflow> overflow; ///< `overflow: stall|fail`
     /** `stack_sharing: heap|dss|shared-stack` */
     std::optional<StackSharing> stackSharing;
-    std::optional<std::uint64_t> batch; ///< `batch: N` (calls/gate)
-    std::optional<bool> adaptive;       ///< `adaptive: true|false`
+    std::optional<bool> adaptive;         ///< `adaptive: true|false`
 
     /** "from -> to", for error messages. */
     std::string edgeName() const { return from + " -> " + to; }

@@ -193,8 +193,8 @@ Image::enforceBoundary(int from, int to, const GatePolicy &pol)
 }
 
 void
-Image::crossChunk(const GateSite &site, int from, int to,
-                  const std::function<void()> *bodies, std::size_t k)
+Image::cross(const GateSite &site, int from, int to,
+             const std::function<void()> &body)
 {
     // A pending quiesced matrix swap wins over NEW crossings: yielding
     // here — before any policy reference is taken — lets the swapper
@@ -206,12 +206,9 @@ Image::crossChunk(const GateSite &site, int from, int to,
     // Per-boundary dispatch: the (from, to) cell of the gate matrix
     // decides how this crossing is enforced — mechanism, MPK flavour,
     // entry validation, return-side scrubbing, and the least-privilege
-    // rules checked before any gate cost is charged. Enforcement is
-    // per LOGICAL call: a chunk of k debits the token bucket k times
-    // (and a denied edge rejects the whole chunk before any work).
+    // rules checked before any gate cost is charged.
     const GatePolicy &pol = policyFor(from, to);
-    for (std::size_t j = 0; j < k; ++j)
-        enforceBoundary(from, to, pol);
+    enforceBoundary(from, to, pol);
     if (pol.validateEntry) {
         // Policy-forced caller-side entry validation: one probe of the
         // callee's export table, whatever the mechanism's own rule (the
@@ -226,33 +223,11 @@ Image::crossChunk(const GateSite &site, int from, int to,
     // swapGateMatrix from replacing it while the crossing (which may
     // suspend inside an EPT ring RPC) is in flight.
     CrossingScope xing(*this);
-    if (k > 1) {
-        mach.bump(Counter::GateBatched);
-        mach.bump(Counter::GateBatchedCalls, k);
-    }
     // Every call past enforcement counts once, here, whichever backend
-    // carries it — also the calls of a vector a throwing body aborts.
-    boundaryLedger[boundaryIndex(from, to)].crossings += k;
-    be.crossCall(*this, to, pol, site, bodies, k);
+    // carries it — also a call whose body throws.
+    ++boundaryLedger[boundaryIndex(from, to)].crossings;
+    be.crossCall(*this, to, pol, site, body);
     noteReturn(pol);
-}
-
-void
-Image::gateBatch(const GateSite &site,
-                 const std::vector<std::function<void()>> &bodies)
-{
-    int from = currentCompartment();
-    int to = route(site).landing[static_cast<std::size_t>(from)];
-    if (from == to) {
-        for (const auto &body : bodies)
-            gate(site, body);
-        return;
-    }
-    const auto width = static_cast<std::size_t>(
-        std::max<std::uint64_t>(policyFor(from, to).batch, 1));
-    for (std::size_t i = 0; i < bodies.size(); i += width)
-        crossChunk(site, from, to, &bodies[i],
-                   std::min(width, bodies.size() - i));
 }
 
 IsolationBackend &
@@ -301,18 +276,11 @@ Image::boot()
         c->dataSection = ZeroPages(64 * 1024);
         c->rawHeap = std::make_unique<TlsfAllocator>(
             mach, c->heapArena.data(), c->heapArena.size());
-        bool wantKasan = c->spec.hardenedWith(Hardening::Kasan) ||
-                         c->spec.hardenedWith(Hardening::Asan);
-        if (wantKasan) {
-            c->kasanHeap = std::make_unique<KasanHeap>(*c->rawHeap);
-            c->heap = c->kasanHeap.get();
-        } else {
-            c->heap = c->rawHeap.get();
-        }
-
         // Functional hardening is active when the compartment, or any
         // component placed in it, enables the mechanism.
-        auto anyLibWants = [&](Hardening h) {
+        auto wants = [&](Hardening h) {
+            if (c->spec.hardenedWith(h))
+                return true;
             for (const auto &[lib, r] : routes) {
                 if (r.home != c->id)
                     continue;
@@ -325,19 +293,16 @@ Image::boot()
             }
             return false;
         };
-        if (!wantKasan && (anyLibWants(Hardening::Kasan) ||
-                           anyLibWants(Hardening::Asan))) {
-            wantKasan = true;
+        c->hardening.kasan = wants(Hardening::Kasan) ||
+                             wants(Hardening::Asan);
+        if (c->hardening.kasan) {
             c->kasanHeap = std::make_unique<KasanHeap>(*c->rawHeap);
             c->heap = c->kasanHeap.get();
+        } else {
+            c->heap = c->rawHeap.get();
         }
-
-        c->hardening.kasan = wantKasan;
-        c->hardening.ubsan = c->spec.hardenedWith(Hardening::Ubsan) ||
-                             anyLibWants(Hardening::Ubsan);
-        c->hardening.stackProtector =
-            c->spec.hardenedWith(Hardening::StackProtector) ||
-            anyLibWants(Hardening::StackProtector);
+        c->hardening.ubsan = wants(Hardening::Ubsan);
+        c->hardening.stackProtector = wants(Hardening::StackProtector);
         c->hardening.kasanHeap = c->kasanHeap.get();
     }
 

@@ -204,7 +204,7 @@ struct LibraryRoute
  * A gate call site resolved against one image by Image::site(): what
  * every crossing through it would otherwise look up by name. Callers
  * resolve their sites once (LibcApi at construction) and pass the
- * handle to Image::gate()/gateBatch(), so the crossing path does no
+ * handle to Image::gate(), so the crossing path does no
  * string-keyed lookup. Valid while its image lives.
  */
 struct GateSite
@@ -262,8 +262,7 @@ class Image
      * a domain transition when the caller's current compartment
      * differs from the callee's. Same-compartment calls cost exactly a
      * function call — "you only pay for what you get". A real crossing
-     * is the one-call case of the vectored path: the same crossChunk()
-     * that gateBatch() drives.
+     * goes through cross().
      */
     template <typename F>
     auto
@@ -283,28 +282,13 @@ class Image
             return fn();
         }
         if constexpr (std::is_void_v<R>) {
-            const std::function<void()> body = [&] { fn(); };
-            crossChunk(site, from, to, &body, 1);
+            cross(site, from, to, [&] { fn(); });
         } else {
             std::optional<R> result;
-            const std::function<void()> body = [&] {
-                result.emplace(fn());
-            };
-            crossChunk(site, from, to, &body, 1);
+            cross(site, from, to, [&] { result.emplace(fn()); });
             return std::move(*result);
         }
     }
-
-    /**
-     * Vectored gate: run a sequence of calls to the site's entry point
-     * through crossings of the boundary's `batch:` width — each chunk
-     * pays ONE backend transition (one EPT doorbell, one MPK/CHERI
-     * entry/return leg) plus a per-slot cost, while deny/rate
-     * enforcement is still debited per logical call. On a `batch: 1`
-     * boundary every chunk is one call, exactly gate().
-     */
-    void gateBatch(const GateSite &site,
-                   const std::vector<std::function<void()>> &bodies);
 
     /** Spawn a thread whose execution starts in lib's compartment. */
     Thread *spawnIn(const std::string &lib, std::string name,
@@ -632,17 +616,16 @@ class Image
     };
 
     /**
-     * The one crossing path behind gate() and gateBatch(): `k`
-     * (>= 1) calls from compartment `from` into `to` through ONE
-     * backend transition, the bodies running under the site's
-     * hardening multiplier. In order: the swap barrier, the policy
-     * lookup, least-privilege enforcement per logical call, elision
-     * and the entry-validate leg, entry-point validation, SMP
-     * migration accounting, the crossing scope, the ledger count, the
-     * backend call, and the return-leg policy work.
+     * The one crossing path behind gate(): one call from compartment
+     * `from` into `to` through one backend transition, the body
+     * running under the site's hardening multiplier. In order: the
+     * swap barrier, the policy lookup, least-privilege enforcement,
+     * the entry-validate leg, entry-point validation, SMP migration
+     * accounting, the crossing scope, the ledger count, the backend
+     * call, and the return-leg policy work.
      */
-    void crossChunk(const GateSite &site, int from, int to,
-                    const std::function<void()> *bodies, std::size_t k);
+    void cross(const GateSite &site, int from, int to,
+               const std::function<void()> &body);
 
     /** The crossing-side half of the swap barrier (defined with
      *  swapGateMatrix). */

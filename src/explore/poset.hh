@@ -61,11 +61,8 @@ struct ConfigPoint
     int cores = 1;
 
     /**
-     * Vectored-gate batch width (the `batch:` boundary knob, applied
-     * image-wide as a wildcard rule). Purely a performance dimension
-     * like cores: batching moves calls between crossings without
-     * weakening any protection state — every call still passes entry
-     * checks and rate enforcement — so compareSafety ignores it.
+     * Unread by the simulator: only perfbench writes it. Benchmark
+     * contract v2 deletes it.
      */
     int gateBatch = 1;
 

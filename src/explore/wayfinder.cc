@@ -47,15 +47,15 @@ mechanismOfRank(int rank)
 }
 
 /** The dimensions of the configuration space the wayfinder sweeps. */
-enum class Dim { Hardening, Mechanism, Flavour, Deny, Batch };
+enum class Dim { Hardening, Mechanism, Flavour, Deny };
 
 /**
  * One swept dimension, instantiated for a partition: `choices`
  * settings, apply(p, i) writes setting i into a point, and rank(i)
  * lists the settings least safe first for the pruned sweep (a linear
- * extension of the axis's safety order). A perfOnly dimension is one
- * compareSafety ignores. The safety order itself is not restated
- * here: prunedBoundarySweep derives it from compareSafety.
+ * extension of the axis's safety order). The safety order itself is
+ * not restated here: prunedBoundarySweep derives it from
+ * compareSafety.
  */
 struct Axis
 {
@@ -63,7 +63,6 @@ struct Axis
     std::size_t choices = 1;
     std::function<void(ConfigPoint &, std::size_t)> apply;
     std::function<int(std::size_t)> rank;
-    bool perfOnly = false;
 };
 
 int
@@ -141,13 +140,6 @@ axis(Dim dim, const std::vector<int> &partition, const std::string &appLib)
                 },
                 popcount};
       }
-      case Dim::Batch:
-        return {"batch", 3,
-                [](ConfigPoint &p, std::size_t i) {
-                    static const int widths[] = {1, 4, 8};
-                    p.gateBatch = widths[i];
-                },
-                [](std::size_t i) { return static_cast<int>(i); }, true};
     }
     panic("unknown sweep dimension");
 }
@@ -209,12 +201,6 @@ std::vector<ConfigPoint>
 gateFlavorSpace()
 {
     return productSpace({Dim::Flavour});
-}
-
-std::vector<ConfigPoint>
-batchingSpace()
-{
-    return productSpace({Dim::Batch});
 }
 
 std::vector<ConfigPoint>
@@ -323,7 +309,7 @@ prunedBoundarySweep(const std::vector<int> &partition,
     std::vector<Axis> axes;
     std::vector<std::vector<std::size_t>> listing;
     std::vector<ProductDimension> dims;
-    for (Dim d : {Dim::Mechanism, Dim::Flavour, Dim::Deny, Dim::Batch}) {
+    for (Dim d : {Dim::Mechanism, Dim::Flavour, Dim::Deny}) {
         Axis a = axis(d, partition, appLib);
         std::vector<std::size_t> order(a.choices);
         std::iota(order.begin(), order.end(), 0);
@@ -332,8 +318,8 @@ prunedBoundarySweep(const std::vector<int> &partition,
                              return a.rank(x) < a.rank(y);
                          });
         // The axis order is compareSafety's restricted to the axis:
-        // x <= y iff x is y, or (for a safety dimension) the point
-        // taking x is strictly less safe than the one taking y.
+        // x <= y iff x is y, or the point taking x is strictly less
+        // safe than the one taking y.
         std::size_t n = order.size();
         std::vector<ConfigPoint> pts(n, base);
         for (std::size_t i = 0; i < n; ++i)
@@ -342,9 +328,8 @@ prunedBoundarySweep(const std::vector<int> &partition,
         for (std::size_t x = 0; x < n; ++x)
             for (std::size_t y = 0; y < n; ++y)
                 le[x * n + y] =
-                    x == y || (!a.perfOnly &&
-                               compareSafety(pts[x], pts[y]) ==
-                                   SafetyOrder::Less);
+                    x == y || compareSafety(pts[x], pts[y]) ==
+                                  SafetyOrder::Less;
         dims.push_back({a.name, n,
                         [le = std::move(le), n](std::size_t x,
                                                 std::size_t y) {
@@ -432,11 +417,6 @@ toSafetyConfig(const ConfigPoint &point, const std::string &appLib)
         rules.push_back("- comp" + std::to_string(f + 1) + " -> comp" +
                         std::to_string(t + 1) + ": {deny: true}");
     }
-    // The batch width applies image-wide: one least-specific wildcard
-    // rule that every exact/deny rule above still overrides.
-    if (point.gateBatch > 1)
-        rules.push_back("- '*' -> '*': {batch: " +
-                        std::to_string(point.gateBatch) + "}");
     if (!rules.empty()) {
         cfg << "boundaries:\n";
         for (const std::string &r : rules)
@@ -508,8 +488,6 @@ pointLabel(const ConfigPoint &point, const std::string &appLib)
     }
     if (point.cores > 1)
         oss << " x" << point.cores << "cores";
-    if (point.gateBatch > 1)
-        oss << " batch" << point.gateBatch;
     return oss.str();
 }
 

@@ -34,9 +34,9 @@ const std::vector<std::vector<int>> &fig6Partitions();
 /*
  * The sweep spaces below each cross the five Figure 8 partitions with
  * one dimension of a single axis catalogue (wayfinder.cc): hardening
- * mask, per-block mechanism, per-block gate flavour, deniable-edge
- * subset or batch width. Every other knob
- * stays at the base point — all-MPK, DSS, no hardening.
+ * mask, per-block mechanism, per-block gate flavour or deniable-edge
+ * subset. Every other knob stays at the base point — all-MPK, DSS, no
+ * hardening.
  */
 
 /** All 80 configuration points (5 partitions x 16 hardening masks). */
@@ -69,21 +69,14 @@ requiredBlockEdges(const std::vector<int> &partition,
                    const std::string &appLib);
 
 /**
- * The vectored-crossing dimension: gate batch widths {1, 4, 8},
- * applied image-wide as a `'*' -> '*'` boundary rule. Batch width is
- * performance-only, so no two of these points are ordered by safety.
- */
-std::vector<ConfigPoint> batchingSpace();
-
-/**
  * One axis of a lazily enumerated product configuration space. The
  * axis has `size` choices; `le(a, b)` is the safety partial order on
  * choice indices ("a is at most as safe as b"). Choices MUST be
  * listed in a linear extension of that order — le(a, b) implies
  * a <= b, checked by explorePrunedProduct — so that visiting index
  * vectors by ascending index sum never visits a dominating vector
- * before a dominated one. A performance-only axis (batch width,
- * cores) uses equality as its order: no choice prunes any other.
+ * before a dominated one. A performance-only axis (such as cores)
+ * uses equality as its order: no choice prunes any other.
  */
 struct ProductDimension
 {
@@ -96,7 +89,7 @@ struct ProductDimension
  * Monotone budget pruning over a product space, without materializing
  * the product (the poset's explore() needs every node up front and
  * O(n^2) edge construction — hopeless for mechanism × flavour × deny
- * × batching products). Index vectors are generated one at a time in
+ * products). Index vectors are generated one at a time in
  * ascending index-sum order (a linear extension of the product
  * safety order, given each axis's listing contract); eval() measures
  * a vector's configuration. Since performance decreases monotonically
@@ -114,10 +107,10 @@ std::size_t explorePrunedProduct(
 
 /**
  * Per-block mechanisms × per-block gate flavours × deniable-edge
- * subsets × batch widths for one Figure 8 partition,
- * wired through explorePrunedProduct so the product is never
- * materialized. The axes are the spaces' own; each axis's order is
- * compareSafety restricted to it (equality for batch width). Points
+ * subsets for one Figure 8 partition, wired through
+ * explorePrunedProduct so the product is never materialized. The axes
+ * are the spaces' own; each axis's order is compareSafety restricted
+ * to it. Points
  * meeting the budget are appended to `accepted` with their measured
  * perf. @return number of evaluations actually run.
  */
@@ -144,8 +137,7 @@ leastPrivilegeSpace(const std::string &appLib = "libredis");
  * one mechanism per compartment (none/intel-mpk/vm-ept/cheri by
  * rank); points carrying blockGateFlavor emit a `boundaries:` section
  * with one wildcard rule per light block; deniedEdges add one
- * `deny: true` rule per edge; gateBatch > 1 emits an image-wide
- * `'*' -> '*'` batch rule.
+ * `deny: true` rule per edge.
  */
 SafetyConfig toSafetyConfig(const ConfigPoint &point,
                             const std::string &appLib);

@@ -65,13 +65,6 @@ struct TimingModel
      * table, comparable to the RPC server's dispatch check.
      */
     Cycles entryValidate = 18;
-    /**
-     * Per-slot dispatch cost of one extra call riding a vectored
-     * crossing (`batch: N`): argument marshalling into the next slot
-     * plus the callee-side dispatch, with the domain transition
-     * amortized over the whole batch.
-     */
-    Cycles batchSlot = 6;
     /** @} */
 
     /**

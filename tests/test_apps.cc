@@ -797,9 +797,9 @@ TEST(Iperf, MultiFlowAggregateHolds)
     }
     Deployment dep(noneConfigAllApps);
     dep.start();
-    IperfResult res = runIperfMulti(dep.image(), dep.libc(),
-                                    dep.clientStack(), 128 * 1024, 8192,
-                                    8);
+    IperfResult res = runIperf(dep.image(), dep.libc(),
+                               dep.clientStack(), 128 * 1024, 8192,
+                               8);
     dep.stop();
     // All eight flows complete in full...
     EXPECT_EQ(res.flows, 8u);

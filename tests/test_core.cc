@@ -958,6 +958,63 @@ libraries:
     EXPECT_LT(sel4, cubicle);  // pkey_mprotect is the worst (6.4)
 }
 
+TEST_F(CoreFixture, EveryMechanismCountsOneGatePerLedgerCrossing)
+{
+    // Each mechanism's gate counter counts one per crossing, as the
+    // image's ledger does.
+    const std::pair<const char *, const char *> mechs[] = {
+        {"none", "gate.none"},
+        {"intel-mpk", "gate.mpk.dss"},
+        {"vm-ept", "gate.ept"},
+        {"cheri", "gate.cheri"},
+        {"linux-pt", "gate.syscall"},
+        {"sel4-ipc", "gate.sel4ipc"},
+        {"cubicle-mpk", "gate.cubicle"},
+    };
+    for (const auto &[mech, gateCounter] : mechs) {
+        SCOPED_TRACE(mech);
+        Machine m2;
+        Scheduler sched2(m2);
+        Toolchain tc2(reg);
+        std::string text = std::string(R"(
+compartments:
+- c1:
+    mechanism: )") + mech + R"(
+    default: True
+- c2:
+    mechanism: )" + mech + R"(
+libraries:
+- libredis: c1
+- lwip: c2
+)";
+        SafetyConfig cfg = SafetyConfig::parse(text);
+        cfg.heapBytes = 1 << 20;
+        cfg.sharedHeapBytes = 1 << 20;
+        auto img = tc2.build(m2, sched2, cfg);
+        Cycles warmGate = 0;
+        img->spawnIn("libredis", "t", [&] {
+            const GateSite recv = img->site("lwip", "recv");
+            for (int i = 0; i < 63; ++i)
+                img->gate(recv, [] {});
+            Cycles t0 = m2.cycles();
+            img->gate(recv, [] {});
+            warmGate = m2.cycles() - t0;
+        });
+        sched2.run();
+        img->shutdown();
+        std::uint64_t ledgerCrossings = 0;
+        for (const Image::BoundaryCounts &cell : img->ledger())
+            ledgerCrossings += cell.crossings;
+        EXPECT_EQ(ledgerCrossings, 64u);
+        EXPECT_EQ(m2.counter(gateCounter), 64u);
+        // A warm DSS gate (its sim stack exists) costs exactly its
+        // round trip.
+        if (std::string(mech) == "intel-mpk") {
+            EXPECT_EQ(warmGate, static_cast<Cycles>(m2.timing.mpkDssGate));
+        }
+    }
+}
+
 TEST_F(CoreFixture, GateExceptionRestoresCallerDomain)
 {
     auto img = buildFrom(twoCompMpk);

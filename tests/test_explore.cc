@@ -561,11 +561,82 @@ TEST(Wayfinder, LeastPrivilegeSpaceSkipsRequiredEdges)
 
 // ------------------------------------------------ pruned product sweep
 
+TEST(PrunedProduct, MatchesBruteForceAndSkipsDominatedFailures)
+{
+    // Two safety axes (chains of 3 and 2) and one perf-only axis of 2:
+    // perf decreases monotonically in the safety axes and is flat in
+    // the perf axis. Budget 6.5 rejects x=2 vectors; the pruner must
+    // accept exactly the brute-force set and never evaluate a vector
+    // dominating a failed one — but a failure must NOT prune across
+    // the perf-only axis.
+    std::vector<wayfinder::ProductDimension> dims = {
+        {"x", 3, [](std::size_t a, std::size_t b) { return a <= b; }},
+        {"y", 2, [](std::size_t a, std::size_t b) { return a <= b; }},
+        {"perf", 2,
+         [](std::size_t a, std::size_t b) { return a == b; }},
+    };
+    auto perf = [](const std::vector<std::size_t> &v) {
+        return 10.0 - 2.0 * static_cast<double>(v[0]) -
+               static_cast<double>(v[1]);
+    };
+    std::set<std::vector<std::size_t>> evaluated, accepted;
+    std::size_t evals = wayfinder::explorePrunedProduct(
+        dims,
+        [&](const std::vector<std::size_t> &v) {
+            evaluated.insert(v);
+            return perf(v);
+        },
+        6.5,
+        [&](const std::vector<std::size_t> &v, double p) {
+            EXPECT_EQ(p, perf(v));
+            accepted.insert(v);
+        });
+
+    // Brute force: accepted iff 10 - 2x - y >= 6.5.
+    std::set<std::vector<std::size_t>> expect;
+    for (std::size_t x = 0; x < 3; ++x)
+        for (std::size_t y = 0; y < 2; ++y)
+            for (std::size_t p = 0; p < 2; ++p)
+                if (perf({x, y, p}) >= 6.5)
+                    expect.insert({x, y, p});
+    EXPECT_EQ(accepted, expect);
+    EXPECT_EQ(evals, evaluated.size());
+
+    // The first x=2 vector of each perf slice fails (perf 6 < 6.5)
+    // and prunes the (2,1,p) vector of the SAME perf index; vectors
+    // in the other perf slice are incomparable under the equality
+    // order and must still be evaluated in their own right.
+    EXPECT_TRUE(evaluated.count({2, 0, 0}));
+    EXPECT_TRUE(evaluated.count({2, 0, 1}));
+    EXPECT_FALSE(evaluated.count({2, 1, 0}));
+    EXPECT_FALSE(evaluated.count({2, 1, 1}));
+    EXPECT_LT(evals, 12u);
+}
+
+TEST(PrunedProduct, ListingAgainstTheAxisOrderPanics)
+{
+    // A chain listed safest first breaks the linear-extension contract
+    // ascending index-sum enumeration relies on: reject it up front.
+    std::vector<wayfinder::ProductDimension> dims = {
+        {"reversed", 3,
+         [](std::size_t a, std::size_t b) { return a >= b; }},
+    };
+    std::size_t evals = 0;
+    EXPECT_THROW(wayfinder::explorePrunedProduct(
+                     dims,
+                     [&](const std::vector<std::size_t> &) {
+                         ++evals;
+                         return 1.0;
+                     },
+                     0.0),
+                 PanicError);
+    EXPECT_EQ(evals, 0u);
+}
+
 /**
  * Deterministic stand-in for a measurement in the pruned boundary
  * sweep: perf falls with every safety axis (mechanism rank sum, blocks
- * behind the DSS gate, denied edges) and does not depend on batch
- * width.
+ * behind the DSS gate, denied edges).
  */
 double
 syntheticPerf(const ConfigPoint &p)
@@ -593,11 +664,10 @@ TEST(PrunedSweep, LwipSplitListingAndPruningArePinned)
         },
         budget, accepted);
     EXPECT_EQ(evals, evaluated.size());
-    EXPECT_EQ(evals, 18u);
+    EXPECT_EQ(evals, 6u);
 
     // The accepted points in listing order: ascending index sum over
-    // mechanism x flavour x deny x batch, each axis listed least safe
-    // first.
+    // mechanism x flavour x deny, each axis listed least safe first.
     std::vector<std::string> labels;
     for (const ConfigPoint &p : accepted) {
         EXPECT_EQ(p.perf, syntheticPerf(p));
@@ -606,30 +676,22 @@ TEST(PrunedSweep, LwipSplitListingAndPruningArePinned)
         EXPECT_EQ(l.substr(0, axes), "app+newlib+uksched / lwip  [○○○○] ");
         labels.push_back(l.substr(axes));
     }
-    EXPECT_EQ(accepted.size(), 9u);
+    EXPECT_EQ(accepted.size(), 3u);
     EXPECT_EQ(labels, (std::vector<std::string>{
         "{none/none} <light/light>",
-        "{none/none} <light/light> batch4",
         "{none/none} <dss/light>",
-        "{none/none} <light/light> batch8",
-        "{none/none} <dss/light> batch4",
         "{none/none} <light/dss>",
-        "{none/none} <dss/light> batch8",
-        "{none/none} <light/dss> batch4",
-        "{none/none} <light/dss> batch8",
     }));
 
     // Monotone pruning: once a point misses the budget, nothing that
-    // safety-dominates it at the same (perf-only) batch width is run.
+    // safety-dominates it is run.
     for (const ConfigPoint &miss : evaluated) {
         if (miss.perf >= budget)
             continue;
         for (const ConfigPoint &e : evaluated)
-            if (e.gateBatch == miss.gateBatch) {
-                EXPECT_NE(compareSafety(e, miss), SafetyOrder::Greater)
-                    << wayfinder::pointLabel(e, "app") << " over "
-                    << wayfinder::pointLabel(miss, "app");
-            }
+            EXPECT_NE(compareSafety(e, miss), SafetyOrder::Greater)
+                << wayfinder::pointLabel(e, "app") << " over "
+                << wayfinder::pointLabel(miss, "app");
     }
 }
 

@@ -952,7 +952,6 @@ struct ConfigGenerator
         maybe(r.overflow, pick({RateOverflow::Stall, RateOverflow::Fail}));
         maybe(r.stackSharing, pick({StackSharing::Heap, StackSharing::Dss,
                                     StackSharing::SharedStack}));
-        maybe(r.batch, pick<std::uint64_t>({1, 8}));
         maybe(r.adaptive, rng.chance(1, 2));
         return r;
     }
@@ -1057,7 +1056,6 @@ referenceMatrix(const SafetyConfig &cfg)
             resolve(&BoundaryRule::window, p.rateWindow);
             resolve(&BoundaryRule::overflow, p.overflow);
             resolve(&BoundaryRule::stackSharing, p.stackSharing);
-            resolve(&BoundaryRule::batch, p.batch);
             resolve(&BoundaryRule::adaptive, p.adaptive);
             if (ambiguous)
                 return std::nullopt;
@@ -1073,7 +1071,7 @@ TEST_F(GatePolicyFixture, GeneratedRulesRoundTripAndResolveLikeTheReference)
     std::string corpus;
     for (std::uint64_t seed : {1, 2, 3}) {
         ConfigGenerator gen{Rng(seed)};
-        for (int i = 0; i < 150; ++i) {
+        for (int i = 0; i < 200; ++i) {
             SafetyConfig cfg = gen.config();
             std::string text = cfg.toText();
             corpus += text;
@@ -1114,7 +1112,7 @@ TEST_F(GatePolicyFixture, GeneratedRulesRoundTripAndResolveLikeTheReference)
           "validate_return: true", "scrub: false", "deny: true",
           "deny: false", "rate: 7", "window: 70", "overflow: stall",
           "overflow: fail", "stack_sharing: heap", "stack_sharing: dss",
-          "stack_sharing: shared-stack", "batch: 8", "adaptive: true",
+          "stack_sharing: shared-stack", "adaptive: true",
           "mechanism: none", "mechanism: intel-mpk", "mechanism: vm-ept",
           "mechanism: cheri", "mechanism: linux-pt", "mechanism: sel4-ipc",
           "mechanism: cubicle-mpk", "stack-protector", "ubsan", "kasan",
@@ -1244,14 +1242,15 @@ TEST_F(GatePolicyFixture, EnumNamesAcceptAliasesAndListTheChoices)
 
 TEST_F(GatePolicyFixture, RemovedKnobsAreRejected)
 {
-    // `elide:`, `coalesce:` and `weight:` in a boundary rule, and the
-    // top-level `mpk_gate:` and `steering:`, are not keys of the
-    // config language: each is fatal naming its line and the key,
+    // `elide:`, `coalesce:`, `weight:` and `batch:` in a boundary rule,
+    // and the top-level `mpk_gate:` and `steering:`, are not keys of
+    // the config language: each is fatal naming its line and the key,
     // never parsed silently.
     const std::pair<const char *, const char *> cases[] = {
         {"- a -> b: {elide: both}\n", "unknown boundary key 'elide'"},
         {"- a -> b: {coalesce: 10}\n", "unknown boundary key 'coalesce'"},
         {"- a -> b: {weight: 2}\n", "unknown boundary key 'weight'"},
+        {"- a -> b: {batch: 8}\n", "unknown boundary key 'batch'"},
         {"mpk_gate: light\n", "got 'mpk_gate: light'"},
         {"steering: single\n", "got 'steering: single'"},
     };
@@ -1261,6 +1260,45 @@ TEST_F(GatePolicyFixture, RemovedKnobsAreRejected)
         EXPECT_NE(msg.find("config line 10: "), std::string::npos) << msg;
         EXPECT_NE(msg.find(key), std::string::npos) << msg;
     }
+}
+
+TEST_F(GatePolicyFixture, ValidateAndScrubLayerBySpecificity)
+{
+    // A callee-side rule overrides the global one; the exact pair wins
+    // without disturbing fields it does not set, and a caller-side
+    // rule still layers in the fields nobody more specific sets.
+    SafetyConfig cfg = SafetyConfig::parse(R"(
+compartments:
+- a:
+    mechanism: intel-mpk
+    default: True
+- b:
+    mechanism: intel-mpk
+- c:
+    mechanism: intel-mpk
+libraries:
+- libredis: a
+boundaries:
+- '*' -> '*': {validate: true}
+- '*' -> b: {validate: true, scrub: true}
+- a -> b: {validate: false}
+- a -> '*': {scrub: false}
+- '*' -> c: {validate: false}
+)");
+    GateMatrix m = GateMatrix::build(cfg);
+    // a -> c: callee-side validate beats global; caller-side scrub.
+    EXPECT_FALSE(m.at(0, 2).validateEntry);
+    EXPECT_FALSE(m.at(0, 2).scrubReturn);
+    // a -> b: exact validate beats the callee-side one, whose scrub
+    // beats the caller-side one.
+    EXPECT_FALSE(m.at(0, 1).validateEntry);
+    EXPECT_TRUE(m.at(0, 1).scrubReturn);
+    // c -> b: callee-side only.
+    EXPECT_TRUE(m.at(2, 1).validateEntry);
+    EXPECT_TRUE(m.at(2, 1).scrubReturn);
+    // b -> a: global only.
+    EXPECT_TRUE(m.at(1, 0).validateEntry);
+    EXPECT_TRUE(m.at(1, 0).scrubReturn);
 }
 } // namespace
 } // namespace flexos

@@ -351,8 +351,8 @@ libraries:
                    opts);
     dep.start();
     IperfResult res =
-        runIperfMulti(dep.image(), dep.libc(), dep.clientStack(),
-                      16 * 1024, 2048, /*flows=*/4, /*port=*/5201);
+        runIperf(dep.image(), dep.libc(), dep.clientStack(),
+                 16 * 1024, 2048, /*flows=*/4, /*port=*/5201);
 
     EXPECT_EQ(res.bytes, 4u * 16 * 1024);
     EXPECT_GT(res.gbitPerSec, 0.0);
@@ -370,7 +370,7 @@ libraries:
     std::size_t prev = dep.machine().memMap.count();
     int stableRuns = 0;
     for (int run = 0; run < 6 && stableRuns < 2; ++run) {
-        IperfResult res2 = runIperfMulti(
+        IperfResult res2 = runIperf(
             dep.image(), dep.libc(), dep.clientStack(), 16 * 1024,
             2048, /*flows=*/4, /*port=*/static_cast<uint16_t>(5202 + run));
         EXPECT_EQ(res2.bytes, 4u * 16 * 1024);

@@ -252,12 +252,9 @@ TEST_F(RuntimeFixture, DriverSwapDrainsEptCrossingInFlight)
     EXPECT_TRUE(img->policyFor(app, net).validateReturn);
 }
 
-TEST_F(RuntimeFixture, SwapWaitsForVectoredEptChunkThenGatesTheRest)
+TEST_F(RuntimeFixture, SwapWaitsForEptCrossingThenDeniesTheRest)
 {
-    std::unique_ptr<Image> img = buildFrom(std::string(eptCfg) + R"(
-boundaries:
-- app -> net: {batch: 4}
-)");
+    std::unique_ptr<Image> img = buildFrom(eptCfg);
     int app = img->compartmentIndexOf("libredis");
     int net = img->compartmentIndexOf("lwip");
 
@@ -265,25 +262,26 @@ boundaries:
     bool bodyStarted = false, denied = false, callerDone = false;
     int ranAtSwap = -1;
 
-    // A: eight calls in chunks of four. The first body suspends on the
-    // far side of the EPT ring, so the whole first chunk is in flight.
+    // A: eight sequential gates. The first body suspends on the far
+    // side of the EPT ring, so that crossing is in flight.
     img->spawnIn("libredis", "caller", [&] {
-        std::vector<std::function<void()>> bodies(8, [&] { ++ran; });
-        bodies[0] = [&] {
-            bodyStarted = true;
-            sched.sleepNs(200000);
-            ++ran;
-        };
+        GateSite recv = img->site("lwip", "recv");
         try {
-            img->gateBatch(img->site("lwip", "recv"), bodies);
+            img->gate(recv, [&] {
+                bodyStarted = true;
+                sched.sleepNs(200000);
+                ++ran;
+            });
+            for (int i = 1; i < 8; ++i)
+                img->gate(recv, [&] { ++ran; });
         } catch (const DeniedCrossing &) {
             denied = true;
         }
         callerDone = true;
     });
 
-    // B: denies the edge mid-chunk. The swap must wait for the chunk
-    // in flight; the next chunk then crosses under the new matrix.
+    // B: denies the edge mid-crossing. The swap must wait for the
+    // crossing in flight; the next gate then meets the new matrix.
     sched.spawn("swapper", [&] {
         while (!bodyStarted)
             sched.yield();
@@ -296,11 +294,9 @@ boundaries:
     });
 
     sched.runUntil([&] { return callerDone && ranAtSwap >= 0; });
-    EXPECT_EQ(ranAtSwap, 4);
+    EXPECT_EQ(ranAtSwap, 1);
     EXPECT_TRUE(denied);
-    EXPECT_EQ(ran, 4);
-    EXPECT_EQ(mach.counter("gate.batched"), 1u);
-    EXPECT_EQ(mach.counter("gate.batchedCalls"), 4u);
+    EXPECT_EQ(ran, 1);
     EXPECT_GE(mach.counter("matrix.quiesceWaits"), 1u);
     EXPECT_EQ(img->gateMatrix().epoch(), 1u);
     sched.cancelAll();

@@ -235,9 +235,9 @@ cores: 4
     EXPECT_EQ(dep.machine().coreCount(), 4u);
     dep.start();
     EXPECT_EQ(dep.clientStack().rxQueueCount(), 1u);
-    IperfResult res = runIperfMulti(dep.image(), dep.libc(),
-                                    dep.clientStack(), 32 * 1024, 4096,
-                                    /*flows=*/8);
+    IperfResult res = runIperf(dep.image(), dep.libc(),
+                               dep.clientStack(), 32 * 1024, 4096,
+                               /*flows=*/8);
     dep.stop();
     EXPECT_EQ(res.bytes, 8u * 32 * 1024);
     Machine &m = dep.machine();
@@ -273,8 +273,8 @@ libraries:
         opts.withFs = false;
         Deployment dep(cfg, opts);
         dep.start();
-        runIperfMulti(dep.image(), dep.libc(), dep.clientStack(),
-                      64 * 1024, 4096, /*flows=*/2);
+        runIperf(dep.image(), dep.libc(), dep.clientStack(),
+                 64 * 1024, 4096, /*flows=*/2);
         dep.stop();
         return std::make_pair(dep.machine().wallCycles(),
                               dep.machine().counters());
