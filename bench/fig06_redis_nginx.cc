@@ -37,8 +37,13 @@ runPanel(const char *app, const char *appLib,
     std::vector<Row> rows;
     for (const ConfigPoint &p : wayfinder::fig6Space())
         rows.push_back({p, measure(p, requests)});
-    std::sort(rows.begin(), rows.end(), [](const Row &a, const Row &b) {
-        return a.reqPerSec < b.reqPerSec;
+    // Equal rates break ties on the label, so tied rows print in a
+    // fixed order.
+    std::sort(rows.begin(), rows.end(), [appLib](const Row &a, const Row &b) {
+        if (a.reqPerSec != b.reqPerSec)
+            return a.reqPerSec < b.reqPerSec;
+        return wayfinder::pointLabel(a.point, appLib) <
+               wayfinder::pointLabel(b.point, appLib);
     });
 
     std::printf("\n=== Figure 6 (%s): %zu configurations, "

@@ -678,9 +678,14 @@ main(int argc, char **argv)
                     "(%zu pruned unevaluated), %zu met the budget\n",
                     budget, evaluated, product, product - evaluated,
                     accepted.size());
+        // Ties (many points meet the budget at the same rate) break on
+        // the label, so the listing is a property of the sweep.
         std::sort(accepted.begin(), accepted.end(),
                   [](const ConfigPoint &a, const ConfigPoint &b) {
-                      return a.perf > b.perf;
+                      if (a.perf != b.perf)
+                          return a.perf > b.perf;
+                      return wayfinder::pointLabel(a, "app") <
+                             wayfinder::pointLabel(b, "app");
                   });
         std::size_t show = std::min<std::size_t>(accepted.size(), 12);
         for (std::size_t i = 0; i < show; ++i)

@@ -4,20 +4,22 @@
  * MPK light gate, MPK DSS gate, EPT RPC gate, and Linux system calls
  * with/without KPTI — plus the other baselines and a validation row.
  *
- * `vcycles` is virtual cycles per logical call (paper: function 2,
- * MPK-light 62, MPK-dss 108, EPT 462, syscall 470, syscall-nokpti 146)
- * and is deterministic; `--json [path]` writes it to a snapshot
- * (default BENCH_fig11b.json) instead of the table. The host columns
- * are the simulator's own ns per crossing, min and median of fixed
- * timed episodes; they move with the host, so compare builds
+ * `vcycles` is virtual cycles per logical call, printed beside the
+ * paper's value for the six rows the paper measures. It is
+ * deterministic; `--json [path]` writes it, with the paper's value, to
+ * a snapshot (default BENCH_fig11b.json) instead of the table. The
+ * host columns are the simulator's own ns per crossing, min and median
+ * of fixed timed episodes; they move with the host, so compare builds
  * alternately.
  */
 
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,12 +54,14 @@ twoComp(const char *mech, const char *gateFlavor = nullptr,
 }
 
 /**
- * A call from libredis into `callee`/`entry` under `cfg`. `noKpti`
- * boots with KPTI off, so syscalls take the cheap path.
+ * A call from libredis into `callee`/`entry` under `cfg`, and the
+ * paper's cycles for it (Figure 11b) where it has one. `noKpti` boots
+ * with KPTI off, so syscalls take the cheap path.
  */
 struct Row
 {
     const char *name;
+    std::optional<double> paper;
     std::string cfg;
     bool noKpti = false;
     const char *callee = "lwip";
@@ -113,17 +117,17 @@ measure(const Row &row)
 
 /** The paper's rows, then the `validate:` knob. */
 const std::vector<Row> rows = {
-    {"function_call", twoComp("intel-mpk"), false, "libredis",
+    {"function_call", 2, twoComp("intel-mpk"), false, "libredis",
      "redis_main"},
-    {"mpk_light", twoComp("intel-mpk", "light")},
-    {"mpk_dss", twoComp("intel-mpk", "dss")},
-    {"ept", twoComp("vm-ept")},
-    {"syscall", twoComp("linux-pt")},
-    {"syscall_nokpti", twoComp("linux-pt"), true},
-    {"sel4_ipc", twoComp("sel4-ipc")},
-    {"cubicle_pkey_mprotect", twoComp("cubicle-mpk")},
-    {"cheri_sketch", twoComp("cheri")},
-    {"mpk_dss_validate", twoComp("intel-mpk", "dss", "{validate: true}")},
+    {"mpk_light", 62, twoComp("intel-mpk", "light")},
+    {"mpk_dss", 108, twoComp("intel-mpk", "dss")},
+    {"ept", 462, twoComp("vm-ept")},
+    {"syscall", 470, twoComp("linux-pt")},
+    {"syscall_nokpti", 146, twoComp("linux-pt"), true},
+    {"sel4_ipc", {}, twoComp("sel4-ipc")},
+    {"cubicle_pkey_mprotect", {}, twoComp("cubicle-mpk")},
+    {"cheri_sketch", {}, twoComp("cheri")},
+    {"mpk_dss_validate", {}, twoComp("intel-mpk", "dss", "{validate: true}")},
 };
 
 } // namespace
@@ -136,7 +140,7 @@ main(int argc, char **argv)
         bench::Snapshot snap("fig11b");
         for (const Row &row : rows)
             snap.number(row.name, "vcycles", measure(row).vcycles,
-                        "vcycles");
+                        "vcycles", row.paper);
         snap.write(argc == 3 ? argv[2] : "BENCH_fig11b.json");
         return 0;
     }
@@ -145,12 +149,16 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::printf("=== Figure 11b: gate latency ===\n%-24s %10s %12s %12s\n",
-                "row", "vcycles", "host ns min", "host ns med");
+    std::printf("=== Figure 11b: gate latency ===\n%-24s %10s %6s %12s "
+                "%12s\n",
+                "row", "vcycles", "paper", "host ns min", "host ns med");
     for (const Row &row : rows) {
         Result r = measure(row);
-        std::printf("%-24s %10.10g %12.1f %12.1f\n", row.name, r.vcycles,
-                    r.hostNs.front(), r.hostNs[episodes / 2]);
+        std::string paper =
+            row.paper ? std::to_string(std::lround(*row.paper)) : "-";
+        std::printf("%-24s %10.10g %6s %12.1f %12.1f\n", row.name,
+                    r.vcycles, paper.c_str(), r.hostNs.front(),
+                    r.hostNs[episodes / 2]);
     }
     std::printf("\nhost ns per crossing: min and median of %zu episodes x "
                 "%u crossings\n", episodes, crossingsPerEpisode);

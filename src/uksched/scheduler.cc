@@ -101,8 +101,9 @@ namespace {
 
 #ifdef FLEXOS_ASAN_FIBERS
 /**
- * Host (scheduler) stack bounds, learned on the first fiber entry. Per
- * host thread: schedulers on different threads run on different stacks.
+ * Host (scheduler) stack bounds, learned on every fiber entry out of
+ * the scheduler stack. Per host thread: schedulers on different threads
+ * run on different stacks.
  */
 thread_local const void *hostStackBottom = nullptr; // flexos: shared
 thread_local std::size_t hostStackSize = 0;         // flexos: shared
@@ -110,10 +111,15 @@ thread_local std::size_t hostStackSize = 0;         // flexos: shared
 thread_local void *schedFakeStack = nullptr; // flexos: shared
 
 void
-asanEnterFiber(void *fiberFakeStack)
+asanEnterFiber(void *fiberFakeStack, bool fromFiber)
 {
-    __sanitizer_finish_switch_fiber(fiberFakeStack, &hostStackBottom,
-                                    &hostStackSize);
+    // An entry from another fiber would report that fiber's stack as
+    // the one left behind: only the scheduler stack's bounds are kept.
+    if (fromFiber)
+        __sanitizer_finish_switch_fiber(fiberFakeStack, nullptr, nullptr);
+    else
+        __sanitizer_finish_switch_fiber(fiberFakeStack, &hostStackBottom,
+                                        &hostStackSize);
 }
 
 void
@@ -231,6 +237,8 @@ Scheduler::cancelAll()
     // rest of the world is still alive; the destructor's own call is a
     // last-resort backstop where only Machine and the threads are
     // guaranteed live. The exit hook is dropped either way.
+    panic_if(running || loop,
+             "Scheduler::cancelAll from inside a fiber or a predicate");
     exitHook = nullptr;
     for (auto &t : threads)
         cancel(t.get());
@@ -247,7 +255,8 @@ Scheduler::setThreadExitHook(std::function<void(Thread &)> hook)
 void
 Scheduler::cancel(Thread *t)
 {
-    panic_if(running, "Scheduler::cancel from inside a fiber");
+    panic_if(running || loop,
+             "Scheduler::cancel from inside a fiber or a predicate");
     if (t->state_ == Thread::State::Finished)
         return;
     if (!t->started_) {
@@ -317,7 +326,8 @@ void
 Scheduler::trampoline(Scheduler *sched)
 {
 #ifdef FLEXOS_ASAN_FIBERS
-    asanEnterFiber(nullptr); // first entry: no fake stack to restore
+    // First entry: no fake stack to restore.
+    asanEnterFiber(nullptr, sched->asanFromFiber);
 #endif
     sched->threadMain();
 }
@@ -351,7 +361,7 @@ Scheduler::threadMain()
 }
 
 void
-Scheduler::switchTo(Thread *t)
+Scheduler::dispatch(Thread *t)
 {
     // Bank the outgoing core's register window and make the thread's
     // home core the machine's active context (no-op on 1 core).
@@ -370,8 +380,14 @@ Scheduler::switchTo(Thread *t)
     mach.pkru = t->pkru;
     mach.currentVm = t->vm;
     mach.workMultiplier = t->workMult;
+}
 
+void
+Scheduler::switchTo(Thread *t)
+{
+    dispatch(t);
 #ifdef FLEXOS_ASAN_FIBERS
+    asanFromFiber = false;
     __sanitizer_start_switch_fiber(&schedFakeStack, t->stack.get(),
                                    t->stackBytes);
 #endif
@@ -380,13 +396,14 @@ Scheduler::switchTo(Thread *t)
     __sanitizer_finish_switch_fiber(schedFakeStack, nullptr, nullptr);
 #endif
 
-    // Back in the scheduler (TCB): run unrestricted and charged. A
+    // Back in the scheduler (TCB), not necessarily from t: fibers
+    // switch among themselves until the loop ends or one finishes. A
     // thread that returned bypassed switchOut()'s running=nullptr
-    // reset, so clear the stale pointer here; it never runs again, so
-    // its stack goes back now rather than when the scheduler dies.
-    if (t->state_ == Thread::State::Finished) {
+    // reset, so it is the one still in `running`; it never runs again,
+    // so its stack goes back now rather than when the scheduler dies.
+    if (Thread *done = running) {
         running = nullptr;
-        t->stack.reset();
+        done->stack.reset();
     }
     mach.pkru = Pkru(Pkru::allowAllValue);
     mach.currentVm = -1;
@@ -409,12 +426,40 @@ Scheduler::switchOut()
     mach.currentVm = -1;
     mach.chargingEnabled = true;
     mach.workMultiplier = 1.0;
+
+    // Take the loop's next step here, on the suspending fiber, and
+    // switch straight to the thread it picks.
+    Thread *next = nullptr;
+    if (loop && !cancelling) {
+        try {
+            next = pickNext();
+        } catch (...) {
+            // Not this fiber's error: the driver rethrows it from
+            // run()/runUntil(), and this fiber stays suspended.
+            loop->error = std::current_exception();
+            loop->over = true;
+        }
+    }
+    if (next == self) {
+        dispatch(self);
+        return;
+    }
+    if (next) {
+        dispatch(next);
 #ifdef FLEXOS_ASAN_FIBERS
-    asanLeaveFiber(&self->asanFakeStack);
+        asanFromFiber = true;
+        __sanitizer_start_switch_fiber(&self->asanFakeStack,
+                                       next->stack.get(), next->stackBytes);
 #endif
-    flexos_fiber_switch(&self->sp, schedSp);
+        flexos_fiber_switch(&self->sp, next->sp);
+    } else {
 #ifdef FLEXOS_ASAN_FIBERS
-    asanEnterFiber(self->asanFakeStack);
+        asanLeaveFiber(&self->asanFakeStack);
+#endif
+        flexos_fiber_switch(&self->sp, schedSp);
+    }
+#ifdef FLEXOS_ASAN_FIBERS
+    asanEnterFiber(self->asanFakeStack, asanFromFiber);
 #endif
     if (cancelling)
         throw ThreadCancelled{};
@@ -514,9 +559,23 @@ Scheduler::stealWork()
     }
 }
 
-bool
-Scheduler::dispatchOne()
+Thread *
+Scheduler::pickNext()
 {
+    Loop &l = *loop;
+    if (l.pred) {
+        if ((*l.pred)()) {
+            l.met = l.over = true;
+            return nullptr;
+        }
+        if (l.budget-- == 0) {
+            l.over = true;
+            return nullptr;
+        }
+    }
+    serviceSleepers();
+    stealWork();
+
     unsigned n = unsigned(runQueues.size());
 
     // Pass 1: round-robin across cores, dispatching the first thread
@@ -528,8 +587,7 @@ Scheduler::dispatchOne()
                 continue;
             runQueues[c].remove(t);
             nextDispatchCore = (c + 1) % n;
-            switchTo(t);
-            return true;
+            return t;
         }
     }
 
@@ -543,29 +601,42 @@ Scheduler::dispatchOne()
                 next = t;
         }
     }
-    if (!next)
-        return false;
+    if (!next) {
+        l.over = true;
+        return nullptr;
+    }
     runQueues[next->core].remove(next);
     mach.advanceCoreTo(next->core, next->readyAtCycles);
     nextDispatchCore = (unsigned(next->core) + 1) % n;
-    switchTo(next);
-    return true;
+    return next;
 }
 
-bool
-Scheduler::step()
+void
+Scheduler::drive(Loop &l)
 {
-    serviceSleepers();
-    stealWork();
-    return dispatchOne();
+    panic_if(running || loop,
+             "Scheduler::run/runUntil from inside a fiber or a predicate");
+    loop = &l;
+    struct Unset
+    {
+        Scheduler &sched;
+        ~Unset() { sched.loop = nullptr; }
+    } unset{*this};
+    // The driver takes a step only to start the loop and after a
+    // thread finishes; the fibers take every other one themselves.
+    while (!l.over) {
+        if (Thread *t = pickNext())
+            switchTo(t);
+    }
+    if (l.error)
+        std::rethrow_exception(l.error);
 }
 
 bool
 Scheduler::run()
 {
-    while (step()) {
-    }
-
+    Loop l;
+    drive(l);
     for (const auto &t : threads) {
         if (t->state_ != Thread::State::Finished)
             return false; // blocked threads remain: deadlock
@@ -577,12 +648,11 @@ bool
 Scheduler::runUntil(const std::function<bool()> &pred,
                     std::uint64_t maxSwitches)
 {
-    std::uint64_t budget = maxSwitches;
-    while (!pred()) {
-        if (budget-- == 0 || !step())
-            return false;
-    }
-    return true;
+    Loop l;
+    l.pred = &pred;
+    l.budget = maxSwitches;
+    drive(l);
+    return l.met;
 }
 
 void

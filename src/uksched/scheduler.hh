@@ -8,6 +8,16 @@
  * is a few saved registers and a stack-pointer swap (no syscall).
  * This makes every run deterministic and lets the virtual clock be exact.
  *
+ * The scheduler's loop (run(), runUntil()) takes one step per dispatch:
+ * evaluate runUntil's predicate, spend one unit of its switch budget,
+ * service sleepers, steal work, pick the next thread. A suspending
+ * thread takes that step itself, on its own fiber, and switches
+ * straight to the thread it picks (a direct switch, as in L4); only the
+ * loop's start and end, a finishing thread and cancellation go through
+ * the scheduler's host stack. The predicate therefore runs on whichever
+ * fiber is suspending: it must not suspend, nor call run(), runUntil(),
+ * cancel() or cancelAll() (they panic).
+ *
  * The scheduler is part of FlexOS' trusted computing base (paper 3.3).
  * It has no backend hook API: each thread carries its protection domain
  * (PKRU value, EPT VM) and hardening multiplier. A switch-out saves the
@@ -30,6 +40,7 @@
 #define FLEXOS_UKSCHED_SCHEDULER_HH
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -253,7 +264,11 @@ class Scheduler
     bool run();
 
     /**
-     * Run until pred() holds, checked after every thread switch-out.
+     * Run until pred() holds, checked before every dispatch. It is
+     * evaluated on the fiber that is suspending (on the caller's stack
+     * only before the first dispatch and after a thread finishes), with
+     * no thread current, so it must neither suspend nor call run(),
+     * runUntil() or cancel(); an exception it throws is rethrown here.
      * @return true if the predicate was met; false if the switch
      *         budget ran out or the run dried up (no thread Ready and
      *         no timed wait pending but heartbeats).
@@ -325,7 +340,7 @@ class Scheduler
     std::uint64_t switches() const { return switchCount; }
 
     /**
-     * Dispatches onto one core since boot: every switchTo() of a
+     * Dispatches onto one core since boot: every dispatch of a
      * thread homed there counts. A dispatch is a policy-safe point —
      * the thread passed through the scheduler — so quiesced epoch
      * swaps (Image::swapGateMatrix) use the counter as the per-core
@@ -339,7 +354,37 @@ class Scheduler
   private:
     friend class WaitQueue;
 
+    /** A run()/runUntil() loop in progress, on the driver's stack. */
+    struct Loop
+    {
+        const std::function<bool()> *pred = nullptr; ///< runUntil only
+        std::uint64_t budget = 0; ///< switches left (runUntil only)
+        bool over = false;        ///< nothing more to pick
+        bool met = false;         ///< over because pred() held
+        std::exception_ptr error; ///< thrown by pickNext() on a fiber
+    };
+
+    /** Run a loop on the driver's stack until it is over. */
+    void drive(Loop &l);
+
+    /**
+     * One step of the active loop, up to the choice: evaluate the
+     * predicate and spend one unit of the budget (runUntil only),
+     * service sleepers, steal, then take a thread off its run queue:
+     * round-robin over cores, preferring work that is already due on
+     * its core's clock; otherwise idle-jump the core owning the
+     * earliest future-ready thread. It never switches, so it runs on
+     * the driver's stack or on the suspending fiber alike.
+     * @return the thread to dispatch, or null with the loop over.
+     */
+    Thread *pickNext();
+
+    /** Make t the running thread on its core: count and charge the
+     *  dispatch and install t's domain. No stack switch. */
+    void dispatch(Thread *t);
+    /** Dispatch t from the driver's stack and switch to its fiber. */
     void switchTo(Thread *t);
+    /** Suspend the running thread and take the loop's next step. */
     void switchOut();
     /** switchOut() for a timed wait, counted in timedWaits unless a
      *  heartbeat. */
@@ -357,20 +402,8 @@ class Scheduler
     /** Migrate ready unpinned threads from loaded cores to idle ones. */
     void stealWork();
 
-    /**
-     * Dispatch one thread: round-robin over cores, preferring work
-     * that is already due on its core's clock; otherwise idle-jump the
-     * core owning the earliest future-ready thread.
-     * @return false if no Ready thread is queued anywhere.
-     */
-    bool dispatchOne();
-
     /** Whether any core's run queue is non-empty. */
     bool anyQueued() const;
-
-    /** One scheduling round: service sleepers, steal, dispatch.
-     *  @return false if nothing could be dispatched. */
-    bool step();
 
     Machine &mach;
     std::vector<std::unique_ptr<Thread>> threads;
@@ -407,12 +440,16 @@ class Scheduler
     unsigned nextDispatchCore = 0; ///< round-robin dispatch cursor
 
     Thread *running = nullptr;
+    Loop *loop = nullptr; ///< the active loop (null outside run/runUntil)
     void *schedSp = nullptr; ///< scheduler stack pointer while a fiber runs
     int nextId = 1;
     std::uint64_t switchCount = 0;
     /** Suspended timed waits that are not heartbeats. */
     std::size_t timedWaits = 0;
     bool cancelling = false; ///< teardown: suspension points throw
+    /** ASan: the fiber being entered was switched to by another fiber,
+     *  not out of the scheduler stack. */
+    bool asanFromFiber = false;
 };
 
 /**

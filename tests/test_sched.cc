@@ -4,15 +4,18 @@
  * order, virtual-time sleep, heartbeat waits and the run drying up, the
  * single-owner thread-exit hook, finished threads giving their stacks
  * back, the per-thread protection domain installed on a switch, the
- * free-running (uncharged) thread mode, and the fiber switch itself
- * (per-fiber floating-point control state, exceptions, deep stacks,
- * spawn/teardown churn).
+ * free-running (uncharged) thread mode, the pinned two-core dispatch
+ * order, runUntil predicates taken on the suspending fiber (a throw
+ * reaches the driver, driver-only calls panic), and the fiber switch
+ * itself (per-fiber floating-point control state, exceptions, deep
+ * stacks, spawn/teardown churn).
  */
 
 #include <gtest/gtest.h>
 
 #include <cfenv>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -364,6 +367,110 @@ TEST_F(SchedFixture, CancelInsideTimedWaitsKeepsAccountingBalanced)
     EXPECT_EQ(mach.cycles(), now);
 }
 
+/**
+ * The dispatch order on two cores, pinned as (thread id @ core :
+ * coreCycles) per dispatch: every thread notes itself when it starts
+ * and after each suspension point, so the trace holds one entry per
+ * switch. The mix covers yields, a sleep, a blockFor timeout, a
+ * heartbeat, a park woken across cores, a steal, a thread first
+ * started mid-run and threads finishing mid-run, across a runUntil
+ * whose predicate turns true, one whose budget runs out, and a run().
+ */
+TEST(SchedDispatchTrace, TwoCoreOrderIsPinned)
+{
+    Machine mach(TimingModel{}, 2);
+    Scheduler sched(mach);
+    WaitQueue hbq(sched), timeoutq(sched);
+    std::string trace;
+    std::size_t dispatches = 0;
+    auto note = [&] {
+        Thread *t = sched.current();
+        trace += std::to_string(t->id()) + "@" + std::to_string(t->core) +
+                 ":" + std::to_string(mach.coreCycles(t->core)) + " ";
+        ++dispatches;
+    };
+    bool timedOut = false;
+    sched.spawnOn(0, "yielder", [&] {
+        note();
+        for (int i = 0; i < 3; ++i) {
+            mach.consume(500);
+            sched.yield();
+            note();
+        }
+        sched.sleepNs(2'000);
+        note();
+        mach.consume(100);
+    }, 64 * 1024, /*pinned=*/false);
+    sched.spawnOn(0, "timed", [&] {
+        note();
+        timedOut = !sched.blockFor(timeoutq, 3'000);
+        note();
+    }, 64 * 1024, /*pinned=*/false);
+    Thread *parker = sched.spawnOn(1, "parker", [&] {
+        note();
+        sched.park();
+        note();
+        sched.yield();
+        note();
+    });
+    sched.spawnOn(0, "waker", [&] {
+        note();
+        sched.yield();
+        note();
+        mach.consume(2'000);
+        sched.wake(parker);
+        sched.spawn("late", [&] {
+            note();
+            sched.sleepNs(1'500);
+            note();
+        });
+        sched.yield();
+        note();
+    }, 64 * 1024, /*pinned=*/false);
+    sched.spawnOn(1, "hb", [&] {
+        while (true) {
+            note();
+            sched.heartbeatFor(hbq, 1'000);
+        }
+    });
+
+    int evals = 0;
+    EXPECT_TRUE(sched.runUntil([&] {
+        ++evals;
+        return dispatches >= 6;
+    }));
+    EXPECT_EQ(evals, 7);
+    EXPECT_EQ(dispatches, 6u);
+
+    evals = 0;
+    EXPECT_FALSE(sched.runUntil(
+        [&] {
+            ++evals;
+            return false;
+        },
+        4));
+    EXPECT_EQ(evals, 5);
+    EXPECT_EQ(dispatches, 10u);
+
+    Thread *unstarted = sched.spawn("unstarted", [&] { note(); });
+    sched.cancel(unstarted);
+    EXPECT_FALSE(sched.run()); // dries up with only the heartbeat left
+
+    EXPECT_TRUE(timedOut);
+    EXPECT_EQ(trace, "1@0:120 3@1:120 2@0:740 5@1:240 4@0:860 4@0:980 "
+                     "6@0:3700 4@0:3820 1@0:4190 1@0:4810 1@0:5430 "
+                     "5@1:2560 3@1:3700 3@1:3820 5@1:4880 6@0:7120 "
+                     "5@1:7200 2@0:7460 5@1:9520 1@0:9950 ");
+    EXPECT_EQ(dispatches, sched.switches());
+    EXPECT_EQ(sched.switches(), 20u);
+    EXPECT_EQ(sched.dispatchesOn(0), 12u);
+    EXPECT_EQ(sched.dispatchesOn(1), 8u);
+    EXPECT_EQ(mach.counter("sched.steals"), 2u);
+    EXPECT_EQ(mach.counter("sched.ipis"), 1u);
+    EXPECT_EQ(mach.counter("sched.idleJumps"), 4u);
+    sched.cancelAll();
+}
+
 /** 1/3 in double precision under the current SSE rounding mode. */
 double
 oneThird()
@@ -548,6 +655,92 @@ TEST_F(SchedFixture, SpawnChurnThenCancelUnwindsParkedFibers)
         EXPECT_EQ(t->state(), Thread::State::Finished) << t->name();
         EXPECT_FALSE(t->failed()) << t->name();
     }
+}
+
+TEST_F(SchedFixture, YieldWithNothingElseReadyIsOneDispatch)
+{
+    std::uint64_t switches = 0;
+    Cycles charged = 0;
+    sched.spawn("alone", [&] {
+        std::uint64_t s0 = sched.switches();
+        Cycles c0 = mach.cycles();
+        sched.yield();
+        switches = sched.switches() - s0;
+        charged = mach.cycles() - c0;
+    });
+    EXPECT_TRUE(sched.run());
+    EXPECT_EQ(switches, 1u);
+    EXPECT_EQ(charged, mach.timing.contextSwitch);
+    EXPECT_EQ(sched.dispatchesOn(0), 2u);
+}
+
+TEST_F(SchedFixture, PredicateExceptionIsRethrownByTheDriver)
+{
+    // The predicate runs on whichever fiber is suspending; what it
+    // throws belongs to the driver, not to that fiber.
+    int live = 0;
+    std::vector<Thread *> spinners;
+    for (const char *name : {"a", "b"}) {
+        spinners.push_back(sched.spawn(name, [&] {
+            LiveCounter c(live);
+            while (true)
+                sched.yield();
+        }));
+    }
+    int evals = 0;
+    EXPECT_THROW(sched.runUntil([&] {
+        if (++evals == 5)
+            throw std::runtime_error("predicate");
+        return false;
+    }),
+                 std::runtime_error);
+    EXPECT_EQ(evals, 5);
+    EXPECT_EQ(live, 2);
+    for (Thread *t : spinners) {
+        EXPECT_FALSE(t->failed()) << t->name();
+        EXPECT_NE(t->state(), Thread::State::Finished) << t->name();
+    }
+
+    // The fibers resume where they were, and unwind cleanly.
+    evals = 0;
+    EXPECT_TRUE(sched.runUntil([&] { return ++evals == 4; }));
+    sched.cancelAll();
+    EXPECT_EQ(live, 0);
+    for (Thread *t : spinners) {
+        EXPECT_EQ(t->state(), Thread::State::Finished) << t->name();
+        EXPECT_FALSE(t->failed()) << t->name();
+    }
+}
+
+TEST_F(SchedFixture, DriverEntryPointsPanicInsideAPredicate)
+{
+    Thread *spinner = sched.spawn("spin", [&] {
+        while (true)
+            sched.yield();
+    });
+    std::vector<std::function<void()>> entries = {
+        [&] { sched.run(); },
+        [&] { sched.runUntil([] { return true; }); },
+        [&] { sched.cancel(spinner); },
+        [&] { sched.cancelAll(); },
+    };
+    // The first evaluation runs on the driver's stack, the third on
+    // the spinner's fiber.
+    for (int at : {1, 3}) {
+        for (const auto &entry : entries) {
+            int evals = 0;
+            EXPECT_THROW(sched.runUntil([&] {
+                if (++evals == at)
+                    entry();
+                return false;
+            }),
+                         PanicError);
+            EXPECT_EQ(evals, at);
+        }
+    }
+    EXPECT_FALSE(spinner->failed());
+    sched.cancelAll();
+    EXPECT_EQ(spinner->state(), Thread::State::Finished);
 }
 
 } // namespace
