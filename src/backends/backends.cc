@@ -346,15 +346,12 @@ class EptBackend : public IsolationBackend
         Thread *caller = sched.current();
         panic_if(!caller, "EPT RPC gate requires a thread context");
 
-        auto &vm = vms[static_cast<std::size_t>(to)];
-        panic_if(vm.shards.empty(),
-                 "EPT RPC routed to a compartment without a VM");
         // Core-local shard: the caller enqueues on its own core's
         // ring, so concurrent crossings from different cores into the
         // same VM proceed independently.
-        auto &sh =
-            vm.shards[static_cast<std::size_t>(m.activeCore()) %
-                      vm.shards.size()];
+        Shard *shard = shardFor(img, to);
+        panic_if(!shard, "EPT RPC routed to a compartment without a VM");
+        Shard &sh = *shard;
 
         // Caller side: place the "function pointer" and arguments in
         // the predefined shared area (paper 4.2) and wait. The entry
@@ -398,9 +395,9 @@ class EptBackend : public IsolationBackend
         int idle = static_cast<int>(sh.pool.size()) - sh.busy;
         if (static_cast<int>(sh.depth) > idle &&
             static_cast<int>(sh.pool.size()) < poolCap(img, to)) {
+            const auto &shards = vms[static_cast<std::size_t>(to)].shards;
             spawnServer(img, static_cast<std::size_t>(to),
-                        static_cast<std::size_t>(m.activeCore()) %
-                            vm.shards.size(),
+                        static_cast<std::size_t>(shard - shards.data()),
                         /*elastic=*/true);
             m.bump(Counter::GateEptElasticSpawns);
         }
@@ -419,16 +416,12 @@ class EptBackend : public IsolationBackend
                     const std::function<void()> &body) override
     {
         auto &m = img.machine();
-        if (to < 0 || static_cast<std::size_t>(to) >= vms.size() ||
-            vms[static_cast<std::size_t>(to)].shards.empty())
+        Shard *sh = shardFor(img, to);
+        if (!sh)
             return ForgedRpcOutcome::NoRing;
         Scheduler &sched = img.scheduler();
         panic_if(!sched.current(),
                  "forged RPC injection requires a thread context");
-        auto &vm = vms[static_cast<std::size_t>(to)];
-        auto &sh =
-            vm.shards[static_cast<std::size_t>(m.activeCore()) %
-                      vm.shards.size()];
 
         // A compromised compartment writing the shared ring memory:
         // the slot lands behind every caller-side gate check (deny,
@@ -443,9 +436,9 @@ class EptBackend : public IsolationBackend
         rpc.body = &probe;
         rpc.site = &site;
         rpc.caller = sched.current();
-        sh.push(&rpc);
+        sh->push(&rpc);
         m.bump(Counter::GateEptForgedRpcs);
-        sh.serverIdle->wakeOne();
+        sh->serverIdle->wakeOne();
         while (!rpc.done)
             sched.park();
         // The slot's error (CfiViolation on rejection, or whatever the
@@ -460,19 +453,14 @@ class EptBackend : public IsolationBackend
     bool
     injectSpuriousDoorbell(Image &img, int to) override
     {
-        auto &m = img.machine();
-        if (to < 0 || static_cast<std::size_t>(to) >= vms.size() ||
-            vms[static_cast<std::size_t>(to)].shards.empty())
+        Shard *sh = shardFor(img, to);
+        if (!sh)
             return false;
-        auto &vm = vms[static_cast<std::size_t>(to)];
-        auto &sh =
-            vm.shards[static_cast<std::size_t>(m.activeCore()) %
-                      vm.shards.size()];
         // A replayed interrupt with no slot behind it: the woken
         // server observes an empty ring and re-idles (counted so the
         // scorecard can assert the wake was absorbed, not serviced).
-        m.bump(Counter::GateEptSpuriousDoorbells);
-        sh.serverIdle->wakeOne();
+        img.machine().bump(Counter::GateEptSpuriousDoorbells);
+        sh->serverIdle->wakeOne();
         return true;
     }
 
@@ -538,6 +526,23 @@ class EptBackend : public IsolationBackend
         /** Core-sharded rings/pools; indexed by the caller's core. */
         std::vector<Shard> shards;
     };
+
+    /**
+     * The calling core's shard of compartment `to`'s VM, or null when
+     * `to` has no VM (out of range, or not an EPT compartment).
+     */
+    Shard *
+    shardFor(Image &img, int to)
+    {
+        if (to < 0 || static_cast<std::size_t>(to) >= vms.size())
+            return nullptr;
+        auto &shards = vms[static_cast<std::size_t>(to)].shards;
+        if (shards.empty())
+            return nullptr;
+        return &shards[static_cast<std::size_t>(
+                           img.machine().activeCore()) %
+                       shards.size()];
+    }
 
     /** Per-shard elastic ceiling: at least the configured base size. */
     int

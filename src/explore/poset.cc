@@ -1,6 +1,8 @@
 #include "explore/poset.hh"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <set>
 #include <sstream>
 
@@ -197,7 +199,6 @@ SafetyPoset::buildEdges()
 {
     std::size_t n = nodes.size();
     covers.assign(n, {});
-    coveredBy.assign(n, {});
 
     // Compare every pair once (n^2 comparisons); the reduction below
     // only reads the table.
@@ -220,10 +221,8 @@ SafetyPoset::buildEdges()
             for (std::size_t m = 0; m < n && direct; ++m)
                 if (above(m, lo) && above(hi, m))
                     direct = false;
-            if (direct) {
+            if (direct)
                 covers[lo].push_back(hi);
-                coveredBy[hi].push_back(lo);
-            }
         }
     }
     edgesBuilt = true;
@@ -262,46 +261,7 @@ std::size_t
 SafetyPoset::explore(const std::function<double(ConfigPoint &)> &eval,
                      double minPerf)
 {
-    if (!edgesBuilt)
-        buildEdges();
-
-    // Topological walk from the least-safe nodes upward. Performance
-    // decreases monotonically with safety, so once a node misses the
-    // budget every safer node would too: prune the entire up-set
-    // (paper 5: "it can safely stop evaluating a path as soon as a
-    // threshold is reached").
-    std::size_t n = nodes.size();
-    std::vector<int> pendingBelow(n);
-    std::vector<bool> pruned(n, false);
-    std::vector<std::size_t> queue;
-    for (std::size_t i = 0; i < n; ++i) {
-        pendingBelow[i] = static_cast<int>(coveredBy[i].size());
-        if (pendingBelow[i] == 0)
-            queue.push_back(i);
-    }
-
-    std::size_t evaluated = 0;
-    while (!queue.empty()) {
-        std::size_t i = queue.back();
-        queue.pop_back();
-
-        if (pruned[i]) {
-            nodes[i].perf = 0;
-        } else {
-            nodes[i].perf = eval(nodes[i]);
-            ++evaluated;
-            if (nodes[i].perf < minPerf)
-                pruned[i] = true;
-        }
-
-        for (std::size_t up : covers[i]) {
-            if (pruned[i])
-                pruned[up] = true;
-            if (--pendingBelow[up] == 0)
-                queue.push_back(up);
-        }
-    }
-    return evaluated;
+    return exploreMonotone(nodes, eval, minPerf);
 }
 
 std::string
@@ -329,6 +289,61 @@ SafetyPoset::toDot(double minPerf) const
             oss << "    n" << i << " -> n" << up << ";\n";
     oss << "}\n";
     return oss.str();
+}
+
+int
+safetyRank(const ConfigPoint &p)
+{
+    int rank = p.compartments() + p.sharingRank;
+    for (unsigned bits : p.hardening)
+        rank += std::popcount(bits);
+    if (p.partition.empty())
+        rank += p.mechanismRank;
+    for (std::size_t c = 0; c < p.partition.size(); ++c)
+        rank += p.mechanismRankOf(c) + p.gateFlavorRankOf(c);
+    std::set<std::pair<int, int>> denied(p.deniedEdges.begin(),
+                                         p.deniedEdges.end());
+    return rank + static_cast<int>(denied.size());
+}
+
+std::size_t
+exploreMonotone(std::vector<ConfigPoint> &points,
+                const std::function<double(ConfigPoint &)> &eval,
+                double minPerf)
+{
+    std::vector<int> rank;
+    for (const ConfigPoint &p : points)
+        rank.push_back(safetyRank(p));
+    std::vector<std::size_t> order(points.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return rank[a] < rank[b];
+                     });
+
+    // Least safe first: by the time a point is visited, every point
+    // below it has been evaluated or pruned. Performance decreases
+    // monotonically with safety, so once a point misses the budget
+    // every safer point would too (paper 5: "it can safely stop
+    // evaluating a path as soon as a threshold is reached").
+    std::vector<std::size_t> missed;
+    std::size_t evaluated = 0;
+    for (std::size_t i : order) {
+        ConfigPoint &p = points[i];
+        bool pruned = std::any_of(
+            missed.begin(), missed.end(), [&](std::size_t m) {
+                return compareSafety(p, points[m]) == SafetyOrder::Greater;
+            });
+        if (pruned) {
+            p.perf = 0;
+            continue;
+        }
+        p.perf = eval(p);
+        ++evaluated;
+        if (p.perf < minPerf)
+            missed.push_back(i);
+    }
+    return evaluated;
 }
 
 } // namespace flexos

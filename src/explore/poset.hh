@@ -123,6 +123,31 @@ SafetyOrder compareSafety(const ConfigPoint &a, const ConfigPoint &b);
 bool refines(const std::vector<int> &a, const std::vector<int> &b);
 
 /**
+ * A linear extension of compareSafety: a strictly safer point has a
+ * strictly larger rank. Sums the compartment count, every component's
+ * hardening bits, mechanism rank and gate-flavour rank (the scalar
+ * mechanismRank for a point without components), the number of
+ * distinct denied edges and the sharing rank — each term grows with
+ * its dimension's order and strictly so on a strict step.
+ */
+int safetyRank(const ConfigPoint &p);
+
+/**
+ * Label points with monotone budget pruning (paper section 5):
+ * visit them in stable ascending safetyRank, least safe first, and
+ * run eval() on each one — it receives the element of `points`
+ * itself and its result becomes perf — unless the point is strictly
+ * safer than an evaluated point that missed minPerf. Performance
+ * falls as safety rises, so such a point would miss too; it is
+ * skipped with perf 0. A point Equal in safety to a miss (such as one
+ * differing only in cores) is still evaluated.
+ * @return number of evaluations actually run.
+ */
+std::size_t exploreMonotone(std::vector<ConfigPoint> &points,
+                            const std::function<double(ConfigPoint &)> &eval,
+                            double minPerf);
+
+/**
  * The configuration poset.
  */
 class SafetyPoset
@@ -149,10 +174,9 @@ class SafetyPoset
     std::vector<std::size_t> safestWithin(double minPerf) const;
 
     /**
-     * Label nodes by running evaluate() bottom-up with monotone
-     * pruning: since performance monotonically decreases with safety,
-     * any node whose predecessor already misses the budget is skipped
-     * (assigned perf 0). @return number of evaluations actually run.
+     * Label the nodes with exploreMonotone: eval() runs on each node
+     * not strictly safer than a node that already missed the budget;
+     * the rest get perf 0. @return number of evaluations actually run.
      */
     std::size_t explore(const std::function<double(ConfigPoint &)> &eval,
                         double minPerf);
@@ -164,8 +188,7 @@ class SafetyPoset
     bool strictlySafer(std::size_t a, std::size_t b) const;
 
     std::vector<ConfigPoint> nodes;
-    std::vector<std::vector<std::size_t>> covers;  ///< safer neighbours
-    std::vector<std::vector<std::size_t>> coveredBy; ///< less-safe nbrs
+    std::vector<std::vector<std::size_t>> covers; ///< safer neighbours
     bool edgesBuilt = false;
 };
 

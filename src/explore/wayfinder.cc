@@ -1,8 +1,5 @@
 #include "explore/wayfinder.hh"
 
-#include <algorithm>
-#include <bit>
-#include <numeric>
 #include <set>
 #include <sstream>
 
@@ -51,25 +48,14 @@ enum class Dim { Hardening, Mechanism, Flavour, Deny };
 
 /**
  * One swept dimension, instantiated for a partition: `choices`
- * settings, apply(p, i) writes setting i into a point, and rank(i)
- * lists the settings least safe first for the pruned sweep (a linear
- * extension of the axis's safety order). The safety order itself is
- * not restated here: prunedBoundarySweep derives it from
- * compareSafety.
+ * settings, and apply(p, i) writes setting i into a point. The safety
+ * order is not restated here: compareSafety orders the points.
  */
 struct Axis
 {
-    const char *name = "";
     std::size_t choices = 1;
     std::function<void(ConfigPoint &, std::size_t)> apply;
-    std::function<int(std::size_t)> rank;
 };
-
-int
-popcount(std::size_t x)
-{
-    return std::popcount(x);
-}
 
 /** The axis catalogue: every swept dimension, defined once. */
 Axis
@@ -81,43 +67,34 @@ axis(Dim dim, const std::vector<int> &partition, const std::string &appLib)
       case Dim::Hardening: {
         // One hardening bundle bit per component.
         std::size_t comps = partition.size();
-        return {"hardening", std::size_t(1) << comps,
+        return {std::size_t(1) << comps,
                 [comps](ConfigPoint &p, std::size_t mask) {
                     for (std::size_t c = 0; c < comps; ++c)
                         p.hardening[c] = (mask >> c) & 1;
-                },
-                popcount};
+                }};
       }
       case Dim::Mechanism: {
-        // {none, mpk, ept, cheri} per block, one base-4 digit each;
-        // listed by rank sum.
+        // {none, mpk, ept, cheri} per block, one base-4 digit each.
         std::size_t codes = 1;
         for (std::size_t b = 0; b < blocks; ++b)
             codes *= 4;
-        return {"mechanism", codes,
+        return {codes,
                 [blocks](ConfigPoint &p, std::size_t code) {
                     p.blockMechanism.resize(blocks);
                     for (int &rank : p.blockMechanism) {
                         rank = static_cast<int>(code % 4);
                         code /= 4;
                     }
-                },
-                [](std::size_t code) {
-                    int sum = 0;
-                    for (; code; code /= 4)
-                        sum += static_cast<int>(code % 4);
-                    return sum;
                 }};
       }
       case Dim::Flavour:
         // {light, dss} per block (the gates *into* it), bit = dss.
-        return {"flavour", std::size_t(1) << blocks,
+        return {std::size_t(1) << blocks,
                 [blocks](ConfigPoint &p, std::size_t mask) {
                     p.blockGateFlavor.resize(blocks);
                     for (std::size_t b = 0; b < blocks; ++b)
                         p.blockGateFlavor[b] = (mask >> b) & 1;
-                },
-                popcount};
+                }};
       case Dim::Deny: {
         // Subsets of the deniable edges, bit e = edge e denied: every
         // ordered cross-block pair the static call graph does not
@@ -132,13 +109,12 @@ axis(Dim dim, const std::vector<int> &partition, const std::string &appLib)
             for (int t = 0; t < static_cast<int>(blocks); ++t)
                 if (f != t && !keep.count({f, t}))
                     edges.emplace_back(f, t);
-        return {"deny", std::size_t(1) << edges.size(),
+        return {std::size_t(1) << edges.size(),
                 [edges](ConfigPoint &p, std::size_t mask) {
                     for (std::size_t e = 0; e < edges.size(); ++e)
                         if ((mask >> e) & 1)
                             p.deniedEdges.push_back(edges[e]);
-                },
-                popcount};
+                }};
       }
     }
     panic("unknown sweep dimension");
@@ -155,15 +131,17 @@ basePoint(const std::vector<int> &partition)
 }
 
 /**
- * The five Figure 8 partitions, each crossed with every choice of
- * `dims` (first dimension outermost, choices in natural order).
+ * Each of `partitions` crossed with every choice of `dims` (first
+ * dimension outermost, choices in natural order).
  */
 std::vector<ConfigPoint>
 productSpace(std::initializer_list<Dim> dims,
+             const std::vector<std::vector<int>> &partitions =
+                 fig6Partitions(),
              const std::string &appLib = "libredis")
 {
     std::vector<ConfigPoint> out;
-    for (const auto &partition : fig6Partitions()) {
+    for (const auto &partition : partitions) {
         std::vector<Axis> axes;
         for (Dim d : dims)
             axes.push_back(axis(d, partition, appLib));
@@ -206,7 +184,7 @@ gateFlavorSpace()
 std::vector<ConfigPoint>
 leastPrivilegeSpace(const std::string &appLib)
 {
-    return productSpace({Dim::Deny}, appLib);
+    return productSpace({Dim::Deny}, fig6Partitions(), appLib);
 }
 
 std::vector<std::pair<int, int>>
@@ -225,138 +203,27 @@ requiredBlockEdges(const std::vector<int> &partition,
 }
 
 std::size_t
-explorePrunedProduct(
-    const std::vector<ProductDimension> &dims,
-    const std::function<double(const std::vector<std::size_t> &)> &eval,
-    double minPerf,
-    const std::function<void(const std::vector<std::size_t> &, double)>
-        &emit)
-{
-    // Does candidate `v` dominate (sit at-or-above, component-wise)
-    // one of the vectors that already missed the budget? Every axis
-    // order is reflexive, so a failed vector also "dominates" itself
-    // and is never revisited.
-    std::vector<std::vector<std::size_t>> failed;
-    auto dominatesFailed = [&](const std::vector<std::size_t> &v) {
-        for (const auto &f : failed) {
-            bool dom = true;
-            for (std::size_t d = 0; d < dims.size() && dom; ++d)
-                if (!dims[d].le(f[d], v[d]))
-                    dom = false;
-            if (dom)
-                return true;
-        }
-        return false;
-    };
-
-    std::size_t evaluated = 0;
-    auto visit = [&](const std::vector<std::size_t> &v) {
-        if (dominatesFailed(v))
-            return;
-        double perf = eval(v);
-        ++evaluated;
-        if (perf >= minPerf) {
-            if (emit)
-                emit(v, perf);
-        } else {
-            failed.push_back(v);
-        }
-    };
-
-    // Ascending index-sum enumeration: one index vector live at a
-    // time, recursion assigning axis d a share of the remaining sum.
-    // The linear-extension contract on each axis makes this a linear
-    // extension of the product order, so by the time a vector is
-    // visited everything it dominates has already been measured (or
-    // pruned) — maximal pruning without materializing the product.
-    std::size_t maxSum = 0;
-    for (const auto &d : dims) {
-        panic_if(d.size == 0 || !d.le, "malformed product dimension");
-        for (std::size_t a = 1; a < d.size; ++a)
-            for (std::size_t b = 0; b < a; ++b)
-                panic_if(d.le(a, b), "product dimension '", d.name,
-                         "' lists choice ", a, " after choice ", b,
-                         " though le(", a, ", ", b,
-                         ") holds: list choices least safe first");
-        maxSum += d.size - 1;
-    }
-    std::vector<std::size_t> v(dims.size(), 0);
-    std::function<void(std::size_t, std::size_t)> place =
-        [&](std::size_t d, std::size_t rest) {
-            if (d == dims.size()) {
-                if (rest == 0)
-                    visit(v);
-                return;
-            }
-            std::size_t cap = std::min(rest, dims[d].size - 1);
-            for (std::size_t i = 0; i <= cap; ++i) {
-                v[d] = i;
-                place(d + 1, rest - i);
-            }
-        };
-    for (std::size_t sum = 0; sum <= maxSum; ++sum)
-        place(0, sum);
-    return evaluated;
-}
-
-std::size_t
 prunedBoundarySweep(const std::vector<int> &partition,
                     const std::string &appLib,
                     const std::function<double(ConfigPoint &)> &eval,
                     double minPerf, std::vector<ConfigPoint> &accepted)
 {
-    const ConfigPoint base = basePoint(partition);
-    std::vector<Axis> axes;
-    std::vector<std::vector<std::size_t>> listing;
-    std::vector<ProductDimension> dims;
-    for (Dim d : {Dim::Mechanism, Dim::Flavour, Dim::Deny}) {
-        Axis a = axis(d, partition, appLib);
-        std::vector<std::size_t> order(a.choices);
-        std::iota(order.begin(), order.end(), 0);
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t x, std::size_t y) {
-                             return a.rank(x) < a.rank(y);
-                         });
-        // The axis order is compareSafety's restricted to the axis:
-        // x <= y iff x is y, or the point taking x is strictly less
-        // safe than the one taking y.
-        std::size_t n = order.size();
-        std::vector<ConfigPoint> pts(n, base);
-        for (std::size_t i = 0; i < n; ++i)
-            a.apply(pts[i], order[i]);
-        std::vector<char> le(n * n);
-        for (std::size_t x = 0; x < n; ++x)
-            for (std::size_t y = 0; y < n; ++y)
-                le[x * n + y] =
-                    x == y || compareSafety(pts[x], pts[y]) ==
-                                  SafetyOrder::Less;
-        dims.push_back({a.name, n,
-                        [le = std::move(le), n](std::size_t x,
-                                                std::size_t y) {
-                            return le[x * n + y] != 0;
-                        }});
-        listing.push_back(std::move(order));
-        axes.push_back(std::move(a));
-    }
-
-    auto materialize = [&](const std::vector<std::size_t> &v) {
-        ConfigPoint p = base;
-        for (std::size_t d = 0; d < axes.size(); ++d)
-            axes[d].apply(p, listing[d][v[d]]);
-        return p;
-    };
-    return explorePrunedProduct(
-        dims,
-        [&](const std::vector<std::size_t> &v) {
-            ConfigPoint p = materialize(v);
+    std::vector<ConfigPoint> product = productSpace(
+        {Dim::Mechanism, Dim::Flavour, Dim::Deny}, {partition}, appLib);
+    // Pruned points read perf 0, which meets a budget <= 0: accept
+    // only what eval() measured.
+    std::vector<char> measured(product.size(), 0);
+    std::size_t evaluated = exploreMonotone(
+        product,
+        [&](ConfigPoint &p) {
+            measured[static_cast<std::size_t>(&p - product.data())] = 1;
             return eval(p);
         },
-        minPerf,
-        [&](const std::vector<std::size_t> &v, double perf) {
-            ConfigPoint p = materialize(v);
-            p.perf = perf;
-            accepted.push_back(std::move(p));
-        });
+        minPerf);
+    for (std::size_t i = 0; i < product.size(); ++i)
+        if (measured[i] && product[i].perf >= minPerf)
+            accepted.push_back(std::move(product[i]));
+    return evaluated;
 }
 
 SafetyConfig

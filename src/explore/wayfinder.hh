@@ -69,50 +69,13 @@ requiredBlockEdges(const std::vector<int> &partition,
                    const std::string &appLib);
 
 /**
- * One axis of a lazily enumerated product configuration space. The
- * axis has `size` choices; `le(a, b)` is the safety partial order on
- * choice indices ("a is at most as safe as b"). Choices MUST be
- * listed in a linear extension of that order — le(a, b) implies
- * a <= b, checked by explorePrunedProduct — so that visiting index
- * vectors by ascending index sum never visits a dominating vector
- * before a dominated one. A performance-only axis (such as cores)
- * uses equality as its order: no choice prunes any other.
- */
-struct ProductDimension
-{
-    std::string name;
-    std::size_t size = 1;
-    std::function<bool(std::size_t a, std::size_t b)> le;
-};
-
-/**
- * Monotone budget pruning over a product space, without materializing
- * the product (the poset's explore() needs every node up front and
- * O(n^2) edge construction — hopeless for mechanism × flavour × deny
- * products). Index vectors are generated one at a time in
- * ascending index-sum order (a linear extension of the product
- * safety order, given each axis's listing contract); eval() measures
- * a vector's configuration. Since performance decreases monotonically
- * with safety, once a vector misses the budget every vector
- * dominating it component-wise is skipped unevaluated. emit() is
- * called for every vector that met the budget, with its measurement.
- * @return number of evaluations actually run.
- */
-std::size_t explorePrunedProduct(
-    const std::vector<ProductDimension> &dims,
-    const std::function<double(const std::vector<std::size_t> &)> &eval,
-    double minPerf,
-    const std::function<void(const std::vector<std::size_t> &, double)>
-        &emit = {});
-
-/**
  * Per-block mechanisms × per-block gate flavours × deniable-edge
- * subsets for one Figure 8 partition, wired through
- * explorePrunedProduct so the product is never materialized. The axes
- * are the spaces' own; each axis's order is compareSafety restricted
- * to it. Points
- * meeting the budget are appended to `accepted` with their measured
- * perf. @return number of evaluations actually run.
+ * subsets for one Figure 8 partition (at most 4^3 × 2^3 × 2 = 1 024
+ * points, for partition E), explored with exploreMonotone: a point
+ * strictly safer than a measured miss is skipped unevaluated. Points
+ * meeting the budget are appended to `accepted` in product order
+ * (mechanism outermost, deny innermost) with their measured perf.
+ * @return number of evaluations actually run.
  */
 std::size_t prunedBoundarySweep(
     const std::vector<int> &partition, const std::string &appLib,

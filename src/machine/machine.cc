@@ -63,18 +63,10 @@ Machine::setActiveCore(int core)
 
     CoreContext &prev = cores_[active_];
     prev.cycleCount = cycleCount;
-    prev.pkru = pkru;
-    prev.currentVm = currentVm;
-    prev.workMultiplier = workMultiplier;
-    prev.chargingEnabled = chargingEnabled;
     prev.scratch = scratch;
 
     const CoreContext &next = cores_[core];
     cycleCount = next.cycleCount;
-    pkru = next.pkru;
-    currentVm = next.currentVm;
-    workMultiplier = next.workMultiplier;
-    chargingEnabled = next.chargingEnabled;
     scratch = next.scratch;
     active_ = core;
 }

@@ -43,19 +43,18 @@ class ProtectionFault : public std::runtime_error
 };
 
 /**
- * One core's architectural execution state. The Machine's public
- * members (clock, PKRU, VM token, work multiplier) act as the *active*
- * core's register file; setActiveCore() banks them here and loads the
- * target core's saved state, so all single-core call sites keep working
- * unchanged and a 1-core machine never swaps at all.
+ * The per-core state that outlives a thread: the core's clock and its
+ * scratch register file. The Machine's `cycleCount` and `scratch`
+ * act as the *active* core's; setActiveCore() banks them here and
+ * loads the target core's, so all single-core call sites keep working
+ * unchanged and a 1-core machine never swaps at all. PKRU, VM token,
+ * work multiplier and charging belong to the running thread instead:
+ * the scheduler saves and resets them before any core swap and
+ * installs the next thread's right after it.
  */
 struct CoreContext
 {
     Cycles cycleCount = 0;
-    Pkru pkru;
-    int currentVm = -1;
-    double workMultiplier = 1.0;
-    bool chargingEnabled = true;
     std::array<std::uint64_t, 8> scratch{};
 };
 
@@ -132,8 +131,8 @@ class Machine
     int activeCore() const { return active_; }
 
     /**
-     * Bank the public register window into the active core's context
-     * and load core's saved state. Called by the scheduler on every
+     * Bank the active core's clock and scratch file into its context
+     * and load core's. Called by the scheduler on every
      * dispatch; a no-op when core is already active (always, on a
      * 1-core machine — preserving single-core behaviour exactly).
      */
@@ -237,7 +236,7 @@ class Machine
     std::array<std::uint64_t, counterCount> counts{};
     std::array<bool, counterCount> touched{};
 
-    /** Banked register files; cores_[active_] is stale while active. */
+    /** Banked per-core state; cores_[active_] is stale while active. */
     std::vector<CoreContext> cores_;
     int active_ = 0;
 };

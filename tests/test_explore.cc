@@ -559,78 +559,127 @@ TEST(Wayfinder, LeastPrivilegeSpaceSkipsRequiredEdges)
     }
 }
 
-// ------------------------------------------------ pruned product sweep
+// ------------------------------------------------ monotone exploration
 
-TEST(PrunedProduct, MatchesBruteForceAndSkipsDominatedFailures)
+TEST(ExploreMonotone, MatchesBruteForceAndDoesNotPruneAcrossCores)
 {
-    // Two safety axes (chains of 3 and 2) and one perf-only axis of 2:
-    // perf decreases monotonically in the safety axes and is flat in
-    // the perf axis. Budget 6.5 rejects x=2 vectors; the pruner must
-    // accept exactly the brute-force set and never evaluate a vector
-    // dominating a failed one — but a failure must NOT prune across
-    // the perf-only axis.
-    std::vector<wayfinder::ProductDimension> dims = {
-        {"x", 3, [](std::size_t a, std::size_t b) { return a <= b; }},
-        {"y", 2, [](std::size_t a, std::size_t b) { return a <= b; }},
-        {"perf", 2,
-         [](std::size_t a, std::size_t b) { return a == b; }},
-    };
-    auto perf = [](const std::vector<std::size_t> &v) {
-        return 10.0 - 2.0 * static_cast<double>(v[0]) -
-               static_cast<double>(v[1]);
-    };
-    std::set<std::vector<std::size_t>> evaluated, accepted;
-    std::size_t evals = wayfinder::explorePrunedProduct(
-        dims,
-        [&](const std::vector<std::size_t> &v) {
-            evaluated.insert(v);
-            return perf(v);
+    // Hardening over three components is the safety axis; cores is a
+    // performance-only axis (Equal in the safety order). Perf falls
+    // with every hardened component and rises with cores, with seeded
+    // weights and budgets. The evaluated set must be exactly the
+    // points not strictly safer than a point that misses the budget.
+    std::size_t prunedTotal = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng(seed);
+        double weight[3];
+        for (double &w : weight)
+            w = static_cast<double>(rng.range(1, 6));
+        double coreBonus = static_cast<double>(rng.range(0, 3));
+        double budget = static_cast<double>(rng.range(4, 16));
+        auto perf = [&](const ConfigPoint &p) {
+            double v = 20 + coreBonus * p.cores;
+            for (std::size_t c = 0; c < 3; ++c)
+                v -= weight[c] * p.hardening[c];
+            return v;
+        };
+
+        std::vector<ConfigPoint> points;
+        for (int cores : {2, 1})
+            for (unsigned mask = 0; mask < 8; ++mask) {
+                ConfigPoint p = mk({0, 1, 2}, {mask & 1, (mask >> 1) & 1,
+                                               (mask >> 2) & 1});
+                p.cores = cores;
+                points.push_back(p);
+            }
+        // Listed in a seeded random order: the walk must sort them.
+        for (std::size_t i = points.size() - 1; i > 0; --i)
+            std::swap(points[i], points[rng.below(i + 1)]);
+        std::vector<ConfigPoint> truth = points;
+
+        std::set<std::size_t> evaluated;
+        std::size_t evals = exploreMonotone(
+            points,
+            [&](ConfigPoint &p) {
+                evaluated.insert(
+                    static_cast<std::size_t>(&p - points.data()));
+                return perf(p);
+            },
+            budget);
+        EXPECT_EQ(evals, evaluated.size()) << "seed " << seed;
+        prunedTotal += points.size() - evals;
+
+        for (std::size_t i = 0; i < truth.size(); ++i) {
+            bool belowMiss = false;
+            for (const ConfigPoint &q : truth)
+                if (perf(q) < budget &&
+                    compareSafety(truth[i], q) == SafetyOrder::Greater)
+                    belowMiss = true;
+            EXPECT_EQ(evaluated.count(i) == 1, !belowMiss)
+                << "seed " << seed << " point " << i;
+            EXPECT_EQ(points[i].perf, belowMiss ? 0 : perf(truth[i]))
+                << "seed " << seed << " point " << i;
+        }
+    }
+    EXPECT_GT(prunedTotal, 0u); // the budgets do prune
+
+    // A miss prunes the strictly safer point of its own core count and
+    // not its cores-only twin, which is evaluated in its own right.
+    std::vector<ConfigPoint> points;
+    for (int cores : {1, 2})
+        for (unsigned h : {0u, 1u}) {
+            points.push_back(mk({0, 1}, {h, 0}));
+            points.back().cores = cores;
+        }
+    points.push_back(mk({0, 1}, {1, 1})); // cores 1
+    std::vector<std::string> ran;
+    exploreMonotone(
+        points,
+        [&](ConfigPoint &p) {
+            ran.push_back(std::to_string(p.hardening[0]) + "x" +
+                          std::to_string(p.cores));
+            return p.hardening[0] == 1 && p.cores == 1 ? 1.0 : 10.0;
         },
-        6.5,
-        [&](const std::vector<std::size_t> &v, double p) {
-            EXPECT_EQ(p, perf(v));
-            accepted.insert(v);
-        });
-
-    // Brute force: accepted iff 10 - 2x - y >= 6.5.
-    std::set<std::vector<std::size_t>> expect;
-    for (std::size_t x = 0; x < 3; ++x)
-        for (std::size_t y = 0; y < 2; ++y)
-            for (std::size_t p = 0; p < 2; ++p)
-                if (perf({x, y, p}) >= 6.5)
-                    expect.insert({x, y, p});
-    EXPECT_EQ(accepted, expect);
-    EXPECT_EQ(evals, evaluated.size());
-
-    // The first x=2 vector of each perf slice fails (perf 6 < 6.5)
-    // and prunes the (2,1,p) vector of the SAME perf index; vectors
-    // in the other perf slice are incomparable under the equality
-    // order and must still be evaluated in their own right.
-    EXPECT_TRUE(evaluated.count({2, 0, 0}));
-    EXPECT_TRUE(evaluated.count({2, 0, 1}));
-    EXPECT_FALSE(evaluated.count({2, 1, 0}));
-    EXPECT_FALSE(evaluated.count({2, 1, 1}));
-    EXPECT_LT(evals, 12u);
+        5);
+    EXPECT_EQ(ran, (std::vector<std::string>{"0x1", "0x2", "1x1", "1x2"}));
+    EXPECT_EQ(points[4].perf, 0);
 }
 
-TEST(PrunedProduct, ListingAgainstTheAxisOrderPanics)
+TEST(ExploreMonotone, SafetyRankIsALinearExtension)
 {
-    // A chain listed safest first breaks the linear-extension contract
-    // ascending index-sum enumeration relies on: reject it up front.
-    std::vector<wayfinder::ProductDimension> dims = {
-        {"reversed", 3,
-         [](std::size_t a, std::size_t b) { return a >= b; }},
-    };
-    std::size_t evals = 0;
-    EXPECT_THROW(wayfinder::explorePrunedProduct(
-                     dims,
-                     [&](const std::vector<std::size_t> &) {
-                         ++evals;
-                         return 1.0;
-                     },
-                     0.0),
-                 PanicError);
-    EXPECT_EQ(evals, 0u);
+    // Every space the explorer walks, and every Figure 8 partition's
+    // boundary product as prunedBoundarySweep builds it.
+    std::vector<std::vector<ConfigPoint>> spaces = {
+        wayfinder::fig6Space(), wayfinder::mixedMechanismSpace(),
+        wayfinder::gateFlavorSpace(), wayfinder::leastPrivilegeSpace()};
+    for (const auto &partition : wayfinder::fig6Partitions()) {
+        std::vector<ConfigPoint> product, accepted;
+        wayfinder::prunedBoundarySweep(
+            partition, "libredis",
+            [&](ConfigPoint &p) {
+                product.push_back(p);
+                return 0.0;
+            },
+            0, accepted);
+        EXPECT_EQ(accepted.size(), product.size());
+        spaces.push_back(std::move(product));
+    }
+
+    std::size_t ordered = 0;
+    for (const auto &space : spaces) {
+        std::vector<int> rank;
+        for (const ConfigPoint &p : space)
+            rank.push_back(safetyRank(p));
+        for (std::size_t a = 0; a < space.size(); ++a)
+            for (std::size_t b = 0; b < space.size(); ++b)
+                if (compareSafety(space[a], space[b]) ==
+                    SafetyOrder::Greater) {
+                    ++ordered;
+                    ASSERT_GT(rank[a], rank[b])
+                        << wayfinder::pointLabel(space[a], "app")
+                        << " over " << wayfinder::pointLabel(space[b], "app");
+                }
+    }
+    EXPECT_GT(ordered, 0u);
 }
 
 /**
@@ -666,8 +715,8 @@ TEST(PrunedSweep, LwipSplitListingAndPruningArePinned)
     EXPECT_EQ(evals, evaluated.size());
     EXPECT_EQ(evals, 6u);
 
-    // The accepted points in listing order: ascending index sum over
-    // mechanism x flavour x deny, each axis listed least safe first.
+    // The accepted points in product order: mechanism x flavour x
+    // deny, each axis's choices in natural order.
     std::vector<std::string> labels;
     for (const ConfigPoint &p : accepted) {
         EXPECT_EQ(p.perf, syntheticPerf(p));
