@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,6 +37,63 @@ TEST(Proto, ChecksumOddLength)
     const std::uint8_t data[] = {0xab};
     // sum = 0xab00 -> checksum = ~0xab00 = 0x54ff
     EXPECT_EQ(inetChecksum(data, 1), 0x54ff);
+}
+
+/**
+ * The byte-at-a-time RFC 1071 loop: the reference the word-wise
+ * inetChecksum must match bit for bit, seed overflow included.
+ */
+std::uint16_t
+byteLoopChecksum(const std::uint8_t *data, std::size_t len,
+                 std::uint32_t seed)
+{
+    std::uint32_t sum = seed;
+    std::size_t i = 0;
+    for (; i + 1 < len; i += 2)
+        sum += static_cast<std::uint32_t>(data[i] << 8 | data[i + 1]);
+    if (i < len)
+        sum += static_cast<std::uint32_t>(data[i] << 8);
+    while (sum >> 16)
+        sum = (sum & 0xffff) + (sum >> 16);
+    return static_cast<std::uint16_t>(~sum);
+}
+
+TEST(Proto, ChecksumMatchesByteLoopReference)
+{
+    constexpr std::size_t maxLen = 1600;
+    // Room for every start alignment 0-7 in front of the longest run.
+    std::vector<std::uint8_t> buf(maxLen + 8);
+    Rng rng(35);
+    std::size_t cases = 0;
+    for (int c = 0; c < 20000; ++c) {
+        for (auto &b : buf)
+            b = static_cast<std::uint8_t>(rng.next());
+        std::size_t len = rng.below(maxLen + 1);
+        std::size_t align = rng.below(8);
+        // Small pseudo-header-sized seeds and full 32-bit ones.
+        std::uint32_t seed =
+            c % 2 ? static_cast<std::uint32_t>(rng.below(1 << 20))
+                  : static_cast<std::uint32_t>(rng.next());
+        const std::uint8_t *p = buf.data() + align;
+        ASSERT_EQ(inetChecksum(p, len, seed), byteLoopChecksum(p, len, seed))
+            << "len " << len << " align " << align << " seed " << seed;
+        ++cases;
+    }
+    for (std::uint8_t fill : {std::uint8_t(0), std::uint8_t(0xff)}) {
+        std::fill(buf.begin(), buf.end(), fill);
+        for (std::size_t len = 0; len <= maxLen; ++len)
+            for (std::size_t align = 0; align < 8; ++align) {
+                const std::uint8_t *p = buf.data() + align;
+                for (std::uint32_t seed : {0u, 0xffffu, 0xffffffffu}) {
+                    ASSERT_EQ(inetChecksum(p, len, seed),
+                              byteLoopChecksum(p, len, seed))
+                        << "fill " << int(fill) << " len " << len
+                        << " align " << align << " seed " << seed;
+                    ++cases;
+                }
+            }
+    }
+    EXPECT_EQ(cases, 20000u + 2 * (maxLen + 1) * 8 * 3);
 }
 
 TEST(Proto, Ip4RoundTrip)
@@ -559,7 +619,8 @@ NetBuf
 craftSegment(std::uint32_t srcIp, std::uint32_t dstIp,
              std::uint16_t srcPort, std::uint16_t dstPort,
              std::uint32_t seq, std::uint8_t flags,
-             const std::vector<std::uint8_t> &payload)
+             const std::vector<std::uint8_t> &payload,
+             std::uint32_t ack = 0)
 {
     NetBuf frame;
     if (!payload.empty())
@@ -569,7 +630,7 @@ craftSegment(std::uint32_t srcIp, std::uint32_t dstIp,
     tcp.srcPort = srcPort;
     tcp.dstPort = dstPort;
     tcp.seq = seq;
-    tcp.ack = 0;
+    tcp.ack = ack;
     tcp.flags = flags;
     tcp.window = 0xffff;
     std::uint8_t *at = frame.push(TcpHeader::wireSize);
@@ -710,6 +771,245 @@ TEST_F(TcpFixture, OutOfOrderQueueBoundedEviction)
         sched.runUntil([&] { return received.size() == total; }));
     EXPECT_EQ(received, sent);
     EXPECT_EQ(accepted->oooQueuedBytes(), 0u);
+}
+
+/**
+ * Byte-array reference reassembler: TcpSocket's receive side stated one
+ * stream byte at a time, for differential tests. Offsets count from the
+ * first data byte, so sequence wraparound never reaches the model.
+ *
+ * - Bytes before `next` are delivered. A segment reaching `next`
+ *   delivers its new bytes and every held byte contiguous with them.
+ * - A segment beyond a gap is held: each maximal run of its bytes not
+ *   held before becomes one piece (one stored segment).
+ * - While more than `limit` bytes are held, the piece holding the
+ *   farthest byte is evicted whole.
+ */
+class ReferenceReassembler
+{
+  public:
+    ReferenceReassembler(std::size_t streamLen, std::size_t limit)
+        : have(streamLen, 0), pieceStart(streamLen, 0), limit(limit)
+    {
+    }
+
+    void
+    segment(std::size_t off, std::size_t len)
+    {
+        std::size_t end = off + len;
+        if (end <= next)
+            return; // duplicate of delivered data
+        off = std::max(off, next);
+        if (off == next) {
+            for (std::size_t i = off; i < end; ++i)
+                release(i);
+            next = end;
+            while (next < have.size() && have[next])
+                release(next++);
+            return;
+        }
+        bool inNewRun = false;
+        for (std::size_t i = off; i < end; ++i) {
+            if (have[i]) {
+                inNewRun = false;
+                continue;
+            }
+            have[i] = 1;
+            pieceStart[i] = !inNewRun;
+            inNewRun = true;
+            ++held;
+        }
+        while (held > limit) {
+            std::size_t i = have.size() - 1;
+            while (!have[i])
+                --i;
+            for (bool start = false; !start; --i) {
+                start = pieceStart[i];
+                release(i);
+                ++evicted;
+            }
+        }
+    }
+
+    std::size_t delivered() const { return next; }
+    std::size_t heldBytes() const { return held; }
+    std::size_t evictedBytes() const { return evicted; }
+
+  private:
+    void
+    release(std::size_t i)
+    {
+        if (have[i]) {
+            have[i] = 0;
+            --held;
+        }
+    }
+
+    std::vector<char> have;       ///< byte held beyond `next`
+    std::vector<char> pieceStart; ///< held byte starts its piece
+    std::size_t limit;
+    std::size_t next = 0;
+    std::size_t held = 0;
+    std::size_t evicted = 0;
+};
+
+TEST(ReferenceReassembler, MergesHoldsAndEvictsFarthestPiece)
+{
+    ReferenceReassembler r(100, 40);
+    r.segment(10, 10); // piece [10, 20)
+    r.segment(30, 10); // piece [30, 40)
+    EXPECT_EQ(r.heldBytes(), 20u);
+    r.segment(15, 20); // only the gap [20, 30) is new
+    EXPECT_EQ(r.heldBytes(), 30u);
+    r.segment(60, 5);
+    r.segment(45, 10); // 45 > 40 held: the farthest piece, [60, 65), goes
+    EXPECT_EQ(r.heldBytes(), 40u);
+    EXPECT_EQ(r.evictedBytes(), 5u);
+    r.segment(0, 12); // in order: delivers through the held [10, 40)
+    EXPECT_EQ(r.delivered(), 40u);
+    EXPECT_EQ(r.heldBytes(), 10u);
+    r.segment(40, 5);
+    EXPECT_EQ(r.delivered(), 55u);
+    EXPECT_EQ(r.heldBytes(), 0u);
+    r.segment(5, 10); // stale
+    EXPECT_EQ(r.delivered(), 55u);
+}
+
+/**
+ * One differential case: a fake peer at 10.0.0.2 hand-shakes with a
+ * NetStack, then injects a seeded, permuted mix of a covering split of
+ * the stream, partial overlaps and duplicates, and finally the cover
+ * again in order (the retransmissions). After every segment the
+ * socket's readable and out-of-order byte counts and its evicted-byte
+ * counter must equal the reference's; the reader drains random amounts
+ * in between, and what it reads must be the stream.
+ */
+/** What the differential cases exercised, summed over seeds. */
+struct ReassemblyCoverage
+{
+    std::size_t wrapped = 0;      ///< streams crossing sequence 2^32
+    std::uint64_t stashed = 0;    ///< out-of-order stashes
+    std::uint64_t evicted = 0;    ///< bytes evicted over oooLimit
+    std::uint64_t overlapped = 0; ///< partial overlaps with delivered data
+};
+
+void
+reassemblyMatchesReference(std::uint64_t seed, ReassemblyCoverage &cov)
+{
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const std::uint32_t srvIp = makeIp(10, 0, 0, 1);
+    const std::uint32_t cliIp = makeIp(10, 0, 0, 2);
+    const std::uint16_t cliPort = 40000;
+    const std::size_t total = rng.range(1, 12000);
+    // Half the streams start within their own length of 2^32 and wrap.
+    const std::uint32_t isn =
+        rng.chance(1, 2)
+            ? static_cast<std::uint32_t>(0 - rng.range(1, total + 1))
+            : static_cast<std::uint32_t>(rng.next());
+    const std::size_t limit =
+        rng.chance(1, 2) ? TcpSocket::bufMax : rng.range(1, 3000);
+    if (std::uint64_t(isn) + 1 + total > (std::uint64_t(1) << 32))
+        ++cov.wrapped;
+    std::vector<std::uint8_t> stream(total);
+    for (auto &b : stream)
+        b = static_cast<std::uint8_t>(rng.next());
+
+    Machine mach;
+    Scheduler sched(mach);
+    Link link(mach);
+    NetStack server(mach, sched, link.endA(), srvIp);
+    TcpSocket *listener = server.listen(80);
+    // Deliver one frame and drop the server's replies. Everything runs
+    // on the test's own stack: no call below blocks.
+    auto deliver = [&](std::uint32_t seq, std::uint8_t flags,
+                       const std::vector<std::uint8_t> &payload,
+                       std::uint32_t ack) {
+        link.endB().transmit(craftSegment(cliIp, srvIp, cliPort, 80, seq,
+                                          flags, payload, ack));
+        server.pollQueue(0);
+        while (link.endB().receive()) {
+        }
+    };
+
+    link.endB().transmit(
+        craftSegment(cliIp, srvIp, cliPort, 80, isn, tcpSyn, {}));
+    server.pollQueue(0);
+    auto synAck = link.endB().receive();
+    ASSERT_TRUE(synAck);
+    const std::uint32_t iss = getBe32(
+        synAck->data() + EthHeader::wireSize + Ip4Header::wireSize + 4);
+    deliver(isn + 1, tcpAck, {}, iss + 1);
+    ASSERT_EQ(listener->pendingAccepts(), 1u);
+    TcpSocket *sock = listener->accept();
+    ASSERT_TRUE(sock->established());
+    sock->oooLimit = limit;
+
+    using Seg = std::pair<std::size_t, std::size_t>; // offset, length
+    std::vector<Seg> cover;
+    for (std::size_t off = 0; off < total;) {
+        std::size_t len = rng.range(1, std::min<std::size_t>(600, total - off));
+        cover.emplace_back(off, len);
+        off += len;
+    }
+    std::vector<Seg> segs = cover;
+    for (std::size_t i = rng.below(cover.size() + 1); i > 0; --i) {
+        std::size_t off = rng.below(total);
+        segs.emplace_back(
+            off, rng.range(1, std::min<std::size_t>(900, total - off)));
+    }
+    for (std::size_t i = rng.below(segs.size() / 2 + 1); i > 0; --i)
+        segs.push_back(segs[rng.below(segs.size())]);
+    for (std::size_t i = segs.size(); i > 1; --i)
+        std::swap(segs[i - 1], segs[rng.below(i)]);
+    segs.insert(segs.end(), cover.begin(), cover.end());
+
+    ReferenceReassembler ref(total, limit);
+    std::vector<std::uint8_t> got;
+    for (const auto &[off, len] : segs) {
+        ref.segment(off, len);
+        deliver(isn + 1 + static_cast<std::uint32_t>(off), tcpPsh,
+                std::vector<std::uint8_t>(stream.begin() + off,
+                                          stream.begin() + off + len),
+                0);
+        ASSERT_EQ(got.size() + sock->available(), ref.delivered());
+        ASSERT_EQ(sock->oooQueuedBytes(), ref.heldBytes());
+        ASSERT_EQ(mach.counter("tcp.oooEvicted"), ref.evictedBytes());
+        std::size_t want = std::min<std::size_t>(rng.below(1500),
+                                                 sock->available());
+        if (want) {
+            std::vector<std::uint8_t> buf(want);
+            ASSERT_EQ(sock->recv(buf.data(), want),
+                      static_cast<long>(want));
+            got.insert(got.end(), buf.begin(), buf.end());
+        }
+    }
+    ASSERT_EQ(ref.delivered(), total);
+    std::vector<std::uint8_t> rest(sock->available());
+    if (!rest.empty()) {
+        ASSERT_EQ(sock->recv(rest.data(), rest.size()),
+                  static_cast<long>(rest.size()));
+    }
+    got.insert(got.end(), rest.begin(), rest.end());
+    EXPECT_EQ(got, stream);
+    EXPECT_EQ(sock->oooQueuedBytes(), 0u);
+    cov.stashed += mach.counter("tcp.outOfOrder");
+    cov.evicted += mach.counter("tcp.oooEvicted");
+    cov.overlapped += mach.counter("tcp.partialOverlaps");
+}
+
+TEST(TcpReassembly, MatchesByteArrayReference)
+{
+    ReassemblyCoverage cov;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        reassemblyMatchesReference(seed, cov);
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GT(cov.wrapped, 50u);
+    EXPECT_GT(cov.stashed, 1000u);
+    EXPECT_GT(cov.evicted, 10000u);
+    EXPECT_GT(cov.overlapped, 100u);
 }
 
 /** 100 clients connect in parallel against one listener. */
@@ -904,6 +1204,100 @@ TEST_F(TcpFixture, ReassemblesReorderedSegments)
     ASSERT_TRUE(sched.runUntil(
         [&] { return received.size() == total; }, 5'000'000));
     EXPECT_EQ(received, sent);
+}
+
+/**
+ * Pins every byte put on the wire. Over a seeded lossy, reordering
+ * exchange (an echo in both directions), the live bytes of each frame
+ * reaching either end are hashed (FNV-1a) in arrival order. The value
+ * was recorded while frames were zero-filled on allocation; frame
+ * storage is recycled uninitialised now, so a live byte read before it
+ * is written changes the hash.
+ */
+TEST_F(TcpFixture, WireBytesArePinned)
+{
+    struct Tap
+    {
+        Rng rng{35};
+        std::uint64_t hash = 0xcbf29ce484222325ull;
+        std::uint64_t frames = 0;
+        std::uint64_t reordered = 0;
+        std::optional<NetBuf> held;
+
+        void
+        fold(const NetBuf &f)
+        {
+            for (std::size_t i = 0; i < f.size(); ++i) {
+                hash ^= f.data()[i];
+                hash *= 0x100000001b3ull;
+            }
+            ++frames;
+        }
+    };
+    // Shared for the reinject fiber's last, cancelled resumption.
+    auto tap = std::make_shared<Tap>();
+    link.endA().rxFilter = [tap](NetBuf &f) {
+        tap->fold(f);
+        if (tap->rng.chance(1, 10))
+            return false; // lost
+        if (!tap->held && tap->rng.chance(1, 8)) {
+            tap->held = std::move(f); // overtaken by later frames
+            ++tap->reordered;
+            return false;
+        }
+        return true;
+    };
+    link.endB().rxFilter = [tap](NetBuf &f) {
+        tap->fold(f);
+        return !tap->rng.chance(1, 10);
+    };
+    sched.spawn("reinject", [this, tap] {
+        for (int i = 0; i < 4000; ++i) {
+            if (tap->held && i % 3 == 0) {
+                NetBuf f = std::move(*tap->held);
+                tap->held.reset();
+                auto filter = std::move(link.endA().rxFilter);
+                link.endA().rxFilter = nullptr;
+                link.endB().transmit(std::move(f));
+                link.endA().rxFilter = std::move(filter);
+            }
+            sched.yield();
+        }
+    });
+
+    const std::size_t total = 48 * 1024;
+    std::vector<std::uint8_t> sent(total);
+    Rng rng(17);
+    for (auto &b : sent)
+        b = static_cast<std::uint8_t>(rng.next());
+    std::vector<std::uint8_t> echoed;
+
+    TcpSocket *listener = server.listen(80);
+    sched.spawn("srv", [&] {
+        TcpSocket *s = listener->accept();
+        std::uint8_t buf[3000];
+        long n;
+        while ((n = s->recv(buf, sizeof(buf))) > 0)
+            s->send(buf, static_cast<std::size_t>(n));
+        s->close();
+    });
+    sched.spawn("cli", [&] {
+        TcpSocket *s = client.connect(makeIp(10, 0, 0, 1), 80);
+        ASSERT_NE(s, nullptr);
+        s->send(sent.data(), sent.size());
+        s->close();
+        std::uint8_t buf[4096];
+        long n;
+        while ((n = s->recv(buf, sizeof(buf))) > 0)
+            echoed.insert(echoed.end(), buf, buf + n);
+    });
+    ASSERT_TRUE(sched.runUntil(
+        [&] { return echoed.size() == total; }, 5'000'000));
+    EXPECT_EQ(echoed, sent);
+    EXPECT_GT(mach.counter("tcp.retransmits"), 0u);
+    EXPECT_GT(tap->reordered, 0u);
+    EXPECT_EQ(tap->frames, 183u);
+    EXPECT_EQ(tap->hash, 0x24485e338f3ccf50ull);
 }
 
 } // namespace
