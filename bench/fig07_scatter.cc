@@ -649,10 +649,10 @@ main(int argc, char **argv)
           wayfinder::gateFlavorSpace()}});
 
     // --- Pruned product sweep ----------------------------------------
-    // mechanism x flavour x deny for one partition,
-    // enumerated lazily with monotone budget pruning: once a point
-    // misses the budget, everything safety-dominating it is skipped
-    // unevaluated — the full product is never materialized.
+    // mechanism x flavour x deny for one partition, walked with
+    // monotone budget pruning: once a point misses the budget,
+    // everything safety-dominating it is skipped unevaluated. The
+    // product itself is built in full; only the evaluations are saved.
     {
         std::vector<int> partition = {0, 0, 0, 1}; // lwip split
         std::vector<ConfigPoint> accepted;
@@ -665,13 +665,8 @@ main(int argc, char **argv)
                 return wayfinder::measureRedis(p, 100);
             },
             budget, accepted);
-        std::size_t blocks = 2; // lwip split has two blocks
-        std::size_t deniable =
-            blocks * blocks - blocks -
-            wayfinder::requiredBlockEdges(partition, "libredis").size();
-        std::size_t product = 16 * 4; // mech x flav
-        for (std::size_t i = 0; i < deniable; ++i)
-            product *= 2;
+        std::size_t product =
+            wayfinder::boundaryProduct(partition, "libredis").size();
         std::printf("\n=== Pruned boundary sweep (lwip split): "
                     "mechanism x flavour x deny ===\n");
         std::printf("  budget %.1f req/s: evaluated %zu of %zu points "

@@ -26,7 +26,6 @@ main()
         p.label = wayfinder::pointLabel(p, "redis");
         poset.add(p);
     }
-    poset.buildEdges();
     for (std::size_t i = 0; i < poset.size(); ++i)
         poset.at(i).perf = wayfinder::measureRedis(poset.at(i), 250);
 

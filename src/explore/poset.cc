@@ -238,7 +238,6 @@ SafetyPoset::coversOf(std::size_t i) const
 std::vector<std::size_t>
 SafetyPoset::safestWithin(double minPerf) const
 {
-    panic_if(!edgesBuilt, "poset edges not built");
     std::vector<std::size_t> out;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
         if (nodes[i].perf < minPerf)

@@ -169,7 +169,8 @@ class SafetyPoset
     /**
      * The safest configurations meeting a performance budget: maximal
      * elements of the sub-poset { perf >= minPerf } (the paper's green
-     * starred nodes in Figure 8).
+     * starred nodes in Figure 8). Compares nodes directly, so it needs
+     * no cover edges.
      */
     std::vector<std::size_t> safestWithin(double minPerf) const;
 

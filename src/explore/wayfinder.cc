@@ -202,14 +202,20 @@ requiredBlockEdges(const std::vector<int> &partition,
     return {edges.begin(), edges.end()};
 }
 
+std::vector<ConfigPoint>
+boundaryProduct(const std::vector<int> &partition, const std::string &appLib)
+{
+    return productSpace({Dim::Mechanism, Dim::Flavour, Dim::Deny},
+                        {partition}, appLib);
+}
+
 std::size_t
 prunedBoundarySweep(const std::vector<int> &partition,
                     const std::string &appLib,
                     const std::function<double(ConfigPoint &)> &eval,
                     double minPerf, std::vector<ConfigPoint> &accepted)
 {
-    std::vector<ConfigPoint> product = productSpace(
-        {Dim::Mechanism, Dim::Flavour, Dim::Deny}, {partition}, appLib);
+    std::vector<ConfigPoint> product = boundaryProduct(partition, appLib);
     // Pruned points read perf 0, which meets a budget <= 0: accept
     // only what eval() measured.
     std::vector<char> measured(product.size(), 0);

@@ -71,9 +71,16 @@ requiredBlockEdges(const std::vector<int> &partition,
 /**
  * Per-block mechanisms × per-block gate flavours × deniable-edge
  * subsets for one Figure 8 partition (at most 4^3 × 2^3 × 2 = 1 024
- * points, for partition E), explored with exploreMonotone: a point
- * strictly safer than a measured miss is skipped unevaluated. Points
- * meeting the budget are appended to `accepted` in product order
+ * points, for partition E), mechanism outermost, deny innermost.
+ */
+std::vector<ConfigPoint>
+boundaryProduct(const std::vector<int> &partition,
+                const std::string &appLib);
+
+/**
+ * The boundaryProduct of one partition, explored with exploreMonotone:
+ * a point strictly safer than a measured miss is skipped unevaluated.
+ * Points meeting the budget are appended to `accepted` in product order
  * (mechanism outermost, deny innermost) with their measured perf.
  * @return number of evaluations actually run.
  */

@@ -2,7 +2,8 @@
  * @file
  * NetBuf: a packet buffer with headroom, in the spirit of Unikraft's
  * uknetbuf / lwIP's pbuf. Payload is written once; protocol layers
- * prepend their headers into the headroom without copying.
+ * prepend their headers into the headroom without copying. FramePool
+ * recycles frame storage so the data path allocates nothing per frame.
  *
  * NetBufView is the zero-copy companion: a non-owning [ptr, len) window
  * into a NetBuf (or any byte range) that protocol layers pass down the
@@ -14,11 +15,20 @@
 #ifndef FLEXOS_NET_NETBUF_HH
 #define FLEXOS_NET_NETBUF_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
+#include "base/asan.hh"
 #include "base/logging.hh"
+
+// Idle pooled frames are poisoned under AddressSanitizer, so a view
+// or pointer kept past a frame's recycling is reported on use.
+#ifdef FLEXOS_ASAN
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace flexos {
 
@@ -85,9 +95,13 @@ class NetBufView
  * A single frame buffer. Capacity is fixed at construction; data occupies
  * [dataOff, dataOff + dataLen) within the storage.
  *
+ * Storage is uninitialised: only the bytes written through push(),
+ * put() or append() are live, and nothing reads outside the live range.
+ * A copy allocates the same capacity and copies only the live range.
+ *
  * Move semantics are explicit: the moved-from buffer is left empty
- * (size() == 0, headroom() == 0) rather than with stale offsets over an
- * emptied vector, so accidentally reusing it panics cleanly instead of
+ * (size() == 0, headroom() == 0, no storage) rather than with stale
+ * offsets, so accidentally reusing it panics cleanly instead of
  * corrupting the heap.
  */
 class NetBuf
@@ -99,18 +113,40 @@ class NetBuf
 
     explicit NetBuf(std::size_t capacity = defaultCapacity,
                     std::size_t headroom = defaultHeadroom)
-        : storage(capacity), dataOff(headroom), dataLen(0)
+        : NetBuf(std::unique_ptr<std::uint8_t[]>(new std::uint8_t[capacity]),
+                 capacity, headroom)
+    {
+    }
+
+    /** Adopt `capacity` bytes of storage (a recycled frame's). */
+    NetBuf(std::unique_ptr<std::uint8_t[]> bytes, std::size_t capacity,
+           std::size_t headroom)
+        : storage(std::move(bytes)), cap(capacity), dataOff(headroom),
+          dataLen(0)
     {
         panic_if(headroom > capacity, "headroom exceeds capacity");
     }
 
-    NetBuf(const NetBuf &) = default;
-    NetBuf &operator=(const NetBuf &) = default;
+    NetBuf(const NetBuf &other) : NetBuf(other.cap, other.dataOff)
+    {
+        if (other.dataLen)
+            std::memcpy(data(), other.data(), other.dataLen);
+        dataLen = other.dataLen;
+    }
+
+    NetBuf &
+    operator=(const NetBuf &other)
+    {
+        if (this != &other)
+            *this = NetBuf(other);
+        return *this;
+    }
 
     NetBuf(NetBuf &&other) noexcept
-        : storage(std::move(other.storage)), dataOff(other.dataOff),
-          dataLen(other.dataLen)
+        : storage(std::move(other.storage)), cap(other.cap),
+          dataOff(other.dataOff), dataLen(other.dataLen)
     {
+        other.cap = 0;
         other.dataOff = 0;
         other.dataLen = 0;
     }
@@ -120,8 +156,10 @@ class NetBuf
     {
         if (this != &other) {
             storage = std::move(other.storage);
+            cap = other.cap;
             dataOff = other.dataOff;
             dataLen = other.dataLen;
+            other.cap = 0;
             other.dataOff = 0;
             other.dataLen = 0;
         }
@@ -137,29 +175,35 @@ class NetBuf
     void
     reset(std::size_t headroom = defaultHeadroom)
     {
-        dataOff = std::min(headroom, storage.size());
+        dataOff = std::min(headroom, cap);
         dataLen = 0;
     }
 
+    /** Give up the storage, leaving the buffer as a moved-from one. */
+    std::unique_ptr<std::uint8_t[]>
+    release()
+    {
+        cap = 0;
+        dataOff = 0;
+        dataLen = 0;
+        return std::move(storage);
+    }
+
     /** Pointer to the first data byte. */
-    std::uint8_t *data() { return storage.data() + dataOff; }
-    const std::uint8_t *data() const { return storage.data() + dataOff; }
+    std::uint8_t *data() { return storage.get() + dataOff; }
+    const std::uint8_t *data() const { return storage.get() + dataOff; }
 
     /** Bytes of live data. */
     std::size_t size() const { return dataLen; }
 
     /** Total storage capacity (0 for a moved-from buffer). */
-    std::size_t capacity() const { return storage.size(); }
+    std::size_t capacity() const { return cap; }
 
     /** Remaining headroom for prepending headers. */
     std::size_t headroom() const { return dataOff; }
 
     /** Remaining tailroom for appending payload. */
-    std::size_t
-    tailroom() const
-    {
-        return storage.size() - dataOff - dataLen;
-    }
+    std::size_t tailroom() const { return cap - dataOff - dataLen; }
 
     /** Non-owning view of the live data. */
     NetBufView view() const { return NetBufView(data(), dataLen); }
@@ -190,19 +234,77 @@ class NetBuf
         dataLen -= n;
     }
 
+    /**
+     * Extend the data by n bytes at the tail, which the caller must
+     * write. @return pointer to the first of them
+     */
+    std::uint8_t *
+    put(std::size_t n)
+    {
+        panic_if(n > tailroom(), "netbuf tailroom exhausted");
+        std::uint8_t *tail = data() + dataLen;
+        dataLen += n;
+        return tail;
+    }
+
     /** Append payload bytes at the tail. */
     void
     append(const void *src, std::size_t n)
     {
-        panic_if(n > tailroom(), "netbuf tailroom exhausted");
-        std::memcpy(storage.data() + dataOff + dataLen, src, n);
-        dataLen += n;
+        std::memcpy(put(n), src, n);
     }
 
   private:
-    std::vector<std::uint8_t> storage;
+    std::unique_ptr<std::uint8_t[]> storage;
+    std::size_t cap;
     std::size_t dataOff;
     std::size_t dataLen;
+};
+
+/**
+ * Recycled frame storage, in the spirit of lwIP's pbuf pools and DPDK's
+ * mempools: a free list of defaultCapacity-byte buffers. take() hands
+ * one out uninitialised; give() keeps a consumed frame's storage for
+ * the next take(), so once the list has grown to the most frames ever
+ * in flight at once, frames cost no heap traffic. Storage is owned by
+ * whichever NetBuf holds it, so a frame that never comes back (kept by
+ * a test, dropped with a queue) is simply freed.
+ */
+class FramePool
+{
+  public:
+    /** A frame with the default capacity and headroom and no data. */
+    NetBuf
+    take()
+    {
+        if (free.empty())
+            return NetBuf();
+        std::unique_ptr<std::uint8_t[]> bytes = std::move(free.back());
+        free.pop_back();
+#ifdef FLEXOS_ASAN
+        ASAN_UNPOISON_MEMORY_REGION(bytes.get(), NetBuf::defaultCapacity);
+#endif
+        return NetBuf(std::move(bytes), NetBuf::defaultCapacity,
+                      NetBuf::defaultHeadroom);
+    }
+
+    /** Keep a consumed frame's storage; other capacities are freed. */
+    void
+    give(NetBuf &&frame)
+    {
+        if (frame.capacity() != NetBuf::defaultCapacity)
+            return;
+        free.push_back(frame.release());
+#ifdef FLEXOS_ASAN
+        ASAN_POISON_MEMORY_REGION(free.back().get(), NetBuf::defaultCapacity);
+#endif
+    }
+
+    /** Buffers waiting for take(). */
+    std::size_t idle() const { return free.size(); }
+
+  private:
+    std::vector<std::unique_ptr<std::uint8_t[]>> free;
 };
 
 } // namespace flexos

@@ -44,7 +44,7 @@ steerFrame(const NetBuf &frame)
 
 } // namespace
 
-Link::Link(Machine &m) : a(m), b(m)
+Link::Link(Machine &m) : a(m, pool), b(m, pool)
 {
     a.peer = &b;
     b.peer = &a;
@@ -63,14 +63,15 @@ NicEndpoint::configureRss(std::size_t queues)
 {
     if (queues == 0)
         queues = 1;
-    std::vector<std::deque<NetBuf>> old = std::move(rxQueues);
-    rxQueues.assign(queues, {});
+    std::vector<Ring<NetBuf>> old = std::move(rxQueues);
+    rxQueues = std::vector<Ring<NetBuf>>(queues);
     // Re-steer anything already queued so no frame is stranded in a
     // queue index that no longer exists (or now belongs to another
     // flow's poller).
-    for (auto &q : old)
-        for (auto &f : q)
-            rxQueues[steerTo(f)].push_back(std::move(f));
+    for (auto &q : old) {
+        for (; !q.empty(); q.pop_front())
+            rxQueues[steerTo(q.front())].push_back(std::move(q.front()));
+    }
 }
 
 void
@@ -80,6 +81,7 @@ NicEndpoint::transmit(NetBuf frame)
     mach.bump(Counter::NicTx);
     if (peer->rxFilter && !peer->rxFilter(frame)) {
         mach.bump(Counter::NicDropped);
+        pool.give(std::move(frame));
         return;
     }
     std::size_t q = peer->steerTo(frame);

@@ -9,18 +9,22 @@
  * A fault injector can drop, duplicate or reorder frames (used by the
  * TCP property tests). Frame handling charges the NIC descriptor cost
  * to the machine the link was built on.
+ *
+ * The link owns the frame pool both endpoints draw from: a frame is
+ * taken in one stack's sendSegment and given back once the peer's
+ * stack has handled it, or when the NIC drops it.
  */
 
 #ifndef FLEXOS_NET_NIC_HH
 #define FLEXOS_NET_NIC_HH
 
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
 
 #include "machine/machine.hh"
 #include "net/netbuf.hh"
+#include "net/ring.hh"
 
 namespace flexos {
 
@@ -39,6 +43,15 @@ std::uint32_t rssHash(std::uint32_t srcIp, std::uint16_t srcPort,
 class NicEndpoint
 {
   public:
+    /**
+     * A frame from the link's pool to fill and transmit: default
+     * capacity and headroom, no data, uninitialised storage.
+     */
+    NetBuf frame() { return pool.take(); }
+
+    /** Return a handled frame's storage to the link's pool. */
+    void recycle(NetBuf &&f) { pool.give(std::move(f)); }
+
     /** Transmit a frame to the peer endpoint. */
     void transmit(NetBuf frame);
 
@@ -81,14 +94,17 @@ class NicEndpoint
   private:
     friend class Link;
 
-    explicit NicEndpoint(Machine &m) : mach(m), rxQueues(1) {}
+    NicEndpoint(Machine &m, FramePool &p) : mach(m), pool(p), rxQueues(1)
+    {
+    }
 
     /** The queue an arriving frame steers to. */
     std::size_t steerTo(const NetBuf &frame) const;
 
     Machine &mach;
+    FramePool &pool;
     NicEndpoint *peer = nullptr;
-    std::vector<std::deque<NetBuf>> rxQueues;
+    std::vector<Ring<NetBuf>> rxQueues;
 };
 
 /**
@@ -104,6 +120,7 @@ class Link
     NicEndpoint &endB() { return b; }
 
   private:
+    FramePool pool; ///< before the endpoints, which refer to it
     NicEndpoint a;
     NicEndpoint b;
 };

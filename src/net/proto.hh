@@ -123,7 +123,10 @@ struct TcpHeader
                std::uint32_t srcIp, std::uint32_t dstIp);
 };
 
-/** Internet checksum (RFC 1071) over a byte range. */
+/**
+ * Internet checksum (RFC 1071) over a byte range, summed a 64-bit word
+ * at a time. `seed` is added to the word sum before folding.
+ */
 std::uint16_t inetChecksum(const std::uint8_t *data, std::size_t len,
                            std::uint32_t seed = 0);
 

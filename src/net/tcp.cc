@@ -45,7 +45,7 @@ TcpSocket::send(const void *buf, std::size_t n)
         }
         std::size_t room = bufMax - sndQueue.size();
         std::size_t chunk = std::min(room, n - done);
-        sndQueue.insert(sndQueue.end(), p + done, p + done + chunk);
+        sndQueue.write(p + done, chunk);
         stack.mach.consumePerByte(chunk, stack.mach.timing.copyPer16B);
         done += chunk;
         transmit();
@@ -65,9 +65,8 @@ TcpSocket::recv(void *buf, std::size_t n)
         readers.wait();
     }
     std::size_t got = std::min(n, rcvBuf.size());
-    auto *out = static_cast<std::uint8_t *>(buf);
-    std::copy(rcvBuf.begin(), rcvBuf.begin() + got, out);
-    rcvBuf.erase(rcvBuf.begin(), rcvBuf.begin() + got);
+    rcvBuf.read(0, static_cast<std::uint8_t *>(buf), got);
+    rcvBuf.discard(got);
     stack.mach.consumePerByte(got, stack.mach.timing.copyPer16B);
     maybeSendWindowUpdate();
     return static_cast<long>(got);
@@ -223,8 +222,7 @@ TcpSocket::handleAck(const TcpHeader &h)
     std::uint32_t acked = h.ack - sndUna;
     std::size_t dataAcked =
         std::min<std::size_t>(acked, dataInFlight());
-    sndQueue.erase(sndQueue.begin(),
-                   sndQueue.begin() + static_cast<long>(dataAcked));
+    sndQueue.discard(dataAcked);
     flightData -= dataAcked;
     sndUna = h.ack;
     if (finInFlight && seqLt(finSeq, h.ack)) {
@@ -285,7 +283,7 @@ TcpSocket::handleData(const TcpHeader &h, NetBufView payload)
 void
 TcpSocket::deliverInOrder(NetBufView payload)
 {
-    rcvBuf.insert(rcvBuf.end(), payload.begin(), payload.end());
+    rcvBuf.write(payload.data(), payload.size());
     stack.mach.consumePerByte(payload.size(),
                               stack.mach.timing.copyPer16B);
     rcvNxt += static_cast<std::uint32_t>(payload.size());
@@ -310,7 +308,7 @@ TcpSocket::drainOutOfOrder()
         }
         if (seqLe(segSeq, rcvNxt)) {
             std::size_t skip = rcvNxt - segSeq;
-            rcvBuf.insert(rcvBuf.end(), seg.begin() + skip, seg.end());
+            rcvBuf.write(seg.data() + skip, seg.size() - skip);
             stack.mach.consumePerByte(seg.size() - skip,
                                       stack.mach.timing.copyPer16B);
             rcvNxt = segEnd;
@@ -438,13 +436,7 @@ TcpSocket::transmit()
         if (allowed == 0)
             break; // window closed; probe timer will take over
         std::size_t chunk = std::min({unsent, allowed, mss});
-
-        // Gather the chunk from the deque (it is not contiguous).
-        std::vector<std::uint8_t> seg(chunk);
-        std::copy(sndQueue.begin() + static_cast<long>(inFlight),
-                  sndQueue.begin() + static_cast<long>(inFlight + chunk),
-                  seg.begin());
-        sendDataSegment(sndNxt, seg.data(), chunk);
+        sendDataSegment(sndNxt, inFlight, chunk);
         sndNxt += static_cast<std::uint32_t>(chunk);
         flightData += chunk;
         armRetransmit();
@@ -467,15 +459,15 @@ void
 TcpSocket::sendControl(std::uint8_t flags)
 {
     std::uint32_t seq = (flags & tcpSyn) ? iss : sndNxt;
-    stack.sendSegment(*this, flags, seq, nullptr, 0);
+    stack.sendSegment(*this, flags, seq);
     lastAdvWindow = advertisedWindow();
 }
 
 void
-TcpSocket::sendDataSegment(std::uint32_t seq, const std::uint8_t *data,
+TcpSocket::sendDataSegment(std::uint32_t seq, std::size_t off,
                            std::size_t len)
 {
-    stack.sendSegment(*this, tcpAck | tcpPsh, seq, data, len);
+    stack.sendSegment(*this, tcpAck | tcpPsh, seq, off, len);
     lastAdvWindow = advertisedWindow();
 }
 
@@ -507,15 +499,11 @@ TcpSocket::onRetransmitTimeout()
         stack.sendSegment(*this, st == State::SynRcvd
                                      ? std::uint8_t(tcpSyn | tcpAck)
                                      : std::uint8_t(tcpSyn),
-                          iss, nullptr, 0);
+                          iss);
     } else if (dataInFlight() > 0) {
-        std::size_t chunk = std::min(dataInFlight(), mss);
-        std::vector<std::uint8_t> seg(sndQueue.begin(),
-                                      sndQueue.begin() +
-                                          static_cast<long>(chunk));
-        sendDataSegment(sndUna, seg.data(), chunk);
+        sendDataSegment(sndUna, 0, std::min(dataInFlight(), mss));
     } else if (finInFlight) {
-        stack.sendSegment(*this, tcpFin | tcpAck, finSeq, nullptr, 0);
+        stack.sendSegment(*this, tcpFin | tcpAck, finSeq);
     } else if (sndQueue.size() > 0 && peerWindow == 0) {
         sendControl(tcpAck); // zero-window probe
     } else {
@@ -619,7 +607,7 @@ NetStack::connect(std::uint32_t dstIp, std::uint16_t dstPort)
     s->synInFlight = true;
     s->st = TcpSocket::State::SynSent;
     registerFlow(s);
-    sendSegment(*s, tcpSyn, s->iss, nullptr, 0);
+    sendSegment(*s, tcpSyn, s->iss);
     s->armRetransmit();
 
     while (s->st == TcpSocket::State::SynSent)
@@ -629,16 +617,17 @@ NetStack::connect(std::uint32_t dstIp, std::uint16_t dstPort)
 
 void
 NetStack::sendSegment(TcpSocket &sock, std::uint8_t flags,
-                      std::uint32_t seq, const std::uint8_t *payload,
-                      std::size_t len)
+                      std::uint32_t seq, std::size_t off, std::size_t len)
 {
     mach.consume(mach.timing.packetProc);
     mach.consumePerByte(len, mach.timing.csumPer16B);
     mach.bump(Counter::TcpSegmentsOut);
 
-    NetBuf frame;
+    // Every live byte of the pooled frame is written below: payload,
+    // then each header in full.
+    NetBuf frame = nic.frame();
     if (len)
-        frame.append(payload, len);
+        sock.sndQueue.read(off, frame.put(len), len);
 
     TcpHeader tcp;
     tcp.srcPort = sock.lPort;
@@ -667,7 +656,7 @@ NetStack::sendSegment(TcpSocket &sock, std::uint8_t flags,
 }
 
 void
-NetStack::handleFrame(NetBuf frame)
+NetStack::handleFrame(NetBufView frame)
 {
     EthHeader eth;
     if (frame.size() < EthHeader::wireSize)
@@ -695,10 +684,10 @@ NetStack::handleFrame(NetBuf frame)
         return;
     }
 
-    // From here on the frame is handed down as views; the NetBuf stays
+    // The frame is handed down as views; pollQueue keeps the NetBuf
     // alive (and unmoved) for the whole segment-processing call chain,
     // so no payload bytes are copied until they land in a socket buffer.
-    NetBufView seg = frame.view(0, segLen);
+    NetBufView seg = frame.sub(0, segLen);
     TcpHeader tcp;
     if (!tcp.parse(seg.data(), seg.size(), ip.src, ip.dst)) {
         mach.bump(Counter::TcpBadChecksum);
@@ -740,7 +729,7 @@ NetStack::handleFrame(NetBuf frame)
         child->synInFlight = true;
         child->st = TcpSocket::State::SynRcvd;
         registerFlow(child);
-        sendSegment(*child, tcpSyn | tcpAck, child->iss, nullptr, 0);
+        sendSegment(*child, tcpSyn | tcpAck, child->iss);
         child->armRetransmit();
         return;
     }
@@ -754,7 +743,8 @@ NetStack::pollQueue(std::size_t q)
     bool worked = false;
     mach.consume(mach.timing.pollDispatch);
     while (auto f = nic.receiveQueue(q)) {
-        handleFrame(std::move(*f));
+        handleFrame(f->view());
+        nic.recycle(std::move(*f));
         worked = true;
     }
     // The timer wheel is stack-global (retransmits, probes): exactly

@@ -22,6 +22,7 @@
 
 #include "net/nic.hh"
 #include "net/proto.hh"
+#include "net/ring.hh"
 #include "uksched/scheduler.hh"
 #include "uktime/clock.hh"
 
@@ -120,7 +121,7 @@ class TcpSocket : private TimerSlot
     void handleFin(const TcpHeader &h, std::size_t payloadLen);
     void transmit();
     void sendControl(std::uint8_t flags);
-    void sendDataSegment(std::uint32_t seq, const std::uint8_t *data,
+    void sendDataSegment(std::uint32_t seq, std::size_t off,
                          std::size_t len);
     void armRetransmit();
     void cancelRetransmit();
@@ -146,7 +147,7 @@ class TcpSocket : private TimerSlot
     std::uint32_t iss = 0;
     std::uint32_t sndUna = 0;
     std::uint32_t sndNxt = 0;
-    std::deque<std::uint8_t> sndQueue; ///< in-flight + unsent bytes
+    Ring<std::uint8_t> sndQueue; ///< in-flight + unsent bytes
     std::size_t flightData = 0;        ///< in-flight data bytes
     std::uint32_t peerWindow = bufMax;
     bool synInFlight = false;
@@ -171,7 +172,7 @@ class TcpSocket : private TimerSlot
         }
     };
     std::uint32_t rcvNxt = 0;
-    std::deque<std::uint8_t> rcvBuf;
+    Ring<std::uint8_t> rcvBuf;
     std::map<std::uint32_t, std::vector<std::uint8_t>, SeqOrder>
         outOfOrder;
     std::size_t oooBytes = 0;
@@ -314,10 +315,15 @@ class NetStack
         }
     };
 
-    void handleFrame(NetBuf frame);
+    void handleFrame(NetBufView frame);
+    /**
+     * Build and transmit one segment in a frame from the NIC's pool.
+     * Its payload is the len bytes at offset off of the socket's send
+     * queue, gathered straight into the frame.
+     */
     void sendSegment(TcpSocket &sock, std::uint8_t flags,
-                     std::uint32_t seq, const std::uint8_t *payload,
-                     std::size_t len);
+                     std::uint32_t seq, std::size_t off = 0,
+                     std::size_t len = 0);
     TcpSocket *makeSocket();
     void registerFlow(TcpSocket *s);
     void unregisterFlow(TcpSocket *s);

@@ -4,21 +4,14 @@
 #include <cstring>
 #include <exception>
 
+#include "base/asan.hh"
 #include "base/logging.hh"
 
 // AddressSanitizer must be told about fiber switches or it attributes
 // fiber stacks to the host thread, producing false stack-buffer-overflow
 // reports (e.g. on exception unwinds inside a fiber). The annotations
 // are no-ops without ASan.
-#if defined(__SANITIZE_ADDRESS__)
-#define FLEXOS_ASAN_FIBERS 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define FLEXOS_ASAN_FIBERS 1
-#endif
-#endif
-
-#ifdef FLEXOS_ASAN_FIBERS
+#ifdef FLEXOS_ASAN
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -99,7 +92,7 @@ namespace flexos {
 
 namespace {
 
-#ifdef FLEXOS_ASAN_FIBERS
+#ifdef FLEXOS_ASAN
 /**
  * Host (scheduler) stack bounds, learned on every fiber entry out of
  * the scheduler stack. Per host thread: schedulers on different threads
@@ -325,7 +318,7 @@ Scheduler::pin(Thread *t, int core)
 void
 Scheduler::trampoline(Scheduler *sched)
 {
-#ifdef FLEXOS_ASAN_FIBERS
+#ifdef FLEXOS_ASAN
     // First entry: no fake stack to restore.
     asanEnterFiber(nullptr, sched->asanFromFiber);
 #endif
@@ -351,7 +344,7 @@ Scheduler::threadMain()
     // may not suspend): the image reaps the thread's simulated stacks.
     if (exitHook)
         exitHook(*self);
-#ifdef FLEXOS_ASAN_FIBERS
+#ifdef FLEXOS_ASAN
     // Dying fiber: null save slot tells ASan to free its fake stack.
     __sanitizer_start_switch_fiber(nullptr, hostStackBottom,
                                    hostStackSize);
@@ -386,13 +379,13 @@ void
 Scheduler::switchTo(Thread *t)
 {
     dispatch(t);
-#ifdef FLEXOS_ASAN_FIBERS
+#ifdef FLEXOS_ASAN
     asanFromFiber = false;
     __sanitizer_start_switch_fiber(&schedFakeStack, t->stack.get(),
                                    t->stackBytes);
 #endif
     flexos_fiber_switch(&schedSp, t->sp);
-#ifdef FLEXOS_ASAN_FIBERS
+#ifdef FLEXOS_ASAN
     __sanitizer_finish_switch_fiber(schedFakeStack, nullptr, nullptr);
 #endif
 
@@ -446,19 +439,19 @@ Scheduler::switchOut()
     }
     if (next) {
         dispatch(next);
-#ifdef FLEXOS_ASAN_FIBERS
+#ifdef FLEXOS_ASAN
         asanFromFiber = true;
         __sanitizer_start_switch_fiber(&self->asanFakeStack,
                                        next->stack.get(), next->stackBytes);
 #endif
         flexos_fiber_switch(&self->sp, next->sp);
     } else {
-#ifdef FLEXOS_ASAN_FIBERS
+#ifdef FLEXOS_ASAN
         asanLeaveFiber(&self->asanFakeStack);
 #endif
         flexos_fiber_switch(&self->sp, schedSp);
     }
-#ifdef FLEXOS_ASAN_FIBERS
+#ifdef FLEXOS_ASAN
     asanEnterFiber(self->asanFakeStack, asanFromFiber);
 #endif
     if (cancelling)

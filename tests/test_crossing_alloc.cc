@@ -11,6 +11,10 @@
  * in their owners, so arming, cancelling, firing and polling only
  * reuse the heap's storage.
  *
+ * Neither does the TCP/IP data path: frames come from the link's
+ * frame pool, and the socket and RX queues are rings that stop growing
+ * once they have held their peak.
+ *
  * Simulated memory stays off the C++ heap: an image's heap arenas,
  * data sections and shared heap are mapped pages, so booting one with
  * megabytes of simulated heap requests only kilobytes through
@@ -29,6 +33,7 @@
 
 #include "core/image.hh"
 #include "core/toolchain.hh"
+#include "net/tcp.hh"
 #include "uktime/clock.hh"
 
 namespace {
@@ -225,6 +230,82 @@ TEST(TimerQueueAlloc, ArmCancelFireAndPollAllocateNothing)
     fired += timers.poll([](TimerSlot &) {});
     EXPECT_TRUE(timers.empty());
     EXPECT_EQ(fired, armed - cancelled);
+}
+
+// ------------------------------------------------------------ TCP/IP path
+
+TEST(TcpAlloc, SteadyStateRequestResponseAllocatesNothing)
+{
+    // A client and an echo server on two NetStacks over one Link, each
+    // stack driven by a deployment-style poller. Requests grow from 16
+    // to 3000 bytes (three segments) so both directions gather across
+    // ring wraparound and fill more than one frame per send.
+    Machine mach;
+    Scheduler sched(mach);
+    Link link(mach);
+    NetStack server(mach, sched, link.endA(), makeIp(10, 0, 0, 1));
+    NetStack client(mach, sched, link.endB(), makeIp(10, 0, 0, 2));
+    bool stopping = false;
+    for (NetStack *stack : {&server, &client}) {
+        // The timer heap keeps a cancelled retransmit deadline until
+        // the clock passes it, so it grows through one RTO of arms: a
+        // short RTO lets the warm-up reach its steady size.
+        stack->baseRtoNs = 2'000'000;
+        sched.spawn("poll", [&, stack] {
+            while (!stopping) {
+                if (stack->pollQueue(0))
+                    sched.yield();
+                else
+                    stack->waitQueueActivity(0);
+            }
+        });
+    }
+    TcpSocket *listener = server.listen(80);
+    sched.spawn("echo", [&] {
+        TcpSocket *s = listener->accept();
+        std::uint8_t buf[4096];
+        long n;
+        while ((n = s->recv(buf, sizeof(buf))) > 0)
+            s->send(buf, static_cast<std::size_t>(n));
+    });
+
+    std::uint64_t allocs = 0, roundTrips = 0;
+    bool done = false;
+    sched.spawn("client", [&] {
+        TcpSocket *s = client.connect(makeIp(10, 0, 0, 1), 80);
+        ASSERT_NE(s, nullptr);
+        std::uint8_t out[3000], in[3000];
+        auto rounds = [&](std::uint64_t n) {
+            for (std::uint64_t i = 0; i < n; ++i) {
+                std::size_t len = 16 + (i * 997) % (sizeof(out) - 16);
+                std::memset(out, static_cast<int>(i), len);
+                s->send(out, len);
+                for (std::size_t got = 0; got < len;) {
+                    long r = s->recv(in + got, len - got);
+                    ASSERT_GT(r, 0);
+                    got += static_cast<std::size_t>(r);
+                }
+                ASSERT_EQ(std::memcmp(in, out, len), 0);
+                ++roundTrips;
+            }
+        };
+        rounds(warmup);
+        std::uint64_t before = newCalls.load();
+        rounds(measured);
+        allocs = newCalls.load() - before;
+        s->close();
+        done = true;
+    });
+    ASSERT_TRUE(sched.runUntil([&] { return done; }));
+    EXPECT_EQ(roundTrips, warmup + measured);
+    EXPECT_EQ(allocs, 0u)
+        << allocs << " allocations over " << measured << " round trips";
+    EXPECT_GT(mach.counter("tcp.segmentsOut"), 4 * (warmup + measured));
+    stopping = true;
+    server.wakePollers();
+    client.wakePollers();
+    sched.run();
+    sched.cancelAll();
 }
 
 // --------------------------------------------------------- image memory

@@ -215,6 +215,31 @@ TEST(Poset, SafestWithinBudgetPicksMaximal)
     EXPECT_EQ(bestSet, (std::set<std::size_t>{mid, side}));
 }
 
+TEST(Poset, SafestWithinNeedsNoCoverEdges)
+{
+    // fig6Space with a perf that falls with every safety axis: the
+    // starred set is the same whether or not the Hasse diagram exists.
+    SafetyPoset bare, built;
+    for (ConfigPoint p : wayfinder::fig6Space()) {
+        int hardened = 0;
+        for (unsigned h : p.hardening)
+            hardened += h != 0;
+        p.perf = 1000.0 - 90.0 * p.compartments() - 70.0 * hardened -
+                 40.0 * p.sharingRank;
+        bare.add(p);
+        built.add(p);
+    }
+    built.buildEdges();
+    std::size_t starred = 0;
+    for (double budget : {0.0, 450.0, 600.0, 750.0, 900.0, 2000.0}) {
+        std::vector<std::size_t> best = bare.safestWithin(budget);
+        EXPECT_EQ(best, built.safestWithin(budget)) << budget;
+        starred += best.size();
+    }
+    EXPECT_GT(starred, 0u);
+    EXPECT_THROW(bare.coversOf(0), PanicError);
+}
+
 TEST(Poset, ExploreSkipsDominatedEvaluations)
 {
     // A chain of increasing safety with monotonically decreasing

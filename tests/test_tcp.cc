@@ -11,12 +11,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "base/rng.hh"
+#include "net/ring.hh"
 #include "net/tcp.hh"
 #include "uktime/clock.hh"
 
@@ -240,6 +242,137 @@ TEST(NetBuf, ViewSliceAndTrim)
     EXPECT_THROW(v.sub(9), PanicError);
     EXPECT_THROW(mid.pull(3), PanicError);
     EXPECT_THROW(mid.trimBack(3), PanicError);
+}
+
+TEST(NetBuf, CopyKeepsLayoutAndLiveBytes)
+{
+    NetBuf a(256, 64);
+    a.append("payload", 7);
+    std::memcpy(a.push(3), "hdr", 3);
+    NetBuf b(a);
+    EXPECT_EQ(b.capacity(), 256u);
+    EXPECT_EQ(b.headroom(), 61u);
+    EXPECT_EQ(b.size(), 10u);
+    EXPECT_EQ(std::memcmp(b.data(), "hdrpayload", 10), 0);
+    EXPECT_NE(b.data(), a.data());
+
+    NetBuf moved = std::move(a);
+    NetBuf empty(a); // a moved-from buffer copies as one
+    EXPECT_EQ(empty.capacity(), 0u);
+    EXPECT_EQ(empty.size(), 0u);
+    b = moved;
+    EXPECT_EQ(std::memcmp(b.data(), "hdrpayload", 10), 0);
+}
+
+TEST(FramePool, RecyclesDefaultSizedStorage)
+{
+    FramePool pool;
+    NetBuf f = pool.take();
+    EXPECT_EQ(f.capacity(), NetBuf::defaultCapacity);
+    EXPECT_EQ(f.headroom(), NetBuf::defaultHeadroom);
+    EXPECT_EQ(f.size(), 0u);
+    f.append("abc", 3);
+    const std::uint8_t *storage = f.data() - f.headroom();
+    pool.give(std::move(f));
+    EXPECT_EQ(f.capacity(), 0u);
+    EXPECT_EQ(pool.idle(), 1u);
+
+    // The same storage comes back, reset to an empty frame.
+    NetBuf g = pool.take();
+    EXPECT_EQ(g.data() - g.headroom(), storage);
+    EXPECT_EQ(g.size(), 0u);
+    EXPECT_EQ(g.headroom(), NetBuf::defaultHeadroom);
+    EXPECT_EQ(pool.idle(), 0u);
+
+    // Other capacities and moved-from frames are not kept.
+    pool.give(NetBuf(256, 64));
+    NetBuf gone = std::move(g);
+    pool.give(std::move(g));
+    EXPECT_EQ(pool.idle(), 0u);
+    pool.give(std::move(gone));
+    EXPECT_EQ(pool.idle(), 1u);
+}
+
+#ifdef FLEXOS_ASAN
+TEST(FramePoolDeathTest, RecycledFrameIsPoisoned)
+{
+    FramePool pool;
+    NetBuf f = pool.take();
+    f.append("x", 1);
+    const volatile std::uint8_t *stale = f.data();
+    pool.give(std::move(f));
+    EXPECT_DEATH((void)*stale, "use-after-poison");
+}
+#endif
+
+TEST(Ring, BytesMatchADequeAcrossGrowthAndWraparound)
+{
+    Ring<std::uint8_t> ring;
+    std::deque<std::uint8_t> ref;
+    Rng rng(35);
+    std::uint8_t next = 0;
+    std::size_t peakCap = 0;
+    for (int step = 0; step < 4000; ++step) {
+        // Writes outpace discards for the first half, then trail them.
+        std::size_t w = rng.below(step < 2000 ? 700 : 300);
+        std::vector<std::uint8_t> in(w);
+        for (auto &b : in)
+            b = next++;
+        ring.write(in.data(), w);
+        ref.insert(ref.end(), in.begin(), in.end());
+
+        std::size_t off = rng.below(ref.size() + 1);
+        std::size_t n = rng.below(ref.size() - off + 1);
+        std::vector<std::uint8_t> out(n);
+        ring.read(off, out.data(), n);
+        ASSERT_TRUE(std::equal(out.begin(), out.end(), ref.begin() + off));
+
+        std::size_t d = rng.below(std::min<std::size_t>(ref.size(), 600) + 1);
+        ring.discard(d);
+        ref.erase(ref.begin(), ref.begin() + static_cast<long>(d));
+        ASSERT_EQ(ring.size(), ref.size());
+        ASSERT_GE(ring.capacity(), peakCap); // never shrinks
+        peakCap = ring.capacity();
+        ASSERT_EQ(peakCap & (peakCap - 1), 0u);
+    }
+    std::vector<std::uint8_t> rest(ring.size());
+    ring.read(0, rest.data(), rest.size());
+    EXPECT_TRUE(std::equal(rest.begin(), rest.end(), ref.begin()));
+    EXPECT_THROW(ring.read(0, rest.data(), ring.size() + 1), PanicError);
+    EXPECT_THROW(ring.discard(ring.size() + 1), PanicError);
+}
+
+TEST(Ring, KeepsMoveOnlyElementsInOrder)
+{
+    Ring<NetBuf> ring;
+    int pushed = 0, popped = 0;
+    auto push = [&](int n) {
+        for (int i = 0; i < n; ++i, ++pushed) {
+            NetBuf f(64, 0);
+            f.append(&pushed, sizeof(pushed));
+            ring.push_back(std::move(f));
+        }
+    };
+    auto pop = [&](int n) {
+        for (int i = 0; i < n; ++i, ++popped) {
+            int v;
+            std::memcpy(&v, ring.front().data(), sizeof(v));
+            ASSERT_EQ(v, popped);
+            ring.pop_front();
+        }
+    };
+    push(10);
+    pop(7);
+    push(30); // grows while the live range wraps
+    pop(20);
+    EXPECT_EQ(ring.size(), 13u);
+    Ring<NetBuf> moved = std::move(ring);
+    EXPECT_TRUE(ring.empty());
+    ring = std::move(moved);
+    pop(13);
+    EXPECT_TRUE(ring.empty());
+    push(5); // left for the destructor
+    EXPECT_THROW(Ring<NetBuf>().pop_front(), PanicError);
 }
 
 TEST(Nic, LinkDeliversFramesInOrder)
@@ -948,7 +1081,8 @@ reassemblyMatchesReference(std::uint64_t seed, ReassemblyCoverage &cov)
     using Seg = std::pair<std::size_t, std::size_t>; // offset, length
     std::vector<Seg> cover;
     for (std::size_t off = 0; off < total;) {
-        std::size_t len = rng.range(1, std::min<std::size_t>(600, total - off));
+        std::size_t len =
+            rng.range(1, std::min<std::size_t>(600, total - off));
         cover.emplace_back(off, len);
         off += len;
     }
