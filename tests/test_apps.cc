@@ -18,6 +18,7 @@
 #include "apps/iperf.hh"
 #include "apps/minisql.hh"
 #include "apps/redis.hh"
+#include "base/rng.hh"
 
 namespace flexos {
 namespace {
@@ -756,6 +757,86 @@ TEST_F(SqlFixture, FailedWriteBackLeavesPageDirtyForRetry)
                   1);
         EXPECT_EQ(first, 0x5a);
         libc.close(check);
+    });
+}
+
+/**
+ * Every byte minisql stores is pinned: a seeded mix of auto-commit
+ * INSERTs and explicit transactions that commit or roll back, then a
+ * crashed writer's hot journal and its replay. The hashes (FNV-1a over
+ * the file read through the VFS) were recorded before the pager and
+ * ramfs stopped zero-filling and allocating on this path.
+ */
+TEST_F(SqlFixture, SeededMixAndJournalReplayKeepFileBytes)
+{
+    auto hashFile = [&](const std::string &path) {
+        int fd = dep.vfs().open(path, oRdOnly);
+        EXPECT_GE(fd, 0) << path;
+        std::uint64_t hash = 0xcbf29ce484222325ull;
+        std::uint8_t buf[4096];
+        long n;
+        while ((n = dep.vfs().read(fd, buf, sizeof(buf))) > 0) {
+            for (long i = 0; i < n; ++i) {
+                hash ^= buf[i];
+                hash *= 0x100000001b3ull;
+            }
+        }
+        dep.vfs().close(fd);
+        return hash;
+    };
+    inApp([&] {
+        Rng rng(36);
+        int id = 0;
+        auto insert = [&](minisql::Database &db) {
+            std::string tag(rng.below(60), 'a');
+            for (char &c : tag)
+                c = static_cast<char>('a' + rng.below(26));
+            ASSERT_TRUE(db.exec("INSERT INTO t VALUES (" +
+                                std::to_string(id++) + ", '" + tag + "')")
+                            .ok);
+        };
+        {
+            minisql::Database db(dep.libc(), "/mix.db");
+            db.open();
+            ASSERT_TRUE(db.exec("CREATE TABLE t (id INTEGER, tag TEXT)").ok);
+            for (int step = 0; step < 600; ++step) {
+                std::uint64_t op = rng.below(10);
+                if (op < 7) {
+                    insert(db);
+                    continue;
+                }
+                ASSERT_TRUE(db.exec("BEGIN").ok);
+                for (std::uint64_t k = rng.range(1, 40); k > 0; --k)
+                    insert(db);
+                ASSERT_TRUE(db.exec(op < 9 ? "COMMIT" : "ROLLBACK").ok);
+            }
+            db.close();
+        }
+        const std::uint64_t committed = hashFile("/mix.db");
+        EXPECT_EQ(committed, 0x55fd3dd44ea53f63ull);
+
+        {
+            // A writer that journals three pages out of order, then
+            // crashes after writing them back.
+            minisql::Pager pager(dep.libc(), "/mix.db");
+            pager.open();
+            std::uint32_t last = pager.pageCount() - 1;
+            pager.begin();
+            for (std::uint32_t page : {last, 0u, last / 2})
+                pager.getMutable(page).fill(static_cast<std::uint8_t>(page));
+            pager.commitDirtyForTest();
+        }
+        EXPECT_EQ(hashFile("/mix.db-journal"), 0xa48f65cd642b9a9dull);
+        EXPECT_NE(hashFile("/mix.db"), committed);
+
+        minisql::Database db(dep.libc(), "/mix.db");
+        db.open();
+        VfsStat st;
+        EXPECT_EQ(dep.vfs().stat("/mix.db-journal", st), vfsNotFound);
+        auto r = db.exec("SELECT COUNT(*) FROM t");
+        ASSERT_TRUE(r.ok) << r.error;
+        db.close();
+        EXPECT_EQ(hashFile("/mix.db"), committed);
     });
 }
 

@@ -7,9 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <map>
 #include <string>
+#include <vector>
 
+#include "base/rng.hh"
+#include "base/strutil.hh"
 #include "machine/machine.hh"
 #include "ukalloc/tlsf.hh"
 #include "vfs/ramfs.hh"
@@ -257,6 +263,265 @@ TEST(RamfsAllocator, ExhaustedAllocatorYieldsNoSpace)
     std::string data(64 * 1024, 'x');
     EXPECT_EQ(vfs.write(fd, data.data(), data.size()), vfsNoSpace);
     vfs.close(fd);
+}
+
+/**
+ * ramfs against a byte-array model: seeded writes (some past EOF),
+ * truncates down and up, and reads across block boundaries. After
+ * every operation the file's size and every byte must match the model,
+ * where any growth reads back as zeros up to the new data.
+ */
+TEST(Ramfs, MatchesByteArrayReference)
+{
+    Machine mach;
+    TlsfAllocator alloc(mach, 256 * 1024);
+    Vfs vfs(mach, makeRamfs(mach, &alloc));
+    int fd = vfs.open("/model", oCreat | oRdWr);
+    ASSERT_GE(fd, 0);
+
+    const std::size_t maxSize = 5 * RamfsNode::blockSize + 300;
+    std::vector<std::uint8_t> model;
+    std::vector<std::uint8_t> buf(maxSize), got(maxSize);
+    Rng rng(36);
+    auto checkAll = [&](int step) {
+        VfsStat st;
+        ASSERT_EQ(vfs.stat("/model", st), vfsOk);
+        ASSERT_EQ(st.size, model.size()) << "step " << step;
+        ASSERT_EQ(vfs.pread(fd, got.data(), maxSize, 0),
+                  static_cast<long>(model.size()))
+            << "step " << step;
+        ASSERT_TRUE(std::equal(model.begin(), model.end(), got.begin()))
+            << "step " << step;
+    };
+
+    for (int step = 0; step < 3000; ++step) {
+        std::uint64_t op = rng.below(10);
+        if (op < 5) {
+            // Write, at times starting past EOF (leaving a hole).
+            std::size_t off = rng.below(maxSize);
+            std::size_t n = 1 + rng.below(2 * RamfsNode::blockSize);
+            n = std::min(n, maxSize - off);
+            for (std::size_t i = 0; i < n; ++i)
+                buf[i] = static_cast<std::uint8_t>(rng.next() | 1);
+            ASSERT_EQ(vfs.pwrite(fd, buf.data(), n, off),
+                      static_cast<long>(n));
+            if (off + n > model.size())
+                model.resize(off + n, 0);
+            std::copy(buf.begin(), buf.begin() + n, model.begin() + off);
+        } else if (op < 8) {
+            // Truncate down or up, often to a block boundary +- 1.
+            std::size_t to = rng.below(maxSize);
+            if (rng.chance(1, 3))
+                to = std::min(maxSize, rng.range(1, 5) * RamfsNode::blockSize +
+                                           rng.below(3) - 1);
+            ASSERT_EQ(vfs.ftruncate(fd, to), vfsOk);
+            model.resize(to, 0);
+        } else {
+            // Read a range that may cross blocks and EOF.
+            std::size_t off = rng.below(maxSize);
+            std::size_t n = 1 + rng.below(2 * RamfsNode::blockSize);
+            n = std::min(n, maxSize - off);
+            std::size_t want =
+                off >= model.size() ? 0 : std::min(n, model.size() - off);
+            ASSERT_EQ(vfs.pread(fd, got.data(), n, off),
+                      static_cast<long>(want));
+            ASSERT_TRUE(std::equal(model.begin() + off,
+                                   model.begin() + off + want, got.begin()))
+                << "step " << step;
+        }
+        checkAll(step);
+    }
+    vfs.close(fd);
+    ASSERT_EQ(vfs.unlink("/model"), vfsOk);
+    EXPECT_EQ(alloc.stats().liveBytes, 0u);
+}
+
+/**
+ * The old path rule as a reference: split on '/', skip empty
+ * components. A model tree answers each operation through it.
+ */
+struct SplitReference
+{
+    /** Every node by its components joined with '/'; "" is the root. */
+    std::map<std::string, VnodeType> nodes{{"", VnodeType::Directory}};
+
+    static std::vector<std::string>
+    parts(const std::string &path)
+    {
+        std::vector<std::string> out;
+        for (const std::string &p : split(path, '/'))
+            if (!p.empty())
+                out.push_back(p);
+        return out;
+    }
+
+    static std::string
+    join(const std::vector<std::string> &parts, std::size_t n)
+    {
+        std::string out;
+        for (std::size_t i = 0; i < n; ++i)
+            out += (i ? "/" : "") + parts[i];
+        return out;
+    }
+
+    /** Walk the first n components; the key reached, or an error. */
+    int
+    walk(const std::vector<std::string> &ps, std::size_t n, std::string &key)
+    {
+        key.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (nodes.at(key) != VnodeType::Directory)
+                return vfsNotDir;
+            std::string next = join(ps, i + 1);
+            if (!nodes.count(next))
+                return vfsNotFound;
+            key = next;
+        }
+        return vfsOk;
+    }
+
+    int
+    parent(const std::vector<std::string> &ps, std::string &key)
+    {
+        if (ps.empty())
+            return vfsInval;
+        int err = walk(ps, ps.size() - 1, key);
+        if (err == vfsOk && nodes.at(key) != VnodeType::Directory)
+            return vfsNotDir;
+        return err;
+    }
+
+    bool
+    hasChildren(const std::string &key) const
+    {
+        std::string prefix = key + "/";
+        auto it = nodes.lower_bound(prefix);
+        return it != nodes.end() && it->first.compare(0, prefix.size(),
+                                                      prefix) == 0;
+    }
+
+    int
+    open(const std::string &path, unsigned flags)
+    {
+        auto ps = parts(path);
+        std::string key;
+        int err = walk(ps, ps.size(), key);
+        if (err != vfsOk) {
+            if (err != vfsNotFound || !(flags & oCreat))
+                return err;
+            if ((err = parent(ps, key)) != vfsOk)
+                return err;
+            key = join(ps, ps.size());
+            nodes[key] = VnodeType::Regular;
+        }
+        if (nodes.at(key) == VnodeType::Directory &&
+            (flags & (oWrOnly | oRdWr)))
+            return vfsIsDir;
+        return vfsOk;
+    }
+
+    int
+    stat(const std::string &path)
+    {
+        auto ps = parts(path);
+        std::string key;
+        return walk(ps, ps.size(), key);
+    }
+
+    int
+    remove(const std::string &path, VnodeType want)
+    {
+        auto ps = parts(path);
+        std::string key;
+        int err = parent(ps, key);
+        if (err != vfsOk)
+            return err;
+        key = join(ps, ps.size());
+        auto it = nodes.find(key);
+        if (it == nodes.end())
+            return vfsNotFound;
+        if (it->second != want)
+            return want == VnodeType::Directory ? vfsNotDir : vfsIsDir;
+        if (want == VnodeType::Directory && hasChildren(key))
+            return vfsNotEmpty;
+        nodes.erase(it);
+        return vfsOk;
+    }
+
+    int
+    mkdir(const std::string &path)
+    {
+        auto ps = parts(path);
+        std::string key;
+        int err = parent(ps, key);
+        if (err != vfsOk)
+            return err;
+        key = join(ps, ps.size());
+        if (nodes.count(key))
+            return vfsExists;
+        nodes[key] = VnodeType::Directory;
+        return vfsOk;
+    }
+};
+
+TEST(Vfs, PathWalkMatchesSplitReference)
+{
+    Machine mach;
+    Vfs vfs(mach, makeRamfs(mach));
+    // Short names keep hits frequent; the long one is past the
+    // small-string buffer.
+    const char *const names[] = {"a", "b", "f", "journal-of-a-db-x"};
+    SplitReference ref;
+    Rng rng(36);
+    auto randomPath = [&] {
+        std::string p;
+        if (rng.chance(3, 4))
+            p += std::string(rng.range(1, 3), '/');
+        std::size_t depth = rng.below(4);
+        for (std::size_t i = 0; i < depth; ++i) {
+            if (i)
+                p += std::string(rng.range(1, 3), '/');
+            p += names[rng.below(std::size(names))];
+        }
+        if (rng.chance(1, 5))
+            p += std::string(rng.range(1, 2), '/');
+        return p;
+    };
+
+    for (int step = 0; step < 4000; ++step) {
+        std::string path = randomPath();
+        std::uint64_t op = rng.below(6);
+        int want = 0, got = 0;
+        if (op == 0) {
+            unsigned flags = rng.chance(1, 2) ? (oCreat | oRdWr) : oRdOnly;
+            want = ref.open(path, flags);
+            int fd = vfs.open(path, flags);
+            got = fd >= 0 ? vfsOk : fd;
+            if (fd >= 0)
+                vfs.close(fd);
+        } else if (op == 1) {
+            VfsStat st;
+            want = ref.stat(path);
+            got = vfs.stat(path, st);
+        } else if (op == 2) {
+            want = ref.remove(path, VnodeType::Regular);
+            got = vfs.unlink(path);
+        } else if (op == 3 || op == 4) {
+            want = ref.mkdir(path);
+            got = vfs.mkdir(path);
+        } else {
+            want = ref.remove(path, VnodeType::Directory);
+            got = vfs.rmdir(path);
+        }
+        ASSERT_EQ(got, want) << "step " << step << " op " << op << " '"
+                             << path << "'";
+    }
+    EXPECT_EQ(vfs.openCount(), 0u);
+    for (const auto &[key, type] : ref.nodes) {
+        VfsStat st;
+        ASSERT_EQ(vfs.stat("/" + key, st), vfsOk) << key;
+        EXPECT_EQ(st.type, type) << key;
+    }
 }
 
 TEST(VfsCycles, OperationsChargeTheClock)
