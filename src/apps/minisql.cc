@@ -1,9 +1,12 @@
 #include "apps/minisql.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstring>
 #include <exception>
 #include <functional>
+#include <iterator>
 
 #include "base/logging.hh"
 #include "base/strutil.hh"
@@ -23,12 +26,11 @@ valueToString(const Value &v)
 
 namespace {
 
-/** Throw IoError unless a write stored all `want` bytes of `file`. */
-void
-requireStored(long got, std::size_t want, const std::string &file)
+/** A write to file that the filesystem stored short. */
+IoError
+shortWrite(const std::string &file)
 {
-    if (got != static_cast<long>(want))
-        throw IoError("short write to '" + file + "' (filesystem full)");
+    return IoError("short write to '" + file + "' (filesystem full)");
 }
 
 } // namespace
@@ -142,8 +144,16 @@ Pager::getMutable(std::uint32_t id)
     PageBuf &buf = get(id);
     if (inTxn)
         journalPreImage(id);
-    dirty.insert(id);
+    markDirty(id);
     return buf;
+}
+
+void
+Pager::markDirty(std::uint32_t id)
+{
+    auto at = std::lower_bound(dirty.begin(), dirty.end(), id);
+    if (at == dirty.end() || *at != id)
+        dirty.insert(at, id);
 }
 
 std::uint32_t
@@ -152,22 +162,30 @@ Pager::allocPage()
     PageBuf page{};
     // Extend the file so subsequent reads see the page; the page joins
     // the database (dirty) only once the file holds it.
-    requireStored(libc.pwrite(fd, page.data(), pageSize,
-                              static_cast<std::uint64_t>(nPages) *
-                                  pageSize),
-                  pageSize, path);
+    if (libc.pwrite(fd, page.data(), pageSize,
+                    static_cast<std::uint64_t>(nPages) * pageSize) !=
+        static_cast<long>(pageSize))
+        throw shortWrite(path);
     std::uint32_t id = nPages++;
     cache.emplace(id, page);
-    dirty.insert(id);
+    markDirty(id);
     return id;
 }
 
 void
 Pager::journalPreImage(std::uint32_t id)
 {
-    if (preImages.count(id))
+    auto at = std::lower_bound(
+        journalled.begin(), journalled.end(), id,
+        [](const Journalled &j, std::uint32_t page) { return j.id < page; });
+    if (at != journalled.end() && at->id == id)
         return;
-    preImages[id] = get(id);
+    auto slot = static_cast<std::uint32_t>(journalled.size());
+    if (slot == preImagePages.size())
+        preImagePages.emplace_back();
+    PageBuf &pre = preImagePages[slot];
+    pre = get(id);
+    journalled.insert(at, Journalled{id, slot});
 
     // Append [pageId, pre-image] to the journal and sync it before the
     // page may be overwritten in place — write-ahead of the rollback
@@ -177,12 +195,11 @@ Pager::journalPreImage(std::uint32_t id)
     std::uint8_t hdr[8] = {};
     std::memcpy(hdr, &id, 4);
     if (libc.write(jfd, hdr, 8) != 8 ||
-        libc.write(jfd, preImages[id].data(), pageSize) !=
+        libc.write(jfd, pre.data(), pageSize) !=
             static_cast<long>(pageSize)) {
         // A torn tail record is skipped by the replay in open().
         libc.close(jfd);
-        throw IoError("short write to '" + journalPath +
-                      "' (filesystem full)");
+        throw shortWrite(journalPath);
     }
     libc.fsync(jfd);
     libc.close(jfd);
@@ -193,25 +210,27 @@ Pager::begin()
 {
     panic_if(inTxn, "nested transaction");
     inTxn = true;
-    preImages.clear();
+    journalled.clear();
 }
 
-void
+bool
 Pager::writeBack(std::uint32_t id)
 {
-    requireStored(libc.pwrite(fd, cache[id].data(), pageSize,
-                              static_cast<std::uint64_t>(id) * pageSize),
-                  pageSize, path);
-    dirty.erase(id);
+    return libc.pwrite(fd, cache[id].data(), pageSize,
+                       static_cast<std::uint64_t>(id) * pageSize) ==
+           static_cast<long>(pageSize);
 }
 
 void
 Pager::flushDirty()
 {
-    // writeBack() erases each page once it is stored; a failed write
-    // throws with that page and every later one still dirty.
-    while (!dirty.empty())
-        writeBack(*dirty.begin());
+    auto stored = dirty.begin();
+    while (stored != dirty.end() && writeBack(*stored))
+        ++stored;
+    bool failed = stored != dirty.end();
+    dirty.erase(dirty.begin(), stored);
+    if (failed)
+        throw shortWrite(path);
 }
 
 void
@@ -223,7 +242,6 @@ Pager::commit()
     flushDirty();
     libc.fsync(fd);
     libc.unlink(journalPath);
-    preImages.clear();
     inTxn = false;
 }
 
@@ -233,7 +251,6 @@ Pager::commitDirtyForTest()
     panic_if(!inTxn, "crash-flush outside transaction");
     flushDirty();
     // No journal unlink: the next open() finds it hot and rolls back.
-    preImages.clear();
     inTxn = false;
 }
 
@@ -241,15 +258,16 @@ void
 Pager::rollback()
 {
     panic_if(!inTxn, "rollback outside transaction");
-    std::map<std::uint32_t, PageBuf> restored = std::move(preImages);
-    preImages.clear();
     inTxn = false;
-    for (auto &[id, pre] : restored) {
-        cache[id] = pre;
-        dirty.insert(id);
+    for (const Journalled &j : journalled) {
+        cache[j.id] = preImagePages[j.slot];
+        markDirty(j.id);
     }
-    for (auto &[id, pre] : restored)
-        writeBack(id);
+    for (const Journalled &j : journalled) {
+        if (!writeBack(j.id))
+            throw shortWrite(path);
+        dirty.erase(std::lower_bound(dirty.begin(), dirty.end(), j.id));
+    }
     libc.fsync(fd);
     libc.unlink(journalPath);
 }
@@ -490,79 +508,73 @@ Btree::scan(const std::function<void(std::int64_t, const std::uint8_t *,
 
 // ------------------------------------------------------------- database
 
-std::vector<std::string>
-tokenize(const std::string &sql)
+void
+tokenize(std::string_view sql, std::vector<std::string_view> &out)
 {
-    std::vector<std::string> out;
+    auto isDigit = [&](std::size_t i) {
+        return i < sql.size() &&
+               std::isdigit(static_cast<unsigned char>(sql[i]));
+    };
+    auto isWord = [&](std::size_t i) {
+        return i < sql.size() &&
+               (std::isalnum(static_cast<unsigned char>(sql[i])) ||
+                sql[i] == '_');
+    };
+    out.clear();
     std::size_t i = 0;
     while (i < sql.size()) {
         char c = sql[i];
-        if (std::isspace(static_cast<unsigned char>(c))) {
-            ++i;
-        } else if (c == '\'') {
-            std::string lit = "'";
-            ++i;
+        std::size_t start = i++;
+        if (std::isspace(static_cast<unsigned char>(c)))
+            continue;
+        if (c == '\'') {
             while (i < sql.size() && sql[i] != '\'')
-                lit += sql[i++];
+                ++i;
+            out.push_back(sql.substr(start, i - start));
             ++i; // closing quote
-            out.push_back(lit);
-        } else if (std::isalpha(static_cast<unsigned char>(c)) ||
-                   c == '_') {
-            std::string word;
-            while (i < sql.size() &&
-                   (std::isalnum(static_cast<unsigned char>(sql[i])) ||
-                    sql[i] == '_'))
-                word += sql[i++];
-            // Keywords are case-insensitive; identifiers preserved.
-            out.push_back(word);
-        } else if (std::isdigit(static_cast<unsigned char>(c)) ||
-                   (c == '-' &&
-                    i + 1 < sql.size() &&
-                    std::isdigit(static_cast<unsigned char>(sql[i + 1])))) {
-            std::string num;
-            num += sql[i++];
-            while (i < sql.size() &&
-                   std::isdigit(static_cast<unsigned char>(sql[i])))
-                num += sql[i++];
-            out.push_back(num);
-        } else {
-            out.push_back(std::string(1, c));
-            ++i;
+            continue;
         }
+        if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+            // Keywords are case-insensitive; identifiers preserved.
+            while (isWord(i))
+                ++i;
+        } else if (isDigit(start) || (c == '-' && isDigit(i))) {
+            while (isDigit(i))
+                ++i;
+        }
+        out.push_back(sql.substr(start, i - start));
     }
-    return out;
 }
 
 namespace {
 
 bool
-isKeyword(const std::string &tok, const char *kw)
+isKeyword(std::string_view tok, std::string_view kw)
 {
-    return toLower(tok) == toLower(kw);
+    return std::equal(tok.begin(), tok.end(), kw.begin(), kw.end(),
+                      [](char a, char b) {
+                          return std::tolower(static_cast<unsigned char>(
+                                     a)) ==
+                                 std::tolower(static_cast<unsigned char>(b));
+                      });
 }
 
-/** Serialize a row: [ncols u8] then per column tag + payload. */
-std::vector<std::uint8_t>
-encodeRow(const Row &row)
+/** Append the bytes of v to out. */
+template <typename T>
+void
+appendBytes(std::vector<std::uint8_t> &out, const T &v)
 {
-    std::vector<std::uint8_t> out;
-    out.push_back(static_cast<std::uint8_t>(row.size()));
-    for (const Value &v : row) {
-        if (std::holds_alternative<std::int64_t>(v)) {
-            out.push_back(0);
-            std::int64_t x = std::get<std::int64_t>(v);
-            const auto *p = reinterpret_cast<const std::uint8_t *>(&x);
-            out.insert(out.end(), p, p + 8);
-        } else {
-            const std::string &s = std::get<std::string>(v);
-            out.push_back(1);
-            std::uint16_t len = static_cast<std::uint16_t>(s.size());
-            const auto *p = reinterpret_cast<const std::uint8_t *>(&len);
-            out.insert(out.end(), p, p + 2);
-            out.insert(out.end(), s.begin(), s.end());
-        }
-    }
-    return out;
+    const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
+    out.insert(out.end(), p, p + sizeof(v));
+}
+
+/** Append v in decimal to out. */
+template <typename T>
+void
+appendNumber(std::string &out, T v)
+{
+    char digits[24];
+    out.append(digits, std::to_chars(digits, std::end(digits), v).ptr);
 }
 
 Row
@@ -683,25 +695,31 @@ Database::loadCatalog()
 void
 Database::saveCatalog()
 {
-    std::string text;
+    std::string &text = catalogText;
+    text.clear();
     for (const TableDef &t : tables) {
-        text += t.name + "|" + std::to_string(t.rootPage) + "|" +
-                std::to_string(t.nextRowid) + "|";
+        text += t.name;
+        text += '|';
+        appendNumber(text, t.rootPage);
+        text += '|';
+        appendNumber(text, t.nextRowid);
+        text += '|';
         for (std::size_t i = 0; i < t.columns.size(); ++i) {
             if (i)
-                text += ",";
-            text += t.columns[i] + ":" + (t.isText[i] ? "T" : "I");
+                text += ',';
+            text += t.columns[i];
+            text += t.isText[i] ? ":T" : ":I";
         }
-        text += "\n";
+        text += '\n';
     }
     fatal_if(text.size() >= pageSize, "catalog page overflow");
     Pager::PageBuf &p = pager->getMutable(0);
-    p.fill(0);
     std::memcpy(p.data(), text.data(), text.size());
+    std::memset(p.data() + text.size(), 0, pageSize - text.size());
 }
 
 TableDef *
-Database::findTable(const std::string &name)
+Database::findTable(std::string_view name)
 {
     for (TableDef &t : tables)
         if (t.name == name)
@@ -713,10 +731,10 @@ Result
 Database::exec(const std::string &sql)
 {
     fatal_if(!opened, "database not open");
-    std::vector<std::string> toks = tokenize(sql);
-    if (!toks.empty() && toks.back() == ";")
-        toks.pop_back();
-    if (toks.empty())
+    tokenize(sql, tokens);
+    if (!tokens.empty() && tokens.back() == ";")
+        tokens.pop_back();
+    if (tokens.empty())
         return errorResult("empty statement");
 
     // SQLite stamps transaction times; minisql reads the clock per
@@ -724,7 +742,7 @@ Database::exec(const std::string &sql)
     libc.clockNs();
 
     try {
-        return dispatch(toks);
+        return dispatch(tokens);
     } catch (const IoError &e) {
         // SQLITE_FULL semantics: the statement fails and its
         // transaction rolls back, leaving the connection on the last
@@ -746,7 +764,7 @@ Database::exec(const std::string &sql)
 }
 
 Result
-Database::dispatch(const std::vector<std::string> &toks)
+Database::dispatch(const Tokens &toks)
 {
     if (isKeyword(toks[0], "create"))
         return createTable(toks);
@@ -760,17 +778,19 @@ Database::dispatch(const std::vector<std::string> &toks)
         return commitTxn();
     if (isKeyword(toks[0], "rollback"))
         return rollbackTxn();
-    return errorResult("unsupported statement '" + toks[0] + "'");
+    return errorResult("unsupported statement '" + std::string(toks[0]) +
+                       "'");
 }
 
 Result
-Database::createTable(const std::vector<std::string> &toks)
+Database::createTable(const Tokens &toks)
 {
     // CREATE TABLE name ( col type [, col type]* )
     if (toks.size() < 7 || !isKeyword(toks[1], "table") || toks[3] != "(")
         return errorResult("malformed CREATE TABLE");
     if (findTable(toks[2]))
-        return errorResult("table '" + toks[2] + "' already exists");
+        return errorResult("table '" + std::string(toks[2]) +
+                           "' already exists");
 
     TableDef def;
     def.name = toks[2];
@@ -782,7 +802,7 @@ Database::createTable(const std::vector<std::string> &toks)
         }
         if (i + 1 >= toks.size())
             return errorResult("malformed column definition");
-        def.columns.push_back(toks[i]);
+        def.columns.emplace_back(toks[i]);
         def.isText.push_back(isKeyword(toks[i + 1], "text"));
         i += 2;
     }
@@ -804,7 +824,7 @@ Database::createTable(const std::vector<std::string> &toks)
 }
 
 Result
-Database::insertInto(const std::vector<std::string> &toks)
+Database::insertInto(const Tokens &toks)
 {
     // INSERT INTO name VALUES ( v [, v]* )
     if (toks.size() < 7 || !isKeyword(toks[1], "into") ||
@@ -812,34 +832,38 @@ Database::insertInto(const std::vector<std::string> &toks)
         return errorResult("malformed INSERT");
     TableDef *t = findTable(toks[2]);
     if (!t)
-        return errorResult("no such table '" + toks[2] + "'");
+        return errorResult("no such table '" + std::string(toks[2]) + "'");
 
-    Row row;
-    std::size_t i = 5;
-    while (i < toks.size() && toks[i] != ")") {
-        if (toks[i] == ",") {
-            ++i;
+    // Encode the row as its values parse: [ncols u8], then per column
+    // a tag (0 integer, 1 text) and its payload.
+    record.assign(1, 0);
+    std::size_t cols = 0;
+    for (std::size_t i = 5; i < toks.size() && toks[i] != ")"; ++i) {
+        if (toks[i] == ",")
             continue;
-        }
-        const std::string &tok = toks[i];
-        if (!tok.empty() && tok[0] == '\'')
-            row.emplace_back(tok.substr(1));
-        else {
+        std::string_view tok = toks[i];
+        if (tok[0] == '\'') {
+            tok.remove_prefix(1);
+            record.push_back(1);
+            appendBytes(record, static_cast<std::uint16_t>(tok.size()));
+            record.insert(record.end(), tok.begin(), tok.end());
+        } else {
             long v;
             if (!parseInt(tok, v))
-                return errorResult("bad literal '" + tok + "'");
-            row.emplace_back(static_cast<std::int64_t>(v));
+                return errorResult("bad literal '" + std::string(tok) + "'");
+            record.push_back(0);
+            appendBytes(record, static_cast<std::int64_t>(v));
         }
-        ++i;
+        ++cols;
     }
-    if (row.size() != t->columns.size())
+    if (cols != t->columns.size())
         return errorResult("column count mismatch");
+    record[0] = static_cast<std::uint8_t>(cols);
 
     // Hardening instrumentation point: checked rowid arithmetic.
     std::int64_t rowid =
         libc.hardening().add<std::int64_t>(t->nextRowid, 0);
-    std::vector<std::uint8_t> rec = encodeRow(row);
-    if (rec.size() > Btree::maxRecord)
+    if (record.size() > Btree::maxRecord)
         return errorResult("row too large");
 
     // Each statement outside an explicit transaction runs in its own —
@@ -848,7 +872,7 @@ Database::insertInto(const std::vector<std::string> &toks)
     if (autoTxn)
         pager->begin();
     Btree tree(*pager, t->rootPage);
-    tree.insert(rowid, rec.data(), rec.size());
+    tree.insert(rowid, record.data(), record.size());
     t->rootPage = tree.root();
     t->nextRowid = rowid + 1;
     saveCatalog();
@@ -861,7 +885,7 @@ Database::insertInto(const std::vector<std::string> &toks)
 }
 
 Result
-Database::select(const std::vector<std::string> &toks)
+Database::select(const Tokens &toks)
 {
     // SELECT * FROM t [WHERE col = value]
     // SELECT COUNT ( * ) FROM t
@@ -878,7 +902,8 @@ Database::select(const std::vector<std::string> &toks)
         return errorResult("malformed SELECT");
     TableDef *t = findTable(toks[fromAt + 1]);
     if (!t)
-        return errorResult("no such table '" + toks[fromAt + 1] + "'");
+        return errorResult("no such table '" + std::string(toks[fromAt + 1]) +
+                           "'");
 
     // Optional WHERE col = literal.
     int whereCol = -1;
@@ -887,15 +912,15 @@ Database::select(const std::vector<std::string> &toks)
         isKeyword(toks[fromAt + 2], "where")) {
         if (fromAt + 5 >= toks.size() || toks[fromAt + 4] != "=")
             return errorResult("malformed WHERE");
-        const std::string &col = toks[fromAt + 3];
+        std::string_view col = toks[fromAt + 3];
         for (std::size_t c = 0; c < t->columns.size(); ++c)
             if (t->columns[c] == col)
                 whereCol = static_cast<int>(c);
         if (whereCol < 0)
-            return errorResult("no such column '" + col + "'");
-        const std::string &lit = toks[fromAt + 5];
-        if (!lit.empty() && lit[0] == '\'')
-            whereVal = lit.substr(1);
+            return errorResult("no such column '" + std::string(col) + "'");
+        std::string_view lit = toks[fromAt + 5];
+        if (lit[0] == '\'')
+            whereVal = std::string(lit.substr(1));
         else {
             long v;
             if (!parseInt(lit, v))

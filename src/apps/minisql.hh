@@ -19,9 +19,9 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -125,10 +125,25 @@ class Pager
     void commitDirtyForTest();
 
   private:
-    /** Write one page to the file; it stays dirty if the write fails. */
-    void writeBack(std::uint32_t id);
-    /** Write back every dirty page in ascending page order. */
+    /** A page journalled in this transaction. */
+    struct Journalled
+    {
+        std::uint32_t id;
+        std::uint32_t slot; ///< its pre-image in preImagePages
+    };
+
+    /**
+     * Write one page to the file.
+     * @return whether the file stored it (it stays dirty if not)
+     */
+    bool writeBack(std::uint32_t id);
+    /**
+     * Write back every dirty page in ascending page order.
+     * @throws IoError at the first page the file does not store; it
+     * and every later page stay dirty.
+     */
     void flushDirty();
+    void markDirty(std::uint32_t id);
     void journalPreImage(std::uint32_t id);
 
     LibcApi &libc;
@@ -139,10 +154,14 @@ class Pager
 
     std::map<std::uint32_t, PageBuf> cache;
     /** Cached pages not yet written back, ascending (the write order). */
-    std::set<std::uint32_t> dirty;
+    std::vector<std::uint32_t> dirty;
 
     bool inTxn = false;
-    std::map<std::uint32_t, PageBuf> preImages; ///< journalled this txn
+    /** Pages the open transaction journalled, ascending by id;
+     *  begin() empties it. */
+    std::vector<Journalled> journalled;
+    /** Pre-image storage, reused by every transaction. */
+    std::vector<PageBuf> preImagePages;
 };
 
 /**
@@ -222,15 +241,17 @@ class Database
     Result exec(const std::string &sql);
 
   private:
-    Result dispatch(const std::vector<std::string> &tokens);
-    Result createTable(const std::vector<std::string> &tokens);
-    Result insertInto(const std::vector<std::string> &tokens);
-    Result select(const std::vector<std::string> &tokens);
+    using Tokens = std::vector<std::string_view>;
+
+    Result dispatch(const Tokens &tokens);
+    Result createTable(const Tokens &tokens);
+    Result insertInto(const Tokens &tokens);
+    Result select(const Tokens &tokens);
     Result beginTxn();
     Result commitTxn();
     Result rollbackTxn();
 
-    TableDef *findTable(const std::string &name);
+    TableDef *findTable(std::string_view name);
     void loadCatalog();
     void saveCatalog();
 
@@ -240,10 +261,22 @@ class Database
     std::vector<TableDef> tables;
     bool opened = false;
     bool explicitTxn = false;
+
+    /** @name Storage every statement reuses. @{ */
+    /** Views of the statement exec() runs; read only inside it. */
+    Tokens tokens;
+    std::vector<std::uint8_t> record; ///< the INSERT's encoded row
+    std::string catalogText;          ///< the catalog page's text
+    /** @} */
 };
 
-/** Tokenize a SQL statement (uppercases keywords, keeps literals). */
-std::vector<std::string> tokenize(const std::string &sql);
+/**
+ * Split a SQL statement into tokens, views of sql: words and numbers
+ * as written, a string literal with its opening quote (and without the
+ * closing one), and any other character on its own. out is cleared
+ * first.
+ */
+void tokenize(std::string_view sql, std::vector<std::string_view> &out);
 
 } // namespace minisql
 } // namespace flexos

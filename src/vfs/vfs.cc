@@ -1,7 +1,8 @@
 #include "vfs/vfs.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
-#include "base/strutil.hh"
 #include "machine/machine.hh"
 
 namespace flexos {
@@ -21,13 +22,31 @@ Vfs::chargeOp() const
     mach.bump(Counter::VfsOps);
 }
 
+namespace {
+
+/**
+ * The next non-empty '/'-separated component of path at or after at,
+ * which moves past it; empty once none is left.
+ */
+std::string_view
+nextComponent(std::string_view path, std::size_t &at)
+{
+    at = std::min(path.find_first_not_of('/', at), path.size());
+    std::size_t end = std::min(path.find('/', at), path.size());
+    std::string_view part = path.substr(at, end - at);
+    at = end;
+    return part;
+}
+
+} // namespace
+
 std::shared_ptr<Vnode>
-Vfs::resolve(const std::string &path, int &err)
+Vfs::resolve(std::string_view path, int &err)
 {
     std::shared_ptr<Vnode> node = root;
-    for (const std::string &part : split(path, '/')) {
-        if (part.empty())
-            continue;
+    std::size_t at = 0;
+    for (std::string_view part = nextComponent(path, at); !part.empty();
+         part = nextComponent(path, at)) {
         if (node->type() != VnodeType::Directory) {
             err = vfsNotDir;
             return nullptr;
@@ -43,49 +62,36 @@ Vfs::resolve(const std::string &path, int &err)
 }
 
 std::shared_ptr<Vnode>
-Vfs::resolveParent(const std::string &path, std::string &leaf, int &err)
+Vfs::resolveParent(std::string_view path, std::string_view &leaf, int &err)
 {
-    std::vector<std::string> parts;
-    for (const std::string &part : split(path, '/')) {
-        if (!part.empty())
-            parts.push_back(part);
-    }
-    if (parts.empty()) {
+    std::size_t end = path.find_last_not_of('/');
+    if (end == std::string_view::npos) {
         err = vfsInval;
         return nullptr;
     }
-    leaf = parts.back();
+    std::size_t start = path.find_last_of('/', end);
+    start = start == std::string_view::npos ? 0 : start + 1;
+    leaf = path.substr(start, end + 1 - start);
 
-    std::shared_ptr<Vnode> node = root;
-    for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-        if (node->type() != VnodeType::Directory) {
-            err = vfsNotDir;
-            return nullptr;
-        }
-        node = node->lookup(parts[i]);
-        if (!node) {
-            err = vfsNotFound;
-            return nullptr;
-        }
-    }
-    if (node->type() != VnodeType::Directory) {
+    std::shared_ptr<Vnode> node = resolve(path.substr(0, start), err);
+    if (node && node->type() != VnodeType::Directory) {
         err = vfsNotDir;
         return nullptr;
     }
-    err = vfsOk;
     return node;
 }
 
 Vfs::OpenFile *
 Vfs::file(int fd)
 {
-    if (fd < 0 || static_cast<std::size_t>(fd) >= fds.size())
+    if (fd < 0 || static_cast<std::size_t>(fd) >= fds.size() ||
+        !fds[fd].node)
         return nullptr;
-    return fds[fd].get();
+    return &fds[fd];
 }
 
 int
-Vfs::open(const std::string &path, unsigned flags)
+Vfs::open(std::string_view path, unsigned flags)
 {
     chargeOp();
     int err;
@@ -93,7 +99,7 @@ Vfs::open(const std::string &path, unsigned flags)
     if (!node) {
         if (err != vfsNotFound || !(flags & oCreat))
             return err;
-        std::string leaf;
+        std::string_view leaf;
         std::shared_ptr<Vnode> parent = resolveParent(path, leaf, err);
         if (!parent)
             return err;
@@ -108,15 +114,13 @@ Vfs::open(const std::string &path, unsigned flags)
         node->truncate(0);
 
     // Reuse the lowest free slot, POSIX-style.
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-        if (!fds[i]) {
-            fds[i] = std::make_unique<OpenFile>(
-                OpenFile{node, 0, flags});
-            return static_cast<int>(i);
-        }
-    }
-    fds.push_back(std::make_unique<OpenFile>(OpenFile{node, 0, flags}));
-    return static_cast<int>(fds.size() - 1);
+    std::size_t fd = 0;
+    while (fd < fds.size() && fds[fd].node)
+        ++fd;
+    if (fd == fds.size())
+        fds.emplace_back();
+    fds[fd] = OpenFile{std::move(node), 0, flags};
+    return static_cast<int>(fd);
 }
 
 int
@@ -126,7 +130,7 @@ Vfs::close(int fd)
     OpenFile *f = file(fd);
     if (!f)
         return vfsBadFd;
-    fds[fd].reset();
+    *f = OpenFile{};
     return vfsOk;
 }
 
@@ -229,11 +233,11 @@ Vfs::ftruncate(int fd, std::uint64_t size)
 }
 
 int
-Vfs::unlink(const std::string &path)
+Vfs::unlink(std::string_view path)
 {
     chargeOp();
     int err;
-    std::string leaf;
+    std::string_view leaf;
     std::shared_ptr<Vnode> parent = resolveParent(path, leaf, err);
     if (!parent)
         return err;
@@ -242,15 +246,18 @@ Vfs::unlink(const std::string &path)
         return vfsNotFound;
     if (victim->type() == VnodeType::Directory)
         return vfsIsDir;
+    // Unless a descriptor holds the file, the directory entry keeps
+    // the last reference, and the unlink frees its blocks.
+    victim.reset();
     return parent->unlink(leaf);
 }
 
 int
-Vfs::mkdir(const std::string &path)
+Vfs::mkdir(std::string_view path)
 {
     chargeOp();
     int err;
-    std::string leaf;
+    std::string_view leaf;
     std::shared_ptr<Vnode> parent = resolveParent(path, leaf, err);
     if (!parent)
         return err;
@@ -260,11 +267,11 @@ Vfs::mkdir(const std::string &path)
 }
 
 int
-Vfs::rmdir(const std::string &path)
+Vfs::rmdir(std::string_view path)
 {
     chargeOp();
     int err;
-    std::string leaf;
+    std::string_view leaf;
     std::shared_ptr<Vnode> parent = resolveParent(path, leaf, err);
     if (!parent)
         return err;
@@ -279,7 +286,7 @@ Vfs::rmdir(const std::string &path)
 }
 
 int
-Vfs::stat(const std::string &path, VfsStat &out)
+Vfs::stat(std::string_view path, VfsStat &out)
 {
     chargeOp();
     int err;
@@ -292,7 +299,7 @@ Vfs::stat(const std::string &path, VfsStat &out)
 }
 
 int
-Vfs::readdir(const std::string &path, std::vector<std::string> &out)
+Vfs::readdir(std::string_view path, std::vector<std::string> &out)
 {
     chargeOp();
     int err;
@@ -309,8 +316,8 @@ std::size_t
 Vfs::openCount() const
 {
     std::size_t n = 0;
-    for (const auto &f : fds) {
-        if (f)
+    for (const OpenFile &f : fds) {
+        if (f.node)
             ++n;
     }
     return n;

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace flexos {
@@ -80,16 +81,23 @@ class Vnode
     /** @} */
 
     /** @name Directory operations. @{ */
-    virtual std::shared_ptr<Vnode> lookup(const std::string &name) = 0;
-    virtual std::shared_ptr<Vnode> create(const std::string &name,
+    virtual std::shared_ptr<Vnode> lookup(std::string_view name) = 0;
+    virtual std::shared_ptr<Vnode> create(std::string_view name,
                                           VnodeType t) = 0;
-    virtual int unlink(const std::string &name) = 0;
+    virtual int unlink(std::string_view name) = 0;
     virtual std::vector<std::string> list() = 0;
     /** @} */
 };
 
 /**
  * The VFS layer: path resolution plus a file-descriptor table.
+ *
+ * A path is split on '/' and empty components are skipped, so
+ * "//a///b/" names the same node as "/a/b" and a relative path starts
+ * at the root too. Paths are walked as views of the caller's string
+ * and descriptors are held by value, so walking a path and opening a
+ * descriptor allocate nothing once the table has held its peak number
+ * of open files.
  */
 class Vfs
 {
@@ -98,7 +106,7 @@ class Vfs
     Vfs(Machine &m, std::shared_ptr<Vnode> root);
 
     /** @name POSIX-flavoured API. Negative returns are VfsError. @{ */
-    int open(const std::string &path, unsigned flags);
+    int open(std::string_view path, unsigned flags);
     int close(int fd);
     long read(int fd, void *buf, std::size_t n);
     long write(int fd, const void *buf, std::size_t n);
@@ -107,17 +115,18 @@ class Vfs
     long lseek(int fd, long off, SeekWhence whence);
     int fsync(int fd);
     int ftruncate(int fd, std::uint64_t size);
-    int unlink(const std::string &path);
-    int mkdir(const std::string &path);
-    int rmdir(const std::string &path);
-    int stat(const std::string &path, VfsStat &out);
-    int readdir(const std::string &path, std::vector<std::string> &out);
+    int unlink(std::string_view path);
+    int mkdir(std::string_view path);
+    int rmdir(std::string_view path);
+    int stat(std::string_view path, VfsStat &out);
+    int readdir(std::string_view path, std::vector<std::string> &out);
     /** @} */
 
     /** Number of open descriptors (leak checks in tests). */
     std::size_t openCount() const;
 
   private:
+    /** A descriptor slot; free while node is null. */
     struct OpenFile
     {
         std::shared_ptr<Vnode> node;
@@ -126,11 +135,14 @@ class Vfs
     };
 
     /** Resolve a path to its vnode; null with err set on failure. */
-    std::shared_ptr<Vnode> resolve(const std::string &path, int &err);
+    std::shared_ptr<Vnode> resolve(std::string_view path, int &err);
 
-    /** Resolve the parent directory of path; sets leaf name. */
-    std::shared_ptr<Vnode> resolveParent(const std::string &path,
-                                         std::string &leaf, int &err);
+    /**
+     * Resolve the directory that holds path's last component, which
+     * leaf is set to view; null with err set on failure.
+     */
+    std::shared_ptr<Vnode> resolveParent(std::string_view path,
+                                         std::string_view &leaf, int &err);
 
     OpenFile *file(int fd);
 
@@ -139,7 +151,7 @@ class Vfs
 
     Machine &mach;
     std::shared_ptr<Vnode> root;
-    std::vector<std::unique_ptr<OpenFile>> fds;
+    std::vector<OpenFile> fds;
 };
 
 } // namespace flexos

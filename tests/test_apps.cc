@@ -842,13 +842,13 @@ TEST_F(SqlFixture, SeededMixAndJournalReplayKeepFileBytes)
 
 TEST(SqlTokenizer, HandlesLiteralsAndPunctuation)
 {
-    auto toks = minisql::tokenize(
-        "INSERT INTO t VALUES (1, 'two words', -3);");
-    std::vector<std::string> expect{"INSERT", "INTO", "t",
-                                    "VALUES", "(",    "1",
-                                    ",",      "'two words",
-                                    ",",      "-3",   ")",
-                                    ";"};
+    std::vector<std::string_view> toks;
+    minisql::tokenize("INSERT INTO t VALUES (1, 'two words', -3);", toks);
+    std::vector<std::string_view> expect{"INSERT", "INTO", "t",
+                                         "VALUES", "(",    "1",
+                                         ",",      "'two words",
+                                         ",",      "-3",   ")",
+                                         ";"};
     EXPECT_EQ(toks, expect);
 }
 

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "base/asan.hh"
 #include "base/rng.hh"
 #include "base/strutil.hh"
 #include "machine/machine.hh"
@@ -523,6 +524,53 @@ TEST(Vfs, PathWalkMatchesSplitReference)
         EXPECT_EQ(st.type, type) << key;
     }
 }
+
+#ifdef FLEXOS_ASAN
+/** A TLSF heap that remembers the last block it handed out. */
+class RecordingAllocator : public Allocator
+{
+  public:
+    explicit RecordingAllocator(Machine &m)
+        : Allocator(m), heap(m, 64 * 1024)
+    {
+    }
+
+    void *alloc(std::size_t size) override { return last = heap.alloc(size); }
+    void free(void *p) override { heap.free(p); }
+    std::size_t
+    blockSize(const void *p) const override
+    {
+        return heap.blockSize(p);
+    }
+
+    void *last = nullptr;
+
+  private:
+    TlsfAllocator heap;
+};
+
+TEST(RamfsDeathTest, UnwrittenTailBytesArePoisoned)
+{
+    Machine mach;
+    RecordingAllocator alloc(mach);
+    Vfs vfs(mach, makeRamfs(mach, &alloc));
+    int fd = vfs.open("/f", oCreat | oRdWr);
+    ASSERT_EQ(vfs.write(fd, "0123456789", 10), 10);
+    const volatile char *block = static_cast<const char *>(alloc.last);
+    EXPECT_EQ(block[9], '9');
+    EXPECT_DEATH((void)block[10], "use-after-poison");
+    EXPECT_DEATH((void)block[RamfsNode::blockSize - 1], "use-after-poison");
+
+    // A shrink poisons the cut-off bytes; a regrowth zero-fills them.
+    ASSERT_EQ(vfs.ftruncate(fd, 4), vfsOk);
+    EXPECT_DEATH((void)block[4], "use-after-poison");
+    ASSERT_EQ(vfs.ftruncate(fd, 6), vfsOk);
+    EXPECT_EQ(block[5], '\0');
+    EXPECT_DEATH((void)block[6], "use-after-poison");
+    vfs.close(fd);
+    EXPECT_EQ(vfs.unlink("/f"), vfsOk);
+}
+#endif
 
 TEST(VfsCycles, OperationsChargeTheClock)
 {
